@@ -11,8 +11,8 @@ from .assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                        assemble, build_dofmap, interpolate, solve)
 from .harness import ExperimentConfig, emit_report, run_experiment
 from .local import (Coefficients, DofLayout, LocalSystem, ProjectorSet,
-                    dof_layout, interpolate_dofs, local_system, pi0_grad,
-                    pi0_k, pi_nabla, projector_set, stab_matrix)
+                    dof_layout, interpolate_dofs, local_system,
+                    projector_set)
 from .mesh import (ElementGeometry, MeshError, PolyMesh, RegularityReport,
                    element_geometry, load_mesh, polygon_geometry,
                    regularity_report, save_mesh)
@@ -33,8 +33,7 @@ __all__ = [
     "GeneratorSpec", "generate", "lloyd_relax",
     # element-local operators
     "Coefficients", "DofLayout", "LocalSystem", "ProjectorSet", "dof_layout",
-    "interpolate_dofs", "local_system", "pi0_grad", "pi0_k", "pi_nabla",
-    "projector_set", "stab_matrix",
+    "interpolate_dofs", "local_system", "projector_set",
     # global assembly
     "DofMap", "SparseSystem", "SolveError", "apply_dirichlet", "assemble",
     "build_dofmap", "interpolate", "solve",

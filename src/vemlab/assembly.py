@@ -9,7 +9,6 @@ system couples interior DoFs only, and the boundary coupling block is kept so
 the right-hand side can be corrected for any lifting.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,35 +92,23 @@ def build_dofmap(mesh, k):
                   boundary_dofs=boundary, interior_dofs=interior)
 
 
-def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, parallel=False,
-             dofmap=None):
+def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     """Assemble the reduced global system for one problem.
 
     Local matrices are scattered cell by cell in index order, so repeated
-    runs produce bit-identical systems.  With ``parallel=True`` the local
-    systems are computed concurrently but scattered in the same order,
-    keeping the result identical to the sequential default.
+    runs produce bit-identical systems.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     n = dofmap.n_dofs
 
-    def local_block(c):
-        geom = element_geometry(mesh, c)
-        layout = dof_layout(geom, k)
-        loc = local_system(geom, k, layout, coeffs, mode=mode,
-                           quad_boost=quad_boost)
-        return loc.matrix, loc.f_loc
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            blocks = list(pool.map(local_block, range(mesh.num_cells)))
-    else:
-        blocks = [local_block(c) for c in range(mesh.num_cells)]
-
     rows, cols, vals = [], [], []
     rhs_full = np.zeros(n)
-    for c, (A_loc, f_loc) in enumerate(blocks):
+    for c in range(mesh.num_cells):
+        geom = element_geometry(mesh, c)
+        loc = local_system(geom, k, dof_layout(geom, k), coeffs, mode=mode,
+                           quad_boost=quad_boost)
+        A_loc, f_loc = loc.matrix, loc.f_loc
         g = dofmap.cell_dofs[c]
         if A_loc.shape != (g.size, g.size):
             raise ValueError(

@@ -1,36 +1,62 @@
-"""Evaluation kernels with a compiled fast path.
+"""Evaluation kernels: scaled-monomial value and gradient tables in NumPy.
 
-The compiled extension is preferred when present; set ``VEMLAB_KERNELS`` to
-``python`` or ``c`` to force a backend (``auto`` is the default).
+Callers evaluate each element's tables in a few large calls (see
+``vemlab.local.projector_set``), so per-call overhead stays small without a
+compiled kernel.
 """
 
-import os
+import numpy as np
 
-_choice = os.environ.get("VEMLAB_KERNELS", "auto").lower()
 
-if _choice not in ("auto", "c", "python"):
-    raise ValueError(f"VEMLAB_KERNELS must be auto, c or python, got {_choice!r}")
+def monomial_vandermonde(pts, center, diameter, exps):
+    """Evaluate scaled monomials ((x-xc)/h)^a ((y-yc)/h)^b at points.
 
-if _choice in ("auto", "c"):
-    try:
-        from ._speedups import monomial_vandermonde, monomial_vandermonde_grad
+    Parameters
+    ----------
+    pts : (n, 2) float array
+    center : (2,) float array
+    diameter : float
+    exps : (m, 2) int array of exponent pairs
 
-        BACKEND = "c"
-    except ImportError:
-        if _choice == "c":
-            raise
-        from ._fallback import monomial_vandermonde, monomial_vandermonde_grad
+    Returns
+    -------
+    (n, m) array with V[i, j] = m_j(pts[i]).
+    """
+    pts = np.asarray(pts, dtype=float)
+    xi = (pts[:, 0] - center[0]) / diameter
+    eta = (pts[:, 1] - center[1]) / diameter
+    deg = int(exps.max()) if len(exps) else 0
+    xp = _powers(xi, deg)
+    yp = _powers(eta, deg)
+    return xp[:, exps[:, 0]] * yp[:, exps[:, 1]]
 
-        BACKEND = "python"
-else:
-    from ._fallback import monomial_vandermonde, monomial_vandermonde_grad
 
-    BACKEND = "python"
+def monomial_vandermonde_grad(pts, center, diameter, exps):
+    """Evaluate gradients of the scaled monomials at points.
+
+    Returns two (n, m) arrays with the values of d(m_j)/dx and d(m_j)/dy.
+    """
+    pts = np.asarray(pts, dtype=float)
+    xi = (pts[:, 0] - center[0]) / diameter
+    eta = (pts[:, 1] - center[1]) / diameter
+    deg = int(exps.max()) if len(exps) else 0
+    xp = _powers(xi, deg)
+    yp = _powers(eta, deg)
+    ax = exps[:, 0]
+    ay = exps[:, 1]
+    gx = ax * xp[:, np.maximum(ax - 1, 0)] * yp[:, ay] / diameter
+    gy = ay * xp[:, ax] * yp[:, np.maximum(ay - 1, 0)] / diameter
+    return gx, gy
 
 
 def backend_name():
-    """Name of the active kernel backend ("c" or "python")."""
-    return BACKEND
+    """Name of the kernel backend, recorded with benchmark results."""
+    return "python"
 
 
-__all__ = ["monomial_vandermonde", "monomial_vandermonde_grad", "backend_name", "BACKEND"]
+def _powers(t, deg):
+    out = np.empty((t.shape[0], deg + 1))
+    out[:, 0] = 1.0
+    for j in range(1, deg + 1):
+        out[:, j] = out[:, j - 1] * t
+    return out

@@ -188,13 +188,20 @@ def projector_set(geom, k, layout=None, rule=None):
     traces = list(_edge_traces(geom, layout, k + 1))
     t_std, _ = _gauss(k + 1)
 
+    # One value table on the vertices and every edge Gauss point, one
+    # gradient table on the edge points; the edge loops below slice them.
+    nv = layout.n_vertices
+    edge_pts = np.vstack([pts for _, pts, _, _ in traces])
+    V = basis.eval(np.vstack([geom.vertices, edge_pts]))
+    V_edge = V[nv:].reshape(nv, k + 1, nk)
+    gx_edge, gy_edge = (g.reshape(nv, k + 1, nk) for g in basis.grad(edge_pts))
+
     # DoFs of the monomials, one row per DoF.
     D = np.zeros((nd, nk))
-    D[:layout.n_vertices] = basis.eval(geom.vertices)
-    for e, pts, wts, _vals in traces:
-        Vm = basis.eval(pts)
+    D[:nv] = V[:nv]
+    for e, _pts, wts, _vals in traces:
         for j in range(k - 1):
-            D[layout.edge_slot(e, j)] = (wts * t_std ** j) @ Vm / geom.edge_lengths[e]
+            D[layout.edge_slot(e, j)] = (wts * t_std ** j) @ V_edge[e] / geom.edge_lengths[e]
     if nkm2:
         D[layout.n_vertices * k:] = H[:nkm2] / area
 
@@ -207,12 +214,11 @@ def projector_set(geom, k, layout=None, rule=None):
         B[:, layout.n_vertices * k:] -= area * basis.laplacian_map().T
     bmean_mono = np.zeros(nk)
     bmean_dof = np.zeros(nd)
-    for e, pts, wts, vals in traces:
-        gx, gy = basis.grad(pts)
+    for e, _pts, wts, vals in traces:
         normal = geom.edge_normals[e]
-        dn = gx * normal[0] + gy * normal[1]
+        dn = gx_edge[e] * normal[0] + gy_edge[e] * normal[1]
         B += dn.T @ (wts[:, None] * vals)
-        bmean_mono += wts @ basis.eval(pts) / perimeter
+        bmean_mono += wts @ V_edge[e] / perimeter
         bmean_dof += wts @ vals / perimeter
     G[0] = bmean_mono
     B[0] = bmean_dof
@@ -242,8 +248,8 @@ def projector_set(geom, k, layout=None, rule=None):
         lower = ScaledMonomialBasis(geom, k - 1)
         rx[:, layout.n_vertices * k:] -= area * lower.derivative_map(0).T
         ry[:, layout.n_vertices * k:] -= area * lower.derivative_map(1).T
-    for e, pts, wts, vals in traces:
-        Vm1 = basis.eval(pts)[:, :nkm1]
+    for e, _pts, wts, vals in traces:
+        Vm1 = V_edge[e][:, :nkm1]
         moment = Vm1.T @ (wts[:, None] * vals)
         rx += geom.edge_normals[e, 0] * moment
         ry += geom.edge_normals[e, 1] * moment
@@ -255,47 +261,6 @@ def projector_set(geom, k, layout=None, rule=None):
     return ProjectorSet(k=k, layout=layout, basis=basis, PiNabla=PiNabla,
                         Pi0k=Pi0k, Pi0km1=Pi0km1, Pi0GradX=Pi0GradX,
                         Pi0GradY=Pi0GradY, D=D, B=B, G=G, H=H)
-
-
-def pi_nabla(geom, k, layout=None):
-    """Energy-projection matrix (DoFs -> degree-k coefficients)."""
-    return projector_set(geom, k, layout).PiNabla
-
-
-def pi0_k(geom, k, layout=None, pinabla=None):
-    """L2-projection matrix onto degree k, via the moment substitution."""
-    proj = projector_set(geom, k, layout)
-    if pinabla is not None:
-        nkm2 = n_poly(k - 2)
-        mu = np.zeros_like(proj.B)
-        if nkm2:
-            mu[:nkm2, proj.layout.n_vertices * k:] = geom.area * np.eye(nkm2)
-        mu[nkm2:] = proj.H[nkm2:] @ pinabla
-        return _solve(proj.H, mu, "L2 projector mass")
-    return proj.Pi0k
-
-
-def pi0_grad(geom, k, layout=None):
-    """L2-projection matrices of the gradient onto degree k-1 (x, y parts)."""
-    proj = projector_set(geom, k, layout)
-    return proj.Pi0GradX, proj.Pi0GradY
-
-
-def stab_matrix(geom, k, layout=None, pinabla=None, coeffs=None, rule=None):
-    """Dofi-dofi stabilization scaled by the mean of trace(kappa)/2."""
-    layout = layout if layout is not None else dof_layout(geom, k)
-    proj = projector_set(geom, k, layout)
-    pinabla = proj.PiNabla if pinabla is None else pinabla
-    if rule is None:
-        rule = polygon_quadrature(geom, 2 * k)
-    if coeffs is None:
-        sigma = 1.0
-    else:
-        kap = coeffs.kappa_at(rule.points)
-        sigma = float(rule.weights @ (kap[:, 0, 0] + kap[:, 1, 1])) / (2 * geom.area)
-    M = np.eye(layout.n_dofs) - proj.D @ pinabla
-    S = sigma * (M.T @ M)
-    return 0.5 * (S + S.T)
 
 
 def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):

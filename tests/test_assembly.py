@@ -137,13 +137,11 @@ class TestAssemble:
         for r, c in zip(coo.row, coo.col):
             assert cells_of[ii[r]] & cells_of[ii[c]]
 
-    def test_deterministic_and_parallel_identical(self):
+    def test_deterministic(self):
         mesh = MESHES["lloyd0"]
         coeffs = Coefficients.constant(kappa=KAPPA, b=(0.4, -0.2), gamma=0.3,
                                        f=1.0)
-        runs = [assemble(mesh, 2, coeffs),
-                assemble(mesh, 2, coeffs),
-                assemble(mesh, 2, coeffs, parallel=True)]
+        runs = [assemble(mesh, 2, coeffs) for _ in range(3)]
         ref = runs[0]
         ref.matrix.sort_indices()
         for other in runs[1:]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vemlab import kernels
 from vemlab.basis import (EdgeBasis, ScaledMonomialBasis, edge_quadrature,
                           edge_reconstruction, mass_matrix,
                           monomial_exponents, n_poly, poly_eval, poly_grad,
@@ -75,6 +76,26 @@ class TestDerivativeMaps:
             g_fd = fd_gradient(lambda x, y: poly_eval(basis, coeffs, np.array([x, y])),
                                p[0], p[1], step=1e-6)
             assert np.allclose(g, g_fd, atol=1e-7)
+
+
+class TestKernels:
+    def test_gradient_is_derivative_of_values(self):
+        rng = np.random.default_rng(42)
+        pts = rng.uniform(-2.0, 3.0, size=(31, 2))
+        center = rng.uniform(-1.0, 1.0, size=2)
+        diameter = rng.uniform(0.5, 2.0)
+        exps = monomial_exponents(4)
+        step = 1e-6
+        gx, gy = kernels.monomial_vandermonde_grad(pts, center, diameter, exps)
+        for axis, g in ((0, gx), (1, gy)):
+            shift = np.zeros(2)
+            shift[axis] = step
+            plus = kernels.monomial_vandermonde(pts + shift, center, diameter,
+                                                exps)
+            minus = kernels.monomial_vandermonde(pts - shift, center,
+                                                 diameter, exps)
+            np.testing.assert_allclose(g, (plus - minus) / (2 * step),
+                                       rtol=2e-6, atol=1e-7)
 
 
 class TestPolygonQuadrature:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from vemlab import kernels
 from vemlab.basis import (ScaledMonomialBasis, edge_quadrature, n_poly,
                           poly_eval, polygon_quadrature)
 from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
-                          local_system, pi0_grad, pi0_k, pi_nabla,
-                          projector_set, stab_matrix)
+                          local_system, projector_set)
 from vemlab.mesh import element_geometry, polygon_geometry
 from vemlab.meshgen import GeneratorSpec, concave_mesh, voronoi_mesh
 
@@ -114,7 +114,7 @@ class TestPiNabla:
             assert np.abs(proj.G - proj.B @ proj.D).max() < 1e-12 * scale
 
     def test_hat_function_on_unit_square(self):
-        pin = pi_nabla(UNIT_SQUARE, 1)
+        pin = projector_set(UNIT_SQUARE, 1).PiNabla
         coeffs = pin @ np.array([1.0, 0.0, 0.0, 0.0])
         basis = ScaledMonomialBasis(UNIT_SQUARE, 1)
         pts = np.random.default_rng(3).random((12, 2))
@@ -182,6 +182,29 @@ def _edge_vander(k):
     return np.array(rows)
 
 
+class TestKernelCalls:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("which", [6, 5], ids=["concave_octagon", "voronoi"])
+    def test_projector_set_makes_at_most_three_table_calls(self, k, which,
+                                                           monkeypatch):
+        # Each element's monomial tables come from a few stacked
+        # evaluations, not one call per edge and use.
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for name in ("monomial_vandermonde", "monomial_vandermonde_grad"):
+            monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+        geom = CELLS[which]
+        assert geom.vertices.shape[0] >= 7
+        projector_set(geom, k)
+        assert 0 < len(calls) <= 3
+
+
 class TestPi0:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_idempotent_on_polynomials(self, k):
@@ -217,11 +240,18 @@ class TestPi0:
         moment = (proj.H[0] @ coeffs) / geom.area
         assert abs(moment - d[lay.internal_slot(0)]) < 1e-12
 
-    def test_explicit_pinabla_argument(self):
+    def test_moment_substitution_reproduces_pi0k(self):
+        # Pi0k solves H c = mu: exact moments up to degree k-2, energy
+        # projected moments above.
         geom = HEXAGON
-        proj = projector_set(geom, 3)
-        via_arg = pi0_k(geom, 3, proj.layout, proj.PiNabla)
-        assert np.allclose(via_arg, proj.Pi0k, atol=1e-14)
+        k = 3
+        proj = projector_set(geom, k)
+        nkm2 = n_poly(k - 2)
+        mu = np.zeros_like(proj.B)
+        mu[:nkm2, proj.layout.internal_slot(0):] = geom.area * np.eye(nkm2)
+        mu[nkm2:] = proj.H[nkm2:] @ proj.PiNabla
+        via_moments = np.linalg.solve(proj.H, mu)
+        assert np.allclose(via_moments, proj.Pi0k, atol=1e-14)
 
 
 class TestPi0Grad:
@@ -235,7 +265,8 @@ class TestPi0Grad:
             assert np.abs(proj.Pi0GradY @ proj.D - Dy).max() < 1e-11
 
     def test_hat_function_mean_gradient(self):
-        gx, gy = pi0_grad(UNIT_SQUARE, 1)
+        proj = projector_set(UNIT_SQUARE, 1)
+        gx, gy = proj.Pi0GradX, proj.Pi0GradY
         hat = np.array([1.0, 0.0, 0.0, 0.0])
         assert abs(gx @ hat - (-0.5)) < 1e-13
         assert abs(gy @ hat - (-0.5)) < 1e-13
@@ -279,9 +310,8 @@ class TestStabilization:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_annihilates_polynomial_dofs(self, k):
         for geom in CELLS[:5]:
-            proj = projector_set(geom, k)
-            S = stab_matrix(geom, k, proj.layout, proj.PiNabla,
-                            Coefficients.constant(kappa=1.0))
+            sys = local_system(geom, k, None, Coefficients.constant(kappa=1.0))
+            S, proj = sys.S, sys.projectors
             scale = max(1.0, np.abs(S).max())
             assert np.abs(S @ proj.D).max() < 1e-11 * scale
             assert np.allclose(S, S.T)
@@ -289,8 +319,8 @@ class TestStabilization:
 
     def test_scales_with_kappa_trace(self):
         geom = PENTAGON
-        S1 = stab_matrix(geom, 2, coeffs=Coefficients.constant(kappa=1.0))
-        S5 = stab_matrix(geom, 2, coeffs=Coefficients.constant(kappa=5.0))
+        S1 = local_system(geom, 2, None, Coefficients.constant(kappa=1.0)).S
+        S5 = local_system(geom, 2, None, Coefficients.constant(kappa=5.0)).S
         assert np.allclose(S5, 5 * S1, atol=1e-13)
 
     def test_generalized_eigenvalues_against_bilinear_oracle(self):
