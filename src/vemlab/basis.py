@@ -251,17 +251,20 @@ def edge_quadrature(endpoints, exactness):
     return QuadratureRule(pts, w * length / 2, exactness)
 
 
-def mass_matrix(basis, up_to=None, weight=None, rule=None):
+def mass_matrix(basis, up_to=None, weight=None, rule=None, values=None):
     """Matrix of int_E weight m_a m_b for |a|, |b| <= up_to.
 
     Without an explicit rule the exactness is 2*up_to for weight None
-    (then the matrix is exact) and 2*up_to + 2 otherwise.
+    (then the matrix is exact) and 2*up_to + 2 otherwise.  ``values`` may
+    hold ``basis.eval(rule.points)`` when the caller already has it.
     """
     deg = basis.degree if up_to is None else int(up_to)
     sub = n_poly(deg)
     if rule is None:
         rule = polygon_quadrature(basis.geom, 2 * deg + (0 if weight is None else 2))
-    V = basis.eval(rule.points)[:, :sub]
+    if values is None:
+        values = basis.eval(rule.points)
+    V = values[:, :sub]
     w = rule.weights if weight is None else rule.weights * _sample(weight, rule.points)
     H = V.T @ (w[:, None] * V)
     return 0.5 * (H + H.T)

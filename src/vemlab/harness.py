@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
-from .mesh import element_geometry
+from .mesh import polygon_diameter
+from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 from .meshgen import GeneratorSpec, generate
 from .postprocess import (ErrorRecord, convergence_rates, error_norms,
                           point_error, project_solution)
@@ -64,8 +65,7 @@ def _run_single(mesh, k, problem, mode, quad_boost, point, dofmap=None):
     """Solve one mesh and measure errors; solver failures become data."""
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
-    h_max = max(element_geometry(mesh, c).diameter
-                for c in range(mesh.num_cells))
+    h_max = max(polygon_diameter(mesh.vertices[ring]) for ring in mesh.cells)
     try:
         system = assemble(mesh, k, problem.coefficients, mode=mode,
                           quad_boost=quad_boost, dofmap=dofmap)

@@ -52,7 +52,8 @@ class ProjectorSet:
     the gradient pair onto degree-(k-1) coefficients.  ``D`` holds the DoFs
     of the monomials (one row per DoF), and ``B``/``G`` are the energy
     projector's right-hand side and system matrix, kept for verification:
-    ``G == B @ D`` is an identity.
+    ``G == B @ D`` is an identity.  ``rule_values`` is the monomial table on
+    the points of the quadrature rule that built ``H``.
     """
 
     k: int
@@ -67,6 +68,7 @@ class ProjectorSet:
     B: np.ndarray
     G: np.ndarray
     H: np.ndarray
+    rule_values: np.ndarray
 
 
 @dataclass
@@ -183,7 +185,8 @@ def projector_set(geom, k, layout=None, rule=None):
     perimeter = geom.edge_lengths.sum()
     if rule is None:
         rule = polygon_quadrature(geom, 2 * k)
-    H = mass_matrix(basis, rule=rule)
+    rule_values = basis.eval(rule.points)
+    H = mass_matrix(basis, rule=rule, values=rule_values)
     Hm1 = H[:nkm1, :nkm1]
     traces = list(_edge_traces(geom, layout, k + 1))
     t_std, _ = _gauss(k + 1)
@@ -260,7 +263,8 @@ def projector_set(geom, k, layout=None, rule=None):
 
     return ProjectorSet(k=k, layout=layout, basis=basis, PiNabla=PiNabla,
                         Pi0k=Pi0k, Pi0km1=Pi0km1, Pi0GradX=Pi0GradX,
-                        Pi0GradY=Pi0GradY, D=D, B=B, G=G, H=H)
+                        Pi0GradY=Pi0GradY, D=D, B=B, G=G, H=H,
+                        rule_values=rule_values)
 
 
 def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
@@ -286,7 +290,7 @@ def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
         GxA, GyA = proj.Pi0GradX, proj.Pi0GradY
 
     w = rule.weights
-    V = proj.basis.eval(rule.points)[:, :nkm1]
+    V = proj.rule_values[:, :nkm1]
     VGxA, VGyA = V @ GxA, V @ GyA
     kap = coeffs.kappa_at(rule.points)
     Acons = (VGxA.T @ ((w * kap[:, 0, 0])[:, None] * VGxA)

@@ -113,6 +113,12 @@ def polygon_area_centroid(coords):
     return area, np.array([cx, cy])
 
 
+def polygon_diameter(coords):
+    """Largest distance between two vertices of a polygon."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(-1).max()))
+
+
 def make_mesh(vertices, cells, boundary_vertices=None):
     """Validate raw arrays and assemble a :class:`PolyMesh`.
 
@@ -224,8 +230,7 @@ def polygon_geometry(coords, forward=None):
     if not _signed_area(coords) > 0.0:
         raise MeshError("polygon is degenerate or not counterclockwise")
     area, centroid = polygon_area_centroid(coords)
-    diff = coords[:, None, :] - coords[None, :, :]
-    diameter = float(np.sqrt((diff ** 2).sum(-1).max()))
+    diameter = polygon_diameter(coords)
     tang = np.roll(coords, -1, axis=0) - coords
     lengths = np.hypot(tang[:, 0], tang[:, 1])
     if lengths.min() <= 0.0:

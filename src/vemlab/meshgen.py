@@ -8,15 +8,19 @@ Voronoi cells are clipped to the square by mirroring the seed set across all
 four sides: the sides then appear as exact bisectors, every interior seed
 gets a bounded region, and neighboring cells share vertex ids by
 construction, so the clipped diagram is conforming without any per-cell
-polygon stitching.
+polygon stitching.  Lloyd iterations after the first mirror only the seeds
+in a band along each side and keep the diagram only if every cell lies in
+the square, which certifies it equal to the fully mirrored one.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .mesh import MeshError, make_mesh, polygon_area_centroid
+from .mesh import MeshError, make_mesh
+from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
 
 #: interior points of the splitting polyline for the concave family, in
 #: twentieths of the square side; endpoints are the side midpoints (0, 10)
@@ -153,16 +157,22 @@ def relax_points(points, iterations):
     """Lloyd iterations on seed points.
 
     Returns the relaxed points and the per-iteration movement norms
-    ``max_i |seed_i - centroid_i|``.
+    ``max_i |seed_i - centroid_i|``.  After the first iteration only the
+    seeds near a side are mirrored across it (see :func:`_banded_rings`).
     """
     pts = np.asarray(points, dtype=float).copy()
     movements = np.empty(iterations)
+    band = None
     for it in range(iterations):
-        rings, coords = _clipped_cells(pts)
-        new = np.empty_like(pts)
-        for i, ring in enumerate(rings):
-            _, new[i] = polygon_area_centroid(coords[ring])
+        if band is None:
+            flat, starts, coords = _voronoi_rings(pts)
+        else:
+            flat, starts, coords = _banded_rings(pts, band)
+        new = _centroids(flat, starts, coords)
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
+        # next band: twice the largest seed-to-vertex distance
+        owner_pts = np.repeat(pts, np.diff(starts, append=len(flat)), axis=0)
+        band = 2.0 * np.sqrt(((coords[flat] - owner_pts) ** 2).sum(axis=1).max())
         pts = new
     return pts, movements
 
@@ -182,33 +192,86 @@ def _tessellate(pts):
 
 
 def _clipped_cells(pts):
-    """Rings (vertex-id lists) and coordinates of square-clipped Voronoi cells."""
+    """Rings (vertex-id arrays) and coordinates of square-clipped Voronoi cells."""
+    flat, starts, coords = _voronoi_rings(pts)
+    return np.split(flat, starts[1:]), coords
+
+
+def _mirrored(pts, band=None):
+    """The seeds, then their images across x = 0, x = 1, y = 0 and y = 1.
+
+    With a ``band``, only the seeds closer than ``band`` to a side are
+    mirrored across it.
+    """
+    images = (pts * (-1.0, 1.0),               # across x = 0
+              pts * (-1.0, 1.0) + (2.0, 0.0),  # across x = 1
+              pts * (1.0, -1.0),               # across y = 0
+              pts * (1.0, -1.0) + (0.0, 2.0))  # across y = 1
+    if band is None:
+        return np.vstack((pts,) + images)
+    dist = (pts[:, 0], 1.0 - pts[:, 0], pts[:, 1], 1.0 - pts[:, 1])
+    return np.vstack([pts] + [im[d < band] for im, d in zip(images, dist)])
+
+
+def _voronoi_rings(pts, band=None):
+    """Counterclockwise Voronoi rings of all seeds in one flat array.
+
+    Returns ``(flat, starts, coords)``: the ring of seed i is
+    ``flat[starts[i]:starts[i + 1]]``, indexing the vertex table ``coords``.
+    Without a ``band`` every seed is mirrored and the rings are the cells
+    clipped to the square.
+    """
     n = len(pts)
     if n == 1:
         # qhull needs a 2-d point cloud; the single-seed diagram is the square
-        return [np.array([0, 1, 2, 3])], np.array([[0.0, 0.0], [1.0, 0.0],
-                                                   [1.0, 1.0], [0.0, 1.0]])
-    mirrored = np.vstack([
-        pts,
-        pts * (-1.0, 1.0),               # across x = 0
-        pts * (-1.0, 1.0) + (2.0, 0.0),  # across x = 1
-        pts * (1.0, -1.0),               # across y = 0
-        pts * (1.0, -1.0) + (0.0, 2.0),  # across y = 1
-    ])
-    vor = Voronoi(mirrored)
+        return (np.arange(4), np.zeros(1, dtype=np.intp),
+                np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    vor = Voronoi(_mirrored(pts, band))
     coords = vor.vertices.copy()
     coords[np.abs(coords) < _SNAP_TOL] = 0.0
     coords[np.abs(coords - 1.0) < _SNAP_TOL] = 1.0
-    rings = []
-    for i in range(n):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise MeshError("unbounded Voronoi region; seed configuration degenerate")
-        ring = np.asarray(region, dtype=int)
-        # counterclockwise angular order around the seed (cells are convex)
-        ang = np.arctan2(coords[ring, 1] - pts[i, 1], coords[ring, 0] - pts[i, 0])
-        rings.append(ring[np.argsort(ang)])
-    return rings, coords
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    sizes = np.fromiter(map(len, regions), dtype=np.intp, count=n)
+    flat = np.fromiter(chain.from_iterable(regions), dtype=np.intp,
+                       count=sizes.sum())
+    if sizes.min() < 3 or flat.min() < 0:
+        raise MeshError("unbounded Voronoi region; seed configuration degenerate")
+    # counterclockwise angular order around each seed (cells are convex)
+    owner = np.repeat(np.arange(n), sizes)
+    rel = coords[flat] - pts[owner]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
+    return flat[order], np.cumsum(sizes) - sizes, coords
+
+
+def _banded_rings(pts, band):
+    """Clipped rings from band mirroring, certified; full mirroring otherwise.
+
+    The certificate is exact.  For a point p of the square, a seed g and
+    its mirror g' across a side, |p - g'| >= |p - g|: no mirror is nearer
+    to a point of the square than the seed it copies.  So every subset of
+    mirrors gives each seed the same cell inside the square, and a cell
+    that lies entirely in the square is the clipped cell.
+    """
+    try:
+        flat, starts, coords = _voronoi_rings(pts, band)
+    except MeshError:
+        return _voronoi_rings(pts)
+    used = coords[flat]
+    if np.all((used >= 0.0) & (used <= 1.0)):
+        return flat, starts, coords
+    return _voronoi_rings(pts)
+
+
+def _centroids(flat, starts, coords):
+    """Area centroids of the flat rings: one shoelace pass, summed per ring."""
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[np.append(starts[1:], len(flat)) - 1] = starts  # wrap to the ring start
+    x, y = coords[flat, 0], coords[flat, 1]
+    xn, yn = x[nxt], y[nxt]
+    cross = x * yn - xn * y
+    six_area = 3.0 * np.add.reduceat(cross, starts)
+    return np.column_stack([np.add.reduceat((x + xn) * cross, starts),
+                            np.add.reduceat((y + yn) * cross, starts)]) / six_area[:, None]
 
 
 def _mesh_from_rings(rings, coords):

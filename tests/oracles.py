@@ -171,3 +171,56 @@ def random_polygon_bank(seed=42):
         for ci in take:
             polys.append(element_geometry(mesh, int(ci)))
     return polys
+
+
+def clipped_cells_per_cell(pts):
+    """Square-clipped Voronoi rings, one seed at a time.
+
+    The seeds are mirrored across all four sides and each region is sorted
+    by its own ``argsort`` of angles: the per-cell construction the flat
+    ring extraction of ``vemlab.meshgen`` replaced.
+    """
+    from scipy.spatial import Voronoi
+
+    n = len(pts)
+    if n == 1:
+        return [np.array([0, 1, 2, 3])], np.array([[0.0, 0.0], [1.0, 0.0],
+                                                   [1.0, 1.0], [0.0, 1.0]])
+    mirrored = np.vstack([
+        pts,
+        pts * (-1.0, 1.0),
+        pts * (-1.0, 1.0) + (2.0, 0.0),
+        pts * (1.0, -1.0),
+        pts * (1.0, -1.0) + (0.0, 2.0),
+    ])
+    vor = Voronoi(mirrored)
+    coords = vor.vertices.copy()
+    coords[np.abs(coords) < 1e-12] = 0.0
+    coords[np.abs(coords - 1.0) < 1e-12] = 1.0
+    rings = []
+    for i in range(n):
+        region = vor.regions[vor.point_region[i]]
+        assert -1 not in region and len(region) >= 3
+        ring = np.asarray(region, dtype=int)
+        ang = np.arctan2(coords[ring, 1] - pts[i, 1], coords[ring, 0] - pts[i, 0])
+        rings.append(ring[np.argsort(ang)])
+    return rings, coords
+
+
+def relax_points_per_cell(points, iterations):
+    """Lloyd iterations with full mirroring and one shoelace call per cell."""
+    pts = np.asarray(points, dtype=float).copy()
+    movements = np.empty(iterations)
+    for it in range(iterations):
+        rings, coords = clipped_cells_per_cell(pts)
+        new = np.empty_like(pts)
+        for i, ring in enumerate(rings):
+            x, y = coords[ring, 0], coords[ring, 1]
+            xn, yn = np.roll(x, -1), np.roll(y, -1)
+            cross = x * yn - xn * y
+            area = 0.5 * np.sum(cross)
+            new[i] = (np.sum((x + xn) * cross) / (6.0 * area),
+                      np.sum((y + yn) * cross) / (6.0 * area))
+        movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
+        pts = new
+    return pts, movements

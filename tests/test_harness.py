@@ -5,15 +5,29 @@ import csv
 import numpy as np
 import pytest
 
-from vemlab.harness import (CSV_COLUMNS, DEFAULT_SIZES, ExperimentConfig,
-                            emit_report, run_experiment)
-from vemlab.meshgen import square_mesh
+from vemlab.harness import (CSV_COLUMNS, DEFAULT_SIZES, STUDY_FAMILIES,
+                            ExperimentConfig, _run_single, emit_report,
+                            run_experiment)
+from vemlab.mesh import element_geometry, polygon_diameter
+from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 from vemlab.postprocess import ErrorRecord, convergence_rates
+from vemlab.problems import builtin_problem
 
 
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("family", STUDY_FAMILIES)
+def test_h_max_equals_largest_geometry_diameter(family):
+    # h_max comes from the ring coordinates alone; it must equal the
+    # diameter element_geometry reports, bit for bit
+    mesh = generate(GeneratorSpec(family, 25, seed=3))
+    diameters = [element_geometry(mesh, c).diameter for c in range(mesh.num_cells)]
+    assert [polygon_diameter(mesh.vertices[ring]) for ring in mesh.cells] == diameters
+    rec = _run_single(mesh, 1, builtin_problem(), "standard", 2, (0.781, 0.766))
+    assert rec.h_max == max(diameters)
 
 
 class TestExperimentConfig:

@@ -183,12 +183,8 @@ def _edge_vander(k):
 
 
 class TestKernelCalls:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("which", [6, 5], ids=["concave_octagon", "voronoi"])
-    def test_projector_set_makes_at_most_three_table_calls(self, k, which,
-                                                           monkeypatch):
-        # Each element's monomial tables come from a few stacked
-        # evaluations, not one call per edge and use.
+    @staticmethod
+    def _counted_calls(monkeypatch):
         calls = []
 
         def counted(fn):
@@ -199,9 +195,31 @@ class TestKernelCalls:
 
         for name in ("monomial_vandermonde", "monomial_vandermonde_grad"):
             monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("which", [6, 5], ids=["concave_octagon", "voronoi"])
+    def test_projector_set_makes_at_most_three_table_calls(self, k, which,
+                                                           monkeypatch):
+        # Each element's monomial tables come from a few stacked
+        # evaluations, not one call per edge and use.
+        calls = self._counted_calls(monkeypatch)
         geom = CELLS[which]
         assert geom.vertices.shape[0] >= 7
         projector_set(geom, k)
+        assert 0 < len(calls) <= 3
+
+    @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("which", [6, 5], ids=["concave_octagon", "voronoi"])
+    def test_local_system_makes_at_most_three_table_calls(self, k, which, mode,
+                                                          monkeypatch):
+        # The local forms reuse the projector set's table on the rule points.
+        calls = self._counted_calls(monkeypatch)
+        geom = CELLS[which]
+        coeffs = Coefficients.constant(kappa=[[2.0, 0.3], [0.3, 1.0]],
+                                       b=(0.4, -0.2), gamma=1.5, f=1.0)
+        local_system(geom, k, dof_layout(geom, k), coeffs, mode=mode)
         assert 0 < len(calls) <= 3
 
 

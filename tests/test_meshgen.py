@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import cvt_energy, reflex_vertices, sees_all_of_polygon
-from vemlab.mesh import element_geometry, make_mesh
-from vemlab.meshgen import (GeneratorSpec, _clipped_cells, concave_mesh,
-                            generate, lloyd_relax, relax_points, square_mesh,
+import vemlab.meshgen as meshgen
+from oracles import (clipped_cells_per_cell, cvt_energy, reflex_vertices,
+                     relax_points_per_cell, sees_all_of_polygon)
+from vemlab.mesh import MeshError, element_geometry, make_mesh
+from vemlab.meshgen import (GeneratorSpec, _banded_rings, _centroids,
+                            _clipped_cells, _draw_seeds, _mesh_from_rings,
+                            _voronoi_rings, concave_mesh, generate,
+                            lloyd_relax, relax_points, square_mesh,
                             voronoi_mesh)
 
 
@@ -140,6 +144,95 @@ class TestLloyd:
         _, movement = relax_points(np.random.default_rng(0).uniform(0, 1, (100, 2)), 100)
         assert movement[-10:].max() < movement[10:20].max()
         assert movement[-1] < 0.05 * movement[0]
+
+
+def _counting_voronoi(monkeypatch):
+    """Replace the qhull entry point of meshgen; returns the input sizes."""
+    sizes = []
+
+    def counted(points, *args, **kwargs):
+        sizes.append(len(points))
+        return Voronoi(points, *args, **kwargs)
+
+    Voronoi = meshgen.Voronoi
+    monkeypatch.setattr(meshgen, "Voronoi", counted)
+    return sizes
+
+
+class TestFlatVoronoi:
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_lloyd0_mesh_byte_identical_to_per_cell_oracle(self, n, seed):
+        spec = GeneratorSpec("lloyd0", n, seed=seed)
+        pts = _draw_seeds(spec)
+        rings, coords = _clipped_cells(pts)
+        ref_rings, ref_coords = clipped_cells_per_cell(pts)
+        assert coords.tobytes() == ref_coords.tobytes()
+        assert len(rings) == len(ref_rings)
+        assert all(np.array_equal(a, b) for a, b in zip(rings, ref_rings))
+        mesh, ref = generate(spec), _mesh_from_rings(ref_rings, ref_coords)
+        assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relax_matches_per_cell_oracle(self, seed):
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, (200, 2))
+        new, moves = relax_points(pts, 100)
+        ref, ref_moves = relax_points_per_cell(pts, 100)
+        assert np.abs(new - ref).max() < 1e-10
+        assert np.abs(moves - ref_moves).max() < 1e-10
+
+    @pytest.mark.parametrize("band, failure", [(1e-3, "unbounded"),
+                                               (0.05, "outside")])
+    def test_narrow_band_falls_back_to_full_mirroring(self, band, failure,
+                                                      monkeypatch):
+        pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
+        if failure == "unbounded":
+            with pytest.raises(MeshError):
+                _voronoi_rings(pts, band)
+        else:
+            flat, _, coords = _voronoi_rings(pts, band)
+            assert np.any((coords[flat] < 0.0) | (coords[flat] > 1.0))
+        full = _voronoi_rings(pts)
+        sizes = _counting_voronoi(monkeypatch)
+        banded = _banded_rings(pts, band)
+        # the band diagram failed the certificate, then full mirroring ran
+        assert len(sizes) == 2
+        assert sizes[1] == 5 * len(pts) > sizes[0]
+        for a, b in zip(banded, full):
+            assert a.tobytes() == b.tobytes()
+
+    def test_certified_band_cells_equal_clipped_cells(self, monkeypatch):
+        pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
+        full = _voronoi_rings(pts)
+        sizes = _counting_voronoi(monkeypatch)
+        banded = _banded_rings(pts, 0.1)
+        assert len(sizes) == 1 and sizes[0] < 5 * len(pts)
+        assert np.array_equal(np.diff(banded[1]), np.diff(full[1]))
+        assert np.abs(_centroids(*banded) - _centroids(*full)).max() < 1e-13
+
+    def test_band_mirroring_feeds_qhull_fewer_points(self, monkeypatch):
+        n = 400
+        pts = np.random.default_rng(2).uniform(0.0, 1.0, (n, 2))
+        sizes = _counting_voronoi(monkeypatch)
+        relax_points(pts, 20)
+        assert len(sizes) == 20
+        assert sizes[0] == 5 * n
+        assert max(sizes[1:]) < 2 * n
+
+    def test_single_seed_relaxes_to_square_centroid(self):
+        pts, movement = relax_points([[0.3, 0.6]], 3)
+        assert np.array_equal(pts, [[0.5, 0.5]])
+        assert movement[0] == pytest.approx(np.hypot(0.2, 0.1))
+        assert np.all(movement[1:] == 0.0)
+
+    @pytest.mark.parametrize("outside", [(3.0, 0.5), (0.5, -2.0)])
+    def test_unbounded_region_raises(self, outside):
+        pts = np.array([[0.2, 0.2], [0.8, 0.7], outside])
+        with pytest.raises(MeshError, match="unbounded Voronoi region"):
+            _clipped_cells(pts)
+        with pytest.raises(MeshError, match="unbounded Voronoi region"):
+            relax_points(pts, 1)
 
 
 def test_generate_rejects_bad_family():
