@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                        assemble, build_dofmap, interpolate, solve)
 from .harness import ExperimentConfig, emit_report, run_experiment
-from .local import (Coefficients, DofLayout, LocalSystem, ProjectorSet,
-                    dof_layout, interpolate_dofs, local_system,
+from .local import (Coefficients, DofLayout, ElementBank, LocalSystem,
+                    ProjectorSet, dof_layout, interpolate_dofs, local_system,
                     projector_set)
 from .mesh import (ElementGeometry, MeshError, PolyMesh, RegularityReport,
                    element_geometry, load_mesh, polygon_geometry,
@@ -32,8 +32,8 @@ __all__ = [
     # mesh generation
     "GeneratorSpec", "generate", "lloyd_relax",
     # element-local operators
-    "Coefficients", "DofLayout", "LocalSystem", "ProjectorSet", "dof_layout",
-    "interpolate_dofs", "local_system", "projector_set",
+    "Coefficients", "DofLayout", "ElementBank", "LocalSystem", "ProjectorSet",
+    "dof_layout", "interpolate_dofs", "local_system", "projector_set",
     # global assembly
     "DofMap", "SparseSystem", "SolveError", "apply_dirichlet", "assemble",
     "build_dofmap", "interpolate", "solve",

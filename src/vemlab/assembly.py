@@ -16,7 +16,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import _gauss, n_poly
-from .local import dof_layout, interpolate_dofs, local_system
+from .local import (ElementBank, dof_layout, interpolate_dofs, local_system,
+                    post_solve_operator)
 from .mesh import element_geometry
 
 
@@ -53,7 +54,8 @@ class SparseSystem:
     full-length vector whose boundary entries hold the Dirichlet data.
     ``coupling`` is the interior-by-boundary block of the full matrix and
     ``rhs_base`` the interior load before any lifting correction, so
-    boundary data can be applied (or re-applied) after assembly.
+    boundary data can be applied (or re-applied) after assembly.  ``bank``
+    holds what assembly computed per cell that post-processing reuses.
     """
 
     matrix: sp.csr_matrix
@@ -62,6 +64,7 @@ class SparseSystem:
     dofmap: DofMap
     coupling: sp.csr_matrix = field(repr=False)
     rhs_base: np.ndarray = field(repr=False)
+    bank: ElementBank = field(default=None, repr=False)
 
 
 def build_dofmap(mesh, k):
@@ -92,35 +95,62 @@ def build_dofmap(mesh, k):
                   boundary_dofs=boundary, interior_dofs=interior)
 
 
+def _coo_pattern(cell_dofs, n):
+    """Global (row, column) of every local matrix entry, in one step.
+
+    Entries run cell by cell, each cell's block in row-major order, which is
+    the order a per-cell ``np.repeat``/``np.tile`` scatter produces; cell
+    ``c``'s block is ``starts[c]:starts[c + 1]`` of the value buffer.  The
+    indices are 32-bit when ``n`` allows, as SciPy would convert them anyway.
+    """
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    sizes = np.array([g.size for g in cell_dofs], dtype=np.intp)
+    blocks = sizes * sizes
+    starts = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(blocks, out=starts[1:])
+    flat = np.concatenate(cell_dofs).astype(index)
+    rows = np.repeat(flat, np.repeat(sizes, sizes))
+    # entry t of a block sits in the column of the cell's DoF t mod size
+    pos = np.arange(starts[-1])
+    pos -= np.repeat(starts[:-1], blocks)
+    pos %= np.repeat(sizes, blocks)
+    pos += np.repeat(np.cumsum(sizes) - sizes, blocks)
+    return rows, flat[pos], starts
+
+
 def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     """Assemble the reduced global system for one problem.
 
-    Local matrices are scattered cell by cell in index order, so repeated
-    runs produce bit-identical systems.
+    Local matrices are written cell by cell, in index order, into one
+    preallocated COO value buffer, so repeated runs produce bit-identical
+    systems.  Each cell's geometry and post-solve operator are kept on
+    ``SparseSystem.bank`` for :func:`vemlab.postprocess.project_solution`.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     n = dofmap.n_dofs
 
-    rows, cols, vals = [], [], []
+    rows, cols, starts = _coo_pattern(dofmap.cell_dofs, n)
+    vals = np.empty(starts[-1])
     rhs_full = np.zeros(n)
+    geoms, ops = [], []
     for c in range(mesh.num_cells):
         geom = element_geometry(mesh, c)
         loc = local_system(geom, k, dof_layout(geom, k), coeffs, mode=mode,
                            quad_boost=quad_boost)
-        A_loc, f_loc = loc.matrix, loc.f_loc
         g = dofmap.cell_dofs[c]
-        if A_loc.shape != (g.size, g.size):
+        if loc.Ah.shape != (g.size, g.size):
             raise ValueError(
-                f"cell {c}: local matrix is {A_loc.shape} but the DoF map "
+                f"cell {c}: local matrix is {loc.Ah.shape} but the DoF map "
                 f"lists {g.size} DoFs")
-        rows.append(np.repeat(g, g.size))
-        cols.append(np.tile(g, g.size))
-        vals.append(A_loc.ravel())
-        np.add.at(rhs_full, g, f_loc)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+        block = vals[starts[c]:starts[c + 1]].reshape(g.size, g.size)
+        np.add(loc.Ah, loc.Bh, out=block)
+        block += loc.Ch
+        np.add.at(rhs_full, g, loc.f_loc)
+        geoms.append(geom)
+        ops.append(post_solve_operator(loc.projectors))
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    del rows, cols, vals
 
     ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
     A_rows = A[ii]
@@ -129,7 +159,9 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
                         lifting=np.zeros(n),
                         dofmap=dofmap,
                         coupling=A_rows[:, bb].tocsr(),
-                        rhs_base=rhs_full[ii])
+                        rhs_base=rhs_full[ii],
+                        bank=ElementBank(k=k, geometries=tuple(geoms),
+                                         operators=tuple(ops)))
 
 
 def apply_dirichlet(system, g, mesh, k):
@@ -168,14 +200,24 @@ def apply_dirichlet(system, g, mesh, k):
 
 
 def solve(system):
-    """Direct sparse solve; returns the full-length global DoF vector."""
+    """Direct sparse solve; returns the full-length global DoF vector.
+
+    The global matrix has a symmetric sparsity pattern (advection only makes
+    its values unsymmetric), so SuperLU orders the columns by minimum degree
+    on ``A^T + A`` and prefers the diagonal pivot whenever it is at least
+    0.1 of the column's largest entry, which keeps that ordering.  On the
+    k = 4 concave 30x30 system this gives an LU fill of 1.6 against 17.5 for
+    the default COLAMD ordering, and 35.7 with strict partial pivoting
+    (``diag_pivot_thresh=1.0``), which destroys the ordering.  The residual
+    check below, with one refinement step, guards the weaker pivoting.
+    """
     u = system.lifting.copy()
     n_i = system.matrix.shape[0]
     if n_i == 0:
         return u
     A = system.matrix.tocsc()
     try:
-        lu = splu(A)
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
         x = lu.solve(system.rhs)
     except RuntimeError as exc:
         raise SolveError(

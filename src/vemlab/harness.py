@@ -62,7 +62,11 @@ class ExperimentConfig:
 
 
 def _run_single(mesh, k, problem, mode, quad_boost, point, dofmap=None):
-    """Solve one mesh and measure errors; solver failures become data."""
+    """Solve one mesh and measure errors.
+
+    A singular element projector (degenerate geometry) or an unreliable
+    global solve becomes a ``failed`` record naming the cause.
+    """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     h_max = max(polygon_diameter(mesh.vertices[ring]) for ring in mesh.cells)
@@ -71,12 +75,12 @@ def _run_single(mesh, k, problem, mode, quad_boost, point, dofmap=None):
                           quad_boost=quad_boost, dofmap=dofmap)
         apply_dirichlet(system, problem.p_ex, mesh, k)
         u = solve(system)
-    except SolveError:
+    except (SolveError, np.linalg.LinAlgError) as exc:
         return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,
                            n_dofs=dofmap.n_dofs, err_L2_rel=np.nan,
                            err_H1_rel=np.nan, err_point_rel=np.nan,
-                           failed=True)
-    proj = project_solution(mesh, k, u, dofmap=dofmap)
+                           failed=True, cause=str(exc))
+    proj = project_solution(mesh, k, u, dofmap=dofmap, bank=system.bank)
     l2, h1 = error_norms(mesh, k, proj, problem.p_ex, problem.grad_p_ex)
     pe, _ = point_error(proj, point, problem.p_ex)
     return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,

@@ -71,6 +71,38 @@ class ProjectorSet:
     rule_values: np.ndarray
 
 
+@dataclass(frozen=True)
+class ElementBank:
+    """What post-processing needs of each cell, kept from one build.
+
+    ``geometries[c]`` is cell ``c``'s ``ElementGeometry`` and
+    ``operators[c]`` its :func:`post_solve_operator`, which maps the cell's
+    DoF vector to all of its polynomial snapshots in one product.
+    """
+
+    k: int
+    geometries: tuple
+    operators: tuple
+
+    def snapshots(self, u, cell_dofs):
+        """L2 projection, projected gradient and energy projection of the
+        global DoF vector ``u`` on every cell: arrays of shape
+        (cells, n_poly(k)), (cells, n_poly(k - 1), 2) and (cells, n_poly(k)).
+        """
+        snaps = np.array([op @ u[g] for op, g in zip(self.operators, cell_dofs)])
+        nk, nkm1 = n_poly(self.k), n_poly(self.k - 1)
+        pi0, gx, gy, energy = np.split(
+            snaps, [nk, nk + nkm1, nk + 2 * nkm1], axis=1)
+        return pi0, np.stack([gx, gy], axis=-1), energy
+
+
+def post_solve_operator(proj):
+    """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]``: the projectors of one element
+    that act on a solution, stacked by rows."""
+    return np.concatenate([proj.Pi0k, proj.Pi0GradX, proj.Pi0GradY,
+                           proj.PiNabla])
+
+
 @dataclass
 class LocalSystem:
     """Local discrete forms: Ah includes the stabilization S."""
@@ -101,7 +133,6 @@ class Coefficients:
     b: callable
     gamma: callable
     f: callable
-    kappa0: float = 0.0
 
     @staticmethod
     def constant(kappa=1.0, b=(0.0, 0.0), gamma=0.0, f=0.0):
@@ -111,13 +142,11 @@ class Coefficients:
         if kap.shape != (2, 2) or not np.allclose(kap, kap.T):
             raise ValueError("constant kappa must be a scalar or symmetric 2x2")
         bvec = np.asarray(b, dtype=float)
-        eigs = np.linalg.eigvalsh(kap)
         return Coefficients(
             kappa=lambda x, y: kap,
             b=lambda x, y: bvec,
             gamma=lambda x, y, g=float(gamma): np.full(np.shape(x), g),
-            f=lambda x, y, s=float(f): np.full(np.shape(x), s),
-            kappa0=float(eigs.min()))
+            f=lambda x, y, s=float(f): np.full(np.shape(x), s))
 
     def kappa_at(self, pts):
         arr = np.asarray(self.kappa(pts[:, 0], pts[:, 1]), dtype=float)

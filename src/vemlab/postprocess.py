@@ -12,15 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import build_dofmap
-from .basis import ScaledMonomialBasis, polygon_quadrature
-from .local import projector_set
+from .basis import ScaledMonomialBasis, n_poly, polygon_quadrature
+from .local import ElementBank, post_solve_operator, projector_set
 from .mesh import element_geometry
 
 
 @dataclass(frozen=True)
 class ErrorRecord:
     """Errors of one solve; ``failed`` marks an unsolvable mesh (kept as
-    data so sweeps can continue)."""
+    data so sweeps can continue) and ``cause`` says why.  ``cause`` is not
+    written to reports."""
 
     h_max: float
     n_cells: int
@@ -29,6 +30,7 @@ class ErrorRecord:
     err_H1_rel: float
     err_point_rel: float
     failed: bool = False
+    cause: str = ""
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,8 @@ class SolutionProjection:
     cell ``c`` in the scaled monomial basis of degree ``k``; ``grad_coeffs``
     the projected gradient (degree ``k - 1``, last axis = component);
     ``energy_coeffs`` the energy projection, kept for the alternative H1
-    error representative.
+    error representative.  ``geometries[c]`` is the ``ElementGeometry``
+    whose basis those coefficients refer to.
     """
 
     mesh: object
@@ -60,33 +63,35 @@ class SolutionProjection:
     coeffs: np.ndarray
     grad_coeffs: np.ndarray
     energy_coeffs: np.ndarray
+    geometries: tuple = field(repr=False)
 
     def cell_value(self, cell, points):
-        basis = ScaledMonomialBasis(element_geometry(self.mesh, cell), self.k)
+        basis = ScaledMonomialBasis(self.geometries[cell], self.k)
         return basis.eval(points) @ self.coeffs[cell]
 
 
-def project_solution(mesh, k, u, dofmap=None):
-    """Cellwise polynomial snapshots of the DoF vector ``u``."""
+def project_solution(mesh, k, u, dofmap=None, bank=None):
+    """Cellwise polynomial snapshots of the DoF vector ``u``.
+
+    ``bank`` is the ``ElementBank`` that :func:`vemlab.assembly.assemble`
+    returns on ``SparseSystem.bank``; without one, each cell's projectors
+    are built here.
+    """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     if u.shape != (dofmap.n_dofs,):
         raise ValueError(
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
-    n_cells = mesh.num_cells
-    first = projector_set(element_geometry(mesh, 0), k)
-    coeffs = np.empty((n_cells, first.Pi0k.shape[0]))
-    grads = np.empty((n_cells, first.Pi0GradX.shape[0], 2))
-    energy = np.empty((n_cells, first.PiNabla.shape[0]))
-    for c in range(n_cells):
-        ps = first if c == 0 else projector_set(element_geometry(mesh, c), k)
-        u_loc = u[dofmap.cell_dofs[c]]
-        coeffs[c] = ps.Pi0k @ u_loc
-        grads[c, :, 0] = ps.Pi0GradX @ u_loc
-        grads[c, :, 1] = ps.Pi0GradY @ u_loc
-        energy[c] = ps.PiNabla @ u_loc
+    if bank is None:
+        geoms = tuple(element_geometry(mesh, c) for c in range(mesh.num_cells))
+        bank = ElementBank(k=k, geometries=geoms, operators=tuple(
+            post_solve_operator(projector_set(geom, k)) for geom in geoms))
+    elif bank.k != k:
+        raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
+    coeffs, grads, energy = bank.snapshots(u, dofmap.cell_dofs)
     return SolutionProjection(mesh=mesh, k=k, coeffs=coeffs,
-                              grad_coeffs=grads, energy_coeffs=energy)
+                              grad_coeffs=grads, energy_coeffs=energy,
+                              geometries=bank.geometries)
 
 
 def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
@@ -102,18 +107,20 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
         raise ValueError(f"unknown gradient representative {gradient!r}")
     ex = (2 * k + 4) if exactness is None else exactness
     num_l2 = num_h1 = den_l2 = den_h1 = 0.0
+    nkm1 = n_poly(k - 1)
     for c in range(mesh.num_cells):
-        geom = element_geometry(mesh, c)
+        geom = projection.geometries[c]
         rule = polygon_quadrature(geom, ex)
         x, y = rule.points[:, 0], rule.points[:, 1]
         w = rule.weights
         basis = ScaledMonomialBasis(geom, k)
         p_vals = np.asarray(p_ex(x, y), dtype=float)
         g_vals = np.asarray(grad_p_ex(x, y), dtype=float)
-        ph = basis.eval(rule.points) @ projection.coeffs[c]
+        V = basis.eval(rule.points)
+        ph = V @ projection.coeffs[c]
         if gradient == "pi0":
-            Vm1 = ScaledMonomialBasis(geom, k - 1).eval(rule.points)
-            gh = Vm1 @ projection.grad_coeffs[c]
+            # graded order: the degree-(k-1) monomials are the first columns
+            gh = V[:, :nkm1] @ projection.grad_coeffs[c]
         else:
             gx, gy = basis.grad(rule.points)
             gh = np.column_stack([gx @ projection.energy_coeffs[c],

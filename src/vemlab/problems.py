@@ -90,8 +90,7 @@ def builtin_problem():
                 + 2 * x * px(x, y) + 2 * y * py(x, y)
                 + (2.0 + gamma(x, y)) * p(x, y))
 
-    coeffs = Coefficients(kappa=kappa, b=advection, gamma=gamma, f=f,
-                          kappa0=1.0)
+    coeffs = Coefficients(kappa=kappa, b=advection, gamma=gamma, f=f)
     return TestProblem(name="oscillatory-tensor", coefficients=coeffs,
                        p_ex=p, grad_p_ex=grad)
 
@@ -151,8 +150,7 @@ def polynomial_problem(k, kappa=((2.0, 0.5), (0.5, 1.5))):
                  + K[1, 1] * pyy(x, y))
 
     base = Coefficients.constant(kappa=K)
-    coeffs = Coefficients(kappa=base.kappa, b=base.b, gamma=base.gamma,
-                          f=f, kappa0=base.kappa0)
+    coeffs = Coefficients(kappa=base.kappa, b=base.b, gamma=base.gamma, f=f)
 
     def grad(x, y):
         return np.stack([np.broadcast_to(px(x, y), np.shape(x)),

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own quadrature/projector
 code paths: Green's theorem plus 1-D Gauss for polygon monomial integrals,
 recursive triangle subdivision for generic integrands, finite differences
-for derivatives, and direct geometric predicates.
+for derivatives, and direct geometric predicates.  The ``*_per_cell`` and
+``*_two_tables`` functions keep earlier, slower constructions that the
+library's faster ones are tested against.
 """
 
 import math
@@ -224,3 +226,55 @@ def relax_points_per_cell(points, iterations):
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
         pts = new
     return pts, movements
+
+
+def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2):
+    """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
+    built from one ``np.repeat``/``np.tile`` index array per cell: the
+    scatter the preallocated buffers replaced."""
+    import scipy.sparse as sp
+
+    from vemlab.local import dof_layout, local_system
+    from vemlab.mesh import element_geometry
+
+    n = dofmap.n_dofs
+    rows, cols, vals = [], [], []
+    rhs_full = np.zeros(n)
+    for c in range(mesh.num_cells):
+        geom = element_geometry(mesh, c)
+        loc = local_system(geom, k, dof_layout(geom, k), coeffs, mode=mode,
+                           quad_boost=quad_boost)
+        g = dofmap.cell_dofs[c]
+        rows.append(np.repeat(g, g.size))
+        cols.append(np.tile(g, g.size))
+        vals.append(loc.matrix.ravel())
+        np.add.at(rhs_full, g, loc.f_loc)
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+    ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
+    A_rows = A[ii]
+    return A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii]
+
+
+def error_norms_two_tables(mesh, k, projection, p_ex, grad_p_ex):
+    """Absolute (L2, H1) errors of ``vemlab.postprocess.error_norms`` in its
+    default mode, evaluating a separate degree-(k-1) monomial table for the
+    projected gradient instead of slicing the degree-k one."""
+    from vemlab.basis import ScaledMonomialBasis, polygon_quadrature
+    from vemlab.mesh import element_geometry
+
+    num_l2 = num_h1 = 0.0
+    for c in range(mesh.num_cells):
+        geom = element_geometry(mesh, c)
+        rule = polygon_quadrature(geom, 2 * k + 4)
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        w = rule.weights
+        p_vals = np.asarray(p_ex(x, y), dtype=float)
+        g_vals = np.asarray(grad_p_ex(x, y), dtype=float)
+        ph = ScaledMonomialBasis(geom, k).eval(rule.points) @ projection.coeffs[c]
+        Vm1 = ScaledMonomialBasis(geom, k - 1).eval(rule.points)
+        gh = Vm1 @ projection.grad_coeffs[c]
+        num_l2 += w @ (ph - p_vals) ** 2
+        num_h1 += w @ np.sum((gh - g_vals) ** 2, axis=1)
+    return np.sqrt(num_l2), np.sqrt(num_h1)

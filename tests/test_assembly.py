@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import assemble_per_cell
+from vemlab import assembly
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
-from vemlab.basis import n_poly
-from vemlab.local import Coefficients, dof_layout, interpolate_dofs
+from vemlab.basis import n_poly, polygon_quadrature
+from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
+                          projector_set)
 from vemlab.mesh import element_geometry
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
-from vemlab.problems import polynomial_problem
+from vemlab.problems import builtin_problem, polynomial_problem
 
 KAPPA = np.array([[2.0, 0.5], [0.5, 1.5]])
 
@@ -170,6 +173,49 @@ class TestAssemble:
                      dofmap=build_dofmap(mesh, 1))
 
 
+class TestScatter:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
+    def test_matches_per_cell_coo_bit_for_bit(self, family, k):
+        mesh = MESHES[family]
+        coeffs = builtin_problem().coefficients
+        dm = build_dofmap(mesh, k)
+        system = assemble(mesh, k, coeffs, dofmap=dm)
+        matrix, coupling, rhs_base = assemble_per_cell(mesh, k, coeffs, dm)
+        for got, ref in ((system.matrix, matrix), (system.coupling, coupling)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(system.rhs_base, rhs_base)
+
+    def test_coo_pattern_matches_repeat_and_tile(self):
+        dm = build_dofmap(MESHES["lloyd0"], 3)
+        rows, cols, starts = assembly._coo_pattern(dm.cell_dofs, dm.n_dofs)
+        assert starts[-1] == rows.size == cols.size
+        for c, g in enumerate(dm.cell_dofs):
+            block = slice(starts[c], starts[c + 1])
+            assert np.array_equal(rows[block], np.repeat(g, g.size))
+            assert np.array_equal(cols[block], np.tile(g, g.size))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["concave", "lloyd0"])
+    def test_bank_holds_geometry_and_post_solve_operator(self, family, k):
+        mesh = MESHES[family]
+        bank = assemble(mesh, k, Coefficients.constant(kappa=KAPPA),
+                        quad_boost=3).bank
+        assert bank.k == k
+        assert len(bank.geometries) == len(bank.operators) == mesh.num_cells
+        for c in range(mesh.num_cells):
+            geom = bank.geometries[c]
+            ref_geom = element_geometry(mesh, c)
+            assert np.array_equal(geom.vertices, ref_geom.vertices)
+            assert np.array_equal(geom.edge_forward, ref_geom.edge_forward)
+            ps = projector_set(geom, k, rule=polygon_quadrature(geom, 2 * k + 3))
+            ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY, ps.PiNabla])
+            assert np.array_equal(bank.operators[c], ref)
+
+
 class TestDirichlet:
     def test_zero_data_keeps_rhs(self):
         mesh = MESHES["concave"]
@@ -282,6 +328,32 @@ class TestSolve:
                            rhs_base=np.ones(n_i))
         with pytest.raises(SolveError, match="stability"):
             solve(bad)
+
+    def test_zero_diagonal_takes_off_diagonal_pivot(self, monkeypatch):
+        # A zero on the diagonal is below the 0.1 diagonal-pivot threshold,
+        # so SuperLU must pivot off the diagonal and still meet the residual.
+        mesh = square_mesh(4)
+        system = assemble(mesh, 1, Coefficients.constant(kappa=1.0))
+        A = system.matrix.tolil()
+        A[0, 0] = 0.0
+        system.matrix = A.tocsr()
+        rng = np.random.default_rng(0)
+        system.rhs = rng.standard_normal(system.matrix.shape[0])
+        real_splu, factors = assembly.splu, []
+
+        def recording_splu(*args, **kwargs):
+            factors.append(real_splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(assembly, "splu", recording_splu)
+        u = solve(system)
+        x = u[system.dofmap.interior_dofs]
+        A = system.matrix
+        assert np.linalg.norm(A @ x - system.rhs) <= 1e-10 * np.linalg.norm(system.rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), system.rhs),
+                                   rtol=1e-12, atol=1e-12)
+        (lu,) = factors
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
 
     def test_solution_unaffected_by_quad_boost(self):
         # Patch solves are exact for any admissible quadrature order.

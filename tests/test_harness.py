@@ -5,10 +5,11 @@ import csv
 import numpy as np
 import pytest
 
+from vemlab import assembly, harness, local, mesh as mesh_module, postprocess
 from vemlab.harness import (CSV_COLUMNS, DEFAULT_SIZES, STUDY_FAMILIES,
                             ExperimentConfig, _run_single, emit_report,
                             run_experiment)
-from vemlab.mesh import element_geometry, polygon_diameter
+from vemlab.mesh import element_geometry, make_mesh, polygon_diameter
 from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 from vemlab.postprocess import ErrorRecord, convergence_rates
 from vemlab.problems import builtin_problem
@@ -81,6 +82,52 @@ class TestRunExperiment:
         reports = run_experiment(config)
         assert set(reports) == {("square", 1, "standard"),
                                 ("lloyd0", 1, "standard")}
+
+
+class TestBuildOnce:
+    """Each cell's geometry and projectors are built once per solve."""
+
+    @staticmethod
+    def _count(monkeypatch, name, modules):
+        calls = []
+        for module in modules:
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k, family, sizes", [(4, "concave", (4, 16)),
+                                                  (2, "lloyd0", (25,))])
+    def test_projectors_and_geometry_built_once_per_cell(self, k, family,
+                                                         sizes, monkeypatch):
+        projectors = self._count(monkeypatch, "projector_set",
+                                 (local, postprocess))
+        geometries = self._count(monkeypatch, "element_geometry",
+                                 (mesh_module, assembly, postprocess, harness))
+        config = ExperimentConfig(k=k, families=(family,), sizes=sizes)
+        records = run_experiment(config)[(family, k, "standard")].records
+        cells = sum(r.n_cells for r in records)
+        assert not any(r.failed for r in records)
+        assert len(projectors) == cells
+        assert len(geometries) <= cells + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_continues_past_degenerate_geometry(self):
+        # At a scale of 1e-160 the cell areas are subnormal and the k = 4
+        # monomial mass matrix is exactly singular.
+        base = square_mesh(2)
+        tiny = make_mesh(base.vertices * 1e-160, base.cells)
+        config = ExperimentConfig(k=4, families=("square",), sizes=(4, 9))
+        reports = run_experiment(config, meshes={("square", 4): tiny})
+        bad, good = reports[("square", 4, "standard")].records
+        assert bad.failed and np.isnan(bad.err_L2_rel)
+        assert "element geometry is degenerate" in bad.cause
+        assert not good.failed and good.cause == ""
+        assert np.isfinite([good.err_L2_rel, good.err_H1_rel]).all()
 
 
 class TestEmitReport:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from vemlab.assembly import apply_dirichlet, assemble, interpolate, solve
+from oracles import error_norms_two_tables
+from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
+                             interpolate, solve)
 from vemlab.basis import polygon_quadrature, triangulate
 from vemlab.local import Coefficients
 from vemlab.mesh import element_geometry, make_mesh
@@ -85,6 +87,33 @@ class TestProjectSolution:
         with pytest.raises(ValueError):
             project_solution(LLOYD, 1, np.zeros(3))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mesh", [square_mesh(3), concave_mesh(3)],
+                             ids=["square", "concave"])
+    def test_assembly_bank_matches_fresh_bank(self, mesh, k):
+        # The bank's projectors come from the local forms' quadrature rule
+        # (degree 2k + 2), a fresh bank's from degree 2k; both integrate H
+        # exactly, so they differ by roundoff only.  On Voronoi cells that
+        # roundoff grows with cond(H) (1e-10 relative at k = 4 on lloyd0).
+        prob = builtin_problem()
+        system = assemble(mesh, k, prob.coefficients)
+        apply_dirichlet(system, prob.p_ex, mesh, k)
+        u = solve(system)
+        banked = project_solution(mesh, k, u, dofmap=system.dofmap,
+                                  bank=system.bank)
+        fresh = project_solution(mesh, k, u)
+        for field in ("coeffs", "grad_coeffs", "energy_coeffs"):
+            got, ref = getattr(banked, field), getattr(fresh, field)
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert banked.geometries is system.bank.geometries
+
+    def test_bank_degree_mismatch_raises(self):
+        system = assemble(LLOYD, 2, Coefficients.constant(kappa=1.0))
+        u = np.zeros(build_dofmap(LLOYD, 1).n_dofs)
+        with pytest.raises(ValueError, match="k=2"):
+            project_solution(LLOYD, 1, u, bank=system.bank)
+
 
 class TestErrorNorms:
     def test_linear_interpolant_exact(self):
@@ -117,6 +146,18 @@ class TestErrorNorms:
             proj = project_solution(m, 2, u)
             errs.append(error_norms(m, 2, proj, prob.p_ex, prob.grad_p_ex))
         np.testing.assert_allclose(errs[0], errs[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sliced_gradient_table_matches_separate_table(self, k):
+        # the degree-(k-1) monomial table is the first columns of the
+        # degree-k one, so the errors are unchanged bit for bit
+        prob = builtin_problem()
+        u = interpolate(LLOYD, k, prob.p_ex)
+        proj = project_solution(LLOYD, k, u)
+        got = error_norms(LLOYD, k, proj, prob.p_ex, prob.grad_p_ex,
+                          relative=False)
+        assert got == error_norms_two_tables(LLOYD, k, proj, prob.p_ex,
+                                             prob.grad_p_ex)
 
     def test_alternative_gradient_representative(self):
         prob = builtin_problem()

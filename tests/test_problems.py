@@ -49,7 +49,6 @@ class TestBuiltinProblem:
         kaps = prob.coefficients.kappa_at(xy)
         mins = np.linalg.eigvalsh(kaps).min(axis=1)
         np.testing.assert_allclose(mins, 1.0, atol=1e-12)
-        assert prob.coefficients.kappa0 == 1.0
 
     def test_gradient_matches_finite_differences(self):
         prob = builtin_problem()
