@@ -16,8 +16,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import _gauss, n_poly
-from .local import (ElementBank, dof_layout, interpolate_dofs, local_system,
-                    post_solve_operator)
+from .local import ElementBank, interpolate_dofs, mesh_elements
+from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import element_geometry
 
 
@@ -121,36 +121,44 @@ def _coo_pattern(cell_dofs, n):
 def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     """Assemble the reduced global system for one problem.
 
-    Local matrices are written cell by cell, in index order, into one
-    preallocated COO value buffer, so repeated runs produce bit-identical
-    systems.  Each cell's geometry and post-solve operator are kept on
-    ``SparseSystem.bank`` for :func:`vemlab.postprocess.project_solution`.
+    The element kernel builds the local matrices stack by stack (see
+    :func:`vemlab.local.mesh_elements`); each is written into its cell's
+    slot of one preallocated COO value buffer, and the loads are summed in
+    cell order, so repeated runs produce bit-identical systems.  Each cell's
+    geometry, post-solve operator and triangles are kept on
+    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     n = dofmap.n_dofs
 
     rows, cols, starts = _coo_pattern(dofmap.cell_dofs, n)
+    sizes = np.array([g.size for g in dofmap.cell_dofs])
+    load_starts = np.concatenate([[0], np.cumsum(sizes)])
     vals = np.empty(starts[-1])
-    rhs_full = np.zeros(n)
-    geoms, ops = [], []
-    for c in range(mesh.num_cells):
-        geom = element_geometry(mesh, c)
-        loc = local_system(geom, k, dof_layout(geom, k), coeffs, mode=mode,
-                           quad_boost=quad_boost)
-        g = dofmap.cell_dofs[c]
-        if loc.Ah.shape != (g.size, g.size):
+    loads = np.empty(load_starts[-1])
+    kept = []
+    for out, tris in mesh_elements(mesh, k, 2 * k + quad_boost, coeffs, mode):
+        cells = out.geometry.cells
+        nd = out.Ah.shape[-1]
+        wrong = np.flatnonzero(sizes[cells] != nd)
+        if wrong.size:
+            c = cells[wrong[0]]
             raise ValueError(
-                f"cell {c}: local matrix is {loc.Ah.shape} but the DoF map "
-                f"lists {g.size} DoFs")
-        block = vals[starts[c]:starts[c + 1]].reshape(g.size, g.size)
-        np.add(loc.Ah, loc.Bh, out=block)
-        block += loc.Ch
-        np.add.at(rhs_full, g, loc.f_loc)
-        geoms.append(geom)
-        ops.append(post_solve_operator(loc.projectors))
+                f"cell {c}: local matrix is {(nd, nd)} but the DoF map lists "
+                f"{sizes[c]} DoFs")
+        block = out.Ah + out.Bh
+        block += out.Ch
+        vals[starts[cells, None] + np.arange(nd * nd)] = block.reshape(len(cells), -1)
+        loads[load_starts[cells, None] + np.arange(nd)] = out.f_loc
+        kept.append((out.geometry, out.post_solve_operators(), tris))
+    # free the last chunk's working arrays before the CSR conversion, the
+    # memory peak of assembly
+    del out, block
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     del rows, cols, vals
+    rhs_full = np.zeros(n)
+    np.add.at(rhs_full, np.concatenate(dofmap.cell_dofs), loads)
 
     ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
     A_rows = A[ii]
@@ -160,8 +168,7 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
                         dofmap=dofmap,
                         coupling=A_rows[:, bb].tocsr(),
                         rhs_base=rhs_full[ii],
-                        bank=ElementBank(k=k, geometries=tuple(geoms),
-                                         operators=tuple(ops)))
+                        bank=ElementBank.collect(k, mesh.num_cells, kept))
 
 
 def apply_dirichlet(system, g, mesh, k):

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .mesh import MeshError
+from .mesh import MeshError, stack_geometry
 
 
 def n_poly(degree):
@@ -38,7 +38,6 @@ class ScaledMonomialBasis:
         self.degree = int(degree)
         self.exponents = monomial_exponents(self.degree)
         self.dim = self.exponents.shape[0]
-        self._index = {(int(a), int(b)): i for i, (a, b) in enumerate(self.exponents)}
 
     def eval(self, pts):
         """(n, dim) table of monomial values at the points."""
@@ -53,32 +52,44 @@ class ScaledMonomialBasis:
     def derivative_map(self, axis):
         """Matrix sending P_degree coefficients to P_{degree-1} coefficients
         of the axis-derivative."""
-        lower = monomial_exponents(self.degree - 1) if self.degree >= 1 \
-            else np.empty((0, 2), dtype=np.int64)
-        low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
-        D = np.zeros((lower.shape[0], self.dim))
-        h = self.geom.diameter
-        for i, (ax, ay) in enumerate(self.exponents):
-            if axis == 0 and ax >= 1:
-                D[low_index[(int(ax) - 1, int(ay))], i] = ax / h
-            elif axis == 1 and ay >= 1:
-                D[low_index[(int(ax), int(ay) - 1)], i] = ay / h
-        return D
+        return derivative_table(self.degree, axis) / self.geom.diameter
 
     def laplacian_map(self):
         """Matrix sending P_degree coefficients to P_{degree-2} coefficients
         of the Laplacian."""
-        lower = monomial_exponents(self.degree - 2) if self.degree >= 2 \
-            else np.empty((0, 2), dtype=np.int64)
-        low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
-        L = np.zeros((lower.shape[0], self.dim))
-        h2 = self.geom.diameter ** 2
-        for i, (ax, ay) in enumerate(self.exponents):
-            if ax >= 2:
-                L[low_index[(int(ax) - 2, int(ay))], i] += ax * (ax - 1) / h2
-            if ay >= 2:
-                L[low_index[(int(ax), int(ay) - 2)], i] += ay * (ay - 1) / h2
-        return L
+        return laplacian_table(self.degree) / self.geom.diameter ** 2
+
+
+@lru_cache(maxsize=None)
+def derivative_table(degree, axis):
+    """``derivative_map`` of the unscaled monomials (h = 1), read-only."""
+    lower = monomial_exponents(degree - 1) if degree >= 1 \
+        else np.empty((0, 2), dtype=np.int64)
+    low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
+    D = np.zeros((lower.shape[0], n_poly(degree)))
+    for i, (ax, ay) in enumerate(monomial_exponents(degree)):
+        if axis == 0 and ax >= 1:
+            D[low_index[(int(ax) - 1, int(ay))], i] = ax
+        elif axis == 1 and ay >= 1:
+            D[low_index[(int(ax), int(ay) - 1)], i] = ay
+    D.flags.writeable = False
+    return D
+
+
+@lru_cache(maxsize=None)
+def laplacian_table(degree):
+    """``laplacian_map`` of the unscaled monomials (h = 1), read-only."""
+    lower = monomial_exponents(degree - 2) if degree >= 2 \
+        else np.empty((0, 2), dtype=np.int64)
+    low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
+    L = np.zeros((lower.shape[0], n_poly(degree)))
+    for i, (ax, ay) in enumerate(monomial_exponents(degree)):
+        if ax >= 2:
+            L[low_index[(int(ax) - 2, int(ay))], i] += ax * (ax - 1)
+        if ay >= 2:
+            L[low_index[(int(ax), int(ay) - 2)], i] += ay * (ay - 1)
+    L.flags.writeable = False
+    return L
 
 
 def poly_eval(basis, coeffs, x):
@@ -160,86 +171,126 @@ def triangulate(coords):
     """Split a simple CCW polygon into positively oriented triangles.
 
     Centroid fan when the polygon is star-shaped with respect to its
-    centroid; ear clipping otherwise.
+    centroid; ear clipping otherwise.  Returns a (T, 3, 2) array.
     """
     coords = np.asarray(coords, dtype=float)
-    n = len(coords)
-    span = (coords.max(0) - coords.min(0)).max()
-    x, y = coords[:, 0], coords[:, 1]
-    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    if area <= 1e-14 * span ** 2:
-        raise MeshError("triangulation failed; polygon is degenerate or "
-                        "self-intersecting")
+    forward = np.ones((1, len(coords)), dtype=bool)
+    ((_, tris),) = triangulate_stack(stack_geometry(coords[None], forward))
+    return tris[0]
+
+
+def triangulate_stack(geometry):
+    """Triangulate every cell of a :class:`~vemlab.mesh.GeometryStack`.
+
+    Each cell is split as :func:`triangulate` describes, with the same
+    arithmetic.  Returns ``[(rows, tris), ...]``, one entry per triangle
+    count (a fan has n triangles, an ear clip n - 2), where ``tris`` has
+    shape (len(rows), T, 3, 2).  A degenerate or self-intersecting cell
+    raises ``MeshError`` naming it.
+    """
+    coords, area, c = geometry.vertices, geometry.area, geometry.centroid
+    n = coords.shape[1]
+    tol = 1e-14 * (coords.max(axis=1) - coords.min(axis=1)).max(axis=1) ** 2
+    bad = np.flatnonzero(~(area > tol))
+    if bad.size:
+        raise MeshError(f"{geometry.label(bad[0])}: triangulation failed; "
+                        "element geometry is degenerate or self-intersecting")
     if n == 3:
-        return coords[None, :, :]
-    centroid = _ring_centroid(coords)
-    nxt = np.roll(coords, -1, axis=0)
-    cross = ((coords[:, 0] - centroid[0]) * (nxt[:, 1] - centroid[1])
-             - (nxt[:, 0] - centroid[0]) * (coords[:, 1] - centroid[1]))
-    scale = np.abs(coords - centroid).max() ** 2
-    if np.all(cross > 1e-12 * scale):
-        tris = np.empty((n, 3, 2))
-        tris[:, 0] = centroid
-        tris[:, 1] = coords
-        tris[:, 2] = nxt
-        return tris
-    return _ear_clip(coords)
+        return [(np.arange(len(coords)), coords[:, None])]
+    c = c[:, None, :]
+    nxt = np.roll(coords, -1, axis=1)
+    cross = ((coords[..., 0] - c[..., 0]) * (nxt[..., 1] - c[..., 1])
+             - (nxt[..., 0] - c[..., 0]) * (coords[..., 1] - c[..., 1]))
+    scale = np.abs(coords - c).max(axis=(1, 2)) ** 2
+    star = np.all(cross > 1e-12 * scale[:, None], axis=1)
+    out = []
+    rows = np.flatnonzero(star)
+    if rows.size:
+        tris = np.empty((rows.size, n, 3, 2))
+        tris[:, :, 0] = c[rows]
+        tris[:, :, 1] = coords[rows]
+        tris[:, :, 2] = nxt[rows]
+        out.append((rows, tris))
+    rows = np.flatnonzero(~star)
+    if rows.size:
+        out.append((rows, _ear_clip(coords[rows], tol[rows],
+                                    geometry.take(rows).label)))
+    return out
 
 
-def _ring_centroid(coords):
-    x, y = coords[:, 0], coords[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    return np.array([np.sum((x + xn) * cross), np.sum((y + yn) * cross)]) / (6 * area)
+def _ear_clip(coords, tol, label):
+    """Ear clipping of every polygon in the stack at once.
+
+    Each step clips, in every polygon, the first active corner (in ring
+    order) that is convex by more than ``tol`` and holds no other active
+    vertex, so each polygon gets the triangles a one-polygon ear clip would
+    give.
+    """
+    m_cells, n = coords.shape[:2]
+    rows = np.arange(m_cells)[:, None]
+    tol = tol[:, None]
+    active = np.tile(np.arange(n), (m_cells, 1))
+    corners = np.empty((m_cells, n - 2, 3), dtype=np.intp)
+    for step in range(n - 3):
+        m = n - step
+        i0, i2 = np.roll(active, 1, axis=1), np.roll(active, -1, axis=1)
+        a, b, c, p = (coords[rows, i] for i in (i0, active, i2, active))
+        cross = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                 - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]))
+        # corner ii (axis 1) against active vertex jj (axis 2)
+        a, b, c = a[:, :, None], b[:, :, None], c[:, :, None]
+        p = p[:, None]
+        d1 = ((b[..., 0] - a[..., 0]) * (p[..., 1] - a[..., 1])
+              - (b[..., 1] - a[..., 1]) * (p[..., 0] - a[..., 0]))
+        d2 = ((c[..., 0] - b[..., 0]) * (p[..., 1] - b[..., 1])
+              - (c[..., 1] - b[..., 1]) * (p[..., 0] - b[..., 0]))
+        d3 = ((a[..., 0] - c[..., 0]) * (p[..., 1] - c[..., 1])
+              - (a[..., 1] - c[..., 1]) * (p[..., 0] - c[..., 0]))
+        t = -tol[..., None]
+        inside = (d1 >= t) & (d2 >= t) & (d3 >= t)
+        gap = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+        inside &= ~np.isin(gap, (0, 1, m - 1))
+        ear = (cross > tol) & ~inside.any(axis=2)
+        pick = (rows[:, 0], ear.argmax(axis=1))
+        if not ear[pick].all():
+            bad = np.flatnonzero(~ear[pick])[0]
+            raise MeshError(f"{label(bad)}: triangulation failed; polygon "
+                            "may self-intersect")
+        corners[:, step] = np.stack([i0[pick], active[pick], i2[pick]], axis=1)
+        keep = np.ones((m_cells, m), dtype=bool)
+        keep[pick] = False
+        active = active[keep].reshape(m_cells, m - 1)
+    a, b, c = (coords[rows[:, 0], active[:, j]] for j in range(3))
+    last = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+            - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+    if np.any(last <= 0):
+        bad = np.flatnonzero(last <= 0)[0]
+        raise MeshError(f"{label(bad)}: triangulation failed; polygon may "
+                        "self-intersect")
+    corners[:, n - 3] = active
+    return coords[rows[:, :, None], corners]
 
 
-def _ear_clip(coords):
-    active = list(range(len(coords)))
-    scale = (coords.max(0) - coords.min(0)).max() ** 2
-    tris = []
-    while len(active) > 3:
-        for ii in range(len(active)):
-            i0 = active[ii - 1]
-            i1 = active[ii]
-            i2 = active[(ii + 1) % len(active)]
-            a, b, c = coords[i0], coords[i1], coords[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-            if cross <= 1e-14 * scale:
-                continue  # reflex or flat corner, not an ear
-            if any(_in_triangle(a, b, c, coords[j], 1e-14 * scale)
-                   for j in active if j not in (i0, i1, i2)):
-                continue
-            tris.append((a, b, c))
-            del active[ii]
-            break
-        else:
-            raise MeshError("triangulation failed; polygon may self-intersect")
-    a, b, c = (coords[j] for j in active)
-    if (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]) <= 0:
-        raise MeshError("triangulation failed; polygon may self-intersect")
-    tris.append((a, b, c))
-    return np.array(tris)
+def map_rule(tris, exactness):
+    """Collapsed Gauss rule mapped onto stacked triangles (..., T, 3, 2).
 
-
-def _in_triangle(a, b, c, p, tol):
-    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-    d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-    return d1 >= -tol and d2 >= -tol and d3 >= -tol
+    Returns points (..., T * R, 2) and weights (..., T * R), triangle by
+    triangle, exact for polynomials of degree ``exactness``.
+    """
+    ref_pts, ref_w = _duffy_rule(exactness)
+    a, b, c = tris[..., 0, None, :], tris[..., 1, None, :], tris[..., 2, None, :]
+    area2 = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+             - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]))
+    pts = a + ref_pts[:, 0, None] * (b - a) + ref_pts[:, 1, None] * (c - a)
+    wts = ref_w * area2
+    lead = tris.shape[:-3]
+    return pts.reshape(lead + (-1, 2)), wts.reshape(lead + (-1,))
 
 
 def polygon_quadrature(geom, exactness):
     """Positive-weight rule exact for polynomials of the given degree."""
-    ref_pts, ref_w = _duffy_rule(exactness)
-    tris = triangulate(geom.vertices)
-    pts = []
-    wts = []
-    for a, b, c in tris:
-        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        pts.append(a + np.outer(ref_pts[:, 0], b - a) + np.outer(ref_pts[:, 1], c - a))
-        wts.append(ref_w * area2)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), exactness)
+    pts, wts = map_rule(triangulate(geom.vertices), exactness)
+    return QuadratureRule(pts, wts, exactness)
 
 
 def edge_quadrature(endpoints, exactness):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
-from .mesh import polygon_diameter
+from .mesh import MeshError, polygon_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 from .meshgen import GeneratorSpec, generate
 from .postprocess import (ErrorRecord, convergence_rates, error_norms,
@@ -64,8 +64,9 @@ class ExperimentConfig:
 def _run_single(mesh, k, problem, mode, quad_boost, point, dofmap=None):
     """Solve one mesh and measure errors.
 
-    A singular element projector (degenerate geometry) or an unreliable
-    global solve becomes a ``failed`` record naming the cause.
+    A cell that cannot be triangulated or whose projector is singular
+    (degenerate geometry), or an unreliable global solve, becomes a
+    ``failed`` record naming the cause.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
@@ -75,7 +76,7 @@ def _run_single(mesh, k, problem, mode, quad_boost, point, dofmap=None):
                           quad_boost=quad_boost, dofmap=dofmap)
         apply_dirichlet(system, problem.p_ex, mesh, k)
         u = solve(system)
-    except (SolveError, np.linalg.LinAlgError) as exc:
+    except (MeshError, SolveError, np.linalg.LinAlgError) as exc:
         return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,
                            n_dofs=dofmap.n_dofs, err_L2_rel=np.nan,
                            err_H1_rel=np.nan, err_point_rel=np.nan,

@@ -1,8 +1,9 @@
 """Evaluation kernels: scaled-monomial value and gradient tables in NumPy.
 
-Callers evaluate each element's tables in a few large calls (see
-``vemlab.local.projector_set``), so per-call overhead stays small without a
-compiled kernel.
+Every function takes a stack of point sets with one centre and diameter
+per set, so callers evaluate the tables of many elements in one call (see
+``vemlab.local.element_kernel``); a single element is a stack without the
+leading axis.  Per-call overhead stays small without a compiled kernel.
 """
 
 import numpy as np
@@ -13,39 +14,31 @@ def monomial_vandermonde(pts, center, diameter, exps):
 
     Parameters
     ----------
-    pts : (n, 2) float array
-    center : (2,) float array
-    diameter : float
+    pts : (..., n, 2) float array
+    center : (..., 2) float array
+    diameter : float or (...) float array
     exps : (m, 2) int array of exponent pairs
 
     Returns
     -------
-    (n, m) array with V[i, j] = m_j(pts[i]).
+    (..., n, m) array with V[..., i, j] = m_j(pts[..., i, :]).
     """
-    pts = np.asarray(pts, dtype=float)
-    xi = (pts[:, 0] - center[0]) / diameter
-    eta = (pts[:, 1] - center[1]) / diameter
-    deg = int(exps.max()) if len(exps) else 0
-    xp = _powers(xi, deg)
-    yp = _powers(eta, deg)
-    return xp[:, exps[:, 0]] * yp[:, exps[:, 1]]
+    xp, yp = _scaled_powers(pts, center, diameter, exps)
+    return xp[..., exps[:, 0]] * yp[..., exps[:, 1]]
 
 
 def monomial_vandermonde_grad(pts, center, diameter, exps):
     """Evaluate gradients of the scaled monomials at points.
 
-    Returns two (n, m) arrays with the values of d(m_j)/dx and d(m_j)/dy.
+    Returns two (..., n, m) arrays with the values of d(m_j)/dx and
+    d(m_j)/dy.
     """
-    pts = np.asarray(pts, dtype=float)
-    xi = (pts[:, 0] - center[0]) / diameter
-    eta = (pts[:, 1] - center[1]) / diameter
-    deg = int(exps.max()) if len(exps) else 0
-    xp = _powers(xi, deg)
-    yp = _powers(eta, deg)
+    xp, yp = _scaled_powers(pts, center, diameter, exps)
+    h = np.asarray(diameter, dtype=float)[..., None, None]
     ax = exps[:, 0]
     ay = exps[:, 1]
-    gx = ax * xp[:, np.maximum(ax - 1, 0)] * yp[:, ay] / diameter
-    gy = ay * xp[:, ax] * yp[:, np.maximum(ay - 1, 0)] / diameter
+    gx = ax * xp[..., np.maximum(ax - 1, 0)] * yp[..., ay] / h
+    gy = ay * xp[..., ax] * yp[..., np.maximum(ay - 1, 0)] / h
     return gx, gy
 
 
@@ -54,9 +47,19 @@ def backend_name():
     return "python"
 
 
+def _scaled_powers(pts, center, diameter, exps):
+    pts = np.asarray(pts, dtype=float)
+    center = np.asarray(center, dtype=float)
+    h = np.asarray(diameter, dtype=float)[..., None]
+    xi = (pts[..., 0] - center[..., 0, None]) / h
+    eta = (pts[..., 1] - center[..., 1, None]) / h
+    deg = int(exps.max()) if len(exps) else 0
+    return _powers(xi, deg), _powers(eta, deg)
+
+
 def _powers(t, deg):
-    out = np.empty((t.shape[0], deg + 1))
-    out[:, 0] = 1.0
+    out = np.empty(t.shape + (deg + 1,))
+    out[..., 0] = 1.0
     for j in range(1, deg + 1):
-        out[:, j] = out[:, j - 1] * t
+        out[..., j] = out[..., j - 1] * t
     return out

@@ -6,14 +6,24 @@ moments against scaled monomials of degree <= k-2 (divided by |E|), in that
 order.  All projectors are assembled from those data alone: boundary terms
 use the per-edge polynomial trace reconstruction, interior terms read the
 internal moments directly.
+
+One element kernel, :func:`element_kernel`, builds the projectors and local
+forms of a whole stack of cells that share a vertex count in stacked NumPy
+calls; :func:`mesh_elements` runs it over a mesh in memory-bounded chunks,
+and the one-element functions call it on a stack of one.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import (ScaledMonomialBasis, _gauss, edge_reconstruction,
-                    mass_matrix, n_poly, polygon_quadrature)
+from . import kernels
+from .basis import (QuadratureRule, ScaledMonomialBasis, _duffy_rule, _gauss,
+                    derivative_table, edge_reconstruction, laplacian_table,
+                    map_rule, monomial_exponents, n_poly, polygon_quadrature,
+                    triangulate_stack)
+from .mesh import GeometryStack, _row_sum, geometry_stacks
 
 
 @dataclass(frozen=True)
@@ -75,14 +85,30 @@ class ProjectorSet:
 class ElementBank:
     """What post-processing needs of each cell, kept from one build.
 
-    ``geometries[c]`` is cell ``c``'s ``ElementGeometry`` and
-    ``operators[c]`` its :func:`post_solve_operator`, which maps the cell's
-    DoF vector to all of its polynomial snapshots in one product.
+    ``geometries[c]`` is cell ``c``'s ``ElementGeometry``, ``operators[c]``
+    the stacked projectors ``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` that map
+    the cell's DoF vector to all of its polynomial snapshots in one product,
+    and ``triangles[c]`` the (T, 3, 2) triangles its quadrature was mapped
+    onto, which the error norms map their own rule onto.
     """
 
     k: int
     geometries: tuple
     operators: tuple
+    triangles: tuple
+
+    @classmethod
+    def collect(cls, k, n_cells, parts):
+        """Bank of cells 0..n_cells-1 from ``(GeometryStack, operators,
+        triangles)`` parts, one row per cell of the stack."""
+        geoms, ops, tris = ([None] * n_cells for _ in range(3))
+        for geometry, operators, triangles in parts:
+            for i, c in enumerate(geometry.cells):
+                geoms[c] = geometry.element(i)
+                ops[c] = operators[i]
+                tris[c] = triangles[i]
+        return cls(k=k, geometries=tuple(geoms), operators=tuple(ops),
+                   triangles=tuple(tris))
 
     def snapshots(self, u, cell_dofs):
         """L2 projection, projected gradient and energy projection of the
@@ -94,13 +120,6 @@ class ElementBank:
         pi0, gx, gy, energy = np.split(
             snaps, [nk, nk + nkm1, nk + 2 * nkm1], axis=1)
         return pi0, np.stack([gx, gy], axis=-1), energy
-
-
-def post_solve_operator(proj):
-    """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]``: the projectors of one element
-    that act on a solution, stacked by rows."""
-    return np.concatenate([proj.Pi0k, proj.Pi0GradX, proj.Pi0GradY,
-                           proj.PiNabla])
 
 
 @dataclass
@@ -165,191 +184,370 @@ class Coefficients:
         return np.broadcast_to(arr, (pts.shape[0],))
 
 
-def _edge_traces(geom, layout, n_gauss):
-    """Gauss data on each edge plus the trace table of the DoF basis.
+@dataclass
+class ElementStack:
+    """What :func:`element_kernel` builds for a stack of cells.
 
-    Yields (edge index, points, weights, values) where values[q, i] is the
-    trace polynomial of local basis function i at quadrature point q.  The
-    trace on an edge is the unique P_k(e) polynomial matching the two
-    endpoint values and the k-1 edge moments; the scaled arclength t runs
-    from -1 to +1 in the direction of ascending global vertex index
-    (geom.edge_forward), matching the edge-moment DoF definition.
+    Every array has one leading row per cell of ``geometry``; the fields are
+    those of :class:`ProjectorSet` and, when coefficients were given, of
+    :class:`LocalSystem` (``None`` otherwise).
     """
-    k = layout.k
-    nv = layout.n_vertices
+
+    k: int
+    geometry: GeometryStack
+    rule_values: np.ndarray
+    PiNabla: np.ndarray
+    Pi0k: np.ndarray
+    Pi0km1: np.ndarray
+    Pi0GradX: np.ndarray
+    Pi0GradY: np.ndarray
+    D: np.ndarray
+    B: np.ndarray
+    G: np.ndarray
+    H: np.ndarray
+    Ah: np.ndarray = None
+    Bh: np.ndarray = None
+    Ch: np.ndarray = None
+    S: np.ndarray = None
+    f_loc: np.ndarray = None
+
+    def projectors(self, i, layout):
+        """Row ``i`` as a :class:`ProjectorSet`."""
+        geom = self.geometry.element(i)
+        return ProjectorSet(
+            k=self.k, layout=layout, basis=ScaledMonomialBasis(geom, self.k),
+            rule_values=self.rule_values[i],
+            **{f: getattr(self, f)[i] for f in (
+                "PiNabla", "Pi0k", "Pi0km1", "Pi0GradX", "Pi0GradY", "D",
+                "B", "G", "H")})
+
+    def post_solve_operators(self):
+        """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` of every cell, stacked by
+        rows: the projectors that act on a solution, (C, rows, n_dofs)."""
+        return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY,
+                               self.PiNabla], axis=1)
+
+
+def _t(a):
+    return np.swapaxes(a, -1, -2)
+
+
+@lru_cache(maxsize=None)
+def _trace_tables(nv, k):
+    """Trace tables of the DoF basis on the Gauss points of every edge.
+
+    Entry [e, forward, q, i] is the trace polynomial of local basis function
+    i at Gauss point q of edge e.  The trace on an edge is the unique P_k(e)
+    polynomial matching the two endpoint values and the k - 1 edge moments;
+    the scaled arclength t runs from -1 to +1 in the direction of ascending
+    global vertex index, so the table depends on whether the ring direction
+    (``forward``) agrees with it.
+    """
+    n_int = n_poly(k - 2)
+    layout = DofLayout(k=k, n_vertices=nv, n_per_edge=k - 1, n_internal=n_int,
+                       n_dofs=nv * k + n_int)
     R = edge_reconstruction(k)
-    t, w_std = _gauss(n_gauss)
+    t, _ = _gauss(k + 1)
     P = np.vander(t, k + 1, increasing=True)
+    out = np.empty((nv, 2, k + 1, layout.n_dofs))
     for e in range(nv):
         va, vb = e, (e + 1) % nv
-        v_start, v_end = (va, vb) if geom.edge_forward[e] else (vb, va)
-        data = np.zeros((k + 1, layout.n_dofs))
-        data[0, layout.vertex_slot(v_start)] = 1.0
-        data[1, layout.vertex_slot(v_end)] = 1.0
-        for j in range(k - 1):
-            data[2 + j, layout.edge_slot(e, j)] = 1.0
-        vals = P @ (R @ data)
-        a, b = geom.vertices[v_start], geom.vertices[v_end]
-        pts = 0.5 * (a + b) + 0.5 * np.outer(t, b - a)
-        yield e, pts, w_std * geom.edge_lengths[e] / 2, vals
+        for forward, (v_start, v_end) in enumerate(((vb, va), (va, vb))):
+            data = np.zeros((k + 1, layout.n_dofs))
+            data[0, layout.vertex_slot(v_start)] = 1.0
+            data[1, layout.vertex_slot(v_end)] = 1.0
+            for j in range(k - 1):
+                data[2 + j, layout.edge_slot(e, j)] = 1.0
+            out[e, forward] = P @ (R @ data)
+    out.flags.writeable = False
+    return out
 
 
-def _solve(A, rhs, what):
+def _solve(A, rhs, what, geometry):
     try:
         return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"{what} system is singular; element geometry is degenerate") from exc
+        for i in range(len(A)):
+            try:
+                np.linalg.solve(A[i], rhs[i])
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"{geometry.label(i)}: {what} system is singular; element "
+                    "geometry is degenerate") from exc
+        raise
 
 
-def projector_set(geom, k, layout=None, rule=None):
-    """All projector matrices for one element, sharing one quadrature rule."""
-    layout = layout if layout is not None else dof_layout(geom, k)
-    basis = ScaledMonomialBasis(geom, k)
-    nk = basis.dim
-    nkm1 = n_poly(k - 1)
-    nkm2 = n_poly(k - 2)
-    nd = layout.n_dofs
-    area = geom.area
-    perimeter = geom.edge_lengths.sum()
-    if rule is None:
-        rule = polygon_quadrature(geom, 2 * k)
-    rule_values = basis.eval(rule.points)
-    H = mass_matrix(basis, rule=rule, values=rule_values)
-    Hm1 = H[:nkm1, :nkm1]
-    traces = list(_edge_traces(geom, layout, k + 1))
-    t_std, _ = _gauss(k + 1)
+def _check_kappa(kap, geometry):
+    """Raise ValueError unless kappa is symmetric positive definite at every
+    quadrature point of the stack (kap has shape (C, Q, 2, 2))."""
+    k00, k01 = kap[..., 0, 0], kap[..., 0, 1]
+    k10, k11 = kap[..., 1, 0], kap[..., 1, 1]
+    asym = np.abs(k01 - k10) > 1e-12 * (np.abs(k00) + np.abs(k11))
+    indefinite = ~((k00 > 0) & (k00 * k11 - k01 * k10 > 0))
+    for bad, what in ((asym, "symmetric"), (indefinite, "positive definite")):
+        if bad.any():
+            i = np.flatnonzero(bad.any(axis=1))[0]
+            raise ValueError(f"{geometry.label(i)}: kappa is not {what} at a "
+                             "quadrature point")
 
-    # One value table on the vertices and every edge Gauss point, one
-    # gradient table on the edge points; the edge loops below slice them.
-    nv = layout.n_vertices
-    edge_pts = np.vstack([pts for _, pts, _, _ in traces])
-    V = basis.eval(np.vstack([geom.vertices, edge_pts]))
-    V_edge = V[nv:].reshape(nv, k + 1, nk)
-    gx_edge, gy_edge = (g.reshape(nv, k + 1, nk) for g in basis.grad(edge_pts))
 
-    # DoFs of the monomials, one row per DoF.
-    D = np.zeros((nd, nk))
-    D[:nv] = V[:nv]
-    for e, _pts, wts, _vals in traces:
-        for j in range(k - 1):
-            D[layout.edge_slot(e, j)] = (wts * t_std ** j) @ V_edge[e] / geom.edge_lengths[e]
+def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
+    """Projectors and, given coefficients, local forms of a stack of cells.
+
+    ``geometry`` is a :class:`GeometryStack` and ``rule`` a
+    :class:`QuadratureRule` with points (C, Q, 2) and weights (C, Q), one row
+    per cell.  Every cell goes through the arithmetic of a one-cell call in
+    stacked ``matmul`` and ``linalg.solve`` calls, so the result for a cell
+    does not depend on the other cells of its stack.  In mode
+    ``grad_pinabla`` the diffusion consistency term uses the gradient of the
+    energy projection instead of the projected gradient; for k=1 the two
+    constructions agree identically, so the standard path is shared.
+    """
+    if mode not in ("standard", "grad_pinabla"):
+        raise ValueError(f"unknown mode {mode!r}")
+    out = _projectors(geometry, k, rule)
+    if coeffs is not None:
+        _local_forms(out, rule, coeffs, mode)
+    return out
+
+
+def _projectors(geometry, k, rule):
+    """The :class:`ProjectorSet` fields of :func:`element_kernel`."""
+    n_cells, nv = geometry.vertices.shape[:2]
+    nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
+    nd = nv * k + nkm2
+    first_int = nv * k
+    area = geometry.area[:, None, None]
+    center, h = geometry.centroid, geometry.diameter
+    lengths, normals = geometry.edge_lengths, geometry.edge_normals
+    perimeter = _row_sum(lengths)[:, None]
+    exps = monomial_exponents(k)
+
+    w = rule.weights
+    rule_values = kernels.monomial_vandermonde(rule.points, center, h, exps)
+    H = _t(rule_values) @ (w[..., None] * rule_values)
+    H = 0.5 * (H + _t(H))
+    Hm1 = H[:, :nkm1, :nkm1]
+
+    # Gauss points of every edge, from its start to its end vertex in the
+    # canonical direction; one value table on the vertices and every edge
+    # point, one gradient table on the edge points.
+    t_std, w_std = _gauss(k + 1)
+    forward = geometry.edge_forward
+    ring = geometry.vertices
+    ahead = np.roll(ring, -1, axis=1)
+    start = np.where(forward[..., None], ring, ahead)[:, :, None, :]
+    end = np.where(forward[..., None], ahead, ring)[:, :, None, :]
+    edge_pts = (0.5 * (start + end) + 0.5 * (t_std[:, None] * (end - start))
+                ).reshape(n_cells, nv * (k + 1), 2)
+    wts = w_std * lengths[..., None] / 2
+    traces = _trace_tables(nv, k)[np.arange(nv), forward.astype(np.intp)]
+    V = kernels.monomial_vandermonde(
+        np.concatenate([ring, edge_pts], axis=1), center, h, exps)
+    V_edge = V[:, nv:].reshape(n_cells, nv, k + 1, nk)
+    gx_edge, gy_edge = (g.reshape(n_cells, nv, k + 1, nk) for g in
+                        kernels.monomial_vandermonde_grad(edge_pts, center, h,
+                                                          exps))
+
+    # DoFs of the monomials, one row per DoF.  Each per-edge product below
+    # is batched over (cell, edge[, moment]) with the shapes of a one-edge
+    # product, so it keeps that product's bits.
+    D = np.zeros((n_cells, nd, nk))
+    D[:, :nv] = V[:, :nv]
+    powers = np.array([t_std ** j for j in range(k - 1)]).reshape(k - 1, k + 1)
+    moment_rows = ((wts[:, :, None, :] * powers)[..., None, :]
+                   @ V_edge[:, :, None])[..., 0, :]
+    D[:, nv:first_int] = (moment_rows / lengths[:, :, None, None]).reshape(
+        n_cells, nv * (k - 1), nk)
     if nkm2:
-        D[layout.n_vertices * k:] = H[:nkm2] / area
+        D[:, first_int:] = H[:, :nkm2] / area
 
-    # Energy projector: gradient conditions plus the boundary-mean closure.
-    Dx = basis.derivative_map(0)
-    Dy = basis.derivative_map(1)
-    G = Dx.T @ Hm1 @ Dx + Dy.T @ Hm1 @ Dy
-    B = np.zeros((nk, nd))
+    # Energy projector: gradient conditions plus the boundary-mean closure;
+    # gradient projector by parts: interior term from internal moments (the
+    # derivative of a P_{k-1} monomial stays within degree k-2), boundary
+    # term from the trace reconstruction.
+    hh = h[:, None, None]
+    Dx = derivative_table(k, 0) / hh
+    Dy = derivative_table(k, 1) / hh
+    G = _t(Dx) @ Hm1 @ Dx + _t(Dy) @ Hm1 @ Dy
+    B = np.zeros((n_cells, nk, nd))
+    rx = np.zeros((n_cells, nkm1, nd))
+    ry = np.zeros((n_cells, nkm1, nd))
     if nkm2:
-        B[:, layout.n_vertices * k:] -= area * basis.laplacian_map().T
-    bmean_mono = np.zeros(nk)
-    bmean_dof = np.zeros(nd)
-    for e, _pts, wts, vals in traces:
-        normal = geom.edge_normals[e]
-        dn = gx_edge[e] * normal[0] + gy_edge[e] * normal[1]
-        B += dn.T @ (wts[:, None] * vals)
-        bmean_mono += wts @ V_edge[e] / perimeter
-        bmean_dof += wts @ vals / perimeter
-    G[0] = bmean_mono
-    B[0] = bmean_dof
+        # Python's float power, as in ScaledMonomialBasis.laplacian_map
+        h2 = np.array([d ** 2 for d in h.tolist()])[:, None, None]
+        B[:, :, first_int:] -= area * _t(laplacian_table(k) / h2)
+        rx[:, :, first_int:] -= area * _t(derivative_table(k - 1, 0) / hh)
+        ry[:, :, first_int:] -= area * _t(derivative_table(k - 1, 1) / hh)
+    nx, ny = normals[..., 0, None, None], normals[..., 1, None, None]
+    weighted = wts[..., None] * traces
+    flux = _t(gx_edge * nx + gy_edge * ny) @ weighted
+    mean_mono = (wts[:, :, None, :] @ V_edge)[:, :, 0] / perimeter[:, None]
+    mean_dof = (wts[:, :, None, :] @ traces)[:, :, 0] / perimeter[:, None]
+    moment = _t(V_edge[..., :nkm1]) @ weighted
+    bmean_mono = np.zeros((n_cells, nk))
+    bmean_dof = np.zeros((n_cells, nd))
+    for e in range(nv):  # edge by edge, in ring order
+        B += flux[:, e]
+        bmean_mono += mean_mono[:, e]
+        bmean_dof += mean_dof[:, e]
+        rx += nx[:, e] * moment[:, e]
+        ry += ny[:, e] * moment[:, e]
+    G[:, 0] = bmean_mono
+    B[:, 0] = bmean_dof
     # Solving against B @ D (equal to G up to quadrature roundoff) makes the
     # polynomial-consistency identity hold to solver precision; the Newton
     # polish then squares the remaining idempotence defect, which matters on
     # sliver cells where the monomial Gram is badly conditioned.
-    PiNabla = _solve(B @ D, B, "energy projector")
+    PiNabla = _solve(B @ D, B, "energy projector", geometry)
     PiNabla += (np.eye(nk) - PiNabla @ D) @ PiNabla
 
     # L2 projectors: exact moments up to k-2, energy-projected above.
-    mu = np.zeros((nk, nd))
+    mu = np.zeros((n_cells, nk, nd))
     if nkm2:
-        mu[:nkm2, layout.n_vertices * k:] = area * np.eye(nkm2)
-    mu[nkm2:] = H[nkm2:] @ PiNabla
-    Pi0k = _solve(H, mu, "L2 projector mass")
+        mu[:, :nkm2, first_int:] = area * np.eye(nkm2)
+    mu[:, nkm2:] = H[:, nkm2:] @ PiNabla
+    Pi0k = _solve(H, mu, "L2 projector mass", geometry)
     Pi0k += (np.eye(nk) - Pi0k @ D) @ Pi0k
-    Pi0km1 = _solve(Hm1, mu[:nkm1], "L2 projector mass")
-    Pi0km1 += (np.eye(nkm1) - Pi0km1 @ D[:, :nkm1]) @ Pi0km1
+    Pi0km1 = _solve(Hm1, mu[:, :nkm1], "L2 projector mass", geometry)
+    Pi0km1 += (np.eye(nkm1) - Pi0km1 @ D[:, :, :nkm1]) @ Pi0km1
 
-    # Gradient projector by parts: interior term from internal moments
-    # (the derivative of a P_{k-1} monomial stays within degree k-2),
-    # boundary term from the trace reconstruction.
-    rx = np.zeros((nkm1, nd))
-    ry = np.zeros((nkm1, nd))
-    if nkm2:
-        lower = ScaledMonomialBasis(geom, k - 1)
-        rx[:, layout.n_vertices * k:] -= area * lower.derivative_map(0).T
-        ry[:, layout.n_vertices * k:] -= area * lower.derivative_map(1).T
-    for e, _pts, wts, vals in traces:
-        Vm1 = V_edge[e][:, :nkm1]
-        moment = Vm1.T @ (wts[:, None] * vals)
-        rx += geom.edge_normals[e, 0] * moment
-        ry += geom.edge_normals[e, 1] * moment
-    Pi0GradX = _solve(Hm1, rx, "gradient projector mass")
-    Pi0GradY = _solve(Hm1, ry, "gradient projector mass")
+    Pi0GradX = _solve(Hm1, rx, "gradient projector mass", geometry)
+    Pi0GradY = _solve(Hm1, ry, "gradient projector mass", geometry)
     Pi0GradX += (Dx - Pi0GradX @ D) @ Pi0k
     Pi0GradY += (Dy - Pi0GradY @ D) @ Pi0k
 
-    return ProjectorSet(k=k, layout=layout, basis=basis, PiNabla=PiNabla,
-                        Pi0k=Pi0k, Pi0km1=Pi0km1, Pi0GradX=Pi0GradX,
-                        Pi0GradY=Pi0GradY, D=D, B=B, G=G, H=H,
-                        rule_values=rule_values)
+    return ElementStack(k=k, geometry=geometry, rule_values=rule_values,
+                        PiNabla=PiNabla, Pi0k=Pi0k, Pi0km1=Pi0km1,
+                        Pi0GradX=Pi0GradX, Pi0GradY=Pi0GradY, D=D, B=B, G=G,
+                        H=H)
 
 
-def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
-    """Local stiffness/advection/reaction matrices and load vector.
+def _local_forms(out, rule, coeffs, mode):
+    """Fill the local forms of :func:`element_kernel`'s output ``out``.
 
     Entry [i, j] of each matrix is the form evaluated with trial function j
-    and test function i.  In mode ``grad_pinabla`` the diffusion consistency
-    term uses the gradient of the energy projection instead of the projected
-    gradient; for k=1 the two constructions agree identically, so the
-    standard path is shared.
+    and test function i.  The coefficients are evaluated once on every
+    quadrature point of the stack.
     """
-    if mode not in ("standard", "grad_pinabla"):
-        raise ValueError(f"unknown mode {mode!r}")
-    layout = layout if layout is not None else dof_layout(geom, k)
-    rule = polygon_quadrature(geom, 2 * k + quad_boost)
-    proj = projector_set(geom, k, layout, rule=rule)
-    nkm1 = n_poly(k - 1)
-
-    if mode == "grad_pinabla" and k > 1:
-        GxA = proj.basis.derivative_map(0) @ proj.PiNabla
-        GyA = proj.basis.derivative_map(1) @ proj.PiNabla
-    else:
-        GxA, GyA = proj.Pi0GradX, proj.Pi0GradY
-
+    k, geometry = out.k, out.geometry
+    nd = out.D.shape[1]
+    PiNabla, Pi0km1 = out.PiNabla, out.Pi0km1
+    Pi0GradX, Pi0GradY = out.Pi0GradX, out.Pi0GradY
     w = rule.weights
-    V = proj.rule_values[:, :nkm1]
-    VGxA, VGyA = V @ GxA, V @ GyA
-    kap = coeffs.kappa_at(rule.points)
-    Acons = (VGxA.T @ ((w * kap[:, 0, 0])[:, None] * VGxA)
-             + VGxA.T @ ((w * kap[:, 0, 1])[:, None] * VGyA)
-             + VGyA.T @ ((w * kap[:, 1, 0])[:, None] * VGxA)
-             + VGyA.T @ ((w * kap[:, 1, 1])[:, None] * VGyA))
+    pts = rule.points.reshape(-1, 2)
+    shape = w.shape
+    kap = coeffs.kappa_at(pts).reshape(shape + (2, 2))
+    _check_kappa(kap, geometry)
+    Vm = out.rule_values[:, :, :n_poly(k - 1)]
+    VGx, VGy = Vm @ Pi0GradX, Vm @ Pi0GradY
+    if mode == "grad_pinabla" and k > 1:
+        hh = geometry.diameter[:, None, None]
+        VGxA = Vm @ ((derivative_table(k, 0) / hh) @ PiNabla)
+        VGyA = Vm @ ((derivative_table(k, 1) / hh) @ PiNabla)
+    else:
+        VGxA, VGyA = VGx, VGy
+    Acons = (_t(VGxA) @ ((w * kap[..., 0, 0])[..., None] * VGxA)
+             + _t(VGxA) @ ((w * kap[..., 0, 1])[..., None] * VGyA)
+             + _t(VGyA) @ ((w * kap[..., 1, 0])[..., None] * VGxA)
+             + _t(VGyA) @ ((w * kap[..., 1, 1])[..., None] * VGyA))
 
-    sigma = float(w @ (kap[:, 0, 0] + kap[:, 1, 1])) / (2 * geom.area)
-    M = np.eye(layout.n_dofs) - proj.D @ proj.PiNabla
-    S = sigma * (M.T @ M)
-    S = 0.5 * (S + S.T)
+    kap_trace = w[:, None, :] @ (kap[..., 0, 0] + kap[..., 1, 1])[..., None]
+    sigma = kap_trace[:, 0, 0] / (2 * geometry.area)
+    M = np.eye(nd) - out.D @ PiNabla
+    S = sigma[:, None, None] * (_t(M) @ M)
+    S = 0.5 * (S + _t(S))
     Ah = Acons + S
-    Ah = 0.5 * (Ah + Ah.T)
+    Ah = 0.5 * (Ah + _t(Ah))
 
     # Advection couples the projected trial function to the projected
     # gradient of the test function (row index), hence non-symmetric.
-    VP = V @ proj.Pi0km1
-    VGx, VGy = V @ proj.Pi0GradX, V @ proj.Pi0GradY
-    b = coeffs.b_at(rule.points)
-    Bh = -(VGx.T @ ((w * b[:, 0])[:, None] * VP)
-           + VGy.T @ ((w * b[:, 1])[:, None] * VP))
+    VP = Vm @ Pi0km1
+    b = coeffs.b_at(pts).reshape(shape + (2,))
+    Bh = -(_t(VGx) @ ((w * b[..., 0])[..., None] * VP)
+           + _t(VGy) @ ((w * b[..., 1])[..., None] * VP))
 
-    gam = coeffs.gamma_at(rule.points)
-    Ch = VP.T @ ((w * gam)[:, None] * VP)
-    Ch = 0.5 * (Ch + Ch.T)
+    gam = coeffs.gamma_at(pts).reshape(shape)
+    Ch = _t(VP) @ ((w * gam)[..., None] * VP)
+    Ch = 0.5 * (Ch + _t(Ch))
 
-    f_loc = VP.T @ (w * coeffs.f_at(rule.points))
+    f_loc = (_t(VP) @ (w * coeffs.f_at(pts).reshape(shape))[..., None])[..., 0]
+    out.Ah, out.Bh, out.Ch, out.S, out.f_loc = Ah, Bh, Ch, S, f_loc
 
-    return LocalSystem(Ah=Ah, Bh=Bh, Ch=Ch, S=S, f_loc=f_loc, mode=mode,
-                       projectors=proj)
+
+#: Working memory one stacked call may use.  Stacks are cut into chunks of
+#: cells that fit, so the peak memory does not grow with the mesh; on the
+#: small k = 1, 2 meshes a larger budget shows up in the peak RSS, because
+#: freed chunk arrays stay in the heap.
+_CHUNK_BYTES = 2 ** 20
+#: A chunk never has fewer cells: each stacked call costs about 150 NumPy
+#: calls however many cells it holds, which dominates below about 8 cells
+#: (k = 4 concave cells need about 0.4 MB each).
+_MIN_CHUNK_CELLS = 8
+
+
+def chunk_rows(floats_per_cell):
+    """Cells per stacked call when each cell needs about
+    ``floats_per_cell`` float64 values of working memory."""
+    return max(_MIN_CHUNK_CELLS, _CHUNK_BYTES // (8 * floats_per_cell))
+
+
+def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
+    """Run :func:`element_kernel` over every cell of ``mesh``.
+
+    Cells are stacked by vertex count and triangle count, each cell's rule
+    of degree ``exactness`` is mapped onto its triangles, and each stack is
+    cut into chunks (see :func:`chunk_rows`).  Yields ``(ElementStack,
+    triangles)`` per chunk, where ``triangles`` (C, T, 3, 2) are the
+    triangles the chunk's rules were mapped onto.
+    """
+    for geometry in geometry_stacks(mesh):
+        nv = geometry.vertices.shape[1]
+        for rows, tris in triangulate_stack(geometry):
+            stack = geometry.take(rows)
+            n_points = tris.shape[1] * _duffy_rule(exactness)[1].size
+            nd = nv * k + n_poly(k - 2)
+            # the largest arrays: point tables of width n_dofs, and the
+            # matrices of the projectors and local forms
+            step = chunk_rows(n_points * (n_poly(k) + 6 * nd) + 16 * nd ** 2)
+            for lo in range(0, len(stack), step):
+                part = slice(lo, lo + step)
+                pts, wts = map_rule(tris[part], exactness)
+                yield (element_kernel(stack.take(part), k,
+                                      QuadratureRule(pts, wts, exactness),
+                                      coeffs, mode),
+                       tris[part])
+
+
+def _one(geom, rule):
+    stack = GeometryStack(None, geom.vertices[None], np.array([geom.area]),
+                          geom.centroid[None], np.array([geom.diameter]),
+                          geom.edge_lengths[None], geom.edge_normals[None],
+                          geom.edge_forward[None])
+    return stack, QuadratureRule(rule.points[None], rule.weights[None],
+                                 rule.exactness)
+
+
+def projector_set(geom, k, layout=None, rule=None):
+    """All projector matrices for one element, sharing one quadrature rule
+    (by default of degree 2k)."""
+    layout = layout if layout is not None else dof_layout(geom, k)
+    if rule is None:
+        rule = polygon_quadrature(geom, 2 * k)
+    stack, rule = _one(geom, rule)
+    return element_kernel(stack, k, rule).projectors(0, layout)
+
+
+def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
+    """Local stiffness/advection/reaction matrices and load vector of one
+    element (see :func:`element_kernel`)."""
+    layout = layout if layout is not None else dof_layout(geom, k)
+    rule = polygon_quadrature(geom, 2 * k + quad_boost)
+    stack, rule = _one(geom, rule)
+    out = element_kernel(stack, k, rule, coeffs, mode)
+    return LocalSystem(Ah=out.Ah[0], Bh=out.Bh[0], Ch=out.Ch[0], S=out.S[0],
+                       f_loc=out.f_loc[0], mode=mode,
+                       projectors=out.projectors(0, layout))
 
 
 def interpolate_dofs(geom, k, v, layout=None, exactness=None):

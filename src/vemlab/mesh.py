@@ -115,8 +115,12 @@ def polygon_area_centroid(coords):
 
 def polygon_diameter(coords):
     """Largest distance between two vertices of a polygon."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1).max()))
+    return float(_diameters(np.asarray(coords)[None])[0])
+
+
+def _diameters(coords):
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    return np.sqrt((diff ** 2).sum(-1).max(axis=(-2, -1)))
 
 
 def make_mesh(vertices, cells, boundary_vertices=None):
@@ -229,17 +233,11 @@ def polygon_geometry(coords, forward=None):
     coords = np.asarray(coords, dtype=float)
     if not _signed_area(coords) > 0.0:
         raise MeshError("polygon is degenerate or not counterclockwise")
-    area, centroid = polygon_area_centroid(coords)
-    diameter = polygon_diameter(coords)
-    tang = np.roll(coords, -1, axis=0) - coords
-    lengths = np.hypot(tang[:, 0], tang[:, 1])
-    if lengths.min() <= 0.0:
+    if np.any(np.all(coords == np.roll(coords, -1, axis=0), axis=1)):
         raise MeshError("polygon has a zero-length edge")
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
     if forward is None:
         forward = np.ones(coords.shape[0], dtype=bool)
-    return ElementGeometry(coords, float(area), centroid, diameter,
-                           lengths, normals, np.asarray(forward, dtype=bool))
+    return stack_geometry(coords[None], np.asarray(forward)[None]).element(0)
 
 
 def element_geometry(mesh, cell):
@@ -247,6 +245,91 @@ def element_geometry(mesh, cell):
     ring = mesh.cells[cell]
     forward = ring < np.roll(ring, -1)
     return polygon_geometry(mesh.vertices[ring], forward)
+
+
+@dataclass(frozen=True)
+class GeometryStack:
+    """Geometry of cells that share a vertex count, one row per cell.
+
+    Row ``i`` holds what :class:`ElementGeometry` holds for cell
+    ``cells[i]`` (``cells`` is ``None`` for polygons without a mesh), with
+    the same arithmetic, so ``element(i)`` equals the per-cell geometry bit
+    for bit.
+    """
+
+    cells: np.ndarray
+    vertices: np.ndarray
+    area: np.ndarray
+    centroid: np.ndarray
+    diameter: np.ndarray
+    edge_lengths: np.ndarray
+    edge_normals: np.ndarray
+    edge_forward: np.ndarray
+
+    def __len__(self):
+        return self.vertices.shape[0]
+
+    def label(self, i):
+        """How error messages name row ``i``."""
+        return "element" if self.cells is None else f"cell {self.cells[i]}"
+
+    def element(self, i):
+        return ElementGeometry(self.vertices[i], float(self.area[i]),
+                               self.centroid[i], float(self.diameter[i]),
+                               self.edge_lengths[i], self.edge_normals[i],
+                               self.edge_forward[i])
+
+    def take(self, rows):
+        """The stack of the given rows."""
+        return GeometryStack(
+            None if self.cells is None else self.cells[rows],
+            *(getattr(self, f)[rows] for f in (
+                "vertices", "area", "centroid", "diameter", "edge_lengths",
+                "edge_normals", "edge_forward")))
+
+
+def _row_sum(a):
+    # NumPy sums each row of a C-contiguous array exactly as it sums that
+    # row on its own, so stacked and per-cell geometry agree bit for bit.
+    return np.ascontiguousarray(a).sum(axis=-1)
+
+
+def stack_geometry(coords, forward, cells=None):
+    """Geometry of a stack of CCW rings ``coords`` of shape (C, n, 2).
+
+    ``forward`` (C, n) holds the canonical edge orientations.  Nothing is
+    validated here (a degenerate ring gets non-finite entries);
+    :func:`polygon_geometry` and the triangulation reject such rings.
+    """
+    coords = np.asarray(coords, dtype=float)
+    x, y = coords[..., 0], coords[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * yn - xn * y
+    area = 0.5 * _row_sum(cross)
+    tang = np.roll(coords, -1, axis=-2) - coords
+    lengths = np.hypot(tang[..., 0], tang[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.stack([_row_sum((x + xn) * cross) / (6.0 * area),
+                             _row_sum((y + yn) * cross) / (6.0 * area)],
+                            axis=-1)
+        normals = (np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
+                   / lengths[..., None])
+    return GeometryStack(cells, coords, area, centroid, _diameters(coords),
+                         lengths, normals, np.asarray(forward, dtype=bool))
+
+
+def geometry_stacks(mesh):
+    """One :class:`GeometryStack` per vertex count, in ascending count."""
+    sizes = np.array([ring.size for ring in mesh.cells])
+    flat = np.concatenate(mesh.cells)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    stacks = []
+    for n in np.unique(sizes):
+        cells = np.flatnonzero(sizes == n)
+        rings = flat[offsets[cells][:, None] + np.arange(n)]
+        forward = rings < np.roll(rings, -1, axis=1)
+        stacks.append(stack_geometry(mesh.vertices[rings], forward, cells))
+    return stacks
 
 
 def _kernel_chebyshev(coords):

@@ -11,10 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .assembly import build_dofmap
-from .basis import ScaledMonomialBasis, n_poly, polygon_quadrature
-from .local import ElementBank, post_solve_operator, projector_set
-from .mesh import element_geometry
+from .basis import (ScaledMonomialBasis, _duffy_rule, map_rule,
+                    monomial_exponents, n_poly, triangulate)
+from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
+from .local import ElementBank, chunk_rows, mesh_elements
+from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
+from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,8 @@ class SolutionProjection:
     the projected gradient (degree ``k - 1``, last axis = component);
     ``energy_coeffs`` the energy projection, kept for the alternative H1
     error representative.  ``geometries[c]`` is the ``ElementGeometry``
-    whose basis those coefficients refer to.
+    whose basis those coefficients refer to, and ``triangles[c]`` (when
+    known) the cell's triangulation, which the error norms reuse.
     """
 
     mesh: object
@@ -64,6 +69,7 @@ class SolutionProjection:
     grad_coeffs: np.ndarray
     energy_coeffs: np.ndarray
     geometries: tuple = field(repr=False)
+    triangles: tuple = field(default=None, repr=False)
 
     def cell_value(self, cell, points):
         basis = ScaledMonomialBasis(self.geometries[cell], self.k)
@@ -74,8 +80,8 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
     """Cellwise polynomial snapshots of the DoF vector ``u``.
 
     ``bank`` is the ``ElementBank`` that :func:`vemlab.assembly.assemble`
-    returns on ``SparseSystem.bank``; without one, each cell's projectors
-    are built here.
+    returns on ``SparseSystem.bank``; without one, the element kernel builds
+    every cell's projectors here (with a degree-2k rule).
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
@@ -83,15 +89,16 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
         raise ValueError(
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
     if bank is None:
-        geoms = tuple(element_geometry(mesh, c) for c in range(mesh.num_cells))
-        bank = ElementBank(k=k, geometries=geoms, operators=tuple(
-            post_solve_operator(projector_set(geom, k)) for geom in geoms))
+        bank = ElementBank.collect(k, mesh.num_cells, (
+            (out.geometry, out.post_solve_operators(), tris)
+            for out, tris in mesh_elements(mesh, k, 2 * k)))
     elif bank.k != k:
         raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
     coeffs, grads, energy = bank.snapshots(u, dofmap.cell_dofs)
     return SolutionProjection(mesh=mesh, k=k, coeffs=coeffs,
                               grad_coeffs=grads, energy_coeffs=energy,
-                              geometries=bank.geometries)
+                              geometries=bank.geometries,
+                              triangles=bank.triangles)
 
 
 def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
@@ -102,33 +109,59 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
     uses the projected gradient, ``"pinabla"`` the gradient of the energy
     projection.  With ``relative=True`` (default) errors are normalized by
     the corresponding norms of ``p_ex``, integrated with the same rule.
+
+    The degree-``exactness`` rule (default 2k + 4) is mapped onto each
+    cell's triangles, the ones the projection carries when it has them.
+    Cells are evaluated in stacks of equal triangle count, and the cell
+    contributions are summed in cell order.
     """
     if gradient not in ("pi0", "pinabla"):
         raise ValueError(f"unknown gradient representative {gradient!r}")
     ex = (2 * k + 4) if exactness is None else exactness
-    num_l2 = num_h1 = den_l2 = den_h1 = 0.0
+    geoms = projection.geometries
+    tris = projection.triangles
+    if tris is None:
+        tris = [triangulate(geom.vertices) for geom in geoms]
+    # per cell: L2 error, H1 error, L2 norm, H1 norm
+    parts = np.empty((4, mesh.num_cells))
+    n_tris = np.array([t.shape[0] for t in tris])
+    exps = monomial_exponents(k)
     nkm1 = n_poly(k - 1)
-    for c in range(mesh.num_cells):
-        geom = projection.geometries[c]
-        rule = polygon_quadrature(geom, ex)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        w = rule.weights
-        basis = ScaledMonomialBasis(geom, k)
-        p_vals = np.asarray(p_ex(x, y), dtype=float)
-        g_vals = np.asarray(grad_p_ex(x, y), dtype=float)
-        V = basis.eval(rule.points)
-        ph = V @ projection.coeffs[c]
-        if gradient == "pi0":
-            # graded order: the degree-(k-1) monomials are the first columns
-            gh = V[:, :nkm1] @ projection.grad_coeffs[c]
-        else:
-            gx, gy = basis.grad(rule.points)
-            gh = np.column_stack([gx @ projection.energy_coeffs[c],
-                                  gy @ projection.energy_coeffs[c]])
-        num_l2 += w @ (ph - p_vals) ** 2
-        num_h1 += w @ np.sum((gh - g_vals) ** 2, axis=1)
-        den_l2 += w @ p_vals ** 2
-        den_h1 += w @ np.sum(g_vals ** 2, axis=1)
+    for count in np.unique(n_tris):
+        cells = np.flatnonzero(n_tris == count)
+        step = chunk_rows(count * _duffy_rule(ex)[1].size * (3 * len(exps) + 16))
+        for lo in range(0, cells.size, step):
+            part = cells[lo:lo + step]
+            pts, w = map_rule(np.stack([tris[c] for c in part]), ex)
+            centers = np.array([geoms[c].centroid for c in part])
+            diameters = np.array([geoms[c].diameter for c in part])
+            flat = pts.reshape(-1, 2)
+            x, y = flat[:, 0], flat[:, 1]
+            p_vals = np.broadcast_to(np.asarray(p_ex(x, y), dtype=float),
+                                     x.shape).reshape(w.shape)
+            g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
+                                     x.shape + (2,)).reshape(w.shape + (2,))
+            V = kernels.monomial_vandermonde(pts, centers, diameters, exps)
+            ph = (V @ projection.coeffs[part][..., None])[..., 0]
+            if gradient == "pi0":
+                # graded order: the degree-(k-1) monomials are the first columns
+                gh = V[..., :nkm1] @ projection.grad_coeffs[part]
+            else:
+                gx, gy = kernels.monomial_vandermonde_grad(pts, centers,
+                                                           diameters, exps)
+                energy = projection.energy_coeffs[part][..., None]
+                gh = np.concatenate([gx @ energy, gy @ energy], axis=-1)
+            wr = w[:, None, :]
+            for row, values in enumerate((
+                    (ph - p_vals) ** 2, np.sum((gh - g_vals) ** 2, axis=-1),
+                    p_vals ** 2, np.sum(g_vals ** 2, axis=-1))):
+                parts[row, part] = (wr @ values[..., None])[:, 0, 0]
+    num_l2 = num_h1 = den_l2 = den_h1 = 0.0
+    for a, b, c, d in parts.T.tolist():
+        num_l2 += a
+        num_h1 += b
+        den_l2 += c
+        den_h1 += d
     err_l2, err_h1 = np.sqrt(num_l2), np.sqrt(num_h1)
     if not relative:
         return err_l2, err_h1
@@ -163,12 +196,22 @@ def _contains(coords, p, tol):
 
 
 def locate_cell(mesh, point):
-    """Index of the first cell containing ``point`` (boundary-inclusive)."""
+    """Index of the first cell containing ``point`` (boundary-inclusive).
+
+    Only cells whose bounding box, widened by twice the containment
+    tolerance, holds the point are tested, in ascending index order.
+    """
     p = np.asarray(point, dtype=float)
     span = np.ptp(mesh.vertices, axis=0).max()
-    for c in range(mesh.num_cells):
-        if _contains(mesh.vertices[mesh.cells[c]], p, 1e-12 * span):
-            return c
+    tol = 1e-12 * span
+    sizes = np.array([ring.size for ring in mesh.cells])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    coords = mesh.vertices[np.concatenate(mesh.cells)]
+    lo = np.minimum.reduceat(coords, starts) - 2 * tol
+    hi = np.maximum.reduceat(coords, starts) + 2 * tol
+    for c in np.flatnonzero(np.all((lo <= p) & (p <= hi), axis=1)):
+        if _contains(mesh.vertices[mesh.cells[c]], p, tol):
+            return int(c)
     raise ValueError(f"point {tuple(p)} lies outside the mesh")
 
 

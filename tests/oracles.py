@@ -278,3 +278,85 @@ def error_norms_two_tables(mesh, k, projection, p_ex, grad_p_ex):
         num_l2 += w @ (ph - p_vals) ** 2
         num_h1 += w @ np.sum((gh - g_vals) ** 2, axis=1)
     return np.sqrt(num_l2), np.sqrt(num_h1)
+
+
+def triangulate_per_cell(coords):
+    """Centroid fan or ear clipping of one polygon, one ear at a time: the
+    construction ``vemlab.basis.triangulate_stack`` vectorised across
+    stacks of polygons."""
+    from vemlab.mesh import MeshError
+
+    coords = np.asarray(coords, dtype=float)
+    n = len(coords)
+    span = (coords.max(0) - coords.min(0)).max()
+    x, y = coords[:, 0], coords[:, 1]
+    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    if area <= 1e-14 * span ** 2:
+        raise MeshError("triangulation failed; polygon is degenerate")
+    if n == 3:
+        return coords[None, :, :]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    centroid = (np.array([np.sum((x + xn) * cross), np.sum((y + yn) * cross)])
+                / (6 * (0.5 * cross.sum())))
+    nxt = np.roll(coords, -1, axis=0)
+    cross = ((coords[:, 0] - centroid[0]) * (nxt[:, 1] - centroid[1])
+             - (nxt[:, 0] - centroid[0]) * (coords[:, 1] - centroid[1]))
+    scale = np.abs(coords - centroid).max() ** 2
+    if np.all(cross > 1e-12 * scale):
+        tris = np.empty((n, 3, 2))
+        tris[:, 0] = centroid
+        tris[:, 1] = coords
+        tris[:, 2] = nxt
+        return tris
+    return _ear_clip_per_cell(coords)
+
+
+def _ear_clip_per_cell(coords):
+    from vemlab.mesh import MeshError
+
+    active = list(range(len(coords)))
+    scale = (coords.max(0) - coords.min(0)).max() ** 2
+    tris = []
+    while len(active) > 3:
+        for ii in range(len(active)):
+            i0 = active[ii - 1]
+            i1 = active[ii]
+            i2 = active[(ii + 1) % len(active)]
+            a, b, c = coords[i0], coords[i1], coords[i2]
+            cross = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+            if cross <= 1e-14 * scale:
+                continue  # reflex or flat corner, not an ear
+            if any(_in_triangle(a, b, c, coords[j], 1e-14 * scale)
+                   for j in active if j not in (i0, i1, i2)):
+                continue
+            tris.append((a, b, c))
+            del active[ii]
+            break
+        else:
+            raise MeshError("triangulation failed; polygon may self-intersect")
+    a, b, c = (coords[j] for j in active)
+    if (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]) <= 0:
+        raise MeshError("triangulation failed; polygon may self-intersect")
+    tris.append((a, b, c))
+    return np.array(tris)
+
+
+def _in_triangle(a, b, c, p, tol):
+    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
+    d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
+    return d1 >= -tol and d2 >= -tol and d3 >= -tol
+
+
+def locate_cell_per_cell(mesh, point):
+    """``vemlab.postprocess.locate_cell`` without its bounding-box
+    prefilter: every cell is tested, in index order."""
+    from vemlab.postprocess import _contains
+
+    p = np.asarray(point, dtype=float)
+    span = np.ptp(mesh.vertices, axis=0).max()
+    for c in range(mesh.num_cells):
+        if _contains(mesh.vertices[mesh.cells[c]], p, 1e-12 * span):
+            return c
+    raise ValueError(f"point {tuple(p)} lies outside the mesh")

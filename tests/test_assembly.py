@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import assemble_per_cell
-from vemlab import assembly
+from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
 from vemlab.basis import n_poly, polygon_quadrature
 from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
                           projector_set)
-from vemlab.mesh import element_geometry
+from vemlab.mesh import element_geometry, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.problems import builtin_problem, polynomial_problem
 
@@ -214,6 +214,85 @@ class TestScatter:
             ps = projector_set(geom, k, rule=polygon_quadrature(geom, 2 * k + 3))
             ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY, ps.PiNabla])
             assert np.array_equal(bank.operators[c], ref)
+
+
+class TestChunks:
+    @staticmethod
+    def _assemble_counting(mesh, k, coeffs, monkeypatch):
+        chunks = []
+        kernel = local.element_kernel
+
+        def counted(geometry, *args, **kwargs):
+            chunks.append(geometry.cells.tolist())
+            return kernel(geometry, *args, **kwargs)
+
+        monkeypatch.setattr(local, "element_kernel", counted)
+        system = assemble(mesh, k, coeffs)
+        monkeypatch.setattr(local, "element_kernel", kernel)
+        return system, chunks
+
+    @pytest.mark.parametrize("k, family", [(4, "concave"), (2, "lloyd0")])
+    def test_small_chunks_give_the_same_bytes(self, k, family, monkeypatch):
+        # With chunks of two cells every stack is cut into many chunks, so
+        # chunk boundaries fall between cells that share DoFs.
+        mesh = generate(GeneratorSpec(family, 100, seed=4))
+        coeffs = builtin_problem().coefficients
+        whole, whole_chunks = self._assemble_counting(mesh, k, coeffs,
+                                                      monkeypatch)
+        monkeypatch.setattr(local, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(local, "_MIN_CHUNK_CELLS", 2)
+        cut, cut_chunks = self._assemble_counting(mesh, k, coeffs, monkeypatch)
+        assert len(cut_chunks) > 3 * len(whole_chunks)
+        assert sorted(sum(cut_chunks, [])) == list(range(mesh.num_cells))
+        for got, ref in ((cut.matrix, whole.matrix),
+                         (cut.coupling, whole.coupling)):
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(cut.rhs_base, whole.rhs_base)
+        for a, b in zip(cut.bank.operators, whole.bank.operators):
+            assert np.array_equal(a, b)
+        for a, b in zip(cut.bank.triangles, whole.bank.triangles):
+            assert np.array_equal(a, b)
+
+    def test_singular_cell_is_named(self):
+        # at a scale of 1e-160 the k = 4 monomial mass matrix is singular
+        base = square_mesh(2)
+        tiny = make_mesh(base.vertices * 1e-160, base.cells)
+        with np.errstate(all="ignore"), pytest.raises(
+                np.linalg.LinAlgError,
+                match="cell 0: .*element geometry is degenerate"):
+            assemble(tiny, 4, Coefficients.constant(kappa=1.0))
+
+
+class TestKappaCheck:
+    @pytest.mark.parametrize("kappa, what", [
+        (lambda x, y: np.stack([np.stack([1 + 0 * x, 0.5 + 0 * x], -1),
+                                np.stack([0 * x, 1 + 0 * x], -1)], -2),
+         "symmetric"),
+        (lambda x, y: np.stack([np.stack([1 + 0 * x, 2 + 0 * x], -1),
+                                np.stack([2 + 0 * x, 1 + 0 * x], -1)], -2),
+         "positive definite"),
+    ], ids=["non_symmetric", "indefinite"])
+    def test_rejected_everywhere(self, kappa, what):
+        coeffs = dataclasses.replace(Coefficients.constant(), kappa=kappa)
+        with pytest.raises(ValueError, match=f"cell \\d+: kappa is not {what}"):
+            assemble(MESHES["lloyd0"], 2, coeffs)
+
+    def test_rejected_in_one_cell_names_it(self):
+        # kappa turns indefinite right of x = 0.9: the first cell reaching
+        # past that line is named
+        def kappa(x, y):
+            out = np.zeros(np.shape(x) + (2, 2))
+            out[..., 0, 0] = np.where(x > 0.9, -1.0, 1.0)
+            out[..., 1, 1] = 1.0
+            return out
+
+        mesh = square_mesh(5)
+        coeffs = dataclasses.replace(Coefficients.constant(), kappa=kappa)
+        with pytest.raises(ValueError, match="cell 4: kappa is not positive"):
+            assemble(mesh, 1, coeffs)
+        assert max(mesh.vertices[mesh.cells[4], 0]) == 1.0
 
 
 class TestDirichlet:

@@ -6,12 +6,16 @@ import pytest
 from vemlab import kernels
 from vemlab.basis import (EdgeBasis, ScaledMonomialBasis, edge_quadrature,
                           edge_reconstruction, mass_matrix,
-                          monomial_exponents, n_poly, poly_eval, poly_grad,
-                          polygon_quadrature, triangulate)
-from vemlab.mesh import MeshError, element_geometry, polygon_geometry
-from vemlab.meshgen import GeneratorSpec, concave_mesh, voronoi_mesh
+                          map_rule, monomial_exponents, n_poly, poly_eval,
+                          poly_grad, polygon_quadrature, triangulate,
+                          triangulate_stack)
+from vemlab.mesh import (MeshError, element_geometry, polygon_geometry,
+                         stack_geometry)
+from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
+                            voronoi_mesh)
 
-from oracles import fd_gradient, green_monomial_integral, subdivision_integrate
+from oracles import (fd_gradient, green_monomial_integral, random_polygon_bank,
+                     subdivision_integrate, triangulate_per_cell)
 
 SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 LSHAPE = polygon_geometry(
@@ -165,6 +169,82 @@ class TestPolygonQuadrature:
         # Bowtie: traversal order crosses itself, no valid ear decomposition.
         with pytest.raises(MeshError):
             triangulate(np.array([[0.0, 0], [1, 1], [1, 0], [0, 1]]))
+
+
+def _stack(rings, first_id=0):
+    rings = np.asarray(rings, dtype=float)
+    return stack_geometry(rings, np.ones(rings.shape[:2], dtype=bool),
+                          first_id + np.arange(len(rings)))
+
+
+def _by_vertex_count(polygons):
+    """Geometry stacks of the polygons, one per vertex count."""
+    groups = {}
+    for coords in polygons:
+        groups.setdefault(len(coords), []).append(np.asarray(coords, float))
+    return [_stack(g) for _, g in sorted(groups.items())]
+
+
+def _cells(mesh):
+    return [mesh.vertices[ring] for ring in mesh.cells]
+
+
+class TestBatchedTriangulation:
+    @pytest.mark.parametrize("polygons", [
+        _cells(concave_mesh(6)),
+        _cells(generate(GeneratorSpec("concave", 100, seed=2))),
+        _cells(generate(GeneratorSpec("lloyd0", 100, seed=7))),
+        [geom.vertices for geom in random_polygon_bank()],
+        [SQUARE.vertices, LSHAPE.vertices],
+    ], ids=["concave_6x6", "concave_100", "lloyd0_100", "random_bank",
+            "square_lshape"])
+    def test_matches_per_cell_triangulation(self, polygons):
+        seen = 0
+        for stack in _by_vertex_count(polygons):
+            groups = triangulate_stack(stack)
+            rows = np.concatenate([r for r, _ in groups])
+            assert np.array_equal(np.sort(rows), np.arange(len(stack)))
+            for rows, tris in groups:
+                for i, got in zip(rows, tris):
+                    assert np.array_equal(
+                        got, triangulate_per_cell(stack.vertices[i]))
+                    seen += 1
+        assert seen == len(polygons)
+
+    def test_concave_cells_take_the_ear_clip(self):
+        # the concave family's cells are not star-shaped with respect to
+        # their centroids, so the vectorised ear clip is what runs
+        stack = _stack(_cells(concave_mesh(4)))
+        ((_, tris),) = triangulate_stack(stack)
+        assert tris.shape == (len(stack), stack.vertices.shape[1] - 2, 3, 2)
+
+    def test_stack_of_one_matches_full_stack(self):
+        mesh = generate(GeneratorSpec("lloyd100", 64, seed=1))
+        for stack in _by_vertex_count(_cells(mesh)):
+            for rows, tris in triangulate_stack(stack):
+                for i, got in zip(rows, tris):
+                    assert np.array_equal(got, triangulate(stack.vertices[i]))
+
+    def test_rule_mapped_per_stack_matches_per_cell_rule(self):
+        geoms = [element_geometry(concave_mesh(3), c) for c in range(18)]
+        ((rows, tris),) = triangulate_stack(_stack([g.vertices for g in geoms]))
+        pts, wts = map_rule(tris, 7)
+        for i, geom in zip(rows, geoms):
+            rule = polygon_quadrature(geom, 7)
+            assert np.array_equal(pts[i], rule.points)
+            assert np.array_equal(wts[i], rule.weights)
+
+    def test_errors_name_the_polygon(self):
+        good = SQUARE.vertices
+        sliver = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-14], [0.0, 1e-14]])
+        with pytest.raises(MeshError, match="cell 1: triangulation failed"):
+            triangulate_stack(_stack([good, sliver]))
+        # a self-intersecting pentagon with positive signed area, stacked
+        # after a convex one, fails in the ear clip
+        crossed = np.array([[0.0, 0], [4, 0], [4, 2], [2, -1], [0, 2]])
+        convex = np.array([[0.0, 0], [2, 0], [3, 1], [1, 2], [-1, 1]])
+        with pytest.raises(MeshError, match="cell 7: .*may self-intersect"):
+            triangulate_stack(_stack([convex, crossed], first_id=6))
 
 
 class TestEdgeQuadrature:

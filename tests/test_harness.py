@@ -104,15 +104,29 @@ class TestBuildOnce:
                                                   (2, "lloyd0", (25,))])
     def test_projectors_and_geometry_built_once_per_cell(self, k, family,
                                                          sizes, monkeypatch):
+        # every cell goes through the element kernel exactly once, and
+        # post-processing neither builds projectors nor re-triangulates
+        built = []
+        kernel = local.element_kernel
+
+        def counted_kernel(geometry, *args, **kwargs):
+            built.extend(geometry.cells.tolist())
+            return kernel(geometry, *args, **kwargs)
+
+        monkeypatch.setattr(local, "element_kernel", counted_kernel)
         projectors = self._count(monkeypatch, "projector_set",
                                  (local, postprocess))
+        rebuilt = self._count(monkeypatch, "triangulate", (postprocess,))
         geometries = self._count(monkeypatch, "element_geometry",
                                  (mesh_module, assembly, postprocess, harness))
         config = ExperimentConfig(k=k, families=(family,), sizes=sizes)
         records = run_experiment(config)[(family, k, "standard")].records
         cells = sum(r.n_cells for r in records)
         assert not any(r.failed for r in records)
-        assert len(projectors) == cells
+        assert len(built) == cells
+        assert sorted(built) == sorted(c for r in records
+                                       for c in range(r.n_cells))
+        assert not projectors and not rebuilt
         assert len(geometries) <= cells + 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -125,6 +139,20 @@ class TestBuildOnce:
         reports = run_experiment(config, meshes={("square", 4): tiny})
         bad, good = reports[("square", 4, "standard")].records
         assert bad.failed and np.isnan(bad.err_L2_rel)
+        assert "element geometry is degenerate" in bad.cause
+        assert not good.failed and good.cause == ""
+        assert np.isfinite([good.err_L2_rel, good.err_H1_rel]).all()
+
+
+    def test_sweep_continues_past_untriangulable_cell(self):
+        # a 1 x 1e-14 sliver under the unit square cannot be triangulated
+        sliver = make_mesh([[0, 0], [1, 0], [1, 1], [0, 1], [0, -1e-14],
+                            [1, -1e-14]], [[0, 1, 2, 3], [4, 5, 1, 0]])
+        config = ExperimentConfig(k=2, families=("square",), sizes=(4, 9))
+        reports = run_experiment(config, meshes={("square", 4): sliver})
+        bad, good = reports[("square", 2, "standard")].records
+        assert bad.failed and np.isnan(bad.err_L2_rel)
+        assert "cell 1: triangulation failed" in bad.cause
         assert "element geometry is degenerate" in bad.cause
         assert not good.failed and good.cause == ""
         assert np.isfinite([good.err_L2_rel, good.err_H1_rel]).all()

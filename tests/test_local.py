@@ -6,11 +6,12 @@ import scipy.linalg
 
 from vemlab import kernels
 from vemlab.basis import (ScaledMonomialBasis, edge_quadrature, n_poly,
-                          poly_eval, polygon_quadrature)
+                          poly_eval, polygon_quadrature, triangulate)
 from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
-                          local_system, projector_set)
+                          local_system, mesh_elements, projector_set)
 from vemlab.mesh import element_geometry, polygon_geometry
-from vemlab.meshgen import GeneratorSpec, concave_mesh, voronoi_mesh
+from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, voronoi_mesh
+from vemlab.problems import builtin_problem
 
 from oracles import q1_stiffness, subdivision_integrate
 
@@ -480,3 +481,43 @@ class TestOneElementSolve:
         rhs = sys.f_loc[interior] - A[interior, :n_bdry] @ d[:n_bdry]
         u_int = np.linalg.solve(A[interior, interior], rhs)
         assert np.abs(u_int - d[interior]).max() < 1e-12
+
+
+class TestElementKernel:
+    PROJECTOR_FIELDS = ("PiNabla", "Pi0k", "Pi0km1", "Pi0GradX", "Pi0GradY",
+                        "D", "B", "G", "H", "rule_values")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["concave", "lloyd0", "lloyd100"])
+    def test_stacked_cells_match_one_cell_calls(self, family, k):
+        # every cell of a stack gets the bits of a one-cell call
+        mesh = generate(GeneratorSpec(family, 36, seed=5))
+        coeffs = builtin_problem().coefficients
+        seen = []
+        for out, tris in mesh_elements(mesh, k, 2 * k + 2, coeffs):
+            for i, c in enumerate(out.geometry.cells):
+                geom = element_geometry(mesh, c)
+                ref = local_system(geom, k, dof_layout(geom, k), coeffs)
+                for name in ("Ah", "Bh", "Ch", "S", "f_loc"):
+                    assert np.array_equal(getattr(out, name)[i],
+                                          getattr(ref, name)), name
+                for name in self.PROJECTOR_FIELDS:
+                    assert np.array_equal(getattr(out, name)[i],
+                                          getattr(ref.projectors, name)), name
+                assert np.array_equal(tris[i], triangulate(geom.vertices))
+                seen.append(c)
+        assert sorted(seen) == list(range(mesh.num_cells))
+
+    @pytest.mark.parametrize("kappa, what", [
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+        ([[-1.0, 0.0], [0.0, -1.0]], "positive definite"),
+    ])
+    def test_kappa_must_be_spd(self, kappa, what):
+        kap = np.array(kappa)
+        coeffs = Coefficients(kappa=lambda x, y: kap,
+                              b=lambda x, y: np.zeros(2),
+                              gamma=lambda x, y: np.zeros(np.shape(x)),
+                              f=lambda x, y: np.zeros(np.shape(x)))
+        with pytest.raises(ValueError, match=f"element: kappa is not {what}"):
+            local_system(PENTAGON, 2, None, coeffs)

@@ -1,9 +1,11 @@
 """Solution projection, error norms, point evaluation, slope fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import error_norms_two_tables
+from oracles import error_norms_two_tables, locate_cell_per_cell
 from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
 from vemlab.basis import polygon_quadrature, triangulate
@@ -159,6 +161,20 @@ class TestErrorNorms:
         assert got == error_norms_two_tables(LLOYD, k, proj, prob.p_ex,
                                              prob.grad_p_ex)
 
+    @pytest.mark.parametrize("gradient", ["pi0", "pinabla"])
+    def test_banked_triangles_match_fresh_triangulation(self, gradient):
+        prob = builtin_problem()
+        mesh = concave_mesh(4)
+        system = assemble(mesh, 3, prob.coefficients)
+        apply_dirichlet(system, prob.p_ex, mesh, 3)
+        proj = project_solution(mesh, 3, solve(system), bank=system.bank)
+        bare = dataclasses.replace(proj, triangles=None)
+        assert proj.triangles is system.bank.triangles
+        assert (error_norms(mesh, 3, proj, prob.p_ex, prob.grad_p_ex,
+                            gradient=gradient)
+                == error_norms(mesh, 3, bare, prob.p_ex, prob.grad_p_ex,
+                               gradient=gradient))
+
     def test_alternative_gradient_representative(self):
         prob = builtin_problem()
         mesh = square_mesh(7)
@@ -243,6 +259,20 @@ class TestPointError:
         for p in pts:
             c = locate_cell(mesh, p)
             assert tri_contains(mesh.vertices[mesh.cells[c]], p)
+
+
+@pytest.mark.parametrize("family", ["square", "concave", "lloyd0",
+                                    "lloyd100"])
+def test_locate_cell_agrees_with_linear_scan(family):
+    # random points plus every vertex and edge midpoint, where the
+    # lowest-index incident cell must win
+    mesh = generate(GeneratorSpec(family, 36, seed=2))
+    rng = np.random.default_rng(8)
+    mids = 0.5 * (mesh.vertices[mesh.edge_vertices[:, 0]]
+                  + mesh.vertices[mesh.edge_vertices[:, 1]])
+    points = np.vstack([rng.uniform(0, 1, size=(50, 2)), mesh.vertices, mids])
+    for p in points:
+        assert locate_cell(mesh, p) == locate_cell_per_cell(mesh, p)
 
 
 class TestConvergenceRates:
