@@ -20,9 +20,9 @@ import numpy as np
 
 from . import kernels
 from .basis import (QuadratureRule, ScaledMonomialBasis, _duffy_rule, _gauss,
-                    derivative_table, edge_reconstruction, laplacian_table,
-                    map_rule, monomial_exponents, n_poly, polygon_quadrature,
-                    triangulate_stack)
+                    derivative_table, edge_reconstruction, gram,
+                    laplacian_table, map_rule, monomial_exponents, n_poly,
+                    polygon_quadrature, triangulate_stack)
 from .mesh import GeometryStack, _row_sum, geometry_stacks
 
 
@@ -323,10 +323,8 @@ def _projectors(geometry, k, rule):
     perimeter = _row_sum(lengths)[:, None]
     exps = monomial_exponents(k)
 
-    w = rule.weights
     rule_values = kernels.monomial_vandermonde(rule.points, center, h, exps)
-    H = _t(rule_values) @ (w[..., None] * rule_values)
-    H = 0.5 * (H + _t(H))
+    H = gram(rule_values, rule.weights)
     Hm1 = H[:, :nkm1, :nkm1]
 
     # Gauss points of every edge, from its start to its end vertex in the
@@ -468,8 +466,7 @@ def _local_forms(out, rule, coeffs, mode):
            + _t(VGy) @ ((w * b[..., 1])[..., None] * VP))
 
     gam = coeffs.gamma_at(pts).reshape(shape)
-    Ch = _t(VP) @ ((w * gam)[..., None] * VP)
-    Ch = 0.5 * (Ch + _t(Ch))
+    Ch = gram(VP, w * gam)
 
     f_loc = (_t(VP) @ (w * coeffs.f_at(pts).reshape(shape))[..., None])[..., 0]
     out.Ah, out.Bh, out.Ch, out.S, out.f_loc = Ah, Bh, Ch, S, f_loc

@@ -14,7 +14,7 @@ import numpy as np
 from . import kernels
 from .assembly import build_dofmap
 from .basis import (ScaledMonomialBasis, _duffy_rule, map_rule,
-                    monomial_exponents, n_poly, triangulate)
+                    monomial_exponents, n_poly)
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .local import ElementBank, chunk_rows, mesh_elements
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
@@ -59,8 +59,8 @@ class SolutionProjection:
     the projected gradient (degree ``k - 1``, last axis = component);
     ``energy_coeffs`` the energy projection, kept for the alternative H1
     error representative.  ``geometries[c]`` is the ``ElementGeometry``
-    whose basis those coefficients refer to, and ``triangles[c]`` (when
-    known) the cell's triangulation, which the error norms reuse.
+    whose basis those coefficients refer to, and ``triangles[c]`` the
+    cell's triangulation, which the error norms reuse.
     """
 
     mesh: object
@@ -69,7 +69,7 @@ class SolutionProjection:
     grad_coeffs: np.ndarray
     energy_coeffs: np.ndarray
     geometries: tuple = field(repr=False)
-    triangles: tuple = field(default=None, repr=False)
+    triangles: tuple = field(repr=False)
 
     def cell_value(self, cell, points):
         basis = ScaledMonomialBasis(self.geometries[cell], self.k)
@@ -110,18 +110,16 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
     projection.  With ``relative=True`` (default) errors are normalized by
     the corresponding norms of ``p_ex``, integrated with the same rule.
 
-    The degree-``exactness`` rule (default 2k + 4) is mapped onto each
-    cell's triangles, the ones the projection carries when it has them.
-    Cells are evaluated in stacks of equal triangle count, and the cell
-    contributions are summed in cell order.
+    The degree-``exactness`` rule (default 2k + 4) is mapped onto the
+    triangles the projection carries for each cell.  Cells are evaluated
+    in stacks of equal triangle count, and the cell contributions are
+    summed in cell order.
     """
     if gradient not in ("pi0", "pinabla"):
         raise ValueError(f"unknown gradient representative {gradient!r}")
     ex = (2 * k + 4) if exactness is None else exactness
     geoms = projection.geometries
     tris = projection.triangles
-    if tris is None:
-        tris = [triangulate(geom.vertices) for geom in geoms]
     # per cell: L2 error, H1 error, L2 norm, H1 norm
     parts = np.empty((4, mesh.num_cells))
     n_tris = np.array([t.shape[0] for t in tris])

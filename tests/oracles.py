@@ -360,3 +360,224 @@ def locate_cell_per_cell(mesh, point):
         if _contains(mesh.vertices[mesh.cells[c]], p, 1e-12 * span):
             return c
     raise ValueError(f"point {tuple(p)} lies outside the mesh")
+
+
+def element_geometry_per_cell(mesh, cell):
+    """``vemlab.mesh.element_geometry`` from one cell's ring, with the
+    one-polygon sums the stacked geometry replaced."""
+    from vemlab.mesh import ElementGeometry
+
+    ring = mesh.cells[cell]
+    coords = mesh.vertices[ring]
+    x, y = coords[:, 0], coords[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * np.sum(cross)
+    centroid = np.array([np.sum((x + xn) * cross) / (6.0 * area),
+                         np.sum((y + yn) * cross) / (6.0 * area)])
+    diff = coords[:, None, :] - coords[None, :, :]
+    diameter = float(np.sqrt((diff ** 2).sum(-1).max()))
+    tang = np.roll(coords, -1, axis=0) - coords
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    return ElementGeometry(coords, float(area), centroid, diameter, lengths,
+                           normals, ring < np.roll(ring, -1))
+
+
+def _monomials_per_cell(geom, degree, pts):
+    from vemlab.basis import monomial_exponents
+
+    exps = monomial_exponents(degree)
+    xi = (pts[:, 0] - geom.centroid[0]) / geom.diameter
+    eta = (pts[:, 1] - geom.centroid[1]) / geom.diameter
+    xp = np.ones((len(pts), degree + 1))
+    yp = np.ones((len(pts), degree + 1))
+    for j in range(1, degree + 1):
+        xp[:, j] = xp[:, j - 1] * xi
+        yp[:, j] = yp[:, j - 1] * eta
+    ax, ay = exps[:, 0], exps[:, 1]
+    values = xp[:, ax] * yp[:, ay]
+    gx = ax * xp[:, np.maximum(ax - 1, 0)] * yp[:, ay] / geom.diameter
+    gy = ay * xp[:, ax] * yp[:, np.maximum(ay - 1, 0)] / geom.diameter
+    return values, gx, gy
+
+
+def _derivative_map_per_cell(geom, degree, axis):
+    from vemlab.basis import monomial_exponents, n_poly
+
+    low = {tuple(int(v) for v in e): i
+           for i, e in enumerate(monomial_exponents(degree - 1))} \
+        if degree >= 1 else {}
+    D = np.zeros((n_poly(degree - 1), n_poly(degree)))
+    for i, (ax, ay) in enumerate(monomial_exponents(degree).tolist()):
+        if axis == 0 and ax >= 1:
+            D[low[(ax - 1, ay)], i] = ax / geom.diameter
+        elif axis == 1 and ay >= 1:
+            D[low[(ax, ay - 1)], i] = ay / geom.diameter
+    return D
+
+
+def _laplacian_map_per_cell(geom, degree):
+    from vemlab.basis import monomial_exponents, n_poly
+
+    low = {tuple(int(v) for v in e): i
+           for i, e in enumerate(monomial_exponents(degree - 2))}
+    L = np.zeros((n_poly(degree - 2), n_poly(degree)))
+    h2 = geom.diameter ** 2
+    for i, (ax, ay) in enumerate(monomial_exponents(degree).tolist()):
+        if ax >= 2:
+            L[low[(ax - 2, ay)], i] += ax * (ax - 1) / h2
+        if ay >= 2:
+            L[low[(ax, ay - 2)], i] += ay * (ay - 1) / h2
+    return L
+
+
+def quadrature_per_cell(geom, exactness):
+    """Collapsed Gauss rule on ``triangulate_per_cell``'s triangles, mapped
+    one triangle at a time: points (Q, 2) and weights (Q,)."""
+    from vemlab.basis import _duffy_rule
+
+    ref_pts, ref_w = _duffy_rule(exactness)
+    pts, wts = [], []
+    for a, b, c in triangulate_per_cell(geom.vertices):
+        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+        pts.append(a + np.outer(ref_pts[:, 0], b - a)
+                   + np.outer(ref_pts[:, 1], c - a))
+        wts.append(ref_w * area2)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+def projector_set_per_cell(geom, k, rule):
+    """The projectors of one element, built edge by edge and DoF row by DoF
+    row: the one-cell construction ``vemlab.local.element_kernel`` stacked.
+    ``rule`` is a (points, weights) pair; returns a dict of the
+    ``ProjectorSet`` arrays."""
+    from vemlab.basis import _gauss, edge_reconstruction, n_poly
+
+    nv = len(geom.vertices)
+    nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
+    nd = nv * k + nkm2
+    first_int = nv * k
+    area = geom.area
+    perimeter = geom.edge_lengths.sum()
+    points, w = rule
+    rule_values = _monomials_per_cell(geom, k, points)[0]
+    H = rule_values.T @ (w[:, None] * rule_values)
+    H = 0.5 * (H + H.T)
+    Hm1 = H[:nkm1, :nkm1]
+
+    # per edge: Gauss points, weights and the trace table of the DoF basis
+    R = edge_reconstruction(k)
+    t_std, w_std = _gauss(k + 1)
+    P = np.vander(t_std, k + 1, increasing=True)
+    traces = []
+    for e in range(nv):
+        va, vb = e, (e + 1) % nv
+        v_start, v_end = (va, vb) if geom.edge_forward[e] else (vb, va)
+        data = np.zeros((k + 1, nd))
+        data[0, v_start] = 1.0
+        data[1, v_end] = 1.0
+        for j in range(k - 1):
+            data[2 + j, nv + e * (k - 1) + j] = 1.0
+        a, b = geom.vertices[v_start], geom.vertices[v_end]
+        pts = 0.5 * (a + b) + 0.5 * np.outer(t_std, b - a)
+        traces.append((e, pts, w_std * geom.edge_lengths[e] / 2,
+                       P @ (R @ data)))
+    edge_pts = np.vstack([pts for _, pts, _, _ in traces])
+    V = _monomials_per_cell(geom, k, np.vstack([geom.vertices, edge_pts]))[0]
+    V_edge = V[nv:].reshape(nv, k + 1, nk)
+    _, gx, gy = _monomials_per_cell(geom, k, edge_pts)
+    gx_edge, gy_edge = gx.reshape(nv, k + 1, nk), gy.reshape(nv, k + 1, nk)
+
+    D = np.zeros((nd, nk))
+    D[:nv] = V[:nv]
+    for e, _pts, wts, _vals in traces:
+        for j in range(k - 1):
+            D[nv + e * (k - 1) + j] = ((wts * t_std ** j) @ V_edge[e]
+                                       / geom.edge_lengths[e])
+    if nkm2:
+        D[first_int:] = H[:nkm2] / area
+
+    Dx = _derivative_map_per_cell(geom, k, 0)
+    Dy = _derivative_map_per_cell(geom, k, 1)
+    G = Dx.T @ Hm1 @ Dx + Dy.T @ Hm1 @ Dy
+    B = np.zeros((nk, nd))
+    if nkm2:
+        B[:, first_int:] -= area * _laplacian_map_per_cell(geom, k).T
+    bmean_mono = np.zeros(nk)
+    bmean_dof = np.zeros(nd)
+    for e, _pts, wts, vals in traces:
+        normal = geom.edge_normals[e]
+        dn = gx_edge[e] * normal[0] + gy_edge[e] * normal[1]
+        B += dn.T @ (wts[:, None] * vals)
+        bmean_mono += wts @ V_edge[e] / perimeter
+        bmean_dof += wts @ vals / perimeter
+    G[0] = bmean_mono
+    B[0] = bmean_dof
+    PiNabla = np.linalg.solve(B @ D, B)
+    PiNabla += (np.eye(nk) - PiNabla @ D) @ PiNabla
+
+    mu = np.zeros((nk, nd))
+    if nkm2:
+        mu[:nkm2, first_int:] = area * np.eye(nkm2)
+    mu[nkm2:] = H[nkm2:] @ PiNabla
+    Pi0k = np.linalg.solve(H, mu)
+    Pi0k += (np.eye(nk) - Pi0k @ D) @ Pi0k
+    Pi0km1 = np.linalg.solve(Hm1, mu[:nkm1])
+    Pi0km1 += (np.eye(nkm1) - Pi0km1 @ D[:, :nkm1]) @ Pi0km1
+
+    rx = np.zeros((nkm1, nd))
+    ry = np.zeros((nkm1, nd))
+    if nkm2:
+        rx[:, first_int:] -= area * _derivative_map_per_cell(geom, k - 1, 0).T
+        ry[:, first_int:] -= area * _derivative_map_per_cell(geom, k - 1, 1).T
+    for e, _pts, wts, vals in traces:
+        moment = V_edge[e][:, :nkm1].T @ (wts[:, None] * vals)
+        rx += geom.edge_normals[e, 0] * moment
+        ry += geom.edge_normals[e, 1] * moment
+    Pi0GradX = np.linalg.solve(Hm1, rx)
+    Pi0GradY = np.linalg.solve(Hm1, ry)
+    Pi0GradX += (Dx - Pi0GradX @ D) @ Pi0k
+    Pi0GradY += (Dy - Pi0GradY @ D) @ Pi0k
+    return dict(PiNabla=PiNabla, Pi0k=Pi0k, Pi0km1=Pi0km1, Pi0GradX=Pi0GradX,
+                Pi0GradY=Pi0GradY, D=D, B=B, G=G, H=H, rule_values=rule_values)
+
+
+def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
+    """Projectors and local forms of one element with one coefficient
+    evaluation per cell: the construction ``vemlab.local.element_kernel``
+    stacked.  Returns a dict of the ``ProjectorSet`` and ``LocalSystem``
+    arrays."""
+    from vemlab.basis import n_poly
+
+    points, w = rule = quadrature_per_cell(geom, 2 * k + quad_boost)
+    out = projector_set_per_cell(geom, k, rule)
+    nkm1 = n_poly(k - 1)
+    if mode == "grad_pinabla" and k > 1:
+        GxA = _derivative_map_per_cell(geom, k, 0) @ out["PiNabla"]
+        GyA = _derivative_map_per_cell(geom, k, 1) @ out["PiNabla"]
+    else:
+        GxA, GyA = out["Pi0GradX"], out["Pi0GradY"]
+    V = out["rule_values"][:, :nkm1]
+    VGxA, VGyA = V @ GxA, V @ GyA
+    kap = coeffs.kappa_at(points)
+    Acons = (VGxA.T @ ((w * kap[:, 0, 0])[:, None] * VGxA)
+             + VGxA.T @ ((w * kap[:, 0, 1])[:, None] * VGyA)
+             + VGyA.T @ ((w * kap[:, 1, 0])[:, None] * VGxA)
+             + VGyA.T @ ((w * kap[:, 1, 1])[:, None] * VGyA))
+    sigma = float(w @ (kap[:, 0, 0] + kap[:, 1, 1])) / (2 * geom.area)
+    M = np.eye(len(out["D"])) - out["D"] @ out["PiNabla"]
+    S = sigma * (M.T @ M)
+    S = 0.5 * (S + S.T)
+    Ah = Acons + S
+    Ah = 0.5 * (Ah + Ah.T)
+    VP = V @ out["Pi0km1"]
+    VGx, VGy = V @ out["Pi0GradX"], V @ out["Pi0GradY"]
+    b = coeffs.b_at(points)
+    Bh = -(VGx.T @ ((w * b[:, 0])[:, None] * VP)
+           + VGy.T @ ((w * b[:, 1])[:, None] * VP))
+    gam = coeffs.gamma_at(points)
+    Ch = VP.T @ ((w * gam)[:, None] * VP)
+    Ch = 0.5 * (Ch + Ch.T)
+    f_loc = VP.T @ (w * coeffs.f_at(points))
+    return dict(out, Ah=Ah, Bh=Bh, Ch=Ch, S=S, f_loc=f_loc)

@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from vemlab import assembly, harness, local, mesh as mesh_module, postprocess
+from vemlab import (assembly, basis, harness, local, mesh as mesh_module,
+                    postprocess)
 from vemlab.harness import (CSV_COLUMNS, DEFAULT_SIZES, STUDY_FAMILIES,
                             ExperimentConfig, _run_single, emit_report,
                             run_experiment)
@@ -104,19 +105,25 @@ class TestBuildOnce:
                                                   (2, "lloyd0", (25,))])
     def test_projectors_and_geometry_built_once_per_cell(self, k, family,
                                                          sizes, monkeypatch):
-        # every cell goes through the element kernel exactly once, and
-        # post-processing neither builds projectors nor re-triangulates
-        built = []
-        kernel = local.element_kernel
+        # every cell is triangulated and goes through the element kernel
+        # exactly once, and post-processing neither builds projectors nor
+        # re-triangulates
+        built, triangulated = [], []
+        kernel, triangulate_stack = local.element_kernel, local.triangulate_stack
 
         def counted_kernel(geometry, *args, **kwargs):
             built.extend(geometry.cells.tolist())
             return kernel(geometry, *args, **kwargs)
 
+        def counted_triangulation(geometry):
+            triangulated.extend(geometry.cells.tolist())
+            return triangulate_stack(geometry)
+
         monkeypatch.setattr(local, "element_kernel", counted_kernel)
+        monkeypatch.setattr(local, "triangulate_stack", counted_triangulation)
         projectors = self._count(monkeypatch, "projector_set",
                                  (local, postprocess))
-        rebuilt = self._count(monkeypatch, "triangulate", (postprocess,))
+        rebuilt = self._count(monkeypatch, "triangulate", (basis,))
         geometries = self._count(monkeypatch, "element_geometry",
                                  (mesh_module, assembly, postprocess, harness))
         config = ExperimentConfig(k=k, families=(family,), sizes=sizes)
@@ -126,6 +133,7 @@ class TestBuildOnce:
         assert len(built) == cells
         assert sorted(built) == sorted(c for r in records
                                        for c in range(r.n_cells))
+        assert sorted(triangulated) == sorted(built)
         assert not projectors and not rebuilt
         assert len(geometries) <= cells + 1
 

@@ -13,7 +13,8 @@ from vemlab.mesh import element_geometry, polygon_geometry
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, voronoi_mesh
 from vemlab.problems import builtin_problem
 
-from oracles import q1_stiffness, subdivision_integrate
+from oracles import (element_geometry_per_cell, local_system_per_cell,
+                     q1_stiffness, subdivision_integrate)
 
 UNIT_SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 PENTAGON = polygon_geometry(
@@ -505,6 +506,29 @@ class TestElementKernel:
                     assert np.array_equal(getattr(out, name)[i],
                                           getattr(ref.projectors, name)), name
                 assert np.array_equal(tris[i], triangulate(geom.vertices))
+                seen.append(c)
+        assert sorted(seen) == list(range(mesh.num_cells))
+
+    @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["concave", "lloyd0"])
+    def test_kernel_matches_per_cell_oracle(self, family, k, mode):
+        # the stacked kernel keeps the bits of the one-cell construction,
+        # from geometry and quadrature to the local forms
+        mesh = generate(GeneratorSpec(family, 36, seed=5))
+        coeffs = builtin_problem().coefficients
+        seen = []
+        for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs, mode):
+            for i, c in enumerate(out.geometry.cells):
+                geom = element_geometry_per_cell(mesh, c)
+                got = out.geometry.element(i)
+                for name in ("vertices", "area", "centroid", "diameter",
+                             "edge_lengths", "edge_normals", "edge_forward"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(geom, name)), (c, name)
+                ref = local_system_per_cell(geom, k, coeffs, mode)
+                for name, value in ref.items():
+                    assert np.array_equal(getattr(out, name)[i], value), (c, name)
                 seen.append(c)
         assert sorted(seen) == list(range(mesh.num_cells))
 
