@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
-from .mesh import MeshError, polygon_diameter
+from .mesh import MeshError, max_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 from .meshgen import GeneratorSpec, generate
 from .postprocess import (ErrorRecord, convergence_rates, error_norms,
@@ -70,7 +70,7 @@ def _run_single(mesh, k, problem, mode, quad_boost, point, dofmap=None):
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
-    h_max = max(polygon_diameter(mesh.vertices[ring]) for ring in mesh.cells)
+    h_max = max_diameter(mesh)
     try:
         system = assemble(mesh, k, problem.coefficients, mode=mode,
                           quad_boost=quad_boost, dofmap=dofmap)

@@ -137,18 +137,8 @@ def make_mesh(vertices, cells, boundary_vertices=None):
         raise MeshError("vertex table contains non-finite coordinates")
     n_vert = vertices.shape[0]
 
-    rings = []
-    for ci, cell in enumerate(cells):
-        ring = np.asarray(cell, dtype=int)
-        if ring.ndim != 1 or ring.size < 3:
-            raise MeshError(f"cell {ci} has fewer than 3 vertices")
-        if len(set(ring.tolist())) != ring.size:
-            raise MeshError(f"cell {ci} repeats a vertex id")
-        if ring.min() < 0 or ring.max() >= n_vert:
-            raise MeshError(f"cell {ci} references a vertex id out of range")
-        if _signed_area(vertices[ring]) <= 0.0:
-            raise MeshError(f"cell {ci} is not counterclockwise (or degenerate)")
-        rings.append(ring)
+    rings = [np.asarray(cell, dtype=int) for cell in cells]
+    _check_rings(vertices, rings)
 
     # Derive the edge table.  Directed edges must be unique: a shared edge is
     # traversed once per direction by its two incident cells.
@@ -195,6 +185,46 @@ def make_mesh(vertices, cells, boundary_vertices=None):
             raise MeshError("boundary_vertices inconsistent with edge incidence")
     edge_vertices = np.array(edge_verts, dtype=int).reshape(-1, 2)
     return PolyMesh(vertices, rings, derived, edge_vertices, edge_cells, cell_edges)
+
+
+def _check_rings(vertices, rings):
+    """Raise :class:`MeshError` naming the first invalid ring.
+
+    A ring is checked for length, repeated ids, ids out of range and
+    orientation, in that order; each check runs once over all rings.
+    """
+    if not rings:
+        return
+    n_cells, n_vert = len(rings), vertices.shape[0]
+    sizes = np.array([ring.size for ring in rings])
+    short = (sizes < 3) | np.array([ring.ndim != 1 for ring in rings])
+    flat = np.concatenate([ring.reshape(-1) for ring in rings])
+    owner = np.repeat(np.arange(n_cells), sizes)
+    order = np.lexsort((flat, owner))
+    twice = (np.diff(owner[order]) == 0) & (np.diff(flat[order]) == 0)
+    repeats = np.zeros(n_cells, dtype=bool)
+    repeats[owner[order][1:][twice]] = True
+    outside = np.zeros(n_cells, dtype=bool)
+    outside[owner[(flat < 0) | (flat >= n_vert)]] = True
+    bad = short | repeats | outside
+    first = int(np.argmax(bad)) if bad.any() else n_cells
+    if first:
+        # shoelace areas of the rings before the first malformed one
+        ends = np.cumsum(sizes[:first])
+        starts = ends - sizes[:first]
+        nxt = np.arange(1, ends[-1] + 1)
+        nxt[ends - 1] = starts  # wrap to the ring start
+        x, y = vertices[flat[:ends[-1]]].T
+        area = 0.5 * np.add.reduceat(x * y[nxt] - x[nxt] * y, starts)
+        clockwise = np.flatnonzero(area <= 0.0)
+        if clockwise.size:
+            raise MeshError(f"cell {clockwise[0]} is not counterclockwise (or degenerate)")
+    if first < n_cells:
+        if short[first]:
+            raise MeshError(f"cell {first} has fewer than 3 vertices")
+        if repeats[first]:
+            raise MeshError(f"cell {first} repeats a vertex id")
+        raise MeshError(f"cell {first} references a vertex id out of range")
 
 
 def load_mesh(path):
@@ -318,18 +348,30 @@ def stack_geometry(coords, forward, cells=None):
                          lengths, normals, np.asarray(forward, dtype=bool))
 
 
-def geometry_stacks(mesh):
-    """One :class:`GeometryStack` per vertex count, in ascending count."""
+def _rings_by_size(mesh):
+    """Per vertex count, ascending: the cell ids and their (C, n) rings."""
     sizes = np.array([ring.size for ring in mesh.cells])
     flat = np.concatenate(mesh.cells)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    stacks = []
     for n in np.unique(sizes):
         cells = np.flatnonzero(sizes == n)
-        rings = flat[offsets[cells][:, None] + np.arange(n)]
+        yield cells, flat[offsets[cells][:, None] + np.arange(n)]
+
+
+def geometry_stacks(mesh):
+    """One :class:`GeometryStack` per vertex count, in ascending count."""
+    stacks = []
+    for cells, rings in _rings_by_size(mesh):
         forward = rings < np.roll(rings, -1, axis=1)
         stacks.append(stack_geometry(mesh.vertices[rings], forward, cells))
     return stacks
+
+
+def max_diameter(mesh):
+    """Largest cell diameter (the mesh size h), equal to the largest
+    :func:`polygon_diameter` bit for bit."""
+    return max(float(_diameters(mesh.vertices[rings]).max())
+               for _, rings in _rings_by_size(mesh))
 
 
 def _kernel_chebyshev(coords):

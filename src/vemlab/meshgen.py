@@ -8,16 +8,22 @@ Voronoi cells are clipped to the square by mirroring the seed set across all
 four sides: the sides then appear as exact bisectors, every interior seed
 gets a bounded region, and neighboring cells share vertex ids by
 construction, so the clipped diagram is conforming without any per-cell
-polygon stitching.  Lloyd iterations after the first mirror only the seeds
-in a band along each side and keep the diagram only if every cell lies in
-the square, which certifies it equal to the fully mirrored one.
+polygon stitching.
+
+Lloyd iterations build no Voronoi ring: they run on the Delaunay
+triangulation of the mirrored seeds, where each triangle adds its share of
+area and first moment to the seeds at its corners.  Iterations after the
+first mirror only the seeds in a band along each side and keep the result
+only if every vertex of a seed's cell (the circumcentre of a triangle at
+that seed) lies in the square, which certifies it equal to the fully
+mirrored one.
 """
 
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, Voronoi, cKDTree
 
 from .mesh import MeshError, make_mesh
 from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
@@ -157,22 +163,22 @@ def relax_points(points, iterations):
     """Lloyd iterations on seed points.
 
     Returns the relaxed points and the per-iteration movement norms
-    ``max_i |seed_i - centroid_i|``.  After the first iteration only the
-    seeds near a side are mirrored across it (see :func:`_banded_rings`).
+    ``max_i |seed_i - centroid_i|``.  Every iteration works on the Delaunay
+    triangulation (see :func:`_delaunay_centroids`); after the first only
+    the seeds near a side are mirrored across it (see
+    :func:`_banded_centroids`).
     """
     pts = np.asarray(points, dtype=float).copy()
     movements = np.empty(iterations)
     band = None
     for it in range(iterations):
         if band is None:
-            flat, starts, coords = _voronoi_rings(pts)
+            new, reach, _ = _delaunay_centroids(pts)
         else:
-            flat, starts, coords = _banded_rings(pts, band)
-        new = _centroids(flat, starts, coords)
+            new, reach, _ = _banded_centroids(pts, band)
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
         # next band: twice the largest seed-to-vertex distance
-        owner_pts = np.repeat(pts, np.diff(starts, append=len(flat)), axis=0)
-        band = 2.0 * np.sqrt(((coords[flat] - owner_pts) ** 2).sum(axis=1).max())
+        band = 2.0 * reach
         pts = new
     return pts, movements
 
@@ -213,23 +219,19 @@ def _mirrored(pts, band=None):
     return np.vstack([pts] + [im[d < band] for im, d in zip(images, dist)])
 
 
-def _voronoi_rings(pts, band=None):
-    """Counterclockwise Voronoi rings of all seeds in one flat array.
+def _voronoi_rings(pts):
+    """Counterclockwise square-clipped Voronoi rings of all seeds, flat.
 
     Returns ``(flat, starts, coords)``: the ring of seed i is
     ``flat[starts[i]:starts[i + 1]]``, indexing the vertex table ``coords``.
-    Without a ``band`` every seed is mirrored and the rings are the cells
-    clipped to the square.
     """
     n = len(pts)
     if n == 1:
         # qhull needs a 2-d point cloud; the single-seed diagram is the square
         return (np.arange(4), np.zeros(1, dtype=np.intp),
                 np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    vor = Voronoi(_mirrored(pts, band))
-    coords = vor.vertices.copy()
-    coords[np.abs(coords) < _SNAP_TOL] = 0.0
-    coords[np.abs(coords - 1.0) < _SNAP_TOL] = 1.0
+    vor = Voronoi(_mirrored(pts))
+    coords = _snapped(vor.vertices.copy())
     regions = [vor.regions[r] for r in vor.point_region[:n]]
     sizes = np.fromiter(map(len, regions), dtype=np.intp, count=n)
     flat = np.fromiter(chain.from_iterable(regions), dtype=np.intp,
@@ -243,35 +245,90 @@ def _voronoi_rings(pts, band=None):
     return flat[order], np.cumsum(sizes) - sizes, coords
 
 
-def _banded_rings(pts, band):
-    """Clipped rings from band mirroring, certified; full mirroring otherwise.
+def _snapped(coords):
+    """Snap coordinates within ``_SNAP_TOL`` of a side of the square onto it."""
+    coords[np.abs(coords) < _SNAP_TOL] = 0.0
+    coords[np.abs(coords - 1.0) < _SNAP_TOL] = 1.0
+    return coords
+
+
+def _delaunay_centroids(pts, band=None):
+    """Area centroids of the seeds' Voronoi cells, from the Delaunay triangles.
+
+    The seeds are mirrored as in :func:`_mirrored`; without a ``band`` the
+    cells are the clipped cells.  Returns ``(centroids, reach, centres)``:
+    ``centres`` are the circumcentres of the triangles incident to a seed,
+    which are the vertices of the seeds' cells, and ``reach`` is the largest
+    distance from a seed to one of its cell's vertices.
+
+    A corner ``a`` of a counterclockwise triangle ``(a, b, c)`` with
+    circumcentre ``o`` owns the signed triangles ``(a, m_ab, o)`` and
+    ``(a, o, m_ca)`` (``m`` are edge midpoints), and these tile a's cell.
+    Signed areas keep obtuse triangles exact, and a cocircular pair of
+    triangles adds nothing whichever diagonal qhull picks.
+    """
+    n = len(pts)
+    if n == 1:
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        reach = np.sqrt(((corners - pts[0]) ** 2).sum(axis=1).max())
+        return np.array([[0.5, 0.5]]), reach, corners
+    tri = Delaunay(_mirrored(pts, band))
+    simplices = tri.simplices
+    if ((tri.convex_hull < n).any()
+            or np.bincount(simplices.ravel(), minlength=n)[:n].min() < 3):
+        raise MeshError("unbounded Voronoi region; seed configuration degenerate")
+    simplices = simplices[(simplices < n).any(axis=1)]
+    p = tri.points[simplices]                     # (T, 3, 2)
+    b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    cross = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centres = p[:, 0] + (np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                              b[:, 0] * cc - c[:, 0] * bb])
+                             / (2.0 * cross)[:, None])
+    if not np.isfinite(centres).all():
+        raise MeshError("unbounded Voronoi region; seed configuration degenerate")
+    _snapped(centres)
+    # counterclockwise corners (qhull guarantees no orientation)
+    cw = cross < 0.0
+    simplices[cw] = simplices[cw, ::-1]
+    p[cw] = p[cw, ::-1]
+    # per corner, relative to it: circumcentre, midpoints of the edges
+    # leaving and entering it, and twice the areas of its two triangles
+    o = centres[:, None, :] - p
+    m_next = 0.5 * (p[:, [1, 2, 0]] - p)
+    m_prev = 0.5 * (p[:, [2, 0, 1]] - p)
+    twice_1 = m_next[..., 0] * o[..., 1] - m_next[..., 1] * o[..., 0]
+    twice_2 = o[..., 0] * m_prev[..., 1] - o[..., 1] * m_prev[..., 0]
+    moments = (twice_1[..., None] * (m_next + o)
+               + twice_2[..., None] * (o + m_prev)).reshape(-1, 2)
+    # sum per corner point; the bins of mirror points are dropped
+    owner, bins = simplices.ravel(), len(tri.points)
+    area3 = 3.0 * np.bincount(owner, (twice_1 + twice_2).ravel(), minlength=bins)[:n]
+    centroids = pts + np.column_stack(
+        [np.bincount(owner, moments[:, 0], minlength=bins)[:n],
+         np.bincount(owner, moments[:, 1], minlength=bins)[:n]]) / area3[:, None]
+    reach = np.sqrt((o * o).sum(axis=-1)[simplices < n].max())
+    return centroids, reach, centres
+
+
+def _banded_centroids(pts, band):
+    """Clipped-cell centroids from band mirroring, certified; full otherwise.
 
     The certificate is exact.  For a point p of the square, a seed g and
     its mirror g' across a side, |p - g'| >= |p - g|: no mirror is nearer
     to a point of the square than the seed it copies.  So every subset of
     mirrors gives each seed the same cell inside the square, and a cell
-    that lies entirely in the square is the clipped cell.
+    whose vertices all lie in the square is the clipped cell.
     """
     try:
-        flat, starts, coords = _voronoi_rings(pts, band)
+        banded = _delaunay_centroids(pts, band)
     except MeshError:
-        return _voronoi_rings(pts)
-    used = coords[flat]
-    if np.all((used >= 0.0) & (used <= 1.0)):
-        return flat, starts, coords
-    return _voronoi_rings(pts)
-
-
-def _centroids(flat, starts, coords):
-    """Area centroids of the flat rings: one shoelace pass, summed per ring."""
-    nxt = np.arange(1, len(flat) + 1)
-    nxt[np.append(starts[1:], len(flat)) - 1] = starts  # wrap to the ring start
-    x, y = coords[flat, 0], coords[flat, 1]
-    xn, yn = x[nxt], y[nxt]
-    cross = x * yn - xn * y
-    six_area = 3.0 * np.add.reduceat(cross, starts)
-    return np.column_stack([np.add.reduceat((x + xn) * cross, starts),
-                            np.add.reduceat((y + yn) * cross, starts)]) / six_area[:, None]
+        return _delaunay_centroids(pts)
+    centres = banded[2]
+    if np.all((centres >= 0.0) & (centres <= 1.0)):
+        return banded
+    return _delaunay_centroids(pts)
 
 
 def _mesh_from_rings(rings, coords):

@@ -209,6 +209,22 @@ def clipped_cells_per_cell(pts):
     return rings, coords
 
 
+def ring_centroids(flat, starts, coords):
+    """Area centroids of flat Voronoi rings: one shoelace pass, summed per ring.
+
+    The ring-based centroids that Lloyd relaxation in ``vemlab.meshgen``
+    used before it summed centroids over Delaunay triangles.
+    """
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[np.append(starts[1:], len(flat)) - 1] = starts  # wrap to the ring start
+    x, y = coords[flat, 0], coords[flat, 1]
+    xn, yn = x[nxt], y[nxt]
+    cross = x * yn - xn * y
+    six_area = 3.0 * np.add.reduceat(cross, starts)
+    return np.column_stack([np.add.reduceat((x + xn) * cross, starts),
+                            np.add.reduceat((y + yn) * cross, starts)]) / six_area[:, None]
+
+
 def relax_points_per_cell(points, iterations):
     """Lloyd iterations with full mirroring and one shoelace call per cell."""
     pts = np.asarray(points, dtype=float).copy()

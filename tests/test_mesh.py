@@ -62,6 +62,22 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="repeats"):
             make_mesh(UNIT_SQUARE["vertices"], [[0, 1, 1, 2]])
 
+    @pytest.mark.parametrize("cells, message", [
+        ([[0, 1, 5, 4], [1, 5, 6, 2], [2, 3, 3, 7]], "cell 1 is not counterclockwise"),
+        ([[0, 1, 5, 4], [1, 2, 2, 5], [6, 7, 3, 2]], "cell 1 repeats a vertex id"),
+        ([[0, 1, 5, 4], [1, 2, 6, 5], [6, 7, 3, 2]], "cell 2 is not counterclockwise"),
+        ([[0, 1, 5, 4], [1, 5, 6, 2], [2, 3]], "cell 1 is not counterclockwise"),
+        ([[0, 1, 5, 4], [1, 5, 6, 2], [6, 7, 3, 2]], "cell 1 is not counterclockwise"),
+        ([[0, 1, 5, 4], [1, 2, 2, 5], [2, 3]], "cell 1 repeats a vertex id"),
+        ([[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 99]], "cell 2 references a vertex id out of range"),
+    ])
+    def test_first_invalid_cell_named(self, cells, message):
+        # a strip of three unit squares; the ring checks run over all cells
+        # at once but must still report the first offending one
+        verts = [[x, y] for y in (0, 1) for x in range(4)]
+        with pytest.raises(MeshError, match=f"^{message}"):
+            make_mesh(verts, cells)
+
     def test_short_ring(self):
         with pytest.raises(MeshError, match="fewer than 3"):
             make_mesh(UNIT_SQUARE["vertices"], [[0, 1]])

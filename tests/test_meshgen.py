@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 import vemlab.meshgen as meshgen
 from oracles import (clipped_cells_per_cell, cvt_energy, reflex_vertices,
-                     relax_points_per_cell, sees_all_of_polygon)
+                     relax_points_per_cell, ring_centroids,
+                     sees_all_of_polygon)
 from vemlab.mesh import MeshError, element_geometry, make_mesh
-from vemlab.meshgen import (GeneratorSpec, _banded_rings, _centroids,
-                            _clipped_cells, _draw_seeds, _mesh_from_rings,
-                            _voronoi_rings, concave_mesh, generate,
-                            lloyd_relax, relax_points, square_mesh,
+from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _clipped_cells,
+                            _delaunay_centroids, _draw_seeds,
+                            _mesh_from_rings, _voronoi_rings, concave_mesh,
+                            generate, lloyd_relax, relax_points, square_mesh,
                             voronoi_mesh)
 
 
@@ -146,16 +148,16 @@ class TestLloyd:
         assert movement[-1] < 0.05 * movement[0]
 
 
-def _counting_voronoi(monkeypatch):
-    """Replace the qhull entry point of meshgen; returns the input sizes."""
+def _counting_delaunay(monkeypatch):
+    """Replace the qhull entry point of Lloyd relaxation; returns the input sizes."""
     sizes = []
 
     def counted(points, *args, **kwargs):
         sizes.append(len(points))
-        return Voronoi(points, *args, **kwargs)
+        return original(points, *args, **kwargs)
 
-    Voronoi = meshgen.Voronoi
-    monkeypatch.setattr(meshgen, "Voronoi", counted)
+    original = meshgen.Delaunay
+    monkeypatch.setattr(meshgen, "Delaunay", counted)
     return sizes
 
 
@@ -189,32 +191,52 @@ class TestFlatVoronoi:
         pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
         if failure == "unbounded":
             with pytest.raises(MeshError):
-                _voronoi_rings(pts, band)
+                _delaunay_centroids(pts, band)
         else:
-            flat, _, coords = _voronoi_rings(pts, band)
-            assert np.any((coords[flat] < 0.0) | (coords[flat] > 1.0))
-        full = _voronoi_rings(pts)
-        sizes = _counting_voronoi(monkeypatch)
-        banded = _banded_rings(pts, band)
+            centres = _delaunay_centroids(pts, band)[2]
+            assert np.any((centres < 0.0) | (centres > 1.0))
+        full = _delaunay_centroids(pts)
+        sizes = _counting_delaunay(monkeypatch)
+        banded = _banded_centroids(pts, band)
         # the band diagram failed the certificate, then full mirroring ran
         assert len(sizes) == 2
         assert sizes[1] == 5 * len(pts) > sizes[0]
         for a, b in zip(banded, full):
-            assert a.tobytes() == b.tobytes()
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_certified_band_cells_equal_clipped_cells(self, monkeypatch):
         pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
-        full = _voronoi_rings(pts)
-        sizes = _counting_voronoi(monkeypatch)
-        banded = _banded_rings(pts, 0.1)
+        full = _delaunay_centroids(pts)
+        sizes = _counting_delaunay(monkeypatch)
+        banded = _banded_centroids(pts, 0.1)
         assert len(sizes) == 1 and sizes[0] < 5 * len(pts)
-        assert np.array_equal(np.diff(banded[1]), np.diff(full[1]))
-        assert np.abs(_centroids(*banded) - _centroids(*full)).max() < 1e-13
+        assert banded[1] == pytest.approx(full[1], rel=1e-13)
+        assert np.abs(banded[0] - full[0]).max() < 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_triangle_centroids_match_ring_oracle(self, seed):
+        # raw seeds: the Delaunay triangles include obtuse ones, whose
+        # circumcentres lie outside them and add negative sub-areas
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, (200, 2))
+        tri = Delaunay(meshgen._mirrored(pts))
+        corners = tri.points[tri.simplices[(tri.simplices < len(pts)).any(axis=1)]]
+        edges = np.roll(corners, -1, axis=1) - corners
+        sq = (edges ** 2).sum(axis=-1)
+        assert np.any(2.0 * sq.max(axis=1) > sq.sum(axis=1))
+        ref = ring_centroids(*_voronoi_rings(pts))
+        assert np.abs(_delaunay_centroids(pts)[0] - ref).max() < 1e-13
+
+    def test_certified_band_centroids_match_ring_oracle(self):
+        pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
+        new, _, centres = _delaunay_centroids(pts, 0.1)
+        assert np.all((centres >= 0.0) & (centres <= 1.0))
+        ref = ring_centroids(*_voronoi_rings(pts))
+        assert np.abs(new - ref).max() < 1e-13
 
     def test_band_mirroring_feeds_qhull_fewer_points(self, monkeypatch):
         n = 400
         pts = np.random.default_rng(2).uniform(0.0, 1.0, (n, 2))
-        sizes = _counting_voronoi(monkeypatch)
+        sizes = _counting_delaunay(monkeypatch)
         relax_points(pts, 20)
         assert len(sizes) == 20
         assert sizes[0] == 5 * n
