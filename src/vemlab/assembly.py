@@ -15,8 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .basis import _gauss, n_poly
-from .local import ElementBank, interpolate_dofs, mesh_elements
+from .basis import n_poly
+from .local import ElementBank, edge_moments, interpolate_dofs, mesh_elements
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import element_geometry
 
@@ -124,8 +124,8 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     The element kernel builds the local matrices stack by stack (see
     :func:`vemlab.local.mesh_elements`); each is written into its cell's
     slot of one preallocated COO value buffer, and the loads are summed in
-    cell order, so repeated runs produce bit-identical systems.  Each cell's
-    geometry, post-solve operator and triangles are kept on
+    cell order, so repeated runs produce bit-identical systems.  Each
+    chunk's geometry, post-solve operators and triangles are kept on
     ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.
     """
     if dofmap is None:
@@ -168,7 +168,7 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
                         dofmap=dofmap,
                         coupling=A_rows[:, bb].tocsr(),
                         rhs_base=rhs_full[ii],
-                        bank=ElementBank.collect(k, mesh.num_cells, kept))
+                        bank=ElementBank(k, tuple(kept)))
 
 
 def apply_dirichlet(system, g, mesh, k):
@@ -182,25 +182,17 @@ def apply_dirichlet(system, g, mesh, k):
     dofmap = system.dofmap
     if k != dofmap.k:
         raise ValueError(f"system was assembled with k={dofmap.k}, got k={k}")
-    if callable(g):
-        gv = g
-    else:
-        const = float(g)
-        gv = lambda x, y: np.full(np.shape(x), const)
+    gv = g if callable(g) else (lambda x, y, c=float(g): c)
 
     lift = np.zeros(dofmap.n_dofs)
     vb = np.nonzero(mesh.boundary_vertices)[0]
     lift[vb] = gv(mesh.vertices[vb, 0], mesh.vertices[vb, 1])
     if k >= 2:
-        t, w_std = _gauss(k + 3)
-        for e in mesh.boundary_edges():
-            lo, hi = mesh.edge_vertices[e]
-            a, b = mesh.vertices[lo], mesh.vertices[hi]
-            pts = 0.5 * (a + b) + 0.5 * np.outer(t, b - a)
-            vals = gv(pts[:, 0], pts[:, 1])
-            base = dofmap.n_vertex_dofs + e * (k - 1)
-            for j in range(k - 1):
-                lift[base + j] = np.sum(w_std / 2 * vals * t ** j)
+        edges = mesh.boundary_edges()
+        lo, hi = mesh.edge_vertices[edges].T
+        base = dofmap.n_vertex_dofs + edges * (k - 1)
+        lift[base[:, None] + np.arange(k - 1)] = edge_moments(
+            gv, mesh.vertices[lo], mesh.vertices[hi], k, k + 3)
     system.lifting = lift
     system.rhs = system.rhs_base - system.coupling @ lift[dofmap.boundary_dofs]
     return system

@@ -61,15 +61,14 @@ class ExperimentConfig:
         object.__setattr__(self, "sizes", tuple(sorted(sizes)))
 
 
-def _run_single(mesh, k, problem, mode, quad_boost, point, dofmap=None):
+def _run_single(mesh, k, problem, mode, quad_boost, point):
     """Solve one mesh and measure errors.
 
     A cell that cannot be triangulated or whose projector is singular
     (degenerate geometry), or an unreliable global solve, becomes a
     ``failed`` record naming the cause.
     """
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, k)
+    dofmap = build_dofmap(mesh, k)
     h_max = max_diameter(mesh)
     try:
         system = assemble(mesh, k, problem.coefficients, mode=mode,

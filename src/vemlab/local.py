@@ -13,7 +13,7 @@ calls; :func:`mesh_elements` runs it over a mesh in memory-bounded chunks,
 and the one-element functions call it on a stack of one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -85,38 +85,44 @@ class ProjectorSet:
 class ElementBank:
     """What post-processing needs of each cell, kept from one build.
 
-    ``geometries[c]`` is cell ``c``'s ``ElementGeometry``, ``operators[c]``
-    the stacked projectors ``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` that map
-    the cell's DoF vector to all of its polynomial snapshots in one product,
-    and ``triangles[c]`` the (T, 3, 2) triangles its quadrature was mapped
-    onto, which the error norms map their own rule onto.
+    ``chunks`` holds one ``(GeometryStack, operators, triangles)`` entry per
+    chunk of :func:`mesh_elements`: the operators (C, rows, n_dofs) stack
+    ``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]``, which maps a cell's DoFs to all
+    of its polynomial snapshots, and the error norms map their own rule onto
+    the (C, T, 3, 2) triangles the chunk's quadrature used.
     """
 
     k: int
-    geometries: tuple
-    operators: tuple
-    triangles: tuple
+    chunks: tuple
+    _where: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def collect(cls, k, n_cells, parts):
-        """Bank of cells 0..n_cells-1 from ``(GeometryStack, operators,
-        triangles)`` parts, one row per cell of the stack."""
-        geoms, ops, tris = ([None] * n_cells for _ in range(3))
-        for geometry, operators, triangles in parts:
-            for i, c in enumerate(geometry.cells):
-                geoms[c] = geometry.element(i)
-                ops[c] = operators[i]
-                tris[c] = triangles[i]
-        return cls(k=k, geometries=tuple(geoms), operators=tuple(ops),
-                   triangles=tuple(tris))
+    def __post_init__(self):
+        # cell -> (chunk, row)
+        where = np.empty((sum(len(g) for g, _, _ in self.chunks), 2), np.intp)
+        for i, (geometry, _, _) in enumerate(self.chunks):
+            where[geometry.cells, 0] = i
+            where[geometry.cells, 1] = np.arange(len(geometry))
+        object.__setattr__(self, "_where", where)
+
+    @property
+    def n_cells(self):
+        return len(self._where)
+
+    def element(self, cell):
+        """``ElementGeometry`` of one cell."""
+        chunk, row = self._where[cell]
+        return self.chunks[chunk][0].element(row)
 
     def snapshots(self, u, cell_dofs):
         """L2 projection, projected gradient and energy projection of the
         global DoF vector ``u`` on every cell: arrays of shape
         (cells, n_poly(k)), (cells, n_poly(k - 1), 2) and (cells, n_poly(k)).
         """
-        snaps = np.array([op @ u[g] for op, g in zip(self.operators, cell_dofs)])
         nk, nkm1 = n_poly(self.k), n_poly(self.k - 1)
+        snaps = np.empty((self.n_cells, 2 * (nk + nkm1)))
+        for geometry, ops, _ in self.chunks:
+            dofs = np.array([cell_dofs[c] for c in geometry.cells])
+            snaps[geometry.cells] = (ops @ u[dofs][..., None])[..., 0]
         pi0, gx, gy, energy = np.split(
             snaps, [nk, nk + nkm1, nk + 2 * nkm1], axis=1)
         return pi0, np.stack([gx, gy], axis=-1), energy
@@ -483,20 +489,15 @@ _CHUNK_BYTES = 2 ** 20
 _MIN_CHUNK_CELLS = 8
 
 
-def chunk_rows(floats_per_cell):
-    """Cells per stacked call when each cell needs about
-    ``floats_per_cell`` float64 values of working memory."""
-    return max(_MIN_CHUNK_CELLS, _CHUNK_BYTES // (8 * floats_per_cell))
-
-
 def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
     """Run :func:`element_kernel` over every cell of ``mesh``.
 
     Cells are stacked by vertex count and triangle count, each cell's rule
     of degree ``exactness`` is mapped onto its triangles, and each stack is
-    cut into chunks (see :func:`chunk_rows`).  Yields ``(ElementStack,
-    triangles)`` per chunk, where ``triangles`` (C, T, 3, 2) are the
-    triangles the chunk's rules were mapped onto.
+    cut into chunks of ``_CHUNK_BYTES`` of working memory, at least
+    ``_MIN_CHUNK_CELLS`` cells; the :class:`ElementBank` keeps these chunks.
+    Yields ``(ElementStack, triangles)`` per chunk, where ``triangles``
+    (C, T, 3, 2) are the triangles the chunk's rules were mapped onto.
     """
     for geometry in geometry_stacks(mesh):
         nv = geometry.vertices.shape[1]
@@ -506,7 +507,8 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
             nd = nv * k + n_poly(k - 2)
             # the largest arrays: point tables of width n_dofs, and the
             # matrices of the projectors and local forms
-            step = chunk_rows(n_points * (n_poly(k) + 6 * nd) + 16 * nd ** 2)
+            floats = n_points * (n_poly(k) + 6 * nd) + 16 * nd ** 2
+            step = max(_MIN_CHUNK_CELLS, _CHUNK_BYTES // (8 * floats))
             for lo in range(0, len(stack), step):
                 part = slice(lo, lo + step)
                 pts, wts = map_rule(tris[part], exactness)
@@ -547,6 +549,19 @@ def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
                        projectors=out.projectors(0, layout))
 
 
+def edge_moments(v, start, end, k, n_gauss):
+    """Edge DoFs ``(1/|e|) int_e v t^j ds``, j = 0..k-2, of ``v(x, y)`` on
+    the edges from ``start`` to ``end`` (E, 2), their canonical direction:
+    t runs from -1 to +1 along it.  Uses ``n_gauss`` points; (E, k - 1)."""
+    t, w_std = _gauss(n_gauss)
+    pts = (0.5 * (start + end)[:, None]
+           + 0.5 * (t[:, None] * (end - start)[:, None]))
+    vals = np.broadcast_to(v(pts[..., 0], pts[..., 1]), pts.shape[:2])
+    # weights w_std / 2 * |e| sum to |e|
+    return np.stack([np.sum(w_std / 2 * vals * t ** j, axis=-1)
+                     for j in range(k - 1)], axis=-1)
+
+
 def interpolate_dofs(geom, k, v, layout=None, exactness=None):
     """DoF vector of a smooth function: vertex values and scaled moments."""
     layout = layout if layout is not None else dof_layout(geom, k)
@@ -554,18 +569,12 @@ def interpolate_dofs(geom, k, v, layout=None, exactness=None):
     d = np.zeros(layout.n_dofs)
     d[:layout.n_vertices] = v(geom.vertices[:, 0], geom.vertices[:, 1])
     if k >= 2:
-        t, w_std = _gauss(int(np.ceil((ex + 1) / 2)))
-        nv = layout.n_vertices
-        for e in range(nv):
-            va, vb = e, (e + 1) % nv
-            if not geom.edge_forward[e]:
-                va, vb = vb, va
-            a, b = geom.vertices[va], geom.vertices[vb]
-            pts = 0.5 * (a + b) + 0.5 * np.outer(t, b - a)
-            vals = v(pts[:, 0], pts[:, 1])
-            for j in range(k - 1):
-                # (1/|e|) int_e v t^j ds with weights summing to |e|.
-                d[layout.edge_slot(e, j)] = np.sum(w_std / 2 * vals * t ** j)
+        ring = geom.vertices
+        ahead = np.roll(ring, -1, axis=0)
+        forward = geom.edge_forward[:, None]
+        d[layout.n_vertices:layout.n_vertices * k] = edge_moments(
+            v, np.where(forward, ring, ahead), np.where(forward, ahead, ring),
+            k, int(np.ceil((ex + 1) / 2))).ravel()
         rule = polygon_quadrature(geom, ex)
         basis = ScaledMonomialBasis(geom, k - 2)
         Vm = basis.eval(rule.points)

@@ -13,10 +13,9 @@ import numpy as np
 
 from . import kernels
 from .assembly import build_dofmap
-from .basis import (ScaledMonomialBasis, _duffy_rule, map_rule,
-                    monomial_exponents, n_poly)
+from .basis import ScaledMonomialBasis, map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .local import ElementBank, chunk_rows, mesh_elements
+from .local import ElementBank, mesh_elements
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
@@ -58,9 +57,9 @@ class SolutionProjection:
     cell ``c`` in the scaled monomial basis of degree ``k``; ``grad_coeffs``
     the projected gradient (degree ``k - 1``, last axis = component);
     ``energy_coeffs`` the energy projection, kept for the alternative H1
-    error representative.  ``geometries[c]`` is the ``ElementGeometry``
-    whose basis those coefficients refer to, and ``triangles[c]`` the
-    cell's triangulation, which the error norms reuse.
+    error representative.  ``bank`` is the ``ElementBank`` they came from:
+    its geometry gives the basis those coefficients refer to, and its
+    triangles are what the error norms integrate over.
     """
 
     mesh: object
@@ -68,11 +67,10 @@ class SolutionProjection:
     coeffs: np.ndarray
     grad_coeffs: np.ndarray
     energy_coeffs: np.ndarray
-    geometries: tuple = field(repr=False)
-    triangles: tuple = field(repr=False)
+    bank: ElementBank = field(repr=False)
 
     def cell_value(self, cell, points):
-        basis = ScaledMonomialBasis(self.geometries[cell], self.k)
+        basis = ScaledMonomialBasis(self.bank.element(cell), self.k)
         return basis.eval(points) @ self.coeffs[cell]
 
 
@@ -89,16 +87,18 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
         raise ValueError(
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
     if bank is None:
-        bank = ElementBank.collect(k, mesh.num_cells, (
+        bank = ElementBank(k, tuple(
             (out.geometry, out.post_solve_operators(), tris)
             for out, tris in mesh_elements(mesh, k, 2 * k)))
     elif bank.k != k:
         raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
+    elif bank.n_cells != mesh.num_cells:
+        raise ValueError(f"element bank has {bank.n_cells} cells, the mesh "
+                         f"has {mesh.num_cells}")
     coeffs, grads, energy = bank.snapshots(u, dofmap.cell_dofs)
     return SolutionProjection(mesh=mesh, k=k, coeffs=coeffs,
                               grad_coeffs=grads, energy_coeffs=energy,
-                              geometries=bank.geometries,
-                              triangles=bank.triangles)
+                              bank=bank)
 
 
 def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
@@ -111,49 +111,46 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
     the corresponding norms of ``p_ex``, integrated with the same rule.
 
     The degree-``exactness`` rule (default 2k + 4) is mapped onto the
-    triangles the projection carries for each cell.  Cells are evaluated
-    in stacks of equal triangle count, and the cell contributions are
+    triangles the projection's bank carries for each cell.  Cells are
+    evaluated chunk by chunk of the bank, and the cell contributions are
     summed in cell order.
     """
     if gradient not in ("pi0", "pinabla"):
         raise ValueError(f"unknown gradient representative {gradient!r}")
+    if (projection.k, len(projection.coeffs)) != (k, mesh.num_cells):
+        raise ValueError(
+            f"projection has k={projection.k} on {len(projection.coeffs)} "
+            f"cells, expected k={k} on the mesh's {mesh.num_cells} cells")
     ex = (2 * k + 4) if exactness is None else exactness
-    geoms = projection.geometries
-    tris = projection.triangles
     # per cell: L2 error, H1 error, L2 norm, H1 norm
     parts = np.empty((4, mesh.num_cells))
-    n_tris = np.array([t.shape[0] for t in tris])
     exps = monomial_exponents(k)
     nkm1 = n_poly(k - 1)
-    for count in np.unique(n_tris):
-        cells = np.flatnonzero(n_tris == count)
-        step = chunk_rows(count * _duffy_rule(ex)[1].size * (3 * len(exps) + 16))
-        for lo in range(0, cells.size, step):
-            part = cells[lo:lo + step]
-            pts, w = map_rule(np.stack([tris[c] for c in part]), ex)
-            centers = np.array([geoms[c].centroid for c in part])
-            diameters = np.array([geoms[c].diameter for c in part])
-            flat = pts.reshape(-1, 2)
-            x, y = flat[:, 0], flat[:, 1]
-            p_vals = np.broadcast_to(np.asarray(p_ex(x, y), dtype=float),
-                                     x.shape).reshape(w.shape)
-            g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
-                                     x.shape + (2,)).reshape(w.shape + (2,))
-            V = kernels.monomial_vandermonde(pts, centers, diameters, exps)
-            ph = (V @ projection.coeffs[part][..., None])[..., 0]
-            if gradient == "pi0":
-                # graded order: the degree-(k-1) monomials are the first columns
-                gh = V[..., :nkm1] @ projection.grad_coeffs[part]
-            else:
-                gx, gy = kernels.monomial_vandermonde_grad(pts, centers,
-                                                           diameters, exps)
-                energy = projection.energy_coeffs[part][..., None]
-                gh = np.concatenate([gx @ energy, gy @ energy], axis=-1)
-            wr = w[:, None, :]
-            for row, values in enumerate((
-                    (ph - p_vals) ** 2, np.sum((gh - g_vals) ** 2, axis=-1),
-                    p_vals ** 2, np.sum(g_vals ** 2, axis=-1))):
-                parts[row, part] = (wr @ values[..., None])[:, 0, 0]
+    for geometry, _, tris in projection.bank.chunks:
+        part = geometry.cells
+        pts, w = map_rule(tris, ex)
+        centers, diameters = geometry.centroid, geometry.diameter
+        flat = pts.reshape(-1, 2)
+        x, y = flat[:, 0], flat[:, 1]
+        p_vals = np.broadcast_to(np.asarray(p_ex(x, y), dtype=float),
+                                 x.shape).reshape(w.shape)
+        g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
+                                 x.shape + (2,)).reshape(w.shape + (2,))
+        V = kernels.monomial_vandermonde(pts, centers, diameters, exps)
+        ph = (V @ projection.coeffs[part][..., None])[..., 0]
+        if gradient == "pi0":
+            # graded order: the degree-(k-1) monomials are the first columns
+            gh = V[..., :nkm1] @ projection.grad_coeffs[part]
+        else:
+            gx, gy = kernels.monomial_vandermonde_grad(pts, centers,
+                                                       diameters, exps)
+            energy = projection.energy_coeffs[part][..., None]
+            gh = np.concatenate([gx @ energy, gy @ energy], axis=-1)
+        wr = w[:, None, :]
+        for row, values in enumerate((
+                (ph - p_vals) ** 2, np.sum((gh - g_vals) ** 2, axis=-1),
+                p_vals ** 2, np.sum(g_vals ** 2, axis=-1))):
+            parts[row, part] = (wr @ values[..., None])[:, 0, 0]
     num_l2 = num_h1 = den_l2 = den_h1 = 0.0
     for a, b, c, d in parts.T.tolist():
         num_l2 += a

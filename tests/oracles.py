@@ -273,6 +273,19 @@ def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2):
     return A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii]
 
 
+def bank_per_cell(bank):
+    """Per-cell view of an ``ElementBank``: three lists indexed by cell, of
+    each cell's ``ElementGeometry``, post-solve operator and (T, 3, 2)
+    triangles, as the bank kept them before it held the kernel's chunks."""
+    geoms, ops, tris = ([None] * bank.n_cells for _ in range(3))
+    for geometry, operators, triangles in bank.chunks:
+        for i, c in enumerate(geometry.cells):
+            geoms[c] = geometry.element(i)
+            ops[c] = operators[i]
+            tris[c] = triangles[i]
+    return geoms, ops, tris
+
+
 def error_norms_two_tables(mesh, k, projection, p_ex, grad_p_ex):
     """Absolute (L2, H1) errors of ``vemlab.postprocess.error_norms`` in its
     default mode, evaluating a separate degree-(k-1) monomial table for the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import assemble_per_cell
+from oracles import assemble_per_cell, bank_per_cell
 from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
@@ -205,15 +205,16 @@ class TestScatter:
         bank = assemble(mesh, k, Coefficients.constant(kappa=KAPPA),
                         quad_boost=3).bank
         assert bank.k == k
-        assert len(bank.geometries) == len(bank.operators) == mesh.num_cells
+        geometries, operators, _ = bank_per_cell(bank)
+        assert bank.n_cells == len(geometries) == len(operators) == mesh.num_cells
         for c in range(mesh.num_cells):
-            geom = bank.geometries[c]
+            geom = geometries[c]
             ref_geom = element_geometry(mesh, c)
             assert np.array_equal(geom.vertices, ref_geom.vertices)
             assert np.array_equal(geom.edge_forward, ref_geom.edge_forward)
             ps = projector_set(geom, k, rule=polygon_quadrature(geom, 2 * k + 3))
             ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY, ps.PiNabla])
-            assert np.array_equal(bank.operators[c], ref)
+            assert np.array_equal(operators[c], ref)
 
 
 class TestChunks:
@@ -250,9 +251,11 @@ class TestChunks:
             assert np.array_equal(got.indices, ref.indices)
             assert np.array_equal(got.data, ref.data)
         assert np.array_equal(cut.rhs_base, whole.rhs_base)
-        for a, b in zip(cut.bank.operators, whole.bank.operators):
+        (_, cut_ops, cut_tris), (_, whole_ops, whole_tris) = (
+            bank_per_cell(cut.bank), bank_per_cell(whole.bank))
+        for a, b in zip(cut_ops, whole_ops):
             assert np.array_equal(a, b)
-        for a, b in zip(cut.bank.triangles, whole.bank.triangles):
+        for a, b in zip(cut_tris, whole_tris):
             assert np.array_equal(a, b)
 
     def test_singular_cell_is_named(self):
@@ -329,6 +332,17 @@ class TestDirichlet:
         bb = system.dofmap.boundary_dofs
         np.testing.assert_allclose(system.lifting[bb], d[bb],
                                    rtol=0, atol=1e-14)
+        # the built-in problem's data: the lifting and the interpolant take
+        # their edge moments from one helper, so they agree bit for bit
+        p_ex = builtin_problem().p_ex
+        for family in ("lloyd0", "concave", "square"):
+            mesh = generate(GeneratorSpec(family, 25, seed=2))
+            for k in (1, 2, 3, 4):
+                system = assemble(mesh, k, Coefficients.constant(kappa=1.0))
+                apply_dirichlet(system, p_ex, mesh, k)
+                bb = system.dofmap.boundary_dofs
+                d = interpolate(mesh, k, p_ex, dofmap=system.dofmap)
+                assert np.array_equal(system.lifting[bb], d[bb])
 
     def test_constant_solution_reproduced(self):
         # g = 2 with f = gamma * 2 and no advection keeps the constant.

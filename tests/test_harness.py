@@ -107,9 +107,15 @@ class TestBuildOnce:
                                                          sizes, monkeypatch):
         # every cell is triangulated and goes through the element kernel
         # exactly once, and post-processing neither builds projectors nor
-        # re-triangulates
-        built, triangulated = [], []
+        # re-triangulates; it reads the bank's stacked geometry, and only
+        # the point evaluation makes one cell's ElementGeometry
+        built, triangulated, elements = [], [], []
         kernel, triangulate_stack = local.element_kernel, local.triangulate_stack
+        element = mesh_module.GeometryStack.element
+
+        def counted_element(self, i):
+            elements.append(i)
+            return element(self, i)
 
         def counted_kernel(geometry, *args, **kwargs):
             built.extend(geometry.cells.tolist())
@@ -121,6 +127,8 @@ class TestBuildOnce:
 
         monkeypatch.setattr(local, "element_kernel", counted_kernel)
         monkeypatch.setattr(local, "triangulate_stack", counted_triangulation)
+        monkeypatch.setattr(mesh_module.GeometryStack, "element",
+                            counted_element)
         projectors = self._count(monkeypatch, "projector_set",
                                  (local, postprocess))
         rebuilt = self._count(monkeypatch, "triangulate", (basis,))
@@ -136,6 +144,7 @@ class TestBuildOnce:
         assert sorted(triangulated) == sorted(built)
         assert not projectors and not rebuilt
         assert len(geometries) <= cells + 1
+        assert len(elements) <= len(records)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_continues_past_degenerate_geometry(self):

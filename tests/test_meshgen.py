@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 import vemlab.meshgen as meshgen
 from oracles import (clipped_cells_per_cell, cvt_energy, reflex_vertices,
@@ -9,7 +9,8 @@ from oracles import (clipped_cells_per_cell, cvt_energy, reflex_vertices,
 from vemlab.mesh import MeshError, element_geometry, make_mesh
 from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _clipped_cells,
                             _delaunay_centroids, _draw_seeds,
-                            _mesh_from_rings, _voronoi_rings, concave_mesh,
+                            _mesh_from_rings, _tessellate, _voronoi_rings,
+                            _WELD_TOL, concave_mesh,
                             generate, lloyd_relax, relax_points, square_mesh,
                             voronoi_mesh)
 
@@ -255,6 +256,21 @@ class TestFlatVoronoi:
             _clipped_cells(pts)
         with pytest.raises(MeshError, match="unbounded Voronoi region"):
             relax_points(pts, 1)
+
+
+def test_weld_merges_near_duplicate_vertices_of_a_perturbed_lattice():
+    # Seeds 1e-11 off a 10 x 10 lattice: the Voronoi vertices at the
+    # lattice's cell corners come out in clusters closer than _WELD_TOL,
+    # which only the weld merges, one vertex per corner.
+    g = (np.arange(10) + 0.5) / 10
+    lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    pts = lattice + 1e-11 * np.random.default_rng(0).random((100, 2))
+    rings, coords = _clipped_cells(pts)
+    used = np.unique(np.concatenate(rings))
+    assert len(cKDTree(coords[used]).query_pairs(_WELD_TOL)) == 78
+    for mesh in (_tessellate(pts), lloyd_relax(pts, 3)):
+        assert mesh.num_cells == 100 and mesh.num_vertices == 121
+        assert all(len(ring) == 4 for ring in mesh.cells)
 
 
 def test_generate_rejects_bad_family():

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import error_norms_two_tables, locate_cell_per_cell
+from oracles import (bank_per_cell, error_norms_two_tables,
+                     locate_cell_per_cell)
 from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
 from vemlab.basis import polygon_quadrature, triangulate
-from vemlab.local import Coefficients
+from vemlab.local import Coefficients, ElementBank
 from vemlab.mesh import element_geometry, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.postprocess import (ConvergenceReport, ErrorRecord,
@@ -108,13 +109,30 @@ class TestProjectSolution:
             got, ref = getattr(banked, field), getattr(fresh, field)
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert banked.geometries is system.bank.geometries
+        assert banked.bank is system.bank
+        # one stacked product per chunk gives the bits of the per-cell one
+        _, operators, _ = bank_per_cell(system.bank)
+        per_cell = np.array([op @ u[g] for op, g in
+                             zip(operators, system.dofmap.cell_dofs)])
+        assert np.array_equal(np.concatenate(
+            [banked.coeffs, banked.grad_coeffs[..., 0],
+             banked.grad_coeffs[..., 1], banked.energy_coeffs], axis=1),
+            per_cell)
 
     def test_bank_degree_mismatch_raises(self):
         system = assemble(LLOYD, 2, Coefficients.constant(kappa=1.0))
         u = np.zeros(build_dofmap(LLOYD, 1).n_dofs)
         with pytest.raises(ValueError, match="k=2"):
             project_solution(LLOYD, 1, u, bank=system.bank)
+
+    def test_bank_of_another_mesh_raises(self):
+        # a 16-cell bank on a 25-cell mesh used to leave 9 rows of the
+        # snapshots uninitialised, and the errors read them
+        small, large = square_mesh(4), square_mesh(5)
+        system = assemble(small, 2, Coefficients.constant(kappa=1.0))
+        u = interpolate(large, 2, builtin_problem().p_ex)
+        with pytest.raises(ValueError, match="16 cells, the mesh has 25"):
+            project_solution(large, 2, u, bank=system.bank)
 
 
 class TestErrorNorms:
@@ -168,13 +186,26 @@ class TestErrorNorms:
         system = assemble(mesh, 3, prob.coefficients)
         apply_dirichlet(system, prob.p_ex, mesh, 3)
         proj = project_solution(mesh, 3, solve(system), bank=system.bank)
-        fresh = dataclasses.replace(proj, triangles=tuple(
-            triangulate(g.vertices) for g in proj.geometries))
-        assert proj.triangles is system.bank.triangles
+        geometries, _, _ = bank_per_cell(proj.bank)
+        fresh = dataclasses.replace(proj, bank=ElementBank(3, tuple(
+            (g, ops, np.stack([triangulate(geometries[c].vertices)
+                               for c in g.cells]))
+            for g, ops, _ in proj.bank.chunks)))
+        assert proj.bank is system.bank
         assert (error_norms(mesh, 3, proj, prob.p_ex, prob.grad_p_ex,
                             gradient=gradient)
                 == error_norms(mesh, 3, fresh, prob.p_ex, prob.grad_p_ex,
                                gradient=gradient))
+
+    def test_projection_of_another_mesh_or_degree_raises(self):
+        prob = builtin_problem()
+        small, large = square_mesh(4), square_mesh(5)
+        proj = project_solution(small, 2, interpolate(small, 2, prob.p_ex))
+        with pytest.raises(ValueError, match="k=2 on 16 cells, expected "
+                                             "k=2 on the mesh's 25 cells"):
+            error_norms(large, 2, proj, prob.p_ex, prob.grad_p_ex)
+        with pytest.raises(ValueError, match="expected k=3"):
+            error_norms(small, 3, proj, prob.p_ex, prob.grad_p_ex)
 
     def test_alternative_gradient_representative(self):
         prob = builtin_problem()
