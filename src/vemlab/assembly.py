@@ -18,7 +18,7 @@ from scipy.sparse.linalg import splu
 from .basis import n_poly
 from .local import ElementBank, edge_moments, interpolate_dofs, mesh_elements
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
-from .mesh import element_geometry
+from .mesh import _by_size, element_geometry
 
 
 class SolveError(RuntimeError):
@@ -71,28 +71,32 @@ def build_dofmap(mesh, k):
     """Number the global DoFs of a degree-``k`` space on ``mesh``."""
     if k < 1:
         raise ValueError(f"polynomial degree must be at least 1, got {k}")
-    n_int = n_poly(k - 2) if k >= 2 else 0
+    n_int = n_poly(k - 2)
     nv, ne = mesh.num_vertices, mesh.num_edges
     n_edge = ne * (k - 1)
-    cell_dofs = []
-    for c, ring in enumerate(mesh.cells):
-        m = len(ring)
-        g = np.empty(m * k + n_int, dtype=np.intp)
-        g[:m] = ring
-        for le, e in enumerate(mesh.cell_edges[c]):
-            g[m + le * (k - 1):m + (le + 1) * (k - 1)] = nv + e * (k - 1) + np.arange(k - 1)
-        g[m * k:] = nv + n_edge + c * n_int + np.arange(n_int)
-        cell_dofs.append(g)
-    fixed = list(np.nonzero(mesh.boundary_vertices)[0])
-    for e in mesh.boundary_edges():
-        fixed.extend(nv + e * (k - 1) + j for j in range(k - 1))
-    boundary = np.array(sorted(fixed), dtype=np.intp)
+    per_edge = np.arange(k - 1)
+    cell_dofs = [None] * mesh.num_cells
+    # the cells of one vertex count at a time
+    for (cells, rings), (_, edges) in zip(_by_size(mesh.cells),
+                                          _by_size(mesh.cell_edges)):
+        g = np.concatenate([
+            rings,
+            (nv + edges[..., None] * (k - 1) + per_edge).reshape(len(cells), -1),
+            nv + n_edge + cells[:, None] * n_int + np.arange(n_int)],
+            axis=1).astype(np.intp)
+        for c, row in zip(cells, g):
+            cell_dofs[c] = row
+    boundary = np.concatenate([
+        np.flatnonzero(mesh.boundary_vertices),
+        (nv + mesh.boundary_edges()[:, None] * (k - 1) + per_edge).ravel()])
     total = nv + n_edge + mesh.num_cells * n_int
-    interior = np.setdiff1d(np.arange(total), boundary)
+    free = np.ones(total, dtype=bool)
+    free[boundary] = False
     return DofMap(k=k, n_vertex_dofs=nv, n_edge_dofs=n_edge,
                   n_internal_dofs=mesh.num_cells * n_int,
                   cell_dofs=tuple(cell_dofs),
-                  boundary_dofs=boundary, interior_dofs=interior)
+                  boundary_dofs=boundary.astype(np.intp),
+                  interior_dofs=np.flatnonzero(free))
 
 
 def _coo_pattern(cell_dofs, n):

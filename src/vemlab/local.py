@@ -269,13 +269,15 @@ def _trace_tables(nv, k):
     return out
 
 
-def _solve(A, rhs, what, geometry):
+def _linalg(fn, what, geometry, *arrays):
+    """``fn`` (a stacked ``np.linalg`` routine) on ``arrays``; when it fails,
+    the error names the first cell of the stack it fails on."""
     try:
-        return np.linalg.solve(A, rhs)
+        return fn(*arrays)
     except np.linalg.LinAlgError as exc:
-        for i in range(len(A)):
+        for i in range(len(arrays[0])):
             try:
-                np.linalg.solve(A[i], rhs[i])
+                fn(*(a[i] for a in arrays))
             except np.linalg.LinAlgError:
                 raise np.linalg.LinAlgError(
                     f"{geometry.label(i)}: {what} system is singular; element "
@@ -403,7 +405,8 @@ def _projectors(geometry, k, rule):
     # polynomial-consistency identity hold to solver precision; the Newton
     # polish then squares the remaining idempotence defect, which matters on
     # sliver cells where the monomial Gram is badly conditioned.
-    PiNabla = _solve(B @ D, B, "energy projector", geometry)
+    PiNabla = _linalg(np.linalg.solve, "energy projector", geometry,
+                      B @ D, B)
     PiNabla += (np.eye(nk) - PiNabla @ D) @ PiNabla
 
     # L2 projectors: exact moments up to k-2, energy-projected above.
@@ -411,13 +414,16 @@ def _projectors(geometry, k, rule):
     if nkm2:
         mu[:, :nkm2, first_int:] = area * np.eye(nkm2)
     mu[:, nkm2:] = H[:, nkm2:] @ PiNabla
-    Pi0k = _solve(H, mu, "L2 projector mass", geometry)
+    Pi0k = _linalg(np.linalg.solve, "L2 projector mass", geometry, H, mu)
     Pi0k += (np.eye(nk) - Pi0k @ D) @ Pi0k
-    Pi0km1 = _solve(Hm1, mu[:, :nkm1], "L2 projector mass", geometry)
+    Pi0km1 = _linalg(np.linalg.solve, "L2 projector mass", geometry, Hm1,
+                     mu[:, :nkm1])
     Pi0km1 += (np.eye(nkm1) - Pi0km1 @ D[:, :, :nkm1]) @ Pi0km1
 
-    Pi0GradX = _solve(Hm1, rx, "gradient projector mass", geometry)
-    Pi0GradY = _solve(Hm1, ry, "gradient projector mass", geometry)
+    Pi0GradX = _linalg(np.linalg.solve, "gradient projector mass", geometry,
+                       Hm1, rx)
+    Pi0GradY = _linalg(np.linalg.solve, "gradient projector mass", geometry,
+                       Hm1, ry)
     Pi0GradX += (Dx - Pi0GradX @ D) @ Pi0k
     Pi0GradY += (Dy - Pi0GradY @ D) @ Pi0k
 
@@ -432,33 +438,60 @@ def _local_forms(out, rule, coeffs, mode):
 
     Entry [i, j] of each matrix is the form evaluated with trial function j
     and test function i.  The coefficients are evaluated once on every
-    quadrature point of the stack.
+    quadrature point of the stack.  Every form pairs degree-(k-1)
+    projections, so each is a coefficient-weighted Gram of a basis of
+    P_{k-1} sandwiched between projector matrices; one stacked product
+    gives all seven Grams, and no table of quadrature points by DoFs is
+    formed.
     """
     k, geometry = out.k, out.geometry
     nd = out.D.shape[1]
-    PiNabla, Pi0km1 = out.PiNabla, out.Pi0km1
-    Pi0GradX, Pi0GradY = out.Pi0GradX, out.Pi0GradY
+    m = n_poly(k - 1)
     w = rule.weights
     pts = rule.points.reshape(-1, 2)
     shape = w.shape
+    n_cells, n_points = shape
     kap = coeffs.kappa_at(pts).reshape(shape + (2, 2))
     _check_kappa(kap, geometry)
-    Vm = out.rule_values[:, :, :n_poly(k - 1)]
-    VGx, VGy = Vm @ Pi0GradX, Vm @ Pi0GradY
+    b = coeffs.b_at(pts).reshape(shape + (2,))
+    gam = coeffs.gamma_at(pts).reshape(shape)
+
+    # The Grams are taken in the monomials orthonormalised by the Cholesky
+    # factor L of their mass matrix (values L^-1 m, coefficients L^T c).
+    # Grams of the raw monomials would square the mass matrix's condition
+    # number in the roundoff of the forms (2e-12 to 3e-11 of the max-norm
+    # on lloyd0 cells at k = 4, against 3e-14 this way).
+    L = _linalg(np.linalg.cholesky, "L2 projector mass", geometry,
+                out.H[:, :m, :m])
+    Lt = _t(L)
+    values = np.linalg.inv(L) @ _t(out.rule_values[:, :, :m])  # (C, m, Q)
+    # grams[:, a, j, c] = sum_q w c_j v_a v_c for the weights c_j = kappa00,
+    # kappa01, kappa10, kappa11, b0, b1, gamma
+    wc = w[:, None] * np.stack(
+        [kap[..., 0, 0], kap[..., 0, 1], kap[..., 1, 0], kap[..., 1, 1],
+         b[..., 0], b[..., 1], gam], axis=1)
+    grams = (values @ _t((wc[:, :, None] * values[:, None]).reshape(
+        n_cells, 7 * m, n_points))).reshape(n_cells, m, 7, m)
+    # [[K00, K01], [K10, K11]] and [Kb0; Kb1]
+    K = grams[:, :, :4].reshape(n_cells, m, 2, 2, m).transpose(
+        0, 2, 1, 3, 4).reshape(n_cells, 2 * m, 2 * m)
+    Kb = grams[:, :, 4:6].transpose(0, 2, 1, 3).reshape(n_cells, 2 * m, m)
+    Kg = grams[:, :, 6]
+
+    P = Lt @ out.Pi0km1
+    grad = np.concatenate([Lt @ out.Pi0GradX, Lt @ out.Pi0GradY], axis=1)
     if mode == "grad_pinabla" and k > 1:
         hh = geometry.diameter[:, None, None]
-        VGxA = Vm @ ((derivative_table(k, 0) / hh) @ PiNabla)
-        VGyA = Vm @ ((derivative_table(k, 1) / hh) @ PiNabla)
+        grad_a = np.concatenate(
+            [Lt @ ((derivative_table(k, 0) / hh) @ out.PiNabla),
+             Lt @ ((derivative_table(k, 1) / hh) @ out.PiNabla)], axis=1)
     else:
-        VGxA, VGyA = VGx, VGy
-    Acons = (_t(VGxA) @ ((w * kap[..., 0, 0])[..., None] * VGxA)
-             + _t(VGxA) @ ((w * kap[..., 0, 1])[..., None] * VGyA)
-             + _t(VGyA) @ ((w * kap[..., 1, 0])[..., None] * VGxA)
-             + _t(VGyA) @ ((w * kap[..., 1, 1])[..., None] * VGyA))
+        grad_a = grad
+    Acons = _t(grad_a) @ (K @ grad_a)
 
     kap_trace = w[:, None, :] @ (kap[..., 0, 0] + kap[..., 1, 1])[..., None]
     sigma = kap_trace[:, 0, 0] / (2 * geometry.area)
-    M = np.eye(nd) - out.D @ PiNabla
+    M = np.eye(nd) - out.D @ out.PiNabla
     S = sigma[:, None, None] * (_t(M) @ M)
     S = 0.5 * (S + _t(S))
     Ah = Acons + S
@@ -466,15 +499,13 @@ def _local_forms(out, rule, coeffs, mode):
 
     # Advection couples the projected trial function to the projected
     # gradient of the test function (row index), hence non-symmetric.
-    VP = Vm @ Pi0km1
-    b = coeffs.b_at(pts).reshape(shape + (2,))
-    Bh = -(_t(VGx) @ ((w * b[..., 0])[..., None] * VP)
-           + _t(VGy) @ ((w * b[..., 1])[..., None] * VP))
+    Bh = -(_t(grad) @ (Kb @ P))
 
-    gam = coeffs.gamma_at(pts).reshape(shape)
-    Ch = gram(VP, w * gam)
+    Ch = _t(P) @ (Kg @ P)
+    Ch = 0.5 * (Ch + _t(Ch))
 
-    f_loc = (_t(VP) @ (w * coeffs.f_at(pts).reshape(shape))[..., None])[..., 0]
+    f_basis = values @ (w * coeffs.f_at(pts).reshape(shape))[..., None]
+    f_loc = (_t(P) @ f_basis)[..., 0]
     out.Ah, out.Bh, out.Ch, out.S, out.f_loc = Ah, Bh, Ch, S, f_loc
 
 
@@ -505,8 +536,10 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
             stack = geometry.take(rows)
             n_points = tris.shape[1] * _duffy_rule(exactness)[1].size
             nd = nv * k + n_poly(k - 2)
-            # the largest arrays: point tables of width n_dofs, and the
-            # matrices of the projectors and local forms
+            # the largest arrays: the matrices of the projectors and local
+            # forms, and point tables, here counted at width n_dofs (wider
+            # than the local forms' tables; chunks from the tighter count
+            # measured no faster on concave k = 4)
             floats = n_points * (n_poly(k) + 6 * nd) + 16 * nd ** 2
             step = max(_MIN_CHUNK_CELLS, _CHUNK_BYTES // (8 * floats))
             for lo in range(0, len(stack), step):

@@ -50,7 +50,9 @@ class PolyMesh:
 
     def boundary_edges(self):
         """Indices of edges incident to exactly one cell."""
-        return np.array([e for e, cs in enumerate(self.edge_cells) if len(cs) == 1], dtype=int)
+        counts = np.bincount(np.concatenate(self.cell_edges),
+                             minlength=self.num_edges)
+        return np.flatnonzero(counts == 1)
 
     @property
     def boundary_edge_list(self):
@@ -348,20 +350,21 @@ def stack_geometry(coords, forward, cells=None):
                          lengths, normals, np.asarray(forward, dtype=bool))
 
 
-def _rings_by_size(mesh):
-    """Per vertex count, ascending: the cell ids and their (C, n) rings."""
-    sizes = np.array([ring.size for ring in mesh.cells])
-    flat = np.concatenate(mesh.cells)
+def _by_size(ragged):
+    """Per row length, ascending: the row ids and their (C, n) rows, of a
+    per-cell list of 1-D arrays such as ``mesh.cells``."""
+    sizes = np.array([row.size for row in ragged])
+    flat = np.concatenate(ragged)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     for n in np.unique(sizes):
-        cells = np.flatnonzero(sizes == n)
-        yield cells, flat[offsets[cells][:, None] + np.arange(n)]
+        rows = np.flatnonzero(sizes == n)
+        yield rows, flat[offsets[rows][:, None] + np.arange(n)]
 
 
 def geometry_stacks(mesh):
     """One :class:`GeometryStack` per vertex count, in ascending count."""
     stacks = []
-    for cells, rings in _rings_by_size(mesh):
+    for cells, rings in _by_size(mesh.cells):
         forward = rings < np.roll(rings, -1, axis=1)
         stacks.append(stack_geometry(mesh.vertices[rings], forward, cells))
     return stacks
@@ -371,7 +374,7 @@ def max_diameter(mesh):
     """Largest cell diameter (the mesh size h), equal to the largest
     :func:`polygon_diameter` bit for bit."""
     return max(float(_diameters(mesh.vertices[rings]).max())
-               for _, rings in _rings_by_size(mesh))
+               for _, rings in _by_size(mesh.cells))
 
 
 def _kernel_chebyshev(coords):

@@ -332,30 +332,38 @@ def _banded_centroids(pts, band):
 
 
 def _mesh_from_rings(rings, coords):
-    """Weld near-duplicate vertices, compact ids, and validate."""
-    used = np.unique(np.concatenate(rings))
-    parent = {int(v): int(v) for v in used}
+    """Weld near-duplicate vertices, compact ids, and validate.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = cKDTree(coords[used])
-    for a, b in sorted(tree.query_pairs(_WELD_TOL)):
-        ra, rb = find(int(used[a])), find(int(used[b]))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    reps = sorted({find(int(v)) for v in used})
-    new_id = {r: i for i, r in enumerate(reps)}
-    vertices = coords[reps]
-    cells = []
-    for i, ring in enumerate(rings):
-        mapped = [new_id[find(int(v))] for v in ring]
-        ring_out = [v for j, v in enumerate(mapped) if v != mapped[j - 1]]
-        if len(ring_out) < 3:
-            raise MeshError(f"Voronoi cell {i} collapsed during welding")
-        cells.append(ring_out)
-    return make_mesh(vertices, cells)
+    Vertices closer than ``_WELD_TOL`` are joined transitively; each group
+    takes the id of its lowest vertex, and the groups are numbered in that
+    order.  Consecutive repeats left in a ring by the weld are dropped.
+    """
+    sizes = np.array([len(ring) for ring in rings])
+    flat = np.concatenate(rings)
+    used, local = np.unique(flat, return_inverse=True)
+    # min-label propagation over the close pairs, with pointer jumping:
+    # each label ends at the lowest index of its group
+    label = np.arange(len(used))
+    pairs = cKDTree(coords[used]).query_pairs(_WELD_TOL, output_type="ndarray")
+    while len(pairs):
+        low = np.minimum(label[pairs[:, 0]], label[pairs[:, 1]])
+        new = label.copy()
+        np.minimum.at(new, pairs[:, 0], low)
+        np.minimum.at(new, pairs[:, 1], low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps = np.unique(label)
+    mapped = np.searchsorted(reps, label)[local]
+    # drop each vertex equal to its predecessor in its ring
+    starts = np.cumsum(sizes) - sizes
+    prev = np.arange(-1, len(flat) - 1)
+    prev[starts] = starts + sizes - 1
+    keep = mapped != mapped[prev]
+    kept = np.add.reduceat(keep, starts)
+    if (kept < 3).any():
+        raise MeshError(f"Voronoi cell {np.argmax(kept < 3)} collapsed during "
+                        "welding")
+    return make_mesh(coords[used[reps]],
+                     np.split(mapped[keep], np.cumsum(kept)[:-1]))

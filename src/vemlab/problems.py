@@ -46,23 +46,25 @@ def builtin_problem():
     (-kappa_x : grad p) with the conservative advection term
     div(b p) = 2 p + x p_x + y p_y.
     """
+    # p, p_x and p_y given the sines and cosines, which ``f`` evaluates
+    # once and shares
+    def _p(x, y, sx, sy):
+        return x ** 2 * y + sx * sy + 2.0
+
+    def _px(x, y, cx, sy):
+        return 2 * x * y + TWO_PI * cx * sy
+
+    def _py(x, y, sx, cy):
+        return x ** 2 + TWO_PI * sx * cy
+
     def p(x, y):
-        return x ** 2 * y + np.sin(TWO_PI * x) * np.sin(TWO_PI * y) + 2.0
+        return _p(x, y, np.sin(TWO_PI * x), np.sin(TWO_PI * y))
 
     def px(x, y):
-        return 2 * x * y + TWO_PI * np.cos(TWO_PI * x) * np.sin(TWO_PI * y)
+        return _px(x, y, np.cos(TWO_PI * x), np.sin(TWO_PI * y))
 
     def py(x, y):
-        return x ** 2 + TWO_PI * np.sin(TWO_PI * x) * np.cos(TWO_PI * y)
-
-    def pxx(x, y):
-        return 2 * y - TWO_PI ** 2 * np.sin(TWO_PI * x) * np.sin(TWO_PI * y)
-
-    def pyy(x, y):
-        return -TWO_PI ** 2 * np.sin(TWO_PI * x) * np.sin(TWO_PI * y)
-
-    def pxy(x, y):
-        return 2 * x + TWO_PI ** 2 * np.cos(TWO_PI * x) * np.cos(TWO_PI * y)
+        return _py(x, y, np.sin(TWO_PI * x), np.cos(TWO_PI * y))
 
     def grad(x, y):
         return np.stack([px(x, y), py(x, y)], axis=-1)
@@ -85,10 +87,15 @@ def builtin_problem():
         return x ** 2 + y ** 3
 
     def f(x, y):
-        return (-(y ** 2 + 1) * pxx(x, y) - (x ** 2 + 1) * pyy(x, y)
-                + 2 * x * y * pxy(x, y)
-                + 2 * x * px(x, y) + 2 * y * py(x, y)
-                + (2.0 + gamma(x, y)) * p(x, y))
+        sx, sy = np.sin(TWO_PI * x), np.sin(TWO_PI * y)
+        cx, cy = np.cos(TWO_PI * x), np.cos(TWO_PI * y)
+        pxx = 2 * y - TWO_PI ** 2 * sx * sy
+        pyy = -TWO_PI ** 2 * sx * sy
+        pxy = 2 * x + TWO_PI ** 2 * cx * cy
+        return (-(y ** 2 + 1) * pxx - (x ** 2 + 1) * pyy
+                + 2 * x * y * pxy
+                + 2 * x * _px(x, y, cx, sy) + 2 * y * _py(x, y, sx, cy)
+                + (2.0 + gamma(x, y)) * _p(x, y, sx, sy))
 
     coeffs = Coefficients(kappa=kappa, b=advection, gamma=gamma, f=f)
     return TestProblem(name="oscillatory-tensor", coefficients=coeffs,

@@ -209,6 +209,43 @@ def clipped_cells_per_cell(pts):
     return rings, coords
 
 
+def mesh_from_rings_union_find(rings, coords):
+    """``vemlab.meshgen._mesh_from_rings`` with a dict union-find over the
+    close pairs and one ring at a time: the weld the array passes
+    replaced."""
+    from scipy.spatial import cKDTree
+
+    from vemlab.mesh import MeshError, make_mesh
+    from vemlab.meshgen import _WELD_TOL
+
+    used = np.unique(np.concatenate(rings))
+    parent = {int(v): int(v) for v in used}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree = cKDTree(coords[used])
+    for a, b in sorted(tree.query_pairs(_WELD_TOL)):
+        ra, rb = find(int(used[a])), find(int(used[b]))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    reps = sorted({find(int(v)) for v in used})
+    new_id = {r: i for i, r in enumerate(reps)}
+    vertices = coords[reps]
+    cells = []
+    for i, ring in enumerate(rings):
+        mapped = [new_id[find(int(v))] for v in ring]
+        ring_out = [v for j, v in enumerate(mapped) if v != mapped[j - 1]]
+        if len(ring_out) < 3:
+            raise MeshError(f"Voronoi cell {i} collapsed during welding")
+        cells.append(ring_out)
+    return make_mesh(vertices, cells)
+
+
 def ring_centroids(flat, starts, coords):
     """Area centroids of flat Voronoi rings: one shoelace pass, summed per ring.
 
@@ -271,6 +308,34 @@ def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2):
     ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
     A_rows = A[ii]
     return A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii]
+
+
+def build_dofmap_per_cell(mesh, k):
+    """``(cell_dofs, boundary_dofs, interior_dofs)`` of
+    ``vemlab.assembly.build_dofmap`` numbered one cell at a time, with the
+    boundary edges found from each edge's list of cells: the construction
+    the array passes replaced."""
+    from vemlab.basis import n_poly
+
+    n_int = n_poly(k - 2) if k >= 2 else 0
+    nv, ne = mesh.num_vertices, mesh.num_edges
+    n_edge = ne * (k - 1)
+    cell_dofs = []
+    for c, ring in enumerate(mesh.cells):
+        m = len(ring)
+        g = np.empty(m * k + n_int, dtype=np.intp)
+        g[:m] = ring
+        for le, e in enumerate(mesh.cell_edges[c]):
+            g[m + le * (k - 1):m + (le + 1) * (k - 1)] = nv + e * (k - 1) + np.arange(k - 1)
+        g[m * k:] = nv + n_edge + c * n_int + np.arange(n_int)
+        cell_dofs.append(g)
+    fixed = list(np.nonzero(mesh.boundary_vertices)[0])
+    for e, cs in enumerate(mesh.edge_cells):
+        if len(cs) == 1:
+            fixed.extend(nv + e * (k - 1) + j for j in range(k - 1))
+    boundary = np.array(sorted(fixed), dtype=np.intp)
+    total = nv + n_edge + mesh.num_cells * n_int
+    return cell_dofs, boundary, np.setdiff1d(np.arange(total), boundary)
 
 
 def bank_per_cell(bank):
@@ -575,19 +640,62 @@ def projector_set_per_cell(geom, k, rule):
 def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
     """Projectors and local forms of one element with one coefficient
     evaluation per cell: the construction ``vemlab.local.element_kernel``
-    stacked.  Returns a dict of the ``ProjectorSet`` and ``LocalSystem``
-    arrays."""
+    stacked, with the forms as coefficient-weighted Grams of the
+    orthonormalised degree-(k-1) monomials sandwiched between projectors.
+    Returns a dict of the ``ProjectorSet`` and ``LocalSystem`` arrays."""
     from vemlab.basis import n_poly
 
     points, w = rule = quadrature_per_cell(geom, 2 * k + quad_boost)
     out = projector_set_per_cell(geom, k, rule)
-    nkm1 = n_poly(k - 1)
+    m = n_poly(k - 1)
+    kap = coeffs.kappa_at(points)
+    b = coeffs.b_at(points)
+    gam = coeffs.gamma_at(points)
+    L = np.linalg.cholesky(out["H"][:m, :m])
+    values = np.linalg.inv(L) @ out["rule_values"][:, :m].T
+    wc = w * np.stack([kap[:, 0, 0], kap[:, 0, 1], kap[:, 1, 0], kap[:, 1, 1],
+                       b[:, 0], b[:, 1], gam])
+    # the seven Grams side by side, from one product
+    grams = (values @ (wc[:, None] * values).reshape(7 * m, -1).T).reshape(
+        m, 7, m)
+    K = np.block([[grams[:, 0], grams[:, 1]], [grams[:, 2], grams[:, 3]]])
+    Kb = np.vstack([grams[:, 4], grams[:, 5]])
+    P = L.T @ out["Pi0km1"]
+    grad = np.vstack([L.T @ out["Pi0GradX"], L.T @ out["Pi0GradY"]])
     if mode == "grad_pinabla" and k > 1:
-        GxA = _derivative_map_per_cell(geom, k, 0) @ out["PiNabla"]
-        GyA = _derivative_map_per_cell(geom, k, 1) @ out["PiNabla"]
+        grad_a = np.vstack([
+            L.T @ (_derivative_map_per_cell(geom, k, 0) @ out["PiNabla"]),
+            L.T @ (_derivative_map_per_cell(geom, k, 1) @ out["PiNabla"])])
     else:
-        GxA, GyA = out["Pi0GradX"], out["Pi0GradY"]
-    V = out["rule_values"][:, :nkm1]
+        grad_a = grad
+    Acons = grad_a.T @ (K @ grad_a)
+    sigma = float(w @ (kap[:, 0, 0] + kap[:, 1, 1])) / (2 * geom.area)
+    M = np.eye(len(out["D"])) - out["D"] @ out["PiNabla"]
+    S = sigma * (M.T @ M)
+    S = 0.5 * (S + S.T)
+    Ah = Acons + S
+    Ah = 0.5 * (Ah + Ah.T)
+    Bh = -(grad.T @ (Kb @ P))
+    Ch = P.T @ (grams[:, 6] @ P)
+    Ch = 0.5 * (Ch + Ch.T)
+    f_loc = (P.T @ (values @ (w * coeffs.f_at(points))[:, None]))[:, 0]
+    return dict(out, Ah=Ah, Bh=Bh, Ch=Ch, S=S, f_loc=f_loc)
+
+
+def local_forms_point_tables(geom, k, proj, points, w, coeffs, mode="standard"):
+    """``Ah``, ``Bh``, ``Ch`` and ``f_loc`` of one element from its
+    projectors ``proj`` (a dict of ``ProjectorSet`` arrays) and the rule
+    ``points``, ``w``, by tables of the projected basis functions on the
+    quadrature points: the construction the Gram sandwich of
+    ``vemlab.local`` replaced."""
+    from vemlab.basis import n_poly
+
+    if mode == "grad_pinabla" and k > 1:
+        GxA = _derivative_map_per_cell(geom, k, 0) @ proj["PiNabla"]
+        GyA = _derivative_map_per_cell(geom, k, 1) @ proj["PiNabla"]
+    else:
+        GxA, GyA = proj["Pi0GradX"], proj["Pi0GradY"]
+    V = proj["rule_values"][:, :n_poly(k - 1)]
     VGxA, VGyA = V @ GxA, V @ GyA
     kap = coeffs.kappa_at(points)
     Acons = (VGxA.T @ ((w * kap[:, 0, 0])[:, None] * VGxA)
@@ -595,13 +703,13 @@ def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
              + VGyA.T @ ((w * kap[:, 1, 0])[:, None] * VGxA)
              + VGyA.T @ ((w * kap[:, 1, 1])[:, None] * VGyA))
     sigma = float(w @ (kap[:, 0, 0] + kap[:, 1, 1])) / (2 * geom.area)
-    M = np.eye(len(out["D"])) - out["D"] @ out["PiNabla"]
+    M = np.eye(len(proj["D"])) - proj["D"] @ proj["PiNabla"]
     S = sigma * (M.T @ M)
     S = 0.5 * (S + S.T)
     Ah = Acons + S
     Ah = 0.5 * (Ah + Ah.T)
-    VP = V @ out["Pi0km1"]
-    VGx, VGy = V @ out["Pi0GradX"], V @ out["Pi0GradY"]
+    VP = V @ proj["Pi0km1"]
+    VGx, VGy = V @ proj["Pi0GradX"], V @ proj["Pi0GradY"]
     b = coeffs.b_at(points)
     Bh = -(VGx.T @ ((w * b[:, 0])[:, None] * VP)
            + VGy.T @ ((w * b[:, 1])[:, None] * VP))
@@ -609,4 +717,4 @@ def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
     Ch = VP.T @ ((w * gam)[:, None] * VP)
     Ch = 0.5 * (Ch + Ch.T)
     f_loc = VP.T @ (w * coeffs.f_at(points))
-    return dict(out, Ah=Ah, Bh=Bh, Ch=Ch, S=S, f_loc=f_loc)
+    return dict(Ah=Ah, Bh=Bh, Ch=Ch, f_loc=f_loc)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import assemble_per_cell, bank_per_cell
+from oracles import assemble_per_cell, bank_per_cell, build_dofmap_per_cell
 from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
@@ -70,6 +70,21 @@ class TestDofMap:
                             == dm.n_vertex_dofs + e * (k - 1) + j)
             tail = g[len(ring) * k:]
             assert np.array_equal(tail, np.arange(tail[0], tail[0] + tail.size))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", sorted(MESHES))
+    def test_matches_per_cell_numbering(self, family, k):
+        # the per-vertex-count array passes number every DoF as the
+        # per-cell loop does
+        mesh = MESHES[family]
+        dm = build_dofmap(mesh, k)
+        cell_dofs, boundary, interior = build_dofmap_per_cell(mesh, k)
+        assert len(dm.cell_dofs) == len(cell_dofs)
+        for got, ref in zip(dm.cell_dofs, cell_dofs):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        for got, ref in ((dm.boundary_dofs, boundary),
+                         (dm.interior_dofs, interior)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_boundary_dofs(self):
         mesh = square_mesh(2)

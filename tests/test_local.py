@@ -5,16 +5,17 @@ import pytest
 import scipy.linalg
 
 from vemlab import kernels
-from vemlab.basis import (ScaledMonomialBasis, edge_quadrature, n_poly,
-                          poly_eval, polygon_quadrature, triangulate)
+from vemlab.basis import (ScaledMonomialBasis, edge_quadrature, map_rule,
+                          n_poly, poly_eval, polygon_quadrature, triangulate)
 from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
                           local_system, mesh_elements, projector_set)
 from vemlab.mesh import element_geometry, polygon_geometry
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, voronoi_mesh
 from vemlab.problems import builtin_problem
 
-from oracles import (element_geometry_per_cell, local_system_per_cell,
-                     q1_stiffness, subdivision_integrate)
+from oracles import (element_geometry_per_cell, local_forms_point_tables,
+                     local_system_per_cell, q1_stiffness,
+                     subdivision_integrate)
 
 UNIT_SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 PENTAGON = polygon_geometry(
@@ -531,6 +532,34 @@ class TestElementKernel:
                     assert np.array_equal(getattr(out, name)[i], value), (c, name)
                 seen.append(c)
         assert sorted(seen) == list(range(mesh.num_cells))
+
+    @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
+    def test_forms_match_point_tables(self, family, k, mode):
+        # the Gram sandwich changes the order of the forms' arithmetic, not
+        # their value: from the kernel's own projectors and rule, tables of
+        # the projected basis functions on the quadrature points give every
+        # cell's forms to 1e-12 of the array's max-norm
+        mesh = generate(GeneratorSpec(family, 100, seed=0))
+        coeffs = builtin_problem().coefficients
+        fields = ("PiNabla", "Pi0km1", "Pi0GradX", "Pi0GradY", "D",
+                  "rule_values")
+        seen = 0
+        for out, tris in mesh_elements(mesh, k, 2 * k + 2, coeffs, mode):
+            points, weights = map_rule(tris, 2 * k + 2)
+            for i in range(len(out.geometry)):
+                ref = local_forms_point_tables(
+                    out.geometry.element(i), k,
+                    {f: getattr(out, f)[i] for f in fields}, points[i],
+                    weights[i], coeffs, mode)
+                for name, value in ref.items():
+                    got = getattr(out, name)[i]
+                    scale = np.abs(value).max()
+                    assert np.abs(got - value).max() <= 1e-12 * scale, (
+                        out.geometry.cells[i], name)
+                seen += 1
+        assert seen == mesh.num_cells
 
     @pytest.mark.parametrize("kappa, what", [
         ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),

@@ -3,7 +3,8 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 import vemlab.meshgen as meshgen
-from oracles import (clipped_cells_per_cell, cvt_energy, reflex_vertices,
+from oracles import (clipped_cells_per_cell, cvt_energy,
+                     mesh_from_rings_union_find, reflex_vertices,
                      relax_points_per_cell, ring_centroids,
                      sees_all_of_polygon)
 from vemlab.mesh import MeshError, element_geometry, make_mesh
@@ -271,6 +272,37 @@ def test_weld_merges_near_duplicate_vertices_of_a_perturbed_lattice():
     for mesh in (_tessellate(pts), lloyd_relax(pts, 3)):
         assert mesh.num_cells == 100 and mesh.num_vertices == 121
         assert all(len(ring) == 4 for ring in mesh.cells)
+
+
+def _assert_same_mesh(mesh, ref):
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert len(mesh.cells) == len(ref.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
+
+
+@pytest.mark.parametrize("source", ["perturbed_lattice", "lloyd100"])
+def test_weld_matches_union_find_oracle(source):
+    # the array weld keeps the numbering of the per-vertex union-find
+    if source == "perturbed_lattice":
+        g = (np.arange(10) + 0.5) / 10
+        lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        pts = lattice + 1e-11 * np.random.default_rng(0).random((100, 2))
+    else:
+        pts, _ = relax_points(_draw_seeds(GeneratorSpec("lloyd100", 100)), 100)
+    rings, coords = _clipped_cells(pts)
+    _assert_same_mesh(_mesh_from_rings(rings, coords),
+                      mesh_from_rings_union_find(rings, coords))
+
+
+def test_weld_names_a_collapsed_cell():
+    # vertices 1 and 2 of cell 1 weld into one, leaving it two vertices
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                       [1.0, 1.0 + 1e-12]])
+    rings = [np.array([0, 1, 2]), np.array([1, 3, 4])]
+    for weld in (_mesh_from_rings, mesh_from_rings_union_find):
+        with pytest.raises(MeshError,
+                           match="Voronoi cell 1 collapsed during welding"):
+            weld(rings, coords)
 
 
 def test_generate_rejects_bad_family():

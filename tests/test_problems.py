@@ -69,6 +69,28 @@ class TestBuiltinProblem:
         rel = np.abs(f_val - f_ref) / np.maximum(1.0, np.abs(f_ref))
         assert rel.max() < 1e-5
 
+    def test_source_matches_hand_expansion_bit_for_bit(self):
+        # f shares its sines and cosines between the terms; it must keep
+        # the bits of the expansion that evaluates each term separately
+        s, c, tp = np.sin, np.cos, 2.0 * np.pi
+
+        def expanded(x, y):
+            p = x ** 2 * y + s(tp * x) * s(tp * y) + 2.0
+            px = 2 * x * y + tp * c(tp * x) * s(tp * y)
+            py = x ** 2 + tp * s(tp * x) * c(tp * y)
+            pxx = 2 * y - tp ** 2 * s(tp * x) * s(tp * y)
+            pyy = -tp ** 2 * s(tp * x) * s(tp * y)
+            pxy = 2 * x + tp ** 2 * c(tp * x) * c(tp * y)
+            return (-(y ** 2 + 1) * pxx - (x ** 2 + 1) * pyy
+                    + 2 * x * y * pxy + 2 * x * px + 2 * y * py
+                    + (2.0 + (x ** 2 + y ** 3)) * p)
+
+        x, y = np.random.default_rng(3).uniform(-0.1, 1.1, size=(2, 400_000))
+        prob = builtin_problem()
+        assert np.array_equal(prob.f(x, y), expanded(x, y))
+        assert np.array_equal(prob.p_ex(x, y), x ** 2 * y
+                              + s(tp * x) * s(tp * y) + 2.0)
+
     def test_callable_shapes(self):
         prob = builtin_problem()
         pts = np.random.default_rng(0).uniform(0, 1, size=(7, 2))
