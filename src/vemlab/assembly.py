@@ -99,8 +99,10 @@ def build_dofmap(mesh, k):
                   interior_dofs=np.flatnonzero(free))
 
 
-def _coo_pattern(cell_dofs, n):
+def _coo_pattern(cell_dofs, sizes, n):
     """Global (row, column) of every local matrix entry, in one step.
+
+    ``sizes`` holds the number of DoFs of every cell.
 
     Entries run cell by cell, each cell's block in row-major order, which is
     the order a per-cell ``np.repeat``/``np.tile`` scatter produces; cell
@@ -108,7 +110,6 @@ def _coo_pattern(cell_dofs, n):
     indices are 32-bit when ``n`` allows, as SciPy would convert them anyway.
     """
     index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-    sizes = np.array([g.size for g in cell_dofs], dtype=np.intp)
     blocks = sizes * sizes
     starts = np.zeros(sizes.size + 1, dtype=np.intp)
     np.cumsum(blocks, out=starts[1:])
@@ -136,8 +137,8 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
         dofmap = build_dofmap(mesh, k)
     n = dofmap.n_dofs
 
-    rows, cols, starts = _coo_pattern(dofmap.cell_dofs, n)
-    sizes = np.array([g.size for g in dofmap.cell_dofs])
+    sizes = np.array([g.size for g in dofmap.cell_dofs], dtype=np.intp)
+    rows, cols, starts = _coo_pattern(dofmap.cell_dofs, sizes, n)
     load_starts = np.concatenate([[0], np.cumsum(sizes)])
     vals = np.empty(starts[-1])
     loads = np.empty(load_starts[-1])

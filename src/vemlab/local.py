@@ -391,16 +391,12 @@ def _projectors(geometry, k, rule):
     mean_mono = (wts[:, :, None, :] @ V_edge)[:, :, 0] / perimeter[:, None]
     mean_dof = (wts[:, :, None, :] @ traces)[:, :, 0] / perimeter[:, None]
     moment = _t(V_edge[..., :nkm1]) @ weighted
-    bmean_mono = np.zeros((n_cells, nk))
-    bmean_dof = np.zeros((n_cells, nd))
-    for e in range(nv):  # edge by edge, in ring order
-        B += flux[:, e]
-        bmean_mono += mean_mono[:, e]
-        bmean_dof += mean_dof[:, e]
-        rx += nx[:, e] * moment[:, e]
-        ry += ny[:, e] * moment[:, e]
-    G[:, 0] = bmean_mono
-    B[:, 0] = bmean_dof
+    # sums over the edges, in ring order
+    B += flux.sum(axis=1)
+    rx += (nx * moment).sum(axis=1)
+    ry += (ny * moment).sum(axis=1)
+    G[:, 0] = mean_mono.sum(axis=1)
+    B[:, 0] = mean_dof.sum(axis=1)
     # Solving against B @ D (equal to G up to quadrature roundoff) makes the
     # polynomial-consistency identity hold to solver precision; the Newton
     # polish then squares the remaining idempotence defect, which matters on
@@ -416,14 +412,11 @@ def _projectors(geometry, k, rule):
     mu[:, nkm2:] = H[:, nkm2:] @ PiNabla
     Pi0k = _linalg(np.linalg.solve, "L2 projector mass", geometry, H, mu)
     Pi0k += (np.eye(nk) - Pi0k @ D) @ Pi0k
-    Pi0km1 = _linalg(np.linalg.solve, "L2 projector mass", geometry, Hm1,
-                     mu[:, :nkm1])
+    # the three systems of the degree-(k-1) mass matrix in one solve
+    Pi0km1, Pi0GradX, Pi0GradY = np.split(_linalg(
+        np.linalg.solve, "L2 projector mass", geometry, Hm1,
+        np.concatenate([mu[:, :nkm1], rx, ry], axis=2)), 3, axis=2)
     Pi0km1 += (np.eye(nkm1) - Pi0km1 @ D[:, :, :nkm1]) @ Pi0km1
-
-    Pi0GradX = _linalg(np.linalg.solve, "gradient projector mass", geometry,
-                       Hm1, rx)
-    Pi0GradY = _linalg(np.linalg.solve, "gradient projector mass", geometry,
-                       Hm1, ry)
     Pi0GradX += (Dx - Pi0GradX @ D) @ Pi0k
     Pi0GradY += (Dy - Pi0GradY @ D) @ Pi0k
 
@@ -509,15 +502,38 @@ def _local_forms(out, rule, coeffs, mode):
     out.Ah, out.Bh, out.Ch, out.S, out.f_loc = Ah, Bh, Ch, S, f_loc
 
 
-#: Working memory one stacked call may use.  Stacks are cut into chunks of
-#: cells that fit, so the peak memory does not grow with the mesh; on the
-#: small k = 1, 2 meshes a larger budget shows up in the peak RSS, because
-#: freed chunk arrays stay in the heap.
-_CHUNK_BYTES = 2 ** 20
-#: A chunk never has fewer cells: each stacked call costs about 150 NumPy
-#: calls however many cells it holds, which dominates below about 8 cells
-#: (k = 4 concave cells need about 0.4 MB each).
+#: Working memory one stacked call may use, counted by :func:`cell_bytes`.
+#: Stacks are cut into chunks of cells that fit, so the peak memory does not
+#: grow with the mesh; on the small k = 1, 2 meshes a larger budget shows up
+#: in the peak RSS, because freed chunk arrays stay in the heap.  Element
+#: work (assembly to error norms) of the benchmark workloads, medians over
+#: repeats alternating the budget in one process (2-vCPU VM, seed 0), at
+#: 1 / 2 / 3 / 4 / 6 MiB: sweep_k2 0.570 / 0.489 / 0.439 / 0.428 / 0.429 s
+#: (146 / 82 / 61 / 52 / 42 kernel calls), lloyd_k1 0.216 / 0.195 / 0.190 /
+#: 0.187 / 0.185 s, concave_k4 1.57 / 1.56 / 1.56 / 1.35 / 1.40 s (8-cell
+#: chunks up to 3 MiB); sweep_k2 peak RSS after 10 runs 93.9 / 94.1 / 96.2 /
+#: 97.5 / 98.8 MB.  Above 3 MiB sweep_k2 gains no more and its peak grows.
+_CHUNK_BYTES = 3 * 2 ** 20
+#: A chunk never has fewer cells: each stacked call pays about 1 ms of
+#: fixed NumPy overhead however many cells it holds, against 60 to 100 us
+#: per k = 2 cell, so it dominates below about 8 cells (k = 4 concave
+#: cells need about 0.25 MB each).
 _MIN_CHUNK_CELLS = 8
+
+
+def cell_bytes(nv, n_points, k):
+    """Working memory :func:`element_kernel` takes per cell of ``nv``
+    vertices and ``n_points`` quadrature points, in bytes.
+
+    Counts what :func:`_projectors` and :func:`_local_forms` allocate: the
+    rule's monomial table (width n_poly(k)); the product of the seven
+    coefficient Grams and the orthonormalised values it weights (width
+    8 n_poly(k - 1)); the coefficient tables and their evaluation (about 24
+    values per point); and about 16 (n_dofs, n_dofs) matrices.
+    """
+    nd = nv * k + n_poly(k - 2)
+    per_point = n_poly(k) + 8 * n_poly(k - 1) + 24
+    return 8 * (n_points * per_point + 16 * nd ** 2)
 
 
 def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
@@ -535,13 +551,8 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
         for rows, tris in triangulate_stack(geometry):
             stack = geometry.take(rows)
             n_points = tris.shape[1] * _duffy_rule(exactness)[1].size
-            nd = nv * k + n_poly(k - 2)
-            # the largest arrays: the matrices of the projectors and local
-            # forms, and point tables, here counted at width n_dofs (wider
-            # than the local forms' tables; chunks from the tighter count
-            # measured no faster on concave k = 4)
-            floats = n_points * (n_poly(k) + 6 * nd) + 16 * nd ** 2
-            step = max(_MIN_CHUNK_CELLS, _CHUNK_BYTES // (8 * floats))
+            step = max(_MIN_CHUNK_CELLS,
+                       _CHUNK_BYTES // cell_bytes(nv, n_points, k))
             for lo in range(0, len(stack), step):
                 part = slice(lo, lo + step)
                 pts, wts = map_rule(tris[part], exactness)

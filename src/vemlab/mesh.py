@@ -129,8 +129,8 @@ def make_mesh(vertices, cells, boundary_vertices=None):
     """Validate raw arrays and assemble a :class:`PolyMesh`.
 
     Raises :class:`MeshError` for short or repeating rings, non-CCW cells,
-    and edges shared by more than two cells (or traversed twice in the same
-    direction, which indicates inconsistent orientation).
+    and edges traversed twice in the same direction, which indicates
+    inconsistent orientation or an edge shared by more than two cells.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -142,51 +142,66 @@ def make_mesh(vertices, cells, boundary_vertices=None):
     rings = [np.asarray(cell, dtype=int) for cell in cells]
     _check_rings(vertices, rings)
 
-    # Derive the edge table.  Directed edges must be unique: a shared edge is
-    # traversed once per direction by its two incident cells.
-    edge_ids = {}
-    edge_verts = []
-    edge_cells = []
-    directed_seen = {}
-    cell_edges = []
-    for ci, ring in enumerate(rings):
-        ids = np.empty(ring.size, dtype=int)
-        for j in range(ring.size):
-            a, b = int(ring[j]), int(ring[(j + 1) % ring.size])
-            if (a, b) in directed_seen:
-                raise MeshError(
-                    f"edge ({a}, {b}) traversed twice in the same direction "
-                    f"by cells {directed_seen[(a, b)]} and {ci}"
-                )
-            directed_seen[(a, b)] = ci
-            key = (a, b) if a < b else (b, a)
-            e = edge_ids.get(key)
-            if e is None:
-                e = len(edge_verts)
-                edge_ids[key] = e
-                edge_verts.append(key)
-                edge_cells.append([ci])
-            else:
-                edge_cells[e].append(ci)
-                if len(edge_cells[e]) > 2:
-                    raise MeshError(
-                        f"non-manifold edge {key}: shared by cells {edge_cells[e]}"
-                    )
-            ids[j] = e
-        cell_edges.append(ids)
-
-    derived = np.zeros(n_vert, dtype=bool)
-    for e, cs in enumerate(edge_cells):
-        if len(cs) == 1:
-            derived[list(edge_verts[e])] = True
+    mesh = PolyMesh(vertices, rings, np.zeros(n_vert, dtype=bool),
+                    *_edge_table(rings, n_vert))
+    if rings:
+        mesh.boundary_vertices[mesh.edge_vertices[mesh.boundary_edges()]] = True
 
     if boundary_vertices is not None:
         flags = np.zeros(n_vert, dtype=bool)
         flags[np.asarray(boundary_vertices, dtype=int)] = True
-        if not np.array_equal(flags, derived):
+        if not np.array_equal(flags, mesh.boundary_vertices):
             raise MeshError("boundary_vertices inconsistent with edge incidence")
-    edge_vertices = np.array(edge_verts, dtype=int).reshape(-1, 2)
-    return PolyMesh(vertices, rings, derived, edge_vertices, edge_cells, cell_edges)
+    return mesh
+
+
+def first_seen(keys):
+    """Number the distinct values of ``keys`` in order of first appearance:
+    the number of every entry, and where each number first appears."""
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[which], first[order]
+
+
+def _edge_table(rings, n_vert):
+    """Edges of valid rings: canonical (low, high) vertex pairs numbered in
+    order of first appearance, the cells on each edge in traversal order,
+    and each cell's edge ids in ring order.
+
+    Directed edges must be unique: a shared edge is traversed once per
+    direction by its two cells.  The first edge traversed twice in the same
+    direction raises :class:`MeshError`; this also catches every edge shared
+    by more than two cells, as the third of them repeats a direction.
+    """
+    if not rings:
+        return np.empty((0, 2), dtype=int), [], []
+    sizes = np.array([ring.size for ring in rings])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    a = np.concatenate(rings)
+    nxt = np.arange(1, ends[-1] + 1)
+    nxt[ends - 1] = starts  # wrap to the ring start
+    b = a[nxt]
+    owner = np.repeat(np.arange(len(rings)), sizes)
+    _, first, which = np.unique(a * n_vert + b, return_index=True,
+                                return_inverse=True)
+    again = np.flatnonzero(first[which] != np.arange(a.size))
+    if again.size:
+        p = again[0]
+        raise MeshError(
+            f"edge ({a[p]}, {b[p]}) traversed twice in the same direction "
+            f"by cells {owner[first[which[p]]]} and {owner[p]}")
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    edge, first = first_seen(low * n_vert + high)
+    edge_vertices = np.column_stack([low, high])[first]
+    # the cells of each edge, in traversal order
+    cells = owner[np.argsort(edge, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(edge)).tolist()
+    edge_cells = [cells[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+    cell_edges = [edge[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
+    return edge_vertices, edge_cells, cell_edges
 
 
 def _check_rings(vertices, rings):

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import Delaunay, Voronoi, cKDTree
 
-from .mesh import MeshError, make_mesh
+from .mesh import MeshError, first_seen, make_mesh
 from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
 
 #: interior points of the splitting polyline for the concave family, in
@@ -90,15 +90,9 @@ def square_mesh(n_per_side):
         raise ValueError("n_per_side must be positive")
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     vertices = np.column_stack([ii.ravel(order="F") / n, jj.ravel(order="F") / n])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return make_mesh(vertices, cells)
+    # vertex (i, j) has id j (n + 1) + i; cells run along rows of squares
+    corner = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).reshape(-1, 1)
+    return make_mesh(vertices, corner + np.array([0, 1, n + 2, n + 1]))
 
 
 def concave_mesh(n_per_side):
@@ -106,34 +100,21 @@ def concave_mesh(n_per_side):
 
     The splitting polyline runs between the midpoints of the vertical sides
     with two valleys and two peaks, so both halves have a reflex corner but
-    remain star-shaped.
+    remain star-shaped.  Squares run along rows, the lower half first, and
+    vertices are numbered in order of first appearance in the rings.
     """
     n = int(n_per_side)
     if n < 1:
         raise ValueError("n_per_side must be positive")
-    registry = {}
-    vertices = []
-
-    def vid(gx, gy):
-        # lattice units of 1/(20n): every construction point is exact here
-        key = (gx, gy)
-        v = registry.get(key)
-        if v is None:
-            v = len(vertices)
-            registry[key] = v
-            vertices.append((gx / (20.0 * n), gy / (20.0 * n)))
-        return v
-
     zig = _ZIGZAG
     lower = [(0, 0), (20, 0), (20, 10), zig[3], zig[2], zig[1], zig[0], (0, 10)]
     upper = [(0, 10), zig[0], zig[1], zig[2], zig[3], (20, 10), (20, 20), (0, 20)]
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            ox, oy = 20 * i, 20 * j
-            for ring in (lower, upper):
-                cells.append([vid(ox + lx, oy + ly) for lx, ly in ring])
-    return make_mesh(np.array(vertices), cells)
+    # lattice units of 1/(20n): every construction point is exact here
+    jj, ii = np.divmod(np.arange(n * n), n)
+    lattice = (np.array(lower + upper)
+               + 20 * np.stack([ii, jj], axis=-1)[:, None]).reshape(-1, 2)
+    ids, first = first_seen(lattice[:, 0] * (20 * n + 1) + lattice[:, 1])
+    return make_mesh(lattice[first] / (20.0 * n), ids.reshape(2 * n * n, 8))
 
 
 def voronoi_mesh(spec):

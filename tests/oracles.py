@@ -246,6 +246,90 @@ def mesh_from_rings_union_find(rings, coords):
     return make_mesh(vertices, cells)
 
 
+def edge_table_dicts(rings):
+    """Edge table of ``vemlab.mesh.make_mesh`` from Python dicts, one edge at
+    a time in traversal order: ``(edge_vertices, edge_cells, cell_edges)``.
+    The array passes replaced this construction."""
+    from vemlab.mesh import MeshError
+
+    edge_ids = {}
+    edge_verts = []
+    edge_cells = []
+    directed_seen = {}
+    cell_edges = []
+    for ci, ring in enumerate(rings):
+        ids = np.empty(ring.size, dtype=int)
+        for j in range(ring.size):
+            a, b = int(ring[j]), int(ring[(j + 1) % ring.size])
+            if (a, b) in directed_seen:
+                raise MeshError(
+                    f"edge ({a}, {b}) traversed twice in the same direction "
+                    f"by cells {directed_seen[(a, b)]} and {ci}")
+            directed_seen[(a, b)] = ci
+            key = (a, b) if a < b else (b, a)
+            e = edge_ids.get(key)
+            if e is None:
+                e = len(edge_verts)
+                edge_ids[key] = e
+                edge_verts.append(key)
+                edge_cells.append([ci])
+            else:
+                edge_cells[e].append(ci)
+                if len(edge_cells[e]) > 2:
+                    raise MeshError(
+                        f"non-manifold edge {key}: shared by cells "
+                        f"{edge_cells[e]}")
+            ids[j] = e
+        cell_edges.append(ids)
+    return (np.array(edge_verts, dtype=int).reshape(-1, 2), edge_cells,
+            cell_edges)
+
+
+def square_mesh_per_cell(n):
+    """Vertex table and rings of ``vemlab.meshgen.square_mesh(n)``, one
+    cell at a time."""
+    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    vertices = np.column_stack([ii.ravel(order="F") / n, jj.ravel(order="F") / n])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
+    return vertices, cells
+
+
+def concave_mesh_registry(n):
+    """Vertex table and rings of ``vemlab.meshgen.concave_mesh(n)``, with a
+    dict registry numbering the lattice points one vertex at a time."""
+    from vemlab.meshgen import _ZIGZAG
+
+    registry = {}
+    vertices = []
+
+    def vid(gx, gy):
+        key = (gx, gy)
+        v = registry.get(key)
+        if v is None:
+            v = len(vertices)
+            registry[key] = v
+            vertices.append((gx / (20.0 * n), gy / (20.0 * n)))
+        return v
+
+    zig = _ZIGZAG
+    lower = [(0, 0), (20, 0), (20, 10), zig[3], zig[2], zig[1], zig[0], (0, 10)]
+    upper = [(0, 10), zig[0], zig[1], zig[2], zig[3], (20, 10), (20, 20), (0, 20)]
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            ox, oy = 20 * i, 20 * j
+            for ring in (lower, upper):
+                cells.append([vid(ox + lx, oy + ly) for lx, ly in ring])
+    return np.array(vertices), cells
+
+
 def ring_centroids(flat, starts, coords):
     """Area centroids of flat Voronoi rings: one shoelace pass, summed per ring.
 

@@ -10,10 +10,10 @@ from oracles import assemble_per_cell, bank_per_cell, build_dofmap_per_cell
 from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
-from vemlab.basis import n_poly, polygon_quadrature
+from vemlab.basis import n_poly, polygon_quadrature, triangulate_stack
 from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
                           projector_set)
-from vemlab.mesh import element_geometry, make_mesh
+from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.problems import builtin_problem, polynomial_problem
 
@@ -206,7 +206,9 @@ class TestScatter:
 
     def test_coo_pattern_matches_repeat_and_tile(self):
         dm = build_dofmap(MESHES["lloyd0"], 3)
-        rows, cols, starts = assembly._coo_pattern(dm.cell_dofs, dm.n_dofs)
+        sizes = np.array([g.size for g in dm.cell_dofs])
+        rows, cols, starts = assembly._coo_pattern(dm.cell_dofs, sizes,
+                                                   dm.n_dofs)
         assert starts[-1] == rows.size == cols.size
         for c, g in enumerate(dm.cell_dofs):
             block = slice(starts[c], starts[c + 1])
@@ -247,6 +249,21 @@ class TestChunks:
         monkeypatch.setattr(local, "element_kernel", kernel)
         return system, chunks
 
+    @staticmethod
+    def _assert_same_bytes(cut, whole):
+        for got, ref in ((cut.matrix, whole.matrix),
+                         (cut.coupling, whole.coupling)):
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(cut.rhs_base, whole.rhs_base)
+        (_, cut_ops, cut_tris), (_, whole_ops, whole_tris) = (
+            bank_per_cell(cut.bank), bank_per_cell(whole.bank))
+        for a, b in zip(cut_ops, whole_ops):
+            assert np.array_equal(a, b)
+        for a, b in zip(cut_tris, whole_tris):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("k, family", [(4, "concave"), (2, "lloyd0")])
     def test_small_chunks_give_the_same_bytes(self, k, family, monkeypatch):
         # With chunks of two cells every stack is cut into many chunks, so
@@ -260,18 +277,39 @@ class TestChunks:
         cut, cut_chunks = self._assemble_counting(mesh, k, coeffs, monkeypatch)
         assert len(cut_chunks) > 3 * len(whole_chunks)
         assert sorted(sum(cut_chunks, [])) == list(range(mesh.num_cells))
-        for got, ref in ((cut.matrix, whole.matrix),
-                         (cut.coupling, whole.coupling)):
-            assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
-            assert np.array_equal(got.data, ref.data)
-        assert np.array_equal(cut.rhs_base, whole.rhs_base)
-        (_, cut_ops, cut_tris), (_, whole_ops, whole_tris) = (
-            bank_per_cell(cut.bank), bank_per_cell(whole.bank))
-        for a, b in zip(cut_ops, whole_ops):
-            assert np.array_equal(a, b)
-        for a, b in zip(cut_tris, whole_tris):
-            assert np.array_equal(a, b)
+        self._assert_same_bytes(cut, whole)
+
+    @pytest.mark.parametrize("k, family", [(4, "concave"), (2, "lloyd0")])
+    def test_whole_stacks_give_the_same_bytes(self, k, family, monkeypatch):
+        # one chunk per stack of cells with one vertex and triangle count,
+        # against chunks of two cells
+        mesh = generate(GeneratorSpec(family, 100, seed=4))
+        coeffs = builtin_problem().coefficients
+        monkeypatch.setattr(local, "_CHUNK_BYTES", 2 ** 62)
+        whole, whole_chunks = self._assemble_counting(mesh, k, coeffs,
+                                                      monkeypatch)
+        stacks = [len(rows) for geometry in geometry_stacks(mesh)
+                  for rows, _ in triangulate_stack(geometry)]
+        assert sorted(map(len, whole_chunks)) == sorted(stacks)
+        monkeypatch.setattr(local, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(local, "_MIN_CHUNK_CELLS", 2)
+        cut, cut_chunks = self._assemble_counting(mesh, k, coeffs, monkeypatch)
+        assert len(cut_chunks) > 3 * len(whole_chunks)
+        self._assert_same_bytes(cut, whole)
+
+    def test_sweep_takes_few_kernel_calls(self, monkeypatch):
+        # the k = 2 sweep (square, concave and lloyd0 at 25, 100 and 400
+        # cells, seed 0) has 2,100 cells in 28 stacks; chunks sized by the
+        # kernel's point tables, which it no longer builds, took 209 calls
+        coeffs = builtin_problem().coefficients
+        calls = 0
+        for family in ("square", "concave", "lloyd0"):
+            for size in (25, 100, 400):
+                mesh = generate(GeneratorSpec(family, size, seed=0))
+                _, chunks = self._assemble_counting(mesh, 2, coeffs,
+                                                    monkeypatch)
+                calls += len(chunks)
+        assert calls <= 80
 
     def test_singular_cell_is_named(self):
         # at a scale of 1e-160 the k = 4 monomial mass matrix is singular

@@ -1,15 +1,19 @@
 """Element-local projectors, stabilization, and discrete forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from vemlab import kernels
-from vemlab.basis import (ScaledMonomialBasis, edge_quadrature, map_rule,
-                          n_poly, poly_eval, polygon_quadrature, triangulate)
-from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
-                          local_system, mesh_elements, projector_set)
-from vemlab.mesh import element_geometry, polygon_geometry
+from vemlab.basis import (QuadratureRule, ScaledMonomialBasis,
+                          edge_quadrature, map_rule, n_poly, poly_eval,
+                          polygon_quadrature, triangulate, triangulate_stack)
+from vemlab.local import (Coefficients, cell_bytes, dof_layout,
+                          element_kernel, interpolate_dofs, local_system,
+                          mesh_elements, projector_set)
+from vemlab.mesh import element_geometry, geometry_stacks, polygon_geometry
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, voronoi_mesh
 from vemlab.problems import builtin_problem
 
@@ -574,3 +578,42 @@ class TestElementKernel:
                               f=lambda x, y: np.zeros(np.shape(x)))
         with pytest.raises(ValueError, match=f"element: kappa is not {what}"):
             local_system(PENTAGON, 2, None, coeffs)
+
+
+class TestChunkEstimate:
+    CELLS = 16
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["concave", "lloyd0"])
+    def test_cell_bytes_bounds_the_kernel_peak(self, family, k):
+        # mesh_elements sizes its chunks by cell_bytes: per cell it must
+        # cover the peak of what one stacked call allocates, within a
+        # factor of two (the count of point tables the kernel no longer
+        # builds was 2.5 times the peak at k = 2 and k = 4)
+        mesh = generate(GeneratorSpec(family, 100, seed=0))
+        coeffs = builtin_problem().coefficients
+        exactness = 2 * k + 2
+        checked = 0
+        for geometry in geometry_stacks(mesh):
+            for rows, tris in triangulate_stack(geometry):
+                if rows.size < self.CELLS:
+                    continue
+                stack = geometry.take(rows[:self.CELLS])
+                rule = QuadratureRule(*map_rule(tris[:self.CELLS], exactness),
+                                      exactness)
+                element_kernel(stack, k, rule, coeffs)  # fill the caches
+                tracing = tracemalloc.is_tracing()
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    element_kernel(stack, k, rule, coeffs)
+                    peak = (tracemalloc.get_traced_memory()[1] - base) / self.CELLS
+                finally:
+                    if not tracing:
+                        tracemalloc.stop()
+                estimate = cell_bytes(geometry.vertices.shape[1],
+                                      rule.weights.shape[1], k)
+                assert peak <= estimate <= 2 * peak, (rows.size, peak, estimate)
+                checked += 1
+        assert checked

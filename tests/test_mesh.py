@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import edge_table_dicts
 from vemlab.mesh import (MeshError, element_geometry, load_mesh, make_mesh,
                          polygon_geometry, regularity_report, save_mesh)
 from vemlab.meshgen import GeneratorSpec, generate, square_mesh
@@ -86,6 +87,44 @@ class TestLoadMesh:
         doc = dict(UNIT_SQUARE, boundary_vertices=[0, 1])
         with pytest.raises(MeshError, match="boundary"):
             load_mesh(write_json(tmp_path, doc))
+
+
+STRIP = [[x, y] for y in (0, 1) for x in range(4)]  # three unit squares
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec("square", 25), GeneratorSpec("concave", 25),
+        GeneratorSpec("lloyd0", 100, seed=2),
+        GeneratorSpec("lloyd100", 100, seed=2),
+    ], ids=lambda spec: spec.family)
+    def test_matches_dict_oracle(self, spec):
+        mesh = generate(spec)
+        edge_vertices, edge_cells, cell_edges = edge_table_dicts(mesh.cells)
+        assert mesh.edge_vertices.dtype == edge_vertices.dtype
+        assert np.array_equal(mesh.edge_vertices, edge_vertices)
+        assert mesh.edge_cells == edge_cells
+        assert len(mesh.cell_edges) == len(cell_edges)
+        for got, ref in zip(mesh.cell_edges, cell_edges):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("verts, cells", [
+        # three triangles on edge (0, 1)
+        ([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, -1]],
+         [[0, 1, 2], [1, 0, 4], [0, 1, 3]]),
+        (STRIP, [[0, 1, 5, 4], [1, 2, 6, 5], [0, 1, 5, 4]]),
+        # the last cell overlaps the second and third, and repeats the
+        # direction of edge (3, 7) after a new edge
+        (STRIP, [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6], [1, 3, 7, 5]]),
+        (STRIP, [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6], [0, 1, 6, 5]]),
+    ])
+    def test_errors_match_dict_oracle(self, verts, cells):
+        with pytest.raises(MeshError) as ref:
+            edge_table_dicts([np.asarray(c) for c in cells])
+        with pytest.raises(MeshError) as got:
+            make_mesh(verts, cells)
+        assert str(got.value) == str(ref.value)
 
 
 class TestSaveMesh:

@@ -3,10 +3,10 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 import vemlab.meshgen as meshgen
-from oracles import (clipped_cells_per_cell, cvt_energy,
-                     mesh_from_rings_union_find, reflex_vertices,
+from oracles import (clipped_cells_per_cell, concave_mesh_registry,
+                     cvt_energy, mesh_from_rings_union_find, reflex_vertices,
                      relax_points_per_cell, ring_centroids,
-                     sees_all_of_polygon)
+                     sees_all_of_polygon, square_mesh_per_cell)
 from vemlab.mesh import MeshError, element_geometry, make_mesh
 from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _clipped_cells,
                             _delaunay_centroids, _draw_seeds,
@@ -17,6 +17,14 @@ from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _clipped_cells,
 
 
 class TestSquareFamily:
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_matches_vertex_by_vertex_construction(self, n):
+        vertices, cells = square_mesh_per_cell(n)
+        mesh = square_mesh(n)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert [ring.tolist() for ring in mesh.cells] == cells
+        assert all(ring.dtype == int for ring in mesh.cells)
+
     def test_counts(self):
         mesh = square_mesh(5)
         assert mesh.num_cells == 25
@@ -40,6 +48,14 @@ class TestSquareFamily:
 
 
 class TestConcaveFamily:
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_matches_vertex_by_vertex_construction(self, n):
+        vertices, cells = concave_mesh_registry(n)
+        mesh = concave_mesh(n)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert [ring.tolist() for ring in mesh.cells] == cells
+        assert all(ring.dtype == int for ring in mesh.cells)
+
     def test_counts(self):
         assert concave_mesh(5).num_cells == 50
 
