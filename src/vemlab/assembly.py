@@ -16,9 +16,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import n_poly
-from .local import ElementBank, edge_moments, interpolate_dofs, mesh_elements
+from .local import ElementBank, edge_moments, internal_moments, mesh_elements
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
-from .mesh import _by_size, element_geometry
+from .mesh import _by_size, geometry_stacks
+from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
 
 class SolveError(RuntimeError):
@@ -133,6 +134,9 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     chunk's geometry, post-solve operators and triangles are kept on
     ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.
     """
+    # a rule of degree below 2k does not integrate the mass matrix exactly
+    if quad_boost < 0:
+        raise ValueError(f"quad_boost must be >= 0, got {quad_boost}")
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     n = dofmap.n_dofs
@@ -248,13 +252,24 @@ def solve(system):
 def interpolate(mesh, k, v, dofmap=None):
     """Global DoF vector of a smooth function ``v(x, y)``.
 
-    Shared vertex and edge DoFs receive identical values from every incident
-    cell, so the per-cell writes are consistent by construction.
+    Every DoF is computed once, as :func:`vemlab.local.interpolate_dofs`
+    computes it at its default exactness 2k + 4: vertex values and edge
+    moments in one call each, internal moments per stack of cells.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
+    if k != dofmap.k:
+        raise ValueError(f"DoF map was built with k={dofmap.k}, got k={k}")
     out = np.zeros(dofmap.n_dofs)
-    for c in range(mesh.num_cells):
-        geom = element_geometry(mesh, c)
-        out[dofmap.cell_dofs[c]] = interpolate_dofs(geom, k, v)
+    nv = dofmap.n_vertex_dofs
+    out[:nv] = v(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    if k >= 2:
+        lo, hi = mesh.edge_vertices.T
+        first_int = nv + dofmap.n_edge_dofs
+        out[nv:first_int] = edge_moments(
+            v, mesh.vertices[lo], mesh.vertices[hi], k, k + 3).ravel()
+        n_int = n_poly(k - 2)
+        for geometry in geometry_stacks(mesh):
+            slots = first_int + geometry.cells[:, None] * n_int + np.arange(n_int)
+            out[slots] = internal_moments(geometry, k, v, 2 * k + 4)
     return out

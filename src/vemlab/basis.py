@@ -1,11 +1,11 @@
-"""Scaled monomial spaces on polygons and edges, plus quadrature.
+"""Scaled monomial spaces on polygons, edge traces, and quadrature.
 
 Monomials are m_a(x) = ((x - x_E)/h_E)^a in graded order, so local matrix
 conditioning is independent of the element size.  Polygon quadrature
 triangulates each cell (centroid fan when the cell is star-shaped with
 respect to its centroid, ear clipping otherwise) and applies a collapsed
-Gauss-Legendre product rule on every triangle; edge quadrature is plain
-Gauss-Legendre in scaled arclength.
+Gauss-Legendre product rule on every triangle; edges use plain
+Gauss-Legendre points in scaled arclength.
 """
 
 import math
@@ -44,20 +44,10 @@ class ScaledMonomialBasis:
         return kernels.monomial_vandermonde(
             np.atleast_2d(pts), self.geom.centroid, self.geom.diameter, self.exponents)
 
-    def grad(self, pts):
-        """Two (n, dim) tables: x- and y-derivatives (chain rule included)."""
-        return kernels.monomial_vandermonde_grad(
-            np.atleast_2d(pts), self.geom.centroid, self.geom.diameter, self.exponents)
-
     def derivative_map(self, axis):
         """Matrix sending P_degree coefficients to P_{degree-1} coefficients
         of the axis-derivative."""
         return derivative_table(self.degree, axis) / self.geom.diameter
-
-    def laplacian_map(self):
-        """Matrix sending P_degree coefficients to P_{degree-2} coefficients
-        of the Laplacian."""
-        return laplacian_table(self.degree) / self.geom.diameter ** 2
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +68,8 @@ def derivative_table(degree, axis):
 
 @lru_cache(maxsize=None)
 def laplacian_table(degree):
-    """``laplacian_map`` of the unscaled monomials (h = 1), read-only."""
+    """Matrix sending P_degree coefficients of the unscaled monomials
+    (h = 1) to P_{degree-2} coefficients of the Laplacian, read-only."""
     lower = monomial_exponents(degree - 2) if degree >= 2 \
         else np.empty((0, 2), dtype=np.int64)
     low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
@@ -90,32 +81,6 @@ def laplacian_table(degree):
             L[low_index[(int(ax), int(ay) - 2)], i] += ay * (ay - 1)
     L.flags.writeable = False
     return L
-
-
-def poly_eval(basis, coeffs, x):
-    """Value of sum_a coeffs[a] m_a at point(s) x."""
-    vals = basis.eval(x) @ np.asarray(coeffs)
-    return vals[0] if np.asarray(x).ndim == 1 else vals
-
-
-def poly_grad(basis, coeffs, x):
-    """Gradient of sum_a coeffs[a] m_a at point(s) x."""
-    gx, gy = basis.grad(x)
-    c = np.asarray(coeffs)
-    out = np.column_stack([gx @ c, gy @ c])
-    return out[0] if np.asarray(x).ndim == 1 else out
-
-
-class EdgeBasis:
-    """Powers of the scaled arclength t in [-1, 1] along an edge."""
-
-    def __init__(self, degree):
-        self.degree = int(degree)
-        self.dim = self.degree + 1
-
-    def eval(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.vander(t, self.dim, increasing=True)
 
 
 @lru_cache(maxsize=None)
@@ -293,35 +258,8 @@ def polygon_quadrature(geom, exactness):
     return QuadratureRule(pts, wts, exactness)
 
 
-def edge_quadrature(endpoints, exactness):
-    """Gauss-Legendre rule on the segment between two points."""
-    a, b = np.asarray(endpoints, dtype=float)
-    t, w = _gauss(max(1, math.ceil((exactness + 1) / 2)))
-    pts = a + np.outer((t + 1) / 2, b - a)
-    length = float(np.hypot(*(b - a)))
-    return QuadratureRule(pts, w * length / 2, exactness)
-
-
 def gram(values, weights):
     """Symmetrised weighted Gram matrix sum_q weights[q] V[q, a] V[q, b] of
     a value table ``values`` (..., Q, m), stacked over the leading axes."""
     H = np.swapaxes(values, -1, -2) @ (weights[..., None] * values)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
-
-
-def mass_matrix(basis, up_to=None, weight=None):
-    """Matrix of int_E weight m_a m_b for |a|, |b| <= up_to.
-
-    The rule's exactness is 2*up_to for weight None (then the matrix is
-    exact) and 2*up_to + 2 otherwise.
-    """
-    deg = basis.degree if up_to is None else int(up_to)
-    rule = polygon_quadrature(basis.geom, 2 * deg + (0 if weight is None else 2))
-    V = basis.eval(rule.points)[:, :n_poly(deg)]
-    w = rule.weights if weight is None else rule.weights * _sample(weight, rule.points)
-    return gram(V, w)
-
-
-def _sample(fn, pts):
-    vals = fn(pts[:, 0], pts[:, 1])
-    return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],))

@@ -57,6 +57,13 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive cell counts")
         if self.mode not in ("standard", "grad_pinabla"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.quad_boost < 0:
+            raise ValueError(f"quad_boost must be >= 0, got {self.quad_boost}")
+        point = np.asarray(self.point, dtype=float)
+        # NaN fails both comparisons
+        if point.shape != (2,) or not np.all((point >= 0.0) & (point <= 1.0)):
+            raise ValueError("point must be two finite coordinates in the "
+                             f"unit square, got {self.point!r}")
         object.__setattr__(self, "families", families)
         object.__setattr__(self, "sizes", tuple(sorted(sizes)))
 

@@ -60,10 +60,9 @@ class ProjectorSet:
 
     ``PiNabla`` and ``Pi0k`` map onto degree-k coefficients, ``Pi0km1`` and
     the gradient pair onto degree-(k-1) coefficients.  ``D`` holds the DoFs
-    of the monomials (one row per DoF), and ``B``/``G`` are the energy
-    projector's right-hand side and system matrix, kept for verification:
-    ``G == B @ D`` is an identity.  ``rule_values`` is the monomial table on
-    the points of the quadrature rule that built ``H``.
+    of the monomials (one row per DoF) and ``H`` their mass matrix.
+    ``rule_values`` is the monomial table on the points of the quadrature
+    rule that built ``H``.
     """
 
     k: int
@@ -75,8 +74,6 @@ class ProjectorSet:
     Pi0GradX: np.ndarray
     Pi0GradY: np.ndarray
     D: np.ndarray
-    B: np.ndarray
-    G: np.ndarray
     H: np.ndarray
     rule_values: np.ndarray
 
@@ -208,8 +205,6 @@ class ElementStack:
     Pi0GradX: np.ndarray
     Pi0GradY: np.ndarray
     D: np.ndarray
-    B: np.ndarray
-    G: np.ndarray
     H: np.ndarray
     Ah: np.ndarray = None
     Bh: np.ndarray = None
@@ -225,7 +220,7 @@ class ElementStack:
             rule_values=self.rule_values[i],
             **{f: getattr(self, f)[i] for f in (
                 "PiNabla", "Pi0k", "Pi0km1", "Pi0GradX", "Pi0GradY", "D",
-                "B", "G", "H")})
+                "H")})
 
     def post_solve_operators(self):
         """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` of every cell, stacked by
@@ -375,12 +370,11 @@ def _projectors(geometry, k, rule):
     hh = h[:, None, None]
     Dx = derivative_table(k, 0) / hh
     Dy = derivative_table(k, 1) / hh
-    G = _t(Dx) @ Hm1 @ Dx + _t(Dy) @ Hm1 @ Dy
     B = np.zeros((n_cells, nk, nd))
     rx = np.zeros((n_cells, nkm1, nd))
     ry = np.zeros((n_cells, nkm1, nd))
     if nkm2:
-        # Python's float power, as in ScaledMonomialBasis.laplacian_map
+        # Python's float power, as a one-cell ``h ** 2`` takes it
         h2 = np.array([d ** 2 for d in h.tolist()])[:, None, None]
         B[:, :, first_int:] -= area * _t(laplacian_table(k) / h2)
         rx[:, :, first_int:] -= area * _t(derivative_table(k - 1, 0) / hh)
@@ -388,19 +382,19 @@ def _projectors(geometry, k, rule):
     nx, ny = normals[..., 0, None, None], normals[..., 1, None, None]
     weighted = wts[..., None] * traces
     flux = _t(gx_edge * nx + gy_edge * ny) @ weighted
-    mean_mono = (wts[:, :, None, :] @ V_edge)[:, :, 0] / perimeter[:, None]
     mean_dof = (wts[:, :, None, :] @ traces)[:, :, 0] / perimeter[:, None]
     moment = _t(V_edge[..., :nkm1]) @ weighted
     # sums over the edges, in ring order
     B += flux.sum(axis=1)
     rx += (nx * moment).sum(axis=1)
     ry += (ny * moment).sum(axis=1)
-    G[:, 0] = mean_mono.sum(axis=1)
     B[:, 0] = mean_dof.sum(axis=1)
-    # Solving against B @ D (equal to G up to quadrature roundoff) makes the
-    # polynomial-consistency identity hold to solver precision; the Newton
-    # polish then squares the remaining idempotence defect, which matters on
-    # sliver cells where the monomial Gram is badly conditioned.
+    # B @ D is the energy matrix G (the monomials' gradient Gram with its
+    # first row replaced by their boundary means) up to quadrature roundoff.
+    # Solving against it makes the polynomial-consistency identity hold to
+    # solver precision; the Newton polish then squares the remaining
+    # idempotence defect, which matters on sliver cells where the monomial
+    # Gram is badly conditioned.
     PiNabla = _linalg(np.linalg.solve, "energy projector", geometry,
                       B @ D, B)
     PiNabla += (np.eye(nk) - PiNabla @ D) @ PiNabla
@@ -422,8 +416,7 @@ def _projectors(geometry, k, rule):
 
     return ElementStack(k=k, geometry=geometry, rule_values=rule_values,
                         PiNabla=PiNabla, Pi0k=Pi0k, Pi0km1=Pi0km1,
-                        Pi0GradX=Pi0GradX, Pi0GradY=Pi0GradY, D=D, B=B, G=G,
-                        H=H)
+                        Pi0GradX=Pi0GradX, Pi0GradY=Pi0GradY, D=D, H=H)
 
 
 def _local_forms(out, rule, coeffs, mode):
@@ -562,13 +555,17 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
                        tris[part])
 
 
-def _one(geom, rule):
-    stack = GeometryStack(None, geom.vertices[None], np.array([geom.area]),
-                          geom.centroid[None], np.array([geom.diameter]),
-                          geom.edge_lengths[None], geom.edge_normals[None],
-                          geom.edge_forward[None])
-    return stack, QuadratureRule(rule.points[None], rule.weights[None],
-                                 rule.exactness)
+def _one(geom):
+    """``geom`` as a :class:`GeometryStack` of one cell."""
+    return GeometryStack(None, geom.vertices[None], np.array([geom.area]),
+                         geom.centroid[None], np.array([geom.diameter]),
+                         geom.edge_lengths[None], geom.edge_normals[None],
+                         geom.edge_forward[None])
+
+
+def _one_rule(rule):
+    return QuadratureRule(rule.points[None], rule.weights[None],
+                          rule.exactness)
 
 
 def projector_set(geom, k, layout=None, rule=None):
@@ -577,8 +574,7 @@ def projector_set(geom, k, layout=None, rule=None):
     layout = layout if layout is not None else dof_layout(geom, k)
     if rule is None:
         rule = polygon_quadrature(geom, 2 * k)
-    stack, rule = _one(geom, rule)
-    return element_kernel(stack, k, rule).projectors(0, layout)
+    return element_kernel(_one(geom), k, _one_rule(rule)).projectors(0, layout)
 
 
 def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
@@ -586,8 +582,7 @@ def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
     element (see :func:`element_kernel`)."""
     layout = layout if layout is not None else dof_layout(geom, k)
     rule = polygon_quadrature(geom, 2 * k + quad_boost)
-    stack, rule = _one(geom, rule)
-    out = element_kernel(stack, k, rule, coeffs, mode)
+    out = element_kernel(_one(geom), k, _one_rule(rule), coeffs, mode)
     return LocalSystem(Ah=out.Ah[0], Bh=out.Bh[0], Ch=out.Ch[0], S=out.S[0],
                        f_loc=out.f_loc[0], mode=mode,
                        projectors=out.projectors(0, layout))
@@ -606,8 +601,26 @@ def edge_moments(v, start, end, k, n_gauss):
                      for j in range(k - 1)], axis=-1)
 
 
+def internal_moments(geometry, k, v, exactness):
+    """Internal DoFs ``(1/|E|) int_E v m_a``, |a| <= k - 2, of ``v(x, y)``
+    on every cell of the :class:`GeometryStack` ``geometry``, with each
+    cell's rule of degree ``exactness``; (C, n_poly(k - 2))."""
+    out = np.empty((len(geometry), n_poly(k - 2)))
+    exps = monomial_exponents(k - 2)
+    for rows, tris in triangulate_stack(geometry):
+        pts, wts = map_rule(tris, exactness)
+        V = kernels.monomial_vandermonde(pts, geometry.centroid[rows],
+                                         geometry.diameter[rows], exps)
+        weighted = wts * v(pts[..., 0], pts[..., 1])
+        out[rows] = ((weighted[:, None] @ V)[:, 0]
+                     / geometry.area[rows, None])
+    return out
+
+
 def interpolate_dofs(geom, k, v, layout=None, exactness=None):
-    """DoF vector of a smooth function: vertex values and scaled moments."""
+    """DoF vector of a smooth function: vertex values and scaled moments,
+    integrated exactly for polynomials of degree ``exactness`` (default
+    2k + 4)."""
     layout = layout if layout is not None else dof_layout(geom, k)
     ex = (2 * k + 4) if exactness is None else exactness
     d = np.zeros(layout.n_dofs)
@@ -619,9 +632,5 @@ def interpolate_dofs(geom, k, v, layout=None, exactness=None):
         d[layout.n_vertices:layout.n_vertices * k] = edge_moments(
             v, np.where(forward, ring, ahead), np.where(forward, ahead, ring),
             k, int(np.ceil((ex + 1) / 2))).ravel()
-        rule = polygon_quadrature(geom, ex)
-        basis = ScaledMonomialBasis(geom, k - 2)
-        Vm = basis.eval(rule.points)
-        vals = v(rule.points[:, 0], rule.points[:, 1])
-        d[layout.n_vertices * k:] = (rule.weights * vals) @ Vm / geom.area
+        d[layout.n_vertices * k:] = internal_moments(_one(geom), k, v, ex)[0]
     return d

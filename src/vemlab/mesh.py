@@ -25,7 +25,6 @@ class PolyMesh:
     cells : list of int arrays, CCW vertex rings
     boundary_vertices : (N,) bool array
     edge_vertices : (E, 2) int array, canonical (low, high) vertex pairs
-    edge_cells : list of lists, cells incident to each edge (1 or 2)
     cell_edges : list of int arrays, edge ids in ring order per cell
     """
 
@@ -33,7 +32,6 @@ class PolyMesh:
     cells: list
     boundary_vertices: np.ndarray
     edge_vertices: np.ndarray = field(repr=False)
-    edge_cells: list = field(repr=False)
     cell_edges: list = field(repr=False)
 
     @property
@@ -53,16 +51,6 @@ class PolyMesh:
         counts = np.bincount(np.concatenate(self.cell_edges),
                              minlength=self.num_edges)
         return np.flatnonzero(counts == 1)
-
-    @property
-    def boundary_edge_list(self):
-        """(cell, local edge) pairs lying on the domain boundary."""
-        out = []
-        for ci, ids in enumerate(self.cell_edges):
-            for le, e in enumerate(ids):
-                if len(self.edge_cells[e]) == 1:
-                    out.append((ci, le))
-        return out
 
 
 @dataclass
@@ -99,11 +87,6 @@ class RegularityReport:
     non_star_cells: np.ndarray  # cells whose visibility kernel has no interior
 
 
-def _signed_area(coords):
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
-
 def polygon_area_centroid(coords):
     """Signed area and area centroid of a polygon given by its ring."""
     x, y = coords[:, 0], coords[:, 1]
@@ -115,11 +98,6 @@ def polygon_area_centroid(coords):
     return area, np.array([cx, cy])
 
 
-def polygon_diameter(coords):
-    """Largest distance between two vertices of a polygon."""
-    return float(_diameters(np.asarray(coords)[None])[0])
-
-
 def _diameters(coords):
     diff = coords[:, :, None, :] - coords[:, None, :, :]
     return np.sqrt((diff ** 2).sum(-1).max(axis=(-2, -1)))
@@ -128,18 +106,25 @@ def _diameters(coords):
 def make_mesh(vertices, cells, boundary_vertices=None):
     """Validate raw arrays and assemble a :class:`PolyMesh`.
 
-    Raises :class:`MeshError` for short or repeating rings, non-CCW cells,
+    Raises :class:`MeshError` for coordinates that are not numbers, vertex
+    ids that are not integers, short or repeating rings, non-CCW cells,
     and edges traversed twice in the same direction, which indicates
     inconsistent orientation or an edge shared by more than two cells.
     """
-    vertices = np.asarray(vertices, dtype=float)
+    vertices = _entries(vertices, "vertex table", "iuf")
+    vertices = vertices.astype(float, copy=False)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertex table must have shape (N, 2)")
     if not np.all(np.isfinite(vertices)):
         raise MeshError("vertex table contains non-finite coordinates")
     n_vert = vertices.shape[0]
 
-    rings = [np.asarray(cell, dtype=int) for cell in cells]
+    try:
+        cells = iter(cells)
+    except TypeError as exc:
+        raise MeshError("cells must be a list of vertex rings") from exc
+    rings = [_entries(cell, f"cell {i}").astype(int, copy=False)
+             for i, cell in enumerate(cells)]
     _check_rings(vertices, rings)
 
     mesh = PolyMesh(vertices, rings, np.zeros(n_vert, dtype=bool),
@@ -148,11 +133,30 @@ def make_mesh(vertices, cells, boundary_vertices=None):
         mesh.boundary_vertices[mesh.edge_vertices[mesh.boundary_edges()]] = True
 
     if boundary_vertices is not None:
+        ids = _entries(boundary_vertices, "boundary_vertices").astype(int)
+        if np.any((ids < 0) | (ids >= n_vert)):
+            raise MeshError("boundary_vertices references a vertex id out of "
+                            "range")
         flags = np.zeros(n_vert, dtype=bool)
-        flags[np.asarray(boundary_vertices, dtype=int)] = True
+        flags[ids] = True
         if not np.array_equal(flags, mesh.boundary_vertices):
             raise MeshError("boundary_vertices inconsistent with edge incidence")
     return mesh
+
+
+def _entries(values, what, kinds="iu"):
+    """``values`` as an array; :class:`MeshError` naming ``what`` when it is
+    ragged or holds an entry that is not an integer (not a number when
+    ``kinds`` is "iuf"); a boolean is neither."""
+    try:
+        out = np.asarray(values)
+    except ValueError as exc:
+        raise MeshError(f"{what} is ragged") from exc
+    if out.size and (out.dtype.kind not in kinds or isinstance(values, list)
+                     and any(isinstance(v, bool) for v in values)):
+        kind = "an integer" if kinds == "iu" else "a number"
+        raise MeshError(f"{what} holds an entry that is not {kind}")
+    return out
 
 
 def first_seen(keys):
@@ -167,8 +171,7 @@ def first_seen(keys):
 
 def _edge_table(rings, n_vert):
     """Edges of valid rings: canonical (low, high) vertex pairs numbered in
-    order of first appearance, the cells on each edge in traversal order,
-    and each cell's edge ids in ring order.
+    order of first appearance, and each cell's edge ids in ring order.
 
     Directed edges must be unique: a shared edge is traversed once per
     direction by its two cells.  The first edge traversed twice in the same
@@ -176,7 +179,7 @@ def _edge_table(rings, n_vert):
     by more than two cells, as the third of them repeats a direction.
     """
     if not rings:
-        return np.empty((0, 2), dtype=int), [], []
+        return np.empty((0, 2), dtype=int), []
     sizes = np.array([ring.size for ring in rings])
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -196,12 +199,8 @@ def _edge_table(rings, n_vert):
     low, high = np.minimum(a, b), np.maximum(a, b)
     edge, first = first_seen(low * n_vert + high)
     edge_vertices = np.column_stack([low, high])[first]
-    # the cells of each edge, in traversal order
-    cells = owner[np.argsort(edge, kind="stable")].tolist()
-    bounds = np.cumsum(np.bincount(edge)).tolist()
-    edge_cells = [cells[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
     cell_edges = [edge[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
-    return edge_vertices, edge_cells, cell_edges
+    return edge_vertices, cell_edges
 
 
 def _check_rings(vertices, rings):
@@ -278,13 +277,14 @@ def polygon_geometry(coords, forward=None):
     (``forward=True``) unless explicit flags are given.
     """
     coords = np.asarray(coords, dtype=float)
-    if not _signed_area(coords) > 0.0:
+    if forward is None:
+        forward = np.ones(coords.shape[0], dtype=bool)
+    geometry = stack_geometry(coords[None], np.asarray(forward)[None])
+    if not geometry.area[0] > 0.0:
         raise MeshError("polygon is degenerate or not counterclockwise")
     if np.any(np.all(coords == np.roll(coords, -1, axis=0), axis=1)):
         raise MeshError("polygon has a zero-length edge")
-    if forward is None:
-        forward = np.ones(coords.shape[0], dtype=bool)
-    return stack_geometry(coords[None], np.asarray(forward)[None]).element(0)
+    return geometry.element(0)
 
 
 def element_geometry(mesh, cell):
@@ -387,7 +387,7 @@ def geometry_stacks(mesh):
 
 def max_diameter(mesh):
     """Largest cell diameter (the mesh size h), equal to the largest
-    :func:`polygon_diameter` bit for bit."""
+    :func:`element_geometry` diameter bit for bit."""
     return max(float(_diameters(mesh.vertices[rings]).max())
                for _, rings in _by_size(mesh.cells))
 

@@ -46,23 +46,19 @@ class GeneratorSpec:
 
     ``target_cells`` counts squares for the square/concave families (the
     concave family produces two cells per square) and seeds for the Voronoi
-    families.  ``rng`` pins the generator algorithm by name so runs stay
-    reproducible across library versions.
+    families.
     """
 
     family: str
     target_cells: int
     seed: int = 0
     lloyd_iterations: int = 0
-    rng: str = "pcg64"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.target_cells < 1:
             raise ValueError("target_cells must be positive")
-        if self.rng != "pcg64":
-            raise ValueError(f"unsupported rng {self.rng!r}")
 
     @property
     def iterations(self):
@@ -165,7 +161,9 @@ def relax_points(points, iterations):
 
 
 def _draw_seeds(spec):
-    rng = np.random.default_rng(spec.seed)
+    # PCG64 named explicitly, so seeds stay reproducible if NumPy's default
+    # bit generator changes
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
     for attempt in range(10):
         pts = rng.uniform(0.0, 1.0, size=(spec.target_cells, 2))
         if len(np.unique(pts, axis=0)) == spec.target_cells:

@@ -414,7 +414,7 @@ def build_dofmap_per_cell(mesh, k):
         g[m * k:] = nv + n_edge + c * n_int + np.arange(n_int)
         cell_dofs.append(g)
     fixed = list(np.nonzero(mesh.boundary_vertices)[0])
-    for e, cs in enumerate(mesh.edge_cells):
+    for e, cs in enumerate(edge_table_dicts(mesh.cells)[1]):
         if len(cs) == 1:
             fixed.extend(nv + e * (k - 1) + j for j in range(k - 1))
     boundary = np.array(sorted(fixed), dtype=np.intp)
@@ -802,3 +802,56 @@ def local_forms_point_tables(geom, k, proj, points, w, coeffs, mode="standard"):
     Ch = 0.5 * (Ch + Ch.T)
     f_loc = VP.T @ (w * coeffs.f_at(points))
     return dict(Ah=Ah, Bh=Bh, Ch=Ch, f_loc=f_loc)
+
+
+def edge_quadrature(endpoints, exactness):
+    """Gauss-Legendre rule on the segment between two points: points (n, 2)
+    and weights (n,) summing to its length, exact for polynomials of degree
+    ``exactness`` along it."""
+    from vemlab.basis import QuadratureRule, _gauss
+
+    a, b = np.asarray(endpoints, dtype=float)
+    t, w = _gauss(max(1, math.ceil((exactness + 1) / 2)))
+    pts = a + np.outer((t + 1) / 2, b - a)
+    length = float(np.hypot(*(b - a)))
+    return QuadratureRule(pts, w * length / 2, exactness)
+
+
+def interpolate_dofs_per_cell(geom, k, v, exactness=None):
+    """``vemlab.local.interpolate_dofs`` with the cell's own polygon rule
+    and monomial basis: the one-cell construction the stacked internal
+    moments replaced."""
+    from vemlab.basis import ScaledMonomialBasis, polygon_quadrature
+    from vemlab.local import dof_layout, edge_moments
+
+    layout = dof_layout(geom, k)
+    ex = (2 * k + 4) if exactness is None else exactness
+    d = np.zeros(layout.n_dofs)
+    d[:layout.n_vertices] = v(geom.vertices[:, 0], geom.vertices[:, 1])
+    if k >= 2:
+        ring = geom.vertices
+        ahead = np.roll(ring, -1, axis=0)
+        forward = geom.edge_forward[:, None]
+        d[layout.n_vertices:layout.n_vertices * k] = edge_moments(
+            v, np.where(forward, ring, ahead), np.where(forward, ahead, ring),
+            k, int(np.ceil((ex + 1) / 2))).ravel()
+        rule = polygon_quadrature(geom, ex)
+        Vm = ScaledMonomialBasis(geom, k - 2).eval(rule.points)
+        vals = v(rule.points[:, 0], rule.points[:, 1])
+        d[layout.n_vertices * k:] = (rule.weights * vals) @ Vm / geom.area
+    return d
+
+
+def interpolate_per_cell(mesh, k, v):
+    """``vemlab.assembly.interpolate`` one cell at a time: every cell writes
+    all of its DoFs, shared ones included, from
+    :func:`interpolate_dofs_per_cell`."""
+    from vemlab.assembly import build_dofmap
+    from vemlab.mesh import element_geometry
+
+    dofmap = build_dofmap(mesh, k)
+    out = np.zeros(dofmap.n_dofs)
+    for c in range(mesh.num_cells):
+        out[dofmap.cell_dofs[c]] = interpolate_dofs_per_cell(
+            element_geometry(mesh, c), k, v)
+    return out

@@ -4,22 +4,39 @@ import numpy as np
 import pytest
 
 from vemlab import kernels
-from vemlab.basis import (EdgeBasis, ScaledMonomialBasis, edge_quadrature,
-                          edge_reconstruction, mass_matrix,
-                          map_rule, monomial_exponents, n_poly, poly_eval,
-                          poly_grad, polygon_quadrature, triangulate,
+from vemlab.basis import (ScaledMonomialBasis, edge_reconstruction, gram,
+                          laplacian_table, map_rule, monomial_exponents,
+                          n_poly, polygon_quadrature, triangulate,
                           triangulate_stack)
+from vemlab.local import projector_set
 from vemlab.mesh import (MeshError, element_geometry, polygon_geometry,
                          stack_geometry)
 from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
                             voronoi_mesh)
 
-from oracles import (fd_gradient, green_monomial_integral, random_polygon_bank,
-                     subdivision_integrate, triangulate_per_cell)
+from oracles import (edge_quadrature, fd_gradient, green_monomial_integral,
+                     random_polygon_bank, subdivision_integrate,
+                     triangulate_per_cell)
 
 SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 LSHAPE = polygon_geometry(
     [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+
+
+def poly_eval(basis, coeffs, x):
+    """Value of sum_a coeffs[a] m_a at point(s) x."""
+    vals = basis.eval(x) @ np.asarray(coeffs)
+    return vals[0] if np.asarray(x).ndim == 1 else vals
+
+
+def poly_grad(basis, coeffs, x):
+    """Gradient of sum_a coeffs[a] m_a at point(s) x."""
+    gx, gy = kernels.monomial_vandermonde_grad(
+        np.atleast_2d(x), basis.geom.centroid, basis.geom.diameter,
+        basis.exponents)
+    c = np.asarray(coeffs)
+    out = np.column_stack([gx @ c, gy @ c])
+    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def _voronoi_cell(seed=3, n=40, which=17):
@@ -64,7 +81,7 @@ class TestDerivativeMaps:
     def test_laplacian_map(self):
         basis = ScaledMonomialBasis(SQUARE, 4)
         lower = ScaledMonomialBasis(SQUARE, 2)
-        L = basis.laplacian_map()
+        L = laplacian_table(4) / SQUARE.diameter ** 2
         Dx, Dy = basis.derivative_map(0), basis.derivative_map(1)
         mid = ScaledMonomialBasis(SQUARE, 3)
         composed = mid.derivative_map(0) @ Dx + mid.derivative_map(1) @ Dy
@@ -273,13 +290,6 @@ class TestEdgeQuadrature:
 
 
 class TestEdgeBasis:
-    def test_first_function_is_one(self):
-        eb = EdgeBasis(4)
-        t = np.linspace(-1, 1, 9)
-        table = eb.eval(t)
-        assert np.allclose(table[:, 0], 1.0)
-        assert table.shape == (9, 5)
-
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_reconstruction_recovers_polynomials(self, k):
         rng = np.random.default_rng(k)
@@ -294,18 +304,20 @@ class TestEdgeBasis:
 
 
 class TestMassMatrix:
+    # the mass matrix H of the projector set, built by ``gram`` on the
+    # projector's degree-2k rule
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_spd(self, k):
         geom = _voronoi_cell(seed=4, n=35, which=k)
-        basis = ScaledMonomialBasis(geom, k)
-        H = mass_matrix(basis)
+        H = projector_set(geom, k).H
         assert np.allclose(H, H.T)
         assert np.linalg.eigvalsh(H).min() > 0
 
     def test_entries_match_green_oracle(self):
         geom = LSHAPE
         basis = ScaledMonomialBasis(geom, 2)
-        H = mass_matrix(basis)
+        H = projector_set(geom, 2).H
         c, h = geom.centroid, geom.diameter
         for i, (ax1, ay1) in enumerate(basis.exponents):
             for j, (ax2, ay2) in enumerate(basis.exponents):
@@ -313,16 +325,18 @@ class TestMassMatrix:
                 assert abs(H[i, j] - exact) < 1e-13 * max(1.0, abs(exact))
 
     def test_weighted_matrix(self):
-        basis = ScaledMonomialBasis(SQUARE, 1)
-        H = mass_matrix(basis, weight=lambda x, y: x)
+        rule = polygon_quadrature(SQUARE, 4)
+        V = ScaledMonomialBasis(SQUARE, 1).eval(rule.points)
+        H = gram(V, rule.weights * rule.points[:, 0])
         # (0,0)x(0,0) entry: int_square x dx = 1/2.
         assert abs(H[0, 0] - 0.5) < 1e-14
 
     def test_subblock(self):
+        # the kernel takes the degree-(k-1) mass matrix as the leading block
+        # of the degree-k one
         geom = _voronoi_cell(seed=6, n=30, which=3)
-        basis = ScaledMonomialBasis(geom, 4)
-        H_full = mass_matrix(basis)
-        H_sub = mass_matrix(basis, up_to=2)
+        H_full = projector_set(geom, 4).H
+        H_sub = projector_set(geom, 2).H
         assert H_sub.shape == (6, 6)
         assert np.allclose(H_sub, H_full[:6, :6], atol=1e-14)
 

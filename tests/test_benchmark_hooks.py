@@ -5,6 +5,7 @@ table in every benchmark run, traced or not, so a renamed or removed
 function breaks every run.  This test reads that table without changing it.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,10 @@ import pytest
 
 from vemlab import kernels
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+SRC = ROOT / "src"
+HOOK_MARK = "(perfbench/spans.py hook target"
 
 
 def _hooks():
@@ -30,3 +34,28 @@ def test_hook_target_resolves(mod, attr):
 
 def test_backend_name():
     assert kernels.backend_name() == "python"
+
+
+def _hook_only_imports():
+    """``(module, name)`` of every ``src/`` import marked as kept only for a
+    ``perfbench/spans.py`` hook."""
+    out = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom) and any(
+                    HOOK_MARK in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                out += [(module, alias.asname or alias.name)
+                        for alias in node.names]
+    return out
+
+
+def test_hook_only_imports_are_hooked():
+    # an import kept only as a hook target must go when its hook goes
+    imports = _hook_only_imports()
+    assert ("vemlab.assembly", "element_geometry") in imports
+    hooks = set(_hooks())
+    assert [pair for pair in imports if pair not in hooks] == []

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from vemlab import harness
 from vemlab.cli import main
 from vemlab.mesh import load_mesh
 
@@ -57,6 +58,15 @@ class TestRun:
         with pytest.raises(ValueError):
             main(["run", "--family", "hexagons", "--sizes", "4",
                   "--out", str(tmp_path / "x.csv")])
+
+    def test_negative_quad_boost_rejected_before_any_mesh(self, tmp_path,
+                                                          monkeypatch):
+        # a rule of degree 2k - 4 does not integrate the mass matrix: the
+        # run must stop before it builds a mesh
+        monkeypatch.setattr(harness, "generate", None)
+        with pytest.raises(ValueError, match="quad_boost must be >= 0"):
+            main(["run", "--k", "2", "--sizes", "16,64", "--quad-boost",
+                  "-4", "--out", str(tmp_path / "x.csv")])
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(SystemExit):

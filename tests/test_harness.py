@@ -10,10 +10,12 @@ from vemlab import (assembly, basis, harness, local, mesh as mesh_module,
 from vemlab.harness import (CSV_COLUMNS, DEFAULT_SIZES, STUDY_FAMILIES,
                             ExperimentConfig, _run_single, emit_report,
                             run_experiment)
-from vemlab.mesh import element_geometry, make_mesh, polygon_diameter
+from vemlab.mesh import element_geometry, make_mesh
 from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 from vemlab.postprocess import ErrorRecord, convergence_rates
 from vemlab.problems import builtin_problem
+
+from oracles import element_geometry_per_cell
 
 
 def _read_csv(path):
@@ -27,7 +29,8 @@ def test_h_max_equals_largest_geometry_diameter(family):
     # diameter element_geometry reports, bit for bit
     mesh = generate(GeneratorSpec(family, 25, seed=3))
     diameters = [element_geometry(mesh, c).diameter for c in range(mesh.num_cells)]
-    assert [polygon_diameter(mesh.vertices[ring]) for ring in mesh.cells] == diameters
+    assert [element_geometry_per_cell(mesh, c).diameter
+            for c in range(mesh.num_cells)] == diameters
     rec = _run_single(mesh, 1, builtin_problem(), "standard", 2, (0.781, 0.766))
     assert rec.h_max == max(diameters)
 
@@ -50,10 +53,19 @@ class TestExperimentConfig:
         dict(families=("triangle",)),
         dict(sizes=(0,)),
         dict(mode="fancy"),
+        dict(quad_boost=-4),
+        dict(quad_boost=-1),
+        dict(point=(2.0, 2.0)),
+        dict(point=(float("nan"), 0.5)),
+        dict(point=(0.5, float("inf"))),
+        dict(point=(0.5,)),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    def test_point_on_the_boundary_accepted(self):
+        assert ExperimentConfig(point=(0.0, 1.0)).point == (0.0, 1.0)
 
 
 class TestRunExperiment:

@@ -7,9 +7,9 @@ import pytest
 import scipy.linalg
 
 from vemlab import kernels
-from vemlab.basis import (QuadratureRule, ScaledMonomialBasis,
-                          edge_quadrature, map_rule, n_poly, poly_eval,
-                          polygon_quadrature, triangulate, triangulate_stack)
+from vemlab.basis import (QuadratureRule, ScaledMonomialBasis, map_rule,
+                          n_poly, polygon_quadrature, triangulate,
+                          triangulate_stack)
 from vemlab.local import (Coefficients, cell_bytes, dof_layout,
                           element_kernel, interpolate_dofs, local_system,
                           mesh_elements, projector_set)
@@ -17,8 +17,10 @@ from vemlab.mesh import element_geometry, geometry_stacks, polygon_geometry
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, voronoi_mesh
 from vemlab.problems import builtin_problem
 
-from oracles import (element_geometry_per_cell, local_forms_point_tables,
-                     local_system_per_cell, q1_stiffness,
+from oracles import (edge_quadrature, element_geometry_per_cell,
+                     interpolate_dofs_per_cell, local_forms_point_tables,
+                     local_system_per_cell, projector_set_per_cell,
+                     q1_stiffness, quadrature_per_cell,
                      subdivision_integrate)
 
 UNIT_SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -104,6 +106,17 @@ class TestInterpolateDofs:
         exact = subdivision_integrate(v, geom.vertices, tol=1e-14) / geom.area
         assert abs(d[lay.internal_slot(0)] - exact) < 1e-10
 
+    @pytest.mark.parametrize("exactness", [None, 5, 30])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_per_cell_oracle(self, k, exactness):
+        # the internal moments run on a stack of one cell with the bits of
+        # the cell's own polygon rule and monomial basis
+        v = lambda x, y: np.exp(x) * np.cos(2 * y) + x * y ** 3
+        for geom in CELLS:
+            assert np.array_equal(
+                interpolate_dofs(geom, k, v, exactness=exactness),
+                interpolate_dofs_per_cell(geom, k, v, exactness))
+
 
 class TestPiNabla:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -115,10 +128,13 @@ class TestPiNabla:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_g_equals_b_times_d(self, k):
+        # the kernel solves against B @ D; the one-cell construction still
+        # builds the energy matrix G it stands for
         for geom in CELLS:
-            proj = projector_set(geom, k)
-            scale = np.abs(proj.G).max()
-            assert np.abs(proj.G - proj.B @ proj.D).max() < 1e-12 * scale
+            proj = projector_set_per_cell(geom, k,
+                                          quadrature_per_cell(geom, 2 * k))
+            scale = np.abs(proj["G"]).max()
+            assert np.abs(proj["G"] - proj["B"] @ proj["D"]).max() < 1e-12 * scale
 
     def test_hat_function_on_unit_square(self):
         pin = projector_set(UNIT_SQUARE, 1).PiNabla
@@ -272,7 +288,7 @@ class TestPi0:
         k = 3
         proj = projector_set(geom, k)
         nkm2 = n_poly(k - 2)
-        mu = np.zeros_like(proj.B)
+        mu = np.zeros_like(proj.PiNabla)
         mu[:nkm2, proj.layout.internal_slot(0):] = geom.area * np.eye(nkm2)
         mu[nkm2:] = proj.H[nkm2:] @ proj.PiNabla
         via_moments = np.linalg.solve(proj.H, mu)
@@ -491,7 +507,7 @@ class TestOneElementSolve:
 
 class TestElementKernel:
     PROJECTOR_FIELDS = ("PiNabla", "Pi0k", "Pi0km1", "Pi0GradX", "Pi0GradY",
-                        "D", "B", "G", "H", "rule_values")
+                        "D", "H", "rule_values")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["concave", "lloyd0", "lloyd100"])
@@ -532,6 +548,9 @@ class TestElementKernel:
                     assert np.array_equal(getattr(got, name),
                                           getattr(geom, name)), (c, name)
                 ref = local_system_per_cell(geom, k, coeffs, mode)
+                # the kernel keeps neither the energy system matrix G nor
+                # its right-hand side B
+                del ref["G"], ref["B"]
                 for name, value in ref.items():
                     assert np.array_equal(getattr(out, name)[i], value), (c, name)
                 seen.append(c)
