@@ -7,6 +7,7 @@ convergence reports.  Reports serialize to a flat CSV plus one
 gnuplot-ready data file per family.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -55,6 +56,14 @@ class ExperimentConfig:
         sizes = tuple(int(s) for s in self.sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("sizes must be positive cell counts")
+        if set(families) & {"square", "concave"}:
+            # checked here, so a sweep does not stop at its first bad size
+            # with the finished meshes' records lost
+            for s in sizes:
+                if math.isqrt(s) ** 2 != s:
+                    raise ValueError(f"size {s} is not a square cell count, "
+                                     "which the square and concave families "
+                                     "need")
         if self.mode not in ("standard", "grad_pinabla"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.quad_boost < 0:

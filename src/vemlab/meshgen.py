@@ -17,10 +17,24 @@ first mirror only the seeds in a band along each side and keep the result
 only if every vertex of a seed's cell (the circumcentre of a triangle at
 that seed) lies in the square, which certifies it equal to the fully
 mirrored one.
+
+Every triangulation is of the mirrored seeds plus a frame of four points
+around them, so its hull is the frame's square.  A certified banded qhull
+build is carried into the next iteration with its mirror membership, its
+counterclockwise triangles, their opposite half-edges and the frame.  After
+the seeds move, the mirrors are recomputed and Lawson's edge flips, in
+vectorised rounds of independent illegal edges, make the triangulation
+Delaunay again; since the frame keeps the hull fixed, no illegal edge left
+means Delaunay.  qhull reruns (with a fresh band) only when a moved
+triangle is no longer strictly counterclockwise, when the flips reach a
+round cap, or when the repaired cells fail the certificate.  The final
+mesh is still built from qhull's Voronoi diagram of the fully mirrored
+seeds.
 """
 
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import Delaunay, Voronoi, cKDTree
@@ -36,6 +50,20 @@ _ZIGZAG = ((4, 7), (8, 13), (12, 7), (16, 13))
 
 _WELD_TOL = 1e-10
 _SNAP_TOL = 1e-12
+
+#: width of the frame around the mirrored seeds, in widths of their
+#: bounding box; a wider frame makes thinner triangles at the hull, which
+#: invert under smaller moves and send the repair back to qhull
+_FRAME_SCALE = 2.0
+_FRAME = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+#: flip rounds after which a repair gives up and qhull rebuilds
+_MAX_FLIP_ROUNDS = 32
+#: in-circle values below this fraction of their magnitude bound are ties
+_INCIRCLE_TIE = 1e-13
+# corner i + 1 and i + 2 of a triangle, and the steps from half-edge
+# 3 t + i to the next and previous half-edges of its triangle
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_STEP_NEXT, _STEP_PREV = _NEXT - np.arange(3), _PREV - np.arange(3)
 
 FAMILIES = ("square", "concave", "lloyd0", "lloyd100", "voronoi")
 
@@ -57,8 +85,15 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("target_cells", "lloyd_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.target_cells < 1:
             raise ValueError("target_cells must be positive")
+        if self.lloyd_iterations < 0:
+            raise ValueError("lloyd_iterations must be >= 0, got "
+                             f"{self.lloyd_iterations}")
 
     @property
     def iterations(self):
@@ -142,17 +177,18 @@ def relax_points(points, iterations):
     Returns the relaxed points and the per-iteration movement norms
     ``max_i |seed_i - centroid_i|``.  Every iteration works on the Delaunay
     triangulation (see :func:`_delaunay_centroids`); after the first only
-    the seeds near a side are mirrored across it (see
-    :func:`_banded_centroids`).
+    the seeds near a side are mirrored across it, and the last certified
+    banded triangulation is carried into the next iteration and repaired
+    by edge flips (see :func:`_banded_centroids`).
     """
     pts = np.asarray(points, dtype=float).copy()
     movements = np.empty(iterations)
-    band = None
+    band = carried = None
     for it in range(iterations):
         if band is None:
             new, reach, _ = _delaunay_centroids(pts)
         else:
-            new, reach, _ = _banded_centroids(pts, band)
+            (new, reach, _), carried = _banded_centroids(pts, band, carried)
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
         # next band: twice the largest seed-to-vertex distance
         band = 2.0 * reach
@@ -188,14 +224,24 @@ def _mirrored(pts, band=None):
     With a ``band``, only the seeds closer than ``band`` to a side are
     mirrored across it.
     """
+    return _mirror(pts, _members(pts, band))
+
+
+def _members(pts, band=None):
+    """Per side (x = 0, x = 1, y = 0, y = 1), the seeds mirrored across it."""
+    if band is None:
+        return (np.arange(len(pts)),) * 4
+    dist = (pts[:, 0], 1.0 - pts[:, 0], pts[:, 1], 1.0 - pts[:, 1])
+    return tuple(np.flatnonzero(d < band) for d in dist)
+
+
+def _mirror(pts, members):
+    """The seeds, then the images of ``members`` across each side."""
     images = (pts * (-1.0, 1.0),               # across x = 0
               pts * (-1.0, 1.0) + (2.0, 0.0),  # across x = 1
               pts * (1.0, -1.0),               # across y = 0
               pts * (1.0, -1.0) + (0.0, 2.0))  # across y = 1
-    if band is None:
-        return np.vstack((pts,) + images)
-    dist = (pts[:, 0], 1.0 - pts[:, 0], pts[:, 1], 1.0 - pts[:, 1])
-    return np.vstack([pts] + [im[d < band] for im, d in zip(images, dist)])
+    return np.vstack([pts] + [im[m] for im, m in zip(images, members)])
 
 
 def _voronoi_rings(pts):
@@ -231,33 +277,191 @@ def _snapped(coords):
     return coords
 
 
+@dataclass(frozen=True)
+class _Triangulation:
+    """Counterclockwise Delaunay triangulation of mirrored seeds in a frame.
+
+    ``points`` are the seeds, then their images across each side of the
+    square (``members`` lists, per side as :func:`_members` does, the
+    seeds mirrored across it), then the four frame points, whose square
+    is the hull.  Half-edge ``3 t + i`` runs from ``simplices[t, i]``
+    to ``simplices[t, (i + 1) % 3]``, and ``opposite`` holds the half-edge
+    running the other way, or -1 on the hull; it is ``None`` when qhull
+    left a point out of every triangle (a duplicate), since flips cannot
+    repair such a triangulation.
+    """
+
+    points: np.ndarray
+    members: tuple
+    simplices: np.ndarray
+    opposite: np.ndarray
+
+
+def _delaunay(pts, band=None):
+    """qhull's Delaunay triangulation of the mirrored seeds and a frame.
+
+    The frame is a square ``_FRAME_SCALE`` times as wide as the mirrored
+    points' bounding box, around it; being the hull, it stays fixed while
+    the points inside move, so a repaired triangulation needs no hull check.
+    """
+    members = _members(pts, band)
+    mirrored = _mirror(pts, members)
+    lo, hi = mirrored.min(axis=0), mirrored.max(axis=0)
+    frame = 0.5 * (lo + hi) + 0.5 * _FRAME_SCALE * (hi - lo).max() * _FRAME
+    points = np.vstack([mirrored, frame])
+    tri = Delaunay(points)
+    simplices, neighbors = tri.simplices, tri.neighbors
+    # counterclockwise (qhull guarantees no orientation): swap corners 1
+    # and 2, and the neighbours opposite them
+    cw = _twice_area(points[simplices]) < 0.0
+    simplices[cw] = simplices[cw][:, [0, 2, 1]]
+    neighbors[cw] = neighbors[cw][:, [0, 2, 1]]
+    opposite = None
+    if not len(tri.coplanar):
+        # half-edge (t, i) borders the neighbour opposite corner i + 2, and
+        # its twin there starts at corner i + 1
+        across = neighbors[:, _PREV]
+        slot = np.argmax(simplices[across] == simplices[:, _NEXT, None], axis=-1)
+        opposite = np.where(across >= 0, 3 * across + slot, -1).ravel()
+    return _Triangulation(points, members, simplices, opposite)
+
+
+def _flip_repaired(tri, pts):
+    """``tri`` with the seeds moved to ``pts``, made Delaunay again by flips.
+
+    The mirrored points are recomputed with ``tri``'s membership and frame.
+    Lawson's flips run in vectorised rounds, each flipping an independent
+    set of illegal edges (every triangle keeps its lowest illegal edge);
+    the first round tests every edge, later rounds only the edges of the
+    triangles just flipped and the illegal edges left waiting.  In-circle
+    near-ties (``_INCIRCLE_TIE`` of the predicate's magnitude bound) count
+    as legal: a cocircular pair adds nothing to the centroids whichever
+    diagonal is used.  Once no edge is
+    illegal the triangulation is Delaunay (Lawson's lemma; the frame fixes
+    the hull).  Returns ``None`` when qhull must rebuild instead: a triangle
+    is not strictly counterclockwise (an inverting move, or NaN), or the
+    rounds reach ``_MAX_FLIP_ROUNDS``.
+    """
+    points = np.vstack([_mirror(pts, tri.members), tri.points[-4:]])
+    simplices, opposite = tri.simplices.copy(), tri.opposite.copy()
+    # NaN fails the comparison
+    if not np.all(_twice_area(points[simplices]) > 0.0):
+        return None
+    half = np.arange(opposite.size)
+    edges = half[opposite > half]       # every interior edge, once
+    for _ in range(_MAX_FLIP_ROUNDS):
+        flat = simplices.ravel()
+        twins = opposite[edges]
+        illegal = _in_circle(points, flat[edges], flat[_next(edges)],
+                             flat[_prev(edges)], flat[_prev(twins)])
+        edges, twins = edges[illegal], twins[illegal]
+        if not len(edges):
+            return _Triangulation(points, tri.members, simplices, opposite)
+        t, u = edges // 3, twins // 3
+        lowest = np.full(len(simplices), half.size)
+        np.minimum.at(lowest, t, edges)
+        np.minimum.at(lowest, u, edges)
+        pick = (lowest[t] == edges) & (lowest[u] == edges)
+        # an illegal edge left unflipped stays a candidate; if one of its
+        # triangles flips, it is an outer edge of that quad below
+        flipped = np.zeros(len(simplices), dtype=bool)
+        flipped[t[pick]] = flipped[u[pick]] = True
+        waiting = edges[~(pick | flipped[t] | flipped[u])]
+        h, g, t, u = edges[pick], twins[pick], t[pick], u[pick]
+        # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)
+        a, b, c, d = flat[h], flat[_next(h)], flat[_prev(h)], flat[_prev(g)]
+        # the quad's outer half-edges, old and new: ad, ca, db, bc
+        old = np.concatenate([_next(g), _prev(h), _prev(g), _next(h)])
+        new = np.concatenate([3 * t, 3 * t + 2, 3 * u, 3 * u + 1])
+        across = opposite[old]
+        simplices[t] = np.column_stack([a, d, c])
+        simplices[u] = np.column_stack([d, b, c])
+        # an outer twin in another flipped quad has moved with it
+        moved = half.copy()
+        moved[old] = new
+        across = np.where(across >= 0, moved[across], -1)
+        opposite[new] = across
+        inner = across >= 0
+        opposite[across[inner]] = new[inner]
+        opposite[3 * t + 1] = 3 * u + 2
+        opposite[3 * u + 2] = 3 * t + 1
+        if not np.all(_twice_area(points[simplices[np.concatenate([t, u])]]) > 0.0):
+            return None
+        edges = new[inner]
+        edges = np.union1d(waiting, np.minimum(edges, opposite[edges]))
+    return None
+
+
+def _next(h):
+    """The half-edge after ``h`` in its triangle."""
+    return h + _STEP_NEXT[h % 3]
+
+
+def _prev(h):
+    """The half-edge before ``h`` in its triangle."""
+    return h + _STEP_PREV[h % 3]
+
+
+def _twice_area(p):
+    """Twice the signed areas of triangles ``p`` (..., 3, 2)."""
+    b, c = p[..., 1, :] - p[..., 0, :], p[..., 2, :] - p[..., 0, :]
+    return b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]
+
+
+def _in_circle(points, a, b, c, d):
+    """Whether ``d`` lies inside the circumcircle of counterclockwise (a, b, c).
+
+    Values within ``_INCIRCLE_TIE`` of the determinant's magnitude bound
+    (the sum of the absolute values of its terms) count as ties, outside.
+    """
+    pd = points[d]
+    ad, bd, cd = points[a] - pd, points[b] - pd, points[c] - pd
+    lift = [(v * v).sum(axis=1) for v in (ad, bd, cd)]
+    terms = [(v[:, 0] * w[:, 1], w[:, 0] * v[:, 1])
+             for v, w in ((bd, cd), (cd, ad), (ad, bd))]
+    det = sum(l * (p - q) for l, (p, q) in zip(lift, terms))
+    bound = sum(l * (np.abs(p) + np.abs(q)) for l, (p, q) in zip(lift, terms))
+    return det > _INCIRCLE_TIE * bound
+
+
 def _delaunay_centroids(pts, band=None):
     """Area centroids of the seeds' Voronoi cells, from the Delaunay triangles.
 
     The seeds are mirrored as in :func:`_mirrored`; without a ``band`` the
-    cells are the clipped cells.  Returns ``(centroids, reach, centres)``:
-    ``centres`` are the circumcentres of the triangles incident to a seed,
-    which are the vertices of the seeds' cells, and ``reach`` is the largest
-    distance from a seed to one of its cell's vertices.
-
-    A corner ``a`` of a counterclockwise triangle ``(a, b, c)`` with
-    circumcentre ``o`` owns the signed triangles ``(a, m_ab, o)`` and
-    ``(a, o, m_ca)`` (``m`` are edge midpoints), and these tile a's cell.
-    Signed areas keep obtuse triangles exact, and a cocircular pair of
-    triangles adds nothing whichever diagonal qhull picks.
+    cells are the clipped cells.  Returns ``(centroids, reach, centres)``
+    as :func:`_cell_centroids` does.
     """
     n = len(pts)
     if n == 1:
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         reach = np.sqrt(((corners - pts[0]) ** 2).sum(axis=1).max())
         return np.array([[0.5, 0.5]]), reach, corners
-    tri = Delaunay(_mirrored(pts, band))
-    simplices = tri.simplices
-    if ((tri.convex_hull < n).any()
+    tri = _delaunay(pts, band)
+    return _cell_centroids(pts, tri.points, tri.simplices)
+
+
+def _cell_centroids(pts, points, simplices):
+    """Centroids of the seeds' Voronoi cells from counterclockwise triangles.
+
+    ``points`` are the seeds, their mirror images and the four frame
+    points, last.  Returns ``(centroids, reach, centres)``: ``centres`` are
+    the circumcentres of the triangles incident to a seed, which are the
+    vertices of the seeds' cells, and ``reach`` is the largest distance
+    from a seed to one of its cell's vertices.  A seed that touches the
+    frame, or has fewer than three triangles, has an unbounded region.
+
+    A corner ``a`` of a counterclockwise triangle ``(a, b, c)`` with
+    circumcentre ``o`` owns the signed triangles ``(a, m_ab, o)`` and
+    ``(a, o, m_ca)`` (``m`` are edge midpoints), and these tile a's cell.
+    Signed areas keep obtuse triangles exact, and a cocircular pair of
+    triangles adds nothing whichever diagonal is used.
+    """
+    n = len(pts)
+    simplices = simplices[(simplices < n).any(axis=1)]
+    if ((simplices >= len(points) - 4).any()
             or np.bincount(simplices.ravel(), minlength=n)[:n].min() < 3):
         raise MeshError("unbounded Voronoi region; seed configuration degenerate")
-    simplices = simplices[(simplices < n).any(axis=1)]
-    p = tri.points[simplices]                     # (T, 3, 2)
+    p = points[simplices]                         # (T, 3, 2)
     b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     cross = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
     bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
@@ -268,10 +472,6 @@ def _delaunay_centroids(pts, band=None):
     if not np.isfinite(centres).all():
         raise MeshError("unbounded Voronoi region; seed configuration degenerate")
     _snapped(centres)
-    # counterclockwise corners (qhull guarantees no orientation)
-    cw = cross < 0.0
-    simplices[cw] = simplices[cw, ::-1]
-    p[cw] = p[cw, ::-1]
     # per corner, relative to it: circumcentre, midpoints of the edges
     # leaving and entering it, and twice the areas of its two triangles
     o = centres[:, None, :] - p
@@ -282,7 +482,7 @@ def _delaunay_centroids(pts, band=None):
     moments = (twice_1[..., None] * (m_next + o)
                + twice_2[..., None] * (o + m_prev)).reshape(-1, 2)
     # sum per corner point; the bins of mirror points are dropped
-    owner, bins = simplices.ravel(), len(tri.points)
+    owner, bins = simplices.ravel(), len(points)
     area3 = 3.0 * np.bincount(owner, (twice_1 + twice_2).ravel(), minlength=bins)[:n]
     centroids = pts + np.column_stack(
         [np.bincount(owner, moments[:, 0], minlength=bins)[:n],
@@ -291,23 +491,46 @@ def _delaunay_centroids(pts, band=None):
     return centroids, reach, centres
 
 
-def _banded_centroids(pts, band):
+def _banded_centroids(pts, band, carried=None):
     """Clipped-cell centroids from band mirroring, certified; full otherwise.
 
     The certificate is exact.  For a point p of the square, a seed g and
     its mirror g' across a side, |p - g'| >= |p - g|: no mirror is nearer
     to a point of the square than the seed it copies.  So every subset of
     mirrors gives each seed the same cell inside the square, and a cell
-    whose vertices all lie in the square is the clipped cell.
+    whose vertices all lie in the square is the clipped cell.  (A frame
+    point nearer than every seed to part of the square would border a
+    seed's cell, which :func:`_cell_centroids` refuses.)
+
+    A ``carried`` triangulation, from an earlier certified banded build, is
+    first repaired by flips (:func:`_flip_repaired`); qhull runs with this
+    ``band`` only when that fails or its cells fail the certificate.
+    Returns ``((centroids, reach, centres), tri)``, where ``tri`` is the
+    certified banded triangulation to carry into the next iteration, or
+    ``None`` after full mirroring.
     """
+    if len(pts) == 1:
+        return _delaunay_centroids(pts), None
+    if carried is not None:
+        tri = _flip_repaired(carried, pts)
+        banded = None if tri is None else _certified_centroids(pts, tri)
+        if banded is not None:
+            return banded, tri
+    tri = _delaunay(pts, band)
+    banded = _certified_centroids(pts, tri)
+    if banded is not None:
+        return banded, tri if tri.opposite is not None else None
+    return _delaunay_centroids(pts), None
+
+
+def _certified_centroids(pts, tri):
+    """The centroids of ``tri``'s cells if they pass the certificate, else None."""
     try:
-        banded = _delaunay_centroids(pts, band)
+        banded = _cell_centroids(pts, tri.points, tri.simplices)
     except MeshError:
-        return _delaunay_centroids(pts)
+        return None
     centres = banded[2]
-    if np.all((centres >= 0.0) & (centres <= 1.0)):
-        return banded
-    return _delaunay_centroids(pts)
+    return banded if np.all((centres >= 0.0) & (centres <= 1.0)) else None
 
 
 def _mesh_from_rings(rings, coords):

@@ -365,6 +365,64 @@ def relax_points_per_cell(points, iterations):
     return pts, movements
 
 
+def relax_points_qhull(points, iterations):
+    """Lloyd iterations that rebuild the triangulation with qhull every time.
+
+    The loop ``vemlab.meshgen.relax_points`` ran before it carried its
+    banded triangulation between iterations and repaired it by edge flips:
+    full mirroring first, then each iteration mirrors the band of twice the
+    last reach, certifies the banded cells, and redoes a failed iteration
+    with full mirroring.
+    """
+    from vemlab.mesh import MeshError
+    from vemlab.meshgen import _delaunay_centroids
+
+    pts = np.asarray(points, dtype=float).copy()
+    movements = np.empty(iterations)
+    band = None
+    for it in range(iterations):
+        try:
+            new, reach, centres = _delaunay_centroids(pts, band)
+        except MeshError:
+            if band is None:
+                raise
+            centres = None
+        if centres is None or not np.all((centres >= 0.0) & (centres <= 1.0)):
+            new, reach, _ = _delaunay_centroids(pts)
+        movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
+        band = 2.0 * reach
+        pts = new
+    return pts, movements
+
+
+def opposite_half_edges(simplices):
+    """Twin of every half-edge ``3 t + i`` (from corner i to corner i + 1 of
+    triangle t), or -1 on the hull, matched through a dict of vertex pairs."""
+    start = {}
+    for t, tri in enumerate(simplices.tolist()):
+        for i in range(3):
+            start[tri[i], tri[(i + 1) % 3]] = 3 * t + i
+    return np.array([start.get((b, a), -1) for (a, b) in start], dtype=np.intp)
+
+
+def circumcircle_depth(points, simplices):
+    """Largest ``(R - |p - o|) / R`` over every point p and triangle, where o
+    and R are the triangle's circumcentre and radius: how far, relative to
+    the radius, any point lies inside a circumcircle (<= 0 when empty)."""
+    depth = -np.inf
+    for tri in simplices:
+        a, b, c = points[tri]
+        # relative to a, so the circumcentre keeps the triangle's precision
+        (bx, by), (cx, cy) = b - a, c - a
+        d = 2.0 * (bx * cy - by * cx)
+        bb, cc = bx * bx + by * by, cx * cx + cy * cy
+        o = a + np.array([cy * bb - by * cc, bx * cc - cx * bb]) / d
+        radius = math.hypot(*(a - o))
+        dist = np.hypot(points[:, 0] - o[0], points[:, 1] - o[1])
+        depth = max(depth, ((radius - dist) / radius).max())
+    return depth
+
+
 def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2):
     """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
     built from one ``np.repeat``/``np.tile`` index array per cell: the

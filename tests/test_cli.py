@@ -27,6 +27,13 @@ class TestMeshGen:
         mesh = load_mesh(str(out))
         assert mesh.num_cells == 12
 
+    def test_negative_iterations_rejected(self, tmp_path):
+        out = tmp_path / "vor.json"
+        with pytest.raises(ValueError, match="lloyd_iterations must be >= 0"):
+            main(["mesh", "gen", "--family", "voronoi", "--cells", "10",
+                  "--iters", "-1", "--out", str(out)])
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

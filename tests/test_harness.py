@@ -64,6 +64,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("family", ["square", "concave"])
+    def test_rejects_nonsquare_size_before_any_mesh(self, family, monkeypatch):
+        # the square and concave generators need n * n cells; a sweep must
+        # not solve the 16-cell mesh and then stop at 20
+        monkeypatch.setattr(harness, "generate", None)
+        with pytest.raises(ValueError, match="size 20 is not a square"):
+            run_experiment(ExperimentConfig(families=("lloyd0", family),
+                                            sizes=(16, 20)))
+
+    def test_voronoi_families_take_any_size(self):
+        assert ExperimentConfig(families=("lloyd0", "lloyd100"),
+                                sizes=(20,)).sizes == (20,)
+
     def test_point_on_the_boundary_accepted(self):
         assert ExperimentConfig(point=(0.0, 1.0)).point == (0.0, 1.0)
 

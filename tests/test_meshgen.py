@@ -3,14 +3,17 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 import vemlab.meshgen as meshgen
-from oracles import (clipped_cells_per_cell, concave_mesh_registry,
-                     cvt_energy, mesh_from_rings_union_find, reflex_vertices,
-                     relax_points_per_cell, ring_centroids,
+from oracles import (circumcircle_depth, clipped_cells_per_cell,
+                     concave_mesh_registry, cvt_energy,
+                     mesh_from_rings_union_find, opposite_half_edges,
+                     reflex_vertices, relax_points_per_cell,
+                     relax_points_qhull, ring_centroids,
                      sees_all_of_polygon, square_mesh_per_cell)
 from vemlab.mesh import MeshError, element_geometry, make_mesh
-from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _clipped_cells,
-                            _delaunay_centroids, _draw_seeds,
-                            _mesh_from_rings, _tessellate, _voronoi_rings,
+from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _cell_centroids,
+                            _clipped_cells, _delaunay, _delaunay_centroids,
+                            _draw_seeds, _flip_repaired, _mesh_from_rings,
+                            _tessellate, _twice_area, _voronoi_rings,
                             _WELD_TOL, concave_mesh,
                             generate, lloyd_relax, relax_points, square_mesh,
                             voronoi_mesh)
@@ -215,10 +218,11 @@ class TestFlatVoronoi:
             assert np.any((centres < 0.0) | (centres > 1.0))
         full = _delaunay_centroids(pts)
         sizes = _counting_delaunay(monkeypatch)
-        banded = _banded_centroids(pts, band)
-        # the band diagram failed the certificate, then full mirroring ran
-        assert len(sizes) == 2
-        assert sizes[1] == 5 * len(pts) > sizes[0]
+        banded, carried = _banded_centroids(pts, band)
+        # the band diagram failed the certificate, then full mirroring (and
+        # the four frame points) ran, and nothing is carried
+        assert len(sizes) == 2 and carried is None
+        assert sizes[1] == 5 * len(pts) + 4 > sizes[0]
         for a, b in zip(banded, full):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -226,8 +230,9 @@ class TestFlatVoronoi:
         pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
         full = _delaunay_centroids(pts)
         sizes = _counting_delaunay(monkeypatch)
-        banded = _banded_centroids(pts, 0.1)
+        banded, carried = _banded_centroids(pts, 0.1)
         assert len(sizes) == 1 and sizes[0] < 5 * len(pts)
+        assert carried is not None
         assert banded[1] == pytest.approx(full[1], rel=1e-13)
         assert np.abs(banded[0] - full[0]).max() < 1e-13
 
@@ -256,8 +261,10 @@ class TestFlatVoronoi:
         pts = np.random.default_rng(2).uniform(0.0, 1.0, (n, 2))
         sizes = _counting_delaunay(monkeypatch)
         relax_points(pts, 20)
-        assert len(sizes) == 20
-        assert sizes[0] == 5 * n
+        # the first call mirrors fully; later ones mirror a band, and most
+        # iterations repair the carried triangulation without qhull
+        assert len(sizes) < 20
+        assert sizes[0] == 5 * n + 4
         assert max(sizes[1:]) < 2 * n
 
     def test_single_seed_relaxes_to_square_centroid(self):
@@ -273,6 +280,86 @@ class TestFlatVoronoi:
             _clipped_cells(pts)
         with pytest.raises(MeshError, match="unbounded Voronoi region"):
             relax_points(pts, 1)
+
+
+def _carried_and_moved(source):
+    """A qhull triangulation of 400 seeds, and the seeds moved by a Lloyd
+    step: raw seeds fully mirrored or in a band, moved a tenth of their
+    (long) first step, or seeds after 20 Lloyd iterations in the band of
+    their reach, moved a whole step."""
+    pts = np.random.default_rng(4).uniform(0.0, 1.0, (400, 2))
+    band, step = {"raw": (None, 0.1), "banded": (0.2, 0.1),
+                  "relaxed": (None, 1.0)}[source]
+    if source == "relaxed":
+        pts = relax_points(pts, 20)[0]
+        band = 2.0 * _delaunay_centroids(pts)[1]
+    moved = pts + step * (_delaunay_centroids(pts)[0] - pts)
+    return _delaunay(pts, band), moved
+
+
+def _triangle_set(simplices):
+    return set(map(tuple, np.sort(simplices, axis=1).tolist()))
+
+
+class TestFlipRepair:
+    @pytest.mark.parametrize("source", ["raw", "banded", "relaxed"])
+    def test_repair_equals_fresh_qhull_up_to_cocircular_ties(self, source):
+        carried, moved = _carried_and_moved(source)
+        tri = _flip_repaired(carried, moved)
+        assert tri is not None
+        assert _triangle_set(tri.simplices) != _triangle_set(carried.simplices)
+        fresh = Delaunay(tri.points).simplices
+        # the triangles that differ are cocircular ties: no point lies
+        # inside their circumcircles beyond rounding
+        differ = _triangle_set(tri.simplices) - _triangle_set(fresh)
+        if differ:
+            assert circumcircle_depth(tri.points, np.array(sorted(differ))) < 1e-12
+        cw = _twice_area(tri.points[fresh]) < 0.0
+        fresh[cw] = fresh[cw][:, [0, 2, 1]]
+        ours = _cell_centroids(moved, tri.points, tri.simplices)[0]
+        ref = _cell_centroids(moved, tri.points, fresh)[0]
+        assert np.abs(ours - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("source", ["raw", "banded", "relaxed"])
+    def test_opposite_table_matches_rebuild_from_simplices(self, source):
+        carried, moved = _carried_and_moved(source)
+        assert np.array_equal(carried.opposite,
+                              opposite_half_edges(carried.simplices))
+        tri = _flip_repaired(carried, moved)
+        assert np.array_equal(tri.opposite, opposite_half_edges(tri.simplices))
+        # the frame's four sides are the hull
+        assert np.count_nonzero(tri.opposite < 0) == 4
+
+    @pytest.mark.parametrize("n", [1600, 4096])
+    def test_relax_matches_qhull_every_iteration(self, n):
+        pts = _draw_seeds(GeneratorSpec("lloyd100", n))
+        new, moves = relax_points(pts, 100)
+        ref, ref_moves = relax_points_qhull(pts, 100)
+        assert np.abs(new - ref).max() < 1e-11
+        assert np.abs(moves - ref_moves).max() < 1e-11
+
+    def test_inverting_move_rebuilds_with_qhull(self, monkeypatch):
+        carried, moved = _carried_and_moved("relaxed")
+        # two neighbouring seeds swap places: their triangles invert
+        a, b = carried.simplices[(carried.simplices < 400).all(axis=1)][0, :2]
+        moved[[a, b]] = moved[[b, a]]
+        assert _flip_repaired(carried, moved) is None
+        band = 2.0 * _delaunay_centroids(moved)[1]
+        fresh = _banded_centroids(moved, band)
+        sizes = _counting_delaunay(monkeypatch)
+        out, tri = _banded_centroids(moved, band, carried)
+        assert len(sizes) >= 1 and tri is not carried
+        for x, y in zip(out, fresh[0]):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    def test_nan_seed_is_refused(self):
+        carried, moved = _carried_and_moved("banded")
+        moved[7, 1] = np.nan
+        assert _flip_repaired(carried, moved) is None
+        with pytest.raises((ValueError, MeshError)):
+            _banded_centroids(moved, 0.2, carried)
+        with pytest.raises((ValueError, MeshError)):
+            relax_points(moved, 3)
 
 
 def test_weld_merges_near_duplicate_vertices_of_a_perturbed_lattice():
@@ -324,6 +411,17 @@ def test_weld_names_a_collapsed_cell():
 def test_generate_rejects_bad_family():
     with pytest.raises(ValueError):
         GeneratorSpec("hexagons", 10)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("lloyd_iterations", dict(lloyd_iterations=-1)),
+    ("lloyd_iterations", dict(lloyd_iterations=2.0)),
+    ("target_cells", dict(target_cells=2.5)),
+])
+def test_generator_spec_names_a_bad_field(field, kwargs):
+    spec = dict(family="voronoi", target_cells=10) | kwargs
+    with pytest.raises(ValueError, match=field):
+        GeneratorSpec(**spec)
 
 
 def test_generate_rejects_nonsquare_count():
