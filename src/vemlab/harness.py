@@ -16,7 +16,7 @@ import numpy as np
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
 from .mesh import MeshError, max_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
-from .meshgen import GeneratorSpec, generate
+from .meshgen import GeneratorSpec, check_count, generate
 from .postprocess import (ErrorRecord, convergence_rates, error_norms,
                           point_error, project_solution)
 from .problems import builtin_problem
@@ -53,9 +53,14 @@ class ExperimentConfig:
             if fam not in STUDY_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}; choose from "
                                  f"{STUDY_FAMILIES}")
-        sizes = tuple(int(s) for s in self.sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("sizes must be positive cell counts")
+        sizes = tuple(self.sizes)
+        if not sizes:
+            raise ValueError("at least one size is required")
+        for s in sizes:
+            check_count("sizes", s, 1)
+        # checked here, so a sweep that starts with the square family does
+        # not stop at its first Voronoi mesh
+        check_count("seed", self.seed)
         if set(families) & {"square", "concave"}:
             # checked here, so a sweep does not stop at its first bad size
             # with the finished meshes' records lost
@@ -74,7 +79,7 @@ class ExperimentConfig:
             raise ValueError("point must be two finite coordinates in the "
                              f"unit square, got {self.point!r}")
         object.__setattr__(self, "families", families)
-        object.__setattr__(self, "sizes", tuple(sorted(sizes)))
+        object.__setattr__(self, "sizes", tuple(sorted(map(int, sizes))))
 
 
 def _run_single(mesh, k, problem, mode, quad_boost, point):

@@ -42,9 +42,6 @@ class DofLayout:
     def edge_slot(self, e, j):
         return self.n_vertices + e * self.n_per_edge + j
 
-    def internal_slot(self, m):
-        return self.n_vertices * self.k + m
-
 
 def dof_layout(geom, k):
     if k < 1:

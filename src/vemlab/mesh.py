@@ -71,10 +71,6 @@ class ElementGeometry:
     edge_normals: np.ndarray
     edge_forward: np.ndarray
 
-    @property
-    def num_vertices(self):
-        return self.vertices.shape[0]
-
 
 @dataclass
 class RegularityReport:

@@ -5,18 +5,18 @@ by a zigzag polyline, clipped Voronoi diagrams of random seeds, and the same
 after Lloyd relaxation (100 iterations approaches a centroidal tessellation).
 
 Voronoi cells are clipped to the square by mirroring the seed set across all
-four sides: the sides then appear as exact bisectors, every interior seed
-gets a bounded region, and neighboring cells share vertex ids by
-construction, so the clipped diagram is conforming without any per-cell
-polygon stitching.
+four sides: the sides then appear as exact bisectors and every interior seed
+gets a bounded region.  A seed's cell is the polygon of the circumcentres of
+its triangles in the Delaunay triangulation of the mirrored seeds, so
+neighbouring cells share vertices by construction and the clipped
+tessellation is conforming without any per-cell polygon stitching; the weld
+merges the equal circumcentres of cocircular triangles.
 
-Lloyd iterations build no Voronoi ring: they run on the Delaunay
-triangulation of the mirrored seeds, where each triangle adds its share of
-area and first moment to the seeds at its corners.  Iterations after the
-first mirror only the seeds in a band along each side and keep the result
-only if every vertex of a seed's cell (the circumcentre of a triangle at
-that seed) lies in the square, which certifies it equal to the fully
-mirrored one.
+Lloyd iterations build no ring: each triangle adds its share of area and
+first moment to the seeds at its corners.  Iterations after the first
+mirror only the seeds in a band along each side and keep the result only if
+every vertex of a seed's cell lies in the square, which certifies it equal
+to the fully mirrored one.
 
 Every triangulation is of the mirrored seeds plus a frame of four points
 around them, so its hull is the frame's square.  A certified banded qhull
@@ -28,16 +28,15 @@ Delaunay again; since the frame keeps the hull fixed, no illegal edge left
 means Delaunay.  qhull reruns (with a fresh band) only when a moved
 triangle is no longer strictly counterclockwise, when the flips reach a
 round cap, or when the repaired cells fail the certificate.  The final
-mesh is still built from qhull's Voronoi diagram of the fully mirrored
-seeds.
+mesh is built from a fresh triangulation of the fully mirrored seeds.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Integral
 
 import numpy as np
-from scipy.spatial import Delaunay, Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Voronoi  # noqa: F401  (perfbench/spans.py hook target)
 
 from .mesh import MeshError, first_seen, make_mesh
 from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
@@ -50,6 +49,8 @@ _ZIGZAG = ((4, 7), (8, 13), (12, 7), (16, 13))
 
 _WELD_TOL = 1e-10
 _SNAP_TOL = 1e-12
+#: the cell of a single seed; the general path rounds its corners
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 #: width of the frame around the mirrored seeds, in widths of their
 #: bounding box; a wider frame makes thinner triangles at the hull, which
@@ -85,15 +86,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("target_cells", "lloyd_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.target_cells < 1:
-            raise ValueError("target_cells must be positive")
-        if self.lloyd_iterations < 0:
-            raise ValueError("lloyd_iterations must be >= 0, got "
-                             f"{self.lloyd_iterations}")
+        check_count("target_cells", self.target_cells, 1)
+        check_count("seed", self.seed)
+        check_count("lloyd_iterations", self.lloyd_iterations)
 
     @property
     def iterations(self):
@@ -102,6 +97,15 @@ class GeneratorSpec:
         if self.family == "lloyd100":
             return 100
         return self.lloyd_iterations
+
+
+def check_count(name, value, low=0):
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
+    of at least ``low``."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def generate(spec):
@@ -208,23 +212,29 @@ def _draw_seeds(spec):
 
 
 def _tessellate(pts):
-    rings, coords = _clipped_cells(pts)
-    return _mesh_from_rings(rings, coords)
+    return _mesh_from_rings(*_clipped_cells(pts))
 
 
 def _clipped_cells(pts):
-    """Rings (vertex-id arrays) and coordinates of square-clipped Voronoi cells."""
-    flat, starts, coords = _voronoi_rings(pts)
-    return np.split(flat, starts[1:]), coords
+    """Rings (vertex-id arrays) and coordinates of square-clipped Voronoi cells.
 
-
-def _mirrored(pts, band=None):
-    """The seeds, then their images across x = 0, x = 1, y = 0 and y = 1.
-
-    With a ``band``, only the seeds closer than ``band`` to a side are
-    mirrored across it.
+    A seed's ring is the circumcentres of its triangles in the fully
+    mirrored triangulation, in counterclockwise angular order around it
+    (cells are convex).  Cocircular triangles give repeated vertices, which
+    :func:`_mesh_from_rings` welds.
     """
-    return _mirror(pts, _members(pts, band))
+    n = len(pts)
+    if n == 1:
+        return [np.arange(4)], _SQUARE.copy()
+    tri = _delaunay(pts)
+    simplices, _, centres = _seed_circumcentres(pts, tri.points, tri.simplices)
+    owner = simplices.ravel()
+    at_seed = owner < n
+    ids, owner = np.repeat(np.arange(len(simplices)), 3)[at_seed], owner[at_seed]
+    rel = centres[ids] - pts[owner]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
+    sizes = np.bincount(owner, minlength=n)
+    return np.split(ids[order], np.cumsum(sizes)[:-1]), centres
 
 
 def _members(pts, band=None):
@@ -242,32 +252,6 @@ def _mirror(pts, members):
               pts * (1.0, -1.0),               # across y = 0
               pts * (1.0, -1.0) + (0.0, 2.0))  # across y = 1
     return np.vstack([pts] + [im[m] for im, m in zip(images, members)])
-
-
-def _voronoi_rings(pts):
-    """Counterclockwise square-clipped Voronoi rings of all seeds, flat.
-
-    Returns ``(flat, starts, coords)``: the ring of seed i is
-    ``flat[starts[i]:starts[i + 1]]``, indexing the vertex table ``coords``.
-    """
-    n = len(pts)
-    if n == 1:
-        # qhull needs a 2-d point cloud; the single-seed diagram is the square
-        return (np.arange(4), np.zeros(1, dtype=np.intp),
-                np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    vor = Voronoi(_mirrored(pts))
-    coords = _snapped(vor.vertices.copy())
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    sizes = np.fromiter(map(len, regions), dtype=np.intp, count=n)
-    flat = np.fromiter(chain.from_iterable(regions), dtype=np.intp,
-                       count=sizes.sum())
-    if sizes.min() < 3 or flat.min() < 0:
-        raise MeshError("unbounded Voronoi region; seed configuration degenerate")
-    # counterclockwise angular order around each seed (cells are convex)
-    owner = np.repeat(np.arange(n), sizes)
-    rel = coords[flat] - pts[owner]
-    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
-    return flat[order], np.cumsum(sizes) - sizes, coords
 
 
 def _snapped(coords):
@@ -427,34 +411,25 @@ def _in_circle(points, a, b, c, d):
 def _delaunay_centroids(pts, band=None):
     """Area centroids of the seeds' Voronoi cells, from the Delaunay triangles.
 
-    The seeds are mirrored as in :func:`_mirrored`; without a ``band`` the
+    The seeds are mirrored as in :func:`_members`; without a ``band`` the
     cells are the clipped cells.  Returns ``(centroids, reach, centres)``
     as :func:`_cell_centroids` does.
     """
     n = len(pts)
     if n == 1:
-        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        reach = np.sqrt(((corners - pts[0]) ** 2).sum(axis=1).max())
-        return np.array([[0.5, 0.5]]), reach, corners
+        reach = np.sqrt(((_SQUARE - pts[0]) ** 2).sum(axis=1).max())
+        return np.array([[0.5, 0.5]]), reach, _SQUARE.copy()
     tri = _delaunay(pts, band)
     return _cell_centroids(pts, tri.points, tri.simplices)
 
 
-def _cell_centroids(pts, points, simplices):
-    """Centroids of the seeds' Voronoi cells from counterclockwise triangles.
+def _seed_circumcentres(pts, points, simplices):
+    """The triangles at a seed, their corners and their snapped circumcentres.
 
     ``points`` are the seeds, their mirror images and the four frame
-    points, last.  Returns ``(centroids, reach, centres)``: ``centres`` are
-    the circumcentres of the triangles incident to a seed, which are the
-    vertices of the seeds' cells, and ``reach`` is the largest distance
-    from a seed to one of its cell's vertices.  A seed that touches the
-    frame, or has fewer than three triangles, has an unbounded region.
-
-    A corner ``a`` of a counterclockwise triangle ``(a, b, c)`` with
-    circumcentre ``o`` owns the signed triangles ``(a, m_ab, o)`` and
-    ``(a, o, m_ca)`` (``m`` are edge midpoints), and these tile a's cell.
-    Signed areas keep obtuse triangles exact, and a cocircular pair of
-    triangles adds nothing whichever diagonal is used.
+    points, last.  Returns ``(simplices, corners, centres)`` for the rows
+    of ``simplices`` with a seed corner.  A seed that touches the frame, or
+    has fewer than three triangles, has an unbounded region.
     """
     n = len(pts)
     simplices = simplices[(simplices < n).any(axis=1)]
@@ -471,7 +446,27 @@ def _cell_centroids(pts, points, simplices):
                              / (2.0 * cross)[:, None])
     if not np.isfinite(centres).all():
         raise MeshError("unbounded Voronoi region; seed configuration degenerate")
-    _snapped(centres)
+    return simplices, p, _snapped(centres)
+
+
+def _cell_centroids(pts, points, simplices):
+    """Centroids of the seeds' Voronoi cells from counterclockwise triangles.
+
+    ``points`` are the seeds, their mirror images and the four frame
+    points, last.  Returns ``(centroids, reach, centres)``: ``centres`` are
+    the circumcentres of the triangles incident to a seed, which are the
+    vertices of the seeds' cells (see :func:`_seed_circumcentres`), and
+    ``reach`` is the largest distance from a seed to one of its cell's
+    vertices.
+
+    A corner ``a`` of a counterclockwise triangle ``(a, b, c)`` with
+    circumcentre ``o`` owns the signed triangles ``(a, m_ab, o)`` and
+    ``(a, o, m_ca)`` (``m`` are edge midpoints), and these tile a's cell.
+    Signed areas keep obtuse triangles exact, and a cocircular pair of
+    triangles adds nothing whichever diagonal is used.
+    """
+    n = len(pts)
+    simplices, p, centres = _seed_circumcentres(pts, points, simplices)
     # per corner, relative to it: circumcentre, midpoints of the edges
     # leaving and entering it, and twice the areas of its two triangles
     o = centres[:, None, :] - p

@@ -256,10 +256,10 @@ def test_criterion_7_module_invariants(announce):
             loc = local_system(geom, k, layout, coeffs)
             scale = max(1.0, np.abs(loc.Ah).max())
             if np.abs(loc.S @ ps.D).max() > 1e-10 * scale:
-                failures.append(f"S@D on {geom.num_vertices}-gon k={k}")
+                failures.append(f"S@D on {len(geom.vertices)}-gon k={k}")
             const = ps.D[:, 0]
             if np.abs(loc.Ah @ const).max() > 1e-11 * scale:
-                failures.append(f"Ah kernel on {geom.num_vertices}-gon k={k}")
+                failures.append(f"Ah kernel on {len(geom.vertices)}-gon k={k}")
 
     # assembly determinism, bit for bit
     mesh = generate(GeneratorSpec("lloyd0", 30, seed=9))

@@ -34,6 +34,13 @@ class TestMeshGen:
                   "--iters", "-1", "--out", str(out)])
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path):
+        out = tmp_path / "vor.json"
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            main(["mesh", "gen", "--family", "lloyd0", "--cells", "10",
+                  "--seed", "-1", "--out", str(out)])
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

@@ -52,6 +52,7 @@ class TestExperimentConfig:
         dict(families=()),
         dict(families=("triangle",)),
         dict(sizes=(0,)),
+        dict(sizes=()),
         dict(mode="fancy"),
         dict(quad_boost=-4),
         dict(quad_boost=-1),
@@ -72,6 +73,31 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="size 20 is not a square"):
             run_experiment(ExperimentConfig(families=("lloyd0", family),
                                             sizes=(16, 20)))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("sizes", dict(sizes=(16.7, 3.9))),
+        ("sizes", dict(sizes=(16, 25.0))),
+        ("sizes", dict(sizes=("16",))),
+        ("seed", dict(seed=1.5)),
+        ("seed", dict(seed=-1)),
+    ])
+    def test_names_a_non_integer_or_negative_field(self, field, bad):
+        # int() would run sizes (16.7, 3.9) as (3, 16)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExperimentConfig(**bad)
+
+    def test_bad_seed_rejected_before_any_mesh(self, monkeypatch):
+        # the square mesh would be solved before the first Voronoi mesh
+        # reached the generator's own check
+        monkeypatch.setattr(harness, "generate", None)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_experiment(ExperimentConfig(families=("square", "lloyd0"),
+                                            sizes=(16,), seed=-1))
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = ExperimentConfig(sizes=(np.int64(100), np.int32(25)))
+        assert config.sizes == (25, 100)
+        assert all(type(s) is int for s in config.sizes)
 
     def test_voronoi_families_take_any_size(self):
         assert ExperimentConfig(families=("lloyd0", "lloyd100"),

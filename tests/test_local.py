@@ -57,7 +57,8 @@ class TestDofLayout:
         assert lay.vertex_slot(2) == 2
         assert lay.edge_slot(0, 0) == 4
         assert lay.edge_slot(1, 1) == 7
-        assert lay.internal_slot(0) == 12
+        # internal moments follow the 4 vertex and 8 edge slots
+        assert lay.n_vertices * lay.k == 12
         assert lay.n_dofs == 15
 
     def test_rejects_degree_zero(self):
@@ -76,11 +77,11 @@ class TestInterpolateDofs:
                 expect = 1.0 / (j + 1) if j % 2 == 0 else 0.0
                 assert abs(d[lay.edge_slot(e, j)] - expect) < 1e-14
         if k >= 2:
-            assert abs(d[lay.internal_slot(0)] - 1.0) < 1e-14
+            assert abs(d[lay.n_vertices * lay.k] - 1.0) < 1e-14
         if k >= 3:
             # Centered linear monomials integrate to zero over the cell.
-            assert abs(d[lay.internal_slot(1)]) < 1e-14
-            assert abs(d[lay.internal_slot(2)]) < 1e-14
+            assert abs(d[lay.n_vertices * lay.k + 1]) < 1e-14
+            assert abs(d[lay.n_vertices * lay.k + 2]) < 1e-14
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_monomials_reproduce_dof_table(self, k):
@@ -104,7 +105,7 @@ class TestInterpolateDofs:
 
         d = interpolate_dofs(geom, 2, v, exactness=30)
         exact = subdivision_integrate(v, geom.vertices, tol=1e-14) / geom.area
-        assert abs(d[lay.internal_slot(0)] - exact) < 1e-10
+        assert abs(d[lay.n_vertices * lay.k] - exact) < 1e-10
 
     @pytest.mark.parametrize("exactness", [None, 5, 30])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -279,7 +280,7 @@ class TestPi0:
         d = rng.standard_normal(lay.n_dofs)
         coeffs = proj.Pi0k @ d
         moment = (proj.H[0] @ coeffs) / geom.area
-        assert abs(moment - d[lay.internal_slot(0)]) < 1e-12
+        assert abs(moment - d[lay.n_vertices * lay.k]) < 1e-12
 
     def test_moment_substitution_reproduces_pi0k(self):
         # Pi0k solves H c = mu: exact moments up to degree k-2, energy
@@ -289,7 +290,7 @@ class TestPi0:
         proj = projector_set(geom, k)
         nkm2 = n_poly(k - 2)
         mu = np.zeros_like(proj.PiNabla)
-        mu[:nkm2, proj.layout.internal_slot(0):] = geom.area * np.eye(nkm2)
+        mu[:nkm2, proj.layout.n_dofs - nkm2:] = geom.area * np.eye(nkm2)
         mu[nkm2:] = proj.H[nkm2:] @ proj.PiNabla
         via_moments = np.linalg.solve(proj.H, mu)
         assert np.allclose(via_moments, proj.Pi0k, atol=1e-14)
