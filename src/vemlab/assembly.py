@@ -51,15 +51,16 @@ class DofMap:
 class SparseSystem:
     """Reduced linear system after Dirichlet elimination.
 
-    ``matrix`` and ``rhs`` live on interior DoFs only; ``lifting`` is a
-    full-length vector whose boundary entries hold the Dirichlet data.
+    ``matrix`` (CSC, the format :func:`solve` factors) and ``rhs`` live on
+    interior DoFs only; ``lifting`` is a full-length vector whose boundary
+    entries hold the Dirichlet data.
     ``coupling`` is the interior-by-boundary block of the full matrix and
     ``rhs_base`` the interior load before any lifting correction, so
     boundary data can be applied (or re-applied) after assembly.  ``bank``
     holds what assembly computed per cell that post-processing reuses.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     lifting: np.ndarray
     dofmap: DofMap
@@ -132,7 +133,9 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     slot of one preallocated COO value buffer, and the loads are summed in
     cell order, so repeated runs produce bit-identical systems.  Each
     chunk's geometry, post-solve operators and triangles are kept on
-    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.
+    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.  The reduced
+    matrix is built as CSC, which :func:`solve` factors without a copy, and
+    the interior-by-boundary coupling as CSR.
     """
     # a rule of degree below 2k does not integrate the mass matrix exactly
     if quad_boost < 0:
@@ -170,12 +173,20 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     np.add.at(rhs_full, np.concatenate(dofmap.cell_dofs), loads)
 
     ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
+    # free each copy of the matrix once the next one exists: converting
+    # ``A_rows[:, ii]`` to CSC while the row slice is alive keeps a fourth
+    # copy at the memory peak of the run
     A_rows = A[ii]
-    return SparseSystem(matrix=A_rows[:, ii].tocsr(),
+    del A
+    coupling = A_rows[:, bb].tocsr()
+    matrix = A_rows[:, ii]
+    del A_rows
+    matrix = matrix.tocsc()
+    return SparseSystem(matrix=matrix,
                         rhs=rhs_full[ii].copy(),
                         lifting=np.zeros(n),
                         dofmap=dofmap,
-                        coupling=A_rows[:, bb].tocsr(),
+                        coupling=coupling,
                         rhs_base=rhs_full[ii],
                         bank=ElementBank(k, tuple(kept)))
 
@@ -210,6 +221,9 @@ def apply_dirichlet(system, g, mesh, k):
 def solve(system):
     """Direct sparse solve; returns the full-length global DoF vector.
 
+    The reduced matrix is factored as it is when it is CSC, as
+    :func:`assemble` builds it; another format is converted first.
+
     The global matrix has a symmetric sparsity pattern (advection only makes
     its values unsymmetric), so SuperLU orders the columns by minimum degree
     on ``A^T + A`` and prefers the diagonal pivot whenever it is at least
@@ -235,8 +249,9 @@ def solve(system):
         raise SolveError(
             "direct solve produced non-finite values, which indicates a "
             "stability failure or missing boundary data")
-    scale = max(np.linalg.norm(system.rhs), np.linalg.norm(A @ x), 1e-30)
-    resid = np.linalg.norm(A @ x - system.rhs)
+    Ax = A @ x
+    scale = max(np.linalg.norm(system.rhs), np.linalg.norm(Ax), 1e-30)
+    resid = np.linalg.norm(Ax - system.rhs)
     if resid > 1e-10 * scale:
         x = x + lu.solve(system.rhs - A @ x)
         resid = np.linalg.norm(A @ x - system.rhs)

@@ -505,10 +505,17 @@ def _local_forms(out, rule, coeffs, mode):
 #: 97.5 / 98.8 MB.  Above 3 MiB sweep_k2 gains no more and its peak grows.
 _CHUNK_BYTES = 3 * 2 ** 20
 #: A chunk never has fewer cells: each stacked call pays about 1 ms of
-#: fixed NumPy overhead however many cells it holds, against 60 to 100 us
-#: per k = 2 cell, so it dominates below about 8 cells (k = 4 concave
-#: cells need about 0.25 MB each).
-_MIN_CHUNK_CELLS = 8
+#: fixed NumPy overhead however many cells it holds.  For cells heavier
+#: than ``_CHUNK_BYTES / _MIN_CHUNK_CELLS`` (about 131 KB) the floor
+#: overrides the budget, so such chunks take more than 3 MiB; the k = 4
+#: concave cells (8 vertices, 216 points) count 390 KB each.  concave_k4
+#: without mesh generation, medians of 12 repeats alternating the floor in
+#: one process (2-vCPU VM, seed 0), at 8 / 16 / 24 / 32 / 48 cells:
+#: 1.57 / 1.37 / 1.31 / 1.31 / 1.37 s (225 / 113 / 75 / 57 / 38 kernel
+#: calls); in a shorter pass 64 cells (29 calls) read 1.41 s against
+#: 1.36 s at 32.  24 is the smallest floor on the plateau.  sweep_k2 (61
+#: calls) and lloyd_k1 (13) keep their chunks at any floor up to 32.
+_MIN_CHUNK_CELLS = 24
 
 
 def cell_bytes(nv, n_points, k):
@@ -532,7 +539,9 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
     Cells are stacked by vertex count and triangle count, each cell's rule
     of degree ``exactness`` is mapped onto its triangles, and each stack is
     cut into chunks of ``_CHUNK_BYTES`` of working memory, at least
-    ``_MIN_CHUNK_CELLS`` cells; the :class:`ElementBank` keeps these chunks.
+    ``_MIN_CHUNK_CELLS`` cells: for cells heavier than their quotient the
+    floor overrides the budget.  The :class:`ElementBank` keeps these
+    chunks.
     Yields ``(ElementStack, triangles)`` per chunk, where ``triangles``
     (C, T, 3, 2) are the triangles the chunk's rules were mapped onto.
     """

@@ -169,9 +169,19 @@ def lloyd_relax(seeds, iterations):
     """Mesh from Lloyd relaxation of explicit seed points.
 
     Each iteration replaces every seed by the area centroid of its clipped
-    Voronoi cell; the tessellation of the final seeds is returned.
+    Voronoi cell; the tessellation of the final seeds is returned.  Seeds
+    must be distinct: qhull would drop a repeated one.
     """
-    pts, _ = relax_points(np.asarray(seeds, dtype=float), iterations)
+    seeds = np.asarray(seeds, dtype=float)
+    _, first, which = np.unique(seeds, axis=0, return_index=True,
+                                return_inverse=True)
+    owner = first[which.ravel()]
+    repeats = np.flatnonzero(owner != np.arange(len(seeds)))
+    if repeats.size:
+        j = repeats[0]
+        raise MeshError(f"seeds {owner[j]} and {j} coincide at "
+                        f"{tuple(seeds[j].tolist())}")
+    pts, _ = relax_points(seeds, iterations)
     return _tessellate(pts)
 
 

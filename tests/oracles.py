@@ -516,6 +516,23 @@ def error_norms_two_tables(mesh, k, projection, p_ex, grad_p_ex):
     return np.sqrt(num_l2), np.sqrt(num_h1)
 
 
+def error_sums_per_cell(parts, relative=True):
+    """(L2, H1) errors of ``vemlab.postprocess.error_norms`` from its
+    (4, cells) table of squared cell errors and norms, added one cell at a
+    time in Python: the accumulation its running sums replaced."""
+    num_l2 = num_h1 = den_l2 = den_h1 = 0.0
+    for a, b, c, d in parts.T.tolist():
+        num_l2 += a
+        num_h1 += b
+        den_l2 += c
+        den_h1 += d
+    err_l2, err_h1 = np.sqrt(num_l2), np.sqrt(num_h1)
+    if not relative:
+        return err_l2, err_h1
+    return (err_l2 / max(np.sqrt(den_l2), 1e-300),
+            err_h1 / max(np.sqrt(den_h1), 1e-300))
+
+
 def triangulate_per_cell(coords):
     """Centroid fan or ear clipping of one polygon, one ear at a time: the
     construction ``vemlab.basis.triangulate_stack`` vectorised across

@@ -223,7 +223,9 @@ class TestScatter:
         dm = build_dofmap(mesh, k)
         system = assemble(mesh, k, coeffs, dofmap=dm)
         matrix, coupling, rhs_base = assemble_per_cell(mesh, k, coeffs, dm)
-        for got, ref in ((system.matrix, matrix), (system.coupling, coupling)):
+        for got, ref in ((system.matrix, matrix.tocsc()),
+                         (system.coupling, coupling)):
+            assert got.format == ref.format
             assert got.dtype == ref.dtype
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
@@ -336,6 +338,14 @@ class TestChunks:
                                                     monkeypatch)
                 calls += len(chunks)
         assert calls <= 80
+
+    def test_heavy_cells_take_few_kernel_calls(self, monkeypatch):
+        # a k = 4 concave cell counts 390 KB, so the 24-cell floor, not the
+        # 3 MiB budget, sizes its chunks: 1,800 cells in one stack
+        mesh = generate(GeneratorSpec("concave", 900, seed=0))
+        _, chunks = self._assemble_counting(
+            mesh, 4, builtin_problem().coefficients, monkeypatch)
+        assert len(chunks) <= 1800 // 24
 
     def test_singular_cell_is_named(self):
         # at a scale of 1e-160 the k = 4 monomial mass matrix is singular
@@ -467,6 +477,23 @@ class TestSolve:
         corner = np.flatnonzero((mesh.vertices[:, 0] == 1.0)
                                 & (mesh.vertices[:, 1] == 1.0))[0]
         assert abs(u[corner] - 3.0) <= 1e-11
+
+    def test_factors_the_assembled_csc_matrix_as_is(self, monkeypatch):
+        mesh = MESHES["concave"]
+        prob = builtin_problem()
+        system = assemble(mesh, 3, prob.coefficients)
+        assert system.matrix.format == "csc"
+        assert system.matrix.has_canonical_format
+        apply_dirichlet(system, prob.p_ex, mesh, 3)
+        real_splu, factored = assembly.splu, []
+
+        def recording_splu(A, *args, **kwargs):
+            factored.append(A)
+            return real_splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "splu", recording_splu)
+        solve(system)
+        assert len(factored) == 1 and factored[0] is system.matrix
 
     def test_single_cell_all_boundary(self):
         mesh = square_mesh(1)

@@ -147,6 +147,17 @@ class TestLloyd:
         areas = [element_geometry(mesh, ci).area for ci in range(4)]
         assert np.allclose(areas, 0.25)
 
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_repeated_seed_is_named(self, iterations, monkeypatch):
+        # qhull drops a repeated point, which used to surface as an
+        # unbounded Voronoi region; the seeds are checked before qhull runs
+        sizes = _counting_delaunay(monkeypatch)
+        seeds = [[.1, .3], [.2, .2], [.6, .4], [.2, .2], [.7, .7]]
+        with pytest.raises(MeshError,
+                           match=r"seeds 1 and 3 coincide at \(0\.2, 0\.2\)"):
+            lloyd_relax(seeds, iterations)
+        assert sizes == []
+
     def test_fixed_point_convergence_100_seeds(self):
         # Lloyd's descent property: the CVT quantization energy never
         # increases, and the movement norm decays strongly overall (its raw

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (bank_per_cell, error_norms_two_tables,
-                     locate_cell_per_cell)
+                     error_sums_per_cell, locate_cell_per_cell)
+from vemlab import postprocess
 from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
 from vemlab.basis import polygon_quadrature, triangulate
@@ -178,6 +179,23 @@ class TestErrorNorms:
                           relative=False)
         assert got == error_norms_two_tables(LLOYD, k, proj, prob.p_ex,
                                              prob.grad_p_ex)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mesh", [LLOYD, concave_mesh(4)],
+                             ids=["lloyd0", "concave"])
+    def test_sums_match_per_cell_accumulation(self, mesh, k):
+        # the running sums add the cells in the same order as a Python loop
+        prob = builtin_problem()
+        system = assemble(mesh, k, prob.coefficients)
+        apply_dirichlet(system, prob.p_ex, mesh, k)
+        proj = project_solution(mesh, k, solve(system), bank=system.bank)
+        for gradient in ("pi0", "pinabla"):
+            parts = postprocess._cell_error_parts(
+                k, proj, prob.p_ex, prob.grad_p_ex, gradient, 2 * k + 4)
+            for relative in (True, False):
+                assert (error_norms(mesh, k, proj, prob.p_ex, prob.grad_p_ex,
+                                    gradient=gradient, relative=relative)
+                        == error_sums_per_cell(parts, relative))
 
     @pytest.mark.parametrize("gradient", ["pi0", "pinabla"])
     def test_banked_triangles_match_fresh_triangulation(self, gradient):
