@@ -257,11 +257,12 @@ def _members(pts, band=None):
 
 def _mirror(pts, members):
     """The seeds, then the images of ``members`` across each side."""
-    images = (pts * (-1.0, 1.0),               # across x = 0
-              pts * (-1.0, 1.0) + (2.0, 0.0),  # across x = 1
-              pts * (1.0, -1.0),               # across y = 0
-              pts * (1.0, -1.0) + (0.0, 2.0))  # across y = 1
-    return np.vstack([pts] + [im[m] for im, m in zip(images, members)])
+    x0, x1, y0, y1 = (pts.take(m, axis=0) for m in members)
+    return np.vstack([pts,
+                      x0 * (-1.0, 1.0),               # across x = 0
+                      x1 * (-1.0, 1.0) + (2.0, 0.0),  # across x = 1
+                      y0 * (1.0, -1.0),               # across y = 0
+                      y1 * (1.0, -1.0) + (0.0, 2.0)])  # across y = 1
 
 
 def _snapped(coords):
@@ -339,15 +340,15 @@ def _flip_repaired(tri, pts):
     points = np.vstack([_mirror(pts, tri.members), tri.points[-4:]])
     simplices, opposite = tri.simplices.copy(), tri.opposite.copy()
     # NaN fails the comparison
-    if not np.all(_twice_area(points[simplices]) > 0.0):
+    if not np.all(_twice_area(points.take(simplices, axis=0)) > 0.0):
         return None
     half = np.arange(opposite.size)
     edges = half[opposite > half]       # every interior edge, once
     for _ in range(_MAX_FLIP_ROUNDS):
         flat = simplices.ravel()
         twins = opposite[edges]
-        illegal = _in_circle(points, flat[edges], flat[_next(edges)],
-                             flat[_prev(edges)], flat[_prev(twins)])
+        illegal = _in_circle(points, flat.take(edges), flat.take(_next(edges)),
+                             flat.take(_prev(edges)), flat.take(_prev(twins)))
         edges, twins = edges[illegal], twins[illegal]
         if not len(edges):
             return _Triangulation(points, tri.members, simplices, opposite)
@@ -363,7 +364,8 @@ def _flip_repaired(tri, pts):
         waiting = edges[~(pick | flipped[t] | flipped[u])]
         h, g, t, u = edges[pick], twins[pick], t[pick], u[pick]
         # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)
-        a, b, c, d = flat[h], flat[_next(h)], flat[_prev(h)], flat[_prev(g)]
+        a, b, c, d = (flat.take(h), flat.take(_next(h)), flat.take(_prev(h)),
+                      flat.take(_prev(g)))
         # the quad's outer half-edges, old and new: ad, ca, db, bc
         old = np.concatenate([_next(g), _prev(h), _prev(g), _next(h)])
         new = np.concatenate([3 * t, 3 * t + 2, 3 * u, 3 * u + 1])
@@ -379,7 +381,8 @@ def _flip_repaired(tri, pts):
         opposite[across[inner]] = new[inner]
         opposite[3 * t + 1] = 3 * u + 2
         opposite[3 * u + 2] = 3 * t + 1
-        if not np.all(_twice_area(points[simplices[np.concatenate([t, u])]]) > 0.0):
+        quads = simplices.take(np.concatenate([t, u]), axis=0)
+        if not np.all(_twice_area(points.take(quads, axis=0)) > 0.0):
             return None
         edges = new[inner]
         edges = np.union1d(waiting, np.minimum(edges, opposite[edges]))
@@ -398,8 +401,9 @@ def _prev(h):
 
 def _twice_area(p):
     """Twice the signed areas of triangles ``p`` (..., 3, 2)."""
-    b, c = p[..., 1, :] - p[..., 0, :], p[..., 2, :] - p[..., 0, :]
-    return b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]
+    bx, by = p[..., 1, 0] - p[..., 0, 0], p[..., 1, 1] - p[..., 0, 1]
+    cx, cy = p[..., 2, 0] - p[..., 0, 0], p[..., 2, 1] - p[..., 0, 1]
+    return bx * cy - by * cx
 
 
 def _in_circle(points, a, b, c, d):
@@ -408,9 +412,9 @@ def _in_circle(points, a, b, c, d):
     Values within ``_INCIRCLE_TIE`` of the determinant's magnitude bound
     (the sum of the absolute values of its terms) count as ties, outside.
     """
-    pd = points[d]
-    ad, bd, cd = points[a] - pd, points[b] - pd, points[c] - pd
-    lift = [(v * v).sum(axis=1) for v in (ad, bd, cd)]
+    pd = points.take(d, axis=0)
+    ad, bd, cd = (points.take(i, axis=0) - pd for i in (a, b, c))
+    lift = [v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] for v in (ad, bd, cd)]
     terms = [(v[:, 0] * w[:, 1], w[:, 0] * v[:, 1])
              for v, w in ((bd, cd), (cd, ad), (ad, bd))]
     det = sum(l * (p - q) for l, (p, q) in zip(lift, terms))
@@ -437,26 +441,33 @@ def _seed_circumcentres(pts, points, simplices):
     """The triangles at a seed, their corners and their snapped circumcentres.
 
     ``points`` are the seeds, their mirror images and the four frame
-    points, last.  Returns ``(simplices, corners, centres)`` for the rows
-    of ``simplices`` with a seed corner.  A seed that touches the frame, or
-    has fewer than three triangles, has an unbounded region.
+    points, last.  Returns ``(simplices, (x, y), centres)`` for the rows
+    of ``simplices`` with a seed corner: ``x`` and ``y`` (T, 3) are the
+    corners' coordinates, ``centres`` (T, 2) the circumcentres.  A seed
+    that touches the frame, or has fewer than three triangles, has an
+    unbounded region.
+
+    The arithmetic runs on one coordinate at a time: NumPy's loops over a
+    trailing axis of length 2 cost several times the arithmetic itself.
     """
     n = len(pts)
-    simplices = simplices[(simplices < n).any(axis=1)]
+    lowest = np.minimum(np.minimum(simplices[:, 0], simplices[:, 1]), simplices[:, 2])
+    simplices = simplices.compress(lowest < n, axis=0)
     if ((simplices >= len(points) - 4).any()
             or np.bincount(simplices.ravel(), minlength=n)[:n].min() < 3):
         raise MeshError("unbounded Voronoi region; seed configuration degenerate")
-    p = points[simplices]                         # (T, 3, 2)
-    b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    cross = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
-    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    x, y = points[:, 0].take(simplices), points[:, 1].take(simplices)
+    bx, by = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+    cx, cy = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
+    cross = bx * cy - by * cx
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
     with np.errstate(divide="ignore", invalid="ignore"):
-        centres = p[:, 0] + (np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
-                                              b[:, 0] * cc - c[:, 0] * bb])
-                             / (2.0 * cross)[:, None])
+        twice = 2.0 * cross
+        centres = np.column_stack([x[:, 0] + (cy * bb - by * cc) / twice,
+                                   y[:, 0] + (bx * cc - cx * bb) / twice])
     if not np.isfinite(centres).all():
         raise MeshError("unbounded Voronoi region; seed configuration degenerate")
-    return simplices, p, _snapped(centres)
+    return simplices, (x, y), _snapped(centres)
 
 
 def _cell_centroids(pts, points, simplices):
@@ -476,23 +487,26 @@ def _cell_centroids(pts, points, simplices):
     triangles adds nothing whichever diagonal is used.
     """
     n = len(pts)
-    simplices, p, centres = _seed_circumcentres(pts, points, simplices)
-    # per corner, relative to it: circumcentre, midpoints of the edges
-    # leaving and entering it, and twice the areas of its two triangles
-    o = centres[:, None, :] - p
-    m_next = 0.5 * (p[:, [1, 2, 0]] - p)
-    m_prev = 0.5 * (p[:, [2, 0, 1]] - p)
-    twice_1 = m_next[..., 0] * o[..., 1] - m_next[..., 1] * o[..., 0]
-    twice_2 = o[..., 0] * m_prev[..., 1] - o[..., 1] * m_prev[..., 0]
-    moments = (twice_1[..., None] * (m_next + o)
-               + twice_2[..., None] * (o + m_prev)).reshape(-1, 2)
+    simplices, (x, y), centres = _seed_circumcentres(pts, points, simplices)
+    # per corner (T, 3), relative to it: circumcentre o, midpoints of the
+    # edges leaving (m) and entering (l) it, and twice the areas of its two
+    # triangles
+    ox, oy = centres[:, :1] - x, centres[:, 1:] - y
+    mx, my = 0.5 * (x[:, _NEXT] - x), 0.5 * (y[:, _NEXT] - y)
+    lx, ly = 0.5 * (x[:, _PREV] - x), 0.5 * (y[:, _PREV] - y)
+    twice_1 = mx * oy - my * ox
+    twice_2 = ox * ly - oy * lx
     # sum per corner point; the bins of mirror points are dropped
     owner, bins = simplices.ravel(), len(points)
-    area3 = 3.0 * np.bincount(owner, (twice_1 + twice_2).ravel(), minlength=bins)[:n]
-    centroids = pts + np.column_stack(
-        [np.bincount(owner, moments[:, 0], minlength=bins)[:n],
-         np.bincount(owner, moments[:, 1], minlength=bins)[:n]]) / area3[:, None]
-    reach = np.sqrt((o * o).sum(axis=-1)[simplices < n].max())
+
+    def per_seed(values):
+        return np.bincount(owner, values.ravel(), minlength=bins)[:n]
+
+    area3 = 3.0 * per_seed(twice_1 + twice_2)
+    centroids = np.column_stack(
+        [pts[:, 0] + per_seed(twice_1 * (mx + ox) + twice_2 * (ox + lx)) / area3,
+         pts[:, 1] + per_seed(twice_1 * (my + oy) + twice_2 * (oy + ly)) / area3])
+    reach = np.sqrt((ox * ox + oy * oy)[simplices < n].max())
     return centroids, reach, centres
 
 

@@ -423,6 +423,70 @@ def circumcircle_depth(points, simplices):
     return depth
 
 
+def in_circle_axis_sums(points, a, b, c, d):
+    """``vemlab.meshgen._in_circle`` with fancy-index gathers and sums over
+    the trailing (x, y) axis: the arithmetic the row ``take`` and the
+    written-out sums replaced, operation for operation, so the two must
+    agree bit for bit."""
+    from vemlab import meshgen
+
+    pd = points[d]
+    ad, bd, cd = points[a] - pd, points[b] - pd, points[c] - pd
+    lift = [(v * v).sum(axis=1) for v in (ad, bd, cd)]
+    terms = [(v[:, 0] * w[:, 1], w[:, 0] * v[:, 1])
+             for v, w in ((bd, cd), (cd, ad), (ad, bd))]
+    det = sum(l * (p - q) for l, (p, q) in zip(lift, terms))
+    bound = sum(l * (np.abs(p) + np.abs(q)) for l, (p, q) in zip(lift, terms))
+    return det > meshgen._INCIRCLE_TIE * bound
+
+
+def seed_circumcentres_axis_sums(pts, points, simplices):
+    """``vemlab.meshgen._seed_circumcentres`` on (T, 3, 2) corner arrays,
+    with fancy-index gathers and axis sums; returns the corners as that
+    array instead of one (T, 3) array per coordinate."""
+    from vemlab.mesh import MeshError
+    from vemlab.meshgen import _snapped
+
+    n = len(pts)
+    simplices = simplices[(simplices < n).any(axis=1)]
+    if ((simplices >= len(points) - 4).any()
+            or np.bincount(simplices.ravel(), minlength=n)[:n].min() < 3):
+        raise MeshError("unbounded Voronoi region; seed configuration degenerate")
+    p = points[simplices]
+    b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    cross = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centres = p[:, 0] + (np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                              b[:, 0] * cc - c[:, 0] * bb])
+                             / (2.0 * cross)[:, None])
+    if not np.isfinite(centres).all():
+        raise MeshError("unbounded Voronoi region; seed configuration degenerate")
+    return simplices, p, _snapped(centres)
+
+
+def cell_centroids_axis_sums(pts, points, simplices):
+    """``vemlab.meshgen._cell_centroids`` on (T, 3, 2) corner arrays, with
+    fancy-index corner shifts and axis sums: the same operations in the
+    same order, so the two must agree bit for bit."""
+    n = len(pts)
+    simplices, p, centres = seed_circumcentres_axis_sums(pts, points, simplices)
+    o = centres[:, None, :] - p
+    m_next = 0.5 * (p[:, [1, 2, 0]] - p)
+    m_prev = 0.5 * (p[:, [2, 0, 1]] - p)
+    twice_1 = m_next[..., 0] * o[..., 1] - m_next[..., 1] * o[..., 0]
+    twice_2 = o[..., 0] * m_prev[..., 1] - o[..., 1] * m_prev[..., 0]
+    moments = (twice_1[..., None] * (m_next + o)
+               + twice_2[..., None] * (o + m_prev)).reshape(-1, 2)
+    owner, bins = simplices.ravel(), len(points)
+    area3 = 3.0 * np.bincount(owner, (twice_1 + twice_2).ravel(), minlength=bins)[:n]
+    centroids = pts + np.column_stack(
+        [np.bincount(owner, moments[:, 0], minlength=bins)[:n],
+         np.bincount(owner, moments[:, 1], minlength=bins)[:n]]) / area3[:, None]
+    reach = np.sqrt((o * o).sum(axis=-1)[simplices < n].max())
+    return centroids, reach, centres
+
+
 def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2):
     """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
     built from one ``np.repeat``/``np.tile`` index array per cell: the

@@ -3,17 +3,21 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 import vemlab.meshgen as meshgen
-from oracles import (circumcircle_depth, clipped_cells_per_cell,
-                     concave_mesh_registry, cvt_energy,
+from oracles import (cell_centroids_axis_sums, circumcircle_depth,
+                     clipped_cells_per_cell, concave_mesh_registry,
+                     cvt_energy, in_circle_axis_sums,
                      mesh_from_rings_union_find, opposite_half_edges,
                      reflex_vertices, relax_points_per_cell,
                      relax_points_qhull, ring_centroids,
-                     sees_all_of_polygon, square_mesh_per_cell)
+                     seed_circumcentres_axis_sums, sees_all_of_polygon,
+                     square_mesh_per_cell)
 from vemlab.mesh import MeshError, element_geometry, make_mesh
 from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _cell_centroids,
                             _clipped_cells, _delaunay, _delaunay_centroids,
-                            _draw_seeds, _flip_repaired, _mesh_from_rings,
-                            _tessellate, _twice_area, _WELD_TOL, concave_mesh,
+                            _draw_seeds, _flip_repaired, _in_circle,
+                            _mesh_from_rings, _mirror, _next, _prev,
+                            _seed_circumcentres, _tessellate, _twice_area,
+                            _WELD_TOL, concave_mesh,
                             generate, lloyd_relax, relax_points, square_mesh,
                             voronoi_mesh)
 
@@ -382,6 +386,58 @@ class TestFlipRepair:
             _banded_centroids(moved, 0.2, carried)
         with pytest.raises((ValueError, MeshError)):
             relax_points(moved, 3)
+
+
+def _triangulated(source, n):
+    """n seeds and their triangulation: raw seeds fully mirrored or in a
+    band of 4 / sqrt(n), or seeds after 20 Lloyd iterations in the band of
+    twice their reach."""
+    pts = np.random.default_rng(6).uniform(0.0, 1.0, (n, 2))
+    band = 4.0 / np.sqrt(n) if source == "banded" else None
+    if source == "relaxed":
+        pts = relax_points(pts, 20)[0]
+        band = 2.0 * _delaunay_centroids(pts)[1]
+    return pts, _delaunay(pts, band)
+
+
+@pytest.mark.parametrize("n", [200, 1600])
+@pytest.mark.parametrize("source", ["raw", "banded", "relaxed"])
+class TestPerCoordinateArithmetic:
+    """Lloyd's per-iteration arithmetic, on one coordinate at a time,
+    against the fancy-index gathers and (x, y) axis sums it replaced:
+    the same operations in the same order, so the same bits."""
+
+    def test_circumcentres_and_centroids_match_axis_sum_oracle(self, source, n):
+        pts, tri = _triangulated(source, n)
+        simplices, (x, y), centres = _seed_circumcentres(pts, tri.points,
+                                                         tri.simplices)
+        ref = seed_circumcentres_axis_sums(pts, tri.points, tri.simplices)
+        assert np.array_equal(simplices, ref[0])
+        assert np.array_equal(np.stack([x, y], axis=-1), ref[1])
+        assert np.array_equal(centres, ref[2])
+        ours = _cell_centroids(pts, tri.points, tri.simplices)
+        ref = cell_centroids_axis_sums(pts, tri.points, tri.simplices)
+        for a, b in zip(ours, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_in_circle_matches_axis_sum_oracle(self, source, n, monkeypatch):
+        # every interior edge of the triangulation, after the seeds moved
+        # half a Lloyd step: some edges are illegal now
+        pts, tri = _triangulated(source, n)
+        moved = pts + 0.5 * (_delaunay_centroids(pts)[0] - pts)
+        points = np.vstack([_mirror(moved, tri.members), tri.points[-4:]])
+        flat, half = tri.simplices.ravel(), np.arange(tri.opposite.size)
+        edges = half[tri.opposite > half]
+        corners = (flat[edges], flat[_next(edges)], flat[_prev(edges)],
+                   flat[_prev(tri.opposite[edges])])
+        illegal = _in_circle(points, *corners)
+        assert illegal.any() and not illegal.all()
+        assert np.array_equal(illegal, in_circle_axis_sums(points, *corners))
+        # without the tie margin, the sign of a cocircular quad (two seeds
+        # and their mirror images) is rounding noise
+        monkeypatch.setattr(meshgen, "_INCIRCLE_TIE", 0.0)
+        assert np.array_equal(_in_circle(points, *corners),
+                              in_circle_axis_sums(points, *corners))
 
 
 def test_weld_merges_near_duplicate_vertices_of_a_perturbed_lattice():
