@@ -102,8 +102,9 @@ def _diameters(coords):
 def make_mesh(vertices, cells, boundary_vertices=None):
     """Validate raw arrays and assemble a :class:`PolyMesh`.
 
-    Raises :class:`MeshError` for coordinates that are not numbers, vertex
-    ids that are not integers, short or repeating rings, non-CCW cells,
+    Raises :class:`MeshError` for an empty cell list, coordinates that are
+    not numbers, vertex ids that are not integers, short or repeating
+    rings, non-CCW cells,
     and edges traversed twice in the same direction, which indicates
     inconsistent orientation or an edge shared by more than two cells.
     """
@@ -121,12 +122,13 @@ def make_mesh(vertices, cells, boundary_vertices=None):
         raise MeshError("cells must be a list of vertex rings") from exc
     rings = [_entries(cell, f"cell {i}").astype(int, copy=False)
              for i, cell in enumerate(cells)]
+    if not rings:
+        raise MeshError("the cell list is empty: a mesh needs at least one cell")
     _check_rings(vertices, rings)
 
     mesh = PolyMesh(vertices, rings, np.zeros(n_vert, dtype=bool),
                     *_edge_table(rings, n_vert))
-    if rings:
-        mesh.boundary_vertices[mesh.edge_vertices[mesh.boundary_edges()]] = True
+    mesh.boundary_vertices[mesh.edge_vertices[mesh.boundary_edges()]] = True
 
     if boundary_vertices is not None:
         ids = _entries(boundary_vertices, "boundary_vertices").astype(int)
@@ -174,8 +176,6 @@ def _edge_table(rings, n_vert):
     direction raises :class:`MeshError`; this also catches every edge shared
     by more than two cells, as the third of them repeats a direction.
     """
-    if not rings:
-        return np.empty((0, 2), dtype=int), []
     sizes = np.array([ring.size for ring in rings])
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -205,8 +205,6 @@ def _check_rings(vertices, rings):
     A ring is checked for length, repeated ids, ids out of range and
     orientation, in that order; each check runs once over all rings.
     """
-    if not rings:
-        return
     n_cells, n_vert = len(rings), vertices.shape[0]
     sizes = np.array([ring.size for ring in rings])
     short = (sizes < 3) | np.array([ring.ndim != 1 for ring in rings])

@@ -13,10 +13,14 @@ tessellation is conforming without any per-cell polygon stitching; the weld
 merges the equal circumcentres of cocircular triangles.
 
 Lloyd iterations build no ring: each triangle adds its share of area and
-first moment to the seeds at its corners.  Iterations after the first
-mirror only the seeds in a band along each side and keep the result only if
-every vertex of a seed's cell lies in the square, which certifies it equal
-to the fully mirrored one.
+first moment to the seeds at its corners.
+
+Every triangulation first mirrors only the seeds in a band along each
+side: ``_BAND_SPACINGS`` seed spacings wide for the first Lloyd iteration
+and the final mesh, twice the last iteration's reach after that.  The
+result is kept only if every vertex of a seed's cell lies in the square,
+which certifies it equal to the fully mirrored one; otherwise every seed
+is mirrored.
 
 Every triangulation is of the mirrored seeds plus a frame of four points
 around them, so its hull is the frame's square.  A certified banded qhull
@@ -28,7 +32,8 @@ Delaunay again; since the frame keeps the hull fixed, no illegal edge left
 means Delaunay.  qhull reruns (with a fresh band) only when a moved
 triangle is no longer strictly counterclockwise, when the flips reach a
 round cap, or when the repaired cells fail the certificate.  The final
-mesh is built from a fresh triangulation of the fully mirrored seeds.
+mesh is built from a fresh banded triangulation of the relaxed seeds, not
+the carried one, so that ``relax_points`` returns seeds alone.
 """
 
 from dataclasses import dataclass
@@ -57,6 +62,22 @@ _SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 #: invert under smaller moves and send the repair back to qhull
 _FRAME_SCALE = 2.0
 _FRAME = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+#: half-width of the band of seeds mirrored across each side by the first
+#: Lloyd iteration and the final mesh, in seed spacings 1 / sqrt(n); a
+#: build whose cells fail the certificate (see :func:`_banded_centroids`)
+#: mirrors every seed.  Random seed sets (lloyd0, seeds 0-39, 0-9 at
+#: n = 4,096) certified, and qhull's input at 4 spacings against full
+#: mirroring:
+#:
+#:   n        2 spacings  3 spacings  4 spacings  points at 4 (full)
+#:   25       37/40       40/40       40/40         109 (129)
+#:   100      34/40       40/40       40/40         265 (504)
+#:   400      32/40       40/40       40/40         721 (2,004)
+#:   1,600    30/40       40/40       40/40       2,249 (8,004)
+#:   4,096     9/10       10/10       10/10       5,116 (20,484)
+#:
+#: 4 keeps a margin over 3, the narrowest band that certified every set.
+_BAND_SPACINGS = 4.0
 #: flip rounds after which a repair gives up and qhull rebuilds
 _MAX_FLIP_ROUNDS = 32
 #: in-circle values below this fraction of their magnitude bound are ties
@@ -173,6 +194,9 @@ def lloyd_relax(seeds, iterations):
     must be distinct: qhull would drop a repeated one.
     """
     seeds = np.asarray(seeds, dtype=float)
+    if not len(seeds):
+        raise MeshError("lloyd_relax needs at least one seed; the seed array "
+                        "is empty")
     _, first, which = np.unique(seeds, axis=0, return_index=True,
                                 return_inverse=True)
     owner = first[which.ravel()]
@@ -190,19 +214,19 @@ def relax_points(points, iterations):
 
     Returns the relaxed points and the per-iteration movement norms
     ``max_i |seed_i - centroid_i|``.  Every iteration works on the Delaunay
-    triangulation (see :func:`_delaunay_centroids`); after the first only
-    the seeds near a side are mirrored across it, and the last certified
-    banded triangulation is carried into the next iteration and repaired
-    by edge flips (see :func:`_banded_centroids`).
+    triangulation (see :func:`_delaunay_centroids`) and mirrors only the
+    seeds near a side across it: within ``_BAND_SPACINGS`` seed spacings
+    in the first iteration, then within twice the last iteration's reach.
+    The last certified banded triangulation, the first one included, is
+    carried into the next iteration and repaired by edge flips (see
+    :func:`_banded_centroids`); an iteration whose band fails the
+    certificate mirrors every seed.
     """
     pts = np.asarray(points, dtype=float).copy()
     movements = np.empty(iterations)
-    band = carried = None
+    band, carried = _BAND_SPACINGS / np.sqrt(len(pts)), None
     for it in range(iterations):
-        if band is None:
-            new, reach, _ = _delaunay_centroids(pts)
-        else:
-            (new, reach, _), carried = _banded_centroids(pts, band, carried)
+        (new, reach, _), carried = _banded_centroids(pts, band, carried)
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
         # next band: twice the largest seed-to-vertex distance
         band = 2.0 * reach
@@ -228,16 +252,22 @@ def _tessellate(pts):
 def _clipped_cells(pts):
     """Rings (vertex-id arrays) and coordinates of square-clipped Voronoi cells.
 
-    A seed's ring is the circumcentres of its triangles in the fully
-    mirrored triangulation, in counterclockwise angular order around it
-    (cells are convex).  Cocircular triangles give repeated vertices, which
-    :func:`_mesh_from_rings` welds.
+    A seed's ring is the circumcentres of its triangles in the mirrored
+    triangulation, in counterclockwise angular order around it (cells are
+    convex).  Only the seeds within ``_BAND_SPACINGS`` seed spacings of a
+    side are mirrored across it, unless the cells fail the certificate of
+    :func:`_banded_centroids`; then every seed is.  Cocircular triangles
+    give repeated vertices, which :func:`_mesh_from_rings` welds.
     """
     n = len(pts)
     if n == 1:
         return [np.arange(4)], _SQUARE.copy()
-    tri = _delaunay(pts)
-    simplices, _, centres = _seed_circumcentres(pts, tri.points, tri.simplices)
+    found = _certified(_seed_circumcentres, pts,
+                       _delaunay(pts, _BAND_SPACINGS / np.sqrt(n)))
+    if found is None:
+        tri = _delaunay(pts)
+        found = _seed_circumcentres(pts, tri.points, tri.simplices)
+    simplices, _, centres = found
     owner = simplices.ravel()
     at_seed = owner < n
     ids, owner = np.repeat(np.arange(len(simplices)), 3)[at_seed], owner[at_seed]
@@ -532,24 +562,26 @@ def _banded_centroids(pts, band, carried=None):
         return _delaunay_centroids(pts), None
     if carried is not None:
         tri = _flip_repaired(carried, pts)
-        banded = None if tri is None else _certified_centroids(pts, tri)
+        banded = None if tri is None else _certified(_cell_centroids, pts, tri)
         if banded is not None:
             return banded, tri
     tri = _delaunay(pts, band)
-    banded = _certified_centroids(pts, tri)
+    banded = _certified(_cell_centroids, pts, tri)
     if banded is not None:
         return banded, tri if tri.opposite is not None else None
     return _delaunay_centroids(pts), None
 
 
-def _certified_centroids(pts, tri):
-    """The centroids of ``tri``'s cells if they pass the certificate, else None."""
+def _certified(cells, pts, tri):
+    """``cells(pts, tri.points, tri.simplices)`` if the cell vertices it
+    returns last pass the certificate, else None; ``cells`` is
+    :func:`_cell_centroids` or :func:`_seed_circumcentres`."""
     try:
-        banded = _cell_centroids(pts, tri.points, tri.simplices)
+        found = cells(pts, tri.points, tri.simplices)
     except MeshError:
         return None
-    centres = banded[2]
-    return banded if np.all((centres >= 0.0) & (centres <= 1.0)) else None
+    centres = found[-1]
+    return found if np.all((centres >= 0.0) & (centres <= 1.0)) else None
 
 
 def _mesh_from_rings(rings, coords):

@@ -82,6 +82,12 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="fewer than 3"):
             make_mesh(UNIT_SQUARE["vertices"], [[0, 1]])
 
+    def test_empty_cell_list_is_named(self):
+        # a mesh of no cells used to pass here and fail later, in assemble,
+        # with NumPy's "need at least one array to concatenate"
+        with pytest.raises(MeshError, match="cell list is empty"):
+            make_mesh(np.zeros((0, 2)), [])
+
     def test_inconsistent_boundary_list(self, tmp_path):
         doc = dict(UNIT_SQUARE, boundary_vertices=[0, 1])
         with pytest.raises(MeshError, match="boundary"):

@@ -162,6 +162,13 @@ class TestLloyd:
             lloyd_relax(seeds, iterations)
         assert sizes == []
 
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_empty_seeds_are_named(self, iterations):
+        # used to fail inside the mirroring with NumPy's "zero-size array
+        # to reduction operation minimum"
+        with pytest.raises(MeshError, match="seed array is empty"):
+            lloyd_relax(np.zeros((0, 2)), iterations)
+
     def test_fixed_point_convergence_100_seeds(self):
         # Lloyd's descent property: the CVT quantization energy never
         # increases, and the movement norm decays strongly overall (its raw
@@ -181,6 +188,19 @@ class TestLloyd:
         _, movement = relax_points(np.random.default_rng(0).uniform(0, 1, (100, 2)), 100)
         assert movement[-10:].max() < movement[10:20].max()
         assert movement[-1] < 0.05 * movement[0]
+
+
+def _assert_same_cells(mesh, ref):
+    """Equal cell and vertex counts, and every vertex cycle within 1e-13;
+    the vertex numbering may differ."""
+    assert mesh.num_cells == ref.num_cells
+    assert mesh.num_vertices == ref.num_vertices
+    for a, b in zip(mesh.cells, ref.cells):
+        cycle, ref_cycle = mesh.vertices[a], ref.vertices[b]
+        assert len(cycle) == len(ref_cycle)
+        # the rings may start at different vertices
+        start = np.argmin(np.hypot(*(ref_cycle - cycle[0]).T))
+        assert np.abs(cycle - np.roll(ref_cycle, -start, axis=0)).max() < 1e-13
 
 
 def _counting_delaunay(monkeypatch):
@@ -214,14 +234,21 @@ class TestFlatVoronoi:
         spec = GeneratorSpec("lloyd0", n, seed=seed)
         mesh = generate(spec)
         ref = _mesh_from_rings(*clipped_cells_per_cell(_draw_seeds(spec)))
-        assert mesh.num_cells == ref.num_cells
-        assert mesh.num_vertices == ref.num_vertices
-        for a, b in zip(mesh.cells, ref.cells):
-            cycle, ref_cycle = mesh.vertices[a], ref.vertices[b]
-            assert len(cycle) == len(ref_cycle)
-            # the rings may start at different vertices
-            start = np.argmin(np.hypot(*(ref_cycle - cycle[0]).T))
-            assert np.abs(cycle - np.roll(ref_cycle, -start, axis=0)).max() < 1e-13
+        _assert_same_cells(mesh, ref)
+
+    @pytest.mark.parametrize("family, n", [("lloyd0", 400), ("lloyd0", 4096),
+                                           ("lloyd100", 1600)])
+    def test_banded_mesh_matches_per_cell_oracle(self, family, n, monkeypatch):
+        # the final mesh from the density band alone: one qhull call, on
+        # far fewer points than full mirroring
+        spec = GeneratorSpec(family, n)
+        pts = _draw_seeds(spec)
+        if spec.iterations:
+            pts = relax_points(pts, spec.iterations)[0]
+        sizes = _counting_delaunay(monkeypatch)
+        mesh = _tessellate(pts)
+        assert len(sizes) == 1 and sizes[0] < 2 * n
+        _assert_same_cells(mesh, _mesh_from_rings(*clipped_cells_per_cell(pts)))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_relax_matches_per_cell_oracle(self, seed):
@@ -287,11 +314,31 @@ class TestFlatVoronoi:
         pts = np.random.default_rng(2).uniform(0.0, 1.0, (n, 2))
         sizes = _counting_delaunay(monkeypatch)
         relax_points(pts, 20)
-        # the first call mirrors fully; later ones mirror a band, and most
+        # every call mirrors a band, the first one included, and most
         # iterations repair the carried triangulation without qhull
         assert len(sizes) < 20
-        assert sizes[0] == 5 * n + 4
-        assert max(sizes[1:]) < 2 * n
+        assert max(sizes) < 2 * n
+
+    def test_uncertified_density_band_falls_back_to_full_mirroring(
+            self, monkeypatch):
+        # no seed lies within the density band (4 seed spacings) of the top
+        # side, so the banded cells of the top seeds reach past it
+        n = 200
+        pts = np.random.default_rng(8).uniform(0.0, 1.0, (n, 2)) * (1.0, 0.6)
+        assert pts[:, 1].max() < 1.0 - meshgen._BAND_SPACINGS / np.sqrt(n)
+        full = _delaunay_centroids(pts)[0]
+        sizes = _counting_delaunay(monkeypatch)
+        new, moves = relax_points(pts, 1)
+        # the banded build, then full mirroring (and the four frame points)
+        assert len(sizes) == 2 and sizes[0] < sizes[1] == 5 * n + 4
+        assert new.tobytes() == full.tobytes()
+        assert moves[0] == np.max(np.hypot(*(full - pts).T))
+        sizes.clear()
+        mesh = _tessellate(pts)
+        assert len(sizes) == 2 and sizes[1] == 5 * n + 4
+        # a band wider than the square mirrors every seed
+        monkeypatch.setattr(meshgen, "_BAND_SPACINGS", np.inf)
+        _assert_same_mesh(mesh, _tessellate(pts))
 
     def test_single_seed_relaxes_to_square_centroid(self):
         pts, movement = relax_points([[0.3, 0.6]], 3)
