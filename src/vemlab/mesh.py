@@ -104,9 +104,9 @@ def make_mesh(vertices, cells, boundary_vertices=None):
 
     Raises :class:`MeshError` for an empty cell list, coordinates that are
     not numbers, vertex ids that are not integers, short or repeating
-    rings, non-CCW cells,
-    and edges traversed twice in the same direction, which indicates
-    inconsistent orientation or an edge shared by more than two cells.
+    rings, non-CCW cells, and edges traversed twice in the same direction,
+    which indicates inconsistent orientation or an edge shared by more
+    than two cells.
     """
     vertices = _entries(vertices, "vertex table", "iuf")
     vertices = vertices.astype(float, copy=False)

@@ -194,9 +194,6 @@ def lloyd_relax(seeds, iterations):
     must be distinct: qhull would drop a repeated one.
     """
     seeds = np.asarray(seeds, dtype=float)
-    if not len(seeds):
-        raise MeshError("lloyd_relax needs at least one seed; the seed array "
-                        "is empty")
     _, first, which = np.unique(seeds, axis=0, return_index=True,
                                 return_inverse=True)
     owner = first[which.ravel()]
@@ -223,6 +220,9 @@ def relax_points(points, iterations):
     certificate mirrors every seed.
     """
     pts = np.asarray(points, dtype=float).copy()
+    if not len(pts):
+        raise MeshError("Lloyd relaxation needs at least one seed; the seed "
+                        "array is empty")
     movements = np.empty(iterations)
     band, carried = _BAND_SPACINGS / np.sqrt(len(pts)), None
     for it in range(iterations):
