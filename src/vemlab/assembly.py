@@ -101,10 +101,23 @@ def build_dofmap(mesh, k):
                   interior_dofs=np.flatnonzero(free))
 
 
-def _coo_pattern(cell_dofs, sizes, n):
+def interior_first(dofmap):
+    """Renumbering of the global DoFs that puts the interior ones first, in
+    the order of ``interior_dofs``, then the boundary ones, in the order of
+    ``boundary_dofs``: the numbering in which :func:`assemble` converts the
+    global matrix, so that the reduced system is its leading block."""
+    ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
+    number = np.empty(dofmap.n_dofs, dtype=np.intp)
+    number[ii] = np.arange(ii.size)
+    number[bb] = ii.size + np.arange(bb.size)
+    return number
+
+
+def _coo_pattern(flat, sizes, n):
     """Global (row, column) of every local matrix entry, in one step.
 
-    ``sizes`` holds the number of DoFs of every cell.
+    ``flat`` holds the DoFs of every cell, concatenated in cell order, and
+    ``sizes`` the number of DoFs of every cell.
 
     Entries run cell by cell, each cell's block in row-major order, which is
     the order a per-cell ``np.repeat``/``np.tile`` scatter produces; cell
@@ -115,7 +128,7 @@ def _coo_pattern(cell_dofs, sizes, n):
     blocks = sizes * sizes
     starts = np.zeros(sizes.size + 1, dtype=np.intp)
     np.cumsum(blocks, out=starts[1:])
-    flat = np.concatenate(cell_dofs).astype(index)
+    flat = flat.astype(index)
     rows = np.repeat(flat, np.repeat(sizes, sizes))
     # entry t of a block sits in the column of the cell's DoF t mod size
     pos = np.arange(starts[-1])
@@ -132,10 +145,12 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     :func:`vemlab.local.mesh_elements`); each is written into its cell's
     slot of one preallocated COO value buffer, and the loads are summed in
     cell order, so repeated runs produce bit-identical systems.  Each
-    chunk's geometry, post-solve operators and triangles are kept on
-    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.  The reduced
-    matrix is built as CSC, which :func:`solve` factors without a copy, and
-    the interior-by-boundary coupling as CSR.
+    chunk's geometry, triangles and shape table are kept on
+    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.  The global matrix
+    is converted once, to CSC in the :func:`interior_first` numbering: the
+    reduced matrix, which :func:`solve` factors without a copy, is its
+    leading block, and the interior-by-boundary coupling block is converted
+    on to CSR.
     """
     # a rule of degree below 2k does not integrate the mass matrix exactly
     if quad_boost < 0:
@@ -145,7 +160,8 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     n = dofmap.n_dofs
 
     sizes = np.array([g.size for g in dofmap.cell_dofs], dtype=np.intp)
-    rows, cols, starts = _coo_pattern(dofmap.cell_dofs, sizes, n)
+    flat = np.concatenate(dofmap.cell_dofs)
+    rows, cols, starts = _coo_pattern(interior_first(dofmap)[flat], sizes, n)
     load_starts = np.concatenate([[0], np.cumsum(sizes)])
     vals = np.empty(starts[-1])
     loads = np.empty(load_starts[-1])
@@ -163,25 +179,20 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
         block += out.Ch
         vals[starts[cells, None] + np.arange(nd * nd)] = block.reshape(len(cells), -1)
         loads[load_starts[cells, None] + np.arange(nd)] = out.f_loc
-        kept.append((out.geometry, out.post_solve_operators(), tris))
-    # free the last chunk's working arrays before the CSR conversion, the
+        kept.append((out.geometry, tris, out.shapes, out.classes))
+    # free the last chunk's working arrays before the conversion, the
     # memory peak of assembly
     del out, block
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    # one conversion, in the interior-first numbering: the reduced matrix
+    # is the leading block of the global one
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
     del rows, cols, vals
     rhs_full = np.zeros(n)
-    np.add.at(rhs_full, np.concatenate(dofmap.cell_dofs), loads)
-
-    ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
-    # free each copy of the matrix once the next one exists: converting
-    # ``A_rows[:, ii]`` to CSC while the row slice is alive keeps a fourth
-    # copy at the memory peak of the run
-    A_rows = A[ii]
+    np.add.at(rhs_full, flat, loads)
+    ii = dofmap.interior_dofs
+    matrix = A[:ii.size, :ii.size]
+    coupling = A[:ii.size, ii.size:].tocsr()
     del A
-    coupling = A_rows[:, bb].tocsr()
-    matrix = A_rows[:, ii]
-    del A_rows
-    matrix = matrix.tocsc()
     return SparseSystem(matrix=matrix,
                         rhs=rhs_full[ii].copy(),
                         lifting=np.zeros(n),
@@ -213,9 +224,27 @@ def apply_dirichlet(system, g, mesh, k):
         base = dofmap.n_vertex_dofs + edges * (k - 1)
         lift[base[:, None] + np.arange(k - 1)] = edge_moments(
             gv, mesh.vertices[lo], mesh.vertices[hi], k, k + 3)
+    if not np.isfinite(lift).all():
+        _name_non_finite(lift, mesh, dofmap)
     system.lifting = lift
     system.rhs = system.rhs_base - system.coupling @ lift[dofmap.boundary_dofs]
     return system
+
+
+def _name_non_finite(lift, mesh, dofmap):
+    """Raise ValueError naming the first boundary vertex, or boundary edge,
+    whose Dirichlet DoF in ``lift`` is not finite."""
+    bad = ~np.isfinite(lift)
+    nv = dofmap.n_vertex_dofs
+    vertices = np.flatnonzero(bad[:nv])
+    if vertices.size:
+        raise ValueError(f"boundary vertex {vertices[0]}: Dirichlet data g "
+                         "is not finite")
+    edges = np.flatnonzero(bad[nv:nv + dofmap.n_edge_dofs]) // (dofmap.k - 1)
+    if edges.size:
+        lo, hi = mesh.edge_vertices[edges[0]]
+        raise ValueError(f"boundary edge {edges[0]} (vertices {lo}, {hi}): "
+                         "Dirichlet data g is not finite")
 
 
 def solve(system):

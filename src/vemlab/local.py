@@ -10,10 +10,12 @@ internal moments directly.
 One element kernel, :func:`element_kernel`, builds the projectors and local
 forms of a whole stack of cells that share a vertex count in stacked NumPy
 calls; :func:`mesh_elements` runs it over a mesh in memory-bounded chunks,
-and the one-element functions call it on a stack of one.
+and the one-element functions call it on a stack of one.  Cells that are
+translates of each other (:func:`shape_classes`) share one build of their
+projectors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -75,15 +77,31 @@ class ProjectorSet:
     rule_values: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class ShapeTable:
+    """What post-processing needs of each shape class of a stack of cells.
+
+    One row per class: its representative's geometry and (R, T, 3, 2)
+    triangles, and its post-solve operator ``[Pi0k; Pi0GradX; Pi0GradY;
+    PiNabla]`` (R, rows, n_dofs), which maps a cell's DoFs to all of its
+    polynomial snapshots.  Compared by identity: the chunks of one stack
+    share it.
+    """
+
+    geometry: GeometryStack
+    triangles: np.ndarray
+    operators: np.ndarray
+
+
 @dataclass(frozen=True)
 class ElementBank:
     """What post-processing needs of each cell, kept from one build.
 
-    ``chunks`` holds one ``(GeometryStack, operators, triangles)`` entry per
-    chunk of :func:`mesh_elements`: the operators (C, rows, n_dofs) stack
-    ``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]``, which maps a cell's DoFs to all
-    of its polynomial snapshots, and the error norms map their own rule onto
-    the (C, T, 3, 2) triangles the chunk's quadrature used.
+    ``chunks`` holds one ``(GeometryStack, triangles, ShapeTable, classes)``
+    entry per chunk of :func:`mesh_elements`: the chunk's geometry and
+    (C, T, 3, 2) triangles, onto which the error norms map their own rule,
+    and the :class:`ShapeTable` of its stack with the class of each cell
+    (``classes`` is ``None`` when row i of the table is the chunk's cell i).
     """
 
     k: int
@@ -92,8 +110,8 @@ class ElementBank:
 
     def __post_init__(self):
         # cell -> (chunk, row)
-        where = np.empty((sum(len(g) for g, _, _ in self.chunks), 2), np.intp)
-        for i, (geometry, _, _) in enumerate(self.chunks):
+        where = np.empty((sum(len(g) for g, *_ in self.chunks), 2), np.intp)
+        for i, (geometry, *_) in enumerate(self.chunks):
             where[geometry.cells, 0] = i
             where[geometry.cells, 1] = np.arange(len(geometry))
         object.__setattr__(self, "_where", where)
@@ -114,8 +132,10 @@ class ElementBank:
         """
         nk, nkm1 = n_poly(self.k), n_poly(self.k - 1)
         snaps = np.empty((self.n_cells, 2 * (nk + nkm1)))
-        for geometry, ops, _ in self.chunks:
+        for geometry, _, shapes, classes in self.chunks:
             dofs = np.array([cell_dofs[c] for c in geometry.cells])
+            ops = (shapes.operators if classes is None
+                   else shapes.operators[classes])
             snaps[geometry.cells] = (ops @ u[dofs][..., None])[..., 0]
         pi0, gx, gy, energy = np.split(
             snaps, [nk, nk + nkm1, nk + 2 * nkm1], axis=1)
@@ -184,13 +204,20 @@ class Coefficients:
         return np.broadcast_to(arr, (pts.shape[0],))
 
 
+_PROJECTOR_FIELDS = ("rule_values", "PiNabla", "Pi0k", "Pi0km1", "Pi0GradX",
+                     "Pi0GradY", "D", "H")
+
+
 @dataclass
 class ElementStack:
     """What :func:`element_kernel` builds for a stack of cells.
 
-    Every array has one leading row per cell of ``geometry``; the fields are
-    those of :class:`ProjectorSet` and, when coefficients were given, of
-    :class:`LocalSystem` (``None`` otherwise).
+    The local forms have one leading row per cell of ``geometry``, and
+    ``None`` when no coefficients were given; they are those of
+    :class:`LocalSystem`.  The fields of :class:`ProjectorSet` have one row
+    per shape class: cell i takes row ``classes[i]``, or row i when
+    ``classes`` is ``None``.  ``shapes`` is what :func:`mesh_elements`
+    keeps of the chunk for the :class:`ElementBank`.
     """
 
     k: int
@@ -208,20 +235,24 @@ class ElementStack:
     Ch: np.ndarray = None
     S: np.ndarray = None
     f_loc: np.ndarray = None
+    classes: np.ndarray = None
+    shapes: ShapeTable = None
+
+    def row(self, i):
+        """Row of the projector fields that cell ``i`` takes."""
+        return i if self.classes is None else self.classes[i]
 
     def projectors(self, i, layout):
-        """Row ``i`` as a :class:`ProjectorSet`."""
+        """Cell ``i`` as a :class:`ProjectorSet`."""
         geom = self.geometry.element(i)
         return ProjectorSet(
             k=self.k, layout=layout, basis=ScaledMonomialBasis(geom, self.k),
-            rule_values=self.rule_values[i],
-            **{f: getattr(self, f)[i] for f in (
-                "PiNabla", "Pi0k", "Pi0km1", "Pi0GradX", "Pi0GradY", "D",
-                "H")})
+            **{f: getattr(self, f)[self.row(i)] for f in _PROJECTOR_FIELDS})
 
     def post_solve_operators(self):
-        """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` of every cell, stacked by
-        rows: the projectors that act on a solution, (C, rows, n_dofs)."""
+        """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` of every row of the
+        projector fields, stacked by rows: the projectors that act on a
+        solution, (rows, 2 n_poly(k) + 2 n_poly(k - 1), n_dofs)."""
         return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY,
                                self.PiNabla], axis=1)
 
@@ -277,6 +308,16 @@ def _linalg(fn, what, geometry, *arrays):
         raise
 
 
+def _check_finite(geometry, **fields):
+    """Raise ValueError naming the first cell and field that is not finite
+    at a quadrature point (each array has shape (C, Q, ...))."""
+    for name, values in fields.items():
+        bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{geometry.label(np.argmax(bad))}: {name} is "
+                             "not finite at a quadrature point")
+
+
 def _check_kappa(kap, geometry):
     """Raise ValueError unless kappa is symmetric positive definite at every
     quadrature point of the stack (kap has shape (C, Q, 2, 2))."""
@@ -291,7 +332,8 @@ def _check_kappa(kap, geometry):
                              "quadrature point")
 
 
-def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
+def element_kernel(geometry, k, rule, coeffs=None, mode="standard",
+                   shared=None):
     """Projectors and, given coefficients, local forms of a stack of cells.
 
     ``geometry`` is a :class:`GeometryStack` and ``rule`` a
@@ -302,12 +344,25 @@ def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
     ``grad_pinabla`` the diffusion consistency term uses the gradient of the
     energy projection instead of the projected gradient; for k=1 the two
     constructions agree identically, so the standard path is shared.
+
+    ``shared`` is ``(representatives, tables, classes)`` when the cells fall
+    into shape classes (see :func:`shape_classes`): ``representatives`` is
+    the :class:`ElementStack` of the class representatives' projectors,
+    ``tables`` what the local forms take of each class
+    (:func:`_form_tables`) and ``classes`` the class of each cell.  The
+    projectors are then not built, and each cell's forms pair its own
+    coefficients, at its own rule points, with its class's tables.
     """
     if mode not in ("standard", "grad_pinabla"):
         raise ValueError(f"unknown mode {mode!r}")
-    out = _projectors(geometry, k, rule)
+    tables = None
+    if shared is None:
+        out = _projectors(geometry, k, rule)
+    else:
+        representatives, tables, classes = shared
+        out = replace(representatives, geometry=geometry, classes=classes)
     if coeffs is not None:
-        _local_forms(out, rule, coeffs, mode)
+        _local_forms(out, rule, coeffs, mode, tables)
     return out
 
 
@@ -416,38 +471,71 @@ def _projectors(geometry, k, rule):
                         Pi0GradX=Pi0GradX, Pi0GradY=Pi0GradY, D=D, H=H)
 
 
-def _local_forms(out, rule, coeffs, mode):
+def _form_tables(out, mode):
+    """What the local forms of :func:`element_kernel` take of each row of
+    the projector fields of ``out``, with neither coefficients nor rule
+    weights: ``(values, P, grad, grad_a, MtM)``.
+
+    The Grams are taken in the monomials orthonormalised by the Cholesky
+    factor L of their mass matrix (values L^-1 m on the rule points,
+    coefficients L^T c).  Grams of the raw monomials would square the mass
+    matrix's condition number in the roundoff of the forms (2e-12 to 3e-11
+    of the max-norm on lloyd0 cells at k = 4, against 3e-14 this way).
+    ``P`` and ``grad`` are the degree-(k-1) L2 projector and projected
+    gradient in that basis, ``grad_a`` the gradient the diffusion form
+    takes in ``mode``, and ``MtM`` the stabilisation's (I - D PiNabla)^T
+    (I - D PiNabla).
+    """
+    k, geometry = out.k, out.geometry
+    nd = out.D.shape[1]
+    m = n_poly(k - 1)
+    L = _linalg(np.linalg.cholesky, "L2 projector mass", geometry,
+                out.H[:, :m, :m])
+    Lt = _t(L)
+    values = np.linalg.inv(L) @ _t(out.rule_values[:, :, :m])  # (C, m, Q)
+    P = Lt @ out.Pi0km1
+    grad = np.concatenate([Lt @ out.Pi0GradX, Lt @ out.Pi0GradY], axis=1)
+    if mode == "grad_pinabla" and k > 1:
+        hh = geometry.diameter[:, None, None]
+        grad_a = np.concatenate(
+            [Lt @ ((derivative_table(k, 0) / hh) @ out.PiNabla),
+             Lt @ ((derivative_table(k, 1) / hh) @ out.PiNabla)], axis=1)
+    else:
+        grad_a = grad
+    M = np.eye(nd) - out.D @ out.PiNabla
+    return values, P, grad, grad_a, _t(M) @ M
+
+
+def _local_forms(out, rule, coeffs, mode, tables=None):
     """Fill the local forms of :func:`element_kernel`'s output ``out``.
 
     Entry [i, j] of each matrix is the form evaluated with trial function j
     and test function i.  The coefficients are evaluated once on every
-    quadrature point of the stack.  Every form pairs degree-(k-1)
-    projections, so each is a coefficient-weighted Gram of a basis of
-    P_{k-1} sandwiched between projector matrices; one stacked product
-    gives all seven Grams, and no table of quadrature points by DoFs is
-    formed.
+    quadrature point of the stack and checked there.  Every form pairs
+    degree-(k-1) projections, so each is a coefficient-weighted Gram of a
+    basis of P_{k-1} sandwiched between projector matrices; one stacked
+    product gives all seven Grams, and no table of quadrature points by
+    DoFs is formed.  ``tables`` holds :func:`_form_tables` per class row of
+    ``out``; without it they are built here, one per cell.
     """
     k, geometry = out.k, out.geometry
-    nd = out.D.shape[1]
     m = n_poly(k - 1)
     w = rule.weights
     pts = rule.points.reshape(-1, 2)
     shape = w.shape
     n_cells, n_points = shape
     kap = coeffs.kappa_at(pts).reshape(shape + (2, 2))
-    _check_kappa(kap, geometry)
     b = coeffs.b_at(pts).reshape(shape + (2,))
     gam = coeffs.gamma_at(pts).reshape(shape)
+    f = coeffs.f_at(pts).reshape(shape)
+    _check_finite(geometry, kappa=kap, b=b, gamma=gam, f=f)
+    _check_kappa(kap, geometry)
+    if tables is None:
+        tables = _form_tables(out, mode)
+    else:
+        tables = [t[out.classes] for t in tables]
+    values, P, grad, grad_a, MtM = tables
 
-    # The Grams are taken in the monomials orthonormalised by the Cholesky
-    # factor L of their mass matrix (values L^-1 m, coefficients L^T c).
-    # Grams of the raw monomials would square the mass matrix's condition
-    # number in the roundoff of the forms (2e-12 to 3e-11 of the max-norm
-    # on lloyd0 cells at k = 4, against 3e-14 this way).
-    L = _linalg(np.linalg.cholesky, "L2 projector mass", geometry,
-                out.H[:, :m, :m])
-    Lt = _t(L)
-    values = np.linalg.inv(L) @ _t(out.rule_values[:, :, :m])  # (C, m, Q)
     # grams[:, a, j, c] = sum_q w c_j v_a v_c for the weights c_j = kappa00,
     # kappa01, kappa10, kappa11, b0, b1, gamma
     wc = w[:, None] * np.stack(
@@ -461,21 +549,10 @@ def _local_forms(out, rule, coeffs, mode):
     Kb = grams[:, :, 4:6].transpose(0, 2, 1, 3).reshape(n_cells, 2 * m, m)
     Kg = grams[:, :, 6]
 
-    P = Lt @ out.Pi0km1
-    grad = np.concatenate([Lt @ out.Pi0GradX, Lt @ out.Pi0GradY], axis=1)
-    if mode == "grad_pinabla" and k > 1:
-        hh = geometry.diameter[:, None, None]
-        grad_a = np.concatenate(
-            [Lt @ ((derivative_table(k, 0) / hh) @ out.PiNabla),
-             Lt @ ((derivative_table(k, 1) / hh) @ out.PiNabla)], axis=1)
-    else:
-        grad_a = grad
     Acons = _t(grad_a) @ (K @ grad_a)
-
     kap_trace = w[:, None, :] @ (kap[..., 0, 0] + kap[..., 1, 1])[..., None]
     sigma = kap_trace[:, 0, 0] / (2 * geometry.area)
-    M = np.eye(nd) - out.D @ out.PiNabla
-    S = sigma[:, None, None] * (_t(M) @ M)
+    S = sigma[:, None, None] * MtM
     S = 0.5 * (S + _t(S))
     Ah = Acons + S
     Ah = 0.5 * (Ah + _t(Ah))
@@ -487,7 +564,7 @@ def _local_forms(out, rule, coeffs, mode):
     Ch = _t(P) @ (Kg @ P)
     Ch = 0.5 * (Ch + _t(Ch))
 
-    f_basis = values @ (w * coeffs.f_at(pts).reshape(shape))[..., None]
+    f_basis = values @ (w * f)[..., None]
     f_loc = (_t(P) @ f_basis)[..., 0]
     out.Ah, out.Bh, out.Ch, out.S, out.f_loc = Ah, Bh, Ch, S, f_loc
 
@@ -533,6 +610,79 @@ def cell_bytes(nv, n_points, k):
     return 8 * (n_points * per_point + 16 * nd ** 2)
 
 
+#: A cell joins the shape class of its key only when each of its vertex and
+#: triangle corner offsets from its first vertex, and its diameter, differ
+#: from its representative's by at most this many ulps of the stack's
+#: largest coordinate magnitude.  The translates of the lattice families
+#: deviate by at most 0.49 ulp of 1 (concave 30 x 30 and 40 x 40, square
+#: 5 x 5 to 100 x 100): on concave 30 x 30 that is 3.3e-15 of the cell
+#: diameter, against a bound of 1.9e-14 of it.
+_CLASS_ULPS = 4
+#: Resolution of the class key: offsets in units of the diameter, rounded
+#: to 2^-30.  Only the explicit check above merges cells; a key that rounds
+#: apart splits a class, which costs time, not accuracy.
+_KEY_BITS = 30
+
+
+def shape_classes(geometry, tris):
+    """Cells of a stack that are translates of each other, up to roundoff.
+
+    ``geometry`` is a :class:`GeometryStack` whose cells share a vertex and
+    a triangle count and ``tris`` (C, T, 3, 2) their triangles.  The scaled
+    monomials (x - x_E)/h_E are translation-invariant, so translates share
+    their projectors, mass matrices and monomial tables on corresponding
+    rule points.  A cell's key is its vertex offsets from its first vertex
+    in units of its diameter, its ``edge_forward`` pattern (a flipped edge
+    changes the sign of its odd edge moments) and its diameter; the first
+    cell of each key represents it, and a cell joins that class only after
+    the check of ``_CLASS_ULPS``, which also covers the triangle corners
+    (a fan's apex is the centroid, which the vertices determine).  A cell
+    that fails it is a class of its own.
+
+    Returns ``(reps, classes)``: the rows of the representatives, ascending,
+    and the class of every row; ``None`` when no two cells share a class.
+    """
+    n, nv = geometry.vertices.shape[:2]
+    h = geometry.diameter
+    corners = tris[:, :, 1:] if tris.shape[1] == nv else tris
+    offsets = (np.concatenate([geometry.vertices, corners.reshape(n, -1, 2)],
+                              axis=1) - geometry.vertices[:, :1])
+    scale = 2.0 ** _KEY_BITS
+    key = np.concatenate([
+        np.rint(offsets[:, :nv] / h[:, None, None] * scale).reshape(n, -1),
+        geometry.edge_forward, np.rint(h / h.max() * scale)[:, None]],
+        axis=1).astype(np.int64)
+    _, first, which = np.unique(key, axis=0, return_index=True,
+                                return_inverse=True)
+    rep = first[which.reshape(-1)]
+    tol = _CLASS_ULPS * np.finfo(float).eps * np.abs(geometry.vertices).max()
+    close = ((np.abs(offsets - offsets[rep]).max(axis=(1, 2)) <= tol)
+             & (np.abs(h - h[rep]) <= tol))
+    reps, classes = np.unique(np.where(close, rep, np.arange(n)),
+                              return_inverse=True)
+    return None if reps.size == n else (reps, classes)
+
+
+def _class_stack(geometry, tris, k, exactness, step, coeffs, mode):
+    """Projectors and, given coefficients, form tables of the class
+    representatives ``geometry``, each on its own rule, built in chunks of
+    ``step`` like any cells: ``(ElementStack, tables or None)``."""
+    parts = []
+    for lo in range(0, len(geometry), step):
+        part = slice(lo, lo + step)
+        out = _projectors(geometry.take(part), k, QuadratureRule(
+            *map_rule(tris[part], exactness), exactness))
+        parts.append((out,
+                      None if coeffs is None else _form_tables(out, mode)))
+    representatives = ElementStack(k, geometry, **{
+        f: np.concatenate([getattr(out, f) for out, _ in parts])
+        for f in _PROJECTOR_FIELDS})
+    if coeffs is None:
+        return representatives, None
+    return representatives, [np.concatenate(t)
+                             for t in zip(*(t for _, t in parts))]
+
+
 def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
     """Run :func:`element_kernel` over every cell of ``mesh``.
 
@@ -540,8 +690,11 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
     of degree ``exactness`` is mapped onto its triangles, and each stack is
     cut into chunks of ``_CHUNK_BYTES`` of working memory, at least
     ``_MIN_CHUNK_CELLS`` cells: for cells heavier than their quotient the
-    floor overrides the budget.  The :class:`ElementBank` keeps these
-    chunks.
+    floor overrides the budget.  When cells of a stack share a shape class
+    (:func:`shape_classes`), the representatives' projectors and form
+    tables are built once, each on its own rule, and every chunk reads
+    them; otherwise every cell builds its own, in the chunk's one kernel
+    call.  The :class:`ElementBank` keeps each chunk's ``ElementStack.shapes``.
     Yields ``(ElementStack, triangles)`` per chunk, where ``triangles``
     (C, T, 3, 2) are the triangles the chunk's rules were mapped onto.
     """
@@ -552,13 +705,25 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
             n_points = tris.shape[1] * _duffy_rule(exactness)[1].size
             step = max(_MIN_CHUNK_CELLS,
                        _CHUNK_BYTES // cell_bytes(nv, n_points, k))
+            grouped = shape_classes(stack, tris)
+            if grouped is not None:
+                reps, classes = grouped
+                representatives, tables = _class_stack(
+                    stack.take(reps), tris[reps], k, exactness, step, coeffs,
+                    mode)
+                table = ShapeTable(representatives.geometry, tris[reps],
+                                   representatives.post_solve_operators())
             for lo in range(0, len(stack), step):
                 part = slice(lo, lo + step)
                 pts, wts = map_rule(tris[part], exactness)
-                yield (element_kernel(stack.take(part), k,
-                                      QuadratureRule(pts, wts, exactness),
-                                      coeffs, mode),
-                       tris[part])
+                shared = (None if grouped is None
+                          else (representatives, tables, classes[part]))
+                out = element_kernel(
+                    stack.take(part), k, QuadratureRule(pts, wts, exactness),
+                    coeffs, mode, shared)
+                out.shapes = table if shared else ShapeTable(
+                    out.geometry, tris[part], out.post_solve_operators())
+                yield out, tris[part]
 
 
 def _one(geom):

@@ -88,7 +88,7 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
     if bank is None:
         bank = ElementBank(k, tuple(
-            (out.geometry, out.post_solve_operators(), tris)
+            (out.geometry, tris, out.shapes, out.classes)
             for out, tris in mesh_elements(mesh, k, 2 * k)))
     elif bank.k != k:
         raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
@@ -135,28 +135,41 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
 
 def _cell_error_parts(k, projection, p_ex, grad_p_ex, gradient, ex):
     """Squared L2 error, H1 error, L2 norm and H1 norm of every cell, with
-    the degree-``ex`` rule of :func:`error_norms`; (4, cells)."""
+    the degree-``ex`` rule of :func:`error_norms`; (4, cells).
+
+    The monomial tables on the rule points are built once per shape class
+    of the bank, on its representative's triangles, and each cell pairs its
+    class's tables with the exact solution at its own points.
+    """
     parts = np.empty((4, len(projection.coeffs)))
     exps = monomial_exponents(k)
     nkm1 = n_poly(k - 1)
-    for geometry, _, tris in projection.bank.chunks:
+    seen = None
+    for geometry, tris, shapes, classes in projection.bank.chunks:
         part = geometry.cells
         pts, w = map_rule(tris, ex)
-        centers, diameters = geometry.centroid, geometry.diameter
         flat = pts.reshape(-1, 2)
         x, y = flat[:, 0], flat[:, 1]
         p_vals = np.broadcast_to(np.asarray(p_ex(x, y), dtype=float),
                                  x.shape).reshape(w.shape)
         g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
                                  x.shape + (2,)).reshape(w.shape + (2,))
-        V = kernels.monomial_vandermonde(pts, centers, diameters, exps)
+        if shapes is not seen:
+            # the chunks of a stack share its table and come in a row
+            seen = shapes
+            at = pts if classes is None else map_rule(shapes.triangles, ex)[0]
+            args = at, shapes.geometry.centroid, shapes.geometry.diameter, exps
+            tables = [kernels.monomial_vandermonde(*args)]
+            if gradient == "pinabla":
+                tables += kernels.monomial_vandermonde_grad(*args)
+        V, *grads = (tables if classes is None
+                     else [t[classes] for t in tables])
         ph = (V @ projection.coeffs[part][..., None])[..., 0]
         if gradient == "pi0":
             # graded order: the degree-(k-1) monomials are the first columns
             gh = V[..., :nkm1] @ projection.grad_coeffs[part]
         else:
-            gx, gy = kernels.monomial_vandermonde_grad(pts, centers,
-                                                       diameters, exps)
+            gx, gy = grads
             energy = projection.energy_coeffs[part][..., None]
             gh = np.concatenate([gx @ energy, gy @ energy], axis=-1)
         wr = w[:, None, :]

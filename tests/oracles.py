@@ -487,33 +487,46 @@ def cell_centroids_axis_sums(pts, points, simplices):
     return centroids, reach, centres
 
 
-def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2):
+def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2,
+                      sliced=False):
     """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
     built from one ``np.repeat``/``np.tile`` index array per cell: the
-    scatter the preallocated buffers replaced."""
+    scatter the preallocated buffers replaced.  Each cell's local matrix
+    and load are the element kernel's.  The COO entries are converted to
+    CSC in the interior-first numbering, as ``assemble`` converts them, so
+    SciPy sums duplicate entries in the same order; with ``sliced=True``
+    they are converted to CSR in the global numbering and sliced to the
+    interior rows and the interior or boundary columns instead, the
+    construction ``assemble`` used before."""
     import scipy.sparse as sp
 
-    from vemlab.local import dof_layout, local_system
-    from vemlab.mesh import element_geometry
+    from vemlab.assembly import interior_first
+    from vemlab.local import mesh_elements
 
+    local = {}
+    for out, _ in mesh_elements(mesh, k, 2 * k + quad_boost, coeffs, mode):
+        for i, c in enumerate(out.geometry.cells):
+            local[c] = out.Ah[i] + out.Bh[i] + out.Ch[i], out.f_loc[i]
     n = dofmap.n_dofs
+    number = np.arange(n) if sliced else interior_first(dofmap)
     rows, cols, vals = [], [], []
     rhs_full = np.zeros(n)
     for c in range(mesh.num_cells):
-        geom = element_geometry(mesh, c)
-        loc = local_system(geom, k, dof_layout(geom, k), coeffs, mode=mode,
-                           quad_boost=quad_boost)
+        matrix, f_loc = local[c]
         g = dofmap.cell_dofs[c]
-        rows.append(np.repeat(g, g.size))
-        cols.append(np.tile(g, g.size))
-        vals.append(loc.matrix.ravel())
-        np.add.at(rhs_full, g, loc.f_loc)
+        rows.append(np.repeat(number[g], g.size))
+        cols.append(np.tile(number[g], g.size))
+        vals.append(matrix.ravel())
+        np.add.at(rhs_full, g, f_loc)
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+        shape=(n, n))
     ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
-    A_rows = A[ii]
-    return A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii]
+    if sliced:
+        A_rows = A.tocsr()[ii]
+        return A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii]
+    A = A.tocsc()
+    return A[:ii.size, :ii.size], A[:ii.size, ii.size:].tocsr(), rhs_full[ii]
 
 
 def build_dofmap_per_cell(mesh, k):
@@ -546,15 +559,28 @@ def build_dofmap_per_cell(mesh, k):
 
 def bank_per_cell(bank):
     """Per-cell view of an ``ElementBank``: three lists indexed by cell, of
-    each cell's ``ElementGeometry``, post-solve operator and (T, 3, 2)
-    triangles, as the bank kept them before it held the kernel's chunks."""
+    each cell's ``ElementGeometry``, post-solve operator (its shape class's)
+    and (T, 3, 2) triangles, as the bank kept them before it held the
+    kernel's chunks."""
     geoms, ops, tris = ([None] * bank.n_cells for _ in range(3))
-    for geometry, operators, triangles in bank.chunks:
+    for geometry, triangles, shapes, classes in bank.chunks:
         for i, c in enumerate(geometry.cells):
             geoms[c] = geometry.element(i)
-            ops[c] = operators[i]
+            ops[c] = shapes.operators[i if classes is None else classes[i]]
             tris[c] = triangles[i]
     return geoms, ops, tris
+
+
+def bank_representatives(bank):
+    """The cell that represents each cell's shape class in an
+    ``ElementBank`` (the cell itself when it has a class of its own), as a
+    list indexed by cell."""
+    reps = [None] * bank.n_cells
+    for geometry, _, shapes, classes in bank.chunks:
+        for i, c in enumerate(geometry.cells):
+            row = i if classes is None else classes[i]
+            reps[c] = shapes.geometry.cells[row]
+    return reps
 
 
 def error_norms_two_tables(mesh, k, projection, p_ex, grad_p_ex):

@@ -1,13 +1,14 @@
 """Global DoF numbering, sparse assembly, boundary elimination, and solves."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import (assemble_per_cell, bank_per_cell, build_dofmap_per_cell,
-                     interpolate_per_cell)
+from oracles import (assemble_per_cell, bank_per_cell, bank_representatives,
+                     build_dofmap_per_cell, interpolate_per_cell)
 from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
@@ -232,11 +233,31 @@ class TestScatter:
             assert np.array_equal(got.data, ref.data)
         assert np.array_equal(system.rhs_base, rhs_base)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
+    def test_leading_blocks_match_row_slices(self, family, k):
+        # the one interior-first conversion against the global CSR matrix
+        # and its interior row and column slices: the same pattern, and
+        # values that differ only in the order SciPy sums duplicate entries
+        # (by at most 1 ulp of the largest entry on these meshes)
+        mesh = MESHES[family]
+        coeffs = builtin_problem().coefficients
+        dm = build_dofmap(mesh, k)
+        system = assemble(mesh, k, coeffs, dofmap=dm)
+        matrix, coupling, _ = assemble_per_cell(mesh, k, coeffs, dm,
+                                                sliced=True)
+        for got, ref in ((system.matrix, matrix.tocsc()),
+                         (system.coupling, coupling)):
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert (np.abs(got.data - ref.data).max()
+                    <= np.finfo(float).eps * np.abs(ref.data).max())
+
     def test_coo_pattern_matches_repeat_and_tile(self):
         dm = build_dofmap(MESHES["lloyd0"], 3)
         sizes = np.array([g.size for g in dm.cell_dofs])
-        rows, cols, starts = assembly._coo_pattern(dm.cell_dofs, sizes,
-                                                   dm.n_dofs)
+        rows, cols, starts = assembly._coo_pattern(
+            np.concatenate(dm.cell_dofs), sizes, dm.n_dofs)
         assert starts[-1] == rows.size == cols.size
         for c, g in enumerate(dm.cell_dofs):
             block = slice(starts[c], starts[c + 1])
@@ -252,12 +273,17 @@ class TestScatter:
         assert bank.k == k
         geometries, operators, _ = bank_per_cell(bank)
         assert bank.n_cells == len(geometries) == len(operators) == mesh.num_cells
+        reps = bank_representatives(bank)
+        assert len(set(reps)) == (5 if family == "concave" else mesh.num_cells)
         for c in range(mesh.num_cells):
             geom = geometries[c]
             ref_geom = element_geometry(mesh, c)
             assert np.array_equal(geom.vertices, ref_geom.vertices)
             assert np.array_equal(geom.edge_forward, ref_geom.edge_forward)
-            ps = projector_set(geom, k, rule=polygon_quadrature(geom, 2 * k + 3))
+            # each cell holds its shape class's operator: its
+            # representative's one-cell construction
+            rep = element_geometry(mesh, reps[c])
+            ps = projector_set(rep, k, rule=polygon_quadrature(rep, 2 * k + 3))
             ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY, ps.PiNabla])
             assert np.array_equal(operators[c], ref)
 
@@ -385,6 +411,53 @@ class TestKappaCheck:
         with pytest.raises(ValueError, match="cell 4: kappa is not positive"):
             assemble(mesh, 1, coeffs)
         assert max(mesh.vertices[mesh.cells[4], 0]) == 1.0
+
+
+def _right_of(x, value, good):
+    """``good`` where x <= 0.9, ``value`` right of that line."""
+    return np.where(x > 0.9, value, good)
+
+
+class TestNonFiniteData:
+    # Non-finite data used to reach the solver: NaN gamma and inf b raised
+    # "the global matrix is singular", NaN f and NaN g "direct solve
+    # produced non-finite values", neither naming the data
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", lambda x, y: _right_of(x, np.nan, 1.0)[..., None, None]
+         * np.eye(2)),
+        ("b", lambda x, y: np.stack([_right_of(x, np.inf, 0.0), 0 * x], -1)),
+        ("gamma", lambda x, y: _right_of(x, np.nan, 0.0)),
+        ("f", lambda x, y: _right_of(x, np.nan, 1.0)),
+    ], ids=["kappa", "b", "gamma", "f"])
+    def test_coefficient_names_cell_and_field(self, field, value):
+        # the first cell reaching past x = 0.9 is named
+        coeffs = dataclasses.replace(Coefficients.constant(kappa=1.0),
+                                     **{field: value})
+        with pytest.raises(ValueError,
+                           match=f"cell 4: {field} is not finite"):
+            assemble(square_mesh(5), 2, coeffs)
+
+    def test_dirichlet_vertex_value_is_named(self):
+        mesh = square_mesh(5)
+        system = assemble(mesh, 2, Coefficients.constant(kappa=1.0))
+        corner = int(np.flatnonzero((mesh.vertices == 1.0).all(axis=1))[0])
+        with pytest.raises(ValueError, match=f"boundary vertex {corner}: "
+                           "Dirichlet data g is not finite"):
+            apply_dirichlet(system, lambda x, y: np.where(
+                (x == 1.0) & (y == 1.0), np.nan, x), mesh, 2)
+
+    def test_dirichlet_edge_moment_is_named(self):
+        # finite at every vertex, NaN inside the edges that cross x = 0.5
+        mesh = square_mesh(5)
+        system = assemble(mesh, 2, Coefficients.constant(kappa=1.0))
+        pattern = (r"boundary edge (\d+) \(vertices (\d+), (\d+)\): "
+                   "Dirichlet data g is not finite")
+        with pytest.raises(ValueError, match=pattern) as info:
+            apply_dirichlet(system, lambda x, y: np.where(
+                np.abs(x - 0.5) < 0.05, np.nan, x), mesh, 2)
+        edge, lo, hi = map(int, re.match(pattern, str(info.value)).groups())
+        assert (lo, hi) == tuple(mesh.edge_vertices[edge])
+        assert sorted(mesh.vertices[[lo, hi], 0]) == pytest.approx([0.4, 0.6])
 
 
 class TestDirichlet:

@@ -12,8 +12,9 @@ from vemlab.basis import (QuadratureRule, ScaledMonomialBasis, map_rule,
                           triangulate_stack)
 from vemlab.local import (Coefficients, cell_bytes, dof_layout,
                           element_kernel, interpolate_dofs, local_system,
-                          mesh_elements, projector_set)
-from vemlab.mesh import element_geometry, geometry_stacks, polygon_geometry
+                          mesh_elements, projector_set, shape_classes)
+from vemlab.mesh import (element_geometry, geometry_stacks, polygon_geometry,
+                         stack_geometry)
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, voronoi_mesh
 from vemlab.problems import builtin_problem
 
@@ -513,21 +514,26 @@ class TestElementKernel:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["concave", "lloyd0", "lloyd100"])
     def test_stacked_cells_match_one_cell_calls(self, family, k):
-        # every cell of a stack gets the bits of a one-cell call
+        # every class representative (every lloyd cell) gets the bits of a
+        # one-cell call, and every other member its representative's
+        # projectors; members' forms are bounded in TestShapeClasses
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         seen = []
         for out, tris in mesh_elements(mesh, k, 2 * k + 2, coeffs):
             for i, c in enumerate(out.geometry.cells):
-                geom = element_geometry(mesh, c)
+                rep = out.shapes.geometry.cells[out.row(i)]
+                geom = element_geometry(mesh, rep)
                 ref = local_system(geom, k, dof_layout(geom, k), coeffs)
-                for name in ("Ah", "Bh", "Ch", "S", "f_loc"):
-                    assert np.array_equal(getattr(out, name)[i],
-                                          getattr(ref, name)), name
+                if rep == c:
+                    for name in ("Ah", "Bh", "Ch", "S", "f_loc"):
+                        assert np.array_equal(getattr(out, name)[i],
+                                              getattr(ref, name)), name
                 for name in self.PROJECTOR_FIELDS:
-                    assert np.array_equal(getattr(out, name)[i],
+                    assert np.array_equal(getattr(out, name)[out.row(i)],
                                           getattr(ref.projectors, name)), name
-                assert np.array_equal(tris[i], triangulate(geom.vertices))
+                assert np.array_equal(
+                    tris[i], triangulate(element_geometry(mesh, c).vertices))
                 seen.append(c)
         assert sorted(seen) == list(range(mesh.num_cells))
 
@@ -536,7 +542,9 @@ class TestElementKernel:
     @pytest.mark.parametrize("family", ["concave", "lloyd0"])
     def test_kernel_matches_per_cell_oracle(self, family, k, mode):
         # the stacked kernel keeps the bits of the one-cell construction,
-        # from geometry and quadrature to the local forms
+        # from geometry and quadrature to the local forms, on every class
+        # representative (every lloyd0 cell); every other member of a class
+        # carries its representative's projectors
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         seen = []
@@ -548,14 +556,25 @@ class TestElementKernel:
                              "edge_lengths", "edge_normals", "edge_forward"):
                     assert np.array_equal(getattr(got, name),
                                           getattr(geom, name)), (c, name)
-                ref = local_system_per_cell(geom, k, coeffs, mode)
+                rep = out.shapes.geometry.cells[out.row(i)]
+                ref = local_system_per_cell(
+                    element_geometry_per_cell(mesh, rep), k, coeffs, mode)
                 # the kernel keeps neither the energy system matrix G nor
                 # its right-hand side B
                 del ref["G"], ref["B"]
                 for name, value in ref.items():
-                    assert np.array_equal(getattr(out, name)[i], value), (c, name)
+                    if name in self.PROJECTOR_FIELDS:
+                        got = getattr(out, name)[out.row(i)]
+                    elif rep == c:
+                        got = getattr(out, name)[i]
+                    else:
+                        continue
+                    assert np.array_equal(got, value), (c, name)
                 seen.append(c)
         assert sorted(seen) == list(range(mesh.num_cells))
+        if family == "lloyd0":
+            assert all(out.classes is None for out, _ in mesh_elements(
+                mesh, k, 2 * k + 2, coeffs, mode))
 
     @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -575,8 +594,8 @@ class TestElementKernel:
             for i in range(len(out.geometry)):
                 ref = local_forms_point_tables(
                     out.geometry.element(i), k,
-                    {f: getattr(out, f)[i] for f in fields}, points[i],
-                    weights[i], coeffs, mode)
+                    {f: getattr(out, f)[out.row(i)] for f in fields},
+                    points[i], weights[i], coeffs, mode)
                 for name, value in ref.items():
                     got = getattr(out, name)[i]
                     scale = np.abs(value).max()
@@ -598,6 +617,94 @@ class TestElementKernel:
                               f=lambda x, y: np.zeros(np.shape(x)))
         with pytest.raises(ValueError, match=f"element: kappa is not {what}"):
             local_system(PENTAGON, 2, None, coeffs)
+
+
+class TestShapeClasses:
+    FIELDS = TestElementKernel.PROJECTOR_FIELDS
+
+    @staticmethod
+    def _classes(mesh):
+        return [shape_classes(geometry.take(rows), tris)
+                for geometry in geometry_stacks(mesh)
+                for rows, tris in triangulate_stack(geometry)]
+
+    @staticmethod
+    def _stack_classes(*rings, flipped=None):
+        coords = np.array(rings, dtype=float)
+        forward = np.ones(coords.shape[:2], dtype=bool)
+        if flipped is not None:
+            forward[flipped] = False
+        geometry = stack_geometry(coords, forward, np.arange(len(coords)))
+        ((rows, tris),) = triangulate_stack(geometry)
+        return shape_classes(geometry.take(rows), tris)
+
+    @pytest.mark.parametrize("family, counts", [
+        ("square", [1]), ("concave", [5])])
+    @pytest.mark.parametrize("size", [36, 900])
+    def test_lattice_families_have_few_classes(self, family, counts, size):
+        # the two concave shapes come with several edge_forward patterns
+        classes = self._classes(generate(GeneratorSpec(family, size)))
+        assert [len(reps) for reps, _ in classes] == counts
+
+    @pytest.mark.parametrize("family", ["lloyd0", "lloyd100"])
+    @pytest.mark.parametrize("size", [100, 1600])
+    def test_voronoi_cells_are_singletons(self, family, size):
+        mesh = generate(GeneratorSpec(family, size, seed=0))
+        assert all(c is None for c in self._classes(mesh))
+
+    def test_translates_share_a_class(self):
+        base = PENTAGON.vertices
+        reps, classes = self._stack_classes(base, base + [0.3, 0.7],
+                                            base + [-5.1, 2.9])
+        assert reps.tolist() == [0] and classes.tolist() == [0, 0, 0]
+
+    def test_near_copies_do_not_merge(self):
+        # a copy perturbed by 1e-10 of its diameter shares the rounded key
+        # of the others, but the explicit check keeps it out of their class
+        base = PENTAGON.vertices
+        moved = base + [0.3, 0.7]
+        moved[2, 0] += 1e-10 * PENTAGON.diameter
+        reps, classes = self._stack_classes(base, base + [0.3, 0.7], moved)
+        assert reps.tolist() == [0, 2] and classes.tolist() == [0, 0, 1]
+
+    def test_mirrored_copy_does_not_merge(self):
+        base = PENTAGON.vertices
+        mirrored = (base * [-1.0, 1.0])[::-1] + [3.0, 0.0]
+        assert polygon_geometry(mirrored).area == pytest.approx(PENTAGON.area)
+        assert self._stack_classes(base, mirrored) is None
+
+    def test_flipped_edge_does_not_merge(self):
+        # a flipped edge changes the sign of its odd edge moments
+        base = PENTAGON.vertices
+        assert self._stack_classes(base, base + [0.3, 0.7],
+                                   flipped=(1, 2)) is None
+
+    @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave"])
+    def test_members_near_their_own_oracle(self, family, k, mode):
+        # a class member takes its representative's projectors, computed
+        # from coordinates that differ from its own in the last bits: its
+        # projectors and forms stay within 1e-12 of each array's max-norm
+        # of its own one-cell construction (at most 1.8e-13 measured, on
+        # concave k = 3)
+        mesh = generate(GeneratorSpec(family, 36, seed=5))
+        coeffs = builtin_problem().coefficients
+        members = 0
+        for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs, mode):
+            for i, c in enumerate(out.geometry.cells):
+                if out.shapes.geometry.cells[out.row(i)] == c:
+                    continue
+                ref = local_system_per_cell(
+                    element_geometry_per_cell(mesh, c), k, coeffs, mode)
+                del ref["G"], ref["B"]
+                for name, value in ref.items():
+                    got = getattr(out, name)[
+                        out.row(i) if name in self.FIELDS else i]
+                    assert (np.abs(got - value).max()
+                            <= 1e-12 * np.abs(value).max()), (c, name)
+                members += 1
+        assert members == mesh.num_cells - (1 if family == "square" else 5)
 
 
 class TestChunkEstimate:

@@ -206,9 +206,9 @@ class TestErrorNorms:
         proj = project_solution(mesh, 3, solve(system), bank=system.bank)
         geometries, _, _ = bank_per_cell(proj.bank)
         fresh = dataclasses.replace(proj, bank=ElementBank(3, tuple(
-            (g, ops, np.stack([triangulate(geometries[c].vertices)
-                               for c in g.cells]))
-            for g, ops, _ in proj.bank.chunks)))
+            (g, np.stack([triangulate(geometries[c].vertices)
+                          for c in g.cells]), shapes, classes)
+            for g, _, shapes, classes in proj.bank.chunks)))
         assert proj.bank is system.bank
         assert (error_norms(mesh, 3, proj, prob.p_ex, prob.grad_p_ex,
                             gradient=gradient)
