@@ -7,16 +7,18 @@ import pytest
 import scipy.linalg
 
 from vemlab import kernels
+from vemlab.assembly import apply_dirichlet, assemble, interpolate, solve
 from vemlab.basis import (QuadratureRule, ScaledMonomialBasis, map_rule,
                           n_poly, polygon_quadrature, triangulate,
                           triangulate_stack)
 from vemlab.local import (Coefficients, cell_bytes, dof_layout,
                           element_kernel, interpolate_dofs, local_system,
                           mesh_elements, projector_set, shape_classes)
-from vemlab.mesh import (element_geometry, geometry_stacks, polygon_geometry,
-                         stack_geometry)
-from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, voronoi_mesh
-from vemlab.problems import builtin_problem
+from vemlab.mesh import (element_geometry, geometry_stacks, make_mesh,
+                         polygon_geometry, stack_geometry)
+from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
+                            square_mesh, voronoi_mesh)
+from vemlab.problems import builtin_problem, polynomial_problem
 
 from oracles import (edge_quadrature, element_geometry_per_cell,
                      interpolate_dofs_per_cell, local_forms_point_tables,
@@ -678,6 +680,34 @@ class TestShapeClasses:
         base = PENTAGON.vertices
         assert self._stack_classes(base, base + [0.3, 0.7],
                                    flipped=(1, 2)) is None
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_stack_of_classes_and_singletons(self, k):
+        # one interior vertex of a 4 x 4 square mesh moved: its 4 cells
+        # are classes of their own, next to the class of the 12 others;
+        # the patch test stays exact and the singletons keep their bits
+        base = square_mesh(4)
+        vertices = base.vertices.copy()
+        moved = int(np.flatnonzero((np.abs(vertices - 0.5) < 1e-12)
+                                   .all(axis=1))[0])
+        vertices[moved] += [0.03, -0.02]
+        mesh = make_mesh(vertices, base.cells)
+        ((reps, classes),) = self._classes(mesh)
+        singletons = [c for c in range(16) if moved in mesh.cells[c]]
+        assert len(reps) == 1 + len(singletons) == 5
+        assert all(np.sum(classes == classes[c]) == 1 for c in singletons)
+        coeffs = builtin_problem().coefficients
+        for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs):
+            for i, c in enumerate(out.geometry.cells):
+                if c in singletons:
+                    ref = local_system(element_geometry(mesh, c), k, None,
+                                       coeffs)
+                    assert np.array_equal(out.Ah[i], ref.Ah)
+        prob = polynomial_problem(k)
+        system = assemble(mesh, k, prob.coefficients)
+        apply_dirichlet(system, prob.p_ex, mesh, k)
+        u = solve(system)
+        assert np.abs(u - interpolate(mesh, k, prob.p_ex)).max() <= 1e-10
 
     @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
