@@ -179,7 +179,7 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
         block += out.Ch
         vals[starts[cells, None] + np.arange(nd * nd)] = block.reshape(len(cells), -1)
         loads[load_starts[cells, None] + np.arange(nd)] = out.f_loc
-        kept.append((out.geometry, tris, out.shapes, out.classes))
+        kept.append(out.bank_entry(tris))
     # free the last chunk's working arrays before the conversion, the
     # memory peak of assembly
     del out, block

@@ -7,12 +7,12 @@ order.  All projectors are assembled from those data alone: boundary terms
 use the per-edge polynomial trace reconstruction, interior terms read the
 internal moments directly.
 
-One element kernel, :func:`element_kernel`, builds the projectors and local
-forms of a whole stack of cells that share a vertex count in stacked NumPy
-calls; :func:`mesh_elements` runs it over a mesh in memory-bounded chunks,
-and the one-element functions call it on a stack of one.  Cells that are
-translates of each other (:func:`shape_classes`) share one build of their
-projectors.
+The projectors and local forms of a whole stack of cells that share a
+vertex count are built in stacked NumPy calls.  :func:`mesh_elements` runs
+them over a mesh in memory-bounded chunks, building the projectors once per
+shape class (:func:`shape_classes`: cells that are translates of each
+other; any other cell is a class of one); :func:`element_kernel` runs them
+on one stack, and the one-element functions call it on a stack of one.
 """
 
 from dataclasses import dataclass, field, replace
@@ -98,10 +98,10 @@ class ElementBank:
     """What post-processing needs of each cell, kept from one build.
 
     ``chunks`` holds one ``(GeometryStack, triangles, ShapeTable, classes)``
-    entry per chunk of :func:`mesh_elements`: the chunk's geometry and
-    (C, T, 3, 2) triangles, onto which the error norms map their own rule,
-    and the :class:`ShapeTable` of its stack with the class of each cell
-    (``classes`` is ``None`` when row i of the table is the chunk's cell i).
+    entry per chunk of :func:`mesh_elements` (:meth:`ElementStack.bank_entry`):
+    the chunk's geometry and (C, T, 3, 2) triangles, onto which the error
+    norms map their own rule, and the :class:`ShapeTable` of its cells'
+    shape classes with the row of each cell in it.
     """
 
     k: int
@@ -134,9 +134,8 @@ class ElementBank:
         snaps = np.empty((self.n_cells, 2 * (nk + nkm1)))
         for geometry, _, shapes, classes in self.chunks:
             dofs = np.array([cell_dofs[c] for c in geometry.cells])
-            ops = (shapes.operators if classes is None
-                   else shapes.operators[classes])
-            snaps[geometry.cells] = (ops @ u[dofs][..., None])[..., 0]
+            snaps[geometry.cells] = (shapes.operators[classes]
+                                     @ u[dofs][..., None])[..., 0]
         pi0, gx, gy, energy = np.split(
             snaps, [nk, nk + nkm1, nk + 2 * nkm1], axis=1)
         return pi0, np.stack([gx, gy], axis=-1), energy
@@ -215,9 +214,8 @@ class ElementStack:
     The local forms have one leading row per cell of ``geometry``, and
     ``None`` when no coefficients were given; they are those of
     :class:`LocalSystem`.  The fields of :class:`ProjectorSet` have one row
-    per shape class: cell i takes row ``classes[i]``, or row i when
-    ``classes`` is ``None``.  ``shapes`` is what :func:`mesh_elements`
-    keeps of the chunk for the :class:`ElementBank`.
+    per shape class: cell i takes row ``classes[i]``.  ``shapes`` is what
+    :func:`mesh_elements` keeps of the classes for the :class:`ElementBank`.
     """
 
     k: int
@@ -230,17 +228,17 @@ class ElementStack:
     Pi0GradY: np.ndarray
     D: np.ndarray
     H: np.ndarray
+    classes: np.ndarray
     Ah: np.ndarray = None
     Bh: np.ndarray = None
     Ch: np.ndarray = None
     S: np.ndarray = None
     f_loc: np.ndarray = None
-    classes: np.ndarray = None
     shapes: ShapeTable = None
 
     def row(self, i):
         """Row of the projector fields that cell ``i`` takes."""
-        return i if self.classes is None else self.classes[i]
+        return self.classes[i]
 
     def projectors(self, i, layout):
         """Cell ``i`` as a :class:`ProjectorSet`."""
@@ -255,6 +253,11 @@ class ElementStack:
         solution, (rows, 2 n_poly(k) + 2 n_poly(k - 1), n_dofs)."""
         return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY,
                                self.PiNabla], axis=1)
+
+    def bank_entry(self, triangles):
+        """What the :class:`ElementBank` keeps of this chunk, whose cells'
+        rules were mapped onto ``triangles``."""
+        return self.geometry, triangles, self.shapes, self.classes
 
 
 def _t(a):
@@ -332,9 +335,14 @@ def _check_kappa(kap, geometry):
                              "quadrature point")
 
 
-def element_kernel(geometry, k, rule, coeffs=None, mode="standard",
-                   shared=None):
-    """Projectors and, given coefficients, local forms of a stack of cells.
+def _check_mode(mode):
+    if mode not in ("standard", "grad_pinabla"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
+    """Projectors and, given coefficients, local forms of a stack of cells,
+    each cell a shape class of its own.
 
     ``geometry`` is a :class:`GeometryStack` and ``rule`` a
     :class:`QuadratureRule` with points (C, Q, 2) and weights (C, Q), one row
@@ -343,31 +351,18 @@ def element_kernel(geometry, k, rule, coeffs=None, mode="standard",
     does not depend on the other cells of its stack.  In mode
     ``grad_pinabla`` the diffusion consistency term uses the gradient of the
     energy projection instead of the projected gradient; for k=1 the two
-    constructions agree identically, so the standard path is shared.
-
-    ``shared`` is ``(representatives, tables, classes)`` when the cells fall
-    into shape classes (see :func:`shape_classes`): ``representatives`` is
-    the :class:`ElementStack` of the class representatives' projectors,
-    ``tables`` what the local forms take of each class
-    (:func:`_form_tables`) and ``classes`` the class of each cell.  The
-    projectors are then not built, and each cell's forms pair its own
-    coefficients, at its own rule points, with its class's tables.
+    constructions agree identically, so both take the standard path.
     """
-    if mode not in ("standard", "grad_pinabla"):
-        raise ValueError(f"unknown mode {mode!r}")
-    tables = None
-    if shared is None:
-        out = _projectors(geometry, k, rule)
-    else:
-        representatives, tables, classes = shared
-        out = replace(representatives, geometry=geometry, classes=classes)
+    _check_mode(mode)
+    out = _projectors(geometry, k, rule)
     if coeffs is not None:
-        _local_forms(out, rule, coeffs, mode, tables)
+        _local_forms(out, rule, coeffs, _form_tables(out, mode))
     return out
 
 
 def _projectors(geometry, k, rule):
-    """The :class:`ProjectorSet` fields of :func:`element_kernel`."""
+    """The :class:`ProjectorSet` fields of :func:`element_kernel`, each
+    cell a class of its own."""
     n_cells, nv = geometry.vertices.shape[:2]
     nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
     nd = nv * k + nkm2
@@ -468,7 +463,8 @@ def _projectors(geometry, k, rule):
 
     return ElementStack(k=k, geometry=geometry, rule_values=rule_values,
                         PiNabla=PiNabla, Pi0k=Pi0k, Pi0km1=Pi0km1,
-                        Pi0GradX=Pi0GradX, Pi0GradY=Pi0GradY, D=D, H=H)
+                        Pi0GradX=Pi0GradX, Pi0GradY=Pi0GradY, D=D, H=H,
+                        classes=np.arange(n_cells))
 
 
 def _form_tables(out, mode):
@@ -506,7 +502,7 @@ def _form_tables(out, mode):
     return values, P, grad, grad_a, _t(M) @ M
 
 
-def _local_forms(out, rule, coeffs, mode, tables=None):
+def _local_forms(out, rule, coeffs, tables):
     """Fill the local forms of :func:`element_kernel`'s output ``out``.
 
     Entry [i, j] of each matrix is the form evaluated with trial function j
@@ -516,7 +512,8 @@ def _local_forms(out, rule, coeffs, mode, tables=None):
     basis of P_{k-1} sandwiched between projector matrices; one stacked
     product gives all seven Grams, and no table of quadrature points by
     DoFs is formed.  ``tables`` holds :func:`_form_tables` per class row of
-    ``out``; without it they are built here, one per cell.
+    ``out``, and each cell pairs its own coefficients, at its own rule
+    points, with its class's tables.
     """
     k, geometry = out.k, out.geometry
     m = n_poly(k - 1)
@@ -530,11 +527,7 @@ def _local_forms(out, rule, coeffs, mode, tables=None):
     f = coeffs.f_at(pts).reshape(shape)
     _check_finite(geometry, kappa=kap, b=b, gamma=gam, f=f)
     _check_kappa(kap, geometry)
-    if tables is None:
-        tables = _form_tables(out, mode)
-    else:
-        tables = [t[out.classes] for t in tables]
-    values, P, grad, grad_a, MtM = tables
+    values = tables[0][out.classes]
 
     # grams[:, a, j, c] = sum_q w c_j v_a v_c for the weights c_j = kappa00,
     # kappa01, kappa10, kappa11, b0, b1, gamma
@@ -548,6 +541,9 @@ def _local_forms(out, rule, coeffs, mode, tables=None):
         0, 2, 1, 3, 4).reshape(n_cells, 2 * m, 2 * m)
     Kb = grams[:, :, 4:6].transpose(0, 2, 1, 3).reshape(n_cells, 2 * m, m)
     Kg = grams[:, :, 6]
+    # the class rows of the other tables, taken after the Grams' product
+    # is freed
+    P, grad, grad_a, MtM = (t[out.classes] for t in tables[1:])
 
     Acons = _t(grad_a) @ (K @ grad_a)
     kap_trace = w[:, None, :] @ (kap[..., 0, 0] + kap[..., 1, 1])[..., None]
@@ -585,7 +581,7 @@ _CHUNK_BYTES = 3 * 2 ** 20
 #: fixed NumPy overhead however many cells it holds.  For cells heavier
 #: than ``_CHUNK_BYTES / _MIN_CHUNK_CELLS`` (about 131 KB) the floor
 #: overrides the budget, so such chunks take more than 3 MiB; the k = 4
-#: concave cells (8 vertices, 216 points) count 390 KB each.  concave_k4
+#: concave cells (8 vertices, 216 points) count 408 KB each.  concave_k4
 #: without mesh generation, medians of 12 repeats alternating the floor in
 #: one process (2-vCPU VM, seed 0), at 8 / 16 / 24 / 32 / 48 cells:
 #: 1.57 / 1.37 / 1.31 / 1.31 / 1.37 s (225 / 113 / 75 / 57 / 38 kernel
@@ -601,12 +597,13 @@ def cell_bytes(nv, n_points, k):
 
     Counts what :func:`_projectors` and :func:`_local_forms` allocate: the
     rule's monomial table (width n_poly(k)); the product of the seven
-    coefficient Grams and the orthonormalised values it weights (width
-    8 n_poly(k - 1)); the coefficient tables and their evaluation (about 24
-    values per point); and about 16 (n_dofs, n_dofs) matrices.
+    coefficient Grams, the orthonormalised values it weights and their rows
+    taken for each cell's class (width 9 n_poly(k - 1)); the coefficient
+    tables and their evaluation (about 24 values per point); and about 16
+    (n_dofs, n_dofs) matrices.
     """
     nd = nv * k + n_poly(k - 2)
-    per_point = n_poly(k) + 8 * n_poly(k - 1) + 24
+    per_point = n_poly(k) + 9 * n_poly(k - 1) + 24
     return 8 * (n_points * per_point + 16 * nd ** 2)
 
 
@@ -640,7 +637,8 @@ def shape_classes(geometry, tris):
     that fails it is a class of its own.
 
     Returns ``(reps, classes)``: the rows of the representatives, ascending,
-    and the class of every row; ``None`` when no two cells share a class.
+    and the class of every row; both are ``arange(C)`` when no two cells
+    share a class.
     """
     n, nv = geometry.vertices.shape[:2]
     h = geometry.diameter
@@ -660,70 +658,63 @@ def shape_classes(geometry, tris):
              & (np.abs(h - h[rep]) <= tol))
     reps, classes = np.unique(np.where(close, rep, np.arange(n)),
                               return_inverse=True)
-    return None if reps.size == n else (reps, classes)
-
-
-def _class_stack(geometry, tris, k, exactness, step, coeffs, mode):
-    """Projectors and, given coefficients, form tables of the class
-    representatives ``geometry``, each on its own rule, built in chunks of
-    ``step`` like any cells: ``(ElementStack, tables or None)``."""
-    parts = []
-    for lo in range(0, len(geometry), step):
-        part = slice(lo, lo + step)
-        out = _projectors(geometry.take(part), k, QuadratureRule(
-            *map_rule(tris[part], exactness), exactness))
-        parts.append((out,
-                      None if coeffs is None else _form_tables(out, mode)))
-    representatives = ElementStack(k, geometry, **{
-        f: np.concatenate([getattr(out, f) for out, _ in parts])
-        for f in _PROJECTOR_FIELDS})
-    if coeffs is None:
-        return representatives, None
-    return representatives, [np.concatenate(t)
-                             for t in zip(*(t for _, t in parts))]
+    return reps, classes
 
 
 def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
-    """Run :func:`element_kernel` over every cell of ``mesh``.
+    """Projectors and, given coefficients, local forms of every cell of
+    ``mesh``, as :func:`element_kernel` builds them.
 
-    Cells are stacked by vertex count and triangle count, each cell's rule
-    of degree ``exactness`` is mapped onto its triangles, and each stack is
-    cut into chunks of ``_CHUNK_BYTES`` of working memory, at least
-    ``_MIN_CHUNK_CELLS`` cells: for cells heavier than their quotient the
-    floor overrides the budget.  When cells of a stack share a shape class
-    (:func:`shape_classes`), the representatives' projectors and form
-    tables are built once, each on its own rule, and every chunk reads
-    them; otherwise every cell builds its own, in the chunk's one kernel
-    call.  The :class:`ElementBank` keeps each chunk's ``ElementStack.shapes``.
-    Yields ``(ElementStack, triangles)`` per chunk, where ``triangles``
+    Cells are stacked by vertex count and triangle count, and each cell's
+    rule of degree ``exactness`` is mapped onto its triangles.  The cells
+    of a stack fall into shape classes (:func:`shape_classes`), taken
+    ``step`` representatives at a time: each such group's projectors, form
+    tables and :class:`ShapeTable` are built once, and then its member
+    cells, the representatives first, come ``step`` at a time, each with
+    its own forms.  ``step`` is what fits ``_CHUNK_BYTES`` of working
+    memory, at least ``_MIN_CHUNK_CELLS`` cells: for cells heavier than
+    their quotient the floor overrides the budget.  Yields
+    ``(ElementStack, triangles)`` per chunk, where ``triangles``
     (C, T, 3, 2) are the triangles the chunk's rules were mapped onto.
     """
+    _check_mode(mode)
     for geometry in geometry_stacks(mesh):
         nv = geometry.vertices.shape[1]
         for rows, tris in triangulate_stack(geometry):
-            stack = geometry.take(rows)
             n_points = tris.shape[1] * _duffy_rule(exactness)[1].size
             step = max(_MIN_CHUNK_CELLS,
                        _CHUNK_BYTES // cell_bytes(nv, n_points, k))
-            grouped = shape_classes(stack, tris)
-            if grouped is not None:
-                reps, classes = grouped
-                representatives, tables = _class_stack(
-                    stack.take(reps), tris[reps], k, exactness, step, coeffs,
-                    mode)
-                table = ShapeTable(representatives.geometry, tris[reps],
-                                   representatives.post_solve_operators())
-            for lo in range(0, len(stack), step):
-                part = slice(lo, lo + step)
-                pts, wts = map_rule(tris[part], exactness)
-                shared = (None if grouped is None
-                          else (representatives, tables, classes[part]))
-                out = element_kernel(
-                    stack.take(part), k, QuadratureRule(pts, wts, exactness),
-                    coeffs, mode, shared)
-                out.shapes = table if shared else ShapeTable(
-                    out.geometry, tris[part], out.post_solve_operators())
-                yield out, tris[part]
+            reps, classes = shape_classes(geometry.take(rows), tris)
+            # each group's representatives first, then its other members:
+            # the representatives' rows are then a view of the members'
+            group = classes // step
+            order = np.lexsort((reps[classes] != np.arange(rows.size), group))
+            stack = geometry.take(rows[order])
+            tris, classes = tris[order], classes[order]
+            bounds = np.cumsum(np.bincount(group)).tolist()
+            for lo, start, stop in zip(range(0, reps.size, step),
+                                       [0] + bounds, bounds):
+                n = min(step, reps.size - lo)
+                head = slice(start, start + n)
+                for a in range(start, stop, step):
+                    part = slice(a, min(a + step, stop))
+                    rule = QuadratureRule(*map_rule(tris[part], exactness),
+                                          exactness)
+                    if a == start:
+                        # the group's n representatives lead its first
+                        # chunk, and so do their rules
+                        built = _projectors(
+                            stack.take(head), k, QuadratureRule(
+                                rule.points[:n], rule.weights[:n], exactness))
+                        tables = (None if coeffs is None
+                                  else _form_tables(built, mode))
+                        shapes = ShapeTable(built.geometry, tris[head],
+                                            built.post_solve_operators())
+                    out = replace(built, geometry=stack.take(part),
+                                  classes=classes[part] - lo, shapes=shapes)
+                    if coeffs is not None:
+                        _local_forms(out, rule, coeffs, tables)
+                    yield out, tris[part]
 
 
 def _one(geom):

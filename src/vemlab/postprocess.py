@@ -87,9 +87,8 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
         raise ValueError(
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
     if bank is None:
-        bank = ElementBank(k, tuple(
-            (out.geometry, tris, out.shapes, out.classes)
-            for out, tris in mesh_elements(mesh, k, 2 * k)))
+        bank = ElementBank(k, tuple(out.bank_entry(tris) for out, tris
+                                    in mesh_elements(mesh, k, 2 * k)))
     elif bank.k != k:
         raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
     elif bank.n_cells != mesh.num_cells:
@@ -155,15 +154,15 @@ def _cell_error_parts(k, projection, p_ex, grad_p_ex, gradient, ex):
         g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
                                  x.shape + (2,)).reshape(w.shape + (2,))
         if shapes is not seen:
-            # the chunks of a stack share its table and come in a row
+            # the chunks of a group of classes share its table and come
+            # in a row
             seen = shapes
-            at = pts if classes is None else map_rule(shapes.triangles, ex)[0]
-            args = at, shapes.geometry.centroid, shapes.geometry.diameter, exps
+            args = (map_rule(shapes.triangles, ex)[0],
+                    shapes.geometry.centroid, shapes.geometry.diameter, exps)
             tables = [kernels.monomial_vandermonde(*args)]
             if gradient == "pinabla":
                 tables += kernels.monomial_vandermonde_grad(*args)
-        V, *grads = (tables if classes is None
-                     else [t[classes] for t in tables])
+        V, *grads = (t[classes] for t in tables)
         ph = (V @ projection.coeffs[part][..., None])[..., 0]
         if gradient == "pi0":
             # graded order: the degree-(k-1) monomials are the first columns

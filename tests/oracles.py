@@ -566,7 +566,7 @@ def bank_per_cell(bank):
     for geometry, triangles, shapes, classes in bank.chunks:
         for i, c in enumerate(geometry.cells):
             geoms[c] = geometry.element(i)
-            ops[c] = shapes.operators[i if classes is None else classes[i]]
+            ops[c] = shapes.operators[classes[i]]
             tris[c] = triangles[i]
     return geoms, ops, tris
 
@@ -578,8 +578,7 @@ def bank_representatives(bank):
     reps = [None] * bank.n_cells
     for geometry, _, shapes, classes in bank.chunks:
         for i, c in enumerate(geometry.cells):
-            row = i if classes is None else classes[i]
-            reps[c] = shapes.geometry.cells[row]
+            reps[c] = shapes.geometry.cells[classes[i]]
     return reps
 
 

@@ -291,16 +291,27 @@ class TestScatter:
 class TestChunks:
     @staticmethod
     def _assemble_counting(mesh, k, coeffs, monkeypatch):
-        chunks = []
-        kernel = local.element_kernel
+        # the cells of each local forms call; every cell's forms are built
+        # exactly once, and every shape-class representative's projectors
+        chunks, projected = [], []
+        forms, projectors = local._local_forms, local._projectors
 
-        def counted(geometry, *args, **kwargs):
-            chunks.append(geometry.cells.tolist())
-            return kernel(geometry, *args, **kwargs)
+        def counted_forms(out, *args):
+            chunks.append(out.geometry.cells.tolist())
+            return forms(out, *args)
 
-        monkeypatch.setattr(local, "element_kernel", counted)
+        def counted_projectors(geometry, *args):
+            projected.extend(geometry.cells.tolist())
+            return projectors(geometry, *args)
+
+        monkeypatch.setattr(local, "_local_forms", counted_forms)
+        monkeypatch.setattr(local, "_projectors", counted_projectors)
         system = assemble(mesh, k, coeffs)
-        monkeypatch.setattr(local, "element_kernel", kernel)
+        monkeypatch.setattr(local, "_local_forms", forms)
+        monkeypatch.setattr(local, "_projectors", projectors)
+        assert sorted(sum(chunks, [])) == list(range(mesh.num_cells))
+        assert sorted(projected) == sorted(set(bank_representatives(
+            system.bank)))
         return system, chunks
 
     @staticmethod
@@ -331,6 +342,9 @@ class TestChunks:
         cut, cut_chunks = self._assemble_counting(mesh, k, coeffs, monkeypatch)
         assert len(cut_chunks) > 3 * len(whole_chunks)
         assert sorted(sum(cut_chunks, [])) == list(range(mesh.num_cells))
+        # a shape table holds no more representatives than a chunk has cells
+        assert all(len(shapes.operators) <= 2
+                   for _, _, shapes, _ in cut.bank.chunks)
         self._assert_same_bytes(cut, whole)
 
     @pytest.mark.parametrize("k, family", [(4, "concave"), (2, "lloyd0")])
@@ -366,7 +380,7 @@ class TestChunks:
         assert calls <= 80
 
     def test_heavy_cells_take_few_kernel_calls(self, monkeypatch):
-        # a k = 4 concave cell counts 390 KB, so the 24-cell floor, not the
+        # a k = 4 concave cell counts 408 KB, so the 24-cell floor, not the
         # 3 MiB budget, sizes its chunks: 1,800 cells in one stack
         mesh = generate(GeneratorSpec("concave", 900, seed=0))
         _, chunks = self._assemble_counting(

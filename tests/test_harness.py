@@ -156,27 +156,37 @@ class TestBuildOnce:
                                                   (2, "lloyd0", (25,))])
     def test_projectors_and_geometry_built_once_per_cell(self, k, family,
                                                          sizes, monkeypatch):
-        # every cell is triangulated and goes through the element kernel
-        # exactly once, and post-processing neither builds projectors nor
-        # re-triangulates; it reads the bank's stacked geometry, and only
-        # the point evaluation makes one cell's ElementGeometry
-        built, triangulated, elements = [], [], []
-        kernel, triangulate_stack = local.element_kernel, local.triangulate_stack
+        # every cell is triangulated and gets its local forms exactly once,
+        # the projectors are built once for each shape-class representative,
+        # and post-processing neither builds projectors nor re-triangulates;
+        # it reads the bank's stacked geometry, and only the point
+        # evaluation makes one cell's ElementGeometry
+        built, represented, projected, triangulated, elements = (
+            [], [], [], [], [])
+        forms, class_projectors = local._local_forms, local._projectors
+        triangulate_stack = local.triangulate_stack
         element = mesh_module.GeometryStack.element
 
         def counted_element(self, i):
             elements.append(i)
             return element(self, i)
 
-        def counted_kernel(geometry, *args, **kwargs):
-            built.extend(geometry.cells.tolist())
-            return kernel(geometry, *args, **kwargs)
+        def counted_forms(out, *args):
+            built.extend(out.geometry.cells.tolist())
+            reps = out.shapes.geometry.cells[out.classes]
+            represented.extend(reps[reps == out.geometry.cells].tolist())
+            return forms(out, *args)
+
+        def counted_projectors(geometry, *args):
+            projected.extend(geometry.cells.tolist())
+            return class_projectors(geometry, *args)
 
         def counted_triangulation(geometry):
             triangulated.extend(geometry.cells.tolist())
             return triangulate_stack(geometry)
 
-        monkeypatch.setattr(local, "element_kernel", counted_kernel)
+        monkeypatch.setattr(local, "_local_forms", counted_forms)
+        monkeypatch.setattr(local, "_projectors", counted_projectors)
         monkeypatch.setattr(local, "triangulate_stack", counted_triangulation)
         monkeypatch.setattr(mesh_module.GeometryStack, "element",
                             counted_element)
@@ -192,6 +202,7 @@ class TestBuildOnce:
         assert len(built) == cells
         assert sorted(built) == sorted(c for r in records
                                        for c in range(r.n_cells))
+        assert sorted(projected) == sorted(represented)
         assert sorted(triangulated) == sorted(built)
         assert not projectors and not rebuilt
         assert len(geometries) <= cells + 1

@@ -450,6 +450,13 @@ class TestLocalSystem:
             local_system(UNIT_SQUARE, 1, None,
                          Coefficients.constant(kappa=1.0), mode="bogus")
 
+    @pytest.mark.parametrize("coeffs", [None, Coefficients.constant()])
+    def test_mesh_elements_rejects_unknown_mode(self, coeffs):
+        # the mode is checked before any cell is built, with or without
+        # coefficients
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            list(mesh_elements(square_mesh(2), 2, 6, coeffs, mode="bogus"))
+
     def test_k1_modes_coincide(self):
         # For k=1 the gradient of the energy projection and the projected
         # gradient agree, so both modes share one code path; this verifies
@@ -575,8 +582,11 @@ class TestElementKernel:
                 seen.append(c)
         assert sorted(seen) == list(range(mesh.num_cells))
         if family == "lloyd0":
-            assert all(out.classes is None for out, _ in mesh_elements(
-                mesh, k, 2 * k + 2, coeffs, mode))
+            # every lloyd0 cell is its own representative
+            assert all(np.array_equal(out.shapes.geometry.cells[out.classes],
+                                      out.geometry.cells)
+                       for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs,
+                                                   mode))
 
     @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -652,7 +662,10 @@ class TestShapeClasses:
     @pytest.mark.parametrize("size", [100, 1600])
     def test_voronoi_cells_are_singletons(self, family, size):
         mesh = generate(GeneratorSpec(family, size, seed=0))
-        assert all(c is None for c in self._classes(mesh))
+        for reps, classes in self._classes(mesh):
+            n = len(classes)
+            assert np.array_equal(reps, np.arange(n))
+            assert np.array_equal(classes, np.arange(n))
 
     def test_translates_share_a_class(self):
         base = PENTAGON.vertices
@@ -673,13 +686,15 @@ class TestShapeClasses:
         base = PENTAGON.vertices
         mirrored = (base * [-1.0, 1.0])[::-1] + [3.0, 0.0]
         assert polygon_geometry(mirrored).area == pytest.approx(PENTAGON.area)
-        assert self._stack_classes(base, mirrored) is None
+        reps, classes = self._stack_classes(base, mirrored)
+        assert reps.tolist() == [0, 1] and classes.tolist() == [0, 1]
 
     def test_flipped_edge_does_not_merge(self):
         # a flipped edge changes the sign of its odd edge moments
         base = PENTAGON.vertices
-        assert self._stack_classes(base, base + [0.3, 0.7],
-                                   flipped=(1, 2)) is None
+        reps, classes = self._stack_classes(base, base + [0.3, 0.7],
+                                            flipped=(1, 2))
+        assert reps.tolist() == [0, 1] and classes.tolist() == [0, 1]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_stack_of_classes_and_singletons(self, k):
