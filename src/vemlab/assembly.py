@@ -101,6 +101,20 @@ def build_dofmap(mesh, k):
                   interior_dofs=np.flatnonzero(free))
 
 
+def check_dofmap(dofmap, mesh, k):
+    """Raise ValueError unless ``dofmap`` numbers the degree-``k`` space of
+    a mesh with the cell, vertex and edge counts of ``mesh``."""
+    if k != dofmap.k:
+        raise ValueError(f"DoF map was built with k={dofmap.k}, got k={k}")
+    for what, got, want in (
+            ("cells", len(dofmap.cell_dofs), mesh.num_cells),
+            ("vertex DoFs", dofmap.n_vertex_dofs, mesh.num_vertices),
+            ("edge DoFs", dofmap.n_edge_dofs, mesh.num_edges * (k - 1))):
+        if got != want:
+            raise ValueError(f"DoF map has {got} {what} where the mesh has "
+                             f"{want}")
+
+
 def interior_first(dofmap):
     """Renumbering of the global DoFs that puts the interior ones first, in
     the order of ``interior_dofs``, then the boundary ones, in the order of
@@ -145,7 +159,7 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     :func:`vemlab.local.mesh_elements`); each is written into its cell's
     slot of one preallocated COO value buffer, and the loads are summed in
     cell order, so repeated runs produce bit-identical systems.  Each
-    chunk's geometry, triangles and shape table are kept on
+    chunk's geometry, triangles and post-solve operators are kept on
     ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.  The global matrix
     is converted once, to CSC in the :func:`interior_first` numbering: the
     reduced matrix, which :func:`solve` factors without a copy, is its
@@ -157,6 +171,7 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
         raise ValueError(f"quad_boost must be >= 0, got {quad_boost}")
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
+    check_dofmap(dofmap, mesh, k)
     n = dofmap.n_dofs
 
     sizes = np.array([g.size for g in dofmap.cell_dofs], dtype=np.intp)
@@ -211,8 +226,7 @@ def apply_dirichlet(system, g, mesh, k):
     Returns ``system`` with ``lifting`` and ``rhs`` updated.
     """
     dofmap = system.dofmap
-    if k != dofmap.k:
-        raise ValueError(f"system was assembled with k={dofmap.k}, got k={k}")
+    check_dofmap(dofmap, mesh, k)
     gv = g if callable(g) else (lambda x, y, c=float(g): c)
 
     lift = np.zeros(dofmap.n_dofs)
@@ -302,8 +316,7 @@ def interpolate(mesh, k, v, dofmap=None):
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
-    if k != dofmap.k:
-        raise ValueError(f"DoF map was built with k={dofmap.k}, got k={k}")
+    check_dofmap(dofmap, mesh, k)
     out = np.zeros(dofmap.n_dofs)
     nv = dofmap.n_vertex_dofs
     out[:nv] = v(mesh.vertices[:, 0], mesh.vertices[:, 1])

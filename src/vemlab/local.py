@@ -77,31 +77,18 @@ class ProjectorSet:
     rule_values: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ShapeTable:
-    """What post-processing needs of each shape class of a stack of cells.
-
-    One row per class: its representative's geometry and (R, T, 3, 2)
-    triangles, and its post-solve operator ``[Pi0k; Pi0GradX; Pi0GradY;
-    PiNabla]`` (R, rows, n_dofs), which maps a cell's DoFs to all of its
-    polynomial snapshots.  Compared by identity: the chunks of one stack
-    share it.
-    """
-
-    geometry: GeometryStack
-    triangles: np.ndarray
-    operators: np.ndarray
-
-
 @dataclass(frozen=True)
 class ElementBank:
     """What post-processing needs of each cell, kept from one build.
 
-    ``chunks`` holds one ``(GeometryStack, triangles, ShapeTable, classes)``
+    ``chunks`` holds one ``(GeometryStack, triangles, operators, classes)``
     entry per chunk of :func:`mesh_elements` (:meth:`ElementStack.bank_entry`):
     the chunk's geometry and (C, T, 3, 2) triangles, onto which the error
-    norms map their own rule, and the :class:`ShapeTable` of its cells'
-    shape classes with the row of each cell in it.
+    norms map their own rule, the post-solve operators of its group of
+    shape classes (:meth:`ElementStack.post_solve_operators`, compared by
+    identity) and the row of each cell in them.  The chunks of a group
+    share its operators and come in a row, and its representatives lead its
+    first chunk, in class order.
     """
 
     k: int
@@ -132,9 +119,9 @@ class ElementBank:
         """
         nk, nkm1 = n_poly(self.k), n_poly(self.k - 1)
         snaps = np.empty((self.n_cells, 2 * (nk + nkm1)))
-        for geometry, _, shapes, classes in self.chunks:
+        for geometry, _, operators, classes in self.chunks:
             dofs = np.array([cell_dofs[c] for c in geometry.cells])
-            snaps[geometry.cells] = (shapes.operators[classes]
+            snaps[geometry.cells] = (operators[classes]
                                      @ u[dofs][..., None])[..., 0]
         pi0, gx, gy, energy = np.split(
             snaps, [nk, nk + nkm1, nk + 2 * nkm1], axis=1)
@@ -214,8 +201,9 @@ class ElementStack:
     The local forms have one leading row per cell of ``geometry``, and
     ``None`` when no coefficients were given; they are those of
     :class:`LocalSystem`.  The fields of :class:`ProjectorSet` have one row
-    per shape class: cell i takes row ``classes[i]``.  ``shapes`` is what
-    :func:`mesh_elements` keeps of the classes for the :class:`ElementBank`.
+    per shape class: cell i takes row ``classes[i]``.  ``operators`` is
+    what :func:`mesh_elements` keeps of the classes for the
+    :class:`ElementBank`.
     """
 
     k: int
@@ -234,18 +222,14 @@ class ElementStack:
     Ch: np.ndarray = None
     S: np.ndarray = None
     f_loc: np.ndarray = None
-    shapes: ShapeTable = None
-
-    def row(self, i):
-        """Row of the projector fields that cell ``i`` takes."""
-        return self.classes[i]
+    operators: np.ndarray = None
 
     def projectors(self, i, layout):
         """Cell ``i`` as a :class:`ProjectorSet`."""
-        geom = self.geometry.element(i)
+        geom, row = self.geometry.element(i), self.classes[i]
         return ProjectorSet(
             k=self.k, layout=layout, basis=ScaledMonomialBasis(geom, self.k),
-            **{f: getattr(self, f)[self.row(i)] for f in _PROJECTOR_FIELDS})
+            **{f: getattr(self, f)[row] for f in _PROJECTOR_FIELDS})
 
     def post_solve_operators(self):
         """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` of every row of the
@@ -257,7 +241,7 @@ class ElementStack:
     def bank_entry(self, triangles):
         """What the :class:`ElementBank` keeps of this chunk, whose cells'
         rules were mapped onto ``triangles``."""
-        return self.geometry, triangles, self.shapes, self.classes
+        return self.geometry, triangles, self.operators, self.classes
 
 
 def _t(a):
@@ -669,18 +653,23 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
     rule of degree ``exactness`` is mapped onto its triangles.  The cells
     of a stack fall into shape classes (:func:`shape_classes`), taken
     ``step`` representatives at a time: each such group's projectors, form
-    tables and :class:`ShapeTable` are built once, and then its member
-    cells, the representatives first, come ``step`` at a time, each with
-    its own forms.  ``step`` is what fits ``_CHUNK_BYTES`` of working
-    memory, at least ``_MIN_CHUNK_CELLS`` cells: for cells heavier than
-    their quotient the floor overrides the budget.  Yields
-    ``(ElementStack, triangles)`` per chunk, where ``triangles``
-    (C, T, 3, 2) are the triangles the chunk's rules were mapped onto.
+    tables and post-solve operators are built once, and then its member
+    cells, the representatives first and in class order, come ``step`` at
+    a time, each with its own forms; the chunks of the group share its
+    operators.  ``step`` is what fits ``_CHUNK_BYTES`` of working memory, at
+    least ``_MIN_CHUNK_CELLS`` cells: for cells heavier than their quotient
+    the floor overrides the budget.  Yields ``(ElementStack, triangles)``
+    per chunk, where ``triangles`` (C, T, 3, 2) are the triangles the
+    chunk's rules were mapped onto.
     """
     _check_mode(mode)
     for geometry in geometry_stacks(mesh):
         nv = geometry.vertices.shape[1]
-        for rows, tris in triangulate_stack(geometry):
+        parts = triangulate_stack(geometry)
+        while parts:
+            # off the list, so the stack's triangles are held only once
+            # they are reordered
+            rows, tris = parts.pop(0)
             n_points = tris.shape[1] * _duffy_rule(exactness)[1].size
             step = max(_MIN_CHUNK_CELLS,
                        _CHUNK_BYTES // cell_bytes(nv, n_points, k))
@@ -702,16 +691,18 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
                                           exactness)
                     if a == start:
                         # the group's n representatives lead its first
-                        # chunk, and so do their rules
+                        # chunk, and so do their rules; the last group's
+                        # form tables go before these are built
+                        tables = None
                         built = _projectors(
                             stack.take(head), k, QuadratureRule(
                                 rule.points[:n], rule.weights[:n], exactness))
                         tables = (None if coeffs is None
                                   else _form_tables(built, mode))
-                        shapes = ShapeTable(built.geometry, tris[head],
-                                            built.post_solve_operators())
+                        operators = built.post_solve_operators()
                     out = replace(built, geometry=stack.take(part),
-                                  classes=classes[part] - lo, shapes=shapes)
+                                  classes=classes[part] - lo,
+                                  operators=operators)
                     if coeffs is not None:
                         _local_forms(out, rule, coeffs, tables)
                     yield out, tris[part]

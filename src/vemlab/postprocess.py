@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .assembly import build_dofmap
+from .assembly import build_dofmap, check_dofmap
 from .basis import ScaledMonomialBasis, map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .local import ElementBank, mesh_elements
@@ -83,6 +83,7 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
+    check_dofmap(dofmap, mesh, k)
     if u.shape != (dofmap.n_dofs,):
         raise ValueError(
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
@@ -109,7 +110,7 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
     projection.  With ``relative=True`` (default) errors are normalized by
     the corresponding norms of ``p_ex``, integrated with the same rule.
 
-    The degree-``exactness`` rule (default 2k + 4) is mapped onto the
+    The degree-``exactness`` rule (default 2k + 4) is mapped once onto the
     triangles the projection's bank carries for each cell.  Cells are
     evaluated chunk by chunk of the bank, and the cell contributions are
     summed in cell order.
@@ -136,15 +137,15 @@ def _cell_error_parts(k, projection, p_ex, grad_p_ex, gradient, ex):
     """Squared L2 error, H1 error, L2 norm and H1 norm of every cell, with
     the degree-``ex`` rule of :func:`error_norms`; (4, cells).
 
-    The monomial tables on the rule points are built once per shape class
-    of the bank, on its representative's triangles, and each cell pairs its
-    class's tables with the exact solution at its own points.
+    The monomial tables on the rule points are built once per shape class,
+    on the representatives that lead each group's first chunk, and each
+    cell pairs its class's tables with the exact solution at its own points.
     """
     parts = np.empty((4, len(projection.coeffs)))
     exps = monomial_exponents(k)
     nkm1 = n_poly(k - 1)
     seen = None
-    for geometry, tris, shapes, classes in projection.bank.chunks:
+    for geometry, tris, operators, classes in projection.bank.chunks:
         part = geometry.cells
         pts, w = map_rule(tris, ex)
         flat = pts.reshape(-1, 2)
@@ -153,12 +154,10 @@ def _cell_error_parts(k, projection, p_ex, grad_p_ex, gradient, ex):
                                  x.shape).reshape(w.shape)
         g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
                                  x.shape + (2,)).reshape(w.shape + (2,))
-        if shapes is not seen:
-            # the chunks of a group of classes share its table and come
-            # in a row
-            seen = shapes
-            args = (map_rule(shapes.triangles, ex)[0],
-                    shapes.geometry.centroid, shapes.geometry.diameter, exps)
+        if operators is not seen:
+            seen, n = operators, len(operators)
+            args = (pts[:n], geometry.centroid[:n], geometry.diameter[:n],
+                    exps)
             tables = [kernels.monomial_vandermonde(*args)]
             if gradient == "pinabla":
                 tables += kernels.monomial_vandermonde_grad(*args)

@@ -563,12 +563,26 @@ def bank_per_cell(bank):
     and (T, 3, 2) triangles, as the bank kept them before it held the
     kernel's chunks."""
     geoms, ops, tris = ([None] * bank.n_cells for _ in range(3))
-    for geometry, triangles, shapes, classes in bank.chunks:
+    for geometry, triangles, operators, classes in bank.chunks:
         for i, c in enumerate(geometry.cells):
             geoms[c] = geometry.element(i)
-            ops[c] = shapes.operators[classes[i]]
+            ops[c] = operators[classes[i]]
             tris[c] = triangles[i]
     return geoms, ops, tris
+
+
+def entry_representatives(entries):
+    """The cell that represents each row's shape class, for every
+    ``ElementBank`` entry ``(geometry, triangles, operators, classes)`` of
+    ``entries`` in turn (the cell itself when it has a class of its own):
+    the representatives of a group of classes are the leading
+    ``len(operators)`` cells of the first entry that carries its operators,
+    in class order.  Yields one array per entry."""
+    seen = None
+    for geometry, _, operators, classes in entries:
+        if operators is not seen:
+            seen, heads = operators, geometry.cells[:len(operators)]
+        yield heads[classes]
 
 
 def bank_representatives(bank):
@@ -576,9 +590,10 @@ def bank_representatives(bank):
     ``ElementBank`` (the cell itself when it has a class of its own), as a
     list indexed by cell."""
     reps = [None] * bank.n_cells
-    for geometry, _, shapes, classes in bank.chunks:
-        for i, c in enumerate(geometry.cells):
-            reps[c] = shapes.geometry.cells[classes[i]]
+    for (geometry, *_), chunk_reps in zip(
+            bank.chunks, entry_representatives(bank.chunks)):
+        for c, rep in zip(geometry.cells, chunk_reps):
+            reps[c] = rep
     return reps
 
 

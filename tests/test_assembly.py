@@ -117,6 +117,17 @@ class TestDofMap:
         with pytest.raises(ValueError, match="k=2, got k=1"):
             interpolate(mesh, 1, lambda x, y: x, dofmap=build_dofmap(mesh, 2))
 
+    def test_interpolate_rejects_dofmap_of_another_mesh(self):
+        v = lambda x, y: x
+        with pytest.raises(ValueError,
+                           match="DoF map has 25 cells where the mesh has 16"):
+            interpolate(square_mesh(4), 2, v,
+                        dofmap=build_dofmap(square_mesh(5), 2))
+        with pytest.raises(ValueError, match="DoF map has 34 vertex DoFs "
+                                             "where the mesh has 25"):
+            interpolate(square_mesh(4), 1, v, dofmap=build_dofmap(
+                generate(GeneratorSpec("lloyd0", 16, seed=0)), 1))
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_shared_dofs_interpolate_consistently(self, k):
         mesh = generate(GeneratorSpec("lloyd0", 16, seed=11))
@@ -206,6 +217,34 @@ class TestAssemble:
         with pytest.raises(ValueError, match="DoF map"):
             assemble(mesh, 2, Coefficients.constant(kappa=1.0),
                      dofmap=build_dofmap(mesh, 1))
+
+    def test_assemble_rejects_dofmap_of_another_mesh(self):
+        # a 25-cell map used to give an 81 x 81 system whose value slots
+        # for the 9 missing cells were never written, a 9-cell one a bare
+        # IndexError
+        mesh, coeffs = square_mesh(4), Coefficients.constant(kappa=1.0)
+        lloyd = generate(GeneratorSpec("lloyd0", 16, seed=0))
+        for other, message in (
+                (square_mesh(5), "DoF map has 25 cells where the mesh has 16"),
+                (square_mesh(3), "DoF map has 9 cells where the mesh has 16"),
+                (lloyd, "DoF map has 34 vertex DoFs where the mesh has 25")):
+            with pytest.raises(ValueError, match=message):
+                assemble(mesh, 2, coeffs, dofmap=build_dofmap(other, 2))
+        wrong_edges = dataclasses.replace(build_dofmap(mesh, 3),
+                                          n_edge_dofs=82)
+        with pytest.raises(ValueError, match="DoF map has 82 edge DoFs where "
+                                             "the mesh has 80"):
+            assemble(mesh, 3, coeffs, dofmap=wrong_edges)
+
+    def test_apply_dirichlet_rejects_mesh_or_degree_of_another_map(self):
+        small, large = square_mesh(4), square_mesh(5)
+        system = assemble(small, 2, Coefficients.constant(kappa=1.0))
+        with pytest.raises(ValueError,
+                           match="DoF map has 16 cells where the mesh has 25"):
+            apply_dirichlet(system, 1.0, large, 2)
+        with pytest.raises(ValueError, match="DoF map was built with k=2, "
+                                             "got k=3"):
+            apply_dirichlet(system, 1.0, small, 3)
 
     def test_negative_quad_boost_rejected(self):
         # a rule of degree below 2k does not integrate the mass matrix; at
@@ -342,9 +381,9 @@ class TestChunks:
         cut, cut_chunks = self._assemble_counting(mesh, k, coeffs, monkeypatch)
         assert len(cut_chunks) > 3 * len(whole_chunks)
         assert sorted(sum(cut_chunks, [])) == list(range(mesh.num_cells))
-        # a shape table holds no more representatives than a chunk has cells
-        assert all(len(shapes.operators) <= 2
-                   for _, _, shapes, _ in cut.bank.chunks)
+        # a group has no more representatives than a chunk has cells
+        assert all(len(operators) <= 2
+                   for _, _, operators, _ in cut.bank.chunks)
         self._assert_same_bytes(cut, whole)
 
     @pytest.mark.parametrize("k, family", [(4, "concave"), (2, "lloyd0")])

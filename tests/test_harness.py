@@ -15,7 +15,7 @@ from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 from vemlab.postprocess import ErrorRecord, convergence_rates
 from vemlab.problems import builtin_problem
 
-from oracles import element_geometry_per_cell
+from oracles import element_geometry_per_cell, entry_representatives
 
 
 def _read_csv(path):
@@ -161,7 +161,7 @@ class TestBuildOnce:
         # and post-processing neither builds projectors nor re-triangulates;
         # it reads the bank's stacked geometry, and only the point
         # evaluation makes one cell's ElementGeometry
-        built, represented, projected, triangulated, elements = (
+        built, entries, projected, triangulated, elements = (
             [], [], [], [], [])
         forms, class_projectors = local._local_forms, local._projectors
         triangulate_stack = local.triangulate_stack
@@ -173,8 +173,7 @@ class TestBuildOnce:
 
         def counted_forms(out, *args):
             built.extend(out.geometry.cells.tolist())
-            reps = out.shapes.geometry.cells[out.classes]
-            represented.extend(reps[reps == out.geometry.cells].tolist())
+            entries.append(out.bank_entry(None))
             return forms(out, *args)
 
         def counted_projectors(geometry, *args):
@@ -202,6 +201,9 @@ class TestBuildOnce:
         assert len(built) == cells
         assert sorted(built) == sorted(c for r in records
                                        for c in range(r.n_cells))
+        represented = [c for (geometry, *_), reps in zip(
+                           entries, entry_representatives(entries))
+                       for c, rep in zip(geometry.cells, reps) if rep == c]
         assert sorted(projected) == sorted(represented)
         assert sorted(triangulated) == sorted(built)
         assert not projectors and not rebuilt

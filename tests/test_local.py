@@ -21,10 +21,10 @@ from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
 from vemlab.problems import builtin_problem, polynomial_problem
 
 from oracles import (edge_quadrature, element_geometry_per_cell,
-                     interpolate_dofs_per_cell, local_forms_point_tables,
-                     local_system_per_cell, projector_set_per_cell,
-                     q1_stiffness, quadrature_per_cell,
-                     subdivision_integrate)
+                     entry_representatives, interpolate_dofs_per_cell,
+                     local_forms_point_tables, local_system_per_cell,
+                     projector_set_per_cell, q1_stiffness,
+                     quadrature_per_cell, subdivision_integrate)
 
 UNIT_SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 PENTAGON = polygon_geometry(
@@ -529,9 +529,10 @@ class TestElementKernel:
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         seen = []
-        for out, tris in mesh_elements(mesh, k, 2 * k + 2, coeffs):
-            for i, c in enumerate(out.geometry.cells):
-                rep = out.shapes.geometry.cells[out.row(i)]
+        elements = list(mesh_elements(mesh, k, 2 * k + 2, coeffs))
+        for (out, tris), reps in zip(elements, entry_representatives(
+                e.bank_entry(t) for e, t in elements)):
+            for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 geom = element_geometry(mesh, rep)
                 ref = local_system(geom, k, dof_layout(geom, k), coeffs)
                 if rep == c:
@@ -539,7 +540,7 @@ class TestElementKernel:
                         assert np.array_equal(getattr(out, name)[i],
                                               getattr(ref, name)), name
                 for name in self.PROJECTOR_FIELDS:
-                    assert np.array_equal(getattr(out, name)[out.row(i)],
+                    assert np.array_equal(getattr(out, name)[out.classes[i]],
                                           getattr(ref.projectors, name)), name
                 assert np.array_equal(
                     tris[i], triangulate(element_geometry(mesh, c).vertices))
@@ -556,16 +557,17 @@ class TestElementKernel:
         # carries its representative's projectors
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
-        seen = []
-        for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs, mode):
-            for i, c in enumerate(out.geometry.cells):
+        seen, own = [], []
+        elements = list(mesh_elements(mesh, k, 2 * k + 2, coeffs, mode))
+        for (out, _), reps in zip(elements, entry_representatives(
+                e.bank_entry(t) for e, t in elements)):
+            for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 geom = element_geometry_per_cell(mesh, c)
                 got = out.geometry.element(i)
                 for name in ("vertices", "area", "centroid", "diameter",
                              "edge_lengths", "edge_normals", "edge_forward"):
                     assert np.array_equal(getattr(got, name),
                                           getattr(geom, name)), (c, name)
-                rep = out.shapes.geometry.cells[out.row(i)]
                 ref = local_system_per_cell(
                     element_geometry_per_cell(mesh, rep), k, coeffs, mode)
                 # the kernel keeps neither the energy system matrix G nor
@@ -573,20 +575,18 @@ class TestElementKernel:
                 del ref["G"], ref["B"]
                 for name, value in ref.items():
                     if name in self.PROJECTOR_FIELDS:
-                        got = getattr(out, name)[out.row(i)]
+                        got = getattr(out, name)[out.classes[i]]
                     elif rep == c:
                         got = getattr(out, name)[i]
                     else:
                         continue
                     assert np.array_equal(got, value), (c, name)
                 seen.append(c)
+                own.append(rep == c)
         assert sorted(seen) == list(range(mesh.num_cells))
         if family == "lloyd0":
             # every lloyd0 cell is its own representative
-            assert all(np.array_equal(out.shapes.geometry.cells[out.classes],
-                                      out.geometry.cells)
-                       for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs,
-                                                   mode))
+            assert all(own)
 
     @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -606,7 +606,7 @@ class TestElementKernel:
             for i in range(len(out.geometry)):
                 ref = local_forms_point_tables(
                     out.geometry.element(i), k,
-                    {f: getattr(out, f)[out.row(i)] for f in fields},
+                    {f: getattr(out, f)[out.classes[i]] for f in fields},
                     points[i], weights[i], coeffs, mode)
                 for name, value in ref.items():
                     got = getattr(out, name)[i]
@@ -736,16 +736,18 @@ class TestShapeClasses:
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         members = 0
-        for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs, mode):
-            for i, c in enumerate(out.geometry.cells):
-                if out.shapes.geometry.cells[out.row(i)] == c:
+        elements = list(mesh_elements(mesh, k, 2 * k + 2, coeffs, mode))
+        for (out, _), reps in zip(elements, entry_representatives(
+                e.bank_entry(t) for e, t in elements)):
+            for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
+                if rep == c:
                     continue
                 ref = local_system_per_cell(
                     element_geometry_per_cell(mesh, c), k, coeffs, mode)
                 del ref["G"], ref["B"]
                 for name, value in ref.items():
                     got = getattr(out, name)[
-                        out.row(i) if name in self.FIELDS else i]
+                        out.classes[i] if name in self.FIELDS else i]
                     assert (np.abs(got - value).max()
                             <= 1e-12 * np.abs(value).max()), (c, name)
                 members += 1

@@ -5,14 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import (bank_per_cell, error_norms_two_tables,
-                     error_sums_per_cell, locate_cell_per_cell)
-from vemlab import postprocess
+from oracles import (bank_per_cell, bank_representatives,
+                     error_norms_two_tables, error_sums_per_cell,
+                     locate_cell_per_cell)
+from vemlab import local, postprocess
 from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
-from vemlab.basis import polygon_quadrature, triangulate
+from vemlab.basis import polygon_quadrature, triangulate, triangulate_stack
 from vemlab.local import Coefficients, ElementBank
-from vemlab.mesh import element_geometry, make_mesh
+from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.postprocess import (ConvergenceReport, ErrorRecord,
                                 convergence_rates, error_norms, locate_cell,
@@ -126,6 +127,19 @@ class TestProjectSolution:
         with pytest.raises(ValueError, match="k=2"):
             project_solution(LLOYD, 1, u, bank=system.bank)
 
+    def test_dofmap_of_another_mesh_or_degree_raises(self):
+        # a degree-3 map used to raise NumPy's matmul error, and a map of a
+        # larger mesh gave the snapshots of other DoFs, silently
+        small, large = square_mesh(4), square_mesh(5)
+        for dofmap, message in (
+                (build_dofmap(small, 3), "DoF map was built with k=3, "
+                                         "got k=2"),
+                (build_dofmap(large, 2), "DoF map has 25 cells where the "
+                                         "mesh has 16")):
+            with pytest.raises(ValueError, match=message):
+                project_solution(small, 2, np.zeros(dofmap.n_dofs),
+                                 dofmap=dofmap)
+
     def test_bank_of_another_mesh_raises(self):
         # a 16-cell bank on a 25-cell mesh used to leave 9 rows of the
         # snapshots uninitialised, and the errors read them
@@ -207,8 +221,8 @@ class TestErrorNorms:
         geometries, _, _ = bank_per_cell(proj.bank)
         fresh = dataclasses.replace(proj, bank=ElementBank(3, tuple(
             (g, np.stack([triangulate(geometries[c].vertices)
-                          for c in g.cells]), shapes, classes)
-            for g, _, shapes, classes in proj.bank.chunks)))
+                          for c in g.cells]), operators, classes)
+            for g, _, operators, classes in proj.bank.chunks)))
         assert proj.bank is system.bank
         assert (error_norms(mesh, 3, proj, prob.p_ex, prob.grad_p_ex,
                             gradient=gradient)
@@ -253,6 +267,51 @@ class TestErrorNorms:
         # the normalization is the (k-independent) norm of the exact solution
         np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-10)
         assert ratios[0][0] > 1.0  # |p_ex| exceeds 1 on the square
+
+
+class TestBankLayout:
+    @pytest.mark.parametrize("small_chunks", [False, True],
+                             ids=["default", "small"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
+    def test_representatives_lead_each_group(self, family, k, small_chunks,
+                                             monkeypatch):
+        # the error norms build their class tables on the leading rows of
+        # the first chunk of each group (the first to carry its operators)
+        # and map their rule once per chunk: those rows must be the
+        # group's shape-class representatives, in class order
+        if small_chunks:
+            monkeypatch.setattr(local, "_CHUNK_BYTES", 1)
+            monkeypatch.setattr(local, "_MIN_CHUNK_CELLS", 2)
+        mesh = generate(GeneratorSpec(family, 100, seed=0))
+        bank = ElementBank(k, tuple(out.bank_entry(tris) for out, tris
+                                    in local.mesh_elements(mesh, k, 2 * k)))
+        heads, seen = [], None
+        for geometry, _, operators, _ in bank.chunks:
+            if operators is not seen:
+                seen = operators
+                heads.append(geometry.cells[:len(operators)])
+        expected, rep_of = [], np.empty(mesh.num_cells, dtype=np.intp)
+        for geometry in geometry_stacks(mesh):
+            for rows, tris in triangulate_stack(geometry):
+                cells = geometry.cells[rows]
+                reps, classes = local.shape_classes(geometry.take(rows), tris)
+                expected.append(cells[reps])
+                rep_of[cells] = cells[reps[classes]]
+        assert np.array_equal(np.concatenate(heads), np.concatenate(expected))
+        assert bank_representatives(bank) == rep_of.tolist()
+        calls = []
+        map_rule = postprocess.map_rule
+        monkeypatch.setattr(postprocess, "map_rule",
+                            lambda *args: calls.append(1) or map_rule(*args))
+        prob = builtin_problem()
+        proj = project_solution(mesh, k, interpolate(mesh, k, prob.p_ex),
+                                bank=bank)
+        for gradient in ("pi0", "pinabla"):
+            calls.clear()
+            error_norms(mesh, k, proj, prob.p_ex, prob.grad_p_ex,
+                        gradient=gradient)
+            assert len(calls) == len(bank.chunks)
 
 
 class TestPointError:

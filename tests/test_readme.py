@@ -1,0 +1,18 @@
+"""The README's Python API example runs as written."""
+
+import math
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_api_example_prints_two_finite_errors(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(),
+                          flags=re.DOTALL)
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out
+    match = re.fullmatch(r"relative errors: L2 (\S+), H1 (\S+)\n", printed)
+    assert match, printed
+    errors = [float(e) for e in match.groups()]
+    assert all(math.isfinite(e) and 0 < e < 1 for e in errors)
