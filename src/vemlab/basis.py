@@ -240,13 +240,16 @@ def map_rule(tris, exactness):
     """Collapsed Gauss rule mapped onto stacked triangles (..., T, 3, 2).
 
     Returns points (..., T * R, 2) and weights (..., T * R), triangle by
-    triangle, exact for polynomials of degree ``exactness``.
+    triangle, exact for polynomials of degree ``exactness``.  Each
+    coordinate is mapped as one (..., T, R) array.
     """
     ref_pts, ref_w = _duffy_rule(exactness)
-    a, b, c = tris[..., 0, None, :], tris[..., 1, None, :], tris[..., 2, None, :]
-    area2 = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
-             - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]))
-    pts = a + ref_pts[:, 0, None] * (b - a) + ref_pts[:, 1, None] * (c - a)
+    u, v = ref_pts.T
+    (ax, ay), (bx, by), (cx, cy) = (
+        (tris[..., j, 0, None], tris[..., j, 1, None]) for j in range(3))
+    area2 = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+    pts = np.stack([ax + u * (bx - ax) + v * (cx - ax),
+                    ay + u * (by - ay) + v * (cy - ay)], axis=-1)
     wts = ref_w * area2
     lead = tris.shape[:-3]
     return pts.reshape(lead + (-1, 2)), wts.reshape(lead + (-1,))

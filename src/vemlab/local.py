@@ -15,7 +15,7 @@ other; any other cell is a class of one); :func:`element_kernel` runs them
 on one stack, and the one-element functions call it on a stack of one.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -84,48 +84,34 @@ class ElementBank:
     ``chunks`` holds one ``(GeometryStack, triangles, operators, classes)``
     entry per chunk of :func:`mesh_elements` (:meth:`ElementStack.bank_entry`):
     the chunk's geometry and (C, T, 3, 2) triangles, onto which the error
-    norms map their own rule, the post-solve operators of its group of
-    shape classes (:meth:`ElementStack.post_solve_operators`, compared by
-    identity) and the row of each cell in them.  The chunks of a group
-    share its operators and come in a row, and its representatives lead its
-    first chunk, in class order.
+    norms map their own rule, the post-solve operators
+    ``[Pi0k; Pi0GradX; Pi0GradY]`` of its group of shape classes
+    (:meth:`ElementStack.post_solve_operators`, compared by identity) and
+    the row of each cell in them.  The chunks of a group share its
+    operators and come in a row, and its representatives lead its first
+    chunk, in class order.  The bank keeps no index from cell to chunk.
     """
 
     k: int
     chunks: tuple
-    _where: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # cell -> (chunk, row)
-        where = np.empty((sum(len(g) for g, *_ in self.chunks), 2), np.intp)
-        for i, (geometry, *_) in enumerate(self.chunks):
-            where[geometry.cells, 0] = i
-            where[geometry.cells, 1] = np.arange(len(geometry))
-        object.__setattr__(self, "_where", where)
 
     @property
     def n_cells(self):
-        return len(self._where)
-
-    def element(self, cell):
-        """``ElementGeometry`` of one cell."""
-        chunk, row = self._where[cell]
-        return self.chunks[chunk][0].element(row)
+        return sum(len(geometry) for geometry, *_ in self.chunks)
 
     def snapshots(self, u, cell_dofs):
-        """L2 projection, projected gradient and energy projection of the
-        global DoF vector ``u`` on every cell: arrays of shape
-        (cells, n_poly(k)), (cells, n_poly(k - 1), 2) and (cells, n_poly(k)).
+        """L2 projection and projected gradient of the global DoF vector
+        ``u`` on every cell: arrays of shape (cells, n_poly(k)) and
+        (cells, n_poly(k - 1), 2).
         """
         nk, nkm1 = n_poly(self.k), n_poly(self.k - 1)
-        snaps = np.empty((self.n_cells, 2 * (nk + nkm1)))
+        snaps = np.empty((self.n_cells, nk + 2 * nkm1))
         for geometry, _, operators, classes in self.chunks:
             dofs = np.array([cell_dofs[c] for c in geometry.cells])
             snaps[geometry.cells] = (operators[classes]
                                      @ u[dofs][..., None])[..., 0]
-        pi0, gx, gy, energy = np.split(
-            snaps, [nk, nk + nkm1, nk + 2 * nkm1], axis=1)
-        return pi0, np.stack([gx, gy], axis=-1), energy
+        pi0, gx, gy = np.split(snaps, [nk, nk + nkm1], axis=1)
+        return pi0, np.stack([gx, gy], axis=-1)
 
 
 @dataclass
@@ -232,11 +218,12 @@ class ElementStack:
             **{f: getattr(self, f)[row] for f in _PROJECTOR_FIELDS})
 
     def post_solve_operators(self):
-        """``[Pi0k; Pi0GradX; Pi0GradY; PiNabla]`` of every row of the
-        projector fields, stacked by rows: the projectors that act on a
-        solution, (rows, 2 n_poly(k) + 2 n_poly(k - 1), n_dofs)."""
-        return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY,
-                               self.PiNabla], axis=1)
+        """``[Pi0k; Pi0GradX; Pi0GradY]`` of every row of the projector
+        fields, stacked by rows: the projectors whose snapshots of a
+        solution the error norms read, (rows, n_poly(k) + 2 n_poly(k - 1),
+        n_dofs)."""
+        return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY],
+                              axis=1)
 
     def bank_entry(self, triangles):
         """What the :class:`ElementBank` keeps of this chunk, whose cells'

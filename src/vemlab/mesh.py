@@ -371,12 +371,11 @@ def _by_size(ragged):
 
 
 def geometry_stacks(mesh):
-    """One :class:`GeometryStack` per vertex count, in ascending count."""
-    stacks = []
+    """Yield one :class:`GeometryStack` per vertex count, in ascending
+    count; each is built when the caller asks for it."""
     for cells, rings in _by_size(mesh.cells):
         forward = rings < np.roll(rings, -1, axis=1)
-        stacks.append(stack_geometry(mesh.vertices[rings], forward, cells))
-    return stacks
+        yield stack_geometry(mesh.vertices[rings], forward, cells)
 
 
 def max_diameter(mesh):

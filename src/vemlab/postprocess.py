@@ -17,7 +17,7 @@ from .basis import ScaledMonomialBasis, map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .local import ElementBank, mesh_elements
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
-from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
+from .mesh import element_geometry
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,8 @@ class ConvergenceReport:
     records: tuple
     slope_L2: float
     slope_H1: float
-    slope_point: float
     pairwise_L2: np.ndarray = field(repr=False)
     pairwise_H1: np.ndarray = field(repr=False)
-    pairwise_point: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -55,22 +53,23 @@ class SolutionProjection:
 
     ``coeffs[c]`` holds the L2-projection coefficients of the solution on
     cell ``c`` in the scaled monomial basis of degree ``k``; ``grad_coeffs``
-    the projected gradient (degree ``k - 1``, last axis = component);
-    ``energy_coeffs`` the energy projection, kept for the alternative H1
-    error representative.  ``bank`` is the ``ElementBank`` they came from:
-    its geometry gives the basis those coefficients refer to, and its
-    triangles are what the error norms integrate over.
+    the projected gradient (degree ``k - 1``, last axis = component), the
+    representative of the gradient that the H1 error measures.  ``bank`` is
+    the ``ElementBank`` they came from: its geometry gives the basis those
+    coefficients refer to, and its triangles are what the error norms
+    integrate over.
     """
 
     mesh: object
     k: int
     coeffs: np.ndarray
     grad_coeffs: np.ndarray
-    energy_coeffs: np.ndarray
     bank: ElementBank = field(repr=False)
 
     def cell_value(self, cell, points):
-        basis = ScaledMonomialBasis(self.bank.element(cell), self.k)
+        """L2 projection on ``cell`` at ``points`` (n, 2), in the basis of
+        the cell's own geometry (its bank row's, bit for bit)."""
+        basis = ScaledMonomialBasis(element_geometry(self.mesh, cell), self.k)
         return basis.eval(points) @ self.coeffs[cell]
 
 
@@ -79,7 +78,9 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
 
     ``bank`` is the ``ElementBank`` that :func:`vemlab.assembly.assemble`
     returns on ``SparseSystem.bank``; without one, the element kernel builds
-    every cell's projectors here (with a degree-2k rule).
+    every cell's projectors here (with a degree-2k rule).  A bank of another
+    degree, or of a mesh whose cells have other rings or vertex
+    coordinates, raises ``ValueError``.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
@@ -90,39 +91,57 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
     if bank is None:
         bank = ElementBank(k, tuple(out.bank_entry(tris) for out, tris
                                     in mesh_elements(mesh, k, 2 * k)))
-    elif bank.k != k:
+    else:
+        _check_bank(bank, mesh, k)
+    coeffs, grads = bank.snapshots(u, dofmap.cell_dofs)
+    return SolutionProjection(mesh=mesh, k=k, coeffs=coeffs,
+                              grad_coeffs=grads, bank=bank)
+
+
+def _check_bank(bank, mesh, k):
+    """Raise ``ValueError`` unless ``bank`` was built at degree ``k`` on
+    the rings and vertex coordinates of ``mesh``, naming the first cell
+    that differs."""
+    if bank.k != k:
         raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
-    elif bank.n_cells != mesh.num_cells:
+    if bank.n_cells != mesh.num_cells:
         raise ValueError(f"element bank has {bank.n_cells} cells, the mesh "
                          f"has {mesh.num_cells}")
-    coeffs, grads, energy = bank.snapshots(u, dofmap.cell_dofs)
-    return SolutionProjection(mesh=mesh, k=k, coeffs=coeffs,
-                              grad_coeffs=grads, energy_coeffs=energy,
-                              bank=bank)
+    sizes = np.array([ring.size for ring in mesh.cells])
+    starts, flat = np.cumsum(sizes) - sizes, np.concatenate(mesh.cells)
+    differs = np.zeros(mesh.num_cells, dtype=bool)
+    for geometry, *_ in bank.chunks:
+        cells, nv = geometry.cells, geometry.vertices.shape[1]
+        same = sizes[cells] == nv
+        rings = flat[starts[cells[same], None] + np.arange(nv)]
+        same[same] = np.all(mesh.vertices[rings] == geometry.vertices[same],
+                            axis=(1, 2))
+        differs[cells] = ~same
+    if differs.any():
+        raise ValueError(f"element bank was built on another mesh: cell "
+                         f"{np.argmax(differs)} has other vertices in it")
 
 
-def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
-                exactness=None, relative=True):
+def error_norms(mesh, k, projection, p_ex, grad_p_ex, exactness=None,
+                relative=True):
     """(L2, H1-seminorm) errors of a projected solution against ``p_ex``.
 
-    ``gradient`` selects the discrete-gradient representative: ``"pi0"``
-    uses the projected gradient, ``"pinabla"`` the gradient of the energy
-    projection.  With ``relative=True`` (default) errors are normalized by
-    the corresponding norms of ``p_ex``, integrated with the same rule.
+    The H1 error measures the projected gradient Pi0_{k-1} grad p_h, the
+    snapshot ``projection.grad_coeffs``.  With ``relative=True`` (default)
+    errors are normalized by the corresponding norms of ``p_ex``,
+    integrated with the same rule.
 
     The degree-``exactness`` rule (default 2k + 4) is mapped once onto the
     triangles the projection's bank carries for each cell.  Cells are
     evaluated chunk by chunk of the bank, and the cell contributions are
     summed in cell order.
     """
-    if gradient not in ("pi0", "pinabla"):
-        raise ValueError(f"unknown gradient representative {gradient!r}")
     if (projection.k, len(projection.coeffs)) != (k, mesh.num_cells):
         raise ValueError(
             f"projection has k={projection.k} on {len(projection.coeffs)} "
             f"cells, expected k={k} on the mesh's {mesh.num_cells} cells")
     ex = (2 * k + 4) if exactness is None else exactness
-    parts = _cell_error_parts(k, projection, p_ex, grad_p_ex, gradient, ex)
+    parts = _cell_error_parts(k, projection, p_ex, grad_p_ex, ex)
     # cumsum adds the cells strictly in order; np.sum's pairwise order
     # would round differently
     num_l2, num_h1, den_l2, den_h1 = np.cumsum(parts, axis=1)[:, -1]
@@ -133,13 +152,13 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, gradient="pi0",
             err_h1 / max(np.sqrt(den_h1), 1e-300))
 
 
-def _cell_error_parts(k, projection, p_ex, grad_p_ex, gradient, ex):
+def _cell_error_parts(k, projection, p_ex, grad_p_ex, ex):
     """Squared L2 error, H1 error, L2 norm and H1 norm of every cell, with
     the degree-``ex`` rule of :func:`error_norms`; (4, cells).
 
-    The monomial tables on the rule points are built once per shape class,
+    The monomial table on the rule points is built once per shape class,
     on the representatives that lead each group's first chunk, and each
-    cell pairs its class's tables with the exact solution at its own points.
+    cell pairs its class's table with the exact solution at its own points.
     """
     parts = np.empty((4, len(projection.coeffs)))
     exps = monomial_exponents(k)
@@ -156,20 +175,12 @@ def _cell_error_parts(k, projection, p_ex, grad_p_ex, gradient, ex):
                                  x.shape + (2,)).reshape(w.shape + (2,))
         if operators is not seen:
             seen, n = operators, len(operators)
-            args = (pts[:n], geometry.centroid[:n], geometry.diameter[:n],
-                    exps)
-            tables = [kernels.monomial_vandermonde(*args)]
-            if gradient == "pinabla":
-                tables += kernels.monomial_vandermonde_grad(*args)
-        V, *grads = (t[classes] for t in tables)
+            table = kernels.monomial_vandermonde(
+                pts[:n], geometry.centroid[:n], geometry.diameter[:n], exps)
+        V = table[classes]
         ph = (V @ projection.coeffs[part][..., None])[..., 0]
-        if gradient == "pi0":
-            # graded order: the degree-(k-1) monomials are the first columns
-            gh = V[..., :nkm1] @ projection.grad_coeffs[part]
-        else:
-            gx, gy = grads
-            energy = projection.energy_coeffs[part][..., None]
-            gh = np.concatenate([gx @ energy, gy @ energy], axis=-1)
+        # graded order: the degree-(k-1) monomials are the first columns
+        gh = V[..., :nkm1] @ projection.grad_coeffs[part]
         wr = w[:, None, :]
         for row, values in enumerate((
                 (ph - p_vals) ** 2, np.sum((gh - g_vals) ** 2, axis=-1),
@@ -277,16 +288,12 @@ def convergence_rates(records):
     hs = np.array([r.h_max for r in usable])
     l2 = np.array([r.err_L2_rel for r in usable])
     h1 = np.array([r.err_H1_rel for r in usable])
-    pt = np.array([r.err_point_rel for r in usable])
     if hs.size >= 2:
-        pair_l2, pair_h1, pair_pt = (_pairwise(hs, l2), _pairwise(hs, h1),
-                                     _pairwise(hs, pt))
+        pair_l2, pair_h1 = _pairwise(hs, l2), _pairwise(hs, h1)
     else:
-        pair_l2 = pair_h1 = pair_pt = np.empty(0)
+        pair_l2 = pair_h1 = np.empty(0)
     return ConvergenceReport(records=tuple(records),
                              slope_L2=_fit(hs, l2),
                              slope_H1=_fit(hs, h1),
-                             slope_point=_fit(hs, pt),
                              pairwise_L2=pair_l2,
-                             pairwise_H1=pair_h1,
-                             pairwise_point=pair_pt)
+                             pairwise_H1=pair_h1)

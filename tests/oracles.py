@@ -804,6 +804,23 @@ def quadrature_per_cell(geom, exactness):
     return np.vstack(pts), np.concatenate(wts)
 
 
+def map_rule_axis_pairs(tris, exactness):
+    """``vemlab.basis.map_rule`` on (..., T, 1, 2) corner arrays whose last
+    axis holds both coordinates: the arithmetic its per-coordinate
+    (..., T, R) arrays replaced, with the same operations in the same
+    order."""
+    from vemlab.basis import _duffy_rule
+
+    ref_pts, ref_w = _duffy_rule(exactness)
+    a, b, c = tris[..., 0, None, :], tris[..., 1, None, :], tris[..., 2, None, :]
+    area2 = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+             - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1]))
+    pts = a + ref_pts[:, 0, None] * (b - a) + ref_pts[:, 1, None] * (c - a)
+    wts = ref_w * area2
+    lead = tris.shape[:-3]
+    return pts.reshape(lead + (-1, 2)), wts.reshape(lead + (-1,))
+
+
 def projector_set_per_cell(geom, k, rule):
     """The projectors of one element, built edge by edge and DoF row by DoF
     row: the one-cell construction ``vemlab.local.element_kernel`` stacked.

@@ -323,7 +323,7 @@ class TestScatter:
             # representative's one-cell construction
             rep = element_geometry(mesh, reps[c])
             ps = projector_set(rep, k, rule=polygon_quadrature(rep, 2 * k + 3))
-            ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY, ps.PiNabla])
+            ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY])
             assert np.array_equal(operators[c], ref)
 
 

@@ -15,8 +15,8 @@ from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
                             voronoi_mesh)
 
 from oracles import (edge_quadrature, fd_gradient, green_monomial_integral,
-                     random_polygon_bank, subdivision_integrate,
-                     triangulate_per_cell)
+                     map_rule_axis_pairs, random_polygon_bank,
+                     subdivision_integrate, triangulate_per_cell)
 
 SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 LSHAPE = polygon_geometry(
@@ -250,6 +250,24 @@ class TestBatchedTriangulation:
             rule = polygon_quadrature(geom, 7)
             assert np.array_equal(pts[i], rule.points)
             assert np.array_equal(wts[i], rule.weights)
+
+    @pytest.mark.parametrize("exactness", [0, 4, 7, 12])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0",
+                                        "lloyd100"])
+    def test_rule_per_coordinate_matches_axis_pairs(self, family, exactness):
+        # square and most Voronoi cells take the centroid fan, concave
+        # cells the ear clip; each coordinate mapped on its own gives the
+        # bits of the (..., 2)-axis arithmetic
+        mesh = generate(GeneratorSpec(family, 100, seed=3))
+        kinds = set()
+        for stack in _by_vertex_count(_cells(mesh)):
+            for _, tris in triangulate_stack(stack):
+                kinds.add(tris.shape[1] == stack.vertices.shape[1])
+                for got, ref in zip(map_rule(tris, exactness),
+                                    map_rule_axis_pairs(tris, exactness)):
+                    assert np.array_equal(got, ref)
+        assert (True in kinds) == (family != "concave")
+        assert (False in kinds) == (family in ("concave", "lloyd0"))
 
     def test_errors_name_the_polygon(self):
         good = SQUARE.vertices
