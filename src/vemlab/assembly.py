@@ -16,7 +16,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import n_poly
-from .local import ElementBank, edge_moments, internal_moments, mesh_elements
+from .local import (ElementBank, check_quad_boost, edge_moments,
+                    internal_moments, mesh_elements)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
@@ -166,9 +167,7 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     leading block, and the interior-by-boundary coupling block is converted
     on to CSR.
     """
-    # a rule of degree below 2k does not integrate the mass matrix exactly
-    if quad_boost < 0:
-        raise ValueError(f"quad_boost must be >= 0, got {quad_boost}")
+    check_quad_boost(quad_boost)
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     check_dofmap(dofmap, mesh, k)

@@ -67,23 +67,6 @@ def derivative_table(degree, axis):
 
 
 @lru_cache(maxsize=None)
-def laplacian_table(degree):
-    """Matrix sending P_degree coefficients of the unscaled monomials
-    (h = 1) to P_{degree-2} coefficients of the Laplacian, read-only."""
-    lower = monomial_exponents(degree - 2) if degree >= 2 \
-        else np.empty((0, 2), dtype=np.int64)
-    low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
-    L = np.zeros((lower.shape[0], n_poly(degree)))
-    for i, (ax, ay) in enumerate(monomial_exponents(degree)):
-        if ax >= 2:
-            L[low_index[(int(ax) - 2, int(ay))], i] += ax * (ax - 1)
-        if ay >= 2:
-            L[low_index[(int(ax), int(ay) - 2)], i] += ay * (ay - 1)
-    L.flags.writeable = False
-    return L
-
-
-@lru_cache(maxsize=None)
 def edge_reconstruction(k):
     """Map from edge data to the t-coefficients of the unique trace
     polynomial in P_k(e).

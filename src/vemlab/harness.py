@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
+from .local import check_quad_boost
 from .mesh import MeshError, max_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 from .meshgen import GeneratorSpec, check_count, generate
@@ -71,8 +72,7 @@ class ExperimentConfig:
                                      "need")
         if self.mode not in ("standard", "grad_pinabla"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.quad_boost < 0:
-            raise ValueError(f"quad_boost must be >= 0, got {self.quad_boost}")
+        check_quad_boost(self.quad_boost)
         point = np.asarray(self.point, dtype=float)
         # NaN fails both comparisons
         if point.shape != (2,) or not np.all((point >= 0.0) & (point <= 1.0)):
@@ -136,41 +136,24 @@ def _fmt(value):
     return "%.17g" % value
 
 
-def _pair_slope(prev, rec):
-    if prev is None:
-        return ("", "")
-    if (prev.failed or rec.failed or prev.h_max == rec.h_max
-            or not np.isfinite([prev.h_max, rec.h_max]).all()):
-        return ("nan", "nan")
-    out = []
-    for a, b in ((prev.err_L2_rel, rec.err_L2_rel),
-                 (prev.err_H1_rel, rec.err_H1_rel)):
-        if a > 0 and b > 0 and np.isfinite([a, b]).all():
-            out.append(_fmt(np.log(b / a) / np.log(rec.h_max / prev.h_max)))
-        else:
-            out.append("nan")
-    return tuple(out)
-
-
 def emit_report(reports, path):
     """Write the CSV report plus one gnuplot data file per family.
 
-    Data rows carry per-mesh errors with pairwise slopes against the
-    previous row; each family adds a ``<family>_fit`` summary row holding
-    the least-squares slopes.  All floats use 17 significant digits so the
-    file round-trips exactly.
+    Data rows carry per-mesh errors with the report's pairwise slopes
+    against the previous row; each family adds a ``<family>_fit`` summary
+    row holding the least-squares slopes.  All floats use 17 significant
+    digits so the file round-trips exactly.
     """
     lines = [",".join(CSV_COLUMNS)]
     for (family, k, mode) in sorted(reports):
         report = reports[(family, k, mode)]
-        prev = None
-        for rec in report.records:
-            s_l2, s_h1 = _pair_slope(prev, rec)
+        slopes = [("", "")] + [(_fmt(a), _fmt(b)) for a, b in
+                               zip(report.pairwise_L2, report.pairwise_H1)]
+        for rec, (s_l2, s_h1) in zip(report.records, slopes):
             lines.append(",".join([
                 family, str(k), mode, str(rec.n_cells), str(rec.n_dofs),
                 _fmt(rec.h_max), _fmt(rec.err_L2_rel), _fmt(rec.err_H1_rel),
                 _fmt(rec.err_point_rel), s_l2, s_h1]))
-            prev = rec
         lines.append(",".join([
             f"{family}_fit", str(k), mode, "", "", "", "", "", "",
             _fmt(report.slope_L2), _fmt(report.slope_H1)]))

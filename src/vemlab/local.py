@@ -22,9 +22,9 @@ import numpy as np
 
 from . import kernels
 from .basis import (QuadratureRule, ScaledMonomialBasis, _duffy_rule, _gauss,
-                    derivative_table, edge_reconstruction, gram,
-                    laplacian_table, map_rule, monomial_exponents, n_poly,
-                    polygon_quadrature, triangulate_stack)
+                    derivative_table, edge_reconstruction, gram, map_rule,
+                    monomial_exponents, n_poly, polygon_quadrature,
+                    triangulate_stack)
 from .mesh import GeometryStack, _row_sum, geometry_stacks
 
 
@@ -311,6 +311,13 @@ def _check_mode(mode):
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def check_quad_boost(quad_boost):
+    """Raise ValueError on a negative ``quad_boost``: a rule of degree below
+    2k does not integrate the mass matrix exactly."""
+    if quad_boost < 0:
+        raise ValueError(f"quad_boost must be >= 0, got {quad_boost}")
+
+
 def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
     """Projectors and, given coefficients, local forms of a stack of cells,
     each cell a shape class of its own.
@@ -350,7 +357,7 @@ def _projectors(geometry, k, rule):
 
     # Gauss points of every edge, from its start to its end vertex in the
     # canonical direction; one value table on the vertices and every edge
-    # point, one gradient table on the edge points.
+    # point.
     t_std, w_std = _gauss(k + 1)
     forward = geometry.edge_forward
     ring = geometry.vertices
@@ -364,9 +371,6 @@ def _projectors(geometry, k, rule):
     V = kernels.monomial_vandermonde(
         np.concatenate([ring, edge_pts], axis=1), center, h, exps)
     V_edge = V[:, nv:].reshape(n_cells, nv, k + 1, nk)
-    gx_edge, gy_edge = (g.reshape(n_cells, nv, k + 1, nk) for g in
-                        kernels.monomial_vandermonde_grad(edge_pts, center, h,
-                                                          exps))
 
     # DoFs of the monomials, one row per DoF.  Each per-edge product below
     # is batched over (cell, edge[, moment]) with the shapes of a one-edge
@@ -381,31 +385,28 @@ def _projectors(geometry, k, rule):
     if nkm2:
         D[:, first_int:] = H[:, :nkm2] / area
 
-    # Energy projector: gradient conditions plus the boundary-mean closure;
-    # gradient projector by parts: interior term from internal moments (the
-    # derivative of a P_{k-1} monomial stays within degree k-2), boundary
-    # term from the trace reconstruction.
+    # Moments (m, d v / dx) and (m, d v / dy), m in P_{k-1}, by parts:
+    # interior term from the internal moments (the derivative of a P_{k-1}
+    # monomial stays within degree k-2), boundary term from the trace
+    # reconstruction.  They are the projected gradient's right-hand side,
+    # and the energy projector's too: the gradient of a P_k monomial lies in
+    # (P_{k-1})^2, so (grad m, grad v) = Dx^T rx + Dy^T ry, whose first row
+    # the boundary-mean closure replaces.
     hh = h[:, None, None]
     Dx = derivative_table(k, 0) / hh
     Dy = derivative_table(k, 1) / hh
-    B = np.zeros((n_cells, nk, nd))
     rx = np.zeros((n_cells, nkm1, nd))
     ry = np.zeros((n_cells, nkm1, nd))
     if nkm2:
-        # Python's float power, as a one-cell ``h ** 2`` takes it
-        h2 = np.array([d ** 2 for d in h.tolist()])[:, None, None]
-        B[:, :, first_int:] -= area * _t(laplacian_table(k) / h2)
         rx[:, :, first_int:] -= area * _t(derivative_table(k - 1, 0) / hh)
         ry[:, :, first_int:] -= area * _t(derivative_table(k - 1, 1) / hh)
     nx, ny = normals[..., 0, None, None], normals[..., 1, None, None]
-    weighted = wts[..., None] * traces
-    flux = _t(gx_edge * nx + gy_edge * ny) @ weighted
+    moment = _t(V_edge[..., :nkm1]) @ (wts[..., None] * traces)
     mean_dof = (wts[:, :, None, :] @ traces)[:, :, 0] / perimeter[:, None]
-    moment = _t(V_edge[..., :nkm1]) @ weighted
     # sums over the edges, in ring order
-    B += flux.sum(axis=1)
     rx += (nx * moment).sum(axis=1)
     ry += (ny * moment).sum(axis=1)
+    B = _t(Dx) @ rx + _t(Dy) @ ry
     B[:, 0] = mean_dof.sum(axis=1)
     # B @ D is the energy matrix G (the monomials' gradient Gram with its
     # first row replaced by their boundary means) up to quadrature roundoff.
@@ -720,6 +721,7 @@ def projector_set(geom, k, layout=None, rule=None):
 def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
     """Local stiffness/advection/reaction matrices and load vector of one
     element (see :func:`element_kernel`)."""
+    check_quad_boost(quad_boost)
     layout = layout if layout is not None else dof_layout(geom, k)
     rule = polygon_quadrature(geom, 2 * k + quad_boost)
     out = element_kernel(_one(geom), k, _one_rule(rule), coeffs, mode)

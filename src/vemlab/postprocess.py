@@ -249,12 +249,17 @@ def point_error(projection, point, p_ex):
     return abs(exact - value) / max(abs(exact), 1e-300), cell
 
 
-def _pairwise(hs, errs):
-    out = np.full(len(hs) - 1, np.nan)
-    for i in range(len(hs) - 1):
-        dh = np.log(hs[i + 1] / hs[i])
-        if dh != 0.0 and errs[i] > 0 and errs[i + 1] > 0:
-            out[i] = np.log(errs[i + 1] / errs[i]) / dh
+def _pairwise(records, name):
+    """Log-log slope of the error ``name`` between each pair of adjacent
+    records: ``nan`` next to a failed record, between equal or non-finite
+    mesh sizes, and where either error is not positive and finite."""
+    out = np.full(max(len(records) - 1, 0), np.nan)
+    for i, (prev, rec) in enumerate(zip(records, records[1:])):
+        a, b = getattr(prev, name), getattr(rec, name)
+        if (not (prev.failed or rec.failed) and prev.h_max != rec.h_max
+                and np.isfinite([prev.h_max, rec.h_max, a, b]).all()
+                and a > 0 and b > 0):
+            out[i] = np.log(b / a) / np.log(rec.h_max / prev.h_max)
     return out
 
 
@@ -280,20 +285,18 @@ def convergence_rates(records):
 
     Failed or non-finite records are skipped; duplicate mesh sizes are
     excluded from the least-squares fit with a warning.  Pairwise slopes sit
-    between successive usable records (``nan`` where undefined).
+    between adjacent records (:func:`_pairwise`), so a failed record has
+    ``nan`` on both sides.
     """
+    records = tuple(records)
     usable = [r for r in records
               if not r.failed and np.isfinite([r.err_L2_rel, r.err_H1_rel,
                                                r.h_max]).all()]
     hs = np.array([r.h_max for r in usable])
     l2 = np.array([r.err_L2_rel for r in usable])
     h1 = np.array([r.err_H1_rel for r in usable])
-    if hs.size >= 2:
-        pair_l2, pair_h1 = _pairwise(hs, l2), _pairwise(hs, h1)
-    else:
-        pair_l2 = pair_h1 = np.empty(0)
-    return ConvergenceReport(records=tuple(records),
+    return ConvergenceReport(records=records,
                              slope_L2=_fit(hs, l2),
                              slope_H1=_fit(hs, h1),
-                             pairwise_L2=pair_l2,
-                             pairwise_H1=pair_h1)
+                             pairwise_L2=_pairwise(records, "err_L2_rel"),
+                             pairwise_H1=_pairwise(records, "err_H1_rel"))

@@ -821,26 +821,14 @@ def map_rule_axis_pairs(tris, exactness):
     return pts.reshape(lead + (-1, 2)), wts.reshape(lead + (-1,))
 
 
-def projector_set_per_cell(geom, k, rule):
-    """The projectors of one element, built edge by edge and DoF row by DoF
-    row: the one-cell construction ``vemlab.local.element_kernel`` stacked.
-    ``rule`` is a (points, weights) pair; returns a dict of the
-    ``ProjectorSet`` arrays."""
+def _edge_traces_per_cell(geom, k):
+    """Per edge of one element, in ring order: its index, Gauss points from
+    its start to its end vertex in the canonical direction, weights, and the
+    trace table of the DoF basis on those points."""
     from vemlab.basis import _gauss, edge_reconstruction, n_poly
 
     nv = len(geom.vertices)
-    nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
-    nd = nv * k + nkm2
-    first_int = nv * k
-    area = geom.area
-    perimeter = geom.edge_lengths.sum()
-    points, w = rule
-    rule_values = _monomials_per_cell(geom, k, points)[0]
-    H = rule_values.T @ (w[:, None] * rule_values)
-    H = 0.5 * (H + H.T)
-    Hm1 = H[:nkm1, :nkm1]
-
-    # per edge: Gauss points, weights and the trace table of the DoF basis
+    nd = nv * k + n_poly(k - 2)
     R = edge_reconstruction(k)
     t_std, w_std = _gauss(k + 1)
     P = np.vander(t_std, k + 1, increasing=True)
@@ -857,11 +845,34 @@ def projector_set_per_cell(geom, k, rule):
         pts = 0.5 * (a + b) + 0.5 * np.outer(t_std, b - a)
         traces.append((e, pts, w_std * geom.edge_lengths[e] / 2,
                        P @ (R @ data)))
+    return traces
+
+
+def projector_set_per_cell(geom, k, rule):
+    """The projectors of one element, built edge by edge and DoF row by DoF
+    row: the one-cell construction ``vemlab.local.element_kernel`` stacked.
+    ``rule`` is a (points, weights) pair; returns a dict of the
+    ``ProjectorSet`` arrays, with the energy system matrix ``G`` and its
+    right-hand side ``B``."""
+    from vemlab.basis import _gauss, n_poly
+
+    nv = len(geom.vertices)
+    nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
+    nd = nv * k + nkm2
+    first_int = nv * k
+    area = geom.area
+    perimeter = geom.edge_lengths.sum()
+    points, w = rule
+    rule_values = _monomials_per_cell(geom, k, points)[0]
+    H = rule_values.T @ (w[:, None] * rule_values)
+    H = 0.5 * (H + H.T)
+    Hm1 = H[:nkm1, :nkm1]
+
+    t_std, _ = _gauss(k + 1)
+    traces = _edge_traces_per_cell(geom, k)
     edge_pts = np.vstack([pts for _, pts, _, _ in traces])
     V = _monomials_per_cell(geom, k, np.vstack([geom.vertices, edge_pts]))[0]
     V_edge = V[nv:].reshape(nv, k + 1, nk)
-    _, gx, gy = _monomials_per_cell(geom, k, edge_pts)
-    gx_edge, gy_edge = gx.reshape(nv, k + 1, nk), gy.reshape(nv, k + 1, nk)
 
     D = np.zeros((nd, nk))
     D[:nv] = V[:nv]
@@ -872,18 +883,25 @@ def projector_set_per_cell(geom, k, rule):
     if nkm2:
         D[first_int:] = H[:nkm2] / area
 
+    # the projected gradient's moments, and from them the energy
+    # projector's right-hand side
+    rx = np.zeros((nkm1, nd))
+    ry = np.zeros((nkm1, nd))
+    if nkm2:
+        rx[:, first_int:] -= area * _derivative_map_per_cell(geom, k - 1, 0).T
+        ry[:, first_int:] -= area * _derivative_map_per_cell(geom, k - 1, 1).T
+    for e, _pts, wts, vals in traces:
+        moment = V_edge[e][:, :nkm1].T @ (wts[:, None] * vals)
+        rx += geom.edge_normals[e, 0] * moment
+        ry += geom.edge_normals[e, 1] * moment
+
     Dx = _derivative_map_per_cell(geom, k, 0)
     Dy = _derivative_map_per_cell(geom, k, 1)
     G = Dx.T @ Hm1 @ Dx + Dy.T @ Hm1 @ Dy
-    B = np.zeros((nk, nd))
-    if nkm2:
-        B[:, first_int:] -= area * _laplacian_map_per_cell(geom, k).T
+    B = Dx.T @ rx + Dy.T @ ry
     bmean_mono = np.zeros(nk)
     bmean_dof = np.zeros(nd)
     for e, _pts, wts, vals in traces:
-        normal = geom.edge_normals[e]
-        dn = gx_edge[e] * normal[0] + gy_edge[e] * normal[1]
-        B += dn.T @ (wts[:, None] * vals)
         bmean_mono += wts @ V_edge[e] / perimeter
         bmean_dof += wts @ vals / perimeter
     G[0] = bmean_mono
@@ -900,21 +918,38 @@ def projector_set_per_cell(geom, k, rule):
     Pi0km1 = np.linalg.solve(Hm1, mu[:nkm1])
     Pi0km1 += (np.eye(nkm1) - Pi0km1 @ D[:, :nkm1]) @ Pi0km1
 
-    rx = np.zeros((nkm1, nd))
-    ry = np.zeros((nkm1, nd))
-    if nkm2:
-        rx[:, first_int:] -= area * _derivative_map_per_cell(geom, k - 1, 0).T
-        ry[:, first_int:] -= area * _derivative_map_per_cell(geom, k - 1, 1).T
-    for e, _pts, wts, vals in traces:
-        moment = V_edge[e][:, :nkm1].T @ (wts[:, None] * vals)
-        rx += geom.edge_normals[e, 0] * moment
-        ry += geom.edge_normals[e, 1] * moment
     Pi0GradX = np.linalg.solve(Hm1, rx)
     Pi0GradY = np.linalg.solve(Hm1, ry)
     Pi0GradX += (Dx - Pi0GradX @ D) @ Pi0k
     Pi0GradY += (Dy - Pi0GradY @ D) @ Pi0k
     return dict(PiNabla=PiNabla, Pi0k=Pi0k, Pi0km1=Pi0km1, Pi0GradX=Pi0GradX,
                 Pi0GradY=Pi0GradY, D=D, B=B, G=G, H=H, rule_values=rule_values)
+
+
+def energy_rhs_flux_per_cell(geom, k):
+    """The energy projector's right-hand side of one element by Green's
+    formula on the monomials: their normal derivatives against the traces
+    on every edge, minus their Laplacians against the internal moments,
+    with the first row the boundary mean of the DoF basis.  The
+    construction ``projector_set_per_cell``'s ``B`` replaced."""
+    from vemlab.basis import n_poly
+
+    nv = len(geom.vertices)
+    nk, nkm2 = n_poly(k), n_poly(k - 2)
+    first_int = nv * k
+    B = np.zeros((nk, nv * k + nkm2))
+    if nkm2:
+        B[:, first_int:] -= geom.area * _laplacian_map_per_cell(geom, k).T
+    perimeter = geom.edge_lengths.sum()
+    bmean_dof = np.zeros(B.shape[1])
+    for e, pts, wts, vals in _edge_traces_per_cell(geom, k):
+        _, gx, gy = _monomials_per_cell(geom, k, pts)
+        normal = geom.edge_normals[e]
+        dn = gx * normal[0] + gy * normal[1]
+        B += dn.T @ (wts[:, None] * vals)
+        bmean_dof += wts @ vals / perimeter
+    B[0] = bmean_dof
+    return B
 
 
 def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):

@@ -5,9 +5,8 @@ import pytest
 
 from vemlab import kernels
 from vemlab.basis import (ScaledMonomialBasis, edge_reconstruction, gram,
-                          laplacian_table, map_rule, monomial_exponents,
-                          n_poly, polygon_quadrature, triangulate,
-                          triangulate_stack)
+                          map_rule, monomial_exponents, n_poly,
+                          polygon_quadrature, triangulate, triangulate_stack)
 from vemlab.local import projector_set
 from vemlab.mesh import (MeshError, element_geometry, polygon_geometry,
                          stack_geometry)
@@ -77,16 +76,6 @@ class TestDerivativeMaps:
         grads = poly_grad(basis, coeffs, pts)[:, axis]
         via_map = poly_eval(lower, D @ coeffs, pts)
         assert np.allclose(grads, via_map, atol=1e-12)
-
-    def test_laplacian_map(self):
-        basis = ScaledMonomialBasis(SQUARE, 4)
-        lower = ScaledMonomialBasis(SQUARE, 2)
-        L = laplacian_table(4) / SQUARE.diameter ** 2
-        Dx, Dy = basis.derivative_map(0), basis.derivative_map(1)
-        mid = ScaledMonomialBasis(SQUARE, 3)
-        composed = mid.derivative_map(0) @ Dx + mid.derivative_map(1) @ Dy
-        assert np.allclose(L, composed, atol=1e-13)
-        assert L.shape == (lower.dim, basis.dim)
 
     def test_gradient_against_finite_differences(self):
         geom = _voronoi_cell()

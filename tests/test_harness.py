@@ -287,6 +287,29 @@ class TestEmitReport:
         assert float(rows[1][9]) == pytest.approx(report.pairwise_L2[0],
                                                   abs=0)
 
+    def test_pairwise_columns_equal_report_across_failed_record(self,
+                                                                tmp_path):
+        # a failed middle record has nan slopes on both sides, in the CSV
+        # and in the report alike; the report used to bridge it
+        good = [ErrorRecord(h_max=h, n_cells=n, n_dofs=n, err_L2_rel=h ** 2,
+                            err_H1_rel=h, err_point_rel=h ** 2)
+                for h, n in ((0.5, 4), (0.25, 16), (0.125, 64))]
+        bad = ErrorRecord(h_max=0.35, n_cells=9, n_dofs=16,
+                          err_L2_rel=np.nan, err_H1_rel=np.nan,
+                          err_point_rel=np.nan, failed=True)
+        report = convergence_rates([good[0], bad, good[1], good[2]])
+        path = tmp_path / "fail.csv"
+        emit_report({("square", 1, "standard"): report}, str(path))
+        rows = _read_csv(path)[1:5]
+        assert rows[0][9:] == ["", ""]
+        for col, pairwise in ((9, report.pairwise_L2),
+                              (10, report.pairwise_H1)):
+            np.testing.assert_array_equal(
+                [float(row[col]) for row in rows[1:]], pairwise)
+            assert np.isnan(pairwise[:2]).all()
+        assert report.pairwise_L2[2] == pytest.approx(2.0, abs=1e-12)
+        assert report.pairwise_H1[2] == pytest.approx(1.0, abs=1e-12)
+
     def test_empty_reports(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_report({}, str(path))
