@@ -16,8 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import n_poly
-from .local import (ElementBank, check_quad_boost, edge_moments,
-                    internal_moments, mesh_elements)
+from .local import ElementBank, edge_moments, internal_moments, mesh_elements
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
@@ -153,7 +152,7 @@ def _coo_pattern(flat, sizes, n):
     return rows, flat[pos], starts
 
 
-def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
+def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
     """Assemble the reduced global system for one problem.
 
     The element kernel builds the local matrices stack by stack (see
@@ -167,7 +166,6 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     leading block, and the interior-by-boundary coupling block is converted
     on to CSR.
     """
-    check_quad_boost(quad_boost)
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     check_dofmap(dofmap, mesh, k)
@@ -180,7 +178,7 @@ def assemble(mesh, k, coeffs, mode="standard", quad_boost=2, dofmap=None):
     vals = np.empty(starts[-1])
     loads = np.empty(load_starts[-1])
     kept = []
-    for out, tris in mesh_elements(mesh, k, 2 * k + quad_boost, coeffs, mode):
+    for out, tris in mesh_elements(mesh, k, coeffs, mode):
         cells = out.geometry.cells
         nd = out.Ah.shape[-1]
         wrong = np.flatnonzero(sizes[cells] != nd)

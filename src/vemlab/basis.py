@@ -89,7 +89,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +240,7 @@ def map_rule(tris, exactness):
 def polygon_quadrature(geom, exactness):
     """Positive-weight rule exact for polynomials of the given degree."""
     pts, wts = map_rule(triangulate(geom.vertices), exactness)
-    return QuadratureRule(pts, wts, exactness)
+    return QuadratureRule(pts, wts)
 
 
 def gram(values, weights):

@@ -4,6 +4,7 @@ import argparse
 
 from .harness import (DEFAULT_SIZES, STUDY_FAMILIES, ExperimentConfig,
                       run_experiment)
+from .local import MODES
 from .mesh import save_mesh
 from .meshgen import FAMILIES, GeneratorSpec, generate
 
@@ -27,12 +28,10 @@ def _build_parser():
                        help="comma-separated cell counts "
                             "(default 25,100,400,1600)")
     run_p.add_argument("--mode", default="standard",
-                       choices=("standard", "grad_pinabla"),
+                       choices=MODES,
                        help="consistency-term variant (default standard)")
     run_p.add_argument("--seed", type=int, default=0,
                        help="random seed for the Voronoi families")
-    run_p.add_argument("--quad-boost", type=int, default=2,
-                       help="extra quadrature exactness (default 2)")
     run_p.add_argument("--out", default="report.csv",
                        help="CSV output path (default report.csv)")
 
@@ -58,7 +57,6 @@ def main(argv=None):
             sizes=tuple(int(s) for s in args.sizes.split(",") if s),
             mode=args.mode,
             seed=args.seed,
-            quad_boost=args.quad_boost,
             out=args.out)
         reports = run_experiment(config)
         for (family, k, mode) in sorted(reports):

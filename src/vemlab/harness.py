@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
-from .local import check_quad_boost
+from .local import check_mode
 from .mesh import MeshError, max_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 from .meshgen import GeneratorSpec, check_count, generate
@@ -40,12 +40,12 @@ class ExperimentConfig:
     sizes: tuple = DEFAULT_SIZES
     mode: str = "standard"
     seed: int = 0
-    quad_boost: int = 2
     point: tuple = DEFAULT_POINT
     out: str = None
 
     def __post_init__(self):
-        if self.k not in (1, 2, 3, 4):
+        check_count("k", self.k)
+        if not 1 <= self.k <= 4:
             raise ValueError(f"degree must be 1..4, got {self.k}")
         families = tuple(self.families)
         if not families:
@@ -70,9 +70,7 @@ class ExperimentConfig:
                     raise ValueError(f"size {s} is not a square cell count, "
                                      "which the square and concave families "
                                      "need")
-        if self.mode not in ("standard", "grad_pinabla"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        check_quad_boost(self.quad_boost)
+        check_mode(self.mode)
         point = np.asarray(self.point, dtype=float)
         # NaN fails both comparisons
         if point.shape != (2,) or not np.all((point >= 0.0) & (point <= 1.0)):
@@ -82,7 +80,7 @@ class ExperimentConfig:
         object.__setattr__(self, "sizes", tuple(sorted(map(int, sizes))))
 
 
-def _run_single(mesh, k, problem, mode, quad_boost, point):
+def _run_single(mesh, k, problem, mode, point):
     """Solve one mesh and measure errors.
 
     A cell that cannot be triangulated or whose projector is singular
@@ -93,7 +91,7 @@ def _run_single(mesh, k, problem, mode, quad_boost, point):
     h_max = max_diameter(mesh)
     try:
         system = assemble(mesh, k, problem.coefficients, mode=mode,
-                          quad_boost=quad_boost, dofmap=dofmap)
+                          dofmap=dofmap)
         apply_dirichlet(system, problem.p_ex, mesh, k)
         u = solve(system)
     except (MeshError, SolveError, np.linalg.LinAlgError) as exc:
@@ -125,7 +123,7 @@ def run_experiment(config, problem=None, meshes=None):
             if mesh is None:
                 mesh = generate(GeneratorSpec(family, size, seed=config.seed))
             records.append(_run_single(mesh, config.k, problem, config.mode,
-                                       config.quad_boost, config.point))
+                                       config.point))
         reports[(family, config.k, config.mode)] = convergence_rates(records)
     if config.out:
         emit_report(reports, config.out)

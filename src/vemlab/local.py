@@ -306,16 +306,23 @@ def _check_kappa(kap, geometry):
                              "quadrature point")
 
 
-def _check_mode(mode):
-    if mode not in ("standard", "grad_pinabla"):
+#: The consistency-term variants of the diffusion form.
+MODES = ("standard", "grad_pinabla")
+
+
+def check_mode(mode):
+    """Raise ValueError unless ``mode`` is one of :data:`MODES`."""
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def check_quad_boost(quad_boost):
-    """Raise ValueError on a negative ``quad_boost``: a rule of degree below
-    2k does not integrate the mass matrix exactly."""
-    if quad_boost < 0:
-        raise ValueError(f"quad_boost must be >= 0, got {quad_boost}")
+def rule_degree(k):
+    """Degree of the quadrature rule of every degree-k element.
+
+    The mass matrix of the degree-k monomials has degree 2k, and the
+    coefficients of the local forms get two degrees more: 2k + 2.
+    """
+    return 2 * k + 2
 
 
 def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
@@ -331,7 +338,7 @@ def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
     energy projection instead of the projected gradient; for k=1 the two
     constructions agree identically, so both take the standard path.
     """
-    _check_mode(mode)
+    check_mode(mode)
     out = _projectors(geometry, k, rule)
     if coeffs is not None:
         _local_forms(out, rule, coeffs, _form_tables(out, mode))
@@ -633,13 +640,13 @@ def shape_classes(geometry, tris):
     return reps, classes
 
 
-def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
+def mesh_elements(mesh, k, coeffs=None, mode="standard"):
     """Projectors and, given coefficients, local forms of every cell of
     ``mesh``, as :func:`element_kernel` builds them.
 
     Cells are stacked by vertex count and triangle count, and each cell's
-    rule of degree ``exactness`` is mapped onto its triangles.  The cells
-    of a stack fall into shape classes (:func:`shape_classes`), taken
+    rule, of degree :func:`rule_degree`, is mapped onto its triangles.  The
+    cells of a stack fall into shape classes (:func:`shape_classes`), taken
     ``step`` representatives at a time: each such group's projectors, form
     tables and post-solve operators are built once, and then its member
     cells, the representatives first and in class order, come ``step`` at
@@ -650,7 +657,8 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
     per chunk, where ``triangles`` (C, T, 3, 2) are the triangles the
     chunk's rules were mapped onto.
     """
-    _check_mode(mode)
+    check_mode(mode)
+    degree = rule_degree(k)
     for geometry in geometry_stacks(mesh):
         nv = geometry.vertices.shape[1]
         parts = triangulate_stack(geometry)
@@ -658,7 +666,7 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
             # off the list, so the stack's triangles are held only once
             # they are reordered
             rows, tris = parts.pop(0)
-            n_points = tris.shape[1] * _duffy_rule(exactness)[1].size
+            n_points = tris.shape[1] * _duffy_rule(degree)[1].size
             step = max(_MIN_CHUNK_CELLS,
                        _CHUNK_BYTES // cell_bytes(nv, n_points, k))
             reps, classes = shape_classes(geometry.take(rows), tris)
@@ -675,8 +683,7 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
                 head = slice(start, start + n)
                 for a in range(start, stop, step):
                     part = slice(a, min(a + step, stop))
-                    rule = QuadratureRule(*map_rule(tris[part], exactness),
-                                          exactness)
+                    rule = QuadratureRule(*map_rule(tris[part], degree))
                     if a == start:
                         # the group's n representatives lead its first
                         # chunk, and so do their rules; the last group's
@@ -684,7 +691,7 @@ def mesh_elements(mesh, k, exactness, coeffs=None, mode="standard"):
                         tables = None
                         built = _projectors(
                             stack.take(head), k, QuadratureRule(
-                                rule.points[:n], rule.weights[:n], exactness))
+                                rule.points[:n], rule.weights[:n]))
                         tables = (None if coeffs is None
                                   else _form_tables(built, mode))
                         operators = built.post_solve_operators()
@@ -704,27 +711,25 @@ def _one(geom):
                          geom.edge_forward[None])
 
 
-def _one_rule(rule):
-    return QuadratureRule(rule.points[None], rule.weights[None],
-                          rule.exactness)
+def _one_rule(geom, k):
+    """The element rule of ``geom`` as a stack of one cell."""
+    rule = polygon_quadrature(geom, rule_degree(k))
+    return QuadratureRule(rule.points[None], rule.weights[None])
 
 
-def projector_set(geom, k, layout=None, rule=None):
-    """All projector matrices for one element, sharing one quadrature rule
-    (by default of degree 2k)."""
+def projector_set(geom, k, layout=None):
+    """All projector matrices for one element, as :func:`mesh_elements`
+    builds them."""
     layout = layout if layout is not None else dof_layout(geom, k)
-    if rule is None:
-        rule = polygon_quadrature(geom, 2 * k)
-    return element_kernel(_one(geom), k, _one_rule(rule)).projectors(0, layout)
+    return element_kernel(_one(geom), k, _one_rule(geom, k)).projectors(
+        0, layout)
 
 
-def local_system(geom, k, layout, coeffs, mode="standard", quad_boost=2):
+def local_system(geom, k, layout, coeffs, mode="standard"):
     """Local stiffness/advection/reaction matrices and load vector of one
     element (see :func:`element_kernel`)."""
-    check_quad_boost(quad_boost)
     layout = layout if layout is not None else dof_layout(geom, k)
-    rule = polygon_quadrature(geom, 2 * k + quad_boost)
-    out = element_kernel(_one(geom), k, _one_rule(rule), coeffs, mode)
+    out = element_kernel(_one(geom), k, _one_rule(geom, k), coeffs, mode)
     return LocalSystem(Ah=out.Ah[0], Bh=out.Bh[0], Ch=out.Ch[0], S=out.S[0],
                        f_loc=out.f_loc[0], mode=mode,
                        projectors=out.projectors(0, layout))

@@ -110,20 +110,19 @@ class GeneratorSpec:
         check_count("target_cells", self.target_cells, 1)
         check_count("seed", self.seed)
         check_count("lloyd_iterations", self.lloyd_iterations)
+        if self.lloyd_iterations and self.family != "voronoi":
+            raise ValueError("lloyd_iterations applies to the voronoi family "
+                             f"only, not {self.family!r}")
 
     @property
     def iterations(self):
-        if self.family == "lloyd0":
-            return 0
-        if self.family == "lloyd100":
-            return 100
-        return self.lloyd_iterations
+        return 100 if self.family == "lloyd100" else self.lloyd_iterations
 
 
 def check_count(name, value, low=0):
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
-    of at least ``low``."""
-    if not isinstance(value, Integral):
+    (not a boolean) of at least ``low``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")

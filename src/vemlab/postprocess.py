@@ -77,9 +77,9 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
     """Cellwise polynomial snapshots of the DoF vector ``u``.
 
     ``bank`` is the ``ElementBank`` that :func:`vemlab.assembly.assemble`
-    returns on ``SparseSystem.bank``; without one, the element kernel builds
-    every cell's projectors here (with a degree-2k rule).  A bank of another
-    degree, or of a mesh whose cells have other rings or vertex
+    returns on ``SparseSystem.bank``; without one, the element kernel
+    builds that bank here, bit for bit, with the same rule.  A bank of
+    another degree, or of a mesh whose cells have other rings or vertex
     coordinates, raises ``ValueError``.
     """
     if dofmap is None:
@@ -90,7 +90,7 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
     if bank is None:
         bank = ElementBank(k, tuple(out.bank_entry(tris) for out, tris
-                                    in mesh_elements(mesh, k, 2 * k)))
+                                    in mesh_elements(mesh, k)))
     else:
         _check_bank(bank, mesh, k)
     coeffs, grads = bank.snapshots(u, dofmap.cell_dofs)
@@ -122,8 +122,7 @@ def _check_bank(bank, mesh, k):
                          f"{np.argmax(differs)} has other vertices in it")
 
 
-def error_norms(mesh, k, projection, p_ex, grad_p_ex, exactness=None,
-                relative=True):
+def error_norms(mesh, k, projection, p_ex, grad_p_ex, relative=True):
     """(L2, H1-seminorm) errors of a projected solution against ``p_ex``.
 
     The H1 error measures the projected gradient Pi0_{k-1} grad p_h, the
@@ -131,17 +130,15 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, exactness=None,
     errors are normalized by the corresponding norms of ``p_ex``,
     integrated with the same rule.
 
-    The degree-``exactness`` rule (default 2k + 4) is mapped once onto the
-    triangles the projection's bank carries for each cell.  Cells are
-    evaluated chunk by chunk of the bank, and the cell contributions are
-    summed in cell order.
+    A rule of degree 2k + 4 is mapped once onto the triangles the
+    projection's bank carries for each cell.  Cells are evaluated chunk by
+    chunk of the bank, and the cell contributions are summed in cell order.
     """
     if (projection.k, len(projection.coeffs)) != (k, mesh.num_cells):
         raise ValueError(
             f"projection has k={projection.k} on {len(projection.coeffs)} "
             f"cells, expected k={k} on the mesh's {mesh.num_cells} cells")
-    ex = (2 * k + 4) if exactness is None else exactness
-    parts = _cell_error_parts(k, projection, p_ex, grad_p_ex, ex)
+    parts = _cell_error_parts(k, projection, p_ex, grad_p_ex, 2 * k + 4)
     # cumsum adds the cells strictly in order; np.sum's pairwise order
     # would round differently
     num_l2, num_h1, den_l2, den_h1 = np.cumsum(parts, axis=1)[:, -1]

@@ -487,8 +487,7 @@ def cell_centroids_axis_sums(pts, points, simplices):
     return centroids, reach, centres
 
 
-def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2,
-                      sliced=False):
+def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", sliced=False):
     """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
     built from one ``np.repeat``/``np.tile`` index array per cell: the
     scatter the preallocated buffers replaced.  Each cell's local matrix
@@ -504,7 +503,7 @@ def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", quad_boost=2,
     from vemlab.local import mesh_elements
 
     local = {}
-    for out, _ in mesh_elements(mesh, k, 2 * k + quad_boost, coeffs, mode):
+    for out, _ in mesh_elements(mesh, k, coeffs, mode):
         for i, c in enumerate(out.geometry.cells):
             local[c] = out.Ah[i] + out.Bh[i] + out.Ch[i], out.f_loc[i]
     n = dofmap.n_dofs
@@ -1045,7 +1044,7 @@ def edge_quadrature(endpoints, exactness):
     t, w = _gauss(max(1, math.ceil((exactness + 1) / 2)))
     pts = a + np.outer((t + 1) / 2, b - a)
     length = float(np.hypot(*(b - a)))
-    return QuadratureRule(pts, w * length / 2, exactness)
+    return QuadratureRule(pts, w * length / 2)
 
 
 def interpolate_dofs_per_cell(geom, k, v, exactness=None):

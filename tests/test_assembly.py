@@ -12,7 +12,7 @@ from oracles import (assemble_per_cell, bank_per_cell, bank_representatives,
 from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
-from vemlab.basis import n_poly, polygon_quadrature, triangulate_stack
+from vemlab.basis import n_poly, triangulate_stack
 from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
                           projector_set)
 from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
@@ -246,13 +246,6 @@ class TestAssemble:
                                              "got k=3"):
             apply_dirichlet(system, 1.0, small, 3)
 
-    def test_negative_quad_boost_rejected(self):
-        # a rule of degree below 2k does not integrate the mass matrix; at
-        # quad_boost=-4 the 64-cell square mesh gave an L2 error of 2.38
-        with pytest.raises(ValueError, match="quad_boost must be >= 0"):
-            assemble(square_mesh(8), 2, Coefficients.constant(kappa=1.0),
-                     quad_boost=-4)
-
 
 class TestScatter:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -307,8 +300,7 @@ class TestScatter:
     @pytest.mark.parametrize("family", ["concave", "lloyd0"])
     def test_bank_holds_geometry_and_post_solve_operator(self, family, k):
         mesh = MESHES[family]
-        bank = assemble(mesh, k, Coefficients.constant(kappa=KAPPA),
-                        quad_boost=3).bank
+        bank = assemble(mesh, k, Coefficients.constant(kappa=KAPPA)).bank
         assert bank.k == k
         geometries, operators, _ = bank_per_cell(bank)
         assert bank.n_cells == len(geometries) == len(operators) == mesh.num_cells
@@ -322,7 +314,7 @@ class TestScatter:
             # each cell holds its shape class's operator: its
             # representative's one-cell construction
             rep = element_geometry(mesh, reps[c])
-            ps = projector_set(rep, k, rule=polygon_quadrature(rep, 2 * k + 3))
+            ps = projector_set(rep, k)
             ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY])
             assert np.array_equal(operators[c], ref)
 
@@ -679,14 +671,3 @@ class TestSolve:
                                    rtol=1e-12, atol=1e-12)
         (lu,) = factors
         assert not np.array_equal(lu.perm_r, lu.perm_c)
-
-    def test_solution_unaffected_by_quad_boost(self):
-        # Patch solves are exact for any admissible quadrature order.
-        mesh = MESHES["concave"]
-        prob = polynomial_problem(2, kappa=KAPPA)
-        for boost in (2, 4):
-            system = assemble(mesh, 2, prob.coefficients, quad_boost=boost)
-            apply_dirichlet(system, prob.p_ex, mesh, 2)
-            u = solve(system)
-            d = interpolate(mesh, 2, prob.p_ex)
-            assert np.max(np.abs(u - d)) <= 1e-10

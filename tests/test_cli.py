@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from vemlab import harness
 from vemlab.cli import main
 from vemlab.mesh import load_mesh
 
@@ -32,6 +31,15 @@ class TestMeshGen:
         with pytest.raises(ValueError, match="lloyd_iterations must be >= 0"):
             main(["mesh", "gen", "--family", "voronoi", "--cells", "10",
                   "--iters", "-1", "--out", str(out)])
+        assert not out.exists()
+
+    def test_iterations_rejected_outside_voronoi(self, tmp_path):
+        # lloyd0 has no relaxation and lloyd100 its own 100 iterations:
+        # --iters must not write a mesh that ignores it
+        out = tmp_path / "lloyd0.json"
+        with pytest.raises(ValueError, match="'lloyd0'"):
+            main(["mesh", "gen", "--family", "lloyd0", "--cells", "50",
+                  "--iters", "5", "--out", str(out)])
         assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path):
@@ -72,15 +80,6 @@ class TestRun:
         with pytest.raises(ValueError):
             main(["run", "--family", "hexagons", "--sizes", "4",
                   "--out", str(tmp_path / "x.csv")])
-
-    def test_negative_quad_boost_rejected_before_any_mesh(self, tmp_path,
-                                                          monkeypatch):
-        # a rule of degree 2k - 4 does not integrate the mass matrix: the
-        # run must stop before it builds a mesh
-        monkeypatch.setattr(harness, "generate", None)
-        with pytest.raises(ValueError, match="quad_boost must be >= 0"):
-            main(["run", "--k", "2", "--sizes", "16,64", "--quad-boost",
-                  "-4", "--out", str(tmp_path / "x.csv")])
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(SystemExit):

@@ -31,7 +31,7 @@ def test_h_max_equals_largest_geometry_diameter(family):
     diameters = [element_geometry(mesh, c).diameter for c in range(mesh.num_cells)]
     assert [element_geometry_per_cell(mesh, c).diameter
             for c in range(mesh.num_cells)] == diameters
-    rec = _run_single(mesh, 1, builtin_problem(), "standard", 2, (0.781, 0.766))
+    rec = _run_single(mesh, 1, builtin_problem(), "standard", (0.781, 0.766))
     assert rec.h_max == max(diameters)
 
 
@@ -49,13 +49,13 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("bad", [
         dict(k=5),
         dict(k=0),
+        dict(k=2.0),
+        dict(k=True),
         dict(families=()),
         dict(families=("triangle",)),
         dict(sizes=(0,)),
         dict(sizes=()),
         dict(mode="fancy"),
-        dict(quad_boost=-4),
-        dict(quad_boost=-1),
         dict(point=(2.0, 2.0)),
         dict(point=(float("nan"), 0.5)),
         dict(point=(0.5, float("inf"))),

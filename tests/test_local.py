@@ -13,7 +13,8 @@ from vemlab.basis import (QuadratureRule, ScaledMonomialBasis, map_rule,
                           triangulate_stack)
 from vemlab.local import (Coefficients, cell_bytes, dof_layout,
                           element_kernel, interpolate_dofs, local_system,
-                          mesh_elements, projector_set, shape_classes)
+                          mesh_elements, projector_set, rule_degree,
+                          shape_classes)
 from vemlab.mesh import (element_geometry, geometry_stacks, make_mesh,
                          polygon_geometry, stack_geometry)
 from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
@@ -461,15 +462,6 @@ class TestLocalSystem:
             d_one = interpolate_dofs(PENTAGON, k, lambda x, y: np.ones_like(x))
             assert abs(d_one @ sys.f_loc - PENTAGON.area) < 1e-12
 
-    @pytest.mark.parametrize("quad_boost", [-4, -2])
-    def test_negative_quad_boost_rejected(self, quad_boost):
-        # as assemble and ExperimentConfig do: on this pentagon at k = 3 a
-        # quad_boost of -4 gave an Ah 37 % off the default rule's in
-        # max-norm, and -2 one 9.5e-4 off
-        with pytest.raises(ValueError, match="quad_boost must be >= 0"):
-            local_system(PENTAGON, 3, None, builtin_problem().coefficients,
-                         quad_boost=quad_boost)
-
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="mode"):
             local_system(UNIT_SQUARE, 1, None,
@@ -480,7 +472,7 @@ class TestLocalSystem:
         # the mode is checked before any cell is built, with or without
         # coefficients
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-            list(mesh_elements(square_mesh(2), 2, 6, coeffs, mode="bogus"))
+            list(mesh_elements(square_mesh(2), 2, coeffs, mode="bogus"))
 
     def test_k1_modes_coincide(self):
         # For k=1 the gradient of the energy projection and the projected
@@ -554,7 +546,7 @@ class TestElementKernel:
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         seen = []
-        elements = list(mesh_elements(mesh, k, 2 * k + 2, coeffs))
+        elements = list(mesh_elements(mesh, k, coeffs))
         for (out, tris), reps in zip(elements, entry_representatives(
                 e.bank_entry(t) for e, t in elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
@@ -572,6 +564,30 @@ class TestElementKernel:
                 seen.append(c)
         assert sorted(seen) == list(range(mesh.num_cells))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
+    def test_one_cell_projectors_match_the_bank(self, family, k):
+        # projector_set and local_system map the rule of mesh_elements onto
+        # one cell: on every shape-class representative both give the
+        # bank's rows and post-solve operator bit for bit
+        mesh = generate(GeneratorSpec(family, 36, seed=5))
+        coeffs = builtin_problem().coefficients
+        elements = list(mesh_elements(mesh, k))
+        for (out, _), reps in zip(elements, entry_representatives(
+                e.bank_entry(t) for e, t in elements)):
+            for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
+                if rep != c:
+                    continue
+                geom, row = element_geometry(mesh, c), out.classes[i]
+                for ps in (projector_set(geom, k),
+                           local_system(geom, k, None, coeffs).projectors):
+                    for name in self.PROJECTOR_FIELDS:
+                        assert np.array_equal(getattr(out, name)[row],
+                                              getattr(ps, name)), (c, name)
+                    assert np.array_equal(
+                        out.operators[row],
+                        np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY])), c
+
     @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["concave", "lloyd0"])
@@ -583,7 +599,7 @@ class TestElementKernel:
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         seen, own = [], []
-        elements = list(mesh_elements(mesh, k, 2 * k + 2, coeffs, mode))
+        elements = list(mesh_elements(mesh, k, coeffs, mode))
         for (out, _), reps in zip(elements, entry_representatives(
                 e.bank_entry(t) for e, t in elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
@@ -626,8 +642,8 @@ class TestElementKernel:
         fields = ("PiNabla", "Pi0km1", "Pi0GradX", "Pi0GradY", "D",
                   "rule_values")
         seen = 0
-        for out, tris in mesh_elements(mesh, k, 2 * k + 2, coeffs, mode):
-            points, weights = map_rule(tris, 2 * k + 2)
+        for out, tris in mesh_elements(mesh, k, coeffs, mode):
+            points, weights = map_rule(tris, rule_degree(k))
             for i in range(len(out.geometry)):
                 ref = local_forms_point_tables(
                     out.geometry.element(i), k,
@@ -737,7 +753,7 @@ class TestShapeClasses:
         assert len(reps) == 1 + len(singletons) == 5
         assert all(np.sum(classes == classes[c]) == 1 for c in singletons)
         coeffs = builtin_problem().coefficients
-        for out, _ in mesh_elements(mesh, k, 2 * k + 2, coeffs):
+        for out, _ in mesh_elements(mesh, k, coeffs):
             for i, c in enumerate(out.geometry.cells):
                 if c in singletons:
                     ref = local_system(element_geometry(mesh, c), k, None,
@@ -761,7 +777,7 @@ class TestShapeClasses:
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         members = 0
-        elements = list(mesh_elements(mesh, k, 2 * k + 2, coeffs, mode))
+        elements = list(mesh_elements(mesh, k, coeffs, mode))
         for (out, _), reps in zip(elements, entry_representatives(
                 e.bank_entry(t) for e, t in elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
@@ -791,15 +807,14 @@ class TestChunkEstimate:
         # builds was 2.5 times the peak at k = 2 and k = 4)
         mesh = generate(GeneratorSpec(family, 100, seed=0))
         coeffs = builtin_problem().coefficients
-        exactness = 2 * k + 2
+        degree = rule_degree(k)
         checked = 0
         for geometry in geometry_stacks(mesh):
             for rows, tris in triangulate_stack(geometry):
                 if rows.size < self.CELLS:
                     continue
                 stack = geometry.take(rows[:self.CELLS])
-                rule = QuadratureRule(*map_rule(tris[:self.CELLS], exactness),
-                                      exactness)
+                rule = QuadratureRule(*map_rule(tris[:self.CELLS], degree))
                 element_kernel(stack, k, rule, coeffs)  # fill the caches
                 tracing = tracemalloc.is_tracing()
                 tracemalloc.start()

@@ -545,6 +545,10 @@ def test_generate_rejects_bad_family():
     ("target_cells", dict(target_cells=0)),
     ("seed", dict(seed=1.5)),
     ("seed", dict(seed=-1)),
+    ("target_cells", dict(target_cells=True)),
+    ("seed", dict(seed=True)),
+    ("lloyd_iterations", dict(lloyd_iterations=True)),
+    ("lloyd0", dict(family="lloyd0", lloyd_iterations=5)),
 ])
 def test_generator_spec_names_a_bad_field(field, kwargs):
     spec = dict(family="voronoi", target_cells=10) | kwargs

@@ -97,10 +97,6 @@ class TestProjectSolution:
     @pytest.mark.parametrize("mesh", [square_mesh(3), concave_mesh(3)],
                              ids=["square", "concave"])
     def test_assembly_bank_matches_fresh_bank(self, mesh, k):
-        # The bank's projectors come from the local forms' quadrature rule
-        # (degree 2k + 2), a fresh bank's from degree 2k; both integrate H
-        # exactly, so they differ by roundoff only.  On Voronoi cells that
-        # roundoff grows with cond(H) (1e-10 relative at k = 4 on lloyd0).
         prob = builtin_problem()
         system = assemble(mesh, k, prob.coefficients)
         apply_dirichlet(system, prob.p_ex, mesh, k)
@@ -110,8 +106,7 @@ class TestProjectSolution:
         fresh = project_solution(mesh, k, u)
         for field in ("coeffs", "grad_coeffs"):
             got, ref = getattr(banked, field), getattr(fresh, field)
-            assert got.shape == ref.shape
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(got, ref)
         assert banked.bank is system.bank
         # one stacked product per chunk gives the bits of the per-cell one
         _, operators, _ = bank_per_cell(system.bank)
@@ -290,7 +285,7 @@ class TestBankLayout:
             monkeypatch.setattr(local, "_MIN_CHUNK_CELLS", 2)
         mesh = generate(GeneratorSpec(family, 100, seed=0))
         bank = ElementBank(k, tuple(out.bank_entry(tris) for out, tris
-                                    in local.mesh_elements(mesh, k, 2 * k)))
+                                    in local.mesh_elements(mesh, k)))
         heads, seen = [], None
         for geometry, _, operators, _ in bank.chunks:
             if operators is not seen:
