@@ -16,7 +16,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import n_poly
-from .local import ElementBank, edge_moments, internal_moments, mesh_elements
+from .local import (ElementBank, edge_moments, internal_moments, mesh_elements,
+                    smooth_rule_degree)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
@@ -265,13 +266,19 @@ def solve(system):
     :func:`assemble` builds it; another format is converted first.
 
     The global matrix has a symmetric sparsity pattern (advection only makes
-    its values unsymmetric), so SuperLU orders the columns by minimum degree
-    on ``A^T + A`` and prefers the diagonal pivot whenever it is at least
-    0.1 of the column's largest entry, which keeps that ordering.  On the
-    k = 4 concave 30x30 system this gives an LU fill of 1.6 against 17.5 for
-    the default COLAMD ordering, and 35.7 with strict partial pivoting
-    (``diag_pivot_thresh=1.0``), which destroys the ordering.  The residual
-    check below, with one refinement step, guards the weaker pivoting.
+    its values unsymmetric), so SuperLU factors it in its symmetric mode:
+    the columns are ordered by minimum degree on ``A^T + A``, and the
+    diagonal pivot is taken whenever it is at least 0.1 of the column's
+    largest entry, which keeps that ordering.  On the k = 4 concave 30x30
+    system this gives an LU fill of 1.6 against 17.5 for the default COLAMD
+    ordering, and 35.7 with strict partial pivoting
+    (``diag_pivot_thresh=1.0``), which destroys the ordering.  Outside
+    symmetric mode SuperLU would postorder the column elimination tree of
+    ``A^T A`` and factor that column order instead: at the same fill, that
+    is 4.5 times slower to factor on the k = 1 lloyd100 1,600 system and 34
+    times slower on the k = 2 lloyd0 4,096 one (Voronoi meshes at k <= 2).
+    The residual check below, with one refinement step, guards the weaker
+    pivoting.
     """
     u = system.lifting.copy()
     n_i = system.matrix.shape[0]
@@ -279,7 +286,8 @@ def solve(system):
         return u
     A = system.matrix.tocsc()
     try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                  options={"SymmetricMode": True})
         x = lu.solve(system.rhs)
     except RuntimeError as exc:
         raise SolveError(
@@ -308,8 +316,9 @@ def interpolate(mesh, k, v, dofmap=None):
     """Global DoF vector of a smooth function ``v(x, y)``.
 
     Every DoF is computed once, as :func:`vemlab.local.interpolate_dofs`
-    computes it at its default exactness 2k + 4: vertex values and edge
-    moments in one call each, internal moments per stack of cells.
+    computes it at its default exactness,
+    :func:`vemlab.local.smooth_rule_degree`: vertex values and edge moments
+    in one call each, internal moments per stack of cells.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
@@ -325,5 +334,6 @@ def interpolate(mesh, k, v, dofmap=None):
         n_int = n_poly(k - 2)
         for geometry in geometry_stacks(mesh):
             slots = first_int + geometry.cells[:, None] * n_int + np.arange(n_int)
-            out[slots] = internal_moments(geometry, k, v, 2 * k + 4)
+            out[slots] = internal_moments(geometry, k, v,
+                                          smooth_rule_degree(k))
     return out

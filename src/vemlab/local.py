@@ -325,6 +325,14 @@ def rule_degree(k):
     return 2 * k + 2
 
 
+def smooth_rule_degree(k):
+    """Degree of the rule that integrates a smooth function against the
+    degree-k space: the internal moments of interpolation and the error
+    norms, 2k + 4, two degrees above :func:`rule_degree`.
+    """
+    return 2 * k + 4
+
+
 def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
     """Projectors and, given coefficients, local forms of a stack of cells,
     each cell a shape class of its own.
@@ -767,9 +775,9 @@ def internal_moments(geometry, k, v, exactness):
 def interpolate_dofs(geom, k, v, layout=None, exactness=None):
     """DoF vector of a smooth function: vertex values and scaled moments,
     integrated exactly for polynomials of degree ``exactness`` (default
-    2k + 4)."""
+    :func:`smooth_rule_degree`)."""
     layout = layout if layout is not None else dof_layout(geom, k)
-    ex = (2 * k + 4) if exactness is None else exactness
+    ex = smooth_rule_degree(k) if exactness is None else exactness
     d = np.zeros(layout.n_dofs)
     d[:layout.n_vertices] = v(geom.vertices[:, 0], geom.vertices[:, 1])
     if k >= 2:

@@ -15,7 +15,7 @@ from . import kernels
 from .assembly import build_dofmap, check_dofmap
 from .basis import ScaledMonomialBasis, map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .local import ElementBank, mesh_elements
+from .local import ElementBank, mesh_elements, smooth_rule_degree
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import element_geometry
 
@@ -130,15 +130,17 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, relative=True):
     errors are normalized by the corresponding norms of ``p_ex``,
     integrated with the same rule.
 
-    A rule of degree 2k + 4 is mapped once onto the triangles the
-    projection's bank carries for each cell.  Cells are evaluated chunk by
-    chunk of the bank, and the cell contributions are summed in cell order.
+    A rule of degree :func:`vemlab.local.smooth_rule_degree` (2k + 4) is
+    mapped once onto the triangles the projection's bank carries for each
+    cell.  Cells are evaluated chunk by chunk of the bank, and the cell
+    contributions are summed in cell order.
     """
     if (projection.k, len(projection.coeffs)) != (k, mesh.num_cells):
         raise ValueError(
             f"projection has k={projection.k} on {len(projection.coeffs)} "
             f"cells, expected k={k} on the mesh's {mesh.num_cells} cells")
-    parts = _cell_error_parts(k, projection, p_ex, grad_p_ex, 2 * k + 4)
+    parts = _cell_error_parts(k, projection, p_ex, grad_p_ex,
+                              smooth_rule_degree(k))
     # cumsum adds the cells strictly in order; np.sum's pairwise order
     # would round differently
     num_l2, num_h1, den_l2, den_h1 = np.cumsum(parts, axis=1)[:, -1]

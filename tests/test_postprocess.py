@@ -13,7 +13,7 @@ from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
 from vemlab.basis import (monomial_exponents, polygon_quadrature, triangulate,
                           triangulate_stack)
-from vemlab.local import Coefficients, ElementBank
+from vemlab.local import Coefficients, ElementBank, smooth_rule_degree
 from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.postprocess import (ConvergenceReport, ErrorRecord,
@@ -222,7 +222,8 @@ class TestErrorNorms:
         apply_dirichlet(system, prob.p_ex, mesh, k)
         proj = project_solution(mesh, k, solve(system), bank=system.bank)
         parts = postprocess._cell_error_parts(k, proj, prob.p_ex,
-                                              prob.grad_p_ex, 2 * k + 4)
+                                              prob.grad_p_ex,
+                                              smooth_rule_degree(k))
         for relative in (True, False):
             assert (error_norms(mesh, k, proj, prob.p_ex, prob.grad_p_ex,
                                 relative=relative)
