@@ -1,12 +1,17 @@
-"""Global system assembly: DoF numbering, sparse scatter, Dirichlet elimination.
+"""Global system assembly: DoF numbering, static condensation, sparse
+scatter, Dirichlet elimination.
 
 Global degrees of freedom are ordered as all vertex values, then ``k - 1``
 scaled line moments per mesh edge (taken along the canonical low-to-high
 vertex direction, so the two cells sharing an edge see the same functional),
-then ``dim P_{k-2}`` scaled internal moments per cell.  Dirichlet data is
-imposed by elimination: boundary DoFs move into a lifting vector, the reduced
-system couples interior DoFs only, and the boundary coupling block is kept so
-the right-hand side can be corrected for any lifting.
+then ``dim P_{k-2}`` scaled internal moments per cell.  A cell's internal
+moments couple only to that cell's own DoFs, so assembly condenses them out
+cell by cell: the global matrix couples the vertex and edge DoFs (the
+skeleton) only, and the solve recovers the internal moments from them.
+Dirichlet data is imposed by elimination: boundary DoFs move into a lifting
+vector, the reduced system couples the interior skeleton DoFs only, and the
+boundary coupling block is kept so the right-hand side can be corrected for
+any lifting.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +21,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import n_poly
-from .local import (ElementBank, edge_moments, internal_moments, mesh_elements,
-                    smooth_rule_degree)
+from .local import (ElementBank, _linalg, edge_moments, internal_moments,
+                    mesh_elements, smooth_rule_degree)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
@@ -33,6 +38,10 @@ class DofMap:
 
     ``cell_dofs[c]`` maps the local DoF slots of cell ``c`` (vertex values,
     edge moments in ring order, internal moments) to global indices.
+    ``boundary_dofs`` are the vertex and edge DoFs on the boundary and
+    ``interior_dofs`` the other vertex and edge DoFs: the unknowns of
+    :attr:`SparseSystem.matrix`.  The internal moments are in neither, as
+    :func:`assemble` condenses them out.
     """
 
     k: int
@@ -45,20 +54,31 @@ class DofMap:
 
     @property
     def n_dofs(self):
-        return self.n_vertex_dofs + self.n_edge_dofs + self.n_internal_dofs
+        return self.n_skeleton_dofs + self.n_internal_dofs
+
+    @property
+    def n_skeleton_dofs(self):
+        """The vertex and edge DoFs, which come first in the numbering."""
+        return self.n_vertex_dofs + self.n_edge_dofs
 
 
 @dataclass
 class SparseSystem:
-    """Reduced linear system after Dirichlet elimination.
+    """Condensed linear system after Dirichlet elimination.
 
     ``matrix`` (CSC, the format :func:`solve` factors) and ``rhs`` live on
-    interior DoFs only; ``lifting`` is a full-length vector whose boundary
-    entries hold the Dirichlet data.
-    ``coupling`` is the interior-by-boundary block of the full matrix and
-    ``rhs_base`` the interior load before any lifting correction, so
-    boundary data can be applied (or re-applied) after assembly.  ``bank``
-    holds what assembly computed per cell that post-processing reuses.
+    ``dofmap.interior_dofs`` only: the Schur complements of the cells'
+    internal-moment blocks, scattered.  ``lifting`` is a full-length
+    vector whose boundary entries hold the Dirichlet data.
+    ``coupling`` is the interior-by-boundary block of the condensed matrix
+    and ``rhs_base`` the interior load before any lifting correction, so
+    boundary data can be applied (or re-applied) after assembly.
+    ``recovery`` (CSR, internal moments by skeleton DoFs) holds each cell's
+    A_ii^-1 A_ib and ``internal_load`` each cell's A_ii^-1 f_i, where i are
+    the cell's internal moments and b its vertex and edge DoFs: the
+    internal moments of a solution are ``internal_load - recovery @ u_b``.
+    ``bank`` holds what assembly computed per cell that post-processing
+    reuses.
     """
 
     matrix: sp.csc_matrix
@@ -67,6 +87,8 @@ class SparseSystem:
     dofmap: DofMap
     coupling: sp.csr_matrix = field(repr=False)
     rhs_base: np.ndarray = field(repr=False)
+    recovery: sp.csr_matrix = field(repr=False)
+    internal_load: np.ndarray = field(repr=False)
     bank: ElementBank = field(default=None, repr=False)
 
 
@@ -92,8 +114,7 @@ def build_dofmap(mesh, k):
     boundary = np.concatenate([
         np.flatnonzero(mesh.boundary_vertices),
         (nv + mesh.boundary_edges()[:, None] * (k - 1) + per_edge).ravel()])
-    total = nv + n_edge + mesh.num_cells * n_int
-    free = np.ones(total, dtype=bool)
+    free = np.ones(nv + n_edge, dtype=bool)
     free[boundary] = False
     return DofMap(k=k, n_vertex_dofs=nv, n_edge_dofs=n_edge,
                   n_internal_dofs=mesh.num_cells * n_int,
@@ -117,12 +138,13 @@ def check_dofmap(dofmap, mesh, k):
 
 
 def interior_first(dofmap):
-    """Renumbering of the global DoFs that puts the interior ones first, in
-    the order of ``interior_dofs``, then the boundary ones, in the order of
-    ``boundary_dofs``: the numbering in which :func:`assemble` converts the
-    global matrix, so that the reduced system is its leading block."""
+    """Renumbering of the vertex and edge DoFs that puts the interior ones
+    first, in the order of ``interior_dofs``, then the boundary ones, in the
+    order of ``boundary_dofs``: the numbering in which :func:`assemble`
+    converts the condensed global matrix, so that the reduced system is its
+    leading block."""
     ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
-    number = np.empty(dofmap.n_dofs, dtype=np.intp)
+    number = np.empty(dofmap.n_skeleton_dofs, dtype=np.intp)
     number[ii] = np.arange(ii.size)
     number[bb] = ii.size + np.arange(bb.size)
     return number
@@ -140,44 +162,68 @@ def _coo_pattern(flat, sizes, n):
     indices are 32-bit when ``n`` allows, as SciPy would convert them anyway.
     """
     index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-    blocks = sizes * sizes
+    flat = flat.astype(index)
+    cols, starts = _block_columns(flat, sizes, sizes)
+    return np.repeat(flat, np.repeat(sizes, sizes)), cols, starts
+
+
+def _block_columns(flat, sizes, n_rows):
+    """Column of every entry of a run of row-major cell blocks, and the
+    start of every block: cell ``c``'s block has ``n_rows[c]`` rows, each
+    over the ``sizes[c]`` DoFs of ``flat`` that belong to the cell."""
+    blocks = n_rows * sizes
     starts = np.zeros(sizes.size + 1, dtype=np.intp)
     np.cumsum(blocks, out=starts[1:])
-    flat = flat.astype(index)
-    rows = np.repeat(flat, np.repeat(sizes, sizes))
     # entry t of a block sits in the column of the cell's DoF t mod size
     pos = np.arange(starts[-1])
     pos -= np.repeat(starts[:-1], blocks)
     pos %= np.repeat(sizes, blocks)
     pos += np.repeat(np.cumsum(sizes) - sizes, blocks)
-    return rows, flat[pos], starts
+    return flat[pos], starts
 
 
 def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
-    """Assemble the reduced global system for one problem.
+    """Assemble the condensed, reduced global system for one problem.
 
     The element kernel builds the local matrices stack by stack (see
-    :func:`vemlab.local.mesh_elements`); each is written into its cell's
-    slot of one preallocated COO value buffer, and the loads are summed in
-    cell order, so repeated runs produce bit-identical systems.  Each
-    chunk's geometry, triangles and post-solve operators are kept on
-    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.  The global matrix
-    is converted once, to CSC in the :func:`interior_first` numbering: the
-    reduced matrix, which :func:`solve` factors without a copy, is its
-    leading block, and the interior-by-boundary coupling block is converted
-    on to CSR.
+    :func:`vemlab.local.mesh_elements`).  Each chunk's internal-moment
+    blocks A_ii are removed in one batched solve against [A_ib | f_i]
+    (a singular block raises ``LinAlgError`` naming its cell): the Schur
+    complement A_bb - A_bi A_ii^-1 A_ib of each cell, on its vertex and
+    edge DoFs only, is written into its cell's slot of one preallocated
+    COO value buffer, and the condensed loads are summed in cell order, so
+    repeated runs produce bit-identical systems.  A_ii^-1 [A_ib | f_i] is
+    kept, as ``SparseSystem.recovery`` and ``internal_load``, for
+    :func:`solve`.  At k = 1 there are no internal moments, and the blocks
+    are scattered as they are.  Each chunk's geometry, triangles and
+    post-solve operators are kept on ``SparseSystem.bank`` for
+    :mod:`vemlab.postprocess`.  The global matrix is converted once, to CSC
+    in the :func:`interior_first` numbering: the reduced matrix, which
+    :func:`solve` factors without a copy, is its leading block, and the
+    interior-by-boundary coupling block is converted on to CSR.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     check_dofmap(dofmap, mesh, k)
-    n = dofmap.n_dofs
+    n = dofmap.n_skeleton_dofs
+    n_int = n_poly(k - 2)
 
     sizes = np.array([g.size for g in dofmap.cell_dofs], dtype=np.intp)
     flat = np.concatenate(dofmap.cell_dofs)
-    rows, cols, starts = _coo_pattern(interior_first(dofmap)[flat], sizes, n)
-    load_starts = np.concatenate([[0], np.cumsum(sizes)])
+    # each cell's vertex and edge DoFs, which lead its slots
+    flat = flat[flat < n]
+    skeleton = sizes - n_int
+    rows, cols, starts = _coo_pattern(interior_first(dofmap)[flat], skeleton,
+                                      n)
+    load_starts = np.concatenate([[0], np.cumsum(skeleton)])
     vals = np.empty(starts[-1])
     loads = np.empty(load_starts[-1])
+    # the rows of each cell's A_ii^-1 A_ib are its internal moments, in
+    # order, so the cells' row-major blocks are the CSR data in cell order
+    recovery_cols, recovery_starts = _block_columns(
+        flat.astype(cols.dtype), skeleton, n_int)
+    recovery = np.empty(recovery_starts[-1])
+    internal_load = np.empty(dofmap.n_internal_dofs)
     kept = []
     for out, tris in mesh_elements(mesh, k, coeffs, mode):
         cells = out.geometry.cells
@@ -190,12 +236,28 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
                 f"{sizes[c]} DoFs")
         block = out.Ah + out.Bh
         block += out.Ch
-        vals[starts[cells, None] + np.arange(nd * nd)] = block.reshape(len(cells), -1)
-        loads[load_starts[cells, None] + np.arange(nd)] = out.f_loc
+        ns = nd - n_int
+        # Z = A_ii^-1 [A_ib | f_i]; A_bi Z gives the Schur complement and
+        # the condensed load
+        Z = _linalg(np.linalg.solve, "internal-moment block", out.geometry,
+                    block[:, ns:, ns:],
+                    np.concatenate([block[:, ns:, :ns],
+                                    out.f_loc[:, ns:, None]], axis=2),
+                    cause="the local form does not determine the internal "
+                          "moments")
+        AZ = block[:, :ns, ns:] @ Z
+        schur = block[:, :ns, :ns] - AZ[..., :ns]
+        vals[starts[cells, None] + np.arange(ns * ns)] = schur.reshape(
+            len(cells), -1)
+        loads[load_starts[cells, None] + np.arange(ns)] = (
+            out.f_loc[:, :ns] - AZ[..., ns])
+        recovery[recovery_starts[cells, None] + np.arange(n_int * ns)] = (
+            Z[..., :ns].reshape(len(cells), -1))
+        internal_load[cells[:, None] * n_int + np.arange(n_int)] = Z[..., ns]
         kept.append(out.bank_entry(tris))
     # free the last chunk's working arrays before the conversion, the
     # memory peak of assembly
-    del out, block
+    del out, block, Z, AZ, schur
     # one conversion, in the interior-first numbering: the reduced matrix
     # is the leading block of the global one
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
@@ -206,12 +268,18 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
     matrix = A[:ii.size, :ii.size]
     coupling = A[:ii.size, ii.size:].tocsr()
     del A
+    indptr = np.zeros(dofmap.n_internal_dofs + 1, dtype=np.intp)
+    np.cumsum(np.repeat(skeleton, n_int), out=indptr[1:])
     return SparseSystem(matrix=matrix,
                         rhs=rhs_full[ii].copy(),
-                        lifting=np.zeros(n),
+                        lifting=np.zeros(dofmap.n_dofs),
                         dofmap=dofmap,
                         coupling=coupling,
                         rhs_base=rhs_full[ii],
+                        recovery=sp.csr_matrix(
+                            (recovery, recovery_cols, indptr),
+                            shape=(dofmap.n_internal_dofs, n)),
+                        internal_load=internal_load,
                         bank=ElementBank(k, tuple(kept)))
 
 
@@ -262,6 +330,9 @@ def _name_non_finite(lift, mesh, dofmap):
 def solve(system):
     """Direct sparse solve; returns the full-length global DoF vector.
 
+    The condensed reduced system gives the interior vertex and edge DoFs;
+    every cell's internal moments then follow from its vertex and edge
+    DoFs in one sparse product, ``internal_load - recovery @ u_b``.
     The reduced matrix is factored as it is when it is CSC, as
     :func:`assemble` builds it; another format is converted first.
 
@@ -270,25 +341,35 @@ def solve(system):
     the columns are ordered by minimum degree on ``A^T + A``, and the
     diagonal pivot is taken whenever it is at least 0.1 of the column's
     largest entry, which keeps that ordering.  On the k = 4 concave 30x30
-    system this gives an LU fill of 1.6 against 17.5 for the default COLAMD
-    ordering, and 35.7 with strict partial pivoting
-    (``diag_pivot_thresh=1.0``), which destroys the ordering.  Outside
+    system, before condensation, this gave an LU fill of 1.6 against 17.5
+    for the default COLAMD ordering, and 35.7 with strict partial pivoting
+    (``diag_pivot_thresh=1.0``), which destroys the ordering; the condensed
+    system factors at a fill of 2.0, into 2.71M entries of L + U instead
+    of 3.32M.  Outside
     symmetric mode SuperLU would postorder the column elimination tree of
     ``A^T A`` and factor that column order instead: at the same fill, that
     is 4.5 times slower to factor on the k = 1 lloyd100 1,600 system and 34
     times slower on the k = 2 lloyd0 4,096 one (Voronoi meshes at k <= 2).
-    The residual check below, with one refinement step, guards the weaker
+    The residual check, with one refinement step, guards the weaker
     pivoting.
     """
     u = system.lifting.copy()
-    n_i = system.matrix.shape[0]
-    if n_i == 0:
-        return u
-    A = system.matrix.tocsc()
+    dofmap = system.dofmap
+    if system.matrix.shape[0]:
+        u[dofmap.interior_dofs] = _solve_reduced(system.matrix.tocsc(),
+                                                 system.rhs)
+    n = dofmap.n_skeleton_dofs
+    u[n:] = system.internal_load - system.recovery @ u[:n]
+    return u
+
+
+def _solve_reduced(A, rhs):
+    """Solution of the reduced system ``A x = rhs``, factored as
+    :func:`solve` describes, with its residual checked."""
     try:
         lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                   options={"SymmetricMode": True})
-        x = lu.solve(system.rhs)
+        x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolveError(
             "direct solve failed: the global matrix is singular, which "
@@ -298,18 +379,17 @@ def solve(system):
             "direct solve produced non-finite values, which indicates a "
             "stability failure or missing boundary data")
     Ax = A @ x
-    scale = max(np.linalg.norm(system.rhs), np.linalg.norm(Ax), 1e-30)
-    resid = np.linalg.norm(Ax - system.rhs)
+    scale = max(np.linalg.norm(rhs), np.linalg.norm(Ax), 1e-30)
+    resid = np.linalg.norm(Ax - rhs)
     if resid > 1e-10 * scale:
-        x = x + lu.solve(system.rhs - A @ x)
-        resid = np.linalg.norm(A @ x - system.rhs)
+        x = x + lu.solve(rhs - A @ x)
+        resid = np.linalg.norm(A @ x - rhs)
         if resid > 1e-10 * scale:
             raise SolveError(
                 f"solver residual {resid:.3e} exceeds 1e-10 relative "
                 "tolerance; the system is too ill-conditioned (stability "
                 "failure)")
-    u[system.dofmap.interior_dofs] = x
-    return u
+    return x
 
 
 def interpolate(mesh, k, v, dofmap=None):

@@ -83,9 +83,10 @@ class ExperimentConfig:
 def _run_single(mesh, k, problem, mode, point):
     """Solve one mesh and measure errors.
 
-    A cell that cannot be triangulated or whose projector is singular
-    (degenerate geometry), or an unreliable global solve, becomes a
-    ``failed`` record naming the cause.
+    A cell that cannot be triangulated, whose projector is singular
+    (degenerate geometry) or whose internal-moment block is singular, or
+    an unreliable global solve, becomes a ``failed`` record naming the
+    cause.
     """
     dofmap = build_dofmap(mesh, k)
     h_max = max_diameter(mesh)

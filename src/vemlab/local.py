@@ -266,9 +266,10 @@ def _trace_tables(nv, k):
     return out
 
 
-def _linalg(fn, what, geometry, *arrays):
+def _linalg(fn, what, geometry, *arrays,
+            cause="element geometry is degenerate"):
     """``fn`` (a stacked ``np.linalg`` routine) on ``arrays``; when it fails,
-    the error names the first cell of the stack it fails on."""
+    the error names the first cell of the stack it fails on, and ``cause``."""
     try:
         return fn(*arrays)
     except np.linalg.LinAlgError as exc:
@@ -277,8 +278,8 @@ def _linalg(fn, what, geometry, *arrays):
                 fn(*(a[i] for a in arrays))
             except np.linalg.LinAlgError:
                 raise np.linalg.LinAlgError(
-                    f"{geometry.label(i)}: {what} system is singular; element "
-                    "geometry is degenerate") from exc
+                    f"{geometry.label(i)}: {what} system is singular; "
+                    f"{cause}") from exc
         raise
 
 

@@ -176,7 +176,10 @@ def _cell_error_parts(k, projection, p_ex, grad_p_ex, ex):
             seen, n = operators, len(operators)
             table = kernels.monomial_vandermonde(
                 pts[:n], geometry.centroid[:n], geometry.diameter[:n], exps)
-        V = table[classes]
+        # a chunk whose cells are its group's classes, in order (every
+        # Voronoi chunk), reads the table itself instead of a copy
+        V = (table if np.array_equal(classes, np.arange(len(table)))
+             else table[classes])
         ph = (V @ projection.coeffs[part][..., None])[..., 0]
         # graded order: the degree-(k-1) monomials are the first columns
         gh = V[..., :nkm1] @ projection.grad_coeffs[part]

@@ -487,32 +487,49 @@ def cell_centroids_axis_sums(pts, points, simplices):
     return centroids, reach, centres
 
 
-def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", sliced=False):
-    """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
-    built from one ``np.repeat``/``np.tile`` index array per cell: the
-    scatter the preallocated buffers replaced.  Each cell's local matrix
-    and load are the element kernel's.  The COO entries are converted to
-    CSC in the interior-first numbering, as ``assemble`` converts them, so
-    SciPy sums duplicate entries in the same order; with ``sliced=True``
-    they are converted to CSR in the global numbering and sliced to the
-    interior rows and the interior or boundary columns instead, the
-    construction ``assemble`` used before."""
-    import scipy.sparse as sp
-
-    from vemlab.assembly import interior_first
+def _local_systems(mesh, k, coeffs, mode):
+    """``{cell: (local matrix, load)}`` of the element kernel, the matrix
+    summed as ``vemlab.assembly.assemble`` sums it."""
     from vemlab.local import mesh_elements
 
     local = {}
     for out, _ in mesh_elements(mesh, k, coeffs, mode):
         for i, c in enumerate(out.geometry.cells):
             local[c] = out.Ah[i] + out.Bh[i] + out.Ch[i], out.f_loc[i]
-    n = dofmap.n_dofs
+    return local
+
+
+def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", sliced=False):
+    """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
+    built one cell at a time: each cell's internal moments condensed out
+    by a one-cell solve, and the Schur complement scattered through one
+    ``np.repeat``/``np.tile`` index array per cell, the scatter the
+    preallocated buffers replaced.  Each cell's local matrix and load are
+    the element kernel's.  The COO entries are converted to CSC in the
+    interior-first numbering, as ``assemble`` converts them, so SciPy sums
+    duplicate entries in the same order; with ``sliced=True`` they are
+    converted to CSR in the global numbering and sliced to the interior
+    rows and the interior or boundary columns instead, the construction
+    ``assemble`` used before."""
+    import scipy.sparse as sp
+
+    from vemlab.assembly import interior_first
+
+    local = _local_systems(mesh, k, coeffs, mode)
+    n = dofmap.n_skeleton_dofs
     number = np.arange(n) if sliced else interior_first(dofmap)
     rows, cols, vals = [], [], []
     rhs_full = np.zeros(n)
     for c in range(mesh.num_cells):
         matrix, f_loc = local[c]
         g = dofmap.cell_dofs[c]
+        ns = np.count_nonzero(g < n)
+        g = g[:ns]
+        Z = np.linalg.solve(matrix[ns:, ns:], np.concatenate(
+            [matrix[ns:, :ns], f_loc[ns:, None]], axis=1))
+        AZ = matrix[:ns, ns:] @ Z
+        matrix = matrix[:ns, :ns] - AZ[:, :ns]
+        f_loc = f_loc[:ns] - AZ[:, ns]
         rows.append(np.repeat(number[g], g.size))
         cols.append(np.tile(number[g], g.size))
         vals.append(matrix.ravel())
@@ -526,6 +543,30 @@ def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", sliced=False):
         return A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii]
     A = A.tocsc()
     return A[:ii.size, :ii.size], A[:ii.size, ii.size:].tocsr(), rhs_full[ii]
+
+
+def full_system_per_cell(mesh, k, coeffs, dofmap, mode="standard"):
+    """Uncondensed global matrix (CSR, every DoF, internal moments
+    included) and load of the element kernel's local systems, each cell's
+    whole local matrix scattered one cell at a time: the system
+    ``vemlab.assembly.assemble`` condenses."""
+    import scipy.sparse as sp
+
+    local = _local_systems(mesh, k, coeffs, mode)
+    n = dofmap.n_dofs
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+    for c in range(mesh.num_cells):
+        matrix, f_loc = local[c]
+        g = dofmap.cell_dofs[c]
+        rows.append(np.repeat(g, g.size))
+        cols.append(np.tile(g, g.size))
+        vals.append(matrix.ravel())
+        np.add.at(rhs, g, f_loc)
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+    return A.tocsr(), rhs
 
 
 def build_dofmap_per_cell(mesh, k):
@@ -552,8 +593,9 @@ def build_dofmap_per_cell(mesh, k):
         if len(cs) == 1:
             fixed.extend(nv + e * (k - 1) + j for j in range(k - 1))
     boundary = np.array(sorted(fixed), dtype=np.intp)
-    total = nv + n_edge + mesh.num_cells * n_int
-    return cell_dofs, boundary, np.setdiff1d(np.arange(total), boundary)
+    # the internal moments are condensed out: interior means vertex and
+    # edge DoFs off the boundary
+    return cell_dofs, boundary, np.setdiff1d(np.arange(nv + n_edge), boundary)
 
 
 def bank_per_cell(bank):

@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from oracles import (assemble_per_cell, bank_per_cell, bank_representatives,
-                     build_dofmap_per_cell, interpolate_per_cell)
+                     build_dofmap_per_cell, full_system_per_cell,
+                     interpolate_per_cell)
 from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
@@ -54,9 +55,13 @@ class TestDofMap:
             expect = (mesh.num_vertices + mesh.num_edges * (k - 1)
                       + mesh.num_cells * n_poly(k - 2) * (k >= 2))
             assert dm.n_dofs == expect
-            assert dm.n_dofs == dm.interior_dofs.size + dm.boundary_dofs.size
-            # partition really is a partition
-            assert np.intersect1d(dm.interior_dofs, dm.boundary_dofs).size == 0
+            # interior and boundary DoFs partition the vertex and edge
+            # DoFs; the internal moments, condensed out, are in neither
+            assert dm.n_dofs == (dm.interior_dofs.size + dm.boundary_dofs.size
+                                 + dm.n_internal_dofs)
+            assert np.array_equal(
+                np.union1d(dm.interior_dofs, dm.boundary_dofs),
+                np.arange(dm.n_skeleton_dofs))
 
     def test_cell_dofs_match_local_layout(self):
         mesh = MESHES["lloyd0"]
@@ -94,9 +99,11 @@ class TestDofMap:
     def test_boundary_dofs(self):
         mesh = square_mesh(2)
         dm = build_dofmap(mesh, 2)
-        # 8 boundary vertices + 8 boundary-edge moments
+        # 8 boundary vertices + 8 boundary-edge moments; 1 vertex and 4
+        # edge moments inside, and the 4 internal moments are condensed out
         assert dm.boundary_dofs.size == 16
-        assert dm.interior_dofs.size == 9
+        assert dm.interior_dofs.size == 5
+        assert dm.n_internal_dofs == 4
 
     def test_rejects_k0(self):
         with pytest.raises(ValueError):
@@ -625,7 +632,8 @@ class TestSolve:
         mesh = square_mesh(1)
         p = lambda x, y: x * y
         system = assemble(mesh, 2, Coefficients.constant(kappa=1.0))
-        assert system.matrix.shape == (1, 1)
+        # the one internal moment is condensed out, so nothing is factored
+        assert system.matrix.shape == (0, 0)
         apply_dirichlet(system, p, mesh, 2)
         u = solve(system)
         d = interpolate(mesh, 2, p)
@@ -640,7 +648,9 @@ class TestSolve:
                            lifting=np.zeros(dm.n_dofs),
                            dofmap=dm,
                            coupling=sp.csr_matrix((n_i, n_b)),
-                           rhs_base=np.ones(n_i))
+                           rhs_base=np.ones(n_i),
+                           recovery=sp.csr_matrix((0, dm.n_skeleton_dofs)),
+                           internal_load=np.zeros(0))
         with pytest.raises(SolveError, match="stability"):
             solve(bad)
 
@@ -725,6 +735,71 @@ class TestSolve:
                 <= 1e-10 * max(np.linalg.norm(b), np.linalg.norm(A @ x)))
         ref = _default_mode_solve(system)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestCondensation:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", sorted(MESHES))
+    def test_matches_uncondensed_solve(self, family, k):
+        # the condensed solve, internal moments recovered, against the
+        # uncondensed per-cell system with every DoF off the boundary
+        # unknown, and that system's residual at the condensed solution
+        mesh = MESHES[family]
+        prob = builtin_problem()
+        dm = build_dofmap(mesh, k)
+        system = assemble(mesh, k, prob.coefficients, dofmap=dm)
+        apply_dirichlet(system, prob.p_ex, mesh, k)
+        u = solve(system)
+        A, b = full_system_per_cell(mesh, k, prob.coefficients, dm)
+        free = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dofs)
+        assert free.size == dm.interior_dofs.size + dm.n_internal_dofs
+        A_free = A[free]
+        b_free = b[free] - A_free @ system.lifting
+        A_free = A_free[:, free].tocsc()
+        ref = system.lifting.copy()
+        ref[free] = splu(A_free).solve(b_free)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+        Au = A_free @ u[free]
+        assert (np.linalg.norm(Au - b_free)
+                <= 1e-10 * max(np.linalg.norm(b_free), np.linalg.norm(Au)))
+
+    def test_condensation_shrinks_the_global_matrix(self):
+        # each cell's internal moments leave the global system
+        mesh = MESHES["concave"]
+        coeffs = builtin_problem().coefficients
+        for k in (1, 2, 3, 4):
+            dm = build_dofmap(mesh, k)
+            system = assemble(mesh, k, coeffs, dofmap=dm)
+            assert system.matrix.shape == (dm.interior_dofs.size,) * 2
+            assert system.recovery.shape == (dm.n_internal_dofs,
+                                             dm.n_skeleton_dofs)
+            assert system.internal_load.shape == (dm.n_internal_dofs,)
+            assert system.recovery.nnz == sum(
+                (g.size - n_poly(k - 2)) * n_poly(k - 2) for g in dm.cell_dofs)
+
+    def test_singular_internal_block_is_named(self, monkeypatch):
+        # zero cell 4's internal-moment block in its local forms: the
+        # condensation names the cell, and a sweep records it as failed
+        from vemlab.harness import _run_single
+
+        forms = local._local_forms
+
+        def singular_forms(out, *args):
+            forms(out, *args)
+            ns = out.Ah.shape[-1] - n_poly(out.k - 2)
+            for i in np.flatnonzero(out.geometry.cells == 4):
+                for a in (out.Ah, out.Bh, out.Ch):
+                    a[i, ns:, ns:] = 0.0
+
+        monkeypatch.setattr(local, "_local_forms", singular_forms)
+        mesh, prob = square_mesh(3), builtin_problem()
+        message = ("cell 4: internal-moment block system is singular; the "
+                   "local form does not determine the internal moments")
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            assemble(mesh, 2, prob.coefficients)
+        record = _run_single(mesh, 2, prob, "standard", (0.781, 0.766))
+        assert record.failed and np.isnan(record.err_L2_rel)
+        assert record.cause == message
 
 
 def _recorded_factors(monkeypatch):
