@@ -11,7 +11,7 @@ skeleton) only, and the solve recovers the internal moments from them.
 Dirichlet data is imposed by elimination: boundary DoFs move into a lifting
 vector, the reduced system couples the interior skeleton DoFs only, and the
 boundary coupling block is kept so the right-hand side can be corrected for
-any lifting.
+any lifting, whose DoFs :func:`vemlab.local.skeleton_dofs` computes.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +21,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .basis import n_poly
-from .local import (ElementBank, _linalg, edge_moments, internal_moments,
-                    mesh_elements, smooth_rule_degree)
+from .local import (ElementBank, _linalg, check_degree, internal_moments,
+                    mesh_elements, skeleton_dofs, smooth_rule_degree)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
@@ -94,8 +94,7 @@ class SparseSystem:
 
 def build_dofmap(mesh, k):
     """Number the global DoFs of a degree-``k`` space on ``mesh``."""
-    if k < 1:
-        raise ValueError(f"polynomial degree must be at least 1, got {k}")
+    check_degree(k)
     n_int = n_poly(k - 2)
     nv, ne = mesh.num_vertices, mesh.num_edges
     n_edge = ne * (k - 1)
@@ -126,6 +125,7 @@ def build_dofmap(mesh, k):
 def check_dofmap(dofmap, mesh, k):
     """Raise ValueError unless ``dofmap`` numbers the degree-``k`` space of
     a mesh with the cell, vertex and edge counts of ``mesh``."""
+    check_degree(k)
     if k != dofmap.k:
         raise ValueError(f"DoF map was built with k={dofmap.k}, got k={k}")
     for what, got, want in (
@@ -295,15 +295,12 @@ def apply_dirichlet(system, g, mesh, k):
     check_dofmap(dofmap, mesh, k)
     gv = g if callable(g) else (lambda x, y, c=float(g): c)
 
+    # in the order of dofmap.boundary_dofs
+    values, moments = skeleton_dofs(
+        gv, mesh.vertices[mesh.boundary_vertices],
+        mesh.vertices[mesh.edge_vertices[mesh.boundary_edges()]], k)
     lift = np.zeros(dofmap.n_dofs)
-    vb = np.nonzero(mesh.boundary_vertices)[0]
-    lift[vb] = gv(mesh.vertices[vb, 0], mesh.vertices[vb, 1])
-    if k >= 2:
-        edges = mesh.boundary_edges()
-        lo, hi = mesh.edge_vertices[edges].T
-        base = dofmap.n_vertex_dofs + edges * (k - 1)
-        lift[base[:, None] + np.arange(k - 1)] = edge_moments(
-            gv, mesh.vertices[lo], mesh.vertices[hi], k, k + 3)
+    lift[dofmap.boundary_dofs] = np.concatenate([values, moments.ravel()])
     if not np.isfinite(lift).all():
         _name_non_finite(lift, mesh, dofmap)
     system.lifting = lift
@@ -396,24 +393,18 @@ def interpolate(mesh, k, v, dofmap=None):
     """Global DoF vector of a smooth function ``v(x, y)``.
 
     Every DoF is computed once, as :func:`vemlab.local.interpolate_dofs`
-    computes it at its default exactness,
-    :func:`vemlab.local.smooth_rule_degree`: vertex values and edge moments
-    in one call each, internal moments per stack of cells.
+    computes it: the vertex values and edge moments in one
+    :func:`vemlab.local.skeleton_dofs` call, the internal moments per
+    stack of cells.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     check_dofmap(dofmap, mesh, k)
-    out = np.zeros(dofmap.n_dofs)
-    nv = dofmap.n_vertex_dofs
-    out[:nv] = v(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    values, moments = skeleton_dofs(
+        v, mesh.vertices, mesh.vertices[mesh.edge_vertices], k)
+    internal = np.empty((mesh.num_cells, n_poly(k - 2)))
     if k >= 2:
-        lo, hi = mesh.edge_vertices.T
-        first_int = nv + dofmap.n_edge_dofs
-        out[nv:first_int] = edge_moments(
-            v, mesh.vertices[lo], mesh.vertices[hi], k, k + 3).ravel()
-        n_int = n_poly(k - 2)
         for geometry in geometry_stacks(mesh):
-            slots = first_int + geometry.cells[:, None] * n_int + np.arange(n_int)
-            out[slots] = internal_moments(geometry, k, v,
-                                          smooth_rule_degree(k))
-    return out
+            internal[geometry.cells] = internal_moments(
+                geometry, k, v, smooth_rule_degree(k))
+    return np.concatenate([values, moments.ravel(), internal.ravel()])

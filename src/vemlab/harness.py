@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
-from .local import check_mode
+from .local import check_degree, check_mode
 from .mesh import MeshError, max_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 from .meshgen import GeneratorSpec, check_count, generate
@@ -44,8 +44,8 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
-        check_count("k", self.k)
-        if not 1 <= self.k <= 4:
+        check_degree(self.k)
+        if self.k > 4:
             raise ValueError(f"degree must be 1..4, got {self.k}")
         families = tuple(self.families)
         if not families:

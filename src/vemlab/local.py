@@ -3,16 +3,17 @@
 A degree-k element on an n_V-gon carries n_V vertex values, (k-1) moments
 per edge against scaled arclength powers (divided by |e|), and the internal
 moments against scaled monomials of degree <= k-2 (divided by |E|), in that
-order.  All projectors are assembled from those data alone: boundary terms
-use the per-edge polynomial trace reconstruction, interior terms read the
-internal moments directly.
+order (:func:`element_layout`).  All projectors are built from those data
+alone: boundary terms use the per-edge polynomial trace reconstruction,
+interior terms read the internal moments directly.
 
 The projectors and local forms of a whole stack of cells that share a
 vertex count are built in stacked NumPy calls.  :func:`mesh_elements` runs
 them over a mesh in memory-bounded chunks, building the projectors once per
 shape class (:func:`shape_classes`: cells that are translates of each
 other; any other cell is a class of one); :func:`element_kernel` runs them
-on one stack, and the one-element functions call it on a stack of one.
+on one stack, and the one-element functions (a polygon and k, no layout)
+call it on a stack of one.  Interpolation runs on :func:`skeleton_dofs`.
 """
 
 from dataclasses import dataclass, replace
@@ -26,6 +27,7 @@ from .basis import (QuadratureRule, ScaledMonomialBasis, _duffy_rule, _gauss,
                     monomial_exponents, n_poly, polygon_quadrature,
                     triangulate_stack)
 from .mesh import GeometryStack, _row_sum, geometry_stacks
+from .meshgen import check_count
 
 
 @dataclass(frozen=True)
@@ -45,12 +47,16 @@ class DofLayout:
         return self.n_vertices + e * self.n_per_edge + j
 
 
-def dof_layout(geom, k):
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    nv = geom.vertices.shape[0]
+@lru_cache(maxsize=None)
+def element_layout(nv, k):
+    """The :class:`DofLayout` of the degree-``k`` element on an ``nv``-gon."""
     return DofLayout(k=k, n_vertices=nv, n_per_edge=k - 1,
                      n_internal=n_poly(k - 2), n_dofs=nv * k + n_poly(k - 2))
+
+
+def dof_layout(geom, k):
+    check_degree(k)
+    return element_layout(geom.vertices.shape[0], k)
 
 
 @dataclass
@@ -65,7 +71,6 @@ class ProjectorSet:
     """
 
     k: int
-    layout: DofLayout
     basis: ScaledMonomialBasis
     PiNabla: np.ndarray
     Pi0k: np.ndarray
@@ -210,11 +215,11 @@ class ElementStack:
     f_loc: np.ndarray = None
     operators: np.ndarray = None
 
-    def projectors(self, i, layout):
+    def projectors(self, i):
         """Cell ``i`` as a :class:`ProjectorSet`."""
         geom, row = self.geometry.element(i), self.classes[i]
         return ProjectorSet(
-            k=self.k, layout=layout, basis=ScaledMonomialBasis(geom, self.k),
+            k=self.k, basis=ScaledMonomialBasis(geom, self.k),
             **{f: getattr(self, f)[row] for f in _PROJECTOR_FIELDS})
 
     def post_solve_operators(self):
@@ -246,9 +251,7 @@ def _trace_tables(nv, k):
     global vertex index, so the table depends on whether the ring direction
     (``forward``) agrees with it.
     """
-    n_int = n_poly(k - 2)
-    layout = DofLayout(k=k, n_vertices=nv, n_per_edge=k - 1, n_internal=n_int,
-                       n_dofs=nv * k + n_int)
+    layout = element_layout(nv, k)
     R = edge_reconstruction(k)
     t, _ = _gauss(k + 1)
     P = np.vander(t, k + 1, increasing=True)
@@ -317,6 +320,11 @@ def check_mode(mode):
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def check_degree(k):
+    """Raise ValueError unless ``k`` is an integer, not a boolean, >= 1."""
+    check_count("k", k, 1)
+
+
 def rule_degree(k):
     """Degree of the quadrature rule of every degree-k element.
 
@@ -347,6 +355,7 @@ def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
     energy projection instead of the projected gradient; for k=1 the two
     constructions agree identically, so both take the standard path.
     """
+    check_degree(k)
     check_mode(mode)
     out = _projectors(geometry, k, rule)
     if coeffs is not None:
@@ -359,8 +368,8 @@ def _projectors(geometry, k, rule):
     cell a class of its own."""
     n_cells, nv = geometry.vertices.shape[:2]
     nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
-    nd = nv * k + nkm2
-    first_int = nv * k
+    nd = element_layout(nv, k).n_dofs
+    first_int = nd - nkm2
     area = geometry.area[:, None, None]
     center, h = geometry.centroid, geometry.diameter
     lengths, normals = geometry.edge_lengths, geometry.edge_normals
@@ -590,7 +599,7 @@ def cell_bytes(nv, n_points, k):
     tables and their evaluation (about 24 values per point); and about 16
     (n_dofs, n_dofs) matrices.
     """
-    nd = nv * k + n_poly(k - 2)
+    nd = element_layout(nv, k).n_dofs
     per_point = n_poly(k) + 9 * n_poly(k - 1) + 24
     return 8 * (n_points * per_point + 16 * nd ** 2)
 
@@ -666,24 +675,28 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
     per chunk, where ``triangles`` (C, T, 3, 2) are the triangles the
     chunk's rules were mapped onto.
     """
+    check_degree(k)
     check_mode(mode)
     degree = rule_degree(k)
     for geometry in geometry_stacks(mesh):
         nv = geometry.vertices.shape[1]
-        parts = triangulate_stack(geometry)
+        # every part's rows taken at once, so the stack itself can go
+        parts = [(geometry.take(rows), tris)
+                 for rows, tris in triangulate_stack(geometry)]
+        del geometry
         while parts:
-            # off the list, so the stack's triangles are held only once
-            # they are reordered
-            rows, tris = parts.pop(0)
+            # off the list, so each part is held only once it is reordered
+            sub, tris = parts.pop(0)
             n_points = tris.shape[1] * _duffy_rule(degree)[1].size
             step = max(_MIN_CHUNK_CELLS,
                        _CHUNK_BYTES // cell_bytes(nv, n_points, k))
-            reps, classes = shape_classes(geometry.take(rows), tris)
+            reps, classes = shape_classes(sub, tris)
             # each group's representatives first, then its other members:
             # the representatives' rows are then a view of the members'
             group = classes // step
-            order = np.lexsort((reps[classes] != np.arange(rows.size), group))
-            stack = geometry.take(rows[order])
+            order = np.lexsort((reps[classes] != np.arange(len(sub)), group))
+            stack = sub.take(order)
+            del sub
             tris, classes = tris[order], classes[order]
             bounds = np.cumsum(np.bincount(group)).tolist()
             for lo, start, stop in zip(range(0, reps.size, step),
@@ -726,35 +739,37 @@ def _one_rule(geom, k):
     return QuadratureRule(rule.points[None], rule.weights[None])
 
 
-def projector_set(geom, k, layout=None):
+def projector_set(geom, k):
     """All projector matrices for one element, as :func:`mesh_elements`
     builds them."""
-    layout = layout if layout is not None else dof_layout(geom, k)
-    return element_kernel(_one(geom), k, _one_rule(geom, k)).projectors(
-        0, layout)
+    return element_kernel(_one(geom), k, _one_rule(geom, k)).projectors(0)
 
 
-def local_system(geom, k, layout, coeffs, mode="standard"):
+def local_system(geom, k, coeffs, mode="standard"):
     """Local stiffness/advection/reaction matrices and load vector of one
     element (see :func:`element_kernel`)."""
-    layout = layout if layout is not None else dof_layout(geom, k)
     out = element_kernel(_one(geom), k, _one_rule(geom, k), coeffs, mode)
     return LocalSystem(Ah=out.Ah[0], Bh=out.Bh[0], Ch=out.Ch[0], S=out.S[0],
                        f_loc=out.f_loc[0], mode=mode,
-                       projectors=out.projectors(0, layout))
+                       projectors=out.projectors(0))
 
 
-def edge_moments(v, start, end, k, n_gauss):
-    """Edge DoFs ``(1/|e|) int_e v t^j ds``, j = 0..k-2, of ``v(x, y)`` on
-    the edges from ``start`` to ``end`` (E, 2), their canonical direction:
-    t runs from -1 to +1 along it.  Uses ``n_gauss`` points; (E, k - 1)."""
-    t, w_std = _gauss(n_gauss)
-    pts = (0.5 * (start + end)[:, None]
-           + 0.5 * (t[:, None] * (end - start)[:, None]))
+def skeleton_dofs(v, vertices, edges, k):
+    """Vertex and edge DoFs of a smooth function ``v(x, y)``: its values at
+    ``vertices`` (N, 2) and its moments ``(1/|e|) int_e v t^j ds``, j < k - 1,
+    on ``edges`` (E, 2, 2), from their canonical start (t = -1) to their end
+    (t = +1), by a rule exact to :func:`smooth_rule_degree`; (N,), (E, k - 1).
+    """
+    values = np.broadcast_to(v(vertices[:, 0], vertices[:, 1]), len(vertices))
+    if k == 1:
+        return values, np.empty((len(edges), 0))
+    start, end = edges[:, :1], edges[:, 1:]
+    t, w_std = _gauss(smooth_rule_degree(k) // 2 + 1)
+    pts = 0.5 * (start + end) + 0.5 * (t[:, None] * (end - start))
     vals = np.broadcast_to(v(pts[..., 0], pts[..., 1]), pts.shape[:2])
     # weights w_std / 2 * |e| sum to |e|
-    return np.stack([np.sum(w_std / 2 * vals * t ** j, axis=-1)
-                     for j in range(k - 1)], axis=-1)
+    return values, np.stack([np.sum(w_std / 2 * vals * t ** j, axis=-1)
+                             for j in range(k - 1)], axis=-1)
 
 
 def internal_moments(geometry, k, v, exactness):
@@ -773,20 +788,12 @@ def internal_moments(geometry, k, v, exactness):
     return out
 
 
-def interpolate_dofs(geom, k, v, layout=None, exactness=None):
-    """DoF vector of a smooth function: vertex values and scaled moments,
-    integrated exactly for polynomials of degree ``exactness`` (default
-    :func:`smooth_rule_degree`)."""
-    layout = layout if layout is not None else dof_layout(geom, k)
-    ex = smooth_rule_degree(k) if exactness is None else exactness
-    d = np.zeros(layout.n_dofs)
-    d[:layout.n_vertices] = v(geom.vertices[:, 0], geom.vertices[:, 1])
-    if k >= 2:
-        ring = geom.vertices
-        ahead = np.roll(ring, -1, axis=0)
-        forward = geom.edge_forward[:, None]
-        d[layout.n_vertices:layout.n_vertices * k] = edge_moments(
-            v, np.where(forward, ring, ahead), np.where(forward, ahead, ring),
-            k, int(np.ceil((ex + 1) / 2))).ravel()
-        d[layout.n_vertices * k:] = internal_moments(_one(geom), k, v, ex)[0]
-    return d
+def interpolate_dofs(geom, k, v):
+    """DoF vector of a smooth function: :func:`skeleton_dofs`, then the
+    :func:`internal_moments` of the rule of :func:`smooth_rule_degree`."""
+    check_degree(k)
+    edges = np.stack([geom.vertices, np.roll(geom.vertices, -1, axis=0)], 1)
+    edges[~geom.edge_forward] = edges[~geom.edge_forward, ::-1]
+    values, moments = skeleton_dofs(v, geom.vertices, edges, k)
+    internal = internal_moments(_one(geom), k, v, smooth_rule_degree(k))
+    return np.concatenate([values, moments.ravel(), internal[0]])

@@ -15,7 +15,7 @@ from . import kernels
 from .assembly import build_dofmap, check_dofmap
 from .basis import ScaledMonomialBasis, map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .local import ElementBank, mesh_elements, smooth_rule_degree
+from .local import ElementBank, check_degree, mesh_elements, smooth_rule_degree
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import element_geometry
 
@@ -135,6 +135,7 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, relative=True):
     cell.  Cells are evaluated chunk by chunk of the bank, and the cell
     contributions are summed in cell order.
     """
+    check_degree(k)
     if (projection.k, len(projection.coeffs)) != (k, mesh.num_cells):
         raise ValueError(
             f"projection has k={projection.k} on {len(projection.coeffs)} "

@@ -1091,22 +1091,28 @@ def edge_quadrature(endpoints, exactness):
 
 def interpolate_dofs_per_cell(geom, k, v, exactness=None):
     """``vemlab.local.interpolate_dofs`` with the cell's own polygon rule
-    and monomial basis: the one-cell construction the stacked internal
-    moments replaced."""
-    from vemlab.basis import ScaledMonomialBasis, polygon_quadrature
-    from vemlab.local import dof_layout, edge_moments
+    and monomial basis, and a Gauss sum per edge: the one-cell construction
+    the stacked DoFs replaced.  Both rules are exact to degree
+    ``exactness``, by default 2k + 4."""
+    from vemlab.basis import ScaledMonomialBasis, _gauss, polygon_quadrature
+    from vemlab.local import dof_layout
 
     layout = dof_layout(geom, k)
     ex = (2 * k + 4) if exactness is None else exactness
     d = np.zeros(layout.n_dofs)
     d[:layout.n_vertices] = v(geom.vertices[:, 0], geom.vertices[:, 1])
     if k >= 2:
-        ring = geom.vertices
-        ahead = np.roll(ring, -1, axis=0)
-        forward = geom.edge_forward[:, None]
-        d[layout.n_vertices:layout.n_vertices * k] = edge_moments(
-            v, np.where(forward, ring, ahead), np.where(forward, ahead, ring),
-            k, int(np.ceil((ex + 1) / 2))).ravel()
+        t, w = _gauss(math.ceil((ex + 1) / 2))
+        nv = layout.n_vertices
+        for e in range(nv):
+            a, b = geom.vertices[e], geom.vertices[(e + 1) % nv]
+            if not geom.edge_forward[e]:
+                a, b = b, a
+            # t runs from -1 at the edge's canonical start to +1 at its end
+            pts = 0.5 * (a + b) + 0.5 * (t[:, None] * (b - a))
+            vals = v(pts[:, 0], pts[:, 1])
+            for j in range(k - 1):
+                d[layout.edge_slot(e, j)] = np.sum(w / 2 * vals * t ** j)
         rule = polygon_quadrature(geom, ex)
         Vm = ScaledMonomialBasis(geom, k - 2).eval(rule.points)
         vals = v(rule.points[:, 0], rule.points[:, 1])

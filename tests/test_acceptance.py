@@ -14,7 +14,7 @@ import pytest
 from vemlab.assembly import apply_dirichlet, assemble, interpolate, solve
 from vemlab.basis import ScaledMonomialBasis, polygon_quadrature
 from vemlab.harness import DEFAULT_SIZES, ExperimentConfig, run_experiment
-from vemlab.local import Coefficients, local_system, dof_layout, projector_set
+from vemlab.local import Coefficients, local_system, projector_set
 from vemlab.mesh import element_geometry, polygon_geometry
 from vemlab.meshgen import GeneratorSpec, generate
 from vemlab.problems import builtin_problem, polynomial_problem
@@ -252,8 +252,7 @@ def test_criterion_7_module_invariants(announce):
     for geom in bank:
         for k in (1, 3):
             ps = projector_set(geom, k)
-            layout = dof_layout(geom, k)
-            loc = local_system(geom, k, layout, coeffs)
+            loc = local_system(geom, k, coeffs)
             scale = max(1.0, np.abs(loc.Ah).max())
             if np.abs(loc.S @ ps.D).max() > 1e-10 * scale:
                 failures.append(f"S@D on {len(geom.vertices)}-gon k={k}")

@@ -7,18 +7,21 @@ import pytest
 import scipy.linalg
 
 from vemlab import kernels
-from vemlab.assembly import apply_dirichlet, assemble, interpolate, solve
+from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
+                             interpolate, solve)
 from vemlab.basis import (QuadratureRule, ScaledMonomialBasis, map_rule,
                           n_poly, polygon_quadrature, triangulate,
                           triangulate_stack)
 from vemlab.local import (Coefficients, cell_bytes, dof_layout,
-                          element_kernel, interpolate_dofs, local_system,
-                          mesh_elements, projector_set, rule_degree,
-                          shape_classes)
+                          element_kernel, internal_moments, interpolate_dofs,
+                          local_system, mesh_elements, projector_set,
+                          rule_degree, shape_classes)
 from vemlab.mesh import (element_geometry, geometry_stacks, make_mesh,
                          polygon_geometry, stack_geometry)
+from vemlab.harness import ExperimentConfig
 from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
                             square_mesh, voronoi_mesh)
+from vemlab.postprocess import error_norms, project_solution
 from vemlab.problems import builtin_problem, polynomial_problem
 
 from oracles import (edge_quadrature, element_geometry_per_cell,
@@ -70,6 +73,51 @@ class TestDofLayout:
             dof_layout(UNIT_SQUARE, 0)
 
 
+def _degree_entry_points():
+    """Every public call that takes an element degree k, as ``k -> call``;
+    the other arguments are valid at k = 1."""
+    mesh = square_mesh(2)
+    coeffs = Coefficients.constant(kappa=1.0, f=1.0)
+    v = lambda x, y: x + y
+    system = assemble(mesh, 1, coeffs)
+    u = solve(apply_dirichlet(system, v, mesh, 1))
+    projection = project_solution(mesh, 1, u)
+    return {
+        "dof_layout": lambda k: dof_layout(PENTAGON, k),
+        "projector_set": lambda k: projector_set(PENTAGON, k),
+        "local_system": lambda k: local_system(PENTAGON, k, coeffs),
+        "interpolate_dofs": lambda k: interpolate_dofs(PENTAGON, k, v),
+        "mesh_elements": lambda k: next(mesh_elements(mesh, k)),
+        "build_dofmap": lambda k: build_dofmap(mesh, k),
+        "assemble": lambda k: assemble(mesh, k, coeffs),
+        "assemble_dofmap": lambda k: assemble(mesh, k, coeffs,
+                                              dofmap=system.dofmap),
+        "apply_dirichlet": lambda k: apply_dirichlet(system, v, mesh, k),
+        "interpolate": lambda k: interpolate(mesh, k, v),
+        "project_solution": lambda k: project_solution(mesh, k, u),
+        "error_norms": lambda k: error_norms(mesh, k, projection, v,
+                                             lambda x, y: (1.0, 1.0)),
+        "ExperimentConfig": lambda k: ExperimentConfig(k=k),
+    }
+
+
+DEGREE_ENTRY_POINTS = _degree_entry_points()
+
+
+class TestCheckDegree:
+    @pytest.mark.parametrize("k", [0, 2.0, True], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(DEGREE_ENTRY_POINTS))
+    def test_rejects_non_degree(self, entry, k):
+        # an integer of at least 1, not a boolean: True is not k = 1 and
+        # 2.0 is not k = 2
+        with pytest.raises(ValueError, match=r"^k must be "):
+            DEGREE_ENTRY_POINTS[entry](k)
+
+    @pytest.mark.parametrize("entry", sorted(DEGREE_ENTRY_POINTS))
+    def test_accepts_numpy_integer(self, entry):
+        DEGREE_ENTRY_POINTS[entry](np.int64(1))
+
+
 class TestInterpolateDofs:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_constant_function(self, k):
@@ -102,16 +150,17 @@ class TestInterpolateDofs:
 
     def test_internal_moment_against_subdivision_oracle(self):
         geom = UNIT_SQUARE
-        lay = dof_layout(geom, 2)
 
         def v(x, y):
             return np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
 
-        d = interpolate_dofs(geom, 2, v, exactness=30)
+        stack = stack_geometry(geom.vertices[None], geom.edge_forward[None])
+        d = internal_moments(stack, 2, v, 30)[0]
         exact = subdivision_integrate(v, geom.vertices, tol=1e-14) / geom.area
-        assert abs(d[lay.n_vertices * lay.k] - exact) < 1e-10
+        assert abs(d[0] - exact) < 1e-10
 
-    @pytest.mark.parametrize("exactness", [None, 5, 30])
+    # the oracle's exactness None is its default rule, 2k + 4
+    @pytest.mark.parametrize("exactness", [None])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_per_cell_oracle(self, k, exactness):
         # the internal moments run on a stack of one cell with the bits of
@@ -119,7 +168,7 @@ class TestInterpolateDofs:
         v = lambda x, y: np.exp(x) * np.cos(2 * y) + x * y ** 3
         for geom in CELLS:
             assert np.array_equal(
-                interpolate_dofs(geom, k, v, exactness=exactness),
+                interpolate_dofs(geom, k, v),
                 interpolate_dofs_per_cell(geom, k, v, exactness))
 
 
@@ -263,7 +312,7 @@ class TestKernelCalls:
         geom = CELLS[which]
         coeffs = Coefficients.constant(kappa=[[2.0, 0.3], [0.3, 1.0]],
                                        b=(0.4, -0.2), gamma=1.5, f=1.0)
-        local_system(geom, k, dof_layout(geom, k), coeffs, mode=mode)
+        local_system(geom, k, coeffs, mode=mode)
         assert 0 < len(calls) <= 2
 
 
@@ -310,7 +359,7 @@ class TestPi0:
         proj = projector_set(geom, k)
         nkm2 = n_poly(k - 2)
         mu = np.zeros_like(proj.PiNabla)
-        mu[:nkm2, proj.layout.n_dofs - nkm2:] = geom.area * np.eye(nkm2)
+        mu[:nkm2, proj.D.shape[0] - nkm2:] = geom.area * np.eye(nkm2)
         mu[nkm2:] = proj.H[nkm2:] @ proj.PiNabla
         via_moments = np.linalg.solve(proj.H, mu)
         assert np.allclose(via_moments, proj.Pi0k, atol=1e-14)
@@ -372,7 +421,7 @@ class TestStabilization:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_annihilates_polynomial_dofs(self, k):
         for geom in CELLS[:5]:
-            sys = local_system(geom, k, None, Coefficients.constant(kappa=1.0))
+            sys = local_system(geom, k, Coefficients.constant(kappa=1.0))
             S, proj = sys.S, sys.projectors
             scale = max(1.0, np.abs(S).max())
             assert np.abs(S @ proj.D).max() < 1e-11 * scale
@@ -381,13 +430,12 @@ class TestStabilization:
 
     def test_scales_with_kappa_trace(self):
         geom = PENTAGON
-        S1 = local_system(geom, 2, None, Coefficients.constant(kappa=1.0)).S
-        S5 = local_system(geom, 2, None, Coefficients.constant(kappa=5.0)).S
+        S1 = local_system(geom, 2, Coefficients.constant(kappa=1.0)).S
+        S5 = local_system(geom, 2, Coefficients.constant(kappa=5.0)).S
         assert np.allclose(S5, 5 * S1, atol=1e-13)
 
     def test_generalized_eigenvalues_against_bilinear_oracle(self):
-        sys = local_system(UNIT_SQUARE, 1, None,
-                           Coefficients.constant(kappa=1.0))
+        sys = local_system(UNIT_SQUARE, 1, Coefficients.constant(kappa=1.0))
         K = q1_stiffness()
         ones = np.ones(4) / 2
         Z = scipy.linalg.null_space(ones[None, :])
@@ -401,7 +449,7 @@ class TestLocalSystem:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_constants_in_kernel(self, k):
         for geom in CELLS[:5]:
-            sys = local_system(geom, k, None, Coefficients.constant(kappa=1.0))
+            sys = local_system(geom, k, Coefficients.constant(kappa=1.0))
             d1 = interpolate_dofs(geom, k, lambda x, y: np.ones_like(x))
             scale = max(1.0, np.abs(sys.Ah).max())
             assert np.abs(sys.Ah @ d1).max() < 1e-13 * scale
@@ -409,7 +457,7 @@ class TestLocalSystem:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_kernel_is_exactly_constants(self, k):
         geom = PENTAGON
-        sys = local_system(geom, k, None, Coefficients.constant(kappa=1.0))
+        sys = local_system(geom, k, Coefficients.constant(kappa=1.0))
         eigs = np.linalg.eigvalsh(sys.Ah)
         assert abs(eigs[0]) < 1e-12
         assert eigs[1] > 1e-8
@@ -419,7 +467,7 @@ class TestLocalSystem:
         kap = np.array([[2.0, 0.3], [0.3, 1.5]])
         coeffs = Coefficients.constant(kappa=kap)
         for geom in (UNIT_SQUARE, PENTAGON, CELLS[4]):
-            sys = local_system(geom, k, None, coeffs)
+            sys = local_system(geom, k, coeffs)
             proj = sys.projectors
             nkm1 = n_poly(k - 1)
             Hm1 = proj.H[:nkm1, :nkm1]
@@ -433,7 +481,7 @@ class TestLocalSystem:
 
     def test_symmetry(self):
         coeffs = Coefficients.constant(kappa=2.0, gamma=0.7)
-        sys = local_system(PENTAGON, 3, None, coeffs)
+        sys = local_system(PENTAGON, 3, coeffs)
         assert np.allclose(sys.Ah, sys.Ah.T)
         assert np.allclose(sys.Ch, sys.Ch.T)
 
@@ -441,7 +489,7 @@ class TestLocalSystem:
         # With b=(1,0): trial constant 1 against test x gives -|E|.
         coeffs = Coefficients.constant(kappa=1.0, b=(1.0, 0.0))
         for k in (1, 2, 3):
-            sys = local_system(UNIT_SQUARE, k, None, coeffs)
+            sys = local_system(UNIT_SQUARE, k, coeffs)
             d_one = interpolate_dofs(UNIT_SQUARE, k, lambda x, y: np.ones_like(x))
             d_x = interpolate_dofs(UNIT_SQUARE, k, lambda x, y: x)
             got = d_x @ sys.Bh @ d_one
@@ -450,7 +498,7 @@ class TestLocalSystem:
 
     def test_reaction_value(self):
         coeffs = Coefficients.constant(kappa=1.0, gamma=2.0)
-        sys = local_system(UNIT_SQUARE, 2, None, coeffs)
+        sys = local_system(UNIT_SQUARE, 2, coeffs)
         d_x = interpolate_dofs(UNIT_SQUARE, 2, lambda x, y: x)
         # 2 * int x^2 over the unit square.
         assert abs(d_x @ sys.Ch @ d_x - 2.0 / 3.0) < 1e-12
@@ -458,14 +506,14 @@ class TestLocalSystem:
     def test_load_pairs_with_projection(self):
         coeffs = Coefficients.constant(kappa=1.0, f=1.0)
         for k in (1, 2, 4):
-            sys = local_system(PENTAGON, k, None, coeffs)
+            sys = local_system(PENTAGON, k, coeffs)
             d_one = interpolate_dofs(PENTAGON, k, lambda x, y: np.ones_like(x))
             assert abs(d_one @ sys.f_loc - PENTAGON.area) < 1e-12
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="mode"):
-            local_system(UNIT_SQUARE, 1, None,
-                         Coefficients.constant(kappa=1.0), mode="bogus")
+            local_system(UNIT_SQUARE, 1, Coefficients.constant(kappa=1.0),
+                         mode="bogus")
 
     @pytest.mark.parametrize("coeffs", [None, Coefficients.constant()])
     def test_mesh_elements_rejects_unknown_mode(self, coeffs):
@@ -485,8 +533,8 @@ class TestLocalSystem:
             variant_y = proj.basis.derivative_map(1) @ proj.PiNabla
             assert np.allclose(variant_x, proj.Pi0GradX, atol=1e-12)
             assert np.allclose(variant_y, proj.Pi0GradY, atol=1e-12)
-            a = local_system(geom, 1, None, coeffs, mode="standard").Ah
-            b = local_system(geom, 1, None, coeffs, mode="grad_pinabla").Ah
+            a = local_system(geom, 1, coeffs, mode="standard").Ah
+            b = local_system(geom, 1, coeffs, mode="grad_pinabla").Ah
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -494,8 +542,8 @@ class TestLocalSystem:
         # On a generic polygon the projected gradient picks up a rotational
         # component that the gradient of the energy projection cannot see.
         coeffs = Coefficients.constant(kappa=1.0)
-        a = local_system(PENTAGON, k, None, coeffs, mode="standard").Ah
-        b = local_system(PENTAGON, k, None, coeffs, mode="grad_pinabla").Ah
+        a = local_system(PENTAGON, k, coeffs, mode="standard").Ah
+        b = local_system(PENTAGON, k, coeffs, mode="grad_pinabla").Ah
         assert np.abs(a - b).max() > 1e-6 * np.abs(a).max()
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -503,7 +551,7 @@ class TestLocalSystem:
         # With scalar kappa the variant is still exact on polynomials.
         coeffs = Coefficients.constant(kappa=2.0)
         geom = PENTAGON
-        sys = local_system(geom, k, None, coeffs, mode="grad_pinabla")
+        sys = local_system(geom, k, coeffs, mode="grad_pinabla")
         proj = sys.projectors
         nkm1 = n_poly(k - 1)
         Hm1 = proj.H[:nkm1, :nkm1]
@@ -522,7 +570,7 @@ class TestOneElementSolve:
         geom = UNIT_SQUARE
         lay = dof_layout(geom, k)
         coeffs = Coefficients.constant(kappa=1.0, f=0.0)
-        sys = local_system(geom, k, lay, coeffs)
+        sys = local_system(geom, k, coeffs)
         exact = lambda x, y: 2 * x + 3 * y - 1
         d = interpolate_dofs(geom, k, exact)
         n_bdry = lay.n_vertices * k
@@ -551,7 +599,7 @@ class TestElementKernel:
                 e.bank_entry(t) for e, t in elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 geom = element_geometry(mesh, rep)
-                ref = local_system(geom, k, dof_layout(geom, k), coeffs)
+                ref = local_system(geom, k, coeffs)
                 if rep == c:
                     for name in ("Ah", "Bh", "Ch", "S", "f_loc"):
                         assert np.array_equal(getattr(out, name)[i],
@@ -580,7 +628,7 @@ class TestElementKernel:
                     continue
                 geom, row = element_geometry(mesh, c), out.classes[i]
                 for ps in (projector_set(geom, k),
-                           local_system(geom, k, None, coeffs).projectors):
+                           local_system(geom, k, coeffs).projectors):
                     for name in self.PROJECTOR_FIELDS:
                         assert np.array_equal(getattr(out, name)[row],
                                               getattr(ps, name)), (c, name)
@@ -669,7 +717,7 @@ class TestElementKernel:
                               gamma=lambda x, y: np.zeros(np.shape(x)),
                               f=lambda x, y: np.zeros(np.shape(x)))
         with pytest.raises(ValueError, match=f"element: kappa is not {what}"):
-            local_system(PENTAGON, 2, None, coeffs)
+            local_system(PENTAGON, 2, coeffs)
 
 
 class TestShapeClasses:
@@ -756,8 +804,7 @@ class TestShapeClasses:
         for out, _ in mesh_elements(mesh, k, coeffs):
             for i, c in enumerate(out.geometry.cells):
                 if c in singletons:
-                    ref = local_system(element_geometry(mesh, c), k, None,
-                                       coeffs)
+                    ref = local_system(element_geometry(mesh, c), k, coeffs)
                     assert np.array_equal(out.Ah[i], ref.Ah)
         prob = polynomial_problem(k)
         system = assemble(mesh, k, prob.coefficients)
