@@ -226,23 +226,23 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
     internal_load = np.empty(dofmap.n_internal_dofs)
     kept = []
     for out, tris in mesh_elements(mesh, k, coeffs, mode):
-        cells = out.geometry.cells
-        nd = out.Ah.shape[-1]
+        cells, forms = out.geometry.cells, out.forms
+        nd = forms.Ah.shape[-1]
         wrong = np.flatnonzero(sizes[cells] != nd)
         if wrong.size:
             c = cells[wrong[0]]
             raise ValueError(
                 f"cell {c}: local matrix is {(nd, nd)} but the DoF map lists "
                 f"{sizes[c]} DoFs")
-        block = out.Ah + out.Bh
-        block += out.Ch
+        block = forms.Ah + forms.Bh
+        block += forms.Ch
         ns = nd - n_int
         # Z = A_ii^-1 [A_ib | f_i]; A_bi Z gives the Schur complement and
         # the condensed load
         Z = _linalg(np.linalg.solve, "internal-moment block", out.geometry,
                     block[:, ns:, ns:],
                     np.concatenate([block[:, ns:, :ns],
-                                    out.f_loc[:, ns:, None]], axis=2),
+                                    forms.f_loc[:, ns:, None]], axis=2),
                     cause="the local form does not determine the internal "
                           "moments")
         AZ = block[:, :ns, ns:] @ Z
@@ -250,14 +250,14 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
         vals[starts[cells, None] + np.arange(ns * ns)] = schur.reshape(
             len(cells), -1)
         loads[load_starts[cells, None] + np.arange(ns)] = (
-            out.f_loc[:, :ns] - AZ[..., ns])
+            forms.f_loc[:, :ns] - AZ[..., ns])
         recovery[recovery_starts[cells, None] + np.arange(n_int * ns)] = (
             Z[..., :ns].reshape(len(cells), -1))
         internal_load[cells[:, None] * n_int + np.arange(n_int)] = Z[..., ns]
         kept.append(out.bank_entry(tris))
     # free the last chunk's working arrays before the conversion, the
     # memory peak of assembly
-    del out, block, Z, AZ, schur
+    del out, forms, block, Z, AZ, schur
     # one conversion, in the interior-first numbering: the reduced matrix
     # is the leading block of the global one
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()

@@ -44,15 +44,12 @@ class ScaledMonomialBasis:
         return kernels.monomial_vandermonde(
             np.atleast_2d(pts), self.geom.centroid, self.geom.diameter, self.exponents)
 
-    def derivative_map(self, axis):
-        """Matrix sending P_degree coefficients to P_{degree-1} coefficients
-        of the axis-derivative."""
-        return derivative_table(self.degree, axis) / self.geom.diameter
-
 
 @lru_cache(maxsize=None)
 def derivative_table(degree, axis):
-    """``derivative_map`` of the unscaled monomials (h = 1), read-only."""
+    """Matrix sending P_degree coefficients to P_{degree-1} coefficients of
+    the axis-derivative, for the unscaled monomials (h = 1); divided by
+    h_E, for the scaled ones.  Read-only."""
     lower = monomial_exponents(degree - 1) if degree >= 1 \
         else np.empty((0, 2), dtype=np.int64)
     low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}

@@ -7,25 +7,26 @@ order (:func:`element_layout`).  All projectors are built from those data
 alone: boundary terms use the per-edge polynomial trace reconstruction,
 interior terms read the internal moments directly.
 
-The projectors and local forms of a whole stack of cells that share a
-vertex count are built in stacked NumPy calls.  :func:`mesh_elements` runs
-them over a mesh in memory-bounded chunks, building the projectors once per
+The projectors (:class:`ProjectorSet`) and local forms
+(:class:`LocalSystem`) of a whole stack of cells that share a vertex count
+are built in stacked NumPy calls, one leading row per class or cell, and an
+:class:`ElementStack` holds one of each.  :func:`mesh_elements` runs them
+over a mesh in memory-bounded chunks, building the projectors once per
 shape class (:func:`shape_classes`: cells that are translates of each
 other; any other cell is a class of one); :func:`element_kernel` runs them
 on one stack, and the one-element functions (a polygon and k, no layout)
-call it on a stack of one.  Interpolation runs on :func:`skeleton_dofs`.
+take row 0 of a stack of one.  Interpolation runs on :func:`skeleton_dofs`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .basis import (QuadratureRule, ScaledMonomialBasis, _duffy_rule, _gauss,
-                    derivative_table, edge_reconstruction, gram, map_rule,
-                    monomial_exponents, n_poly, polygon_quadrature,
-                    triangulate_stack)
+from .basis import (QuadratureRule, _duffy_rule, _gauss, derivative_table,
+                    edge_reconstruction, gram, map_rule, monomial_exponents,
+                    n_poly, polygon_quadrature, triangulate_stack)
 from .mesh import GeometryStack, _row_sum, geometry_stacks
 from .meshgen import check_count
 
@@ -67,11 +68,11 @@ class ProjectorSet:
     the gradient pair onto degree-(k-1) coefficients.  ``D`` holds the DoFs
     of the monomials (one row per DoF) and ``H`` their mass matrix.
     ``rule_values`` is the monomial table on the points of the quadrature
-    rule that built ``H``.
+    rule that built ``H``.  In an :class:`ElementStack` every array has a
+    leading row per shape class; :func:`projector_set` gives one element's.
     """
 
     k: int
-    basis: ScaledMonomialBasis
     PiNabla: np.ndarray
     Pi0k: np.ndarray
     Pi0km1: np.ndarray
@@ -80,6 +81,13 @@ class ProjectorSet:
     D: np.ndarray
     H: np.ndarray
     rule_values: np.ndarray
+
+    def post_solve_operators(self):
+        """``[Pi0k; Pi0GradX; Pi0GradY]``, stacked by rows: the projectors
+        whose snapshots of a solution the error norms read, (...,
+        n_poly(k) + 2 n_poly(k - 1), n_dofs)."""
+        return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY],
+                              axis=-2)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class ElementBank:
     the chunk's geometry and (C, T, 3, 2) triangles, onto which the error
     norms map their own rule, the post-solve operators
     ``[Pi0k; Pi0GradX; Pi0GradY]`` of its group of shape classes
-    (:meth:`ElementStack.post_solve_operators`, compared by identity) and
+    (:meth:`ProjectorSet.post_solve_operators`, compared by identity) and
     the row of each cell in them.  The chunks of a group share its
     operators and come in a row, and its representatives lead its first
     chunk, in class order.  The bank keeps no index from cell to chunk.
@@ -121,15 +129,17 @@ class ElementBank:
 
 @dataclass
 class LocalSystem:
-    """Local discrete forms: Ah includes the stabilization S."""
+    """Local discrete forms: Ah includes the stabilization S.
+
+    In an :class:`ElementStack` every array has a leading row per cell;
+    :func:`local_system` gives one element's.
+    """
 
     Ah: np.ndarray
     Bh: np.ndarray
     Ch: np.ndarray
     S: np.ndarray
     f_loc: np.ndarray
-    mode: str
-    projectors: ProjectorSet
 
     @property
     def matrix(self):
@@ -181,54 +191,30 @@ class Coefficients:
         return np.broadcast_to(arr, (pts.shape[0],))
 
 
-_PROJECTOR_FIELDS = ("rule_values", "PiNabla", "Pi0k", "Pi0km1", "Pi0GradX",
-                     "Pi0GradY", "D", "H")
+def _row(record, i):
+    """``record`` (a :class:`ProjectorSet` or :class:`LocalSystem`) with
+    each of its arrays indexed by ``i``."""
+    return replace(record, **{f.name: getattr(record, f.name)[i]
+                              for f in fields(record) if f.type is np.ndarray})
 
 
 @dataclass
 class ElementStack:
     """What :func:`element_kernel` builds for a stack of cells.
 
-    The local forms have one leading row per cell of ``geometry``, and
-    ``None`` when no coefficients were given; they are those of
-    :class:`LocalSystem`.  The fields of :class:`ProjectorSet` have one row
-    per shape class: cell i takes row ``classes[i]``.  ``operators`` is
-    what :func:`mesh_elements` keeps of the classes for the
+    ``projectors`` has one row per shape class: cell i takes row
+    ``classes[i]``.  ``forms`` has one row per cell of ``geometry``, and is
+    ``None`` when no coefficients were given.  ``operators`` is what
+    :func:`mesh_elements` keeps of the classes for the
     :class:`ElementBank`.
     """
 
     k: int
     geometry: GeometryStack
-    rule_values: np.ndarray
-    PiNabla: np.ndarray
-    Pi0k: np.ndarray
-    Pi0km1: np.ndarray
-    Pi0GradX: np.ndarray
-    Pi0GradY: np.ndarray
-    D: np.ndarray
-    H: np.ndarray
+    projectors: ProjectorSet
     classes: np.ndarray
-    Ah: np.ndarray = None
-    Bh: np.ndarray = None
-    Ch: np.ndarray = None
-    S: np.ndarray = None
-    f_loc: np.ndarray = None
+    forms: LocalSystem = None
     operators: np.ndarray = None
-
-    def projectors(self, i):
-        """Cell ``i`` as a :class:`ProjectorSet`."""
-        geom, row = self.geometry.element(i), self.classes[i]
-        return ProjectorSet(
-            k=self.k, basis=ScaledMonomialBasis(geom, self.k),
-            **{f: getattr(self, f)[row] for f in _PROJECTOR_FIELDS})
-
-    def post_solve_operators(self):
-        """``[Pi0k; Pi0GradX; Pi0GradY]`` of every row of the projector
-        fields, stacked by rows: the projectors whose snapshots of a
-        solution the error norms read, (rows, n_poly(k) + 2 n_poly(k - 1),
-        n_dofs)."""
-        return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY],
-                              axis=1)
 
     def bank_entry(self, triangles):
         """What the :class:`ElementBank` keeps of this chunk, whose cells'
@@ -357,15 +343,18 @@ def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
     """
     check_degree(k)
     check_mode(mode)
-    out = _projectors(geometry, k, rule)
+    projectors = _projectors(geometry, k, rule)
+    out = ElementStack(k=k, geometry=geometry, projectors=projectors,
+                       classes=np.arange(len(geometry)))
     if coeffs is not None:
-        _local_forms(out, rule, coeffs, _form_tables(out, mode))
+        out.forms = _local_forms(out, rule, coeffs,
+                                 _form_tables(geometry, projectors, mode))
     return out
 
 
 def _projectors(geometry, k, rule):
-    """The :class:`ProjectorSet` fields of :func:`element_kernel`, each
-    cell a class of its own."""
+    """The :class:`ProjectorSet` of :func:`element_kernel`, each cell a
+    class of its own."""
     n_cells, nv = geometry.vertices.shape[:2]
     nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
     nd = element_layout(nv, k).n_dofs
@@ -458,16 +447,15 @@ def _projectors(geometry, k, rule):
     Pi0GradX += (Dx - Pi0GradX @ D) @ Pi0k
     Pi0GradY += (Dy - Pi0GradY @ D) @ Pi0k
 
-    return ElementStack(k=k, geometry=geometry, rule_values=rule_values,
-                        PiNabla=PiNabla, Pi0k=Pi0k, Pi0km1=Pi0km1,
+    return ProjectorSet(k=k, PiNabla=PiNabla, Pi0k=Pi0k, Pi0km1=Pi0km1,
                         Pi0GradX=Pi0GradX, Pi0GradY=Pi0GradY, D=D, H=H,
-                        classes=np.arange(n_cells))
+                        rule_values=rule_values)
 
 
-def _form_tables(out, mode):
+def _form_tables(geometry, proj, mode):
     """What the local forms of :func:`element_kernel` take of each row of
-    the projector fields of ``out``, with neither coefficients nor rule
-    weights: ``(values, P, grad, grad_a, MtM)``.
+    the :class:`ProjectorSet` ``proj``, built on ``geometry``, with neither
+    coefficients nor rule weights: ``(values, P, grad, grad_a, MtM)``.
 
     The Grams are taken in the monomials orthonormalised by the Cholesky
     factor L of their mass matrix (values L^-1 m on the rule points,
@@ -479,28 +467,29 @@ def _form_tables(out, mode):
     takes in ``mode``, and ``MtM`` the stabilisation's (I - D PiNabla)^T
     (I - D PiNabla).
     """
-    k, geometry = out.k, out.geometry
-    nd = out.D.shape[1]
+    k = proj.k
+    nd = proj.D.shape[1]
     m = n_poly(k - 1)
     L = _linalg(np.linalg.cholesky, "L2 projector mass", geometry,
-                out.H[:, :m, :m])
+                proj.H[:, :m, :m])
     Lt = _t(L)
-    values = np.linalg.inv(L) @ _t(out.rule_values[:, :, :m])  # (C, m, Q)
-    P = Lt @ out.Pi0km1
-    grad = np.concatenate([Lt @ out.Pi0GradX, Lt @ out.Pi0GradY], axis=1)
+    values = np.linalg.inv(L) @ _t(proj.rule_values[:, :, :m])  # (C, m, Q)
+    P = Lt @ proj.Pi0km1
+    grad = np.concatenate([Lt @ proj.Pi0GradX, Lt @ proj.Pi0GradY], axis=1)
     if mode == "grad_pinabla" and k > 1:
         hh = geometry.diameter[:, None, None]
         grad_a = np.concatenate(
-            [Lt @ ((derivative_table(k, 0) / hh) @ out.PiNabla),
-             Lt @ ((derivative_table(k, 1) / hh) @ out.PiNabla)], axis=1)
+            [Lt @ ((derivative_table(k, 0) / hh) @ proj.PiNabla),
+             Lt @ ((derivative_table(k, 1) / hh) @ proj.PiNabla)], axis=1)
     else:
         grad_a = grad
-    M = np.eye(nd) - out.D @ out.PiNabla
+    M = np.eye(nd) - proj.D @ proj.PiNabla
     return values, P, grad, grad_a, _t(M) @ M
 
 
 def _local_forms(out, rule, coeffs, tables):
-    """Fill the local forms of :func:`element_kernel`'s output ``out``.
+    """The :class:`LocalSystem` of the cells of ``out``, an
+    :func:`element_kernel` output.
 
     Entry [i, j] of each matrix is the form evaluated with trial function j
     and test function i.  The coefficients are evaluated once on every
@@ -509,8 +498,8 @@ def _local_forms(out, rule, coeffs, tables):
     basis of P_{k-1} sandwiched between projector matrices; one stacked
     product gives all seven Grams, and no table of quadrature points by
     DoFs is formed.  ``tables`` holds :func:`_form_tables` per class row of
-    ``out``, and each cell pairs its own coefficients, at its own rule
-    points, with its class's tables.
+    ``out.projectors``, and each cell pairs its own coefficients, at its
+    own rule points, with its class's tables.
     """
     k, geometry = out.k, out.geometry
     m = n_poly(k - 1)
@@ -559,7 +548,7 @@ def _local_forms(out, rule, coeffs, tables):
 
     f_basis = values @ (w * f)[..., None]
     f_loc = (_t(P) @ f_basis)[..., 0]
-    out.Ah, out.Bh, out.Ch, out.S, out.f_loc = Ah, Bh, Ch, S, f_loc
+    return LocalSystem(Ah=Ah, Bh=Bh, Ch=Ch, S=S, f_loc=f_loc)
 
 
 #: Working memory one stacked call may use, counted by :func:`cell_bytes`.
@@ -711,17 +700,19 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
                         # chunk, and so do their rules; the last group's
                         # form tables go before these are built
                         tables = None
-                        built = _projectors(
-                            stack.take(head), k, QuadratureRule(
+                        reps_geometry = stack.take(head)
+                        projectors = _projectors(
+                            reps_geometry, k, QuadratureRule(
                                 rule.points[:n], rule.weights[:n]))
-                        tables = (None if coeffs is None
-                                  else _form_tables(built, mode))
-                        operators = built.post_solve_operators()
-                    out = replace(built, geometry=stack.take(part),
-                                  classes=classes[part] - lo,
-                                  operators=operators)
+                        tables = (None if coeffs is None else _form_tables(
+                            reps_geometry, projectors, mode))
+                        operators = projectors.post_solve_operators()
+                    out = ElementStack(k=k, geometry=stack.take(part),
+                                       projectors=projectors,
+                                       classes=classes[part] - lo,
+                                       operators=operators)
                     if coeffs is not None:
-                        _local_forms(out, rule, coeffs, tables)
+                        out.forms = _local_forms(out, rule, coeffs, tables)
                     yield out, tris[part]
 
 
@@ -742,16 +733,15 @@ def _one_rule(geom, k):
 def projector_set(geom, k):
     """All projector matrices for one element, as :func:`mesh_elements`
     builds them."""
-    return element_kernel(_one(geom), k, _one_rule(geom, k)).projectors(0)
+    return _row(element_kernel(_one(geom), k, _one_rule(geom, k)).projectors,
+                0)
 
 
 def local_system(geom, k, coeffs, mode="standard"):
     """Local stiffness/advection/reaction matrices and load vector of one
     element (see :func:`element_kernel`)."""
-    out = element_kernel(_one(geom), k, _one_rule(geom, k), coeffs, mode)
-    return LocalSystem(Ah=out.Ah[0], Bh=out.Bh[0], Ch=out.Ch[0], S=out.S[0],
-                       f_loc=out.f_loc[0], mode=mode,
-                       projectors=out.projectors(0))
+    return _row(element_kernel(_one(geom), k, _one_rule(geom, k), coeffs,
+                               mode).forms, 0)
 
 
 def skeleton_dofs(v, vertices, edges, k):

@@ -15,7 +15,8 @@ from . import kernels
 from .assembly import build_dofmap, check_dofmap
 from .basis import ScaledMonomialBasis, map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .local import ElementBank, check_degree, mesh_elements, smooth_rule_degree
+from .local import (ElementBank, _check_finite, check_degree, mesh_elements,
+                    smooth_rule_degree)
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import element_geometry
 
@@ -133,7 +134,9 @@ def error_norms(mesh, k, projection, p_ex, grad_p_ex, relative=True):
     A rule of degree :func:`vemlab.local.smooth_rule_degree` (2k + 4) is
     mapped once onto the triangles the projection's bank carries for each
     cell.  Cells are evaluated chunk by chunk of the bank, and the cell
-    contributions are summed in cell order.
+    contributions are summed in cell order.  A ``p_ex`` or ``grad_p_ex``
+    that is not finite at a rule point raises ``ValueError`` naming the
+    cell and the field.
     """
     check_degree(k)
     if (projection.k, len(projection.coeffs)) != (k, mesh.num_cells):
@@ -173,6 +176,7 @@ def _cell_error_parts(k, projection, p_ex, grad_p_ex, ex):
                                  x.shape).reshape(w.shape)
         g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
                                  x.shape + (2,)).reshape(w.shape + (2,))
+        _check_finite(geometry, p_ex=p_vals, grad_p_ex=g_vals)
         if operators is not seen:
             seen, n = operators, len(operators)
             table = kernels.monomial_vandermonde(
@@ -243,12 +247,15 @@ def point_error(projection, point, p_ex):
 
     Returns ``(error, cell)`` where ``cell`` is the containing cell whose
     polynomial was evaluated; for points on an interface the lowest-index
-    incident cell is used.
+    incident cell is used.  A ``p_ex`` that is not finite at the point
+    raises ``ValueError`` naming the cell.
     """
     p = np.asarray(point, dtype=float)
     cell = locate_cell(projection.mesh, p)
     value = projection.cell_value(cell, p[None, :])[0]
     exact = float(p_ex(p[0], p[1]))
+    if not np.isfinite(exact):
+        raise ValueError(f"cell {cell}: p_ex is not finite at {tuple(p)}")
     return abs(exact - value) / max(abs(exact), 1e-300), cell
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .local import Coefficients
+from .local import Coefficients, check_degree
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,6 +143,7 @@ _POLY_SOLUTIONS = {
 def polynomial_problem(k, kappa=((2.0, 0.5), (0.5, 1.5))):
     """Pure-diffusion problem with constant ``kappa`` and a degree-``k``
     polynomial exact solution (the classic patch-test setup)."""
+    check_degree(k)
     if k not in _POLY_SOLUTIONS:
         raise ValueError(f"polynomial solutions cover k = 1..4, got {k}")
     data = _POLY_SOLUTIONS[k]

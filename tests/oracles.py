@@ -494,8 +494,9 @@ def _local_systems(mesh, k, coeffs, mode):
 
     local = {}
     for out, _ in mesh_elements(mesh, k, coeffs, mode):
+        forms = out.forms
         for i, c in enumerate(out.geometry.cells):
-            local[c] = out.Ah[i] + out.Bh[i] + out.Ch[i], out.f_loc[i]
+            local[c] = forms.Ah[i] + forms.Bh[i] + forms.Ch[i], forms.f_loc[i]
     return local
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vemlab import kernels
-from vemlab.basis import (ScaledMonomialBasis, edge_reconstruction, gram,
-                          map_rule, monomial_exponents, n_poly,
-                          polygon_quadrature, triangulate, triangulate_stack)
+from vemlab.basis import (ScaledMonomialBasis, derivative_table,
+                          edge_reconstruction, gram, map_rule,
+                          monomial_exponents, n_poly, polygon_quadrature,
+                          triangulate, triangulate_stack)
 from vemlab.local import projector_set
 from vemlab.mesh import (MeshError, element_geometry, polygon_geometry,
                          stack_geometry)
@@ -69,7 +70,7 @@ class TestDerivativeMaps:
     def test_matches_pointwise_gradient(self, axis):
         basis = ScaledMonomialBasis(LSHAPE, 4)
         lower = ScaledMonomialBasis(LSHAPE, 3)
-        D = basis.derivative_map(axis)
+        D = derivative_table(4, axis) / LSHAPE.diameter
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal(basis.dim)
         pts = rng.random((30, 2)) * 2

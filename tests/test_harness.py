@@ -1,6 +1,7 @@
 """Experiment sweeps and CSV/plot-file emission."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ def test_h_max_equals_largest_geometry_diameter(family):
             for c in range(mesh.num_cells)] == diameters
     rec = _run_single(mesh, 1, builtin_problem(), "standard", (0.781, 0.766))
     assert rec.h_max == max(diameters)
+
+
+def test_non_finite_exact_solution_is_an_error():
+    # a sweep stops with the named cell instead of writing a record whose
+    # error is NaN without a cause
+    prob = builtin_problem()
+
+    def p_ex(x, y):
+        hole = (0.3 < x) & (x < 0.6) & (0.3 < y) & (y < 0.6)
+        return np.where(hole, np.nan, prob.p_ex(x, y))
+
+    bad = dataclasses.replace(prob, p_ex=p_ex)
+    with pytest.raises(ValueError, match=r"cell \d+: p_ex is not finite"):
+        _run_single(square_mesh(4), 2, bad, "standard", (0.781, 0.766))
 
 
 class TestExperimentConfig:

@@ -9,9 +9,9 @@ import scipy.linalg
 from vemlab import kernels
 from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
-from vemlab.basis import (QuadratureRule, ScaledMonomialBasis, map_rule,
-                          n_poly, polygon_quadrature, triangulate,
-                          triangulate_stack)
+from vemlab.basis import (QuadratureRule, ScaledMonomialBasis,
+                          derivative_table, map_rule, n_poly,
+                          polygon_quadrature, triangulate, triangulate_stack)
 from vemlab.local import (Coefficients, cell_bytes, dof_layout,
                           element_kernel, internal_moments, interpolate_dofs,
                           local_system, mesh_elements, projector_set,
@@ -139,7 +139,7 @@ class TestInterpolateDofs:
     def test_monomials_reproduce_dof_table(self, k):
         for geom in CELLS[:4]:
             proj = projector_set(geom, k)
-            basis = proj.basis
+            basis = ScaledMonomialBasis(geom, k)
             for col, (ax, ay) in enumerate(basis.exponents):
                 d = interpolate_dofs(
                     geom, k,
@@ -177,7 +177,7 @@ class TestPiNabla:
     def test_idempotent_on_polynomials(self, k):
         for geom in CELLS:
             proj = projector_set(geom, k)
-            err = np.abs(proj.PiNabla @ proj.D - np.eye(proj.basis.dim)).max()
+            err = np.abs(proj.PiNabla @ proj.D - np.eye(n_poly(k))).max()
             assert err < 1e-11
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -219,11 +219,11 @@ class TestPiNabla:
         geom = PENTAGON
         k = 3
         proj = projector_set(geom, k)
-        basis = proj.basis
         Hm1 = proj.H[:n_poly(k - 1), :n_poly(k - 1)]
-        Dx, Dy = basis.derivative_map(0), basis.derivative_map(1)
+        Dx = derivative_table(k, 0) / geom.diameter
+        Dy = derivative_table(k, 1) / geom.diameter
         rng = np.random.default_rng(11)
-        c = rng.standard_normal(basis.dim)
+        c = rng.standard_normal(n_poly(k))
         cp = proj.PiNabla @ (proj.D @ c)
 
         def energy(v):
@@ -240,6 +240,7 @@ class TestPiNabla:
         v = lambda x, y: np.exp(x) * np.cos(y)
         d = interpolate_dofs(geom, k, v)
         coeffs = proj.PiNabla @ d
+        basis = ScaledMonomialBasis(geom, k)
         mean_proj = 0.0
         mean_trace = 0.0
         perimeter = geom.edge_lengths.sum()
@@ -248,7 +249,7 @@ class TestPiNabla:
             b = geom.vertices[(e + 1) % 5]
             rule = edge_quadrature([a, b], 2 * k + 6)
             mean_proj += np.sum(rule.weights
-                                * (proj.basis.eval(rule.points) @ coeffs))
+                                * (basis.eval(rule.points) @ coeffs))
         # The virtual function's trace is the edgewise polynomial matching
         # the edge DoFs of v, reconstructed here independently.
         t, w = np.polynomial.legendre.leggauss(k + 4)
@@ -321,7 +322,7 @@ class TestPi0:
     def test_idempotent_on_polynomials(self, k):
         for geom in CELLS:
             proj = projector_set(geom, k)
-            nk = proj.basis.dim
+            nk = n_poly(k)
             nkm1 = n_poly(k - 1)
             assert np.abs(proj.Pi0k @ proj.D - np.eye(nk)).max() < 1e-11
             assert np.abs(proj.Pi0km1 @ proj.D[:, :nkm1]
@@ -370,8 +371,8 @@ class TestPi0Grad:
     def test_exact_gradients_of_polynomials(self, k):
         for geom in CELLS:
             proj = projector_set(geom, k)
-            Dx = proj.basis.derivative_map(0)
-            Dy = proj.basis.derivative_map(1)
+            Dx = derivative_table(k, 0) / geom.diameter
+            Dy = derivative_table(k, 1) / geom.diameter
             assert np.abs(proj.Pi0GradX @ proj.D - Dx).max() < 1e-11
             assert np.abs(proj.Pi0GradY @ proj.D - Dy).max() < 1e-11
 
@@ -422,7 +423,7 @@ class TestStabilization:
     def test_annihilates_polynomial_dofs(self, k):
         for geom in CELLS[:5]:
             sys = local_system(geom, k, Coefficients.constant(kappa=1.0))
-            S, proj = sys.S, sys.projectors
+            S, proj = sys.S, projector_set(geom, k)
             scale = max(1.0, np.abs(S).max())
             assert np.abs(S @ proj.D).max() < 1e-11 * scale
             assert np.allclose(S, S.T)
@@ -468,11 +469,11 @@ class TestLocalSystem:
         coeffs = Coefficients.constant(kappa=kap)
         for geom in (UNIT_SQUARE, PENTAGON, CELLS[4]):
             sys = local_system(geom, k, coeffs)
-            proj = sys.projectors
+            proj = projector_set(geom, k)
             nkm1 = n_poly(k - 1)
             Hm1 = proj.H[:nkm1, :nkm1]
-            Dx = proj.basis.derivative_map(0)
-            Dy = proj.basis.derivative_map(1)
+            Dx = derivative_table(k, 0) / geom.diameter
+            Dy = derivative_table(k, 1) / geom.diameter
             exact = (kap[0, 0] * Dx.T @ Hm1 @ Dx + kap[0, 1] * Dx.T @ Hm1 @ Dy
                      + kap[1, 0] * Dy.T @ Hm1 @ Dx + kap[1, 1] * Dy.T @ Hm1 @ Dy)
             got = proj.D.T @ sys.Ah @ proj.D
@@ -529,8 +530,8 @@ class TestLocalSystem:
         coeffs = Coefficients.constant(kappa=1.3)
         for geom in CELLS[:5]:
             proj = projector_set(geom, 1)
-            variant_x = proj.basis.derivative_map(0) @ proj.PiNabla
-            variant_y = proj.basis.derivative_map(1) @ proj.PiNabla
+            variant_x = (derivative_table(1, 0) / geom.diameter) @ proj.PiNabla
+            variant_y = (derivative_table(1, 1) / geom.diameter) @ proj.PiNabla
             assert np.allclose(variant_x, proj.Pi0GradX, atol=1e-12)
             assert np.allclose(variant_y, proj.Pi0GradY, atol=1e-12)
             a = local_system(geom, 1, coeffs, mode="standard").Ah
@@ -552,11 +553,11 @@ class TestLocalSystem:
         coeffs = Coefficients.constant(kappa=2.0)
         geom = PENTAGON
         sys = local_system(geom, k, coeffs, mode="grad_pinabla")
-        proj = sys.projectors
+        proj = projector_set(geom, k)
         nkm1 = n_poly(k - 1)
         Hm1 = proj.H[:nkm1, :nkm1]
-        Dx = proj.basis.derivative_map(0)
-        Dy = proj.basis.derivative_map(1)
+        Dx = derivative_table(k, 0) / geom.diameter
+        Dy = derivative_table(k, 1) / geom.diameter
         exact = 2.0 * (Dx.T @ Hm1 @ Dx + Dy.T @ Hm1 @ Dy)
         got = proj.D.T @ sys.Ah @ proj.D
         assert np.abs(got - exact).max() < 1e-11 * np.abs(exact).max()
@@ -602,11 +603,13 @@ class TestElementKernel:
                 ref = local_system(geom, k, coeffs)
                 if rep == c:
                     for name in ("Ah", "Bh", "Ch", "S", "f_loc"):
-                        assert np.array_equal(getattr(out, name)[i],
+                        assert np.array_equal(getattr(out.forms, name)[i],
                                               getattr(ref, name)), name
+                ref_proj = projector_set(geom, k)
                 for name in self.PROJECTOR_FIELDS:
-                    assert np.array_equal(getattr(out, name)[out.classes[i]],
-                                          getattr(ref.projectors, name)), name
+                    assert np.array_equal(
+                        getattr(out.projectors, name)[out.classes[i]],
+                        getattr(ref_proj, name)), name
                 assert np.array_equal(
                     tris[i], triangulate(element_geometry(mesh, c).vertices))
                 seen.append(c)
@@ -615,26 +618,24 @@ class TestElementKernel:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
     def test_one_cell_projectors_match_the_bank(self, family, k):
-        # projector_set and local_system map the rule of mesh_elements onto
-        # one cell: on every shape-class representative both give the
-        # bank's rows and post-solve operator bit for bit
+        # projector_set maps the rule of mesh_elements onto one cell: on
+        # every shape-class representative it gives the bank's rows and
+        # post-solve operator bit for bit
         mesh = generate(GeneratorSpec(family, 36, seed=5))
-        coeffs = builtin_problem().coefficients
         elements = list(mesh_elements(mesh, k))
         for (out, _), reps in zip(elements, entry_representatives(
                 e.bank_entry(t) for e, t in elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 if rep != c:
                     continue
-                geom, row = element_geometry(mesh, c), out.classes[i]
-                for ps in (projector_set(geom, k),
-                           local_system(geom, k, coeffs).projectors):
-                    for name in self.PROJECTOR_FIELDS:
-                        assert np.array_equal(getattr(out, name)[row],
-                                              getattr(ps, name)), (c, name)
-                    assert np.array_equal(
-                        out.operators[row],
-                        np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY])), c
+                ps = projector_set(element_geometry(mesh, c), k)
+                row = out.classes[i]
+                for name in self.PROJECTOR_FIELDS:
+                    assert np.array_equal(getattr(out.projectors, name)[row],
+                                          getattr(ps, name)), (c, name)
+                assert np.array_equal(
+                    out.operators[row],
+                    np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY])), c
 
     @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -664,9 +665,9 @@ class TestElementKernel:
                 del ref["G"], ref["B"]
                 for name, value in ref.items():
                     if name in self.PROJECTOR_FIELDS:
-                        got = getattr(out, name)[out.classes[i]]
+                        got = getattr(out.projectors, name)[out.classes[i]]
                     elif rep == c:
-                        got = getattr(out, name)[i]
+                        got = getattr(out.forms, name)[i]
                     else:
                         continue
                     assert np.array_equal(got, value), (c, name)
@@ -695,10 +696,11 @@ class TestElementKernel:
             for i in range(len(out.geometry)):
                 ref = local_forms_point_tables(
                     out.geometry.element(i), k,
-                    {f: getattr(out, f)[out.classes[i]] for f in fields},
+                    {f: getattr(out.projectors, f)[out.classes[i]]
+                     for f in fields},
                     points[i], weights[i], coeffs, mode)
                 for name, value in ref.items():
-                    got = getattr(out, name)[i]
+                    got = getattr(out.forms, name)[i]
                     scale = np.abs(value).max()
                     assert np.abs(got - value).max() <= 1e-12 * scale, (
                         out.geometry.cells[i], name)
@@ -805,7 +807,7 @@ class TestShapeClasses:
             for i, c in enumerate(out.geometry.cells):
                 if c in singletons:
                     ref = local_system(element_geometry(mesh, c), k, coeffs)
-                    assert np.array_equal(out.Ah[i], ref.Ah)
+                    assert np.array_equal(out.forms.Ah[i], ref.Ah)
         prob = polynomial_problem(k)
         system = assemble(mesh, k, prob.coefficients)
         apply_dirichlet(system, prob.p_ex, mesh, k)
@@ -834,8 +836,9 @@ class TestShapeClasses:
                     element_geometry_per_cell(mesh, c), k, coeffs, mode)
                 del ref["G"], ref["B"]
                 for name, value in ref.items():
-                    got = getattr(out, name)[
-                        out.classes[i] if name in self.FIELDS else i]
+                    got = (getattr(out.projectors, name)[out.classes[i]]
+                           if name in self.FIELDS
+                           else getattr(out.forms, name)[i])
                     assert (np.abs(got - value).max()
                             <= 1e-12 * np.abs(value).max()), (c, name)
                 members += 1

@@ -1,6 +1,7 @@
 """Solution projection, error norms, point evaluation, slope fitting."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def _solve_problem(mesh, k, problem):
     system = assemble(mesh, k, problem.coefficients)
     apply_dirichlet(system, problem.p_ex, mesh, k)
     return solve(system)
+
+
+def _nan_in_hole(fn):
+    """``fn`` with NaN values inside (0.3, 0.6)^2."""
+    def poisoned(x, y):
+        values = np.asarray(fn(x, y), dtype=float)
+        hole = (0.3 < x) & (x < 0.6) & (0.3 < y) & (y < 0.6)
+        if values.ndim > np.ndim(hole):
+            hole = hole[..., None]  # a gradient's last axis
+        return np.where(hole, np.nan, values)
+    return poisoned
 
 
 def _h_max(mesh):
@@ -254,6 +266,24 @@ class TestErrorNorms:
         with pytest.raises(ValueError, match="expected k=3"):
             error_norms(small, 3, proj, prob.p_ex, prob.grad_p_ex)
 
+    @pytest.mark.parametrize("field", ["p_ex", "grad_p_ex"])
+    def test_non_finite_exact_solution_is_named(self, field):
+        # NaN inside (0.3, 0.6)^2, away from the boundary: the cell and the
+        # field are named, as for non-finite coefficients
+        prob, mesh = builtin_problem(), square_mesh(4)
+        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        exact = {"p_ex": prob.p_ex, "grad_p_ex": prob.grad_p_ex}
+        exact[field] = _nan_in_hole(exact[field])
+        with pytest.raises(ValueError, match=rf"cell \d+: {field} is not "
+                                             "finite at a quadrature point"
+                           ) as info:
+            error_norms(mesh, 2, proj, exact["p_ex"], exact["grad_p_ex"])
+        cell = int(re.match(r"cell (\d+)", str(info.value)).group(1))
+        ring = mesh.vertices[mesh.cells[cell]]
+        # the named cell meets the hole
+        assert (ring.min(axis=0) < 0.6).all()
+        assert (ring.max(axis=0) > 0.3).all()
+
     def test_absolute_vs_relative_scaling(self):
         prob = builtin_problem()
         mesh = square_mesh(5)
@@ -363,6 +393,14 @@ class TestPointError:
                     if any(np.all(mesh.vertices[mesh.cells[c]] == [0.5, 0.5],
                                   axis=1))]
         assert cell in incident
+
+    def test_non_finite_exact_value_is_named(self):
+        prob, mesh = builtin_problem(), square_mesh(4)
+        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        cell = locate_cell(mesh, (0.45, 0.45))
+        with pytest.raises(ValueError,
+                           match=f"cell {cell}: p_ex is not finite"):
+            point_error(proj, (0.45, 0.45), _nan_in_hole(prob.p_ex))
 
     def test_outside_point_raises(self):
         prob = constant_problem()

@@ -131,6 +131,12 @@ class TestPolynomialProblems:
         with pytest.raises(ValueError):
             polynomial_problem(5)
 
+    @pytest.mark.parametrize("k", [0, 2.0, True])
+    def test_degree_must_be_a_positive_integer(self, k):
+        # 2.0 and True would otherwise find the k = 2 and k = 1 solutions
+        with pytest.raises(ValueError, match="k must be"):
+            polynomial_problem(k)
+
 
 class TestConstantProblem:
     def test_data(self):
