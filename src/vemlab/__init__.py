@@ -13,7 +13,7 @@ from .harness import ExperimentConfig, emit_report, run_experiment
 from .local import (Coefficients, DofLayout, ElementBank, LocalSystem,
                     ProjectorSet, dof_layout, interpolate_dofs, local_system,
                     projector_set)
-from .mesh import (ElementGeometry, MeshError, PolyMesh, RegularityReport,
+from .mesh import (GeometryStack, MeshError, PolyMesh, RegularityReport,
                    element_geometry, load_mesh, polygon_geometry,
                    regularity_report, save_mesh)
 from .meshgen import GeneratorSpec, generate, lloyd_relax
@@ -26,7 +26,7 @@ from .problems import (TestProblem, builtin_problem, constant_problem,
 __all__ = [
     "__version__",
     # mesh
-    "PolyMesh", "ElementGeometry", "RegularityReport", "MeshError",
+    "PolyMesh", "GeometryStack", "RegularityReport", "MeshError",
     "load_mesh", "save_mesh", "element_geometry", "polygon_geometry",
     "regularity_report",
     # mesh generation

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import n_poly
 from .local import (ElementBank, _linalg, check_degree, internal_moments,
-                    mesh_elements, skeleton_dofs, smooth_rule_degree)
+                    mesh_elements, skeleton_dofs)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
 from .mesh import _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
@@ -405,6 +405,5 @@ def interpolate(mesh, k, v, dofmap=None):
     internal = np.empty((mesh.num_cells, n_poly(k - 2)))
     if k >= 2:
         for geometry in geometry_stacks(mesh):
-            internal[geometry.cells] = internal_moments(
-                geometry, k, v, smooth_rule_degree(k))
+            internal[geometry.cells] = internal_moments(geometry, k, v)
     return np.concatenate([values, moments.ravel(), internal.ravel()])

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .mesh import MeshError, stack_geometry
+from .mesh import MeshError, stack_geometry, take
 
 
 def n_poly(degree):
@@ -158,7 +158,7 @@ def triangulate_stack(geometry):
     rows = np.flatnonzero(~star)
     if rows.size:
         out.append((rows, _ear_clip(coords[rows], tol[rows],
-                                    geometry.take(rows).label)))
+                                    take(geometry, rows).label)))
     return out
 
 

@@ -49,15 +49,21 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run the command; a value that the config, the generator spec or the
+    generator rejects ends in ``parser.error`` (exit status 2)."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        config = ExperimentConfig(
-            k=args.k,
-            families=tuple(f for f in args.family.split(",") if f),
-            sizes=tuple(int(s) for s in args.sizes.split(",") if s),
-            mode=args.mode,
-            seed=args.seed,
-            out=args.out)
+        try:
+            config = ExperimentConfig(
+                k=args.k,
+                families=tuple(f for f in args.family.split(",") if f),
+                sizes=tuple(int(s) for s in args.sizes.split(",") if s),
+                mode=args.mode,
+                seed=args.seed,
+                out=args.out)
+        except ValueError as exc:
+            parser.error(str(exc))
         reports = run_experiment(config)
         for (family, k, mode) in sorted(reports):
             report = reports[(family, k, mode)]
@@ -66,9 +72,12 @@ def main(argv=None):
                   f"slope_H1={report.slope_H1:.3f}")
         print(f"report written to {args.out}")
     else:
-        spec = GeneratorSpec(args.family, args.cells, seed=args.seed,
-                             lloyd_iterations=args.iters)
-        mesh = generate(spec)
+        try:
+            mesh = generate(GeneratorSpec(args.family, args.cells,
+                                          seed=args.seed,
+                                          lloyd_iterations=args.iters))
+        except ValueError as exc:
+            parser.error(str(exc))
         save_mesh(mesh, args.out)
         print(f"wrote {args.out}: {mesh.num_cells} cells, "
               f"{mesh.num_vertices} vertices")

@@ -40,7 +40,6 @@ class ExperimentConfig:
     sizes: tuple = DEFAULT_SIZES
     mode: str = "standard"
     seed: int = 0
-    point: tuple = DEFAULT_POINT
     out: str = None
 
     def __post_init__(self):
@@ -71,17 +70,13 @@ class ExperimentConfig:
                                      "which the square and concave families "
                                      "need")
         check_mode(self.mode)
-        point = np.asarray(self.point, dtype=float)
-        # NaN fails both comparisons
-        if point.shape != (2,) or not np.all((point >= 0.0) & (point <= 1.0)):
-            raise ValueError("point must be two finite coordinates in the "
-                             f"unit square, got {self.point!r}")
         object.__setattr__(self, "families", families)
         object.__setattr__(self, "sizes", tuple(sorted(map(int, sizes))))
 
 
-def _run_single(mesh, k, problem, mode, point):
-    """Solve one mesh and measure errors.
+def _run_single(mesh, k, problem, mode):
+    """Solve one mesh and measure errors, the point error at
+    ``DEFAULT_POINT``.
 
     A cell that cannot be triangulated, whose projector is singular
     (degenerate geometry) or whose internal-moment block is singular, or
@@ -102,7 +97,7 @@ def _run_single(mesh, k, problem, mode, point):
                            failed=True, cause=str(exc))
     proj = project_solution(mesh, k, u, dofmap=dofmap, bank=system.bank)
     l2, h1 = error_norms(mesh, k, proj, problem.p_ex, problem.grad_p_ex)
-    pe, _ = point_error(proj, point, problem.p_ex)
+    pe, _ = point_error(proj, DEFAULT_POINT, problem.p_ex)
     return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,
                        n_dofs=dofmap.n_dofs, err_L2_rel=l2, err_H1_rel=h1,
                        err_point_rel=pe)
@@ -123,8 +118,7 @@ def run_experiment(config, problem=None, meshes=None):
             mesh = None if meshes is None else meshes.get((family, size))
             if mesh is None:
                 mesh = generate(GeneratorSpec(family, size, seed=config.seed))
-            records.append(_run_single(mesh, config.k, problem, config.mode,
-                                       config.point))
+            records.append(_run_single(mesh, config.k, problem, config.mode))
         reports[(family, config.k, config.mode)] = convergence_rates(records)
     if config.out:
         emit_report(reports, config.out)

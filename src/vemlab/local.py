@@ -18,7 +18,7 @@ on one stack, and the one-element functions (a polygon and k, no layout)
 take row 0 of a stack of one.  Interpolation runs on :func:`skeleton_dofs`.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import kernels
 from .basis import (QuadratureRule, _duffy_rule, _gauss, derivative_table,
                     edge_reconstruction, gram, map_rule, monomial_exponents,
                     n_poly, polygon_quadrature, triangulate_stack)
-from .mesh import GeometryStack, _row_sum, geometry_stacks
+from .mesh import GeometryStack, _row_sum, geometry_stacks, take
 from .meshgen import check_count
 
 
@@ -175,27 +175,23 @@ class Coefficients:
             f=lambda x, y, s=float(f): np.full(np.shape(x), s))
 
     def kappa_at(self, pts):
-        arr = np.asarray(self.kappa(pts[:, 0], pts[:, 1]), dtype=float)
-        return np.broadcast_to(arr, (pts.shape[0], 2, 2))
+        return _at(self.kappa, pts, (2, 2))
 
     def b_at(self, pts):
-        arr = np.asarray(self.b(pts[:, 0], pts[:, 1]), dtype=float)
-        return np.broadcast_to(arr, (pts.shape[0], 2))
+        return _at(self.b, pts, (2,))
 
     def gamma_at(self, pts):
-        arr = np.asarray(self.gamma(pts[:, 0], pts[:, 1]), dtype=float)
-        return np.broadcast_to(arr, (pts.shape[0],))
+        return _at(self.gamma, pts, ())
 
     def f_at(self, pts):
-        arr = np.asarray(self.f(pts[:, 0], pts[:, 1]), dtype=float)
-        return np.broadcast_to(arr, (pts.shape[0],))
+        return _at(self.f, pts, ())
 
 
-def _row(record, i):
-    """``record`` (a :class:`ProjectorSet` or :class:`LocalSystem`) with
-    each of its arrays indexed by ``i``."""
-    return replace(record, **{f.name: getattr(record, f.name)[i]
-                              for f in fields(record) if f.type is np.ndarray})
+def _at(fn, pts, shape):
+    """The values of ``fn(x, y)`` at ``pts`` (n, 2), broadcast to
+    (n,) + ``shape``."""
+    arr = np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
+    return np.broadcast_to(arr, (pts.shape[0],) + shape)
 
 
 @dataclass
@@ -670,7 +666,7 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
     for geometry in geometry_stacks(mesh):
         nv = geometry.vertices.shape[1]
         # every part's rows taken at once, so the stack itself can go
-        parts = [(geometry.take(rows), tris)
+        parts = [(take(geometry, rows), tris)
                  for rows, tris in triangulate_stack(geometry)]
         del geometry
         while parts:
@@ -684,7 +680,7 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
             # the representatives' rows are then a view of the members'
             group = classes // step
             order = np.lexsort((reps[classes] != np.arange(len(sub)), group))
-            stack = sub.take(order)
+            stack = take(sub, order)
             del sub
             tris, classes = tris[order], classes[order]
             bounds = np.cumsum(np.bincount(group)).tolist()
@@ -700,14 +696,13 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
                         # chunk, and so do their rules; the last group's
                         # form tables go before these are built
                         tables = None
-                        reps_geometry = stack.take(head)
-                        projectors = _projectors(
-                            reps_geometry, k, QuadratureRule(
-                                rule.points[:n], rule.weights[:n]))
+                        reps_geometry = take(stack, head)
+                        projectors = _projectors(reps_geometry, k,
+                                                 take(rule, slice(n)))
                         tables = (None if coeffs is None else _form_tables(
                             reps_geometry, projectors, mode))
                         operators = projectors.post_solve_operators()
-                    out = ElementStack(k=k, geometry=stack.take(part),
+                    out = ElementStack(k=k, geometry=take(stack, part),
                                        projectors=projectors,
                                        classes=classes[part] - lo,
                                        operators=operators)
@@ -716,32 +711,23 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
                     yield out, tris[part]
 
 
-def _one(geom):
-    """``geom`` as a :class:`GeometryStack` of one cell."""
-    return GeometryStack(None, geom.vertices[None], np.array([geom.area]),
-                         geom.centroid[None], np.array([geom.diameter]),
-                         geom.edge_lengths[None], geom.edge_normals[None],
-                         geom.edge_forward[None])
-
-
-def _one_rule(geom, k):
-    """The element rule of ``geom`` as a stack of one cell."""
+def _one_element(geom, k, coeffs=None, mode="standard"):
+    """:func:`element_kernel` on the one cell ``geom``, a
+    :class:`GeometryStack` row, as a stack of one with its element rule."""
     rule = polygon_quadrature(geom, rule_degree(k))
-    return QuadratureRule(rule.points[None], rule.weights[None])
+    return element_kernel(take(geom, None), k, take(rule, None), coeffs, mode)
 
 
 def projector_set(geom, k):
     """All projector matrices for one element, as :func:`mesh_elements`
     builds them."""
-    return _row(element_kernel(_one(geom), k, _one_rule(geom, k)).projectors,
-                0)
+    return take(_one_element(geom, k).projectors, 0)
 
 
 def local_system(geom, k, coeffs, mode="standard"):
     """Local stiffness/advection/reaction matrices and load vector of one
     element (see :func:`element_kernel`)."""
-    return _row(element_kernel(_one(geom), k, _one_rule(geom, k), coeffs,
-                               mode).forms, 0)
+    return take(_one_element(geom, k, coeffs, mode).forms, 0)
 
 
 def skeleton_dofs(v, vertices, edges, k):
@@ -762,14 +748,14 @@ def skeleton_dofs(v, vertices, edges, k):
                              for j in range(k - 1)], axis=-1)
 
 
-def internal_moments(geometry, k, v, exactness):
+def internal_moments(geometry, k, v):
     """Internal DoFs ``(1/|E|) int_E v m_a``, |a| <= k - 2, of ``v(x, y)``
     on every cell of the :class:`GeometryStack` ``geometry``, with each
-    cell's rule of degree ``exactness``; (C, n_poly(k - 2))."""
+    cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2))."""
     out = np.empty((len(geometry), n_poly(k - 2)))
     exps = monomial_exponents(k - 2)
     for rows, tris in triangulate_stack(geometry):
-        pts, wts = map_rule(tris, exactness)
+        pts, wts = map_rule(tris, smooth_rule_degree(k))
         V = kernels.monomial_vandermonde(pts, geometry.centroid[rows],
                                          geometry.diameter[rows], exps)
         weighted = wts * v(pts[..., 0], pts[..., 1])
@@ -779,11 +765,12 @@ def internal_moments(geometry, k, v, exactness):
 
 
 def interpolate_dofs(geom, k, v):
-    """DoF vector of a smooth function: :func:`skeleton_dofs`, then the
-    :func:`internal_moments` of the rule of :func:`smooth_rule_degree`."""
+    """DoF vector of a smooth function on the one cell ``geom``, a
+    :class:`GeometryStack` row: :func:`skeleton_dofs`, then the
+    :func:`internal_moments`."""
     check_degree(k)
     edges = np.stack([geom.vertices, np.roll(geom.vertices, -1, axis=0)], 1)
     edges[~geom.edge_forward] = edges[~geom.edge_forward, ::-1]
     values, moments = skeleton_dofs(v, geom.vertices, edges, k)
-    internal = internal_moments(_one(geom), k, v, smooth_rule_degree(k))
+    internal = internal_moments(take(geom, None), k, v)
     return np.concatenate([values, moments.ravel(), internal[0]])

@@ -6,7 +6,7 @@ with "vertices", "cells" and optional "boundary_vertices" keys.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,25 +51,6 @@ class PolyMesh:
         counts = np.bincount(np.concatenate(self.cell_edges),
                              minlength=self.num_edges)
         return np.flatnonzero(counts == 1)
-
-
-@dataclass
-class ElementGeometry:
-    """Derived geometry of one polygonal cell.
-
-    Edge ``i`` runs from ``vertices[i]`` to ``vertices[(i+1) % n]``; normals
-    are outward unit vectors.  ``edge_forward[i]`` records whether that ring
-    direction agrees with the canonical (ascending global vertex id) edge
-    orientation used for edge moment degrees of freedom.
-    """
-
-    vertices: np.ndarray
-    area: float
-    centroid: np.ndarray
-    diameter: float
-    edge_lengths: np.ndarray
-    edge_normals: np.ndarray
-    edge_forward: np.ndarray
 
 
 @dataclass
@@ -265,7 +246,8 @@ def save_mesh(mesh, path):
 
 
 def polygon_geometry(coords, forward=None):
-    """Geometry of a standalone CCW polygon (no mesh context).
+    """Geometry of a standalone CCW polygon (no mesh context): row 0 of its
+    :class:`GeometryStack`.
 
     Without mesh context every edge is taken in ring direction
     (``forward=True``) unless explicit flags are given.
@@ -278,7 +260,7 @@ def polygon_geometry(coords, forward=None):
         raise MeshError("polygon is degenerate or not counterclockwise")
     if np.any(np.all(coords == np.roll(coords, -1, axis=0), axis=1)):
         raise MeshError("polygon has a zero-length edge")
-    return geometry.element(0)
+    return take(geometry, 0)
 
 
 def element_geometry(mesh, cell):
@@ -292,10 +274,13 @@ def element_geometry(mesh, cell):
 class GeometryStack:
     """Geometry of cells that share a vertex count, one row per cell.
 
-    Row ``i`` holds what :class:`ElementGeometry` holds for cell
-    ``cells[i]`` (``cells`` is ``None`` for polygons without a mesh), with
-    the same arithmetic, so ``element(i)`` equals the per-cell geometry bit
-    for bit.
+    Row ``i`` is the geometry of cell ``cells[i]`` (``cells`` is ``None``
+    for polygons without a mesh); one cell's geometry is a row,
+    ``take(stack, i)``, whose arrays have no cell axis.  Edge ``j`` runs
+    from ``vertices[j]`` to ``vertices[(j+1) % n]``; normals are outward
+    unit vectors.  ``edge_forward[j]`` records whether that ring direction
+    agrees with the canonical (ascending global vertex id) edge
+    orientation used for edge moment degrees of freedom.
     """
 
     cells: np.ndarray
@@ -314,19 +299,15 @@ class GeometryStack:
         """How error messages name row ``i``."""
         return "element" if self.cells is None else f"cell {self.cells[i]}"
 
-    def element(self, i):
-        return ElementGeometry(self.vertices[i], float(self.area[i]),
-                               self.centroid[i], float(self.diameter[i]),
-                               self.edge_lengths[i], self.edge_normals[i],
-                               self.edge_forward[i])
 
-    def take(self, rows):
-        """The stack of the given rows."""
-        return GeometryStack(
-            None if self.cells is None else self.cells[rows],
-            *(getattr(self, f)[rows] for f in (
-                "vertices", "area", "centroid", "diameter", "edge_lengths",
-                "edge_normals", "edge_forward")))
+def take(record, rows):
+    """``record``, a stacked record (a :class:`GeometryStack`, or a
+    ``ProjectorSet``, ``LocalSystem`` or ``QuadratureRule``), with each of
+    its array fields indexed by ``rows``: a row gives that row, a slice or
+    an index array a stack of those rows, and ``None`` a stack of one."""
+    return replace(record, **{
+        f.name: getattr(record, f.name)[rows] for f in fields(record)
+        if f.type is np.ndarray and getattr(record, f.name) is not None})
 
 
 def _row_sum(a):

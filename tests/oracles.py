@@ -601,13 +601,15 @@ def build_dofmap_per_cell(mesh, k):
 
 def bank_per_cell(bank):
     """Per-cell view of an ``ElementBank``: three lists indexed by cell, of
-    each cell's ``ElementGeometry``, post-solve operator (its shape class's)
+    each cell's geometry row, post-solve operator (its shape class's)
     and (T, 3, 2) triangles, as the bank kept them before it held the
     kernel's chunks."""
+    from vemlab.mesh import take
+
     geoms, ops, tris = ([None] * bank.n_cells for _ in range(3))
     for geometry, triangles, operators, classes in bank.chunks:
         for i, c in enumerate(geometry.cells):
-            geoms[c] = geometry.element(i)
+            geoms[c] = take(geometry, i)
             ops[c] = operators[classes[i]]
             tris[c] = triangles[i]
     return geoms, ops, tris
@@ -764,7 +766,7 @@ def locate_cell_per_cell(mesh, point):
 def element_geometry_per_cell(mesh, cell):
     """``vemlab.mesh.element_geometry`` from one cell's ring, with the
     one-polygon sums the stacked geometry replaced."""
-    from vemlab.mesh import ElementGeometry
+    from vemlab.mesh import GeometryStack
 
     ring = mesh.cells[cell]
     coords = mesh.vertices[ring]
@@ -775,12 +777,12 @@ def element_geometry_per_cell(mesh, cell):
     centroid = np.array([np.sum((x + xn) * cross) / (6.0 * area),
                          np.sum((y + yn) * cross) / (6.0 * area)])
     diff = coords[:, None, :] - coords[None, :, :]
-    diameter = float(np.sqrt((diff ** 2).sum(-1).max()))
+    diameter = np.sqrt((diff ** 2).sum(-1).max())
     tang = np.roll(coords, -1, axis=0) - coords
     lengths = np.hypot(tang[:, 0], tang[:, 1])
     normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-    return ElementGeometry(coords, float(area), centroid, diameter, lengths,
-                           normals, ring < np.roll(ring, -1))
+    return GeometryStack(None, coords, area, centroid, diameter, lengths,
+                         normals, ring < np.roll(ring, -1))
 
 
 def _monomials_per_cell(geom, degree, pts):

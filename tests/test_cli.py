@@ -9,6 +9,17 @@ from vemlab.cli import main
 from vemlab.mesh import load_mesh
 
 
+def _rejected(argv, capsys):
+    """Run ``main(argv)``, which must end in a usage error (exit status
+    2); returns the error line it printed."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
 class TestMeshGen:
     def test_square(self, tmp_path, capsys):
         out = tmp_path / "mesh.json"
@@ -26,27 +37,35 @@ class TestMeshGen:
         mesh = load_mesh(str(out))
         assert mesh.num_cells == 12
 
-    def test_negative_iterations_rejected(self, tmp_path):
+    def test_negative_iterations_rejected(self, tmp_path, capsys):
         out = tmp_path / "vor.json"
-        with pytest.raises(ValueError, match="lloyd_iterations must be >= 0"):
-            main(["mesh", "gen", "--family", "voronoi", "--cells", "10",
-                  "--iters", "-1", "--out", str(out)])
+        assert "lloyd_iterations must be >= 0" in _rejected(
+            ["mesh", "gen", "--family", "voronoi", "--cells", "10",
+             "--iters", "-1", "--out", str(out)], capsys)
         assert not out.exists()
 
-    def test_iterations_rejected_outside_voronoi(self, tmp_path):
+    def test_iterations_rejected_outside_voronoi(self, tmp_path, capsys):
         # lloyd0 has no relaxation and lloyd100 its own 100 iterations:
         # --iters must not write a mesh that ignores it
         out = tmp_path / "lloyd0.json"
-        with pytest.raises(ValueError, match="'lloyd0'"):
-            main(["mesh", "gen", "--family", "lloyd0", "--cells", "50",
-                  "--iters", "5", "--out", str(out)])
+        assert "'lloyd0'" in _rejected(
+            ["mesh", "gen", "--family", "lloyd0", "--cells", "50",
+             "--iters", "5", "--out", str(out)], capsys)
         assert not out.exists()
 
-    def test_negative_seed_rejected(self, tmp_path):
+    def test_negative_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "vor.json"
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            main(["mesh", "gen", "--family", "lloyd0", "--cells", "10",
-                  "--seed", "-1", "--out", str(out)])
+        assert "seed must be >= 0" in _rejected(
+            ["mesh", "gen", "--family", "lloyd0", "--cells", "10",
+             "--seed", "-1", "--out", str(out)], capsys)
+        assert not out.exists()
+
+    def test_non_square_count_rejected(self, tmp_path, capsys):
+        # the generator, not the spec, rejects this one
+        out = tmp_path / "square.json"
+        assert "square cell count" in _rejected(
+            ["mesh", "gen", "--family", "square", "--cells", "10",
+             "--out", str(out)], capsys)
         assert not out.exists()
 
     def test_deterministic(self, tmp_path):
@@ -76,10 +95,18 @@ class TestRun:
               "--mode", "grad_pinabla", "--out", str(out)])
         assert ",grad_pinabla," in out.read_text()
 
-    def test_invalid_family_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            main(["run", "--family", "hexagons", "--sizes", "4",
-                  "--out", str(tmp_path / "x.csv")])
+    def test_invalid_family_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert "unknown family 'hexagons'" in _rejected(
+            ["run", "--family", "hexagons", "--sizes", "4",
+             "--out", str(out)], capsys)
+        assert not out.exists()
+
+    def test_invalid_degree_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert "k must be >= 1, got 0" in _rejected(
+            ["run", "--k", "0", "--sizes", "4", "--out", str(out)], capsys)
+        assert not out.exists()
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(SystemExit):

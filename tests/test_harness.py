@@ -32,7 +32,7 @@ def test_h_max_equals_largest_geometry_diameter(family):
     diameters = [element_geometry(mesh, c).diameter for c in range(mesh.num_cells)]
     assert [element_geometry_per_cell(mesh, c).diameter
             for c in range(mesh.num_cells)] == diameters
-    rec = _run_single(mesh, 1, builtin_problem(), "standard", (0.781, 0.766))
+    rec = _run_single(mesh, 1, builtin_problem(), "standard")
     assert rec.h_max == max(diameters)
 
 
@@ -47,7 +47,7 @@ def test_non_finite_exact_solution_is_an_error():
 
     bad = dataclasses.replace(prob, p_ex=p_ex)
     with pytest.raises(ValueError, match=r"cell \d+: p_ex is not finite"):
-        _run_single(square_mesh(4), 2, bad, "standard", (0.781, 0.766))
+        _run_single(square_mesh(4), 2, bad, "standard")
 
 
 class TestExperimentConfig:
@@ -55,7 +55,7 @@ class TestExperimentConfig:
         config = ExperimentConfig()
         assert config.sizes == DEFAULT_SIZES == (25, 100, 400, 1600)
         assert config.mode == "standard"
-        assert config.point == (0.781, 0.766)
+        assert harness.DEFAULT_POINT == (0.781, 0.766)
 
     def test_sizes_sorted(self):
         config = ExperimentConfig(sizes=(400, 25, 100))
@@ -71,10 +71,6 @@ class TestExperimentConfig:
         dict(sizes=(0,)),
         dict(sizes=()),
         dict(mode="fancy"),
-        dict(point=(2.0, 2.0)),
-        dict(point=(float("nan"), 0.5)),
-        dict(point=(0.5, float("inf"))),
-        dict(point=(0.5,)),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -117,9 +113,6 @@ class TestExperimentConfig:
     def test_voronoi_families_take_any_size(self):
         assert ExperimentConfig(families=("lloyd0", "lloyd100"),
                                 sizes=(20,)).sizes == (20,)
-
-    def test_point_on_the_boundary_accepted(self):
-        assert ExperimentConfig(point=(0.0, 1.0)).point == (0.0, 1.0)
 
 
 class TestRunExperiment:
@@ -175,16 +168,18 @@ class TestBuildOnce:
         # the projectors are built once for each shape-class representative,
         # and post-processing neither builds projectors nor re-triangulates;
         # it reads the bank's stacked geometry, and only the point
-        # evaluation makes one cell's ElementGeometry
+        # evaluation takes one cell's geometry row
         built, entries, projected, triangulated, elements = (
             [], [], [], [], [])
         forms, class_projectors = local._local_forms, local._projectors
         triangulate_stack = local.triangulate_stack
-        element = mesh_module.GeometryStack.element
+        take = mesh_module.take
 
-        def counted_element(self, i):
-            elements.append(i)
-            return element(self, i)
+        def counted_take(record, rows):
+            if (isinstance(record, mesh_module.GeometryStack)
+                    and isinstance(rows, (int, np.integer))):
+                elements.append(rows)
+            return take(record, rows)
 
         def counted_forms(out, *args):
             built.extend(out.geometry.cells.tolist())
@@ -202,8 +197,8 @@ class TestBuildOnce:
         monkeypatch.setattr(local, "_local_forms", counted_forms)
         monkeypatch.setattr(local, "_projectors", counted_projectors)
         monkeypatch.setattr(local, "triangulate_stack", counted_triangulation)
-        monkeypatch.setattr(mesh_module.GeometryStack, "element",
-                            counted_element)
+        for module in (mesh_module, basis, local):
+            monkeypatch.setattr(module, "take", counted_take)
         projectors = self._count(monkeypatch, "projector_set",
                                  (local, postprocess))
         rebuilt = self._count(monkeypatch, "triangulate", (basis,))

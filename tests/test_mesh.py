@@ -1,11 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from oracles import edge_table_dicts
-from vemlab.mesh import (MeshError, element_geometry, load_mesh, make_mesh,
-                         polygon_geometry, regularity_report, save_mesh)
+from vemlab.basis import polygon_quadrature
+from vemlab.local import Coefficients, local_system, projector_set
+from vemlab.mesh import (MeshError, element_geometry, geometry_stacks,
+                         load_mesh, make_mesh, polygon_geometry,
+                         regularity_report, save_mesh, stack_geometry, take)
 from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 
 UNIT_SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]]}
@@ -181,6 +185,15 @@ class TestSaveMesh:
             save_mesh(mesh, "/nonexistent-dir/mesh.json")
 
 
+def _assert_same_record(got, want):
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        assert np.shape(a) == np.shape(b), f.name
+        assert np.array_equal(a, b), f.name
+
+
 class TestElementGeometry:
     def test_unit_square(self):
         geom = polygon_geometry(np.array(UNIT_SQUARE["vertices"], dtype=float))
@@ -209,6 +222,50 @@ class TestElementGeometry:
         geom = polygon_geometry(np.array(UNIT_SQUARE["vertices"], dtype=float))
         expected = np.array([[0, -1], [1, 0], [0, 1], [-1, 0]], dtype=float)
         assert np.allclose(geom.edge_normals, expected)
+
+    @pytest.mark.parametrize("family", ["concave", "lloyd0"])
+    def test_is_row_zero_of_its_stack(self, family):
+        # one polygon's geometry is row 0 of the stack of that polygon,
+        # bit for bit and with the same types
+        mesh = generate(GeneratorSpec(family, 25, seed=4))
+        for ring in mesh.cells:
+            coords = mesh.vertices[ring]
+            forward = np.ones(len(ring), dtype=bool)
+            _assert_same_record(
+                polygon_geometry(coords),
+                take(stack_geometry(coords[None], forward[None]), 0))
+
+
+class TestTake:
+    PENTAGON = polygon_geometry(
+        [[0, 0], [1.1, -0.1], [1.5, 0.8], [0.6, 1.3], [-0.2, 0.7]])
+
+    @pytest.mark.parametrize("record", ["mesh row", "polygon", "projectors",
+                                        "forms", "rule"])
+    def test_stack_of_one_round_trip(self, record):
+        geom = self.PENTAGON
+        r = {"mesh row": lambda: take(next(geometry_stacks(square_mesh(3))), 4),
+             "polygon": lambda: geom,
+             "projectors": lambda: projector_set(geom, 3),
+             "forms": lambda: local_system(
+                 geom, 3, Coefficients.constant(2.0, (0.5, -1.0), 1.0, 3.0)),
+             "rule": lambda: polygon_quadrature(geom, 5)}[record]()
+        one = take(r, None)
+        for f in dataclasses.fields(r):
+            value = getattr(r, f.name)
+            if isinstance(value, np.ndarray):
+                assert getattr(one, f.name).shape == (1,) + value.shape
+        _assert_same_record(take(one, 0), r)
+
+    def test_rows_slices_and_index_arrays(self):
+        mesh = generate(GeneratorSpec("lloyd0", 30, seed=2))
+        stack = max(geometry_stacks(mesh), key=len)
+        for rows, picked in ((np.array([3, 0, 2]), [3, 0, 2]),
+                             (slice(1, 4), [1, 2, 3])):
+            part = take(stack, rows)
+            assert np.array_equal(part.cells, stack.cells[picked])
+            for i, row in enumerate(picked):
+                _assert_same_record(take(part, i), take(stack, row))
 
 
 class TestRegularity:

@@ -1,8 +1,11 @@
-"""The README's Python API example runs as written."""
+"""The README's Python API example runs as written, and the package's
+public names resolve."""
 
 import math
 import re
 from pathlib import Path
+
+import vemlab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +19,9 @@ def test_python_api_example_prints_two_finite_errors(capsys):
     assert match, printed
     errors = [float(e) for e in match.groups()]
     assert all(math.isfinite(e) and 0 < e < 1 for e in errors)
+
+
+def test_every_public_name_resolves_once():
+    assert len(set(vemlab.__all__)) == len(vemlab.__all__)
+    for name in vemlab.__all__:
+        assert hasattr(vemlab, name), name
