@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .mesh import MeshError, stack_geometry, take
 
 
@@ -28,21 +27,6 @@ def monomial_exponents(degree):
     """Exponent pairs of 2-D monomials up to ``degree``, graded order."""
     out = [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
     return np.array(out, dtype=np.int64).reshape(-1, 2)
-
-
-class ScaledMonomialBasis:
-    """Monomials ((x-x_E)/h_E)^a, |a| <= degree, on one element."""
-
-    def __init__(self, geom, degree):
-        self.geom = geom
-        self.degree = int(degree)
-        self.exponents = monomial_exponents(self.degree)
-        self.dim = self.exponents.shape[0]
-
-    def eval(self, pts):
-        """(n, dim) table of monomial values at the points."""
-        return kernels.monomial_vandermonde(
-            np.atleast_2d(pts), self.geom.centroid, self.geom.diameter, self.exponents)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,15 @@ from .mesh import save_mesh
 from .meshgen import FAMILIES, GeneratorSpec, generate
 
 
+def _sizes(text):
+    """The cell counts of ``--sizes``, a comma-separated list."""
+    try:
+        return tuple(int(s) for s in text.split(",") if s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="vemlab",
@@ -23,7 +32,7 @@ def _build_parser():
     run_p.add_argument("--family", default="square",
                        help="comma-separated subset of "
                             f"{','.join(STUDY_FAMILIES)} (default square)")
-    run_p.add_argument("--sizes",
+    run_p.add_argument("--sizes", type=_sizes,
                        default=",".join(str(s) for s in DEFAULT_SIZES),
                        help="comma-separated cell counts "
                             "(default 25,100,400,1600)")
@@ -34,6 +43,7 @@ def _build_parser():
                        help="random seed for the Voronoi families")
     run_p.add_argument("--out", default="report.csv",
                        help="CSV output path (default report.csv)")
+    run_p.set_defaults(usage_error=run_p.error)
 
     mesh_p = sub.add_parser("mesh", help="mesh utilities")
     mesh_sub = mesh_p.add_subparsers(dest="mesh_command", required=True)
@@ -45,25 +55,26 @@ def _build_parser():
     gen_p.add_argument("--iters", type=int, default=0,
                        help="Lloyd iterations (voronoi family only)")
     gen_p.add_argument("--out", required=True, help="output JSON path")
+    gen_p.set_defaults(usage_error=gen_p.error)
     return parser
 
 
 def main(argv=None):
     """Run the command; a value that the config, the generator spec or the
-    generator rejects ends in ``parser.error`` (exit status 2)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    generator rejects ends in the usage error of the subcommand that ran
+    (exit status 2)."""
+    args = _build_parser().parse_args(argv)
     if args.command == "run":
         try:
             config = ExperimentConfig(
                 k=args.k,
                 families=tuple(f for f in args.family.split(",") if f),
-                sizes=tuple(int(s) for s in args.sizes.split(",") if s),
+                sizes=args.sizes,
                 mode=args.mode,
                 seed=args.seed,
                 out=args.out)
         except ValueError as exc:
-            parser.error(str(exc))
+            args.usage_error(str(exc))
         reports = run_experiment(config)
         for (family, k, mode) in sorted(reports):
             report = reports[(family, k, mode)]
@@ -77,7 +88,7 @@ def main(argv=None):
                                           seed=args.seed,
                                           lloyd_iterations=args.iters))
         except ValueError as exc:
-            parser.error(str(exc))
+            args.usage_error(str(exc))
         save_mesh(mesh, args.out)
         print(f"wrote {args.out}: {mesh.num_cells} cells, "
               f"{mesh.num_vertices} vertices")

@@ -96,7 +96,7 @@ def _run_single(mesh, k, problem, mode):
                            err_H1_rel=np.nan, err_point_rel=np.nan,
                            failed=True, cause=str(exc))
     proj = project_solution(mesh, k, u, dofmap=dofmap, bank=system.bank)
-    l2, h1 = error_norms(mesh, k, proj, problem.p_ex, problem.grad_p_ex)
+    l2, h1 = error_norms(proj, problem.p_ex, problem.grad_p_ex)
     pe, _ = point_error(proj, DEFAULT_POINT, problem.p_ex)
     return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,
                        n_dofs=dofmap.n_dofs, err_L2_rel=l2, err_H1_rel=h1,

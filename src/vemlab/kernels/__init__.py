@@ -1,8 +1,8 @@
 """Evaluation kernels: scaled-monomial value and gradient tables in NumPy.
 
 Every function takes a stack of point sets with one centre and diameter
-per set, so callers evaluate the tables of many elements in one call (see
-``vemlab.local.element_kernel``); a single element is a stack without the
+per set, so a chunk of elements gets its tables in one call
+(``vemlab.local._stack_elements``); one element is a stack without the
 leading axis.  Per-call overhead stays small without a compiled kernel.
 """
 

@@ -10,12 +10,12 @@ interior terms read the internal moments directly.
 The projectors (:class:`ProjectorSet`) and local forms
 (:class:`LocalSystem`) of a whole stack of cells that share a vertex count
 are built in stacked NumPy calls, one leading row per class or cell, and an
-:class:`ElementStack` holds one of each.  :func:`mesh_elements` runs them
-over a mesh in memory-bounded chunks, building the projectors once per
-shape class (:func:`shape_classes`: cells that are translates of each
-other; any other cell is a class of one); :func:`element_kernel` runs them
-on one stack, and the one-element functions (a polygon and k, no layout)
-take row 0 of a stack of one.  Interpolation runs on :func:`skeleton_dofs`.
+:class:`ElementStack` holds one of each.  :func:`_stack_elements` runs
+them on one stack in memory-bounded chunks, building the projectors once
+per shape class (:func:`shape_classes`: translates of each other; any other
+cell is a class of one); :func:`mesh_elements` runs it on a mesh, and the
+one-element functions (a polygon and k) take row 0 of a stack of one.
+Interpolation runs on :func:`skeleton_dofs`.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,8 @@ import numpy as np
 from . import kernels
 from .basis import (QuadratureRule, _duffy_rule, _gauss, derivative_table,
                     edge_reconstruction, gram, map_rule, monomial_exponents,
-                    n_poly, polygon_quadrature, triangulate_stack)
+                    n_poly, triangulate_stack)
+from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import GeometryStack, _row_sum, geometry_stacks, take
 from .meshgen import check_count
 
@@ -168,6 +169,13 @@ class Coefficients:
         if kap.shape != (2, 2) or not np.allclose(kap, kap.T):
             raise ValueError("constant kappa must be a scalar or symmetric 2x2")
         bvec = np.asarray(b, dtype=float)
+        if bvec.shape not in ((), (2,)):
+            raise ValueError("constant b must be a scalar or a 2-vector, "
+                             f"got shape {bvec.shape}")
+        for name, value in (("gamma", gamma), ("f", f)):
+            if np.shape(value) or np.asarray(value).dtype.kind not in "biuf":
+                raise ValueError(f"constant {name} must be a real scalar, "
+                                 f"got {value!r}")
         return Coefficients(
             kappa=lambda x, y: kap,
             b=lambda x, y: bvec,
@@ -175,28 +183,33 @@ class Coefficients:
             f=lambda x, y, s=float(f): np.full(np.shape(x), s))
 
     def kappa_at(self, pts):
-        return _at(self.kappa, pts, (2, 2))
+        return _at("kappa", self.kappa, pts, (2, 2))
 
     def b_at(self, pts):
-        return _at(self.b, pts, (2,))
+        return _at("b", self.b, pts, (2,))
 
     def gamma_at(self, pts):
-        return _at(self.gamma, pts, ())
+        return _at("gamma", self.gamma, pts, ())
 
     def f_at(self, pts):
-        return _at(self.f, pts, ())
+        return _at("f", self.f, pts, ())
 
 
-def _at(fn, pts, shape):
-    """The values of ``fn(x, y)`` at ``pts`` (n, 2), broadcast to
-    (n,) + ``shape``."""
+def _at(name, fn, pts, shape):
+    """The values of coefficient ``name``, ``fn(x, y)``, at ``pts`` (n, 2),
+    broadcast to (n,) + ``shape``; a ValueError names it if they do not."""
     arr = np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
-    return np.broadcast_to(arr, (pts.shape[0],) + shape)
+    shape = (len(pts),) + shape
+    try:
+        return np.broadcast_to(arr, shape)
+    except ValueError:
+        raise ValueError(f"{name} returned shape {arr.shape} at {len(pts)} "
+                         f"points, expected {shape}") from None
 
 
 @dataclass
 class ElementStack:
-    """What :func:`element_kernel` builds for a stack of cells.
+    """What :func:`mesh_elements` yields for a chunk of cells.
 
     ``projectors`` has one row per shape class: cell i takes row
     ``classes[i]``.  ``forms`` has one row per cell of ``geometry``, and is
@@ -324,33 +337,11 @@ def smooth_rule_degree(k):
     return 2 * k + 4
 
 
-def element_kernel(geometry, k, rule, coeffs=None, mode="standard"):
-    """Projectors and, given coefficients, local forms of a stack of cells,
-    each cell a shape class of its own.
-
-    ``geometry`` is a :class:`GeometryStack` and ``rule`` a
-    :class:`QuadratureRule` with points (C, Q, 2) and weights (C, Q), one row
-    per cell.  Every cell goes through the arithmetic of a one-cell call in
-    stacked ``matmul`` and ``linalg.solve`` calls, so the result for a cell
-    does not depend on the other cells of its stack.  In mode
-    ``grad_pinabla`` the diffusion consistency term uses the gradient of the
-    energy projection instead of the projected gradient; for k=1 the two
-    constructions agree identically, so both take the standard path.
-    """
-    check_degree(k)
-    check_mode(mode)
-    projectors = _projectors(geometry, k, rule)
-    out = ElementStack(k=k, geometry=geometry, projectors=projectors,
-                       classes=np.arange(len(geometry)))
-    if coeffs is not None:
-        out.forms = _local_forms(out, rule, coeffs,
-                                 _form_tables(geometry, projectors, mode))
-    return out
-
-
 def _projectors(geometry, k, rule):
-    """The :class:`ProjectorSet` of :func:`element_kernel`, each cell a
-    class of its own."""
+    """The :class:`ProjectorSet` of a stack of cells, each a class of its
+    own, on ``rule`` (points (C, Q, 2), weights (C, Q)).  Each cell takes a
+    one-cell call's arithmetic in stacked ``matmul`` and ``linalg.solve``
+    calls, so stacking does not change a cell's bits."""
     n_cells, nv = geometry.vertices.shape[:2]
     nk, nkm1, nkm2 = n_poly(k), n_poly(k - 1), n_poly(k - 2)
     nd = element_layout(nv, k).n_dofs
@@ -449,9 +440,9 @@ def _projectors(geometry, k, rule):
 
 
 def _form_tables(geometry, proj, mode):
-    """What the local forms of :func:`element_kernel` take of each row of
-    the :class:`ProjectorSet` ``proj``, built on ``geometry``, with neither
-    coefficients nor rule weights: ``(values, P, grad, grad_a, MtM)``.
+    """What the local forms take of each row of the :class:`ProjectorSet`
+    ``proj``, built on ``geometry``, with neither coefficients nor rule
+    weights: ``(values, P, grad, grad_a, MtM)``.
 
     The Grams are taken in the monomials orthonormalised by the Cholesky
     factor L of their mass matrix (values L^-1 m on the rule points,
@@ -461,7 +452,9 @@ def _form_tables(geometry, proj, mode):
     ``P`` and ``grad`` are the degree-(k-1) L2 projector and projected
     gradient in that basis, ``grad_a`` the gradient the diffusion form
     takes in ``mode``, and ``MtM`` the stabilisation's (I - D PiNabla)^T
-    (I - D PiNabla).
+    (I - D PiNabla).  For k = 1 the gradient of the energy projection that
+    mode ``grad_pinabla`` takes is the projected gradient identically, so
+    both modes take the standard path.
     """
     k = proj.k
     nd = proj.D.shape[1]
@@ -484,8 +477,8 @@ def _form_tables(geometry, proj, mode):
 
 
 def _local_forms(out, rule, coeffs, tables):
-    """The :class:`LocalSystem` of the cells of ``out``, an
-    :func:`element_kernel` output.
+    """The :class:`LocalSystem` of the cells of the :class:`ElementStack`
+    ``out``.
 
     Entry [i, j] of each matrix is the form evaluated with trial function j
     and test function i.  The coefficients are evaluated once on every
@@ -574,8 +567,8 @@ _MIN_CHUNK_CELLS = 24
 
 
 def cell_bytes(nv, n_points, k):
-    """Working memory :func:`element_kernel` takes per cell of ``nv``
-    vertices and ``n_points`` quadrature points, in bytes.
+    """Working memory one chunk of :func:`_stack_elements` takes per cell
+    of ``nv`` vertices and ``n_points`` quadrature points, in bytes.
 
     Counts what :func:`_projectors` and :func:`_local_forms` allocate: the
     rule's monomial table (width n_poly(k)); the product of the seven
@@ -645,77 +638,89 @@ def shape_classes(geometry, tris):
 
 def mesh_elements(mesh, k, coeffs=None, mode="standard"):
     """Projectors and, given coefficients, local forms of every cell of
-    ``mesh``, as :func:`element_kernel` builds them.
-
-    Cells are stacked by vertex count and triangle count, and each cell's
-    rule, of degree :func:`rule_degree`, is mapped onto its triangles.  The
-    cells of a stack fall into shape classes (:func:`shape_classes`), taken
-    ``step`` representatives at a time: each such group's projectors, form
-    tables and post-solve operators are built once, and then its member
-    cells, the representatives first and in class order, come ``step`` at
-    a time, each with its own forms; the chunks of the group share its
-    operators.  ``step`` is what fits ``_CHUNK_BYTES`` of working memory, at
-    least ``_MIN_CHUNK_CELLS`` cells: for cells heavier than their quotient
-    the floor overrides the budget.  Yields ``(ElementStack, triangles)``
-    per chunk, where ``triangles`` (C, T, 3, 2) are the triangles the
-    chunk's rules were mapped onto.
-    """
+    ``mesh``: the chunks of :func:`_stack_elements` on each of its
+    vertex-count stacks (:func:`geometry_stacks`)."""
     check_degree(k)
     check_mode(mode)
-    degree = rule_degree(k)
     for geometry in geometry_stacks(mesh):
-        nv = geometry.vertices.shape[1]
-        # every part's rows taken at once, so the stack itself can go
-        parts = [(take(geometry, rows), tris)
-                 for rows, tris in triangulate_stack(geometry)]
+        chunks = _stack_elements(geometry, k, coeffs, mode)
+        # the stack goes once its parts are taken, not when its chunks end
         del geometry
-        while parts:
-            # off the list, so each part is held only once it is reordered
-            sub, tris = parts.pop(0)
-            n_points = tris.shape[1] * _duffy_rule(degree)[1].size
-            step = max(_MIN_CHUNK_CELLS,
-                       _CHUNK_BYTES // cell_bytes(nv, n_points, k))
-            reps, classes = shape_classes(sub, tris)
-            # each group's representatives first, then its other members:
-            # the representatives' rows are then a view of the members'
-            group = classes // step
-            order = np.lexsort((reps[classes] != np.arange(len(sub)), group))
-            stack = take(sub, order)
-            del sub
-            tris, classes = tris[order], classes[order]
-            bounds = np.cumsum(np.bincount(group)).tolist()
-            for lo, start, stop in zip(range(0, reps.size, step),
-                                       [0] + bounds, bounds):
-                n = min(step, reps.size - lo)
-                head = slice(start, start + n)
-                for a in range(start, stop, step):
-                    part = slice(a, min(a + step, stop))
-                    rule = QuadratureRule(*map_rule(tris[part], degree))
-                    if a == start:
-                        # the group's n representatives lead its first
-                        # chunk, and so do their rules; the last group's
-                        # form tables go before these are built
-                        tables = None
-                        reps_geometry = take(stack, head)
-                        projectors = _projectors(reps_geometry, k,
-                                                 take(rule, slice(n)))
-                        tables = (None if coeffs is None else _form_tables(
-                            reps_geometry, projectors, mode))
-                        operators = projectors.post_solve_operators()
-                    out = ElementStack(k=k, geometry=take(stack, part),
-                                       projectors=projectors,
-                                       classes=classes[part] - lo,
-                                       operators=operators)
-                    if coeffs is not None:
-                        out.forms = _local_forms(out, rule, coeffs, tables)
-                    yield out, tris[part]
+        yield from chunks
+
+
+def _stack_elements(geometry, k, coeffs, mode):
+    """Projectors and, given coefficients, local forms of the cells of the
+    :class:`GeometryStack` ``geometry``, which share a vertex count.
+
+    Cells are stacked by triangle count, and each cell's rule, of degree
+    :func:`rule_degree`, is mapped onto its triangles.  The cells of a part
+    fall into shape classes (:func:`shape_classes`), taken ``step``
+    representatives at a time: each such group's projectors, form tables
+    and post-solve operators are built once, and then its member cells, the
+    representatives first and in class order, come ``step`` at a time, each
+    with its own forms; the chunks of the group share its operators.
+    ``step`` is what fits ``_CHUNK_BYTES`` of working memory, at least
+    ``_MIN_CHUNK_CELLS`` cells: for cells heavier than their quotient the
+    floor overrides the budget.  Yields ``(ElementStack, triangles)`` per
+    chunk, where ``triangles`` (C, T, 3, 2) are the triangles the chunk's
+    rules were mapped onto.
+    """
+    degree = rule_degree(k)
+    nv = geometry.vertices.shape[1]
+    # every part's rows taken at once, so the stack itself can go
+    parts = [(take(geometry, rows), tris)
+             for rows, tris in triangulate_stack(geometry)]
+    del geometry
+    while parts:
+        # off the list, so each part is held only once it is reordered
+        sub, tris = parts.pop(0)
+        n_points = tris.shape[1] * _duffy_rule(degree)[1].size
+        step = max(_MIN_CHUNK_CELLS,
+                   _CHUNK_BYTES // cell_bytes(nv, n_points, k))
+        reps, classes = shape_classes(sub, tris)
+        # each group's representatives first, then its other members: the
+        # representatives' rows are then a view of the members'
+        group = classes // step
+        order = np.lexsort((reps[classes] != np.arange(len(sub)), group))
+        stack = take(sub, order)
+        del sub
+        tris, classes = tris[order], classes[order]
+        bounds = np.cumsum(np.bincount(group)).tolist()
+        for lo, start, stop in zip(range(0, reps.size, step),
+                                   [0] + bounds, bounds):
+            n = min(step, reps.size - lo)
+            head = slice(start, start + n)
+            for a in range(start, stop, step):
+                part = slice(a, min(a + step, stop))
+                rule = QuadratureRule(*map_rule(tris[part], degree))
+                if a == start:
+                    # the group's n representatives lead its first chunk,
+                    # and so do their rules; the last group's form tables
+                    # go before these are built
+                    tables = None
+                    reps_geometry = take(stack, head)
+                    projectors = _projectors(reps_geometry, k,
+                                             take(rule, slice(n)))
+                    tables = (None if coeffs is None else _form_tables(
+                        reps_geometry, projectors, mode))
+                    operators = projectors.post_solve_operators()
+                out = ElementStack(k=k, geometry=take(stack, part),
+                                   projectors=projectors,
+                                   classes=classes[part] - lo,
+                                   operators=operators)
+                if coeffs is not None:
+                    out.forms = _local_forms(out, rule, coeffs, tables)
+                yield out, tris[part]
 
 
 def _one_element(geom, k, coeffs=None, mode="standard"):
-    """:func:`element_kernel` on the one cell ``geom``, a
-    :class:`GeometryStack` row, as a stack of one with its element rule."""
-    rule = polygon_quadrature(geom, rule_degree(k))
-    return element_kernel(take(geom, None), k, take(rule, None), coeffs, mode)
+    """The one chunk :func:`_stack_elements` yields for the one cell
+    ``geom``, a :class:`GeometryStack` row, as a stack of one."""
+    check_degree(k)
+    check_mode(mode)
+    ((out, _),) = _stack_elements(take(geom, None), k, coeffs, mode)
+    return out
 
 
 def projector_set(geom, k):
@@ -726,7 +731,7 @@ def projector_set(geom, k):
 
 def local_system(geom, k, coeffs, mode="standard"):
     """Local stiffness/advection/reaction matrices and load vector of one
-    element (see :func:`element_kernel`)."""
+    element, as :func:`mesh_elements` builds them."""
     return take(_one_element(geom, k, coeffs, mode).forms, 0)
 
 

@@ -641,11 +641,24 @@ def bank_representatives(bank):
     return reps
 
 
+def monomial_values(geom, degree, points):
+    """(n, n_poly(degree)) table of the scaled monomials of the one cell
+    ``geom`` at ``points`` (n, 2), or one row at a point (2,): the
+    ``vemlab.kernels.monomial_vandermonde`` call of
+    ``vemlab.postprocess.SolutionProjection.cell_value``."""
+    from vemlab import kernels
+    from vemlab.basis import monomial_exponents
+
+    return kernels.monomial_vandermonde(
+        np.atleast_2d(points), geom.centroid, geom.diameter,
+        monomial_exponents(degree))
+
+
 def error_norms_two_tables(mesh, k, projection, p_ex, grad_p_ex):
     """Absolute (L2, H1) errors of ``vemlab.postprocess.error_norms`` in its
     default mode, evaluating a separate degree-(k-1) monomial table for the
     projected gradient instead of slicing the degree-k one."""
-    from vemlab.basis import ScaledMonomialBasis, polygon_quadrature
+    from vemlab.basis import polygon_quadrature
     from vemlab.mesh import element_geometry
 
     num_l2 = num_h1 = 0.0
@@ -656,8 +669,8 @@ def error_norms_two_tables(mesh, k, projection, p_ex, grad_p_ex):
         w = rule.weights
         p_vals = np.asarray(p_ex(x, y), dtype=float)
         g_vals = np.asarray(grad_p_ex(x, y), dtype=float)
-        ph = ScaledMonomialBasis(geom, k).eval(rule.points) @ projection.coeffs[c]
-        Vm1 = ScaledMonomialBasis(geom, k - 1).eval(rule.points)
+        ph = monomial_values(geom, k, rule.points) @ projection.coeffs[c]
+        Vm1 = monomial_values(geom, k - 1, rule.points)
         gh = Vm1 @ projection.grad_coeffs[c]
         num_l2 += w @ (ph - p_vals) ** 2
         num_h1 += w @ np.sum((gh - g_vals) ** 2, axis=1)
@@ -894,8 +907,8 @@ def _edge_traces_per_cell(geom, k):
 
 def projector_set_per_cell(geom, k, rule):
     """The projectors of one element, built edge by edge and DoF row by DoF
-    row: the one-cell construction ``vemlab.local.element_kernel`` stacked.
-    ``rule`` is a (points, weights) pair; returns a dict of the
+    row: the one-cell construction that ``vemlab.local._projectors``
+    stacks.  ``rule`` is a (points, weights) pair; returns a dict of the
     ``ProjectorSet`` arrays, with the energy system matrix ``G`` and its
     right-hand side ``B``."""
     from vemlab.basis import _gauss, n_poly
@@ -998,9 +1011,10 @@ def energy_rhs_flux_per_cell(geom, k):
 
 def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
     """Projectors and local forms of one element with one coefficient
-    evaluation per cell: the construction ``vemlab.local.element_kernel``
-    stacked, with the forms as coefficient-weighted Grams of the
-    orthonormalised degree-(k-1) monomials sandwiched between projectors.
+    evaluation per cell: the construction that ``vemlab.local`` stacks
+    (``_projectors``, ``_form_tables``, ``_local_forms``), with the forms
+    as coefficient-weighted Grams of the orthonormalised degree-(k-1)
+    monomials sandwiched between projectors.
     Returns a dict of the ``ProjectorSet`` and ``LocalSystem`` arrays."""
     from vemlab.basis import n_poly
 
@@ -1097,7 +1111,7 @@ def interpolate_dofs_per_cell(geom, k, v, exactness=None):
     and monomial basis, and a Gauss sum per edge: the one-cell construction
     the stacked DoFs replaced.  Both rules are exact to degree
     ``exactness``, by default 2k + 4."""
-    from vemlab.basis import ScaledMonomialBasis, _gauss, polygon_quadrature
+    from vemlab.basis import _gauss, polygon_quadrature
     from vemlab.local import dof_layout
 
     layout = dof_layout(geom, k)
@@ -1117,7 +1131,7 @@ def interpolate_dofs_per_cell(geom, k, v, exactness=None):
             for j in range(k - 1):
                 d[layout.edge_slot(e, j)] = np.sum(w / 2 * vals * t ** j)
         rule = polygon_quadrature(geom, ex)
-        Vm = ScaledMonomialBasis(geom, k - 2).eval(rule.points)
+        Vm = monomial_values(geom, k - 2, rule.points)
         vals = v(rule.points[:, 0], rule.points[:, 1])
         d[layout.n_vertices * k:] = (rule.weights * vals) @ Vm / geom.area
     return d

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from vemlab.assembly import apply_dirichlet, assemble, interpolate, solve
-from vemlab.basis import (ScaledMonomialBasis, derivative_table,
-                          polygon_quadrature)
+from vemlab.basis import derivative_table, polygon_quadrature
 from vemlab.harness import DEFAULT_SIZES, ExperimentConfig, run_experiment
 from vemlab.local import Coefficients, local_system, projector_set
 from vemlab.mesh import element_geometry, polygon_geometry

@@ -468,6 +468,40 @@ class TestKappaCheck:
         assert max(mesh.vertices[mesh.cells[4], 0]) == 1.0
 
 
+class TestCoefficientShape:
+    # a callable of the wrong shape used to end in NumPy's bare broadcast
+    # error, and Coefficients.constant(gamma=(1, 2)) in a TypeError from
+    # float(), neither naming the coefficient
+    @pytest.mark.parametrize("field, value, got, expected", [
+        ("b", lambda x, y: np.ones(np.shape(x) + (3,)), r"\(\d+, 3\)",
+         r"\(\d+, 2\)"),
+        ("kappa", lambda x, y: np.ones(np.shape(x) + (2,)), r"\(\d+, 2\)",
+         r"\(\d+, 2, 2\)"),
+        ("gamma", lambda x, y: np.ones(np.shape(x) + (2,)),
+         r"\(\d+, 2\)", r"\(\d+,\)"),
+        ("f", lambda x, y: np.ones(np.size(x) + 1), r"\(\d+,\)",
+         r"\(\d+,\)"),
+    ], ids=["b", "kappa", "gamma", "f"])
+    def test_callable_of_wrong_shape_is_named(self, field, value, got,
+                                              expected):
+        coeffs = dataclasses.replace(Coefficients.constant(kappa=1.0),
+                                     **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} returned shape "
+                           rf"{got} at \d+ points, expected {expected}$"):
+            assemble(square_mesh(3), 2, coeffs)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("b", (1.0, 2.0, 3.0), "constant b must be a scalar or a 2-vector, "
+         r"got shape \(3,\)"),
+        ("gamma", (1, 2),
+         r"constant gamma must be a real scalar, got \(1, 2\)"),
+        ("f", 1 + 2j, r"constant f must be a real scalar, got \(1\+2j\)"),
+    ], ids=["b", "gamma", "f"])
+    def test_constant_of_wrong_shape_is_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Coefficients.constant(**{field: value})
+
+
 def _right_of(x, value, good):
     """``good`` where x <= 0.9, ``value`` right of that line."""
     return np.where(x > 0.9, value, good)

@@ -3,6 +3,8 @@
 ``perfbench/spans.py`` wraps each ``(module, attribute)`` of its ``HOOKS``
 table in every benchmark run, traced or not, so a renamed or removed
 function breaks every run.  This test reads that table without changing it.
+An import that no code of its module reads is kept only when it is marked
+as such a hook target.
 """
 
 import ast
@@ -51,6 +53,31 @@ def _hook_only_imports():
                 out += [(module, alias.asname or alias.name)
                         for alias in node.names]
     return out
+
+
+def _unread_imports(path):
+    """Names the module at ``path`` imports and never reads, less those of
+    an import marked as a hook target."""
+    lines = path.read_text().splitlines()
+    tree = ast.parse("\n".join(lines))
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not any(
+            HOOK_MARK in line
+            for line in lines[node.lineno - 1:node.end_lineno])
+        for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+# the package's __init__ imports to re-export
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.rglob("*.py"))
+             if p != SRC / "vemlab" / "__init__.py"],
+    ids=lambda p: str(p.relative_to(SRC)))
+def test_every_import_is_read_or_hooked(path):
+    assert _unread_imports(path) == []
 
 
 def test_hook_only_imports_are_hooked():

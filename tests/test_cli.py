@@ -9,14 +9,17 @@ from vemlab.cli import main
 from vemlab.mesh import load_mesh
 
 
-def _rejected(argv, capsys):
+def _rejected(argv, capsys, usage=None):
     """Run ``main(argv)``, which must end in a usage error (exit status
-    2); returns the error line it printed."""
+    2), printed with the usage of the subcommand ``usage`` when given;
+    returns the error line it printed."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    if usage is not None:
+        assert err.startswith(f"usage: vemlab {usage} "), err
     return err.splitlines()[-1]
 
 
@@ -65,7 +68,7 @@ class TestMeshGen:
         out = tmp_path / "square.json"
         assert "square cell count" in _rejected(
             ["mesh", "gen", "--family", "square", "--cells", "10",
-             "--out", str(out)], capsys)
+             "--out", str(out)], capsys, usage="mesh gen")
         assert not out.exists()
 
     def test_deterministic(self, tmp_path):
@@ -105,7 +108,16 @@ class TestRun:
     def test_invalid_degree_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert "k must be >= 1, got 0" in _rejected(
-            ["run", "--k", "0", "--sizes", "4", "--out", str(out)], capsys)
+            ["run", "--k", "0", "--sizes", "4", "--out", str(out)], capsys,
+            usage="run")
+        assert not out.exists()
+
+    def test_non_integer_size_names_the_option(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        error = _rejected(["run", "--sizes", "4,x", "--out", str(out)],
+                          capsys, usage="run")
+        assert "argument --sizes" in error and "'4,x'" in error
+        assert "invalid literal" not in error
         assert not out.exists()
 
     def test_invalid_mode_rejected(self):

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vemlab import kernels
+from vemlab import kernels, local
 from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
-from vemlab.basis import (QuadratureRule, ScaledMonomialBasis,
-                          derivative_table, map_rule, n_poly,
-                          polygon_quadrature, triangulate, triangulate_stack)
-from vemlab.local import (Coefficients, cell_bytes, dof_layout,
-                          element_kernel, internal_moments, interpolate_dofs,
-                          local_system, mesh_elements, projector_set,
-                          rule_degree, shape_classes)
+from vemlab.basis import (QuadratureRule, derivative_table, map_rule,
+                          monomial_exponents, n_poly, polygon_quadrature,
+                          triangulate, triangulate_stack)
+from vemlab.local import (Coefficients, ElementStack, _form_tables,
+                          _local_forms, _projectors, cell_bytes, dof_layout,
+                          internal_moments, interpolate_dofs, local_system,
+                          mesh_elements, projector_set, rule_degree,
+                          shape_classes)
 from vemlab.mesh import (element_geometry, geometry_stacks, make_mesh,
                          polygon_geometry, stack_geometry, take)
 from vemlab.harness import ExperimentConfig
@@ -27,8 +28,9 @@ from vemlab.problems import builtin_problem, polynomial_problem
 from oracles import (edge_quadrature, element_geometry_per_cell,
                      energy_rhs_flux_per_cell, entry_representatives,
                      interpolate_dofs_per_cell, local_forms_point_tables,
-                     local_system_per_cell, projector_set_per_cell,
-                     q1_stiffness, quadrature_per_cell, subdivision_integrate)
+                     local_system_per_cell, monomial_values,
+                     projector_set_per_cell, q1_stiffness, quadrature_per_cell,
+                     subdivision_integrate)
 
 UNIT_SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 PENTAGON = polygon_geometry(
@@ -75,13 +77,14 @@ class TestDofLayout:
 
 def _degree_entry_points():
     """Every public call that takes an element degree k, as ``k -> call``;
-    the other arguments are valid at k = 1."""
+    the other arguments are valid at k = 1.  ``error_norms`` takes its
+    degree from the projection, so its entry is the projection at k and
+    then its errors."""
     mesh = square_mesh(2)
     coeffs = Coefficients.constant(kappa=1.0, f=1.0)
     v = lambda x, y: x + y
     system = assemble(mesh, 1, coeffs)
     u = solve(apply_dirichlet(system, v, mesh, 1))
-    projection = project_solution(mesh, 1, u)
     return {
         "dof_layout": lambda k: dof_layout(PENTAGON, k),
         "projector_set": lambda k: projector_set(PENTAGON, k),
@@ -95,8 +98,8 @@ def _degree_entry_points():
         "apply_dirichlet": lambda k: apply_dirichlet(system, v, mesh, k),
         "interpolate": lambda k: interpolate(mesh, k, v),
         "project_solution": lambda k: project_solution(mesh, k, u),
-        "error_norms": lambda k: error_norms(mesh, k, projection, v,
-                                             lambda x, y: (1.0, 1.0)),
+        "error_norms": lambda k: error_norms(
+            project_solution(mesh, k, u), v, lambda x, y: (1.0, 1.0)),
         "ExperimentConfig": lambda k: ExperimentConfig(k=k),
     }
 
@@ -139,8 +142,7 @@ class TestInterpolateDofs:
     def test_monomials_reproduce_dof_table(self, k):
         for geom in CELLS[:4]:
             proj = projector_set(geom, k)
-            basis = ScaledMonomialBasis(geom, k)
-            for col, (ax, ay) in enumerate(basis.exponents):
+            for col, (ax, ay) in enumerate(monomial_exponents(k)):
                 d = interpolate_dofs(
                     geom, k,
                     lambda x, y, ax=ax, ay=ay:
@@ -208,9 +210,8 @@ class TestPiNabla:
     def test_hat_function_on_unit_square(self):
         pin = projector_set(UNIT_SQUARE, 1).PiNabla
         coeffs = pin @ np.array([1.0, 0.0, 0.0, 0.0])
-        basis = ScaledMonomialBasis(UNIT_SQUARE, 1)
         pts = np.random.default_rng(3).random((12, 2))
-        got = basis.eval(pts) @ coeffs
+        got = monomial_values(UNIT_SQUARE, 1, pts) @ coeffs
         expect = 0.75 - pts[:, 0] / 2 - pts[:, 1] / 2
         assert np.allclose(got, expect, atol=1e-13)
 
@@ -240,7 +241,6 @@ class TestPiNabla:
         v = lambda x, y: np.exp(x) * np.cos(y)
         d = interpolate_dofs(geom, k, v)
         coeffs = proj.PiNabla @ d
-        basis = ScaledMonomialBasis(geom, k)
         mean_proj = 0.0
         mean_trace = 0.0
         perimeter = geom.edge_lengths.sum()
@@ -249,7 +249,8 @@ class TestPiNabla:
             b = geom.vertices[(e + 1) % 5]
             rule = edge_quadrature([a, b], 2 * k + 6)
             mean_proj += np.sum(rule.weights
-                                * (basis.eval(rule.points) @ coeffs))
+                                * (monomial_values(geom, k, rule.points)
+                                   @ coeffs))
         # The virtual function's trace is the edgewise polynomial matching
         # the edge DoFs of v, reconstructed here independently.
         t, w = np.polynomial.legendre.leggauss(k + 4)
@@ -637,6 +638,31 @@ class TestElementKernel:
                     out.operators[row],
                     np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY])), c
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["concave", "lloyd0"])
+    def test_one_cell_calls_take_the_mesh_path(self, monkeypatch, family, k):
+        # projector_set and local_system build no rule of their own: they
+        # run the chunk loop of mesh_elements on a stack of one, so with
+        # polygon_quadrature out of reach they still give the bank's bits
+        # for the cell that leads the first chunk (a representative)
+        def refused(*args):
+            raise AssertionError("a one-cell call took polygon_quadrature")
+
+        mesh = generate(GeneratorSpec(family, 36, seed=5))
+        coeffs = builtin_problem().coefficients
+        out, _ = next(mesh_elements(mesh, k, coeffs))
+        monkeypatch.setattr(local, "polygon_quadrature", refused)
+        geom = element_geometry(mesh, out.geometry.cells[0])
+        proj = projector_set(geom, k)
+        for name in self.PROJECTOR_FIELDS:
+            assert np.array_equal(
+                getattr(out.projectors, name)[out.classes[0]],
+                getattr(proj, name)), name
+        forms = local_system(geom, k, coeffs)
+        for name in ("Ah", "Bh", "Ch", "S", "f_loc"):
+            assert np.array_equal(getattr(out.forms, name)[0],
+                                  getattr(forms, name)), name
+
     @pytest.mark.parametrize("mode", ["standard", "grad_pinabla"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["concave", "lloyd0"])
@@ -848,6 +874,16 @@ class TestShapeClasses:
 class TestChunkEstimate:
     CELLS = 16
 
+    @staticmethod
+    def _singletons(stack, k, rule, coeffs):
+        # one stacked call of the element arithmetic, each cell a shape
+        # class of its own
+        projectors = _projectors(stack, k, rule)
+        out = ElementStack(k=k, geometry=stack, projectors=projectors,
+                           classes=np.arange(len(stack)))
+        out.forms = _local_forms(out, rule, coeffs, _form_tables(
+            stack, projectors, "standard"))
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["concave", "lloyd0"])
     def test_cell_bytes_bounds_the_kernel_peak(self, family, k):
@@ -865,13 +901,13 @@ class TestChunkEstimate:
                     continue
                 stack = take(geometry, rows[:self.CELLS])
                 rule = QuadratureRule(*map_rule(tris[:self.CELLS], degree))
-                element_kernel(stack, k, rule, coeffs)  # fill the caches
+                self._singletons(stack, k, rule, coeffs)  # fill the caches
                 tracing = tracemalloc.is_tracing()
                 tracemalloc.start()
                 try:
                     base = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                    element_kernel(stack, k, rule, coeffs)
+                    self._singletons(stack, k, rule, coeffs)
                     peak = (tracemalloc.get_traced_memory()[1] - base) / self.CELLS
                 finally:
                     if not tracing:
