@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .basis import n_poly
 from .local import (ElementBank, _linalg, check_degree, internal_moments,
                     mesh_elements, skeleton_dofs)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
-from .mesh import _by_size, geometry_stacks
+from .mesh import _by_count, _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
 
@@ -163,23 +163,43 @@ def _coo_pattern(flat, sizes, n):
     """
     index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
     flat = flat.astype(index)
-    cols, starts = _block_columns(flat, sizes, sizes)
-    return np.repeat(flat, np.repeat(sizes, sizes)), cols, starts
+    cols, starts = _block_columns(flat, sizes)
+    # each DoF repeated along its row of the block
+    rows = _block_run(starts, [
+        (cells, np.broadcast_to(dofs[:, :, None], dofs.shape + dofs.shape[1:]))
+        for cells, dofs in _by_count(flat, sizes)])
+    return rows, cols, starts
 
 
-def _block_columns(flat, sizes, n_rows):
+def _block_columns(flat, sizes, n_rows=None):
     """Column of every entry of a run of row-major cell blocks, and the
-    start of every block: cell ``c``'s block has ``n_rows[c]`` rows, each
-    over the ``sizes[c]`` DoFs of ``flat`` that belong to the cell."""
-    blocks = n_rows * sizes
+    start of every block: each cell's block has ``n_rows`` rows (as many as
+    the cell has DoFs when ``None``), each over the ``sizes[c]`` DoFs of
+    ``flat`` that belong to cell ``c``."""
+    blocks = (sizes if n_rows is None else n_rows) * sizes
     starts = np.zeros(sizes.size + 1, dtype=np.intp)
     np.cumsum(blocks, out=starts[1:])
-    # entry t of a block sits in the column of the cell's DoF t mod size
-    pos = np.arange(starts[-1])
-    pos -= np.repeat(starts[:-1], blocks)
-    pos %= np.repeat(sizes, blocks)
-    pos += np.repeat(np.cumsum(sizes) - sizes, blocks)
-    return flat[pos], starts
+    # the cell's DoFs tiled once per row
+    return _block_run(starts, [
+        (cells, np.broadcast_to(dofs[:, None], (
+            len(cells), dofs.shape[1] if n_rows is None else n_rows,
+            dofs.shape[1])))
+        for cells, dofs in _by_count(flat, sizes)]), starts
+
+
+def _block_run(starts, groups):
+    """The entries of every cell's block, in cell order, from ``groups``:
+    per DoF count, the cells and their (cells, rows, DoFs) blocks; cell
+    ``c``'s block goes to ``starts[c]``."""
+    if len(groups) == 1:
+        # one DoF count: the blocks are already in cell order
+        return groups[0][1].reshape(-1)
+    out = np.empty(starts[-1], dtype=groups[0][1].dtype)
+    for cells, blocks in groups:
+        width = blocks[0].size
+        out[(starts[cells, None] + np.arange(width)).ravel()] = \
+            blocks.reshape(-1)
+    return out
 
 
 def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
@@ -221,7 +241,7 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
     # the rows of each cell's A_ii^-1 A_ib are its internal moments, in
     # order, so the cells' row-major blocks are the CSR data in cell order
     recovery_cols, recovery_starts = _block_columns(
-        flat.astype(cols.dtype), skeleton, n_int)
+        flat.astype(cols.dtype), skeleton, n_rows=n_int)
     recovery = np.empty(recovery_starts[-1])
     internal_load = np.empty(dofmap.n_internal_dofs)
     kept = []
@@ -348,7 +368,10 @@ def solve(system):
     is 4.5 times slower to factor on the k = 1 lloyd100 1,600 system and 34
     times slower on the k = 2 lloyd0 4,096 one (Voronoi meshes at k <= 2).
     The residual check, with one refinement step, guards the weaker
-    pivoting.
+    pivoting.  A residual that passes it but lies above roundoff is not
+    enough on its own: condensation can leave a small residual on a system
+    so ill-conditioned that the answer is wrong, so such a solve also
+    bounds its forward error (:func:`_solve_reduced`).
     """
     u = system.lifting.copy()
     dofmap = system.dofmap
@@ -360,9 +383,27 @@ def solve(system):
     return u
 
 
+#: Relative residual of the reduced solve above which its forward error is
+#: bounded: roundoff.  Every benchmark mesh reads at most 3.5e-15 (seeds 0
+#: and 1), so the bound never runs there; 1e-4-wide sliver cells read up to
+#: 3.8e-13, 1e-7-wide ones 6e-11 to 2.5e-10.
+_ROUNDOFF_RESIDUAL = 1e-13
+#: Largest accepted bound on the reduced solution's relative error, the
+#: 1-norm condition estimate times the relative residual.  A 4 x 4 grid
+#: with 1e-4-wide sliver columns reads at most 2.9e-7 (k = 4) and returns
+#: the patch-test answer within 1.2e-10; with 1e-7-wide columns it reads
+#: 1.1e-3 (k = 1) to 0.19 (k = 4), and its answers are off by up to 7e-5.
+#: The tolerance sits between the two, about 30 and 100 times from each.
+_FORWARD_ERROR_TOL = 1e-5
+
+
 def _solve_reduced(A, rhs):
     """Solution of the reduced system ``A x = rhs``, factored as
-    :func:`solve` describes, with its residual checked."""
+    :func:`solve` describes, with its residual checked.  A residual above
+    roundoff bounds the relative error of ``x`` by the 1-norm condition
+    number of ``A`` (estimated from the factors' solves) times the relative
+    residual; an answer whose bound exceeds ``_FORWARD_ERROR_TOL`` cannot
+    be verified and raises :class:`SolveError`."""
     try:
         lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                   options={"SymmetricMode": True})
@@ -386,6 +427,20 @@ def _solve_reduced(A, rhs):
                 f"solver residual {resid:.3e} exceeds 1e-10 relative "
                 "tolerance; the system is too ill-conditioned (stability "
                 "failure)")
+    if resid > _ROUNDOFF_RESIDUAL * scale:
+        # one column, so the estimate draws no random numbers
+        n = A.shape[0]
+        inverse = LinearOperator(
+            (n, n), matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"),
+            dtype=float)
+        bound = (abs(A).sum(axis=0).max() * onenormest(inverse, t=1)
+                 * resid / scale)
+        if bound > _FORWARD_ERROR_TOL:
+            raise SolveError(
+                f"the answer cannot be verified: condition estimate times "
+                f"relative residual bounds its relative error by {bound:.1e}, "
+                f"above {_FORWARD_ERROR_TOL:g}; the system is too "
+                "ill-conditioned (stability failure)")
     return x
 
 

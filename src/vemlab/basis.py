@@ -107,7 +107,27 @@ def triangulate(coords):
     return tris[0]
 
 
-def triangulate_stack(geometry):
+def star_shaped(geometry):
+    """Which cells of a :class:`~vemlab.mesh.GeometryStack` take the
+    centroid fan of :func:`triangulate`: those star-shaped with respect to
+    their centroid.  A degenerate cell raises ``MeshError`` naming it."""
+    coords, c = geometry.vertices, geometry.centroid[:, None, :]
+    bad = np.flatnonzero(~(geometry.area > _area_tol(coords)))
+    if bad.size:
+        raise MeshError(f"{geometry.label(bad[0])}: triangulation failed; "
+                        "element geometry is degenerate or self-intersecting")
+    nxt = np.roll(coords, -1, axis=1)
+    cross = ((coords[..., 0] - c[..., 0]) * (nxt[..., 1] - c[..., 1])
+             - (nxt[..., 0] - c[..., 0]) * (coords[..., 1] - c[..., 1]))
+    scale = np.abs(coords - c).max(axis=(1, 2)) ** 2
+    return np.all(cross > 1e-12 * scale[:, None], axis=1)
+
+
+def _area_tol(coords):
+    return 1e-14 * (coords.max(axis=1) - coords.min(axis=1)).max(axis=1) ** 2
+
+
+def triangulate_stack(geometry, rep_of=None):
     """Triangulate every cell of a :class:`~vemlab.mesh.GeometryStack`.
 
     Each cell is split as :func:`triangulate` describes, with the same
@@ -115,48 +135,47 @@ def triangulate_stack(geometry):
     count (a fan has n triangles, an ear clip n - 2), where ``tris`` has
     shape (len(rows), T, 3, 2).  A degenerate or self-intersecting cell
     raises ``MeshError`` naming it.
+
+    ``rep_of``, when given, holds the row of each cell's representative,
+    a cell of the same :func:`star_shaped` flag whose vertex offsets agree
+    with its own: only the representatives are ear-clipped, and every
+    other cell takes its own vertices at its representative's corners.
     """
-    coords, area, c = geometry.vertices, geometry.area, geometry.centroid
+    coords = geometry.vertices
     n = coords.shape[1]
-    tol = 1e-14 * (coords.max(axis=1) - coords.min(axis=1)).max(axis=1) ** 2
-    bad = np.flatnonzero(~(area > tol))
-    if bad.size:
-        raise MeshError(f"{geometry.label(bad[0])}: triangulation failed; "
-                        "element geometry is degenerate or self-intersecting")
+    star = star_shaped(geometry)
     if n == 3:
         return [(np.arange(len(coords)), coords[:, None])]
-    c = c[:, None, :]
-    nxt = np.roll(coords, -1, axis=1)
-    cross = ((coords[..., 0] - c[..., 0]) * (nxt[..., 1] - c[..., 1])
-             - (nxt[..., 0] - c[..., 0]) * (coords[..., 1] - c[..., 1]))
-    scale = np.abs(coords - c).max(axis=(1, 2)) ** 2
-    star = np.all(cross > 1e-12 * scale[:, None], axis=1)
     out = []
     rows = np.flatnonzero(star)
     if rows.size:
         tris = np.empty((rows.size, n, 3, 2))
-        tris[:, :, 0] = c[rows]
+        tris[:, :, 0] = geometry.centroid[rows, None]
         tris[:, :, 1] = coords[rows]
-        tris[:, :, 2] = nxt[rows]
+        tris[:, :, 2] = np.roll(coords[rows], -1, axis=1)
         out.append((rows, tris))
     rows = np.flatnonzero(~star)
     if rows.size:
-        out.append((rows, _ear_clip(coords[rows], tol[rows],
-                                    take(geometry, rows).label)))
+        clipped, which = np.unique(rows if rep_of is None else rep_of[rows],
+                                   return_inverse=True)
+        corners = _ear_clip(take(geometry, clipped))
+        out.append((rows, coords[rows[:, None, None], corners[which]]))
     return out
 
 
-def _ear_clip(coords, tol, label):
-    """Ear clipping of every polygon in the stack at once.
+def _ear_clip(geometry):
+    """Ear clipping of every polygon of a stack at once: the (C, n - 2, 3)
+    ring indices of each polygon's triangles' corners.
 
     Each step clips, in every polygon, the first active corner (in ring
-    order) that is convex by more than ``tol`` and holds no other active
-    vertex, so each polygon gets the triangles a one-polygon ear clip would
-    give.
+    order) that is convex by more than the area tolerance and holds no
+    other active vertex, so each polygon gets the triangles a one-polygon
+    ear clip would give.
     """
+    coords = geometry.vertices
     m_cells, n = coords.shape[:2]
     rows = np.arange(m_cells)[:, None]
-    tol = tol[:, None]
+    tol = _area_tol(coords)[:, None]
     active = np.tile(np.arange(n), (m_cells, 1))
     corners = np.empty((m_cells, n - 2, 3), dtype=np.intp)
     for step in range(n - 3):
@@ -182,8 +201,8 @@ def _ear_clip(coords, tol, label):
         pick = (rows[:, 0], ear.argmax(axis=1))
         if not ear[pick].all():
             bad = np.flatnonzero(~ear[pick])[0]
-            raise MeshError(f"{label(bad)}: triangulation failed; polygon "
-                            "may self-intersect")
+            raise MeshError(f"{geometry.label(bad)}: triangulation failed; "
+                            "polygon may self-intersect")
         corners[:, step] = np.stack([i0[pick], active[pick], i2[pick]], axis=1)
         keep = np.ones((m_cells, m), dtype=bool)
         keep[pick] = False
@@ -193,10 +212,10 @@ def _ear_clip(coords, tol, label):
             - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
     if np.any(last <= 0):
         bad = np.flatnonzero(last <= 0)[0]
-        raise MeshError(f"{label(bad)}: triangulation failed; polygon may "
-                        "self-intersect")
+        raise MeshError(f"{geometry.label(bad)}: triangulation failed; "
+                        "polygon may self-intersect")
     corners[:, n - 3] = active
-    return coords[rows[:, :, None], corners]
+    return corners
 
 
 def map_rule(tris, exactness):

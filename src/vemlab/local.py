@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .basis import (QuadratureRule, _duffy_rule, _gauss, derivative_table,
                     edge_reconstruction, gram, map_rule, monomial_exponents,
-                    n_poly, triangulate_stack)
+                    n_poly, star_shaped, triangulate_stack)
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import GeometryStack, _row_sum, geometry_stacks, take
 from .meshgen import check_count
@@ -442,14 +442,15 @@ def _projectors(geometry, k, rule):
 def _form_tables(geometry, proj, mode):
     """What the local forms take of each row of the :class:`ProjectorSet`
     ``proj``, built on ``geometry``, with neither coefficients nor rule
-    weights: ``(values, P, grad, grad_a, MtM)``.
+    weights: ``(values, products, P, grad, grad_a, MtM)``.
 
     The Grams are taken in the monomials orthonormalised by the Cholesky
     factor L of their mass matrix (values L^-1 m on the rule points,
     coefficients L^T c).  Grams of the raw monomials would square the mass
     matrix's condition number in the roundoff of the forms (2e-12 to 3e-11
     of the max-norm on lloyd0 cells at k = 4, against 3e-14 this way).
-    ``P`` and ``grad`` are the degree-(k-1) L2 projector and projected
+    ``products`` holds the products v_a v_b of those values on the rule
+    points, a <= b in row-major order (:func:`_pairs`).  ``P`` and ``grad`` are the degree-(k-1) L2 projector and projected
     gradient in that basis, ``grad_a`` the gradient the diffusion form
     takes in ``mode``, and ``MtM`` the stabilisation's (I - D PiNabla)^T
     (I - D PiNabla).  For k = 1 the gradient of the energy projection that
@@ -463,6 +464,12 @@ def _form_tables(geometry, proj, mode):
                 proj.H[:, :m, :m])
     Lt = _t(L)
     values = np.linalg.inv(L) @ _t(proj.rule_values[:, :, :m])  # (C, m, Q)
+    # row by row of the pairs, so no (C, m(m+1)/2, Q) temporary is formed
+    products = np.empty((len(values), m * (m + 1) // 2, values.shape[2]))
+    start = 0
+    for a in range(m):
+        products[:, start:start + m - a] = values[:, a, None] * values[:, a:]
+        start += m - a
     P = Lt @ proj.Pi0km1
     grad = np.concatenate([Lt @ proj.Pi0GradX, Lt @ proj.Pi0GradY], axis=1)
     if mode == "grad_pinabla" and k > 1:
@@ -473,7 +480,33 @@ def _form_tables(geometry, proj, mode):
     else:
         grad_a = grad
     M = np.eye(nd) - proj.D @ proj.PiNabla
-    return values, P, grad, grad_a, _t(M) @ M
+    return values, products, P, grad, grad_a, _t(M) @ M
+
+
+@lru_cache(maxsize=None)
+def _pairs(m):
+    """The position of every entry of an (m, m) symmetric matrix among its
+    entries a <= b, taken in row-major order."""
+    a, b = np.triu_indices(m)
+    index = np.empty((m, m), dtype=np.intp)
+    index[a, b] = index[b, a] = np.arange(a.size)
+    return index
+
+
+def _class_products(weights, table, classes):
+    """``weights`` (C, J, Q) times each cell's class row of ``table``
+    (R, N, Q), transposed: (C, J, N), one (J, Q) by (Q, N) product per
+    cell, so a cell's bits do not depend on the other cells of the chunk.
+    Where the chunk's cells share classes, each class row is read in place
+    rather than copied for every cell."""
+    present = np.unique(classes)
+    if present.size == classes.size:
+        return weights @ _t(table[classes])
+    out = np.empty(weights.shape[:2] + table.shape[1:2])
+    for r in present:
+        cells = classes == r
+        out[cells] = weights[cells] @ _t(table[r])
+    return out
 
 
 def _local_forms(out, rule, coeffs, tables):
@@ -484,11 +517,13 @@ def _local_forms(out, rule, coeffs, tables):
     and test function i.  The coefficients are evaluated once on every
     quadrature point of the stack and checked there.  Every form pairs
     degree-(k-1) projections, so each is a coefficient-weighted Gram of a
-    basis of P_{k-1} sandwiched between projector matrices; one stacked
-    product gives all seven Grams, and no table of quadrature points by
-    DoFs is formed.  ``tables`` holds :func:`_form_tables` per class row of
-    ``out.projectors``, and each cell pairs its own coefficients, at its
-    own rule points, with its class's tables.
+    basis of P_{k-1} sandwiched between projector matrices.  The seven
+    coefficient weights of each cell, times the transposed table of its
+    class's basis products, give all seven Grams in one product per cell,
+    and no table of quadrature points by DoFs is formed.  ``tables`` holds
+    :func:`_form_tables` per class row of ``out.projectors``, and each cell
+    pairs its own coefficients, at its own rule points, with its class's
+    tables.
     """
     k, geometry = out.k, out.geometry
     m = n_poly(k - 1)
@@ -502,23 +537,19 @@ def _local_forms(out, rule, coeffs, tables):
     f = coeffs.f_at(pts).reshape(shape)
     _check_finite(geometry, kappa=kap, b=b, gamma=gam, f=f)
     _check_kappa(kap, geometry)
-    values = tables[0][out.classes]
 
-    # grams[:, a, j, c] = sum_q w c_j v_a v_c for the weights c_j = kappa00,
-    # kappa01, kappa10, kappa11, b0, b1, gamma
+    # grams[:, j, p] = sum_q w c_j v_a v_b for the weights c_j = kappa00,
+    # kappa01, kappa10, kappa11, b0, b1, gamma and the pairs p = (a, b)
     wc = w[:, None] * np.stack(
         [kap[..., 0, 0], kap[..., 0, 1], kap[..., 1, 0], kap[..., 1, 1],
          b[..., 0], b[..., 1], gam], axis=1)
-    grams = (values @ _t((wc[:, :, None] * values[:, None]).reshape(
-        n_cells, 7 * m, n_points))).reshape(n_cells, m, 7, m)
+    grams = _class_products(wc, tables[1], out.classes)[..., _pairs(m)]
     # [[K00, K01], [K10, K11]] and [Kb0; Kb1]
-    K = grams[:, :, :4].reshape(n_cells, m, 2, 2, m).transpose(
-        0, 2, 1, 3, 4).reshape(n_cells, 2 * m, 2 * m)
-    Kb = grams[:, :, 4:6].transpose(0, 2, 1, 3).reshape(n_cells, 2 * m, m)
-    Kg = grams[:, :, 6]
-    # the class rows of the other tables, taken after the Grams' product
-    # is freed
-    P, grad, grad_a, MtM = (t[out.classes] for t in tables[1:])
+    K = grams[:, :4].reshape(n_cells, 2, 2, m, m).transpose(
+        0, 1, 3, 2, 4).reshape(n_cells, 2 * m, 2 * m)
+    Kb = grams[:, 4:6].reshape(n_cells, 2 * m, m)
+    Kg = grams[:, 6]
+    P, grad, grad_a, MtM = (t[out.classes] for t in tables[2:])
 
     Acons = _t(grad_a) @ (K @ grad_a)
     kap_trace = w[:, None, :] @ (kap[..., 0, 0] + kap[..., 1, 1])[..., None]
@@ -535,8 +566,8 @@ def _local_forms(out, rule, coeffs, tables):
     Ch = _t(P) @ (Kg @ P)
     Ch = 0.5 * (Ch + _t(Ch))
 
-    f_basis = values @ (w * f)[..., None]
-    f_loc = (_t(P) @ f_basis)[..., 0]
+    f_basis = _class_products((w * f)[:, None], tables[0], out.classes)
+    f_loc = (_t(P) @ _t(f_basis))[..., 0]
     return LocalSystem(Ah=Ah, Bh=Bh, Ch=Ch, S=S, f_loc=f_loc)
 
 
@@ -556,7 +587,7 @@ _CHUNK_BYTES = 3 * 2 ** 20
 #: fixed NumPy overhead however many cells it holds.  For cells heavier
 #: than ``_CHUNK_BYTES / _MIN_CHUNK_CELLS`` (about 131 KB) the floor
 #: overrides the budget, so such chunks take more than 3 MiB; the k = 4
-#: concave cells (8 vertices, 216 points) count 408 KB each.  concave_k4
+#: concave cells (8 vertices, 216 points) count 470 KB each.  concave_k4
 #: without mesh generation, medians of 12 repeats alternating the floor in
 #: one process (2-vCPU VM, seed 0), at 8 / 16 / 24 / 32 / 48 cells:
 #: 1.57 / 1.37 / 1.31 / 1.31 / 1.37 s (225 / 113 / 75 / 57 / 38 kernel
@@ -570,70 +601,77 @@ def cell_bytes(nv, n_points, k):
     """Working memory one chunk of :func:`_stack_elements` takes per cell
     of ``nv`` vertices and ``n_points`` quadrature points, in bytes.
 
-    Counts what :func:`_projectors` and :func:`_local_forms` allocate: the
-    rule's monomial table (width n_poly(k)); the product of the seven
-    coefficient Grams, the orthonormalised values it weights and their rows
-    taken for each cell's class (width 9 n_poly(k - 1)); the coefficient
-    tables and their evaluation (about 24 values per point); and about 16
-    (n_dofs, n_dofs) matrices.
+    Counts what :func:`_projectors`, :func:`_form_tables` and
+    :func:`_local_forms` allocate when every cell is a class of its own:
+    the rule's monomial table (width n_poly(k)); the orthonormalised values
+    (width m = n_poly(k - 1)); the table of their products and its rows
+    taken for each cell's class (width m (m + 1) each); the coefficients,
+    their evaluation and checks and their seven weights (about 30 values
+    per point); and about 16 (n_dofs, n_dofs) matrices.
     """
     nd = element_layout(nv, k).n_dofs
-    per_point = n_poly(k) + 9 * n_poly(k - 1) + 24
+    m = n_poly(k - 1)
+    per_point = n_poly(k) + m + m * (m + 1) + 30
     return 8 * (n_points * per_point + 16 * nd ** 2)
 
 
-#: A cell joins the shape class of its key only when each of its vertex and
-#: triangle corner offsets from its first vertex, and its diameter, differ
-#: from its representative's by at most this many ulps of the stack's
-#: largest coordinate magnitude.  The translates of the lattice families
-#: deviate by at most 0.49 ulp of 1 (concave 30 x 30 and 40 x 40, square
-#: 5 x 5 to 100 x 100): on concave 30 x 30 that is 3.3e-15 of the cell
-#: diameter, against a bound of 1.9e-14 of it.
+#: A cell joins the shape class of its key only when each of its vertex
+#: offsets from its first vertex, and its diameter, differ from its
+#: representative's by at most this many ulps of the stack's largest
+#: coordinate magnitude.  The translates of the lattice families deviate
+#: by at most 0.49 ulp of 1 (concave 30 x 30 and 40 x 40, square 5 x 5 to
+#: 100 x 100): on concave 30 x 30 that is 3.3e-15 of the cell diameter,
+#: against a bound of 1.9e-14 of it.
 _CLASS_ULPS = 4
 #: Resolution of the class key: offsets in units of the diameter, rounded
 #: to 2^-30.  Only the explicit check above merges cells; a key that rounds
 #: apart splits a class, which costs time, not accuracy.
 _KEY_BITS = 30
+#: Odd multipliers that hash a class key row to one integer (wrapping
+#: uint64 arithmetic).  Cells whose keys differ never merge, as the keys
+#: themselves are compared; a collision only splits a class.
+_KEY_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
-def shape_classes(geometry, tris):
+def shape_classes(geometry):
     """Cells of a stack that are translates of each other, up to roundoff.
 
-    ``geometry`` is a :class:`GeometryStack` whose cells share a vertex and
-    a triangle count and ``tris`` (C, T, 3, 2) their triangles.  The scaled
-    monomials (x - x_E)/h_E are translation-invariant, so translates share
-    their projectors, mass matrices and monomial tables on corresponding
-    rule points.  A cell's key is its vertex offsets from its first vertex
-    in units of its diameter, its ``edge_forward`` pattern (a flipped edge
-    changes the sign of its odd edge moments) and its diameter; the first
-    cell of each key represents it, and a cell joins that class only after
-    the check of ``_CLASS_ULPS``, which also covers the triangle corners
-    (a fan's apex is the centroid, which the vertices determine).  A cell
-    that fails it is a class of its own.
+    ``geometry`` is a :class:`GeometryStack` of cells that share a vertex
+    count.  The scaled monomials (x - x_E)/h_E are translation-invariant,
+    so translates share their projectors, mass matrices and monomial
+    tables on corresponding rule points.  A cell's key is its vertex
+    offsets from its first vertex in units of its diameter, its
+    ``edge_forward`` pattern (a flipped edge changes the sign of its odd
+    edge moments), its diameter and its :func:`star_shaped` flag (so a
+    class shares one triangulation), hashed to one integer.  The first
+    cell of each hash represents it, and a cell joins that class only when
+    its whole key equals the representative's and it passes the check of
+    ``_CLASS_ULPS`` (a fan's apex is the centroid, which the vertices
+    determine).  A cell that fails either is a class of its own.
 
-    Returns ``(reps, classes)``: the rows of the representatives, ascending,
-    and the class of every row; both are ``arange(C)`` when no two cells
-    share a class.
+    Returns the row of each cell's representative; a representative is
+    its own.
     """
-    n, nv = geometry.vertices.shape[:2]
+    star = star_shaped(geometry)
+    n = len(geometry)
     h = geometry.diameter
-    corners = tris[:, :, 1:] if tris.shape[1] == nv else tris
-    offsets = (np.concatenate([geometry.vertices, corners.reshape(n, -1, 2)],
-                              axis=1) - geometry.vertices[:, :1])
+    offsets = geometry.vertices - geometry.vertices[:, :1]
     scale = 2.0 ** _KEY_BITS
     key = np.concatenate([
-        np.rint(offsets[:, :nv] / h[:, None, None] * scale).reshape(n, -1),
-        geometry.edge_forward, np.rint(h / h.max() * scale)[:, None]],
-        axis=1).astype(np.int64)
-    _, first, which = np.unique(key, axis=0, return_index=True,
+        np.rint(offsets[:, 1:] / h[:, None, None] * scale).reshape(n, -1),
+        geometry.edge_forward, star[:, None],
+        np.rint(h / h.max() * scale)[:, None]], axis=1).astype(np.int64)
+    multipliers = _KEY_HASH * (2 * np.arange(key.shape[1], dtype=np.uint64)
+                               + 1)
+    hashed = (key.view(np.uint64) * multipliers).sum(axis=1)
+    _, first, which = np.unique(hashed, return_index=True,
                                 return_inverse=True)
-    rep = first[which.reshape(-1)]
+    rep = first[which]
     tol = _CLASS_ULPS * np.finfo(float).eps * np.abs(geometry.vertices).max()
-    close = ((np.abs(offsets - offsets[rep]).max(axis=(1, 2)) <= tol)
+    close = ((key == key[rep]).all(axis=1)
+             & (np.abs(offsets - offsets[rep]).max(axis=(1, 2)) <= tol)
              & (np.abs(h - h[rep]) <= tol))
-    reps, classes = np.unique(np.where(close, rep, np.arange(n)),
-                              return_inverse=True)
-    return reps, classes
+    return np.where(close, rep, np.arange(n))
 
 
 def mesh_elements(mesh, k, coeffs=None, mode="standard"):
@@ -653,9 +691,11 @@ def _stack_elements(geometry, k, coeffs, mode):
     """Projectors and, given coefficients, local forms of the cells of the
     :class:`GeometryStack` ``geometry``, which share a vertex count.
 
-    Cells are stacked by triangle count, and each cell's rule, of degree
-    :func:`rule_degree`, is mapped onto its triangles.  The cells of a part
-    fall into shape classes (:func:`shape_classes`), taken ``step``
+    The cells fall into shape classes (:func:`shape_classes`) before they
+    are triangulated, so only the representatives are ear-clipped.  Cells
+    are stacked by triangle count, a class within one part, and each
+    cell's rule, of degree :func:`rule_degree`, is mapped onto its
+    triangles.  The classes of a part are taken ``step``
     representatives at a time: each such group's projectors, form tables
     and post-solve operators are built once, and then its member cells, the
     representatives first and in class order, come ``step`` at a time, each
@@ -668,28 +708,30 @@ def _stack_elements(geometry, k, coeffs, mode):
     """
     degree = rule_degree(k)
     nv = geometry.vertices.shape[1]
+    rep_of = shape_classes(geometry)
     # every part's rows taken at once, so the stack itself can go
-    parts = [(take(geometry, rows), tris)
-             for rows, tris in triangulate_stack(geometry)]
+    parts = [(take(geometry, rows), tris, rep_of[rows] == rows,
+              np.unique(rep_of[rows], return_inverse=True)[1])
+             for rows, tris in triangulate_stack(geometry, rep_of)]
     del geometry
     while parts:
         # off the list, so each part is held only once it is reordered
-        sub, tris = parts.pop(0)
+        sub, tris, is_rep, classes = parts.pop(0)
         n_points = tris.shape[1] * _duffy_rule(degree)[1].size
         step = max(_MIN_CHUNK_CELLS,
                    _CHUNK_BYTES // cell_bytes(nv, n_points, k))
-        reps, classes = shape_classes(sub, tris)
+        n_classes = int(np.count_nonzero(is_rep))
         # each group's representatives first, then its other members: the
         # representatives' rows are then a view of the members'
         group = classes // step
-        order = np.lexsort((reps[classes] != np.arange(len(sub)), group))
+        order = np.lexsort((~is_rep, group))
         stack = take(sub, order)
         del sub
         tris, classes = tris[order], classes[order]
         bounds = np.cumsum(np.bincount(group)).tolist()
-        for lo, start, stop in zip(range(0, reps.size, step),
+        for lo, start, stop in zip(range(0, n_classes, step),
                                    [0] + bounds, bounds):
-            n = min(step, reps.size - lo)
+            n = min(step, n_classes - lo)
             head = slice(start, start + n)
             for a in range(start, stop, step):
                 part = slice(a, min(a + step, stop))

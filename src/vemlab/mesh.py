@@ -322,18 +322,23 @@ def stack_geometry(coords, forward, cells=None):
     ``forward`` (C, n) holds the canonical edge orientations.  Nothing is
     validated here (a degenerate ring gets non-finite entries);
     :func:`polygon_geometry` and the triangulation reject such rings.
+
+    The area and centroid sums run over the vertex offsets from the first
+    vertex, so translates whose offsets agree get the same area and the
+    same centroid offset, wherever they lie.
     """
     coords = np.asarray(coords, dtype=float)
-    x, y = coords[..., 0], coords[..., 1]
+    offsets = coords - coords[..., :1, :]
+    x, y = offsets[..., 0], offsets[..., 1]
     xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
     area = 0.5 * _row_sum(cross)
     tang = np.roll(coords, -1, axis=-2) - coords
     lengths = np.hypot(tang[..., 0], tang[..., 1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        centroid = np.stack([_row_sum((x + xn) * cross) / (6.0 * area),
-                             _row_sum((y + yn) * cross) / (6.0 * area)],
-                            axis=-1)
+        centroid = coords[..., 0, :] + np.stack(
+            [_row_sum((x + xn) * cross) / (6.0 * area),
+             _row_sum((y + yn) * cross) / (6.0 * area)], axis=-1)
         normals = (np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
                    / lengths[..., None])
     return GeometryStack(cells, coords, area, centroid, _diameters(coords),
@@ -343,8 +348,13 @@ def stack_geometry(coords, forward, cells=None):
 def _by_size(ragged):
     """Per row length, ascending: the row ids and their (C, n) rows, of a
     per-cell list of 1-D arrays such as ``mesh.cells``."""
-    sizes = np.array([row.size for row in ragged])
-    flat = np.concatenate(ragged)
+    return _by_count(np.concatenate(ragged),
+                     np.array([row.size for row in ragged]))
+
+
+def _by_count(flat, sizes):
+    """Per row length, ascending: the row ids and their (C, n) rows, of
+    rows of lengths ``sizes`` concatenated in ``flat``."""
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     for n in np.unique(sizes):
         rows = np.flatnonzero(sizes == n)

@@ -703,16 +703,11 @@ def triangulate_per_cell(coords):
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
     span = (coords.max(0) - coords.min(0)).max()
-    x, y = coords[:, 0], coords[:, 1]
-    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    area, centroid = _area_centroid_per_cell(coords)
     if area <= 1e-14 * span ** 2:
         raise MeshError("triangulation failed; polygon is degenerate")
     if n == 3:
         return coords[None, :, :]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    centroid = (np.array([np.sum((x + xn) * cross), np.sum((y + yn) * cross)])
-                / (6 * (0.5 * cross.sum())))
     nxt = np.roll(coords, -1, axis=0)
     cross = ((coords[:, 0] - centroid[0]) * (nxt[:, 1] - centroid[1])
              - (nxt[:, 0] - centroid[0]) * (coords[:, 1] - centroid[1]))
@@ -724,6 +719,45 @@ def triangulate_per_cell(coords):
         tris[:, 2] = nxt
         return tris
     return _ear_clip_per_cell(coords)
+
+
+def shape_classes_per_part(geometry, tris):
+    """Shape classes of one triangle-count part of a stack, keyed on its
+    triangles after triangulation by ``np.unique(axis=0)`` over the whole
+    key: the per-part construction that ``vemlab.local.shape_classes``
+    replaced by one hashed key per vertex-count stack, before
+    triangulation.  Returns ``(reps, classes)``: the rows of the
+    representatives, ascending, and the class of every row."""
+    from vemlab.local import _CLASS_ULPS, _KEY_BITS
+
+    n, nv = geometry.vertices.shape[:2]
+    h = geometry.diameter
+    corners = tris[:, :, 1:] if tris.shape[1] == nv else tris
+    offsets = (np.concatenate([geometry.vertices, corners.reshape(n, -1, 2)],
+                              axis=1) - geometry.vertices[:, :1])
+    scale = 2.0 ** _KEY_BITS
+    key = np.concatenate([
+        np.rint(offsets[:, :nv] / h[:, None, None] * scale).reshape(n, -1),
+        geometry.edge_forward, np.rint(h / h.max() * scale)[:, None]],
+        axis=1).astype(np.int64)
+    _, first, which = np.unique(key, axis=0, return_index=True,
+                                return_inverse=True)
+    rep = first[which.reshape(-1)]
+    tol = _CLASS_ULPS * np.finfo(float).eps * np.abs(geometry.vertices).max()
+    close = ((np.abs(offsets - offsets[rep]).max(axis=(1, 2)) <= tol)
+             & (np.abs(h - h[rep]) <= tol))
+    return np.unique(np.where(close, rep, np.arange(n)), return_inverse=True)
+
+
+def _area_centroid_per_cell(coords):
+    """Area and centroid of one polygon by the shoelace sums over its
+    vertex offsets from its first vertex."""
+    x, y = (coords - coords[0]).T
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * np.sum(cross)
+    return area, coords[0] + np.array([np.sum((x + xn) * cross) / (6.0 * area),
+                                       np.sum((y + yn) * cross) / (6.0 * area)])
 
 
 def _ear_clip_per_cell(coords):
@@ -783,12 +817,7 @@ def element_geometry_per_cell(mesh, cell):
 
     ring = mesh.cells[cell]
     coords = mesh.vertices[ring]
-    x, y = coords[:, 0], coords[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    centroid = np.array([np.sum((x + xn) * cross) / (6.0 * area),
-                         np.sum((y + yn) * cross) / (6.0 * area)])
+    area, centroid = _area_centroid_per_cell(coords)
     diff = coords[:, None, :] - coords[None, :, :]
     diameter = np.sqrt((diff ** 2).sum(-1).max())
     tang = np.roll(coords, -1, axis=0) - coords
@@ -1014,7 +1043,8 @@ def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
     evaluation per cell: the construction that ``vemlab.local`` stacks
     (``_projectors``, ``_form_tables``, ``_local_forms``), with the forms
     as coefficient-weighted Grams of the orthonormalised degree-(k-1)
-    monomials sandwiched between projectors.
+    monomials sandwiched between projectors, the Grams taken from the
+    table of the basis products.
     Returns a dict of the ``ProjectorSet`` and ``LocalSystem`` arrays."""
     from vemlab.basis import n_poly
 
@@ -1028,11 +1058,15 @@ def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
     values = np.linalg.inv(L) @ out["rule_values"][:, :m].T
     wc = w * np.stack([kap[:, 0, 0], kap[:, 0, 1], kap[:, 1, 0], kap[:, 1, 1],
                        b[:, 0], b[:, 1], gam])
-    # the seven Grams side by side, from one product
-    grams = (values @ (wc[:, None] * values).reshape(7 * m, -1).T).reshape(
-        m, 7, m)
-    K = np.block([[grams[:, 0], grams[:, 1]], [grams[:, 2], grams[:, 3]]])
-    Kb = np.vstack([grams[:, 4], grams[:, 5]])
+    # the seven Grams from one product with the table of the basis
+    # products v_a v_b, a <= b, each filled in symmetrically
+    a_idx, b_idx = np.triu_indices(m)
+    pairs = wc @ (values[a_idx] * values[b_idx]).T
+    grams = np.empty((7, m, m))
+    grams[:, a_idx, b_idx] = pairs
+    grams[:, b_idx, a_idx] = pairs
+    K = np.block([[grams[0], grams[1]], [grams[2], grams[3]]])
+    Kb = np.vstack([grams[4], grams[5]])
     P = L.T @ out["Pi0km1"]
     grad = np.vstack([L.T @ out["Pi0GradX"], L.T @ out["Pi0GradY"]])
     if mode == "grad_pinabla" and k > 1:
@@ -1049,9 +1083,9 @@ def local_system_per_cell(geom, k, coeffs, mode="standard", quad_boost=2):
     Ah = Acons + S
     Ah = 0.5 * (Ah + Ah.T)
     Bh = -(grad.T @ (Kb @ P))
-    Ch = P.T @ (grams[:, 6] @ P)
+    Ch = P.T @ (grams[6] @ P)
     Ch = 0.5 * (Ch + Ch.T)
-    f_loc = (P.T @ (values @ (w * coeffs.f_at(points))[:, None]))[:, 0]
+    f_loc = (P.T @ ((w * coeffs.f_at(points))[None] @ values.T).T)[:, 0]
     return dict(out, Ah=Ah, Bh=Bh, Ch=Ch, S=S, f_loc=f_loc)
 
 

@@ -296,15 +296,30 @@ class TestScatter:
                     <= np.finfo(float).eps * np.abs(ref.data).max())
 
     def test_coo_pattern_matches_repeat_and_tile(self):
-        dm = build_dofmap(MESHES["lloyd0"], 3)
-        sizes = np.array([g.size for g in dm.cell_dofs])
-        rows, cols, starts = assembly._coo_pattern(
-            np.concatenate(dm.cell_dofs), sizes, dm.n_dofs)
-        assert starts[-1] == rows.size == cols.size
-        for c, g in enumerate(dm.cell_dofs):
-            block = slice(starts[c], starts[c + 1])
-            assert np.array_equal(rows[block], np.repeat(g, g.size))
-            assert np.array_equal(cols[block], np.tile(g, g.size))
+        # built per DoF count (lloyd0 mixes them, every concave cell has
+        # the same): each cell's block against a per-cell repeat and tile,
+        # and so are the recovery columns, one row per internal moment
+        for k, family in ((3, "lloyd0"), (4, "concave")):
+            dm = build_dofmap(MESHES[family], k)
+            sizes = np.array([g.size for g in dm.cell_dofs])
+            assert (np.unique(sizes).size > 1) == (family == "lloyd0")
+            rows, cols, starts = assembly._coo_pattern(
+                np.concatenate(dm.cell_dofs), sizes, dm.n_dofs)
+            assert starts[-1] == rows.size == cols.size
+            assert rows.dtype == cols.dtype == np.int32
+            n_int = n_poly(k - 2)
+            skeleton = [g[:g.size - n_int].astype(np.int32)
+                        for g in dm.cell_dofs]
+            recovery, recovery_starts = assembly._block_columns(
+                np.concatenate(skeleton), sizes - n_int, n_rows=n_int)
+            assert recovery_starts[-1] == recovery.size
+            for c, g in enumerate(dm.cell_dofs):
+                block = slice(starts[c], starts[c + 1])
+                assert np.array_equal(rows[block], np.repeat(g, g.size))
+                assert np.array_equal(cols[block], np.tile(g, g.size))
+                block = slice(recovery_starts[c], recovery_starts[c + 1])
+                assert np.array_equal(recovery[block],
+                                      np.tile(skeleton[c], n_int))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("family", ["concave", "lloyd0"])
@@ -713,6 +728,45 @@ class TestSolve:
                                    rtol=1e-12, atol=1e-12)
         (lu,) = factors
         assert not np.array_equal(lu.perm_r, lu.perm_c)
+
+    @staticmethod
+    def _sliver_grid(width):
+        # a 4 x 4 grid of squares with an extra x-line ``width`` to the
+        # right of x = 0.25 and of x = 0.75: two columns of sliver cells
+        xs = [0.0, 0.25, 0.25 + width, 0.5, 0.75, 0.75 + width, 1.0]
+        ys = [0.0, 0.25, 0.5, 0.75, 1.0]
+        n = len(xs)
+        cells = [[j * n + i, j * n + i + 1, (j + 1) * n + i + 1, (j + 1) * n + i]
+                 for j in range(len(ys) - 1) for i in range(n - 1)]
+        return make_mesh([[x, y] for y in ys for x in xs], cells)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [1e-4, 1e-7])
+    def test_sliver_columns_verified_or_named(self, width, k):
+        # 1e-4-wide slivers solve to the patch answer (at k >= 2 their
+        # residual is above roundoff, and the forward-error bound passes);
+        # 1e-7-wide ones end in SolveError or the patch answer, never in a
+        # wrong answer (at k = 3 the condensed residual passes its 1e-10
+        # check, and the answer was 7.0e-5 off before the bound)
+        mesh = self._sliver_grid(width)
+        prob = polynomial_problem(k)
+        system = assemble(mesh, k, prob.coefficients)
+        apply_dirichlet(system, prob.p_ex, mesh, k)
+        try:
+            u = solve(system)
+        except SolveError as exc:
+            assert width == 1e-7 and "ill-conditioned" in str(exc), exc
+        else:
+            assert np.abs(u - interpolate(mesh, k, prob.p_ex)).max() <= 1e-9
+
+    def test_no_condition_estimate_at_roundoff(self, monkeypatch):
+        # a residual at roundoff verifies the answer without the estimate
+        mesh = generate(GeneratorSpec("concave", 100, seed=0))
+        prob = builtin_problem()
+        system = assemble(mesh, 4, prob.coefficients)
+        apply_dirichlet(system, prob.p_ex, mesh, 4)
+        monkeypatch.setattr(assembly, "onenormest", None)
+        solve(system)
 
     def test_factors_in_symmetric_mode(self, monkeypatch):
         mesh = MESHES["lloyd0"]

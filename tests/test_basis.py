@@ -7,11 +7,11 @@ from vemlab import kernels
 from vemlab.basis import (derivative_table, edge_reconstruction, gram,
                           map_rule, monomial_exponents, n_poly,
                           polygon_quadrature, triangulate, triangulate_stack)
-from vemlab.local import projector_set
-from vemlab.mesh import (MeshError, element_geometry, polygon_geometry,
-                         stack_geometry)
+from vemlab.local import projector_set, shape_classes
+from vemlab.mesh import (MeshError, element_geometry, geometry_stacks,
+                         make_mesh, polygon_geometry, stack_geometry)
 from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
-                            voronoi_mesh)
+                            square_mesh, voronoi_mesh)
 
 from oracles import (edge_quadrature, fd_gradient, green_monomial_integral,
                      map_rule_axis_pairs, monomial_values, random_polygon_bank,
@@ -212,6 +212,33 @@ class TestBatchedTriangulation:
                         got, triangulate_per_cell(stack.vertices[i]))
                     seen += 1
         assert seen == len(polygons)
+
+    @pytest.mark.parametrize("family", ["concave", "square", "lloyd0",
+                                        "moved_vertex"])
+    def test_class_members_take_their_representatives_corners(self, family):
+        # only each shape class's representative is ear-clipped; the other
+        # members gather their own vertices at its corners, and every cell,
+        # fan or ear clip, gets the triangles of its own one-cell
+        # construction bit for bit
+        if family == "moved_vertex":
+            # one interior vertex of a 4 x 4 square mesh moved: its 4
+            # cells are classes of their own next to the 12 others
+            base = square_mesh(4)
+            vertices = base.vertices.copy()
+            vertices[np.flatnonzero((np.abs(vertices - 0.5) < 1e-12)
+                                    .all(axis=1))[0]] += [0.03, -0.02]
+            mesh = make_mesh(vertices, base.cells)
+        else:
+            mesh = generate(GeneratorSpec(family, 400, seed=1))
+        seen = 0
+        for stack in geometry_stacks(mesh):
+            rep_of = shape_classes(stack)
+            for rows, tris in triangulate_stack(stack, rep_of):
+                for i, got in zip(rows, tris):
+                    assert np.array_equal(
+                        got, triangulate_per_cell(stack.vertices[i])), i
+                    seen += 1
+        assert seen == mesh.num_cells
 
     def test_concave_cells_take_the_ear_clip(self):
         # the concave family's cells are not star-shaped with respect to

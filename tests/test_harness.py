@@ -166,13 +166,16 @@ class TestBuildOnce:
                                                          sizes, monkeypatch):
         # every cell is triangulated and gets its local forms exactly once,
         # the projectors are built once for each shape-class representative,
-        # and post-processing neither builds projectors nor re-triangulates;
-        # it reads the bank's stacked geometry, and only the point
-        # evaluation takes one cell's geometry row
+        # each representative that takes the ear clip is ear-clipped once
+        # (its class's members take its corners), and post-processing
+        # neither builds projectors nor re-triangulates; it reads the bank's
+        # stacked geometry, and only the point evaluation takes one cell's
+        # geometry row
         built, entries, projected, triangulated, elements = (
             [], [], [], [], [])
+        clipped, ear_clips = [], []
         forms, class_projectors = local._local_forms, local._projectors
-        triangulate_stack = local.triangulate_stack
+        triangulate_stack, ear_clip = local.triangulate_stack, basis._ear_clip
         take = mesh_module.take
 
         def counted_take(record, rows):
@@ -190,13 +193,27 @@ class TestBuildOnce:
             projected.extend(geometry.cells.tolist())
             return class_projectors(geometry, *args)
 
-        def counted_triangulation(geometry):
+        def counted_triangulation(geometry, rep_of):
+            # per stack: the cells ear-clipped, and the representatives
+            # among the cells that take the ear clip (a triangle takes
+            # neither the clip nor the fan)
             triangulated.extend(geometry.cells.tolist())
-            return triangulate_stack(geometry)
+            clipped.clear()
+            parts = triangulate_stack(geometry, rep_of)
+            nv = geometry.vertices.shape[1]
+            reps = [c for rows, tris in parts if 3 < nv != tris.shape[1]
+                    for c in geometry.cells[rows[rep_of[rows] == rows]]]
+            ear_clips.append((sorted(clipped), sorted(reps)))
+            return parts
+
+        def counted_ear_clip(geometry):
+            clipped.extend(geometry.cells.tolist())
+            return ear_clip(geometry)
 
         monkeypatch.setattr(local, "_local_forms", counted_forms)
         monkeypatch.setattr(local, "_projectors", counted_projectors)
         monkeypatch.setattr(local, "triangulate_stack", counted_triangulation)
+        monkeypatch.setattr(basis, "_ear_clip", counted_ear_clip)
         for module in (mesh_module, basis, local):
             monkeypatch.setattr(module, "take", counted_take)
         projectors = self._count(monkeypatch, "projector_set",
@@ -216,6 +233,11 @@ class TestBuildOnce:
                        for c, rep in zip(geometry.cells, reps) if rep == c]
         assert sorted(projected) == sorted(represented)
         assert sorted(triangulated) == sorted(built)
+        assert all(got == reps for got, reps in ear_clips)
+        if family == "concave":
+            # no concave cell takes the fan: its 5 representatives are
+            # ear-clipped, and nothing else
+            assert [len(reps) for _, reps in ear_clips] == [5] * len(records)
         assert not projectors and not rebuilt
         assert len(geometries) <= cells + 1
         assert len(elements) <= len(records)

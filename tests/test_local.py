@@ -30,7 +30,7 @@ from oracles import (edge_quadrature, element_geometry_per_cell,
                      interpolate_dofs_per_cell, local_forms_point_tables,
                      local_system_per_cell, monomial_values,
                      projector_set_per_cell, q1_stiffness, quadrature_per_cell,
-                     subdivision_integrate)
+                     shape_classes_per_part, subdivision_integrate)
 
 UNIT_SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 PENTAGON = polygon_geometry(
@@ -752,20 +752,35 @@ class TestShapeClasses:
     FIELDS = TestElementKernel.PROJECTOR_FIELDS
 
     @staticmethod
-    def _classes(mesh):
-        return [shape_classes(take(geometry, rows), tris)
-                for geometry in geometry_stacks(mesh)
-                for rows, tris in triangulate_stack(geometry)]
+    def _part_classes(geometry):
+        # the stack's classes within each triangle-count part, as
+        # (representatives, class of every row), numbered within the part,
+        # checked against the per-part construction keyed on the triangles
+        rep_of = shape_classes(geometry)
+        out = []
+        for rows, tris in triangulate_stack(geometry, rep_of):
+            reps, classes = np.unique(rep_of[rows], return_inverse=True)
+            reps = np.searchsorted(rows, reps)
+            ref = shape_classes_per_part(take(geometry, rows), tris)
+            assert np.array_equal(reps, ref[0])
+            assert np.array_equal(classes, ref[1])
+            out.append((reps, classes))
+        return out
 
-    @staticmethod
-    def _stack_classes(*rings, flipped=None):
+    @classmethod
+    def _classes(cls, mesh):
+        return [part for geometry in geometry_stacks(mesh)
+                for part in cls._part_classes(geometry)]
+
+    @classmethod
+    def _stack_classes(cls, *rings, flipped=None):
         coords = np.array(rings, dtype=float)
         forward = np.ones(coords.shape[:2], dtype=bool)
         if flipped is not None:
             forward[flipped] = False
         geometry = stack_geometry(coords, forward, np.arange(len(coords)))
-        ((rows, tris),) = triangulate_stack(geometry)
-        return shape_classes(take(geometry, rows), tris)
+        (part,) = cls._part_classes(geometry)
+        return part
 
     @pytest.mark.parametrize("family, counts", [
         ("square", [1]), ("concave", [5])])
@@ -847,8 +862,8 @@ class TestShapeClasses:
         # a class member takes its representative's projectors, computed
         # from coordinates that differ from its own in the last bits: its
         # projectors and forms stay within 1e-12 of each array's max-norm
-        # of its own one-cell construction (at most 1.8e-13 measured, on
-        # concave k = 3)
+        # of its own one-cell construction (at most 9.6e-14 measured, on
+        # concave k = 4)
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
         members = 0

@@ -15,7 +15,7 @@ from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
 from vemlab.basis import (monomial_exponents, polygon_quadrature, triangulate,
                           triangulate_stack)
 from vemlab.local import Coefficients, ElementBank, smooth_rule_degree
-from vemlab.mesh import element_geometry, geometry_stacks, make_mesh, take
+from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.postprocess import (ConvergenceReport, ErrorRecord,
                                 convergence_rates, error_norms, locate_cell,
@@ -311,11 +311,11 @@ class TestBankLayout:
                 heads.append(geometry.cells[:len(operators)])
         expected, rep_of = [], np.empty(mesh.num_cells, dtype=np.intp)
         for geometry in geometry_stacks(mesh):
-            for rows, tris in triangulate_stack(geometry):
+            stack_reps = local.shape_classes(geometry)
+            for rows, _ in triangulate_stack(geometry, stack_reps):
                 cells = geometry.cells[rows]
-                reps, classes = local.shape_classes(take(geometry, rows), tris)
-                expected.append(cells[reps])
-                rep_of[cells] = cells[reps[classes]]
+                expected.append(np.unique(geometry.cells[stack_reps[rows]]))
+                rep_of[cells] = geometry.cells[stack_reps[rows]]
         assert np.array_equal(np.concatenate(heads), np.concatenate(expected))
         assert bank_representatives(bank) == rep_of.tolist()
         calls = []
