@@ -318,7 +318,7 @@ def apply_dirichlet(system, g, mesh, k):
     # in the order of dofmap.boundary_dofs
     values, moments = skeleton_dofs(
         gv, mesh.vertices[mesh.boundary_vertices],
-        mesh.vertices[mesh.edge_vertices[mesh.boundary_edges()]], k)
+        mesh.vertices[mesh.edge_vertices[mesh.boundary_edges()]], k, "g")
     lift = np.zeros(dofmap.n_dofs)
     lift[dofmap.boundary_dofs] = np.concatenate([values, moments.ravel()])
     if not np.isfinite(lift).all():

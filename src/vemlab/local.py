@@ -195,16 +195,18 @@ class Coefficients:
         return _at("f", self.f, pts, ())
 
 
-def _at(name, fn, pts, shape):
-    """The values of coefficient ``name``, ``fn(x, y)``, at ``pts`` (n, 2),
-    broadcast to (n,) + ``shape``; a ValueError names it if they do not."""
-    arr = np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
-    shape = (len(pts),) + shape
+def _at(name, fn, pts, shape=()):
+    """The values of the function ``name``, ``fn(x, y)``, at ``pts``
+    (..., 2), broadcast to ``pts.shape[:-1] + shape``; a ValueError names
+    it if they do not."""
+    arr = np.asarray(fn(pts[..., 0], pts[..., 1]), dtype=float)
+    shape = pts.shape[:-1] + shape
     try:
         return np.broadcast_to(arr, shape)
     except ValueError:
-        raise ValueError(f"{name} returned shape {arr.shape} at {len(pts)} "
-                         f"points, expected {shape}") from None
+        raise ValueError(f"{name} returned shape {arr.shape} at "
+                         f"{pts[..., 0].size} points, expected {shape}"
+                         ) from None
 
 
 @dataclass
@@ -777,35 +779,38 @@ def local_system(geom, k, coeffs, mode="standard"):
     return take(_one_element(geom, k, coeffs, mode).forms, 0)
 
 
-def skeleton_dofs(v, vertices, edges, k):
+def skeleton_dofs(v, vertices, edges, k, name="v"):
     """Vertex and edge DoFs of a smooth function ``v(x, y)``: its values at
     ``vertices`` (N, 2) and its moments ``(1/|e|) int_e v t^j ds``, j < k - 1,
     on ``edges`` (E, 2, 2), from their canonical start (t = -1) to their end
     (t = +1), by a rule exact to :func:`smooth_rule_degree`; (N,), (E, k - 1).
+    A ``v`` that does not give one value per point raises a ValueError
+    naming it ``name``.
     """
-    values = np.broadcast_to(v(vertices[:, 0], vertices[:, 1]), len(vertices))
+    values = _at(name, v, vertices)
     if k == 1:
         return values, np.empty((len(edges), 0))
     start, end = edges[:, :1], edges[:, 1:]
     t, w_std = _gauss(smooth_rule_degree(k) // 2 + 1)
     pts = 0.5 * (start + end) + 0.5 * (t[:, None] * (end - start))
-    vals = np.broadcast_to(v(pts[..., 0], pts[..., 1]), pts.shape[:2])
+    vals = _at(name, v, pts)
     # weights w_std / 2 * |e| sum to |e|
     return values, np.stack([np.sum(w_std / 2 * vals * t ** j, axis=-1)
                              for j in range(k - 1)], axis=-1)
 
 
-def internal_moments(geometry, k, v):
+def internal_moments(geometry, k, v, name="v"):
     """Internal DoFs ``(1/|E|) int_E v m_a``, |a| <= k - 2, of ``v(x, y)``
     on every cell of the :class:`GeometryStack` ``geometry``, with each
-    cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2))."""
+    cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2)).
+    ``name`` names ``v`` as :func:`skeleton_dofs` does."""
     out = np.empty((len(geometry), n_poly(k - 2)))
     exps = monomial_exponents(k - 2)
     for rows, tris in triangulate_stack(geometry):
         pts, wts = map_rule(tris, smooth_rule_degree(k))
         V = kernels.monomial_vandermonde(pts, geometry.centroid[rows],
                                          geometry.diameter[rows], exps)
-        weighted = wts * v(pts[..., 0], pts[..., 1])
+        weighted = wts * _at(name, v, pts)
         out[rows] = ((weighted[:, None] @ V)[:, 0]
                      / geometry.area[rows, None])
     return out

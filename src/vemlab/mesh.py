@@ -76,8 +76,9 @@ def polygon_area_centroid(coords):
 
 
 def _diameters(coords):
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
-    return np.sqrt((diff ** 2).sum(-1).max(axis=(-2, -1)))
+    x, y = coords[..., 0], coords[..., 1]
+    dx, dy = x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :]
+    return np.sqrt((dx * dx + dy * dy).max(axis=(-2, -1)))
 
 
 def make_mesh(vertices, cells, boundary_vertices=None):

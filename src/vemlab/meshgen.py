@@ -20,7 +20,8 @@ side: ``_BAND_SPACINGS`` seed spacings wide for the first Lloyd iteration
 and the final mesh, twice the last iteration's reach after that.  The
 result is kept only if every vertex of a seed's cell lies in the square,
 which certifies it equal to the fully mirrored one; otherwise every seed
-is mirrored.
+is mirrored.  One ladder, :func:`_certified_cells`, serves the Lloyd
+iterations and the final mesh.
 
 Every triangulation is of the mirrored seeds plus a frame of four points
 around them, so its hull is the frame's square.  A certified banded qhull
@@ -64,7 +65,7 @@ _FRAME_SCALE = 2.0
 _FRAME = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 #: half-width of the band of seeds mirrored across each side by the first
 #: Lloyd iteration and the final mesh, in seed spacings 1 / sqrt(n); a
-#: build whose cells fail the certificate (see :func:`_banded_centroids`)
+#: build whose cells fail the certificate (see :func:`_certified_cells`)
 #: mirrors every seed.  Random seed sets (lloyd0, seeds 0-39, 0-9 at
 #: n = 4,096) certified, and qhull's input at 4 spacings against full
 #: mirroring:
@@ -209,14 +210,12 @@ def relax_points(points, iterations):
     """Lloyd iterations on seed points.
 
     Returns the relaxed points and the per-iteration movement norms
-    ``max_i |seed_i - centroid_i|``.  Every iteration works on the Delaunay
-    triangulation (see :func:`_delaunay_centroids`) and mirrors only the
-    seeds near a side across it: within ``_BAND_SPACINGS`` seed spacings
-    in the first iteration, then within twice the last iteration's reach.
-    The last certified banded triangulation, the first one included, is
-    carried into the next iteration and repaired by edge flips (see
-    :func:`_banded_centroids`); an iteration whose band fails the
-    certificate mirrors every seed.
+    ``max_i |seed_i - centroid_i|``.  Every iteration takes the centroids
+    from :func:`_certified_cells` on the Delaunay triangulation that
+    mirrors only the seeds near a side across it: within
+    ``_BAND_SPACINGS`` seed spacings in the first iteration, then within
+    twice the last iteration's reach.  The last certified triangulation is
+    carried into the next iteration.  One seed's cell is the square.
     """
     pts = np.asarray(points, dtype=float).copy()
     if not len(pts):
@@ -225,10 +224,14 @@ def relax_points(points, iterations):
     movements = np.empty(iterations)
     band, carried = _BAND_SPACINGS / np.sqrt(len(pts)), None
     for it in range(iterations):
-        (new, reach, _), carried = _banded_centroids(pts, band, carried)
+        if len(pts) == 1:
+            new = np.array([[0.5, 0.5]])
+        else:
+            (new, reach, _), carried = _certified_cells(_cell_centroids, pts,
+                                                        band, carried)
+            # next band: twice the largest seed-to-vertex distance
+            band = 2.0 * reach
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
-        # next band: twice the largest seed-to-vertex distance
-        band = 2.0 * reach
         pts = new
     return pts, movements
 
@@ -253,20 +256,15 @@ def _clipped_cells(pts):
 
     A seed's ring is the circumcentres of its triangles in the mirrored
     triangulation, in counterclockwise angular order around it (cells are
-    convex).  Only the seeds within ``_BAND_SPACINGS`` seed spacings of a
-    side are mirrored across it, unless the cells fail the certificate of
-    :func:`_banded_centroids`; then every seed is.  Cocircular triangles
-    give repeated vertices, which :func:`_mesh_from_rings` welds.
+    convex), from :func:`_certified_cells` with a band of
+    ``_BAND_SPACINGS`` seed spacings.  Cocircular triangles give repeated
+    vertices, which :func:`_mesh_from_rings` welds.
     """
     n = len(pts)
     if n == 1:
         return [np.arange(4)], _SQUARE.copy()
-    found = _certified(_seed_circumcentres, pts,
-                       _delaunay(pts, _BAND_SPACINGS / np.sqrt(n)))
-    if found is None:
-        tri = _delaunay(pts)
-        found = _seed_circumcentres(pts, tri.points, tri.simplices)
-    simplices, _, centres = found
+    (simplices, _, centres), _ = _certified_cells(
+        _seed_circumcentres, pts, _BAND_SPACINGS / np.sqrt(n))
     owner = simplices.ravel()
     at_seed = owner < n
     ids, owner = np.repeat(np.arange(len(simplices)), 3)[at_seed], owner[at_seed]
@@ -334,20 +332,26 @@ def _delaunay(pts, band=None):
     frame = 0.5 * (lo + hi) + 0.5 * _FRAME_SCALE * (hi - lo).max() * _FRAME
     points = np.vstack([mirrored, frame])
     tri = Delaunay(points)
-    simplices, neighbors = tri.simplices, tri.neighbors
     # counterclockwise (qhull guarantees no orientation): swap corners 1
-    # and 2, and the neighbours opposite them
-    cw = _twice_area(points[simplices]) < 0.0
-    simplices[cw] = simplices[cw][:, [0, 2, 1]]
-    neighbors[cw] = neighbors[cw][:, [0, 2, 1]]
+    # and 2, and the neighbours opposite them; one column at a time
+    x, y = points[:, 0].take(tri.simplices), points[:, 1].take(tri.simplices)
+    cw = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+          - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])) < 0.0
+    s0, s1, s2 = tri.simplices.T
+    n0, n1, n2 = tri.neighbors.T
+    s1, s2 = np.where(cw, s2, s1), np.where(cw, s1, s2)
+    n1, n2 = np.where(cw, n2, n1), np.where(cw, n1, n2)
     opposite = None
     if not len(tri.coplanar):
         # half-edge (t, i) borders the neighbour opposite corner i + 2, and
-        # its twin there starts at corner i + 1
-        across = neighbors[:, _PREV]
-        slot = np.argmax(simplices[across] == simplices[:, _NEXT, None], axis=-1)
-        opposite = np.where(across >= 0, 3 * across + slot, -1).ravel()
-    return _Triangulation(points, members, simplices, opposite)
+        # its twin there starts at corner i + 1 (at slot 0 unless found at
+        # slot 1 or 2)
+        opposite = np.column_stack([
+            np.where(across >= 0, 3 * across + (s1.take(across) == start)
+                     + 2 * (s2.take(across) == start), -1)
+            for across, start in ((n2, s1), (n0, s2), (n1, s0))]).ravel()
+    return _Triangulation(points, members, np.column_stack([s0, s1, s2]),
+                          opposite)
 
 
 def _flip_repaired(tri, pts):
@@ -451,21 +455,6 @@ def _in_circle(points, a, b, c, d):
     return det > _INCIRCLE_TIE * bound
 
 
-def _delaunay_centroids(pts, band=None):
-    """Area centroids of the seeds' Voronoi cells, from the Delaunay triangles.
-
-    The seeds are mirrored as in :func:`_members`; without a ``band`` the
-    cells are the clipped cells.  Returns ``(centroids, reach, centres)``
-    as :func:`_cell_centroids` does.
-    """
-    n = len(pts)
-    if n == 1:
-        reach = np.sqrt(((_SQUARE - pts[0]) ** 2).sum(axis=1).max())
-        return np.array([[0.5, 0.5]]), reach, _SQUARE.copy()
-    tri = _delaunay(pts, band)
-    return _cell_centroids(pts, tri.points, tri.simplices)
-
-
 def _seed_circumcentres(pts, points, simplices):
     """The triangles at a seed, their corners and their snapped circumcentres.
 
@@ -539,8 +528,17 @@ def _cell_centroids(pts, points, simplices):
     return centroids, reach, centres
 
 
-def _banded_centroids(pts, band, carried=None):
-    """Clipped-cell centroids from band mirroring, certified; full otherwise.
+def _certified_cells(cells, pts, band, carried=None):
+    """``cells(pts, points, simplices)`` on the first triangulation whose
+    cells pass the certificate: the ``carried`` one repaired by flips
+    (:func:`_flip_repaired`), then qhull's with this ``band``, then qhull's
+    with every seed mirrored, which needs none.
+
+    ``cells`` is :func:`_cell_centroids` or :func:`_seed_circumcentres`,
+    whose last return value is the cells' vertices; ``pts`` holds two
+    seeds or more.  Returns ``(cells, tri)``, where ``tri`` is the
+    certified triangulation to carry into the next Lloyd iteration, or
+    ``None`` after full mirroring or a build that left a point out.
 
     The certificate is exact.  For a point p of the square, a seed g and
     its mirror g' across a side, |p - g'| >= |p - g|: no mirror is nearer
@@ -548,33 +546,24 @@ def _banded_centroids(pts, band, carried=None):
     mirrors gives each seed the same cell inside the square, and a cell
     whose vertices all lie in the square is the clipped cell.  (A frame
     point nearer than every seed to part of the square would border a
-    seed's cell, which :func:`_cell_centroids` refuses.)
-
-    A ``carried`` triangulation, from an earlier certified banded build, is
-    first repaired by flips (:func:`_flip_repaired`); qhull runs with this
-    ``band`` only when that fails or its cells fail the certificate.
-    Returns ``((centroids, reach, centres), tri)``, where ``tri`` is the
-    certified banded triangulation to carry into the next iteration, or
-    ``None`` after full mirroring.
+    seed's cell, which :func:`_seed_circumcentres` refuses.)
     """
-    if len(pts) == 1:
-        return _delaunay_centroids(pts), None
     if carried is not None:
         tri = _flip_repaired(carried, pts)
-        banded = None if tri is None else _certified(_cell_centroids, pts, tri)
-        if banded is not None:
-            return banded, tri
+        found = None if tri is None else _certified(cells, pts, tri)
+        if found is not None:
+            return found, tri
     tri = _delaunay(pts, band)
-    banded = _certified(_cell_centroids, pts, tri)
-    if banded is not None:
-        return banded, tri if tri.opposite is not None else None
-    return _delaunay_centroids(pts), None
+    found = _certified(cells, pts, tri)
+    if found is not None:
+        return found, tri if tri.opposite is not None else None
+    tri = _delaunay(pts)
+    return cells(pts, tri.points, tri.simplices), None
 
 
 def _certified(cells, pts, tri):
     """``cells(pts, tri.points, tri.simplices)`` if the cell vertices it
-    returns last pass the certificate, else None; ``cells`` is
-    :func:`_cell_centroids` or :func:`_seed_circumcentres`."""
+    returns last lie in the square, else None."""
     try:
         found = cells(pts, tri.points, tri.simplices)
     except MeshError:

@@ -15,7 +15,7 @@ from . import kernels
 from .assembly import build_dofmap, check_dofmap
 from .basis import map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .local import (ElementBank, _check_finite, mesh_elements,
+from .local import (ElementBank, _at, _check_finite, mesh_elements,
                     smooth_rule_degree)
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import element_geometry
@@ -167,12 +167,8 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
     for geometry, tris, operators, classes in projection.bank.chunks:
         part = geometry.cells
         pts, w = map_rule(tris, ex)
-        flat = pts.reshape(-1, 2)
-        x, y = flat[:, 0], flat[:, 1]
-        p_vals = np.broadcast_to(np.asarray(p_ex(x, y), dtype=float),
-                                 x.shape).reshape(w.shape)
-        g_vals = np.broadcast_to(np.asarray(grad_p_ex(x, y), dtype=float),
-                                 x.shape + (2,)).reshape(w.shape + (2,))
+        p_vals = _at("p_ex", p_ex, pts)
+        g_vals = _at("grad_p_ex", grad_p_ex, pts, (2,))
         _check_finite(geometry, p_ex=p_vals, grad_p_ex=g_vals)
         if operators is not seen:
             seen, n = operators, len(operators)
@@ -186,9 +182,13 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
         # graded order: the degree-(k-1) monomials are the first columns
         gh = V[..., :nkm1] @ projection.grad_coeffs[part]
         wr = w[:, None, :]
+        # per coordinate: NumPy's sums over a trailing axis of length 2
+        # cost more than the arithmetic
         for row, values in enumerate((
-                (ph - p_vals) ** 2, np.sum((gh - g_vals) ** 2, axis=-1),
-                p_vals ** 2, np.sum(g_vals ** 2, axis=-1))):
+                (ph - p_vals) ** 2,
+                (gh[..., 0] - g_vals[..., 0]) ** 2
+                + (gh[..., 1] - g_vals[..., 1]) ** 2,
+                p_vals ** 2, g_vals[..., 0] ** 2 + g_vals[..., 1] ** 2)):
             parts[row, part] = (wr @ values[..., None])[:, 0, 0]
     return parts
 
@@ -250,7 +250,7 @@ def point_error(projection, point, p_ex):
     p = np.asarray(point, dtype=float)
     cell = locate_cell(projection.mesh, p)
     value = projection.cell_value(cell, p[None, :])[0]
-    exact = float(p_ex(p[0], p[1]))
+    exact = float(_at("p_ex", p_ex, p))
     if not np.isfinite(exact):
         raise ValueError(f"cell {cell}: p_ex is not finite at {tuple(p)}")
     return abs(exact - value) / max(abs(exact), 1e-300), cell

@@ -365,6 +365,16 @@ def relax_points_per_cell(points, iterations):
     return pts, movements
 
 
+def delaunay_centroids(pts, band=None):
+    """``vemlab.meshgen._cell_centroids`` on qhull's triangulation of the
+    seeds mirrored in ``band`` (every seed without one), uncertified:
+    ``(centroids, reach, cell vertices)``."""
+    from vemlab.meshgen import _cell_centroids, _delaunay
+
+    tri = _delaunay(pts, band)
+    return _cell_centroids(pts, tri.points, tri.simplices)
+
+
 def relax_points_qhull(points, iterations):
     """Lloyd iterations that rebuild the triangulation with qhull every time.
 
@@ -375,24 +385,46 @@ def relax_points_qhull(points, iterations):
     with full mirroring.
     """
     from vemlab.mesh import MeshError
-    from vemlab.meshgen import _delaunay_centroids
 
     pts = np.asarray(points, dtype=float).copy()
     movements = np.empty(iterations)
     band = None
     for it in range(iterations):
         try:
-            new, reach, centres = _delaunay_centroids(pts, band)
+            new, reach, centres = delaunay_centroids(pts, band)
         except MeshError:
             if band is None:
                 raise
             centres = None
         if centres is None or not np.all((centres >= 0.0) & (centres <= 1.0)):
-            new, reach, _ = _delaunay_centroids(pts)
+            new, reach, _ = delaunay_centroids(pts)
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
         band = 2.0 * reach
         pts = new
     return pts, movements
+
+
+def delaunay_fancy_index(points):
+    """qhull's triangulation of ``points``, oriented as
+    ``vemlab.meshgen._delaunay`` did with fancy indexing over axes of length
+    2 and 3: counterclockwise simplices, their neighbours, and each
+    half-edge's twin (``None`` when qhull left a point out)."""
+    from scipy.spatial import Delaunay
+
+    tri = Delaunay(points)
+    simplices, neighbors = tri.simplices, tri.neighbors
+    corners = points[simplices]
+    b, c = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    cw = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0] < 0.0
+    simplices[cw] = simplices[cw][:, [0, 2, 1]]
+    neighbors[cw] = neighbors[cw][:, [0, 2, 1]]
+    opposite = None
+    if not len(tri.coplanar):
+        across = neighbors[:, [2, 0, 1]]
+        slot = np.argmax(simplices[across] == simplices[:, [1, 2, 0], None],
+                         axis=-1)
+        opposite = np.where(across >= 0, 3 * across + slot, -1).ravel()
+    return simplices, neighbors, opposite
 
 
 def opposite_half_edges(simplices):

@@ -516,6 +516,31 @@ class TestCoefficientShape:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Coefficients.constant(**{field: value})
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_dirichlet_data_of_wrong_shape_is_named(self, k):
+        # used to end in NumPy's "input operand has more dimensions than
+        # allowed by the axis remapping"
+        mesh = square_mesh(3)
+        system = assemble(mesh, k, Coefficients.constant(kappa=1.0))
+        with pytest.raises(ValueError, match=r"^g returned shape \(12, 2\) "
+                           r"at 12 points, expected \(12,\)$"):
+            apply_dirichlet(system, lambda x, y: np.stack([x, y], -1),
+                            mesh, k)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interpolated_function_of_wrong_shape_is_named(self, k):
+        mesh = square_mesh(3)
+        with pytest.raises(ValueError, match=r"^v returned shape \(16, 2\) "
+                           r"at 16 points, expected \(16,\)$"):
+            interpolate(mesh, k, lambda x, y: np.stack([x, y], -1))
+        # the internal moments name it too
+        geometry = next(geometry_stacks(mesh))
+        with pytest.raises(ValueError, match=r"^v returned shape "
+                           r"\(9, \d+, 2\) at \d+ points, expected "
+                           r"\(9, \d+\)$"):
+            local.internal_moments(geometry, k,
+                                   lambda x, y: np.stack([x, y], -1))
+
 
 def _right_of(x, value, good):
     """``good`` where x <= 0.9, ``value`` right of that line."""

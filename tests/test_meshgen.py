@@ -5,17 +5,18 @@ from scipy.spatial import Delaunay, cKDTree
 import vemlab.meshgen as meshgen
 from oracles import (cell_centroids_axis_sums, circumcircle_depth,
                      clipped_cells_per_cell, concave_mesh_registry,
-                     cvt_energy, in_circle_axis_sums,
+                     cvt_energy, delaunay_centroids, delaunay_fancy_index,
+                     in_circle_axis_sums,
                      mesh_from_rings_union_find, opposite_half_edges,
                      reflex_vertices, relax_points_per_cell,
                      relax_points_qhull, ring_centroids,
                      seed_circumcentres_axis_sums, sees_all_of_polygon,
                      square_mesh_per_cell)
 from vemlab.mesh import MeshError, element_geometry, make_mesh
-from vemlab.meshgen import (GeneratorSpec, _banded_centroids, _cell_centroids,
-                            _clipped_cells, _delaunay, _delaunay_centroids,
-                            _draw_seeds, _flip_repaired, _in_circle,
-                            _mesh_from_rings, _mirror, _next, _prev,
+from vemlab.meshgen import (GeneratorSpec, _cell_centroids, _certified_cells,
+                            _clipped_cells, _delaunay, _draw_seeds,
+                            _flip_repaired, _in_circle, _mesh_from_rings,
+                            _mirror, _NEXT, _next, _prev,
                             _seed_circumcentres, _tessellate, _twice_area,
                             _WELD_TOL, concave_mesh,
                             generate, lloyd_relax, relax_points, square_mesh,
@@ -265,13 +266,13 @@ class TestFlatVoronoi:
         pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
         if failure == "unbounded":
             with pytest.raises(MeshError):
-                _delaunay_centroids(pts, band)
+                delaunay_centroids(pts, band)
         else:
-            centres = _delaunay_centroids(pts, band)[2]
+            centres = delaunay_centroids(pts, band)[2]
             assert np.any((centres < 0.0) | (centres > 1.0))
-        full = _delaunay_centroids(pts)
+        full = delaunay_centroids(pts)
         sizes = _counting_delaunay(monkeypatch)
-        banded, carried = _banded_centroids(pts, band)
+        banded, carried = _certified_cells(_cell_centroids, pts, band)
         # the band diagram failed the certificate, then full mirroring (and
         # the four frame points) ran, and nothing is carried
         assert len(sizes) == 2 and carried is None
@@ -281,9 +282,9 @@ class TestFlatVoronoi:
 
     def test_certified_band_cells_equal_clipped_cells(self, monkeypatch):
         pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
-        full = _delaunay_centroids(pts)
+        full = delaunay_centroids(pts)
         sizes = _counting_delaunay(monkeypatch)
-        banded, carried = _banded_centroids(pts, 0.1)
+        banded, carried = _certified_cells(_cell_centroids, pts, 0.1)
         assert len(sizes) == 1 and sizes[0] < 5 * len(pts)
         assert carried is not None
         assert banded[1] == pytest.approx(full[1], rel=1e-13)
@@ -300,11 +301,11 @@ class TestFlatVoronoi:
         sq = (edges ** 2).sum(axis=-1)
         assert np.any(2.0 * sq.max(axis=1) > sq.sum(axis=1))
         ref = _qhull_ring_centroids(pts)
-        assert np.abs(_delaunay_centroids(pts)[0] - ref).max() < 1e-13
+        assert np.abs(delaunay_centroids(pts)[0] - ref).max() < 1e-13
 
     def test_certified_band_centroids_match_ring_oracle(self):
         pts = relax_points(np.random.default_rng(3).uniform(0, 1, (200, 2)), 5)[0]
-        new, _, centres = _delaunay_centroids(pts, 0.1)
+        new, _, centres = delaunay_centroids(pts, 0.1)
         assert np.all((centres >= 0.0) & (centres <= 1.0))
         ref = _qhull_ring_centroids(pts)
         assert np.abs(new - ref).max() < 1e-13
@@ -326,7 +327,7 @@ class TestFlatVoronoi:
         n = 200
         pts = np.random.default_rng(8).uniform(0.0, 1.0, (n, 2)) * (1.0, 0.6)
         assert pts[:, 1].max() < 1.0 - meshgen._BAND_SPACINGS / np.sqrt(n)
-        full = _delaunay_centroids(pts)[0]
+        full = delaunay_centroids(pts)[0]
         sizes = _counting_delaunay(monkeypatch)
         new, moves = relax_points(pts, 1)
         # the banded build, then full mirroring (and the four frame points)
@@ -365,8 +366,8 @@ def _carried_and_moved(source):
                   "relaxed": (None, 1.0)}[source]
     if source == "relaxed":
         pts = relax_points(pts, 20)[0]
-        band = 2.0 * _delaunay_centroids(pts)[1]
-    moved = pts + step * (_delaunay_centroids(pts)[0] - pts)
+        band = 2.0 * delaunay_centroids(pts)[1]
+    moved = pts + step * (delaunay_centroids(pts)[0] - pts)
     return _delaunay(pts, band), moved
 
 
@@ -411,16 +412,26 @@ class TestFlipRepair:
         assert np.abs(new - ref).max() < 1e-11
         assert np.abs(moves - ref_moves).max() < 1e-11
 
+    def test_lloyd100_qhull_build_count(self, monkeypatch):
+        # 1,600 seeds, seed 0: six builds relax the seeds (the first
+        # iteration's banded one, then five the repair could not avoid),
+        # and one makes the final mesh
+        sizes = _counting_delaunay(monkeypatch)
+        pts = relax_points(_draw_seeds(GeneratorSpec("lloyd100", 1600)), 100)[0]
+        assert len(sizes) == 6
+        _tessellate(pts)
+        assert len(sizes) == 7
+
     def test_inverting_move_rebuilds_with_qhull(self, monkeypatch):
         carried, moved = _carried_and_moved("relaxed")
         # two neighbouring seeds swap places: their triangles invert
         a, b = carried.simplices[(carried.simplices < 400).all(axis=1)][0, :2]
         moved[[a, b]] = moved[[b, a]]
         assert _flip_repaired(carried, moved) is None
-        band = 2.0 * _delaunay_centroids(moved)[1]
-        fresh = _banded_centroids(moved, band)
+        band = 2.0 * delaunay_centroids(moved)[1]
+        fresh = _certified_cells(_cell_centroids, moved, band)
         sizes = _counting_delaunay(monkeypatch)
-        out, tri = _banded_centroids(moved, band, carried)
+        out, tri = _certified_cells(_cell_centroids, moved, band, carried)
         assert len(sizes) >= 1 and tri is not carried
         for x, y in zip(out, fresh[0]):
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
@@ -430,7 +441,7 @@ class TestFlipRepair:
         moved[7, 1] = np.nan
         assert _flip_repaired(carried, moved) is None
         with pytest.raises((ValueError, MeshError)):
-            _banded_centroids(moved, 0.2, carried)
+            _certified_cells(_cell_centroids, moved, 0.2, carried)
         with pytest.raises((ValueError, MeshError)):
             relax_points(moved, 3)
 
@@ -443,7 +454,7 @@ def _triangulated(source, n):
     band = 4.0 / np.sqrt(n) if source == "banded" else None
     if source == "relaxed":
         pts = relax_points(pts, 20)[0]
-        band = 2.0 * _delaunay_centroids(pts)[1]
+        band = 2.0 * delaunay_centroids(pts)[1]
     return pts, _delaunay(pts, band)
 
 
@@ -467,11 +478,22 @@ class TestPerCoordinateArithmetic:
         for a, b in zip(ours, ref):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    def test_orientation_matches_fancy_index_oracle(self, source, n):
+        # _delaunay orients qhull's output one column at a time; the
+        # neighbour opposite corner j borders half-edge j + 1
+        pts, tri = _triangulated(source, n)
+        simplices, neighbors, opposite = delaunay_fancy_index(tri.points)
+        for ours, ref in ((tri.simplices, simplices), (tri.opposite, opposite)):
+            assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+        across = np.where(tri.opposite >= 0, tri.opposite // 3, -1)
+        assert np.array_equal(across.reshape(-1, 3)[:, _NEXT], neighbors)
+        assert np.array_equal(tri.opposite, opposite_half_edges(simplices))
+
     def test_in_circle_matches_axis_sum_oracle(self, source, n, monkeypatch):
         # every interior edge of the triangulation, after the seeds moved
         # half a Lloyd step: some edges are illegal now
         pts, tri = _triangulated(source, n)
-        moved = pts + 0.5 * (_delaunay_centroids(pts)[0] - pts)
+        moved = pts + 0.5 * (delaunay_centroids(pts)[0] - pts)
         points = np.vstack([_mirror(moved, tri.members), tri.points[-4:]])
         flat, half = tri.simplices.ravel(), np.arange(tri.opposite.size)
         edges = half[tri.opposite > half]
@@ -485,6 +507,16 @@ class TestPerCoordinateArithmetic:
         monkeypatch.setattr(meshgen, "_INCIRCLE_TIE", 0.0)
         assert np.array_equal(_in_circle(points, *corners),
                               in_circle_axis_sums(points, *corners))
+
+
+def test_orientation_of_a_build_with_a_point_left_out():
+    # qhull leaves a repeated seed out of every triangle: no opposite table
+    pts = np.random.default_rng(6).uniform(0.0, 1.0, (50, 2))
+    pts[7] = pts[3]
+    tri = _delaunay(pts)
+    simplices, _, opposite = delaunay_fancy_index(tri.points)
+    assert tri.opposite is None and opposite is None
+    assert np.array_equal(tri.simplices, simplices)
 
 
 def test_weld_merges_near_duplicate_vertices_of_a_perturbed_lattice():

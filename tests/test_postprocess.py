@@ -272,6 +272,24 @@ class TestErrorNorms:
         assert (ring.min(axis=0) < 0.6).all()
         assert (ring.max(axis=0) > 0.3).all()
 
+    @pytest.mark.parametrize("field, value, got, expected", [
+        ("p_ex", lambda x, y: np.stack([x, y], -1), r"\(16, \d+, 2\)",
+         r"\(16, \d+\)"),
+        ("grad_p_ex", lambda x, y: np.stack([x, y, x], -1),
+         r"\(16, \d+, 3\)", r"\(16, \d+, 2\)"),
+    ], ids=["p_ex", "grad_p_ex"])
+    def test_exact_solution_of_wrong_shape_is_named(self, field, value, got,
+                                                    expected):
+        # an (n, 3) gradient used to end in NumPy's "operands could not be
+        # broadcast together with remapped shapes"
+        prob, mesh = builtin_problem(), square_mesh(4)
+        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        exact = {"p_ex": prob.p_ex, "grad_p_ex": prob.grad_p_ex,
+                 field: value}
+        with pytest.raises(ValueError, match=rf"^{field} returned shape "
+                           rf"{got} at \d+ points, expected {expected}$"):
+            error_norms(proj, exact["p_ex"], exact["grad_p_ex"])
+
     def test_absolute_vs_relative_scaling(self):
         prob = builtin_problem()
         mesh = square_mesh(5)
@@ -388,6 +406,14 @@ class TestPointError:
         with pytest.raises(ValueError,
                            match=f"cell {cell}: p_ex is not finite"):
             point_error(proj, (0.45, 0.45), _nan_in_hole(prob.p_ex))
+
+    def test_array_valued_exact_value_is_named(self):
+        # used to end in a TypeError from float()
+        prob, mesh = builtin_problem(), square_mesh(4)
+        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        with pytest.raises(ValueError, match=r"^p_ex returned shape \(3,\) "
+                           r"at 1 points, expected \(\)$"):
+            point_error(proj, (0.45, 0.45), lambda x, y: np.ones(3))
 
     def test_outside_point_raises(self):
         prob = constant_problem()
