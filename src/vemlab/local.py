@@ -799,18 +799,17 @@ def skeleton_dofs(v, vertices, edges, k, name="v"):
                              for j in range(k - 1)], axis=-1)
 
 
-def internal_moments(geometry, k, v, name="v"):
+def internal_moments(geometry, k, v):
     """Internal DoFs ``(1/|E|) int_E v m_a``, |a| <= k - 2, of ``v(x, y)``
     on every cell of the :class:`GeometryStack` ``geometry``, with each
-    cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2)).
-    ``name`` names ``v`` as :func:`skeleton_dofs` does."""
+    cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2))."""
     out = np.empty((len(geometry), n_poly(k - 2)))
     exps = monomial_exponents(k - 2)
     for rows, tris in triangulate_stack(geometry):
         pts, wts = map_rule(tris, smooth_rule_degree(k))
         V = kernels.monomial_vandermonde(pts, geometry.centroid[rows],
                                          geometry.diameter[rows], exps)
-        weighted = wts * _at(name, v, pts)
+        weighted = wts * _at("v", v, pts)
         out[rows] = ((weighted[:, None] @ V)[:, 0]
                      / geometry.area[rows, None])
     return out

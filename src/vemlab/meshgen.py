@@ -536,9 +536,9 @@ def _certified_cells(cells, pts, band, carried=None):
 
     ``cells`` is :func:`_cell_centroids` or :func:`_seed_circumcentres`,
     whose last return value is the cells' vertices; ``pts`` holds two
-    seeds or more.  Returns ``(cells, tri)``, where ``tri`` is the
-    certified triangulation to carry into the next Lloyd iteration, or
-    ``None`` after full mirroring or a build that left a point out.
+    seeds or more.  Returns what ``cells`` returned and the certified
+    triangulation to carry into the next Lloyd iteration, or ``None``
+    after full mirroring or a build that left a point out.
 
     The certificate is exact.  For a point p of the square, a seed g and
     its mirror g' across a side, |p - g'| >= |p - g|: no mirror is nearer
