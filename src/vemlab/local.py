@@ -529,14 +529,10 @@ def _local_forms(out, rule, coeffs, tables):
     """
     k, geometry = out.k, out.geometry
     m = n_poly(k - 1)
-    w = rule.weights
-    pts = rule.points.reshape(-1, 2)
-    shape = w.shape
-    n_cells, n_points = shape
-    kap = coeffs.kappa_at(pts).reshape(shape + (2, 2))
-    b = coeffs.b_at(pts).reshape(shape + (2,))
-    gam = coeffs.gamma_at(pts).reshape(shape)
-    f = coeffs.f_at(pts).reshape(shape)
+    w, pts = rule.weights, rule.points
+    n_cells = len(w)
+    kap, b = coeffs.kappa_at(pts), coeffs.b_at(pts)
+    gam, f = coeffs.gamma_at(pts), coeffs.f_at(pts)
     _check_finite(geometry, kappa=kap, b=b, gamma=gam, f=f)
     _check_kappa(kap, geometry)
 

@@ -7,6 +7,8 @@ with "vertices", "cells" and optional "boundary_vertices" keys.
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -86,9 +88,9 @@ def make_mesh(vertices, cells, boundary_vertices=None):
 
     Raises :class:`MeshError` for an empty cell list, coordinates that are
     not numbers, vertex ids that are not integers, short or repeating
-    rings, non-CCW cells, and edges traversed twice in the same direction,
+    rings, non-CCW cells, edges traversed twice in the same direction,
     which indicates inconsistent orientation or an edge shared by more
-    than two cells.
+    than two cells, and a vertex that no cell uses.
     """
     vertices = _entries(vertices, "vertex table", "iuf")
     vertices = vertices.astype(float, copy=False)
@@ -110,6 +112,10 @@ def make_mesh(vertices, cells, boundary_vertices=None):
 
     mesh = PolyMesh(vertices, rings, np.zeros(n_vert, dtype=bool),
                     *_edge_table(rings, n_vert))
+    used = np.zeros(n_vert, dtype=bool)
+    used[mesh.edge_vertices] = True
+    if not used.all():
+        raise MeshError(f"vertex {np.argmin(used)} is used by no cell")
     mesh.boundary_vertices[mesh.edge_vertices[mesh.boundary_edges()]] = True
 
     if boundary_vertices is not None:
@@ -377,39 +383,39 @@ def max_diameter(mesh):
                for _, rings in _by_size(mesh.cells))
 
 
-def _kernel_chebyshev(coords):
-    """Radius of the largest disk centered at the Chebyshev center of the
-    visibility kernel (intersection of all edge half-planes).
-
-    Returns 0.0 when the kernel has empty interior.
-    """
-    from scipy.optimize import linprog
-
-    tang = np.roll(coords, -1, axis=0) - coords
-    lengths = np.hypot(tang[:, 0], tang[:, 1])
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-    # disk {c, r} inside half-plane n.(x - p) <= 0  <=>  n.c + r <= n.p
-    a_ub = np.column_stack([normals, np.ones(len(coords))])
-    b_ub = np.sum(normals * coords, axis=1)
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(lo[0], hi[0]), (lo[1], hi[1]), (None, None)],
-                  method="highs")
-    if not res.success:
-        return 0.0
-    return max(float(res.x[2]), 0.0)
+#: bytes of working memory for one block of (cell, edge triple) pairs, of
+#: which each takes about 16 n + 320 bytes on n-gons (by tracemalloc)
+_KERNEL_BYTES = 1 << 24
 
 
 def regularity_report(mesh):
-    """Shape diagnostics for every cell (star-shapedness, edge ratios)."""
-    n = mesh.num_cells
-    rho = np.empty(n)
-    edge_ratio = np.empty(n)
-    for ci in range(n):
-        geom = element_geometry(mesh, ci)
-        rho[ci] = _kernel_chebyshev(geom.vertices) / geom.diameter
-        edge_ratio[ci] = geom.edge_lengths.min() / geom.diameter
+    """Shape diagnostics for every cell: rho, the radius of the largest disk
+    in its visibility kernel (0 when the kernel has no interior), and its
+    shortest edge, each over its diameter.  A disk (c, r) lies in the kernel
+    when n_i.c + r <= n_i.p_i on every edge i, and the largest one touches
+    three edges: each vertex-count stack solves every triple of edges, in
+    blocks of (cell, triple) pairs that fit in ``_KERNEL_BYTES``."""
+    rho, edge_ratio = np.empty(mesh.num_cells), np.empty(mesh.num_cells)
+    for g in geometry_stacks(mesh):
+        c, n = g.edge_lengths.shape
+        a = np.dstack([g.edge_normals, np.ones((c, n))])
+        b = np.sum(g.edge_normals * g.vertices, axis=2)
+        tol = -1e-12 * np.abs(g.vertices).max(axis=(1, 2))[:, None, None]
+        pairs = max(1, _KERNEL_BYTES // (16 * n + 320))
+        size = min(pairs, comb(n, 3))
+        step = pairs // size  # cells per block
+        r, triples = np.zeros(c), combinations(range(n), 3)
+        while (t := np.array(list(islice(triples, size)))).size:
+            for i in (slice(lo, lo + step) for lo in range(0, c, step)):
+                m = a[i, t]
+                ok = np.abs(np.linalg.det(m)) > 1e-12  # the normals are unit
+                x = np.linalg.solve(np.where(ok[..., None, None], m, np.eye(3)),
+                                    b[i, t, None])[..., 0]
+                fits = ok & np.all(b[i, None] - x @ np.swapaxes(a[i], 1, 2)
+                                   >= tol[i], axis=2)
+                r[i] = np.maximum(r[i], np.where(fits, x[..., 2], 0).max(axis=1))
+        rho[g.cells] = r / g.diameter
+        edge_ratio[g.cells] = g.edge_lengths.min(axis=1) / g.diameter
     non_star = np.flatnonzero(rho <= 1e-12)
     return RegularityReport(rho, edge_ratio, float(rho.min()),
                             float(edge_ratio.min()), non_star)

@@ -128,6 +128,32 @@ def sees_all_of_polygon(coords, px, py, samples=12):
     return True
 
 
+def kernel_radius_lp(coords):
+    """Radius of the largest disk centered at the Chebyshev center of the
+    visibility kernel (intersection of all edge half-planes), by one
+    linear program per polygon; the library's closed-form enumeration over
+    edge triples is tested against it.
+
+    Returns 0.0 when the kernel has empty interior.
+    """
+    from scipy.optimize import linprog
+
+    tang = np.roll(coords, -1, axis=0) - coords
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    # disk {c, r} inside half-plane n.(x - p) <= 0  <=>  n.c + r <= n.p
+    a_ub = np.column_stack([normals, np.ones(len(coords))])
+    b_ub = np.sum(normals * coords, axis=1)
+    lo = coords.min(axis=0)
+    hi = coords.max(axis=0)
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(lo[0], hi[0]), (lo[1], hi[1]), (None, None)],
+                  method="highs")
+    if not res.success:
+        return 0.0
+    return max(float(res.x[2]), 0.0)
+
+
 def cvt_energy(points, rings, coords):
     """CVT quantization energy sum_i int_{V_i} |x - s_i|^2 dx.
 

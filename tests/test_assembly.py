@@ -486,16 +486,17 @@ class TestKappaCheck:
 class TestCoefficientShape:
     # a callable of the wrong shape used to end in NumPy's bare broadcast
     # error, and Coefficients.constant(gamma=(1, 2)) in a TypeError from
-    # float(), neither naming the coefficient
+    # float(), neither naming the coefficient; the callables see the
+    # (cells, points) array of a stack's rule points
     @pytest.mark.parametrize("field, value, got, expected", [
-        ("b", lambda x, y: np.ones(np.shape(x) + (3,)), r"\(\d+, 3\)",
-         r"\(\d+, 2\)"),
-        ("kappa", lambda x, y: np.ones(np.shape(x) + (2,)), r"\(\d+, 2\)",
-         r"\(\d+, 2, 2\)"),
+        ("b", lambda x, y: np.ones(np.shape(x) + (3,)),
+         r"\(\d+, \d+, 3\)", r"\(\d+, \d+, 2\)"),
+        ("kappa", lambda x, y: np.ones(np.shape(x) + (2,)),
+         r"\(\d+, \d+, 2\)", r"\(\d+, \d+, 2, 2\)"),
         ("gamma", lambda x, y: np.ones(np.shape(x) + (2,)),
-         r"\(\d+, 2\)", r"\(\d+,\)"),
+         r"\(\d+, \d+, 2\)", r"\(\d+, \d+\)"),
         ("f", lambda x, y: np.ones(np.size(x) + 1), r"\(\d+,\)",
-         r"\(\d+,\)"),
+         r"\(\d+, \d+\)"),
     ], ids=["b", "kappa", "gamma", "f"])
     def test_callable_of_wrong_shape_is_named(self, field, value, got,
                                               expected):

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
-from oracles import edge_table_dicts
+from oracles import edge_table_dicts, kernel_radius_lp
 from vemlab.basis import polygon_quadrature
 from vemlab.local import Coefficients, local_system, projector_set
 from vemlab.mesh import (MeshError, element_geometry, geometry_stacks,
@@ -117,6 +118,20 @@ class TestLoadMesh:
     def test_malformed_file_names_the_cause(self, tmp_path, change, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
             load_mesh(write_json(tmp_path, dict(UNIT_SQUARE, **change)))
+
+    def test_orphan_vertex_is_named(self, tmp_path):
+        # a vertex no ring uses was accepted, and its DoF became an unknown
+        # with an empty row: the run failed blaming the solver's stability
+        square = square_mesh(4)
+        n = square.num_vertices
+        vertices = np.vstack([square.vertices, [[0.3, 0.7], [0.6, 0.2]]])
+        cells = [ring.tolist() for ring in square.cells]
+        message = f"^vertex {n} is used by no cell$"
+        with pytest.raises(MeshError, match=message):
+            make_mesh(vertices, cells)
+        doc = {"vertices": vertices.tolist(), "cells": cells}
+        with pytest.raises(MeshError, match=message):
+            load_mesh(write_json(tmp_path, doc))
 
     def test_integer_arrays_accepted(self):
         rings = np.array([[0, 1, 2, 3]], dtype=np.uint32)
@@ -268,7 +283,73 @@ class TestTake:
                 _assert_same_record(take(part, i), take(stack, row))
 
 
+def _regular_polygon(n):
+    t = 2.0 * np.pi * np.arange(n) / n
+    return make_mesh(0.5 + 0.4 * np.column_stack([np.cos(t), np.sin(t)]),
+                     [np.arange(n)])
+
+
+# three 0.2-wide teeth on a 0.2-high base: no point sees every tooth's tip
+COMB = make_mesh([[0, 0], [1, 0], [1, 1], [0.8, 1], [0.8, 0.2], [0.6, 0.2],
+                  [0.6, 1], [0.4, 1], [0.4, 0.2], [0.2, 0.2], [0.2, 1],
+                  [0, 1]], [np.arange(12)])
+# a square whose right cell has a collinear vertex at (0.5, 0.5)
+HANGING = make_mesh([[0, 0], [0.5, 0], [1, 0], [0, 0.5], [0.5, 0.5], [0, 1],
+                     [0.5, 1], [1, 1]],
+                    [[0, 1, 4, 3], [3, 4, 6, 5], [1, 2, 7, 6, 4]])
+# two cells whose shared boundary steps right by a 1e-10 edge at y = 0.5
+TINY_EDGE = make_mesh([[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5 + 1e-10, 1],
+                       [0, 1], [0.5, 0.5], [0.5 + 1e-10, 0.5]],
+                      [[0, 1, 6, 7, 4, 5], [1, 2, 3, 4, 7, 6]])
+
+
 class TestRegularity:
+    @pytest.mark.parametrize("build", [
+        lambda: square_mesh(5),
+        lambda: generate(GeneratorSpec("concave", 25)),
+        lambda: generate(GeneratorSpec("lloyd0", 400, seed=7)),
+        lambda: generate(GeneratorSpec("lloyd100", 100, seed=1)),
+        lambda: COMB, lambda: HANGING, lambda: TINY_EDGE,
+        lambda: _regular_polygon(40)],
+        ids=["square", "concave", "lloyd0", "lloyd100", "comb", "hanging",
+             "tiny_edge", "40-gon"])
+    def test_matches_per_cell_lp(self, build):
+        # the closed form over edge triples against one linear program
+        # per cell; the edge ratios against each cell's own geometry
+        mesh = build()
+        rep = regularity_report(mesh)
+        geoms = [element_geometry(mesh, ci) for ci in range(mesh.num_cells)]
+        rho = [kernel_radius_lp(g.vertices) / g.diameter for g in geoms]
+        ratio = [g.edge_lengths.min() / g.diameter for g in geoms]
+        assert np.abs(rep.rho - rho).max() <= 1e-12
+        assert np.array_equal(rep.edge_ratio, ratio)
+        assert rep.min_edge_ratio == min(ratio)
+        assert np.array_equal(rep.non_star_cells,
+                              np.flatnonzero(np.array(rho) <= 1e-12))
+
+    def test_empty_kernel_reads_zero(self):
+        rep = regularity_report(COMB)
+        assert rep.rho[0] == 0.0 and rep.min_rho == 0.0
+        assert np.array_equal(rep.non_star_cells, [0])
+
+    def test_blocks_keep_the_largest_disk(self, monkeypatch):
+        # 64 (cell, triple) pairs per block: the 9,880 triples of a 40-gon
+        # take 155 blocks, and the largest disk is the inscribed one
+        monkeypatch.setattr("vemlab.mesh._KERNEL_BYTES", 64 * (16 * 40 + 320))
+        mesh = _regular_polygon(40)
+        rho = regularity_report(mesh).rho[0]
+        geom = element_geometry(mesh, 0)
+        assert abs(rho - np.cos(np.pi / 40) / 2) <= 1e-12
+        assert abs(rho - kernel_radius_lp(geom.vertices) / geom.diameter) <= 1e-12
+
+    def test_lloyd100_1600_is_fast(self):
+        # one linear program per cell took 4-5 s on a 2-vCPU VM, the
+        # stacked closed form 0.02-0.04 s
+        mesh = generate(GeneratorSpec("lloyd100", 1600, seed=0))
+        start = time.perf_counter()
+        regularity_report(mesh)
+        assert time.perf_counter() - start < 1.0
+
     def test_unit_square_rho(self):
         mesh = square_mesh(1)
         rep = regularity_report(mesh)

@@ -12,7 +12,8 @@ from oracles import (cell_centroids_axis_sums, circumcircle_depth,
                      relax_points_qhull, ring_centroids,
                      seed_circumcentres_axis_sums, sees_all_of_polygon,
                      square_mesh_per_cell)
-from vemlab.mesh import MeshError, element_geometry, make_mesh
+from vemlab.mesh import (MeshError, element_geometry, make_mesh,
+                         regularity_report)
 from vemlab.meshgen import (GeneratorSpec, _cell_centroids, _certified_cells,
                             _clipped_cells, _delaunay, _draw_seeds,
                             _flip_repaired, _in_circle, _mesh_from_rings,
@@ -85,14 +86,15 @@ class TestConcaveFamily:
         assert len(element_geometry(mesh, 0).vertices) == 8
 
     def test_star_shaped_visibility_oracle(self):
-        # direct visibility check from the kernel point found by the library
-        from vemlab.mesh import _kernel_chebyshev
+        # the library finds a kernel disk in every cell, and the centre of
+        # the largest one, found by a linear program, sees the whole cell
         from scipy.optimize import linprog
 
         mesh = concave_mesh(1)
+        rho = regularity_report(mesh).rho
         for ci in range(mesh.num_cells):
             coords = element_geometry(mesh, ci).vertices
-            assert _kernel_chebyshev(coords) > 0.0
+            assert rho[ci] > 0.0
             tang = np.roll(coords, -1, axis=0) - coords
             lengths = np.hypot(tang[:, 0], tang[:, 1])
             normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
