@@ -5,10 +5,17 @@ more mesh families over a size sequence, solves the built-in (or a caller
 supplied) problem on each mesh, and aggregates error records into
 convergence reports.  Reports serialize to a flat CSV plus one
 gnuplot-ready data file per family.
+
+On Linux a sweep of more than one mesh solves its meshes in forked worker
+processes, one per CPU the process may run on (``os.sched_getaffinity``);
+``taskset -c 0`` keeps it in one process.
 """
 
 import math
+import multiprocessing
 import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +60,10 @@ class ExperimentConfig:
             if fam not in STUDY_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}; choose from "
                                  f"{STUDY_FAMILIES}")
+            if families.count(fam) > 1:
+                # each family has one report, so a repeat would be solved
+                # twice and one of its reports dropped
+                raise ValueError(f"family {fam!r} is given more than once")
         sizes = tuple(self.sizes)
         if not sizes:
             raise ValueError("at least one size is required")
@@ -103,23 +114,84 @@ def _run_single(mesh, k, problem, mode):
                        err_point_rel=pe)
 
 
+def _run_job(config, problem, meshes, family, size):
+    """The record of one (family, size) mesh of the sweep: the injected
+    mesh, or one generated from the config seed, solved by ``_run_single``."""
+    mesh = None if meshes is None else meshes.get((family, size))
+    if mesh is None:
+        mesh = generate(GeneratorSpec(family, size, seed=config.seed))
+    return _run_single(mesh, config.k, problem, config.mode)
+
+
+def _usable_cpus():
+    """CPUs this process may run on and start workers for: 1 outside Linux,
+    and in a daemonic process (a ``multiprocessing.Pool`` worker), which
+    may not start processes."""
+    if sys.platform != "linux" or multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+#: (config, problem, meshes) of a worker process, inherited through the fork
+_worker_inputs = None
+
+
+def _init_worker(*inputs):
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_worker_job(family, size):
+    return _run_job(*_worker_inputs, family, size)
+
+
+def _run_jobs_in_workers(jobs, n_workers, config, problem, meshes):
+    """Records of ``jobs``, in order, each solved in one of ``n_workers``
+    forked processes.
+
+    The workers inherit ``config``, ``problem`` and ``meshes`` through the
+    fork (the built-in problem's closures cannot be pickled); only the
+    (family, size) keys and the records are pickled.  A job that raises
+    re-raises here, the first in job order, once the pool has shut down.
+    """
+    with ProcessPoolExecutor(n_workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(config, problem, meshes)) as pool:
+        # largest meshes first, so that no worker starts one at the end
+        futures = {job: pool.submit(_run_worker_job, *job)
+                   for job in sorted(jobs, key=lambda job: -job[1])}
+        try:
+            return [futures[job].result() for job in jobs]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_experiment(config, problem=None, meshes=None):
     """Run the sweep; returns ``{(family, k, mode): ConvergenceReport}``.
 
     ``meshes`` can inject pre-built meshes as ``{(family, size): mesh}``
     (any missing entry is generated from the config seed).  When
     ``config.out`` is set the CSV/plot files are written as a side effect.
+
+    With more than one mesh and more than one usable CPU on Linux, the
+    meshes are solved in that many worker processes, at most one per mesh;
+    the reports are the same as those of one process.
     """
     problem = builtin_problem() if problem is None else problem
-    reports = {}
-    for family in config.families:
-        records = []
-        for size in config.sizes:
-            mesh = None if meshes is None else meshes.get((family, size))
-            if mesh is None:
-                mesh = generate(GeneratorSpec(family, size, seed=config.seed))
-            records.append(_run_single(mesh, config.k, problem, config.mode))
-        reports[(family, config.k, config.mode)] = convergence_rates(records)
+    jobs = [(family, size) for family in config.families
+            for size in config.sizes]
+    n_workers = min(len(jobs), _usable_cpus())
+    if n_workers > 1:
+        solved = _run_jobs_in_workers(jobs, n_workers, config, problem,
+                                      meshes)
+    else:
+        solved = [_run_job(config, problem, meshes, *job) for job in jobs]
+    records = dict(zip(jobs, solved))
+    reports = {(family, config.k, config.mode): convergence_rates(
+                   [records[family, size] for size in config.sizes])
+               for family in config.families}
     if config.out:
         emit_report(reports, config.out)
     return reports

@@ -105,6 +105,13 @@ class TestRun:
              "--out", str(out)], capsys)
         assert not out.exists()
 
+    def test_repeated_family_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert "family 'square' is given more than once" in _rejected(
+            ["run", "--family", "square,square", "--sizes", "4",
+             "--out", str(out)], capsys, usage="run")
+        assert not out.exists()
+
     def test_invalid_degree_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert "k must be >= 1, got 0" in _rejected(

@@ -2,6 +2,10 @@
 
 import csv
 import dataclasses
+import multiprocessing
+import os
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +108,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_experiment(ExperimentConfig(families=("square", "lloyd0"),
                                             sizes=(16,), seed=-1))
+
+    def test_repeated_family_rejected(self):
+        # each family has one report: a repeat would be solved twice and
+        # one of its two reports dropped
+        with pytest.raises(ValueError,
+                           match="family 'square' is given more than once"):
+            ExperimentConfig(families=("square", "lloyd0", "square"))
 
     def test_numpy_integer_sizes_accepted(self):
         config = ExperimentConfig(sizes=(np.int64(100), np.int32(25)))
@@ -221,8 +232,13 @@ class TestBuildOnce:
         rebuilt = self._count(monkeypatch, "triangulate", (basis,))
         geometries = self._count(monkeypatch, "element_geometry",
                                  (mesh_module, assembly, postprocess, harness))
+        # each mesh runs through the sweep's per-job function here, in the
+        # test process: a sweep of several meshes solves them in worker
+        # processes, whose calls the counters above would not see
         config = ExperimentConfig(k=k, families=(family,), sizes=sizes)
-        records = run_experiment(config)[(family, k, "standard")].records
+        problem = builtin_problem()
+        records = [harness._run_job(config, problem, None, family, size)
+                   for size in config.sizes]
         cells = sum(r.n_cells for r in records)
         assert not any(r.failed for r in records)
         assert len(built) == cells
@@ -269,6 +285,113 @@ class TestBuildOnce:
         assert "element geometry is degenerate" in bad.cause
         assert not good.failed and good.cause == ""
         assert np.isfinite([good.err_L2_rel, good.err_H1_rel]).all()
+
+
+def _on_one_cpu(run):
+    """``run()`` with this process restricted to one of its CPUs."""
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        return run()
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+def _sweep_n_cells():
+    config = ExperimentConfig(k=1, families=("square", "lloyd0"),
+                              sizes=(4, 9))
+    return [r.n_cells for rep in run_experiment(config).values()
+            for r in rep.records]
+
+
+def _with_coefficient(problem, name, fn):
+    return dataclasses.replace(problem, coefficients=dataclasses.replace(
+        problem.coefficients, **{name: fn}))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="CPU affinity is Linux-only")
+class TestParallelSweep:
+    """A sweep of several meshes is solved in worker processes, one per
+    usable CPU, and reports what one process would."""
+
+    def test_matches_one_cpu_sweep(self, tmp_path):
+        def sweep(name):
+            config = ExperimentConfig(k=2, families=("square", "concave",
+                                                     "lloyd0"),
+                                      sizes=(4, 9, 16),
+                                      out=str(tmp_path / f"{name}.csv"))
+            injected = generate(GeneratorSpec("lloyd100", 9, seed=3))
+            reports = run_experiment(config, meshes={("lloyd0", 9): injected})
+            assert multiprocessing.active_children() == []
+            # repr round-trips every float, so equal reprs are equal bits
+            return {key: [repr(dataclasses.astuple(r)) for r in rep.records]
+                    for key, rep in reports.items()}
+
+        assert sweep("parallel") == _on_one_cpu(lambda: sweep("one"))
+        for suffix in (".csv", "_square.dat", "_concave.dat", "_lloyd0.dat"):
+            assert ((tmp_path / f"parallel{suffix}").read_bytes()
+                    == (tmp_path / f"one{suffix}").read_bytes()), suffix
+
+    def test_builtin_problem_solved_in_workers(self, tmp_path):
+        # the built-in problem's closures cannot be pickled: the workers
+        # inherit it through the fork.  Every process that evaluates the
+        # source term leaves a file named by its pid.
+        base = builtin_problem()
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(base)
+
+        def f(x, y):
+            (tmp_path / str(os.getpid())).touch()
+            return base.coefficients.f(x, y)
+
+        config = ExperimentConfig(k=1, families=("square", "lloyd0"),
+                                  sizes=(4, 9, 16))
+        reports = run_experiment(config,
+                                 problem=_with_coefficient(base, "f", f))
+        assert multiprocessing.active_children() == []
+        assert not any(r.failed for rep in reports.values()
+                       for r in rep.records)
+        pids = {int(path.name) for path in tmp_path.iterdir()}
+        workers = min(6, len(os.sched_getaffinity(0)))
+        if workers == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and 1 <= len(pids) <= workers
+
+    def test_sweep_in_a_pool_worker_stays_in_process(self):
+        # multiprocessing.Pool's workers are daemonic, and a daemonic
+        # process may not start processes of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            n_cells = pool.apply_async(_sweep_n_cells).get(timeout=120)
+        assert n_cells == _sweep_n_cells()
+
+    def test_first_failing_mesh_in_sweep_order_raises(self):
+        # two injected meshes lie off the unit square, where the problem
+        # raises.  The later one in (family, size) order fails first: the
+        # earlier one sleeps before raising.
+        base = builtin_problem()
+
+        def kappa(x, y):
+            shift = int(np.min(x))
+            if shift == 3:
+                time.sleep(0.5)
+            if shift:
+                raise ValueError(f"mesh moved by {shift}")
+            return base.coefficients.kappa(x, y)
+
+        def moved(mesh, shift):
+            return make_mesh(mesh.vertices + [shift, 0.0], mesh.cells)
+
+        config = ExperimentConfig(k=1, families=("square", "lloyd0"),
+                                  sizes=(4, 9))
+        meshes = {("square", 9): moved(square_mesh(3), 3),
+                  ("lloyd0", 4): moved(generate(GeneratorSpec("lloyd0", 4)),
+                                       2)}
+        with pytest.raises(ValueError, match="^mesh moved by 3$"):
+            run_experiment(config, meshes=meshes,
+                           problem=_with_coefficient(base, "kappa", kappa))
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitReport:
