@@ -6,9 +6,10 @@ supplied) problem on each mesh, and aggregates error records into
 convergence reports.  Reports serialize to a flat CSV plus one
 gnuplot-ready data file per family.
 
-On Linux a sweep of more than one mesh solves its meshes in forked worker
-processes, one per CPU the process may run on (``os.sched_getaffinity``);
-``taskset -c 0`` keeps it in one process.
+On Linux (Python 3.11 or later) a sweep of more than one mesh solves its
+meshes in forked worker processes, one per CPU the process may run on
+(``os.sched_getaffinity``) and at most two; ``taskset -c 0`` keeps it in
+one process.
 """
 
 import math
@@ -123,13 +124,26 @@ def _run_job(config, problem, meshes, family, size):
     return _run_single(mesh, config.k, problem, config.mode)
 
 
-def _usable_cpus():
-    """CPUs this process may run on and start workers for: 1 outside Linux,
-    and in a daemonic process (a ``multiprocessing.Pool`` worker), which
-    may not start processes."""
-    if sys.platform != "linux" or multiprocessing.current_process().daemon:
+#: most worker processes a sweep starts.  Each worker holds a whole mesh
+#: (about 0.5 GB for 6,400 cells at k = 4), the gain was measured on two
+#: CPUs only, and ``os.sched_getaffinity`` does not see a cgroup's CPU
+#: quota, so more CPUs do not start more workers.
+_MAX_WORKERS = 2
+
+
+def _n_workers(n_jobs):
+    """Worker processes for a sweep of ``n_jobs`` meshes: one per CPU this
+    process may run on, at most one per mesh and at most ``_MAX_WORKERS``.
+
+    1 (solve in-process) outside Linux; in a daemonic process (a
+    ``multiprocessing.Pool`` worker), which may not start processes; and
+    before Python 3.11, whose ``ProcessPoolExecutor`` forks a worker per
+    ``submit()`` while its manager thread runs, which can deadlock.
+    """
+    if (sys.platform != "linux" or sys.version_info < (3, 11)
+            or multiprocessing.current_process().daemon):
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(n_jobs, len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
 
 #: (config, problem, meshes) of a worker process, inherited through the fork
@@ -152,7 +166,9 @@ def _run_jobs_in_workers(jobs, n_workers, config, problem, meshes):
     The workers inherit ``config``, ``problem`` and ``meshes`` through the
     fork (the built-in problem's closures cannot be pickled); only the
     (family, size) keys and the records are pickled.  A job that raises
-    re-raises here, the first in job order, once the pool has shut down.
+    re-raises here, the first in job order, once the pool has shut down;
+    a worker that dies (say, killed for memory) raises
+    ``BrokenProcessPool``.
     """
     with ProcessPoolExecutor(n_workers,
                              mp_context=multiprocessing.get_context("fork"),
@@ -175,14 +191,15 @@ def run_experiment(config, problem=None, meshes=None):
     (any missing entry is generated from the config seed).  When
     ``config.out`` is set the CSV/plot files are written as a side effect.
 
-    With more than one mesh and more than one usable CPU on Linux, the
-    meshes are solved in that many worker processes, at most one per mesh;
-    the reports are the same as those of one process.
+    With more than one mesh and more than one usable CPU on Linux
+    (Python 3.11 or later), the meshes are solved in worker processes, at most one per mesh and at
+    most ``_MAX_WORKERS``; the reports are the same as those of one
+    process.
     """
     problem = builtin_problem() if problem is None else problem
     jobs = [(family, size) for family in config.families
             for size in config.sizes]
-    n_workers = min(len(jobs), _usable_cpus())
+    n_workers = _n_workers(len(jobs))
     if n_workers > 1:
         solved = _run_jobs_in_workers(jobs, n_workers, config, problem,
                                       meshes)

@@ -5,7 +5,11 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import signal
+import sys
 import time
+import types
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -232,13 +236,11 @@ class TestBuildOnce:
         rebuilt = self._count(monkeypatch, "triangulate", (basis,))
         geometries = self._count(monkeypatch, "element_geometry",
                                  (mesh_module, assembly, postprocess, harness))
-        # each mesh runs through the sweep's per-job function here, in the
-        # test process: a sweep of several meshes solves them in worker
-        # processes, whose calls the counters above would not see
+        # on one CPU the sweep stays in the test process: worker processes
+        # would make calls the counters above do not see
         config = ExperimentConfig(k=k, families=(family,), sizes=sizes)
-        problem = builtin_problem()
-        records = [harness._run_job(config, problem, None, family, size)
-                   for size in config.sizes]
+        records = _on_one_cpu(
+            lambda: run_experiment(config)[(family, k, "standard")].records)
         cells = sum(r.n_cells for r in records)
         assert not any(r.failed for r in records)
         assert len(built) == cells
@@ -288,7 +290,10 @@ class TestBuildOnce:
 
 
 def _on_one_cpu(run):
-    """``run()`` with this process restricted to one of its CPUs."""
+    """``run()`` with this process restricted to one of its CPUs (outside
+    Linux a sweep runs in-process anyway)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return run()
     saved = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(saved)})
     try:
@@ -307,6 +312,25 @@ def _sweep_n_cells():
 def _with_coefficient(problem, name, fn):
     return dataclasses.replace(problem, coefficients=dataclasses.replace(
         problem.coefficients, **{name: fn}))
+
+
+def _sweep_pids(tmp_path, sizes=(4, 9, 16)):
+    """Pids of the processes that evaluate the source term in a k = 1
+    square and lloyd0 sweep of the built-in problem: each leaves a file
+    named by its pid in ``tmp_path``."""
+    base = builtin_problem()
+
+    def f(x, y):
+        (tmp_path / str(os.getpid())).touch()
+        return base.coefficients.f(x, y)
+
+    config = ExperimentConfig(k=1, families=("square", "lloyd0"),
+                              sizes=sizes)
+    reports = run_experiment(config, problem=_with_coefficient(base, "f", f))
+    assert multiprocessing.active_children() == []
+    assert not any(r.failed for rep in reports.values()
+                   for r in rep.records)
+    return {int(path.name) for path in tmp_path.iterdir()}
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -335,29 +359,54 @@ class TestParallelSweep:
 
     def test_builtin_problem_solved_in_workers(self, tmp_path):
         # the built-in problem's closures cannot be pickled: the workers
-        # inherit it through the fork.  Every process that evaluates the
-        # source term leaves a file named by its pid.
-        base = builtin_problem()
+        # inherit it through the fork
         with pytest.raises((pickle.PicklingError, AttributeError)):
-            pickle.dumps(base)
-
-        def f(x, y):
-            (tmp_path / str(os.getpid())).touch()
-            return base.coefficients.f(x, y)
-
-        config = ExperimentConfig(k=1, families=("square", "lloyd0"),
-                                  sizes=(4, 9, 16))
-        reports = run_experiment(config,
-                                 problem=_with_coefficient(base, "f", f))
-        assert multiprocessing.active_children() == []
-        assert not any(r.failed for rep in reports.values()
-                       for r in rep.records)
-        pids = {int(path.name) for path in tmp_path.iterdir()}
-        workers = min(6, len(os.sched_getaffinity(0)))
+            pickle.dumps(builtin_problem())
+        pids = _sweep_pids(tmp_path)
+        workers = harness._n_workers(6)
         if workers == 1:
             assert pids == {os.getpid()}
         else:
             assert os.getpid() not in pids and 1 <= len(pids) <= workers
+
+    def test_workers_capped_whatever_the_cpu_count(self, tmp_path,
+                                                  monkeypatch):
+        # each worker holds a whole mesh: 64 usable CPUs still start at
+        # most _MAX_WORKERS of them
+        if sys.version_info < (3, 11):
+            pytest.skip("sweeps run in-process before Python 3.11")
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)))
+        pids = _sweep_pids(tmp_path)
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= harness._MAX_WORKERS == 2
+
+    def test_before_python_3_11_stays_in_process(self, tmp_path,
+                                                 monkeypatch):
+        # Python 3.10's executor forks workers while its manager thread
+        # runs, which can deadlock
+        monkeypatch.setattr(harness, "sys", types.SimpleNamespace(
+            platform="linux", version_info=(3, 10, 14)))
+        assert _sweep_pids(tmp_path, sizes=(4, 9)) == {os.getpid()}
+
+    def test_killed_worker_raises(self):
+        # a worker killed from outside, as for memory, fails the sweep
+        # instead of leaving it waiting for the lost mesh
+        if harness._n_workers(4) < 2:
+            pytest.skip("the sweep runs in this process")
+        parent = os.getpid()
+        base = builtin_problem()
+
+        def f(x, y):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return base.coefficients.f(x, y)
+
+        config = ExperimentConfig(k=1, families=("square", "lloyd0"),
+                                  sizes=(4, 9))
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(config, problem=_with_coefficient(base, "f", f))
+        assert multiprocessing.active_children() == []
 
     def test_sweep_in_a_pool_worker_stays_in_process(self):
         # multiprocessing.Pool's workers are daemonic, and a daemonic
