@@ -24,7 +24,7 @@ from .basis import n_poly
 from .local import (ElementBank, _linalg, check_degree, internal_moments,
                     mesh_elements, skeleton_dofs)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
-from .mesh import _by_count, _by_size, geometry_stacks
+from .mesh import _by_size, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
 
@@ -36,19 +36,21 @@ class SolveError(RuntimeError):
 class DofMap:
     """Global numbering of the virtual element DoFs on one mesh.
 
-    ``cell_dofs[c]`` maps the local DoF slots of cell ``c`` (vertex values,
-    edge moments in ring order, internal moments) to global indices.
-    ``boundary_dofs`` are the vertex and edge DoFs on the boundary and
-    ``interior_dofs`` the other vertex and edge DoFs: the unknowns of
-    :attr:`SparseSystem.matrix`.  The internal moments are in neither, as
-    :func:`assemble` condenses them out.
+    ``dofs`` holds the global index of every cell's local DoF slots
+    (vertex values, edge moments in ring order, internal moments), cell
+    after cell; cell ``c``'s are ``dofs[offsets[c]:offsets[c + 1]]``, and
+    :meth:`cell_dofs` gathers them.  ``boundary_dofs`` are the vertex and
+    edge DoFs on the boundary and ``interior_dofs`` the other vertex and
+    edge DoFs: the unknowns of :attr:`SparseSystem.matrix`.  The internal
+    moments are in neither, as :func:`assemble` condenses them out.
     """
 
     k: int
     n_vertex_dofs: int
     n_edge_dofs: int
     n_internal_dofs: int
-    cell_dofs: tuple
+    dofs: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     boundary_dofs: np.ndarray = field(repr=False)
     interior_dofs: np.ndarray = field(repr=False)
 
@@ -60,6 +62,14 @@ class DofMap:
     def n_skeleton_dofs(self):
         """The vertex and edge DoFs, which come first in the numbering."""
         return self.n_vertex_dofs + self.n_edge_dofs
+
+    def cell_dofs(self, cells):
+        """The (C, n_dofs) global DoFs of ``cells``, which share a DoF
+        count, in their local slot order; one cell id gives its row."""
+        starts = self.offsets[cells]
+        first = np.ravel(cells)[0]
+        return self.dofs[np.expand_dims(starts, -1) + np.arange(
+            self.offsets[first + 1] - self.offsets[first])]
 
 
 @dataclass
@@ -99,17 +109,21 @@ def build_dofmap(mesh, k):
     nv, ne = mesh.num_vertices, mesh.num_edges
     n_edge = ne * (k - 1)
     per_edge = np.arange(k - 1)
-    cell_dofs = [None] * mesh.num_cells
     # the cells of one vertex count at a time
-    for (cells, rings), (_, edges) in zip(_by_size(mesh.cells),
-                                          _by_size(mesh.cell_edges)):
-        g = np.concatenate([
-            rings,
-            (nv + edges[..., None] * (k - 1) + per_edge).reshape(len(cells), -1),
-            nv + n_edge + cells[:, None] * n_int + np.arange(n_int)],
-            axis=1).astype(np.intp)
-        for c, row in zip(cells, g):
-            cell_dofs[c] = row
+    groups = [(cells, np.concatenate([
+        rings,
+        (nv + edges[..., None] * (k - 1) + per_edge).reshape(len(cells), -1),
+        nv + n_edge + cells[:, None] * n_int + np.arange(n_int)],
+        axis=1).astype(np.intp))
+        for (cells, rings), (_, edges) in zip(_by_size(mesh.cells),
+                                              _by_size(mesh.cell_edges))]
+    offsets = np.zeros(mesh.num_cells + 1, dtype=np.intp)
+    for cells, g in groups:
+        offsets[cells + 1] = g.shape[1]
+    np.cumsum(offsets, out=offsets)
+    dofs = np.empty(offsets[-1], dtype=np.intp)
+    for cells, g in groups:
+        _put_blocks(dofs, offsets[cells], g)
     boundary = np.concatenate([
         np.flatnonzero(mesh.boundary_vertices),
         (nv + mesh.boundary_edges()[:, None] * (k - 1) + per_edge).ravel()])
@@ -117,24 +131,38 @@ def build_dofmap(mesh, k):
     free[boundary] = False
     return DofMap(k=k, n_vertex_dofs=nv, n_edge_dofs=n_edge,
                   n_internal_dofs=mesh.num_cells * n_int,
-                  cell_dofs=tuple(cell_dofs),
+                  dofs=dofs, offsets=offsets,
                   boundary_dofs=boundary.astype(np.intp),
                   interior_dofs=np.flatnonzero(free))
 
 
 def check_dofmap(dofmap, mesh, k):
     """Raise ValueError unless ``dofmap`` numbers the degree-``k`` space of
-    a mesh with the cell, vertex and edge counts of ``mesh``."""
+    ``mesh``: the same cell, vertex and edge counts, and every cell's
+    vertex slots on its own ring (its edge slots follow from the ring),
+    naming the first cell that differs."""
     check_degree(k)
     if k != dofmap.k:
         raise ValueError(f"DoF map was built with k={dofmap.k}, got k={k}")
     for what, got, want in (
-            ("cells", len(dofmap.cell_dofs), mesh.num_cells),
+            ("cells", dofmap.offsets.size - 1, mesh.num_cells),
             ("vertex DoFs", dofmap.n_vertex_dofs, mesh.num_vertices),
             ("edge DoFs", dofmap.n_edge_dofs, mesh.num_edges * (k - 1))):
         if got != want:
             raise ValueError(f"DoF map has {got} {what} where the mesh has "
                              f"{want}")
+    sizes = np.diff(dofmap.offsets)
+    differs = np.zeros(mesh.num_cells, dtype=bool)
+    for cells, rings in _by_size(mesh.cells):
+        n = rings.shape[1]
+        same = sizes[cells] == n * k + n_poly(k - 2)
+        if same.any():
+            same[same] = np.all(
+                dofmap.cell_dofs(cells[same])[:, :n] == rings[same], axis=1)
+        differs[cells] = ~same
+    if differs.any():
+        raise ValueError(f"DoF map was built on another mesh: cell "
+                         f"{np.argmax(differs)} does not number its own ring")
 
 
 def interior_first(dofmap):
@@ -150,56 +178,14 @@ def interior_first(dofmap):
     return number
 
 
-def _coo_pattern(flat, sizes, n):
-    """Global (row, column) of every local matrix entry, in one step.
-
-    ``flat`` holds the DoFs of every cell, concatenated in cell order, and
-    ``sizes`` the number of DoFs of every cell.
-
-    Entries run cell by cell, each cell's block in row-major order, which is
-    the order a per-cell ``np.repeat``/``np.tile`` scatter produces; cell
-    ``c``'s block is ``starts[c]:starts[c + 1]`` of the value buffer.  The
-    indices are 32-bit when ``n`` allows, as SciPy would convert them anyway.
-    """
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-    flat = flat.astype(index)
-    cols, starts = _block_columns(flat, sizes)
-    # each DoF repeated along its row of the block
-    rows = _block_run(starts, [
-        (cells, np.broadcast_to(dofs[:, :, None], dofs.shape + dofs.shape[1:]))
-        for cells, dofs in _by_count(flat, sizes)])
-    return rows, cols, starts
-
-
-def _block_columns(flat, sizes, n_rows=None):
-    """Column of every entry of a run of row-major cell blocks, and the
-    start of every block: each cell's block has ``n_rows`` rows (as many as
-    the cell has DoFs when ``None``), each over the ``sizes[c]`` DoFs of
-    ``flat`` that belong to cell ``c``."""
-    blocks = (sizes if n_rows is None else n_rows) * sizes
-    starts = np.zeros(sizes.size + 1, dtype=np.intp)
-    np.cumsum(blocks, out=starts[1:])
-    # the cell's DoFs tiled once per row
-    return _block_run(starts, [
-        (cells, np.broadcast_to(dofs[:, None], (
-            len(cells), dofs.shape[1] if n_rows is None else n_rows,
-            dofs.shape[1])))
-        for cells, dofs in _by_count(flat, sizes)]), starts
-
-
-def _block_run(starts, groups):
-    """The entries of every cell's block, in cell order, from ``groups``:
-    per DoF count, the cells and their (cells, rows, DoFs) blocks; cell
-    ``c``'s block goes to ``starts[c]``."""
-    if len(groups) == 1:
-        # one DoF count: the blocks are already in cell order
-        return groups[0][1].reshape(-1)
-    out = np.empty(starts[-1], dtype=groups[0][1].dtype)
-    for cells, blocks in groups:
-        width = blocks[0].size
-        out[(starts[cells, None] + np.arange(width)).ravel()] = \
-            blocks.reshape(-1)
-    return out
+def _put_blocks(buffer, starts, blocks):
+    """Write row ``i`` of the (C, m) ``blocks`` to ``buffer[starts[i]:
+    starts[i] + m]``, a row at a time through a view of ``buffer`` whose
+    row ``j`` starts at entry ``j``: a fancy-index write per entry takes
+    four to five times as long on concave_k4."""
+    m, step = blocks.shape[1], buffer.itemsize
+    np.ndarray((buffer.size - m + 1, m), buffer.dtype, buffer,
+               strides=(step, step))[starts] = blocks
 
 
 def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
@@ -211,52 +197,46 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
     (a singular block raises ``LinAlgError`` naming its cell): the Schur
     complement A_bb - A_bi A_ii^-1 A_ib of each cell, on its vertex and
     edge DoFs only, is written into its cell's slot of one preallocated
-    COO value buffer, and the condensed loads are summed in cell order, so
-    repeated runs produce bit-identical systems.  A_ii^-1 [A_ib | f_i] is
-    kept, as ``SparseSystem.recovery`` and ``internal_load``, for
-    :func:`solve`.  At k = 1 there are no internal moments, and the blocks
-    are scattered as they are.  Each chunk's geometry, triangles and
-    post-solve operators are kept on ``SparseSystem.bank`` for
-    :mod:`vemlab.postprocess`.  The global matrix is converted once, to CSC
-    in the :func:`interior_first` numbering: the reduced matrix, which
-    :func:`solve` factors without a copy, is its leading block, and the
-    interior-by-boundary coupling block is converted on to CSR.
+    COO buffer, its rows and columns (``np.repeat``/``np.tile`` of the
+    chunk's :meth:`DofMap.cell_dofs`) beside its values, and the condensed
+    loads are summed in cell order, so repeated runs produce bit-identical
+    systems.  A_ii^-1 [A_ib | f_i] is kept, as ``SparseSystem.recovery``
+    and ``internal_load``, for :func:`solve`.  At k = 1 there are no
+    internal moments, and the blocks are scattered as they are.  Each
+    chunk's geometry, triangles and post-solve operators are kept on
+    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.  The global
+    matrix is converted once, to CSC in the :func:`interior_first`
+    numbering: the reduced matrix, which :func:`solve` factors without a
+    copy, is its leading block, and the interior-by-boundary coupling
+    block is converted on to CSR.
     """
     if dofmap is None:
         dofmap = build_dofmap(mesh, k)
     check_dofmap(dofmap, mesh, k)
     n = dofmap.n_skeleton_dofs
     n_int = n_poly(k - 2)
-
-    sizes = np.array([g.size for g in dofmap.cell_dofs], dtype=np.intp)
-    flat = np.concatenate(dofmap.cell_dofs)
-    # each cell's vertex and edge DoFs, which lead its slots
-    flat = flat[flat < n]
-    skeleton = sizes - n_int
-    rows, cols, starts = _coo_pattern(interior_first(dofmap)[flat], skeleton,
-                                      n)
-    load_starts = np.concatenate([[0], np.cumsum(skeleton)])
+    number = interior_first(dofmap)
+    # each cell's slots in the buffers, cell after cell: its vertex and
+    # edge DoFs, which lead its local slots, squared for the matrix, once
+    # for the load and once per internal moment for the recovery rows
+    skeleton = np.diff(dofmap.offsets) - n_int
+    starts, load_starts, recovery_starts = (
+        np.concatenate([[0], np.cumsum(skeleton * m)])
+        for m in (skeleton, 1, n_int))
+    # 32-bit indices when n allows, as SciPy would convert them anyway
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    rows, cols = np.empty((2, starts[-1]), dtype=index)
     vals = np.empty(starts[-1])
     loads = np.empty(load_starts[-1])
-    # the rows of each cell's A_ii^-1 A_ib are its internal moments, in
-    # order, so the cells' row-major blocks are the CSR data in cell order
-    recovery_cols, recovery_starts = _block_columns(
-        flat.astype(cols.dtype), skeleton, n_rows=n_int)
+    recovery_cols = np.empty(recovery_starts[-1], dtype=index)
     recovery = np.empty(recovery_starts[-1])
     internal_load = np.empty(dofmap.n_internal_dofs)
     kept = []
     for out, tris in mesh_elements(mesh, k, coeffs, mode):
         cells, forms = out.geometry.cells, out.forms
-        nd = forms.Ah.shape[-1]
-        wrong = np.flatnonzero(sizes[cells] != nd)
-        if wrong.size:
-            c = cells[wrong[0]]
-            raise ValueError(
-                f"cell {c}: local matrix is {(nd, nd)} but the DoF map lists "
-                f"{sizes[c]} DoFs")
         block = forms.Ah + forms.Bh
         block += forms.Ch
-        ns = nd - n_int
+        ns = block.shape[-1] - n_int
         # Z = A_ii^-1 [A_ib | f_i]; A_bi Z gives the Schur complement and
         # the condensed load
         Z = _linalg(np.linalg.solve, "internal-moment block", out.geometry,
@@ -267,23 +247,31 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
                           "moments")
         AZ = block[:, :ns, ns:] @ Z
         schur = block[:, :ns, :ns] - AZ[..., :ns]
-        vals[starts[cells, None] + np.arange(ns * ns)] = schur.reshape(
-            len(cells), -1)
-        loads[load_starts[cells, None] + np.arange(ns)] = (
-            forms.f_loc[:, :ns] - AZ[..., ns])
-        recovery[recovery_starts[cells, None] + np.arange(n_int * ns)] = (
-            Z[..., :ns].reshape(len(cells), -1))
-        internal_load[cells[:, None] * n_int + np.arange(n_int)] = Z[..., ns]
+        g = dofmap.cell_dofs(cells)[:, :ns]
+        numbered = number[g]
+        at = starts[cells]
+        _put_blocks(vals, at, schur.reshape(len(cells), -1))
+        _put_blocks(rows, at, np.repeat(numbered, ns, axis=1))
+        _put_blocks(cols, at, np.tile(numbered, ns))
+        _put_blocks(loads, load_starts[cells],
+                    forms.f_loc[:, :ns] - AZ[..., ns])
+        # the rows of each cell's A_ii^-1 A_ib are its internal moments, in
+        # order, so the cells' row-major blocks are the CSR data in cell
+        # order
+        at = recovery_starts[cells]
+        _put_blocks(recovery, at, Z[..., :ns].reshape(len(cells), -1))
+        _put_blocks(recovery_cols, at, np.tile(g, n_int))
+        _put_blocks(internal_load, cells * n_int, Z[..., ns])
         kept.append(out.bank_entry(tris))
     # free the last chunk's working arrays before the conversion, the
     # memory peak of assembly
-    del out, forms, block, Z, AZ, schur
+    del out, forms, block, Z, AZ, schur, g, numbered
     # one conversion, in the interior-first numbering: the reduced matrix
     # is the leading block of the global one
     A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
     del rows, cols, vals
     rhs_full = np.zeros(n)
-    np.add.at(rhs_full, flat, loads)
+    np.add.at(rhs_full, dofmap.dofs[dofmap.dofs < n], loads)
     ii = dofmap.interior_dofs
     matrix = A[:ii.size, :ii.size]
     coupling = A[:ii.size, ii.size:].tocsr()

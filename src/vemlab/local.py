@@ -113,15 +113,15 @@ class ElementBank:
     def n_cells(self):
         return sum(len(geometry) for geometry, *_ in self.chunks)
 
-    def snapshots(self, u, cell_dofs):
+    def snapshots(self, u, dofmap):
         """L2 projection and projected gradient of the global DoF vector
-        ``u`` on every cell: arrays of shape (cells, n_poly(k)) and
-        (cells, n_poly(k - 1), 2).
+        ``u``, numbered by ``dofmap``, on every cell: arrays of shape
+        (cells, n_poly(k)) and (cells, n_poly(k - 1), 2).
         """
         nk, nkm1 = n_poly(self.k), n_poly(self.k - 1)
         snaps = np.empty((self.n_cells, nk + 2 * nkm1))
         for geometry, _, operators, classes in self.chunks:
-            dofs = np.array([cell_dofs[c] for c in geometry.cells])
+            dofs = dofmap.cell_dofs(geometry.cells)
             snaps[geometry.cells] = (operators[classes]
                                      @ u[dofs][..., None])[..., 0]
         pi0, gx, gy = np.split(snaps, [nk, nk + nkm1], axis=1)

@@ -78,9 +78,19 @@ def polygon_area_centroid(coords):
 
 
 def _diameters(coords):
+    """Largest vertex-to-vertex distance of each (..., n, 2) ring, one
+    vertex against the ring at a time, so the temporaries are (..., n)."""
     x, y = coords[..., 0], coords[..., 1]
-    dx, dy = x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :]
-    return np.sqrt((dx * dx + dy * dy).max(axis=(-2, -1)))
+    d2 = np.zeros(x.shape[:-1])
+    dx, dy = np.empty_like(x), np.empty_like(y)
+    for i in range(x.shape[-1]):
+        np.subtract(x, x[..., i, None], out=dx)
+        np.subtract(y, y[..., i, None], out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.maximum(d2, dx.max(axis=-1), out=d2)
+    return np.sqrt(d2)
 
 
 def make_mesh(vertices, cells, boundary_vertices=None):
@@ -355,13 +365,7 @@ def stack_geometry(coords, forward, cells=None):
 def _by_size(ragged):
     """Per row length, ascending: the row ids and their (C, n) rows, of a
     per-cell list of 1-D arrays such as ``mesh.cells``."""
-    return _by_count(np.concatenate(ragged),
-                     np.array([row.size for row in ragged]))
-
-
-def _by_count(flat, sizes):
-    """Per row length, ascending: the row ids and their (C, n) rows, of
-    rows of lengths ``sizes`` concatenated in ``flat``."""
+    flat, sizes = np.concatenate(ragged), np.array([row.size for row in ragged])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     for n in np.unique(sizes):
         rows = np.flatnonzero(sizes == n)

@@ -96,7 +96,7 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
                                     in mesh_elements(mesh, k)))
     else:
         _check_bank(bank, mesh, k)
-    coeffs, grads = bank.snapshots(u, dofmap.cell_dofs)
+    coeffs, grads = bank.snapshots(u, dofmap)
     return SolutionProjection(mesh=mesh, k=k, coeffs=coeffs,
                               grad_coeffs=grads, bank=bank)
 

@@ -559,12 +559,14 @@ def _local_systems(mesh, k, coeffs, mode):
 
 
 def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", sliced=False):
-    """Reduced matrix, coupling block and load of ``vemlab.assembly.assemble``
-    built one cell at a time: each cell's internal moments condensed out
-    by a one-cell solve, and the Schur complement scattered through one
-    ``np.repeat``/``np.tile`` index array per cell, the scatter the
-    preallocated buffers replaced.  Each cell's local matrix and load are
-    the element kernel's.  The COO entries are converted to CSC in the
+    """Reduced matrix, coupling block, load, recovery matrix and internal
+    load of ``vemlab.assembly.assemble`` built one cell at a time: each
+    cell's internal moments condensed out by a one-cell solve, the Schur
+    complement scattered through one ``np.repeat``/``np.tile`` index array
+    per cell, the scatter the preallocated buffers replaced, and the
+    cell's rows of A_ii^-1 A_ib, one per internal moment, over its vertex
+    and edge DoFs tiled once per row.  Each cell's local matrix and load
+    are the element kernel's.  The COO entries are converted to CSC in the
     interior-first numbering, as ``assemble`` converts them, so SciPy sums
     duplicate entries in the same order; with ``sliced=True`` they are
     converted to CSR in the global numbering and sliced to the interior
@@ -578,10 +580,11 @@ def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", sliced=False):
     n = dofmap.n_skeleton_dofs
     number = np.arange(n) if sliced else interior_first(dofmap)
     rows, cols, vals = [], [], []
+    row_sizes, recovery_cols, recovery, internal_load = [], [], [], []
     rhs_full = np.zeros(n)
     for c in range(mesh.num_cells):
         matrix, f_loc = local[c]
-        g = dofmap.cell_dofs[c]
+        g = dofmap.cell_dofs(c)
         ns = np.count_nonzero(g < n)
         g = g[:ns]
         Z = np.linalg.solve(matrix[ns:, ns:], np.concatenate(
@@ -593,15 +596,25 @@ def assemble_per_cell(mesh, k, coeffs, dofmap, mode="standard", sliced=False):
         cols.append(np.tile(number[g], g.size))
         vals.append(matrix.ravel())
         np.add.at(rhs_full, g, f_loc)
+        row_sizes.append(np.full(len(Z), ns))
+        recovery_cols.append(np.tile(g, len(Z)))
+        recovery.append(Z[:, :ns].ravel())
+        internal_load.append(Z[:, ns])
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_sizes))])
+    R = sp.csr_matrix((np.concatenate(recovery), np.concatenate(recovery_cols),
+                       indptr), shape=(dofmap.n_internal_dofs, n))
+    internal_load = np.concatenate(internal_load)
     ii, bb = dofmap.interior_dofs, dofmap.boundary_dofs
     if sliced:
         A_rows = A.tocsr()[ii]
-        return A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii]
+        return (A_rows[:, ii].tocsr(), A_rows[:, bb].tocsr(), rhs_full[ii],
+                R, internal_load)
     A = A.tocsc()
-    return A[:ii.size, :ii.size], A[:ii.size, ii.size:].tocsr(), rhs_full[ii]
+    return (A[:ii.size, :ii.size], A[:ii.size, ii.size:].tocsr(), rhs_full[ii],
+            R, internal_load)
 
 
 def full_system_per_cell(mesh, k, coeffs, dofmap, mode="standard"):
@@ -617,7 +630,7 @@ def full_system_per_cell(mesh, k, coeffs, dofmap, mode="standard"):
     rhs = np.zeros(n)
     for c in range(mesh.num_cells):
         matrix, f_loc = local[c]
-        g = dofmap.cell_dofs[c]
+        g = dofmap.cell_dofs(c)
         rows.append(np.repeat(g, g.size))
         cols.append(np.tile(g, g.size))
         vals.append(matrix.ravel())
@@ -1239,6 +1252,6 @@ def interpolate_per_cell(mesh, k, v):
     dofmap = build_dofmap(mesh, k)
     out = np.zeros(dofmap.n_dofs)
     for c in range(mesh.num_cells):
-        out[dofmap.cell_dofs[c]] = interpolate_dofs_per_cell(
+        out[dofmap.cell_dofs(c)] = interpolate_dofs_per_cell(
             element_geometry(mesh, c), k, v)
     return out

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from oracles import edge_table_dicts, kernel_radius_lp
 from vemlab.basis import polygon_quadrature
 from vemlab.local import Coefficients, local_system, projector_set
-from vemlab.mesh import (MeshError, element_geometry, geometry_stacks,
-                         load_mesh, make_mesh, polygon_geometry,
-                         regularity_report, save_mesh, stack_geometry, take)
+from vemlab.mesh import (MeshError, _diameters, element_geometry,
+                         geometry_stacks, load_mesh, make_mesh,
+                         polygon_geometry, regularity_report, save_mesh,
+                         stack_geometry, take)
 from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 
 UNIT_SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]]}
@@ -249,6 +251,29 @@ class TestElementGeometry:
             _assert_same_record(
                 polygon_geometry(coords),
                 take(stack_geometry(coords[None], forward[None]), 0))
+
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_diameters_work_in_ring_sized_temporaries(self, n):
+        # one vertex against the ring at a time: (C, n) temporaries where
+        # the all-pairs (C, n, n) differences peaked at 22 MB on 20,000
+        # hexagons (88 MB on 12-gons), against 1.9 MB (3.8 MB) of
+        # coordinates; the diameters keep the all-pairs bits
+        coords = np.random.default_rng(n).random((2000, n, 2))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = _diameters(coords)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 3 * coords.nbytes
+        diff = coords[:, :, None, :] - coords[:, None, :, :]
+        assert np.array_equal(
+            got, np.sqrt((diff ** 2).sum(-1).max(axis=(1, 2))))
 
 
 class TestTake:

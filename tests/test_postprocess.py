@@ -122,8 +122,8 @@ class TestProjectSolution:
         assert banked.bank is system.bank
         # one stacked product per chunk gives the bits of the per-cell one
         _, operators, _ = bank_per_cell(system.bank)
-        per_cell = np.array([op @ u[g] for op, g in
-                             zip(operators, system.dofmap.cell_dofs)])
+        per_cell = np.array([op @ u[system.dofmap.cell_dofs(c)]
+                             for c, op in enumerate(operators)])
         assert np.array_equal(np.concatenate(
             [banked.coeffs, banked.grad_coeffs[..., 0],
              banked.grad_coeffs[..., 1]], axis=1),
