@@ -24,7 +24,7 @@ from .basis import n_poly
 from .local import (ElementBank, _linalg, check_degree, internal_moments,
                     mesh_elements, skeleton_dofs)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
-from .mesh import _by_size, geometry_stacks
+from .mesh import geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
 
@@ -109,21 +109,14 @@ def build_dofmap(mesh, k):
     nv, ne = mesh.num_vertices, mesh.num_edges
     n_edge = ne * (k - 1)
     per_edge = np.arange(k - 1)
-    # the cells of one vertex count at a time
-    groups = [(cells, np.concatenate([
-        rings,
-        (nv + edges[..., None] * (k - 1) + per_edge).reshape(len(cells), -1),
-        nv + n_edge + cells[:, None] * n_int + np.arange(n_int)],
-        axis=1).astype(np.intp))
-        for (cells, rings), (_, edges) in zip(_by_size(mesh.cells),
-                                              _by_size(mesh.cell_edges))]
-    offsets = np.zeros(mesh.num_cells + 1, dtype=np.intp)
-    for cells, g in groups:
-        offsets[cells + 1] = g.shape[1]
-    np.cumsum(offsets, out=offsets)
+    offsets = mesh.offsets * k + np.arange(mesh.num_cells + 1) * n_int
     dofs = np.empty(offsets[-1], dtype=np.intp)
-    for cells, g in groups:
-        _put_blocks(dofs, offsets[cells], g)
+    # the cells of one vertex count at a time
+    for cells, rings, edges in mesh.ring_stacks():
+        _put_blocks(dofs, offsets[cells], np.concatenate([
+            rings,
+            (nv + edges[..., None] * (k - 1) + per_edge).reshape(len(cells), -1),
+            nv + n_edge + cells[:, None] * n_int + np.arange(n_int)], axis=1))
     boundary = np.concatenate([
         np.flatnonzero(mesh.boundary_vertices),
         (nv + mesh.boundary_edges()[:, None] * (k - 1) + per_edge).ravel()])
@@ -151,18 +144,17 @@ def check_dofmap(dofmap, mesh, k):
         if got != want:
             raise ValueError(f"DoF map has {got} {what} where the mesh has "
                              f"{want}")
-    sizes = np.diff(dofmap.offsets)
-    differs = np.zeros(mesh.num_cells, dtype=bool)
-    for cells, rings in _by_size(mesh.cells):
-        n = rings.shape[1]
-        same = sizes[cells] == n * k + n_poly(k - 2)
-        if same.any():
-            same[same] = np.all(
-                dofmap.cell_dofs(cells[same])[:, :n] == rings[same], axis=1)
-        differs[cells] = ~same
-    if differs.any():
+    sizes = np.diff(mesh.offsets)
+    same = np.diff(dofmap.offsets) == sizes * k + n_poly(k - 2)
+    # each ring slot of a cell of the right DoF count, against its vertex slot
+    owner = np.repeat(np.arange(mesh.num_cells), sizes)
+    slots = np.flatnonzero(same[owner])
+    cells = owner[slots]
+    at = dofmap.offsets[cells] + slots - mesh.offsets[cells]
+    same[cells[dofmap.dofs[at] != mesh.rings[slots]]] = False
+    if not same.all():
         raise ValueError(f"DoF map was built on another mesh: cell "
-                         f"{np.argmax(differs)} does not number its own ring")
+                         f"{np.argmin(same)} does not number its own ring")
 
 
 def interior_first(dofmap):

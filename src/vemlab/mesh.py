@@ -1,7 +1,8 @@
 """Polygonal meshes of the unit square: storage, validation, geometry.
 
-A mesh is a flat vertex table plus counterclockwise vertex rings, one per
-cell.  Edge adjacency is derived, never stored.  The on-disk format is JSON
+A mesh is a vertex table plus the counterclockwise vertex ring of every
+cell, stored flat, cell after cell, with the offsets where each starts.
+Edges are derived from the rings.  The on-disk format is JSON
 with "vertices", "cells" and optional "boundary_vertices" keys.
 """
 
@@ -19,22 +20,26 @@ class MeshError(ValueError):
 
 @dataclass
 class PolyMesh:
-    """Conforming polygonal mesh.
+    """Conforming polygonal mesh, its rings stored flat as
+    :class:`vemlab.assembly.DofMap` stores its DoFs.
 
     Attributes
     ----------
     vertices : (N, 2) float array
-    cells : list of int arrays, CCW vertex rings
+    rings : int array, every cell's CCW vertex ids, cell after cell; cell
+        ``c``'s are ``rings[offsets[c]:offsets[c + 1]]`` (:meth:`ring`)
+    offsets : (n_cells + 1,) int array
     boundary_vertices : (N,) bool array
     edge_vertices : (E, 2) int array, canonical (low, high) vertex pairs
-    cell_edges : list of int arrays, edge ids in ring order per cell
+    cell_edges : int array, each cell's edge ids in ring order, on offsets
     """
 
     vertices: np.ndarray
-    cells: list
+    rings: np.ndarray
+    offsets: np.ndarray = field(repr=False)
     boundary_vertices: np.ndarray
     edge_vertices: np.ndarray = field(repr=False)
-    cell_edges: list = field(repr=False)
+    cell_edges: np.ndarray = field(repr=False)
 
     @property
     def num_vertices(self):
@@ -42,16 +47,28 @@ class PolyMesh:
 
     @property
     def num_cells(self):
-        return len(self.cells)
+        return self.offsets.size - 1
 
     @property
     def num_edges(self):
         return self.edge_vertices.shape[0]
 
+    def ring(self, c):
+        """Cell ``c``'s vertex ids, counterclockwise."""
+        return self.rings[self.offsets[c]:self.offsets[c + 1]]
+
+    def ring_stacks(self):
+        """Per vertex count n, ascending: the ids of the cells of n
+        vertices and their (C, n) vertex and edge ids."""
+        sizes = np.diff(self.offsets)
+        for n in np.unique(sizes):
+            cells = np.flatnonzero(sizes == n)
+            slots = self.offsets[cells, None] + np.arange(n)
+            yield cells, self.rings[slots], self.cell_edges[slots]
+
     def boundary_edges(self):
         """Indices of edges incident to exactly one cell."""
-        counts = np.bincount(np.concatenate(self.cell_edges),
-                             minlength=self.num_edges)
+        counts = np.bincount(self.cell_edges, minlength=self.num_edges)
         return np.flatnonzero(counts == 1)
 
 
@@ -96,54 +113,61 @@ def _diameters(coords):
 def make_mesh(vertices, cells, boundary_vertices=None):
     """Validate raw arrays and assemble a :class:`PolyMesh`.
 
-    Raises :class:`MeshError` for an empty cell list, coordinates that are
-    not numbers, vertex ids that are not integers, short or repeating
-    rings, non-CCW cells, edges traversed twice in the same direction,
-    which indicates inconsistent orientation or an edge shared by more
-    than two cells, and a vertex that no cell uses.
+    ``cells`` is a list of vertex rings, which is flattened once.  Raises
+    :class:`MeshError` for an empty cell list, coordinates that are not
+    numbers, vertex ids that are not integers, a ring or a
+    ``boundary_vertices`` that is not a flat list of them, short or
+    repeating rings, non-CCW cells, edges traversed twice in the same
+    direction, which indicates inconsistent orientation or an edge shared
+    by more than two cells, and a vertex that no cell uses.
     """
+    try:
+        cells = iter(cells)
+    except TypeError as exc:
+        raise MeshError("cells must be a list of vertex rings") from exc
+    rings = [_entries(cell, f"cell {i}") for i, cell in enumerate(cells)]
+    if not rings:
+        raise MeshError("the cell list is empty: a mesh needs at least one cell")
+    mesh = _flat_mesh(vertices, np.concatenate(rings),
+                      np.cumsum([0, *map(len, rings)]))
+
+    if boundary_vertices is not None:
+        ids = _entries(boundary_vertices, "boundary_vertices")
+        if np.any((ids < 0) | (ids >= mesh.num_vertices)):
+            raise MeshError("boundary_vertices references a vertex id out of "
+                            "range")
+        if not np.array_equal(np.unique(ids),
+                              np.flatnonzero(mesh.boundary_vertices)):
+            raise MeshError("boundary_vertices inconsistent with edge incidence")
+    return mesh
+
+
+def _flat_mesh(vertices, rings, offsets):
+    """:func:`make_mesh` of a vertex table and flat rings, cell ``c``'s
+    vertex ids being ``rings[offsets[c]:offsets[c + 1]]``."""
     vertices = _entries(vertices, "vertex table", "iuf")
-    vertices = vertices.astype(float, copy=False)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertex table must have shape (N, 2)")
     if not np.all(np.isfinite(vertices)):
         raise MeshError("vertex table contains non-finite coordinates")
     n_vert = vertices.shape[0]
+    _check_rings(vertices, rings, offsets)
 
-    try:
-        cells = iter(cells)
-    except TypeError as exc:
-        raise MeshError("cells must be a list of vertex rings") from exc
-    rings = [_entries(cell, f"cell {i}").astype(int, copy=False)
-             for i, cell in enumerate(cells)]
-    if not rings:
-        raise MeshError("the cell list is empty: a mesh needs at least one cell")
-    _check_rings(vertices, rings)
-
-    mesh = PolyMesh(vertices, rings, np.zeros(n_vert, dtype=bool),
-                    *_edge_table(rings, n_vert))
+    mesh = PolyMesh(vertices, rings, offsets, np.zeros(n_vert, dtype=bool),
+                    *_edge_table(rings, offsets, n_vert))
     used = np.zeros(n_vert, dtype=bool)
     used[mesh.edge_vertices] = True
     if not used.all():
         raise MeshError(f"vertex {np.argmin(used)} is used by no cell")
     mesh.boundary_vertices[mesh.edge_vertices[mesh.boundary_edges()]] = True
-
-    if boundary_vertices is not None:
-        ids = _entries(boundary_vertices, "boundary_vertices").astype(int)
-        if np.any((ids < 0) | (ids >= n_vert)):
-            raise MeshError("boundary_vertices references a vertex id out of "
-                            "range")
-        flags = np.zeros(n_vert, dtype=bool)
-        flags[ids] = True
-        if not np.array_equal(flags, mesh.boundary_vertices):
-            raise MeshError("boundary_vertices inconsistent with edge incidence")
     return mesh
 
 
 def _entries(values, what, kinds="iu"):
-    """``values`` as an array; :class:`MeshError` naming ``what`` when it is
-    ragged or holds an entry that is not an integer (not a number when
-    ``kinds`` is "iuf"); a boolean is neither."""
+    """``values`` as a flat int array of vertex ids (a float array when
+    ``kinds`` is "iuf"); :class:`MeshError` naming ``what`` when it is
+    ragged, holds an entry that is not an integer (not a number), a boolean
+    being neither, or, for ids, is not flat."""
     try:
         out = np.asarray(values)
     except ValueError as exc:
@@ -152,7 +176,11 @@ def _entries(values, what, kinds="iu"):
                      and any(isinstance(v, bool) for v in values)):
         kind = "an integer" if kinds == "iu" else "a number"
         raise MeshError(f"{what} holds an entry that is not {kind}")
-    return out
+    if kinds == "iuf":
+        return out.astype(float, copy=False)
+    if out.ndim != 1:
+        raise MeshError(f"{what} is not a flat list of vertex ids")
+    return out.astype(int, copy=False)
 
 
 def first_seen(keys):
@@ -165,65 +193,55 @@ def first_seen(keys):
     return rank[which], first[order]
 
 
-def _edge_table(rings, n_vert):
-    """Edges of valid rings: canonical (low, high) vertex pairs numbered in
-    order of first appearance, and each cell's edge ids in ring order.
+def _edge_table(rings, offsets, n_vert):
+    """Edges of valid flat rings: canonical (low, high) vertex pairs
+    numbered in order of first appearance, and the edge id of every ring
+    slot.
 
     Directed edges must be unique: a shared edge is traversed once per
     direction by its two cells.  The first edge traversed twice in the same
     direction raises :class:`MeshError`; this also catches every edge shared
     by more than two cells, as the third of them repeats a direction.
     """
-    sizes = np.array([ring.size for ring in rings])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    a = np.concatenate(rings)
-    nxt = np.arange(1, ends[-1] + 1)
-    nxt[ends - 1] = starts  # wrap to the ring start
-    b = a[nxt]
-    owner = np.repeat(np.arange(len(rings)), sizes)
+    nxt = np.arange(1, rings.size + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]  # wrap to the ring start
+    a, b = rings, rings[nxt]
     _, first, which = np.unique(a * n_vert + b, return_index=True,
                                 return_inverse=True)
     again = np.flatnonzero(first[which] != np.arange(a.size))
     if again.size:
         p = again[0]
+        cells = np.searchsorted(offsets, [first[which[p]], p], side="right") - 1
         raise MeshError(
             f"edge ({a[p]}, {b[p]}) traversed twice in the same direction "
-            f"by cells {owner[first[which[p]]]} and {owner[p]}")
+            f"by cells {cells[0]} and {cells[1]}")
     low, high = np.minimum(a, b), np.maximum(a, b)
     edge, first = first_seen(low * n_vert + high)
-    edge_vertices = np.column_stack([low, high])[first]
-    cell_edges = [edge[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
-    return edge_vertices, cell_edges
+    return np.column_stack([low, high])[first], edge
 
 
-def _check_rings(vertices, rings):
-    """Raise :class:`MeshError` naming the first invalid ring.
+def _check_rings(vertices, rings, offsets):
+    """Raise :class:`MeshError` naming the first invalid flat ring.
 
     A ring is checked for length, repeated ids, ids out of range and
     orientation, in that order; each check runs once over all rings.
     """
-    n_cells, n_vert = len(rings), vertices.shape[0]
-    sizes = np.array([ring.size for ring in rings])
-    short = (sizes < 3) | np.array([ring.ndim != 1 for ring in rings])
-    flat = np.concatenate([ring.reshape(-1) for ring in rings])
-    owner = np.repeat(np.arange(n_cells), sizes)
-    order = np.lexsort((flat, owner))
-    twice = (np.diff(owner[order]) == 0) & (np.diff(flat[order]) == 0)
-    repeats = np.zeros(n_cells, dtype=bool)
-    repeats[owner[order][1:][twice]] = True
-    outside = np.zeros(n_cells, dtype=bool)
-    outside[owner[(flat < 0) | (flat >= n_vert)]] = True
+    n_cells, n_vert = offsets.size - 1, vertices.shape[0]
+    short = np.diff(offsets) < 3
+    owner = np.repeat(np.arange(n_cells), np.diff(offsets))
+    order = np.lexsort((rings, owner))
+    twice = (np.diff(owner[order]) == 0) & (np.diff(rings[order]) == 0)
+    repeats = np.bincount(owner[order][1:][twice], minlength=n_cells) > 0
+    outside = np.bincount(owner[(rings < 0) | (rings >= n_vert)],
+                          minlength=n_cells) > 0
     bad = short | repeats | outside
     first = int(np.argmax(bad)) if bad.any() else n_cells
     if first:
         # shoelace areas of the rings before the first malformed one
-        ends = np.cumsum(sizes[:first])
-        starts = ends - sizes[:first]
-        nxt = np.arange(1, ends[-1] + 1)
-        nxt[ends - 1] = starts  # wrap to the ring start
-        x, y = vertices[flat[:ends[-1]]].T
-        area = 0.5 * np.add.reduceat(x * y[nxt] - x[nxt] * y, starts)
+        nxt = np.arange(1, offsets[first] + 1)
+        nxt[offsets[1:first + 1] - 1] = offsets[:first]  # wrap to ring starts
+        x, y = vertices[rings[:offsets[first]]].T
+        area = 0.5 * np.add.reduceat(x * y[nxt] - x[nxt] * y, offsets[:first])
         clockwise = np.flatnonzero(area <= 0.0)
         if clockwise.size:
             raise MeshError(f"cell {clockwise[0]} is not counterclockwise (or degenerate)")
@@ -242,19 +260,23 @@ def load_mesh(path):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MeshError(f'mesh file {path} is not a JSON object with '
+                        f'"vertices" and "cells"')
     try:
         vertices = data["vertices"]
         cells = data["cells"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise MeshError(f"mesh file {path} lacks required key: {exc}") from exc
     return make_mesh(vertices, cells, data.get("boundary_vertices"))
 
 
 def save_mesh(mesh, path):
     """Write a mesh as JSON; coordinates survive a round trip bit-exactly."""
+    rings, offsets = mesh.rings.tolist(), mesh.offsets.tolist()
     doc = {
         "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "cells": [ring.tolist() for ring in mesh.cells],
+        "cells": [rings[lo:hi] for lo, hi in zip(offsets, offsets[1:])],
         "boundary_vertices": np.flatnonzero(mesh.boundary_vertices).tolist(),
     }
     with open(path, "w") as fh:
@@ -282,7 +304,7 @@ def polygon_geometry(coords, forward=None):
 
 def element_geometry(mesh, cell):
     """Geometry of mesh cell ``cell`` with canonical edge orientations."""
-    ring = mesh.cells[cell]
+    ring = mesh.ring(cell)
     forward = ring < np.roll(ring, -1)
     return polygon_geometry(mesh.vertices[ring], forward)
 
@@ -362,20 +384,10 @@ def stack_geometry(coords, forward, cells=None):
                          lengths, normals, np.asarray(forward, dtype=bool))
 
 
-def _by_size(ragged):
-    """Per row length, ascending: the row ids and their (C, n) rows, of a
-    per-cell list of 1-D arrays such as ``mesh.cells``."""
-    flat, sizes = np.concatenate(ragged), np.array([row.size for row in ragged])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for n in np.unique(sizes):
-        rows = np.flatnonzero(sizes == n)
-        yield rows, flat[offsets[rows][:, None] + np.arange(n)]
-
-
 def geometry_stacks(mesh):
     """Yield one :class:`GeometryStack` per vertex count, in ascending
     count; each is built when the caller asks for it."""
-    for cells, rings in _by_size(mesh.cells):
+    for cells, rings, _ in mesh.ring_stacks():
         forward = rings < np.roll(rings, -1, axis=1)
         yield stack_geometry(mesh.vertices[rings], forward, cells)
 
@@ -384,7 +396,7 @@ def max_diameter(mesh):
     """Largest cell diameter (the mesh size h), equal to the largest
     :func:`element_geometry` diameter bit for bit."""
     return max(float(_diameters(mesh.vertices[rings]).max())
-               for _, rings in _by_size(mesh.cells))
+               for _, rings, _ in mesh.ring_stacks())
 
 
 #: bytes of working memory for one block of (cell, edge triple) pairs, of

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 from scipy.spatial import Voronoi  # noqa: F401  (perfbench/spans.py hook target)
 
-from .mesh import MeshError, first_seen, make_mesh
+from .mesh import MeshError, _flat_mesh, first_seen, make_mesh
 from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
 
 #: interior points of the splitting polyline for the concave family, in
@@ -252,7 +252,8 @@ def _tessellate(pts):
 
 
 def _clipped_cells(pts):
-    """Rings (vertex-id arrays) and coordinates of square-clipped Voronoi cells.
+    """Flat rings (every cell's vertex ids, cell after cell), their sizes
+    and the vertex coordinates of square-clipped Voronoi cells.
 
     A seed's ring is the circumcentres of its triangles in the mirrored
     triangulation, in counterclockwise angular order around it (cells are
@@ -262,7 +263,7 @@ def _clipped_cells(pts):
     """
     n = len(pts)
     if n == 1:
-        return [np.arange(4)], _SQUARE.copy()
+        return np.arange(4), np.array([4]), _SQUARE.copy()
     (simplices, _, centres), _ = _certified_cells(
         _seed_circumcentres, pts, _BAND_SPACINGS / np.sqrt(n))
     owner = simplices.ravel()
@@ -270,8 +271,7 @@ def _clipped_cells(pts):
     ids, owner = np.repeat(np.arange(len(simplices)), 3)[at_seed], owner[at_seed]
     rel = centres[ids] - pts[owner]
     order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
-    sizes = np.bincount(owner, minlength=n)
-    return np.split(ids[order], np.cumsum(sizes)[:-1]), centres
+    return ids[order], np.bincount(owner, minlength=n), centres
 
 
 def _members(pts, band=None):
@@ -572,15 +572,14 @@ def _certified(cells, pts, tri):
     return found if np.all((centres >= 0.0) & (centres <= 1.0)) else None
 
 
-def _mesh_from_rings(rings, coords):
-    """Weld near-duplicate vertices, compact ids, and validate.
+def _mesh_from_rings(flat, sizes, coords):
+    """Weld near-duplicate vertices of flat rings of ``sizes`` vertices,
+    compact ids, and validate.
 
     Vertices closer than ``_WELD_TOL`` are joined transitively; each group
     takes the id of its lowest vertex, and the groups are numbered in that
     order.  Consecutive repeats left in a ring by the weld are dropped.
     """
-    sizes = np.array([len(ring) for ring in rings])
-    flat = np.concatenate(rings)
     used, local = np.unique(flat, return_inverse=True)
     # min-label propagation over the close pairs, with pointer jumping:
     # each label ends at the lowest index of its group
@@ -606,5 +605,4 @@ def _mesh_from_rings(rings, coords):
     if (kept < 3).any():
         raise MeshError(f"Voronoi cell {np.argmax(kept < 3)} collapsed during "
                         "welding")
-    return make_mesh(coords[used[reps]],
-                     np.split(mapped[keep], np.cumsum(kept)[:-1]))
+    return _flat_mesh(coords[used[reps]], mapped[keep], np.cumsum([0, *kept]))

@@ -110,13 +110,12 @@ def _check_bank(bank, mesh, k):
     if bank.n_cells != mesh.num_cells:
         raise ValueError(f"element bank has {bank.n_cells} cells, the mesh "
                          f"has {mesh.num_cells}")
-    sizes = np.array([ring.size for ring in mesh.cells])
-    starts, flat = np.cumsum(sizes) - sizes, np.concatenate(mesh.cells)
+    sizes = np.diff(mesh.offsets)
     differs = np.zeros(mesh.num_cells, dtype=bool)
     for geometry, *_ in bank.chunks:
         cells, nv = geometry.cells, geometry.vertices.shape[1]
         same = sizes[cells] == nv
-        rings = flat[starts[cells[same], None] + np.arange(nv)]
+        rings = mesh.rings[mesh.offsets[cells[same], None] + np.arange(nv)]
         same[same] = np.all(mesh.vertices[rings] == geometry.vertices[same],
                             axis=(1, 2))
         differs[cells] = ~same
@@ -228,13 +227,11 @@ def locate_cell(mesh, point):
     p = np.asarray(point, dtype=float)
     span = np.ptp(mesh.vertices, axis=0).max()
     tol = 1e-12 * span
-    sizes = np.array([ring.size for ring in mesh.cells])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    coords = mesh.vertices[np.concatenate(mesh.cells)]
-    lo = np.minimum.reduceat(coords, starts) - 2 * tol
-    hi = np.maximum.reduceat(coords, starts) + 2 * tol
+    coords = mesh.vertices[mesh.rings]
+    lo = np.minimum.reduceat(coords, mesh.offsets[:-1]) - 2 * tol
+    hi = np.maximum.reduceat(coords, mesh.offsets[:-1]) + 2 * tol
     for c in np.flatnonzero(np.all((lo <= p) & (p <= hi), axis=1)):
-        if _contains(mesh.vertices[mesh.cells[c]], p, tol):
+        if _contains(mesh.vertices[mesh.ring(c)], p, tol):
             return int(c)
     raise ValueError(f"point {tuple(p)} lies outside the mesh")
 

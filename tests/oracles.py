@@ -13,6 +13,28 @@ import math
 import numpy as np
 
 
+def cell_rings(mesh):
+    """Every cell's vertex ids, one array per cell: the list of rings that
+    ``vemlab.mesh.make_mesh`` takes."""
+    return [mesh.ring(c) for c in range(mesh.num_cells)]
+
+
+def cell_edges(mesh, c):
+    """Cell ``c``'s edge ids, in ring order."""
+    return mesh.cell_edges[mesh.offsets[c]:mesh.offsets[c + 1]]
+
+
+def flat_rings(rings):
+    """A list of rings as the flat ids and sizes that
+    ``vemlab.meshgen._mesh_from_rings`` welds."""
+    return np.concatenate(rings), np.array([len(ring) for ring in rings])
+
+
+def split_rings(flat, sizes):
+    """Flat rings of ``sizes`` ids, one array per ring."""
+    return np.split(flat, np.cumsum(sizes)[:-1])
+
+
 def green_monomial_integral(coords, a, b):
     """Exact integral of x^a y^b over a polygon via Green's theorem.
 
@@ -235,7 +257,7 @@ def clipped_cells_per_cell(pts):
     return rings, coords
 
 
-def mesh_from_rings_union_find(rings, coords):
+def mesh_from_rings_union_find(flat, sizes, coords):
     """``vemlab.meshgen._mesh_from_rings`` with a dict union-find over the
     close pairs and one ring at a time: the weld the array passes
     replaced."""
@@ -244,7 +266,8 @@ def mesh_from_rings_union_find(rings, coords):
     from vemlab.mesh import MeshError, make_mesh
     from vemlab.meshgen import _WELD_TOL
 
-    used = np.unique(np.concatenate(rings))
+    rings = split_rings(flat, sizes)
+    used = np.unique(flat)
     parent = {int(v): int(v) for v in used}
 
     def find(v):
@@ -652,16 +675,16 @@ def build_dofmap_per_cell(mesh, k):
     nv, ne = mesh.num_vertices, mesh.num_edges
     n_edge = ne * (k - 1)
     cell_dofs = []
-    for c, ring in enumerate(mesh.cells):
+    for c, ring in enumerate(cell_rings(mesh)):
         m = len(ring)
         g = np.empty(m * k + n_int, dtype=np.intp)
         g[:m] = ring
-        for le, e in enumerate(mesh.cell_edges[c]):
+        for le, e in enumerate(cell_edges(mesh, c)):
             g[m + le * (k - 1):m + (le + 1) * (k - 1)] = nv + e * (k - 1) + np.arange(k - 1)
         g[m * k:] = nv + n_edge + c * n_int + np.arange(n_int)
         cell_dofs.append(g)
     fixed = list(np.nonzero(mesh.boundary_vertices)[0])
-    for e, cs in enumerate(edge_table_dicts(mesh.cells)[1]):
+    for e, cs in enumerate(edge_table_dicts(cell_rings(mesh))[1]):
         if len(cs) == 1:
             fixed.extend(nv + e * (k - 1) + j for j in range(k - 1))
     boundary = np.array(sorted(fixed), dtype=np.intp)
@@ -876,7 +899,7 @@ def locate_cell_per_cell(mesh, point):
     p = np.asarray(point, dtype=float)
     span = np.ptp(mesh.vertices, axis=0).max()
     for c in range(mesh.num_cells):
-        if _contains(mesh.vertices[mesh.cells[c]], p, 1e-12 * span):
+        if _contains(mesh.vertices[mesh.ring(c)], p, 1e-12 * span):
             return c
     raise ValueError(f"point {tuple(p)} lies outside the mesh")
 
@@ -886,7 +909,7 @@ def element_geometry_per_cell(mesh, cell):
     one-polygon sums the stacked geometry replaced."""
     from vemlab.mesh import GeometryStack
 
-    ring = mesh.cells[cell]
+    ring = mesh.ring(cell)
     coords = mesh.vertices[ring]
     area, centroid = _area_centroid_per_cell(coords)
     diff = coords[:, None, :] - coords[None, :, :]

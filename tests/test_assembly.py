@@ -10,8 +10,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from oracles import (assemble_per_cell, bank_per_cell, bank_representatives,
-                     build_dofmap_per_cell, full_system_per_cell,
-                     interpolate_per_cell)
+                     build_dofmap_per_cell, cell_edges, cell_rings,
+                     full_system_per_cell, interpolate_per_cell)
 from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
@@ -68,13 +68,13 @@ class TestDofMap:
         k = 3
         dm = build_dofmap(mesh, k)
         for c in range(mesh.num_cells):
-            ring = mesh.cells[c]
+            ring = mesh.ring(c)
             geom = element_geometry(mesh, c)
             layout = dof_layout(geom, k)
             g = dm.cell_dofs(c)
             assert g.size == layout.n_dofs
             assert np.array_equal(g[:len(ring)], ring)
-            for le, e in enumerate(mesh.cell_edges[c]):
+            for le, e in enumerate(cell_edges(mesh, c)):
                 for j in range(k - 1):
                     assert (g[layout.edge_slot(le, j)]
                             == dm.n_vertex_dofs + e * (k - 1) + j)
@@ -257,7 +257,8 @@ class TestAssemble:
         perm = np.random.default_rng(0).permutation(mesh.num_vertices)
         vertices = np.empty_like(mesh.vertices)
         vertices[perm] = mesh.vertices
-        renumbered = make_mesh(vertices, [perm[ring] for ring in mesh.cells])
+        renumbered = make_mesh(vertices,
+                               [perm[ring] for ring in cell_rings(mesh)])
         dm = build_dofmap(mesh, k)
         message = "DoF map was built on another mesh: cell 0 does not"
         with pytest.raises(ValueError, match=message):
@@ -277,10 +278,10 @@ class TestAssemble:
         perm = np.arange(mesh.num_vertices)
         perm[[10, 15]] = perm[[15, 10]]
         swapped = make_mesh(mesh.vertices[perm],
-                            [perm[ring] for ring in mesh.cells])
+                            [perm[ring] for ring in cell_rings(mesh)])
         lloyd = MESHES["lloyd0"]
-        reversed_cells = make_mesh(lloyd.vertices, lloyd.cells[::-1])
-        assert lloyd.cells[0].size != reversed_cells.cells[0].size
+        reversed_cells = make_mesh(lloyd.vertices, cell_rings(lloyd)[::-1])
+        assert lloyd.ring(0).size != reversed_cells.ring(0).size
         for k in (1, 3):
             for other, original, cell in ((swapped, mesh, 4),
                                           (reversed_cells, lloyd, 0)):
@@ -470,7 +471,7 @@ class TestChunks:
     def test_singular_cell_is_named(self):
         # at a scale of 1e-160 the k = 4 monomial mass matrix is singular
         base = square_mesh(2)
-        tiny = make_mesh(base.vertices * 1e-160, base.cells)
+        tiny = make_mesh(base.vertices * 1e-160, cell_rings(base))
         with np.errstate(all="ignore"), pytest.raises(
                 np.linalg.LinAlgError,
                 match="cell 0: .*element geometry is degenerate"):
@@ -504,7 +505,7 @@ class TestKappaCheck:
         coeffs = dataclasses.replace(Coefficients.constant(), kappa=kappa)
         with pytest.raises(ValueError, match="cell 4: kappa is not positive"):
             assemble(mesh, 1, coeffs)
-        assert max(mesh.vertices[mesh.cells[4], 0]) == 1.0
+        assert max(mesh.vertices[mesh.ring(4), 0]) == 1.0
 
 
 class TestCoefficientShape:

@@ -13,8 +13,9 @@ from vemlab.mesh import (MeshError, element_geometry, geometry_stacks,
 from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
                             square_mesh, voronoi_mesh)
 
-from oracles import (edge_quadrature, fd_gradient, green_monomial_integral,
-                     map_rule_axis_pairs, monomial_values, random_polygon_bank,
+from oracles import (cell_rings, edge_quadrature, fd_gradient,
+                     green_monomial_integral, map_rule_axis_pairs,
+                     monomial_values, random_polygon_bank,
                      subdivision_integrate, triangulate_per_cell)
 
 SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -188,7 +189,7 @@ def _by_vertex_count(polygons):
 
 
 def _cells(mesh):
-    return [mesh.vertices[ring] for ring in mesh.cells]
+    return [mesh.vertices[ring] for ring in cell_rings(mesh)]
 
 
 class TestBatchedTriangulation:
@@ -227,7 +228,7 @@ class TestBatchedTriangulation:
             vertices = base.vertices.copy()
             vertices[np.flatnonzero((np.abs(vertices - 0.5) < 1e-12)
                                     .all(axis=1))[0]] += [0.03, -0.02]
-            mesh = make_mesh(vertices, base.cells)
+            mesh = make_mesh(vertices, cell_rings(base))
         else:
             mesh = generate(GeneratorSpec(family, 400, seed=1))
         seen = 0

@@ -25,7 +25,7 @@ from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
 from vemlab.postprocess import error_norms, project_solution
 from vemlab.problems import builtin_problem, polynomial_problem
 
-from oracles import (edge_quadrature, element_geometry_per_cell,
+from oracles import (cell_rings, edge_quadrature, element_geometry_per_cell,
                      energy_rhs_flux_per_cell, entry_representatives,
                      interpolate_dofs_per_cell, local_forms_point_tables,
                      local_system_per_cell, monomial_values,
@@ -838,9 +838,9 @@ class TestShapeClasses:
         moved = int(np.flatnonzero((np.abs(vertices - 0.5) < 1e-12)
                                    .all(axis=1))[0])
         vertices[moved] += [0.03, -0.02]
-        mesh = make_mesh(vertices, base.cells)
+        mesh = make_mesh(vertices, cell_rings(base))
         ((reps, classes),) = self._classes(mesh)
-        singletons = [c for c in range(16) if moved in mesh.cells[c]]
+        singletons = [c for c in range(16) if moved in mesh.ring(c)]
         assert len(reps) == 1 + len(singletons) == 5
         assert all(np.sum(classes == classes[c]) == 1 for c in singletons)
         coeffs = builtin_problem().coefficients

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import edge_table_dicts, kernel_radius_lp
+from oracles import cell_edges, cell_rings, edge_table_dicts, kernel_radius_lp
 from vemlab.basis import polygon_quadrature
 from vemlab.local import Coefficients, local_system, projector_set
 from vemlab.mesh import (MeshError, _diameters, element_geometry,
@@ -41,7 +41,7 @@ class TestLoadMesh:
         mesh = square_mesh(5)
         path = write_json(tmp_path, {
             "vertices": mesh.vertices.tolist(),
-            "cells": [r.tolist() for r in mesh.cells],
+            "cells": [r.tolist() for r in cell_rings(mesh)],
         })
         loaded = load_mesh(path)
         assert loaded.num_cells == 25
@@ -57,6 +57,13 @@ class TestLoadMesh:
     def test_missing_key(self, tmp_path):
         with pytest.raises(MeshError, match="required key"):
             load_mesh(write_json(tmp_path, {"vertices": [[0, 0]]}))
+
+    def test_top_level_list(self, tmp_path):
+        # used to say "lacks required key: list indices must be integers
+        # or slices, not str"
+        with pytest.raises(MeshError, match='is not a JSON object with '
+                                            '"vertices" and "cells"$'):
+            load_mesh(write_json(tmp_path, [UNIT_SQUARE]))
 
     def test_non_manifold_edge(self):
         # three triangles all sharing edge (0, 1)
@@ -104,6 +111,8 @@ class TestLoadMesh:
         ({"cells": [[0, 1, 2.7, 3]]}, "cell 0 holds an entry that is not an integer"),
         ({"cells": [[False, True, 2, 3]]}, "cell 0 holds an entry that is not an integer"),
         ({"cells": [[0, 1, [2, 3]]]}, "cell 0 is ragged"),
+        ({"cells": [[[0, 1], [2, 3]]]},
+         "cell 0 is not a flat list of vertex ids"),
         ({"cells": 5}, "cells must be a list of vertex rings"),
         ({"boundary_vertices": [0, 1, 2, 9]},
          "boundary_vertices references a vertex id out of range"),
@@ -111,15 +120,29 @@ class TestLoadMesh:
          "boundary_vertices references a vertex id out of range"),
         ({"boundary_vertices": [0, 1, 2, 3.9]},
          "boundary_vertices holds an entry that is not an integer"),
+        ({"boundary_vertices": [[0, 1], [2, 3]]},
+         "boundary_vertices is not a flat list of vertex ids"),
+        ({"boundary_vertices": 3},
+         "boundary_vertices is not a flat list of vertex ids"),
         ({"vertices": [[0, 0], [1, 0], [1, "1"], [0, 1]]},
          "vertex table holds an entry that is not a number"),
         ({"vertices": [[0, 0], [1, 0], [1], [0, 1]]}, "vertex table is ragged"),
-    ], ids=["float_id", "bool_ids", "ragged_ring", "cells_not_a_list",
-            "boundary_id_too_large", "boundary_id_negative",
-            "boundary_id_float", "string_coordinate", "ragged_vertices"])
+    ], ids=["float_id", "bool_ids", "ragged_ring", "nested_ring",
+            "cells_not_a_list", "boundary_id_too_large",
+            "boundary_id_negative", "boundary_id_float", "nested_boundary",
+            "scalar_boundary", "string_coordinate", "ragged_vertices"])
     def test_malformed_file_names_the_cause(self, tmp_path, change, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
             load_mesh(write_json(tmp_path, dict(UNIT_SQUARE, **change)))
+
+    def test_boundary_vertices_array_must_be_flat(self):
+        # a 2-D array naming every boundary vertex of square_mesh(2) was
+        # accepted
+        square = square_mesh(2)
+        with pytest.raises(MeshError, match="^boundary_vertices is not a "
+                                            "flat list of vertex ids$"):
+            make_mesh(square.vertices, cell_rings(square),
+                      np.array([[0, 1, 2, 3], [5, 6, 7, 8]]))
 
     def test_orphan_vertex_is_named(self, tmp_path):
         # a vertex no ring uses was accepted, and its DoF became an unknown
@@ -127,7 +150,7 @@ class TestLoadMesh:
         square = square_mesh(4)
         n = square.num_vertices
         vertices = np.vstack([square.vertices, [[0.3, 0.7], [0.6, 0.2]]])
-        cells = [ring.tolist() for ring in square.cells]
+        cells = [ring.tolist() for ring in cell_rings(square)]
         message = f"^vertex {n} is used by no cell$"
         with pytest.raises(MeshError, match=message):
             make_mesh(vertices, cells)
@@ -139,8 +162,8 @@ class TestLoadMesh:
         rings = np.array([[0, 1, 2, 3]], dtype=np.uint32)
         mesh = make_mesh(np.array(UNIT_SQUARE["vertices"]), rings,
                          np.arange(4, dtype=np.int32))
-        assert mesh.cells[0].dtype == int
-        assert np.array_equal(mesh.cells[0], [0, 1, 2, 3])
+        assert mesh.ring(0).dtype == int
+        assert np.array_equal(mesh.ring(0), [0, 1, 2, 3])
 
 
 STRIP = [[x, y] for y in (0, 1) for x in range(4)]  # three unit squares
@@ -154,11 +177,12 @@ class TestEdgeTable:
     ], ids=lambda spec: spec.family)
     def test_matches_dict_oracle(self, spec):
         mesh = generate(spec)
-        edge_vertices, _, cell_edges = edge_table_dicts(mesh.cells)
+        edge_vertices, _, ref_edges = edge_table_dicts(cell_rings(mesh))
         assert mesh.edge_vertices.dtype == edge_vertices.dtype
         assert np.array_equal(mesh.edge_vertices, edge_vertices)
-        assert len(mesh.cell_edges) == len(cell_edges)
-        for got, ref in zip(mesh.cell_edges, cell_edges):
+        assert mesh.num_cells == len(ref_edges)
+        for c, ref in enumerate(ref_edges):
+            got = cell_edges(mesh, c)
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
 
@@ -184,17 +208,19 @@ class TestSaveMesh:
     @pytest.mark.parametrize("spec", [
         GeneratorSpec("square", 25),
         GeneratorSpec("lloyd0", 100, seed=5),
+        GeneratorSpec("concave", 25),
+        GeneratorSpec("lloyd100", 100, seed=5),
     ])
     def test_round_trip_bit_exact(self, tmp_path, spec):
         mesh = generate(spec)
         path = str(tmp_path / "m.json")
         save_mesh(mesh, path)
         back = load_mesh(path)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert len(back.cells) == len(mesh.cells)
-        for a, b in zip(back.cells, mesh.cells):
-            assert np.array_equal(a, b)
-        assert np.array_equal(back.boundary_vertices, mesh.boundary_vertices)
+        for name in ("vertices", "rings", "offsets", "cell_edges",
+                     "edge_vertices", "boundary_vertices"):
+            got, want = getattr(back, name), getattr(mesh, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
     def test_unwritable_path(self):
         mesh = square_mesh(2)
@@ -245,7 +271,7 @@ class TestElementGeometry:
         # one polygon's geometry is row 0 of the stack of that polygon,
         # bit for bit and with the same types
         mesh = generate(GeneratorSpec(family, 25, seed=4))
-        for ring in mesh.cells:
+        for ring in cell_rings(mesh):
             coords = mesh.vertices[ring]
             forward = np.ones(len(ring), dtype=bool)
             _assert_same_record(

@@ -3,15 +3,15 @@ import pytest
 from scipy.spatial import Delaunay, cKDTree
 
 import vemlab.meshgen as meshgen
-from oracles import (cell_centroids_axis_sums, circumcircle_depth,
+from oracles import (cell_centroids_axis_sums, cell_rings, circumcircle_depth,
                      clipped_cells_per_cell, concave_mesh_registry,
                      cvt_energy, delaunay_centroids, delaunay_fancy_index,
-                     in_circle_axis_sums,
+                     flat_rings, in_circle_axis_sums,
                      mesh_from_rings_union_find, opposite_half_edges,
                      reflex_vertices, relax_points_per_cell,
                      relax_points_qhull, ring_centroids,
                      seed_circumcentres_axis_sums, sees_all_of_polygon,
-                     square_mesh_per_cell)
+                     split_rings, square_mesh_per_cell)
 from vemlab.mesh import (MeshError, element_geometry, make_mesh,
                          regularity_report)
 from vemlab.meshgen import (GeneratorSpec, _cell_centroids, _certified_cells,
@@ -30,8 +30,8 @@ class TestSquareFamily:
         vertices, cells = square_mesh_per_cell(n)
         mesh = square_mesh(n)
         assert mesh.vertices.tobytes() == vertices.tobytes()
-        assert [ring.tolist() for ring in mesh.cells] == cells
-        assert all(ring.dtype == int for ring in mesh.cells)
+        assert [ring.tolist() for ring in cell_rings(mesh)] == cells
+        assert all(ring.dtype == int for ring in cell_rings(mesh))
 
     def test_counts(self):
         mesh = square_mesh(5)
@@ -61,8 +61,8 @@ class TestConcaveFamily:
         vertices, cells = concave_mesh_registry(n)
         mesh = concave_mesh(n)
         assert mesh.vertices.tobytes() == vertices.tobytes()
-        assert [ring.tolist() for ring in mesh.cells] == cells
-        assert all(ring.dtype == int for ring in mesh.cells)
+        assert [ring.tolist() for ring in cell_rings(mesh)] == cells
+        assert all(ring.dtype == int for ring in cell_rings(mesh))
 
     def test_counts(self):
         assert concave_mesh(5).num_cells == 50
@@ -123,7 +123,8 @@ class TestVoronoiFamily:
         a = generate(GeneratorSpec("lloyd0", 60, seed=77))
         b = generate(GeneratorSpec("lloyd0", 60, seed=77))
         assert np.array_equal(a.vertices, b.vertices)
-        assert all(np.array_equal(x, y) for x, y in zip(a.cells, b.cells))
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(cell_rings(a), cell_rings(b)))
 
     def test_cells_convex(self):
         mesh = generate(GeneratorSpec("lloyd0", 50, seed=8))
@@ -181,11 +182,11 @@ class TestLloyd:
         pts = rng.uniform(0, 1, (100, 2))
         energies = []
         for _ in range(100):
-            rings, coords = _clipped_cells(pts)
-            energies.append(cvt_energy(pts, rings, coords))
+            flat, sizes, coords = _clipped_cells(pts)
+            energies.append(cvt_energy(pts, split_rings(flat, sizes), coords))
             pts, _ = relax_points(pts, 1)
-        rings, coords = _clipped_cells(pts)
-        energies.append(cvt_energy(pts, rings, coords))
+        flat, sizes, coords = _clipped_cells(pts)
+        energies.append(cvt_energy(pts, split_rings(flat, sizes), coords))
         assert np.all(np.diff(energies) <= 1e-15)
 
         _, movement = relax_points(np.random.default_rng(0).uniform(0, 1, (100, 2)), 100)
@@ -198,7 +199,7 @@ def _assert_same_cells(mesh, ref):
     the vertex numbering may differ."""
     assert mesh.num_cells == ref.num_cells
     assert mesh.num_vertices == ref.num_vertices
-    for a, b in zip(mesh.cells, ref.cells):
+    for a, b in zip(cell_rings(mesh), cell_rings(ref)):
         cycle, ref_cycle = mesh.vertices[a], ref.vertices[b]
         assert len(cycle) == len(ref_cycle)
         # the rings may start at different vertices
@@ -236,7 +237,8 @@ class TestFlatVoronoi:
         # circumcentres round differently); the vertex numbering differs
         spec = GeneratorSpec("lloyd0", n, seed=seed)
         mesh = generate(spec)
-        ref = _mesh_from_rings(*clipped_cells_per_cell(_draw_seeds(spec)))
+        rings, coords = clipped_cells_per_cell(_draw_seeds(spec))
+        ref = _mesh_from_rings(*flat_rings(rings), coords)
         _assert_same_cells(mesh, ref)
 
     @pytest.mark.parametrize("family, n", [("lloyd0", 400), ("lloyd0", 4096),
@@ -251,7 +253,8 @@ class TestFlatVoronoi:
         sizes = _counting_delaunay(monkeypatch)
         mesh = _tessellate(pts)
         assert len(sizes) == 1 and sizes[0] < 2 * n
-        _assert_same_cells(mesh, _mesh_from_rings(*clipped_cells_per_cell(pts)))
+        rings, coords = clipped_cells_per_cell(pts)
+        _assert_same_cells(mesh, _mesh_from_rings(*flat_rings(rings), coords))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_relax_matches_per_cell_oracle(self, seed):
@@ -528,18 +531,19 @@ def test_weld_merges_near_duplicate_vertices_of_a_perturbed_lattice():
     g = (np.arange(10) + 0.5) / 10
     lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     pts = lattice + 1e-11 * np.random.default_rng(0).random((100, 2))
-    rings, coords = _clipped_cells(pts)
-    used = np.unique(np.concatenate(rings))
+    flat, _, coords = _clipped_cells(pts)
+    used = np.unique(flat)
     assert len(cKDTree(coords[used]).query_pairs(_WELD_TOL)) == 117
     for mesh in (_tessellate(pts), lloyd_relax(pts, 3)):
         assert mesh.num_cells == 100 and mesh.num_vertices == 121
-        assert all(len(ring) == 4 for ring in mesh.cells)
+        assert all(len(ring) == 4 for ring in cell_rings(mesh))
 
 
 def _assert_same_mesh(mesh, ref):
     assert mesh.vertices.tobytes() == ref.vertices.tobytes()
-    assert len(mesh.cells) == len(ref.cells)
-    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
+    assert mesh.num_cells == ref.num_cells
+    assert all(np.array_equal(a, b)
+               for a, b in zip(cell_rings(mesh), cell_rings(ref)))
 
 
 @pytest.mark.parametrize("source", ["perturbed_lattice", "lloyd100"])
@@ -551,20 +555,20 @@ def test_weld_matches_union_find_oracle(source):
         pts = lattice + 1e-11 * np.random.default_rng(0).random((100, 2))
     else:
         pts, _ = relax_points(_draw_seeds(GeneratorSpec("lloyd100", 100)), 100)
-    rings, coords = _clipped_cells(pts)
-    _assert_same_mesh(_mesh_from_rings(rings, coords),
-                      mesh_from_rings_union_find(rings, coords))
+    flat, sizes, coords = _clipped_cells(pts)
+    _assert_same_mesh(_mesh_from_rings(flat, sizes, coords),
+                      mesh_from_rings_union_find(flat, sizes, coords))
 
 
 def test_weld_names_a_collapsed_cell():
     # vertices 1 and 2 of cell 1 weld into one, leaving it two vertices
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [1.0, 1.0 + 1e-12]])
-    rings = [np.array([0, 1, 2]), np.array([1, 3, 4])]
+    flat, sizes = np.array([0, 1, 2, 1, 3, 4]), np.array([3, 3])
     for weld in (_mesh_from_rings, mesh_from_rings_union_find):
         with pytest.raises(MeshError,
                            match="Voronoi cell 1 collapsed during welding"):
-            weld(rings, coords)
+            weld(flat, sizes, coords)
 
 
 def test_generate_rejects_bad_family():
@@ -601,6 +605,6 @@ def test_all_families_pass_mesh_validation():
                  GeneratorSpec("lloyd0", 25, seed=1),
                  GeneratorSpec("lloyd100", 25, seed=1)):
         mesh = generate(spec)
-        rebuilt = make_mesh(mesh.vertices, mesh.cells,
+        rebuilt = make_mesh(mesh.vertices, cell_rings(mesh),
                             np.flatnonzero(mesh.boundary_vertices))
         assert rebuilt.num_cells == mesh.num_cells

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import (bank_per_cell, bank_representatives,
+from oracles import (bank_per_cell, bank_representatives, cell_rings,
                      error_norms_two_tables, error_sums_per_cell,
                      locate_cell_per_cell)
 from vemlab import kernels, local, postprocess
@@ -164,12 +164,14 @@ class TestProjectSolution:
         # own bank gives 0.0249
         square = square_mesh(4)
         lloyd = generate(GeneratorSpec("lloyd0", 16, seed=0))
-        moved = make_mesh(square.vertices ** [1.5, 1.0], square.cells)
+        moved = make_mesh(square.vertices ** [1.5, 1.0], cell_rings(square))
         # one interior vertex nudged: the first cell around it is named
         centre = int(np.flatnonzero(np.all(square.vertices == 0.5, axis=1))[0])
         nudged = make_mesh(square.vertices + 1e-3 * (
-            np.arange(square.num_vertices) == centre)[:, None], square.cells)
-        first = min(c for c, ring in enumerate(square.cells) if centre in ring)
+            np.arange(square.num_vertices) == centre)[:, None],
+            cell_rings(square))
+        first = min(c for c, ring in enumerate(cell_rings(square))
+                    if centre in ring)
         coeffs = Coefficients.constant(kappa=1.0)
         for mesh, other, cell in ((lloyd, square, 0), (moved, square, 0),
                                   (square, moved, 0), (nudged, square, first)):
@@ -203,7 +205,7 @@ class TestErrorNorms:
         perm = rng.permutation(mesh.num_vertices)
         new_vertices = np.empty_like(mesh.vertices)
         new_vertices[perm] = mesh.vertices
-        new_cells = [perm[ring] for ring in mesh.cells]
+        new_cells = [perm[ring] for ring in cell_rings(mesh)]
         remesh = make_mesh(new_vertices, new_cells)
         errs = []
         for m in (mesh, remesh):
@@ -267,7 +269,7 @@ class TestErrorNorms:
                            ) as info:
             error_norms(proj, exact["p_ex"], exact["grad_p_ex"])
         cell = int(re.match(r"cell (\d+)", str(info.value)).group(1))
-        ring = mesh.vertices[mesh.cells[cell]]
+        ring = mesh.vertices[mesh.ring(cell)]
         # the named cell meets the hole
         assert (ring.min(axis=0) < 0.6).all()
         assert (ring.max(axis=0) > 0.3).all()
@@ -395,7 +397,7 @@ class TestPointError:
         err, cell = point_error(proj, (0.5, 0.5), prob.p_ex)
         assert err < 1e-12
         incident = [c for c in range(mesh.num_cells)
-                    if any(np.all(mesh.vertices[mesh.cells[c]] == [0.5, 0.5],
+                    if any(np.all(mesh.vertices[mesh.ring(c)] == [0.5, 0.5],
                                   axis=1))]
         assert cell in incident
 
@@ -438,7 +440,7 @@ class TestPointError:
 
         for p in pts:
             c = locate_cell(mesh, p)
-            assert tri_contains(mesh.vertices[mesh.cells[c]], p)
+            assert tri_contains(mesh.vertices[mesh.ring(c)], p)
 
 
 @pytest.mark.parametrize("family", ["square", "concave", "lloyd0",
