@@ -87,14 +87,15 @@ class SparseSystem:
     A_ii^-1 A_ib and ``internal_load`` each cell's A_ii^-1 f_i, where i are
     the cell's internal moments and b its vertex and edge DoFs: the
     internal moments of a solution are ``internal_load - recovery @ u_b``.
-    ``bank`` holds what assembly computed per cell that post-processing
-    reuses.
+    ``mesh`` is the mesh ``dofmap`` numbers, and ``bank`` holds what
+    assembly computed per cell that post-processing reuses.
     """
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
     lifting: np.ndarray
     dofmap: DofMap
+    mesh: object = field(repr=False)
     coupling: sp.csr_matrix = field(repr=False)
     rhs_base: np.ndarray = field(repr=False)
     recovery: sp.csr_matrix = field(repr=False)
@@ -129,34 +130,6 @@ def build_dofmap(mesh, k):
                   interior_dofs=np.flatnonzero(free))
 
 
-def check_dofmap(dofmap, mesh, k):
-    """Raise ValueError unless ``dofmap`` numbers the degree-``k`` space of
-    ``mesh``: the same cell, vertex and edge counts, and every cell's
-    vertex slots on its own ring (its edge slots follow from the ring),
-    naming the first cell that differs."""
-    check_degree(k)
-    if k != dofmap.k:
-        raise ValueError(f"DoF map was built with k={dofmap.k}, got k={k}")
-    for what, got, want in (
-            ("cells", dofmap.offsets.size - 1, mesh.num_cells),
-            ("vertex DoFs", dofmap.n_vertex_dofs, mesh.num_vertices),
-            ("edge DoFs", dofmap.n_edge_dofs, mesh.num_edges * (k - 1))):
-        if got != want:
-            raise ValueError(f"DoF map has {got} {what} where the mesh has "
-                             f"{want}")
-    sizes = np.diff(mesh.offsets)
-    same = np.diff(dofmap.offsets) == sizes * k + n_poly(k - 2)
-    # each ring slot of a cell of the right DoF count, against its vertex slot
-    owner = np.repeat(np.arange(mesh.num_cells), sizes)
-    slots = np.flatnonzero(same[owner])
-    cells = owner[slots]
-    at = dofmap.offsets[cells] + slots - mesh.offsets[cells]
-    same[cells[dofmap.dofs[at] != mesh.rings[slots]]] = False
-    if not same.all():
-        raise ValueError(f"DoF map was built on another mesh: cell "
-                         f"{np.argmin(same)} does not number its own ring")
-
-
 def interior_first(dofmap):
     """Renumbering of the vertex and edge DoFs that puts the interior ones
     first, in the order of ``interior_dofs``, then the boundary ones, in the
@@ -180,13 +153,15 @@ def _put_blocks(buffer, starts, blocks):
                strides=(step, step))[starts] = blocks
 
 
-def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
+def assemble(mesh, k, coeffs, mode="standard"):
     """Assemble the condensed, reduced global system for one problem.
 
-    The element kernel builds the local matrices stack by stack (see
-    :func:`vemlab.local.mesh_elements`).  Each chunk's internal-moment
-    blocks A_ii are removed in one batched solve against [A_ib | f_i]
-    (a singular block raises ``LinAlgError`` naming its cell): the Schur
+    The global DoFs are numbered by :func:`build_dofmap` on ``mesh``, which
+    is kept on ``SparseSystem.mesh``.  The element kernel builds the local
+    matrices stack by stack (see :func:`vemlab.local.mesh_elements`).  Each
+    chunk's internal-moment blocks A_ii are removed in one batched solve
+    against [A_ib | f_i] (a singular block raises ``LinAlgError`` naming
+    its cell): the Schur
     complement A_bb - A_bi A_ii^-1 A_ib of each cell, on its vertex and
     edge DoFs only, is written into its cell's slot of one preallocated
     COO buffer, its rows and columns (``np.repeat``/``np.tile`` of the
@@ -202,9 +177,7 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
     copy, is its leading block, and the interior-by-boundary coupling
     block is converted on to CSR.
     """
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, k)
-    check_dofmap(dofmap, mesh, k)
+    dofmap = build_dofmap(mesh, k)
     n = dofmap.n_skeleton_dofs
     n_int = n_poly(k - 2)
     number = interior_first(dofmap)
@@ -274,6 +247,7 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
                         rhs=rhs_full[ii].copy(),
                         lifting=np.zeros(dofmap.n_dofs),
                         dofmap=dofmap,
+                        mesh=mesh,
                         coupling=coupling,
                         rhs_base=rhs_full[ii],
                         recovery=sp.csr_matrix(
@@ -283,22 +257,23 @@ def assemble(mesh, k, coeffs, mode="standard", dofmap=None):
                         bank=ElementBank(k, tuple(kept)))
 
 
-def apply_dirichlet(system, g, mesh, k):
-    """Install Dirichlet data ``g`` (callable or constant) into ``system``.
+def apply_dirichlet(system, g):
+    """Install Dirichlet data ``g`` (callable or constant) into ``system``,
+    on the boundary of ``system.mesh``.
 
     Boundary vertex DoFs take point values of ``g``; boundary edge DoFs take
     the same normalized line moments used when interpolating a smooth
     function, so interpolants of ``g`` satisfy the boundary data exactly.
     Returns ``system`` with ``lifting`` and ``rhs`` updated.
     """
-    dofmap = system.dofmap
-    check_dofmap(dofmap, mesh, k)
+    dofmap, mesh = system.dofmap, system.mesh
     gv = g if callable(g) else (lambda x, y, c=float(g): c)
 
     # in the order of dofmap.boundary_dofs
     values, moments = skeleton_dofs(
         gv, mesh.vertices[mesh.boundary_vertices],
-        mesh.vertices[mesh.edge_vertices[mesh.boundary_edges()]], k, "g")
+        mesh.vertices[mesh.edge_vertices[mesh.boundary_edges()]], dofmap.k,
+        "g")
     lift = np.zeros(dofmap.n_dofs)
     lift[dofmap.boundary_dofs] = np.concatenate([values, moments.ravel()])
     if not np.isfinite(lift).all():
@@ -424,17 +399,16 @@ def _solve_reduced(A, rhs):
     return x
 
 
-def interpolate(mesh, k, v, dofmap=None):
-    """Global DoF vector of a smooth function ``v(x, y)``.
+def interpolate(mesh, k, v):
+    """Global DoF vector of a smooth function ``v(x, y)``, in the
+    numbering of :func:`build_dofmap` on ``mesh``.
 
     Every DoF is computed once, as :func:`vemlab.local.interpolate_dofs`
     computes it: the vertex values and edge moments in one
     :func:`vemlab.local.skeleton_dofs` call, the internal moments per
     stack of cells.
     """
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, k)
-    check_dofmap(dofmap, mesh, k)
+    check_degree(k)
     values, moments = skeleton_dofs(
         v, mesh.vertices, mesh.vertices[mesh.edge_vertices], k)
     internal = np.empty((mesh.num_cells, n_poly(k - 2)))

@@ -95,24 +95,22 @@ def _run_single(mesh, k, problem, mode):
     an unreliable global solve, becomes a ``failed`` record naming the
     cause.
     """
-    dofmap = build_dofmap(mesh, k)
     h_max = max_diameter(mesh)
     try:
-        system = assemble(mesh, k, problem.coefficients, mode=mode,
-                          dofmap=dofmap)
-        apply_dirichlet(system, problem.p_ex, mesh, k)
+        system = assemble(mesh, k, problem.coefficients, mode=mode)
+        apply_dirichlet(system, problem.p_ex)
         u = solve(system)
     except (MeshError, SolveError, np.linalg.LinAlgError) as exc:
         return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,
-                           n_dofs=dofmap.n_dofs, err_L2_rel=np.nan,
-                           err_H1_rel=np.nan, err_point_rel=np.nan,
-                           failed=True, cause=str(exc))
-    proj = project_solution(mesh, k, u, dofmap=dofmap, bank=system.bank)
+                           n_dofs=build_dofmap(mesh, k).n_dofs,
+                           err_L2_rel=np.nan, err_H1_rel=np.nan,
+                           err_point_rel=np.nan, failed=True, cause=str(exc))
+    proj = project_solution(mesh, k, u, bank=system.bank)
     l2, h1 = error_norms(proj, problem.p_ex, problem.grad_p_ex)
     pe, _ = point_error(proj, DEFAULT_POINT, problem.p_ex)
     return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,
-                       n_dofs=dofmap.n_dofs, err_L2_rel=l2, err_H1_rel=h1,
-                       err_point_rel=pe)
+                       n_dofs=system.dofmap.n_dofs, err_L2_rel=l2,
+                       err_H1_rel=h1, err_point_rel=pe)
 
 
 def _run_job(config, problem, meshes, family, size):

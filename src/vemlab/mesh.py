@@ -167,13 +167,12 @@ def _entries(values, what, kinds="iu"):
     """``values`` as a flat int array of vertex ids (a float array when
     ``kinds`` is "iuf"); :class:`MeshError` naming ``what`` when it is
     ragged, holds an entry that is not an integer (not a number), a boolean
-    being neither, or, for ids, is not flat."""
+    at any depth being neither, or, for ids, is not flat."""
     try:
         out = np.asarray(values)
     except ValueError as exc:
         raise MeshError(f"{what} is ragged") from exc
-    if out.size and (out.dtype.kind not in kinds or isinstance(values, list)
-                     and any(isinstance(v, bool) for v in values)):
+    if out.size and (out.dtype.kind not in kinds or _holds_bool(values)):
         kind = "an integer" if kinds == "iu" else "a number"
         raise MeshError(f"{what} holds an entry that is not {kind}")
     if kinds == "iuf":
@@ -181,6 +180,16 @@ def _entries(values, what, kinds="iu"):
     if out.ndim != 1:
         raise MeshError(f"{what} is not a flat list of vertex ids")
     return out.astype(int, copy=False)
+
+
+def _holds_bool(values):
+    """Whether ``values``, a number or a nested sequence of them, is or
+    holds a boolean at any depth."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_))
 
 
 def first_seen(keys):

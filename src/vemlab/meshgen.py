@@ -44,7 +44,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 from scipy.spatial import Voronoi  # noqa: F401  (perfbench/spans.py hook target)
 
-from .mesh import MeshError, _flat_mesh, first_seen, make_mesh
+from .mesh import MeshError, _flat_mesh, first_seen
 from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
 
 #: interior points of the splitting polyline for the concave family, in
@@ -148,7 +148,9 @@ def square_mesh(n_per_side):
     vertices = np.column_stack([ii.ravel(order="F") / n, jj.ravel(order="F") / n])
     # vertex (i, j) has id j (n + 1) + i; cells run along rows of squares
     corner = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).reshape(-1, 1)
-    return make_mesh(vertices, corner + np.array([0, 1, n + 2, n + 1]))
+    return _flat_mesh(vertices,
+                      (corner + np.array([0, 1, n + 2, n + 1])).ravel(),
+                      np.arange(0, 4 * n * n + 1, 4))
 
 
 def concave_mesh(n_per_side):
@@ -170,7 +172,8 @@ def concave_mesh(n_per_side):
     lattice = (np.array(lower + upper)
                + 20 * np.stack([ii, jj], axis=-1)[:, None]).reshape(-1, 2)
     ids, first = first_seen(lattice[:, 0] * (20 * n + 1) + lattice[:, 1])
-    return make_mesh(lattice[first] / (20.0 * n), ids.reshape(2 * n * n, 8))
+    return _flat_mesh(lattice[first] / (20.0 * n), ids,
+                      np.arange(0, 16 * n * n + 1, 8))
 
 
 def voronoi_mesh(spec):

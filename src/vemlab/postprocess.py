@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .assembly import build_dofmap, check_dofmap
+from .assembly import build_dofmap
 from .basis import map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .local import (ElementBank, _at, _check_finite, mesh_elements,
@@ -76,18 +76,17 @@ class SolutionProjection:
             monomial_exponents(self.k)) @ self.coeffs[cell]
 
 
-def project_solution(mesh, k, u, dofmap=None, bank=None):
-    """Cellwise polynomial snapshots of the DoF vector ``u``.
+def project_solution(mesh, k, u, bank=None):
+    """Cellwise polynomial snapshots of the DoF vector ``u``, numbered by
+    :func:`vemlab.assembly.build_dofmap` on ``mesh``.
 
     ``bank`` is the ``ElementBank`` that :func:`vemlab.assembly.assemble`
     returns on ``SparseSystem.bank``; without one, the element kernel
     builds that bank here, bit for bit, with the same rule.  A bank of
-    another degree, or of a mesh whose cells have other rings or vertex
-    coordinates, raises ``ValueError``.
+    another degree, or of a mesh whose cells have other rings, vertex
+    coordinates or edge orientations, raises ``ValueError``.
     """
-    if dofmap is None:
-        dofmap = build_dofmap(mesh, k)
-    check_dofmap(dofmap, mesh, k)
+    dofmap = build_dofmap(mesh, k)
     if u.shape != (dofmap.n_dofs,):
         raise ValueError(
             f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
@@ -103,8 +102,10 @@ def project_solution(mesh, k, u, dofmap=None, bank=None):
 
 def _check_bank(bank, mesh, k):
     """Raise ``ValueError`` unless ``bank`` was built at degree ``k`` on
-    the rings and vertex coordinates of ``mesh``, naming the first cell
-    that differs."""
+    the rings, vertex coordinates and canonical edge orientations of
+    ``mesh``, naming the first cell that differs.  A renumbered copy of
+    ``mesh`` has its cells' coordinates, but may orient their edges
+    otherwise, which flips the sign of its odd-degree edge moments."""
     if bank.k != k:
         raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
     if bank.n_cells != mesh.num_cells:
@@ -116,12 +117,15 @@ def _check_bank(bank, mesh, k):
         cells, nv = geometry.cells, geometry.vertices.shape[1]
         same = sizes[cells] == nv
         rings = mesh.rings[mesh.offsets[cells[same], None] + np.arange(nv)]
-        same[same] = np.all(mesh.vertices[rings] == geometry.vertices[same],
-                            axis=(1, 2))
+        same[same] = (np.all(mesh.vertices[rings] == geometry.vertices[same],
+                             axis=(1, 2))
+                      & np.all((rings < np.roll(rings, -1, axis=1))
+                               == geometry.edge_forward[same], axis=1))
         differs[cells] = ~same
     if differs.any():
         raise ValueError(f"element bank was built on another mesh: cell "
-                         f"{np.argmax(differs)} has other vertices in it")
+                         f"{np.argmax(differs)} has other vertices or edge "
+                         "orientations in it")
 
 
 def error_norms(projection, p_ex, grad_p_ex, relative=True):

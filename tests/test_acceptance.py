@@ -117,7 +117,7 @@ def test_criterion_2_patch_tests(announce):
         for k in range(1, 5):
             prob = polynomial_problem(k)
             system = assemble(mesh, k, prob.coefficients)
-            apply_dirichlet(system, prob.p_ex, mesh, k)
+            apply_dirichlet(system, prob.p_ex)
             u = solve(system)
             err = np.abs(u - interpolate(mesh, k, prob.p_ex)).max()
             worst = max(worst, err)

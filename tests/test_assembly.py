@@ -16,6 +16,7 @@ from vemlab import assembly, local
 from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
 from vemlab.basis import n_poly, triangulate_stack
+from vemlab.harness import _run_single
 from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
                           projector_set)
 from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
@@ -121,24 +122,6 @@ class TestDofMap:
         assert np.array_equal(interpolate(mesh, k, v),
                               interpolate_per_cell(mesh, k, v))
 
-    def test_interpolate_rejects_dofmap_of_another_degree(self):
-        # a degree-1 interpolant fits in a degree-2 DoF vector's vertex
-        # block, so without the check it would leave the moments at zero
-        mesh = square_mesh(3)
-        with pytest.raises(ValueError, match="k=2, got k=1"):
-            interpolate(mesh, 1, lambda x, y: x, dofmap=build_dofmap(mesh, 2))
-
-    def test_interpolate_rejects_dofmap_of_another_mesh(self):
-        v = lambda x, y: x
-        with pytest.raises(ValueError,
-                           match="DoF map has 25 cells where the mesh has 16"):
-            interpolate(square_mesh(4), 2, v,
-                        dofmap=build_dofmap(square_mesh(5), 2))
-        with pytest.raises(ValueError, match="DoF map has 34 vertex DoFs "
-                                             "where the mesh has 25"):
-            interpolate(square_mesh(4), 1, v, dofmap=build_dofmap(
-                generate(GeneratorSpec("lloyd0", 16, seed=0)), 1))
-
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_shared_dofs_interpolate_consistently(self, k):
         mesh = generate(GeneratorSpec("lloyd0", 16, seed=11))
@@ -176,8 +159,8 @@ class TestAssemble:
         coeffs = Coefficients.constant(kappa=KAPPA)
         mesh = MESHES["lloyd0"]
         dm = build_dofmap(mesh, k)
-        system = assemble(mesh, k, coeffs, dofmap=dm)
-        d = interpolate(mesh, k, lambda x, y: np.ones(np.shape(x)), dofmap=dm)
+        system = assemble(mesh, k, coeffs)
+        d = interpolate(mesh, k, lambda x, y: np.ones(np.shape(x)))
         resid = (system.matrix @ d[dm.interior_dofs]
                  + system.coupling @ d[dm.boundary_dofs])
         scale = abs(system.matrix).max()
@@ -187,7 +170,7 @@ class TestAssemble:
         mesh = MESHES["lloyd0"]
         k = 2
         dm = build_dofmap(mesh, k)
-        system = assemble(mesh, k, Coefficients.constant(kappa=1.0), dofmap=dm)
+        system = assemble(mesh, k, Coefficients.constant(kappa=1.0))
         cells_of = [set() for _ in range(dm.n_dofs)]
         for c in range(mesh.num_cells):
             for slot in dm.cell_dofs(c):
@@ -223,82 +206,25 @@ class TestAssemble:
         np.testing.assert_allclose(rhs[2], rhs[0] + 2 * rhs[1],
                                    rtol=1e-13, atol=1e-15)
 
-    def test_dofmap_dimension_mismatch(self):
-        mesh = square_mesh(2)
-        with pytest.raises(ValueError, match="DoF map"):
-            assemble(mesh, 2, Coefficients.constant(kappa=1.0),
-                     dofmap=build_dofmap(mesh, 1))
-
-    def test_assemble_rejects_dofmap_of_another_mesh(self):
-        # a 25-cell map used to give an 81 x 81 system whose value slots
-        # for the 9 missing cells were never written, a 9-cell one a bare
-        # IndexError
-        mesh, coeffs = square_mesh(4), Coefficients.constant(kappa=1.0)
-        lloyd = generate(GeneratorSpec("lloyd0", 16, seed=0))
-        for other, message in (
-                (square_mesh(5), "DoF map has 25 cells where the mesh has 16"),
-                (square_mesh(3), "DoF map has 9 cells where the mesh has 16"),
-                (lloyd, "DoF map has 34 vertex DoFs where the mesh has 25")):
-            with pytest.raises(ValueError, match=message):
-                assemble(mesh, 2, coeffs, dofmap=build_dofmap(other, 2))
-        wrong_edges = dataclasses.replace(build_dofmap(mesh, 3),
-                                          n_edge_dofs=82)
-        with pytest.raises(ValueError, match="DoF map has 82 edge DoFs where "
-                                             "the mesh has 80"):
-            assemble(mesh, 3, coeffs, dofmap=wrong_edges)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_rejects_dofmap_of_a_renumbered_mesh(self, k):
-        # the same cell, vertex and edge counts: the original mesh's map
-        # used to solve the renumbered one to L2/H1 errors of 0.223/0.933
-        # at k = 1 (0.056/0.435 at k = 2) where its own map gives
-        # 0.188/0.880 (0.046/0.395), with no error raised
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_renumbered_mesh_solves_to_the_same_errors(self, k):
+        # each mesh numbers its own DoFs: a vertex-permuted copy, whose
+        # edges are oriented otherwise, is solved to the original's errors
         mesh = square_mesh(3)
         perm = np.random.default_rng(0).permutation(mesh.num_vertices)
         vertices = np.empty_like(mesh.vertices)
         vertices[perm] = mesh.vertices
         renumbered = make_mesh(vertices,
                                [perm[ring] for ring in cell_rings(mesh)])
-        dm = build_dofmap(mesh, k)
-        message = "DoF map was built on another mesh: cell 0 does not"
-        with pytest.raises(ValueError, match=message):
-            assemble(renumbered, k, Coefficients.constant(kappa=1.0),
-                     dofmap=dm)
-        with pytest.raises(ValueError, match=message):
-            interpolate(renumbered, k, lambda x, y: x, dofmap=dm)
-        with pytest.raises(ValueError, match=message):
-            apply_dirichlet(assemble(mesh, k, Coefficients.constant(
-                kappa=1.0), dofmap=dm), 1.0, renumbered, k)
-
-    def test_names_the_first_cell_off_its_ring(self):
-        # vertices 10 and 15 swap ids, so cells 4, 5, 7 and 8 have other
-        # rings; reversing lloyd0's cells gives cell 0 a DoF count of
-        # another vertex count
-        mesh = square_mesh(3)
-        perm = np.arange(mesh.num_vertices)
-        perm[[10, 15]] = perm[[15, 10]]
-        swapped = make_mesh(mesh.vertices[perm],
-                            [perm[ring] for ring in cell_rings(mesh)])
-        lloyd = MESHES["lloyd0"]
-        reversed_cells = make_mesh(lloyd.vertices, cell_rings(lloyd)[::-1])
-        assert lloyd.ring(0).size != reversed_cells.ring(0).size
-        for k in (1, 3):
-            for other, original, cell in ((swapped, mesh, 4),
-                                          (reversed_cells, lloyd, 0)):
-                with pytest.raises(ValueError, match=f"cell {cell} does not "
-                                                     "number its own ring"):
-                    interpolate(other, k, lambda x, y: x,
-                                dofmap=build_dofmap(original, k))
-
-    def test_apply_dirichlet_rejects_mesh_or_degree_of_another_map(self):
-        small, large = square_mesh(4), square_mesh(5)
-        system = assemble(small, 2, Coefficients.constant(kappa=1.0))
-        with pytest.raises(ValueError,
-                           match="DoF map has 16 cells where the mesh has 25"):
-            apply_dirichlet(system, 1.0, large, 2)
-        with pytest.raises(ValueError, match="DoF map was built with k=2, "
-                                             "got k=3"):
-            apply_dirichlet(system, 1.0, small, 3)
+        problem = builtin_problem()
+        got, ref = (_run_single(m, k, problem, "standard")
+                    for m in (renumbered, mesh))
+        assert not (got.failed or ref.failed)
+        np.testing.assert_allclose([got.err_L2_rel, got.err_H1_rel],
+                                   [ref.err_L2_rel, ref.err_H1_rel],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.err_point_rel, ref.err_point_rel,
+                                   rtol=1e-10, atol=0)
 
 
 class TestScatter:
@@ -308,7 +234,7 @@ class TestScatter:
         mesh = MESHES[family]
         coeffs = builtin_problem().coefficients
         dm = build_dofmap(mesh, k)
-        system = assemble(mesh, k, coeffs, dofmap=dm)
+        system = assemble(mesh, k, coeffs)
         # each chunk writes its own indices (lloyd0 mixes DoF counts,
         # every concave cell has the same): the pattern against a per-cell
         # repeat and tile, the recovery rows against each cell's one-cell
@@ -336,7 +262,7 @@ class TestScatter:
         mesh = MESHES[family]
         coeffs = builtin_problem().coefficients
         dm = build_dofmap(mesh, k)
-        system = assemble(mesh, k, coeffs, dofmap=dm)
+        system = assemble(mesh, k, coeffs)
         matrix, coupling, *_ = assemble_per_cell(mesh, k, coeffs, dm,
                                                  sliced=True)
         for got, ref in ((system.matrix, matrix.tocsc()),
@@ -550,8 +476,7 @@ class TestCoefficientShape:
         system = assemble(mesh, k, Coefficients.constant(kappa=1.0))
         with pytest.raises(ValueError, match=r"^g returned shape \(12, 2\) "
                            r"at 12 points, expected \(12,\)$"):
-            apply_dirichlet(system, lambda x, y: np.stack([x, y], -1),
-                            mesh, k)
+            apply_dirichlet(system, lambda x, y: np.stack([x, y], -1))
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_interpolated_function_of_wrong_shape_is_named(self, k):
@@ -599,7 +524,7 @@ class TestNonFiniteData:
         with pytest.raises(ValueError, match=f"boundary vertex {corner}: "
                            "Dirichlet data g is not finite"):
             apply_dirichlet(system, lambda x, y: np.where(
-                (x == 1.0) & (y == 1.0), np.nan, x), mesh, 2)
+                (x == 1.0) & (y == 1.0), np.nan, x))
 
     def test_dirichlet_edge_moment_is_named(self):
         # finite at every vertex, NaN inside the edges that cross x = 0.5
@@ -609,7 +534,7 @@ class TestNonFiniteData:
                    "Dirichlet data g is not finite")
         with pytest.raises(ValueError, match=pattern) as info:
             apply_dirichlet(system, lambda x, y: np.where(
-                np.abs(x - 0.5) < 0.05, np.nan, x), mesh, 2)
+                np.abs(x - 0.5) < 0.05, np.nan, x))
         edge, lo, hi = map(int, re.match(pattern, str(info.value)).groups())
         assert (lo, hi) == tuple(mesh.edge_vertices[edge])
         assert sorted(mesh.vertices[[lo, hi], 0]) == pytest.approx([0.4, 0.6])
@@ -621,7 +546,7 @@ class TestDirichlet:
         coeffs = Coefficients.constant(kappa=1.0, f=1.0)
         system = assemble(mesh, 3, coeffs)
         before = system.rhs.copy()
-        apply_dirichlet(system, lambda x, y: np.zeros(np.shape(x)), mesh, 3)
+        apply_dirichlet(system, lambda x, y: np.zeros(np.shape(x)))
         assert np.array_equal(system.rhs, before)
         assert not system.lifting.any()
 
@@ -629,22 +554,16 @@ class TestDirichlet:
         mesh = square_mesh(3)
         coeffs = Coefficients.constant(kappa=1.0, f=1.0)
         system = assemble(mesh, 2, coeffs)
-        apply_dirichlet(system, lambda x, y: x + y ** 2, mesh, 2)
+        apply_dirichlet(system, lambda x, y: x + y ** 2)
         assert not np.array_equal(system.rhs, system.rhs_base)
-        apply_dirichlet(system, 0.0, mesh, 2)
+        apply_dirichlet(system, 0.0)
         assert np.array_equal(system.rhs, system.rhs_base)
-
-    def test_degree_mismatch_raises(self):
-        mesh = square_mesh(2)
-        system = assemble(mesh, 2, Coefficients.constant(kappa=1.0))
-        with pytest.raises(ValueError, match="k=2"):
-            apply_dirichlet(system, 0.0, mesh, 3)
 
     def test_constant_data_matches_interpolant(self):
         mesh = MESHES["lloyd0"]
         k = 3
         system = assemble(mesh, k, Coefficients.constant(kappa=1.0))
-        apply_dirichlet(system, 2.0, mesh, k)
+        apply_dirichlet(system, 2.0)
         d = interpolate(mesh, k, lambda x, y: np.full(np.shape(x), 2.0))
         bb = system.dofmap.boundary_dofs
         np.testing.assert_allclose(system.lifting[bb], d[bb],
@@ -656,9 +575,9 @@ class TestDirichlet:
             mesh = generate(GeneratorSpec(family, 25, seed=2))
             for k in (1, 2, 3, 4):
                 system = assemble(mesh, k, Coefficients.constant(kappa=1.0))
-                apply_dirichlet(system, p_ex, mesh, k)
+                apply_dirichlet(system, p_ex)
                 bb = system.dofmap.boundary_dofs
-                d = interpolate(mesh, k, p_ex, dofmap=system.dofmap)
+                d = interpolate(mesh, k, p_ex)
                 assert np.array_equal(system.lifting[bb], d[bb])
 
     def test_constant_solution_reproduced(self):
@@ -668,7 +587,7 @@ class TestDirichlet:
         gamma = 0.7
         coeffs = Coefficients.constant(kappa=KAPPA, gamma=gamma, f=2 * gamma)
         system = assemble(mesh, k, coeffs)
-        apply_dirichlet(system, 2.0, mesh, k)
+        apply_dirichlet(system, 2.0)
         u = solve(system)
         d = interpolate(mesh, k, lambda x, y: np.full(np.shape(x), 2.0))
         assert np.max(np.abs(u - d)) <= 1e-10
@@ -681,7 +600,7 @@ class TestSolve:
         mesh = MESHES[family]
         prob = polynomial_problem(k, kappa=KAPPA)
         system = assemble(mesh, k, prob.coefficients)
-        apply_dirichlet(system, prob.p_ex, mesh, k)
+        apply_dirichlet(system, prob.p_ex)
         u = solve(system)
         d = interpolate(mesh, k, prob.p_ex)
         assert np.max(np.abs(u - d)) <= 1e-10
@@ -691,7 +610,7 @@ class TestSolve:
         mesh = MESHES["lloyd0"]
         p = lambda x, y: x
         system = assemble(mesh, k, Coefficients.constant(kappa=1.0))
-        apply_dirichlet(system, p, mesh, k)
+        apply_dirichlet(system, p)
         u = solve(system)
         d = interpolate(mesh, k, p)
         assert np.max(np.abs(u - d)) <= 1e-11
@@ -700,7 +619,7 @@ class TestSolve:
         mesh = square_mesh(4)
         p = lambda x, y: 1 + x + y
         system = assemble(mesh, 1, Coefficients.constant(kappa=1.0))
-        apply_dirichlet(system, p, mesh, 1)
+        apply_dirichlet(system, p)
         u = solve(system)
         corner = np.flatnonzero((mesh.vertices[:, 0] == 1.0)
                                 & (mesh.vertices[:, 1] == 1.0))[0]
@@ -712,7 +631,7 @@ class TestSolve:
         system = assemble(mesh, 3, prob.coefficients)
         assert system.matrix.format == "csc"
         assert system.matrix.has_canonical_format
-        apply_dirichlet(system, prob.p_ex, mesh, 3)
+        apply_dirichlet(system, prob.p_ex)
         calls = _recorded_factors(monkeypatch)
         solve(system)
         (((A,), _, _),) = calls
@@ -723,7 +642,7 @@ class TestSolve:
         system = assemble(mesh, 1, Coefficients.constant(kappa=1.0))
         assert system.matrix.shape == (0, 0)
         g = lambda x, y: x + y
-        apply_dirichlet(system, g, mesh, 1)
+        apply_dirichlet(system, g)
         u = solve(system)
         np.testing.assert_array_equal(
             u, g(mesh.vertices[:, 0], mesh.vertices[:, 1]))
@@ -734,7 +653,7 @@ class TestSolve:
         system = assemble(mesh, 2, Coefficients.constant(kappa=1.0))
         # the one internal moment is condensed out, so nothing is factored
         assert system.matrix.shape == (0, 0)
-        apply_dirichlet(system, p, mesh, 2)
+        apply_dirichlet(system, p)
         u = solve(system)
         d = interpolate(mesh, 2, p)
         assert np.max(np.abs(u - d)) <= 1e-11
@@ -747,6 +666,7 @@ class TestSolve:
                            rhs=np.ones(n_i),
                            lifting=np.zeros(dm.n_dofs),
                            dofmap=dm,
+                           mesh=mesh,
                            coupling=sp.csr_matrix((n_i, n_b)),
                            rhs_base=np.ones(n_i),
                            recovery=sp.csr_matrix((0, dm.n_skeleton_dofs)),
@@ -802,7 +722,7 @@ class TestSolve:
         mesh = self._sliver_grid(width)
         prob = polynomial_problem(k)
         system = assemble(mesh, k, prob.coefficients)
-        apply_dirichlet(system, prob.p_ex, mesh, k)
+        apply_dirichlet(system, prob.p_ex)
         try:
             u = solve(system)
         except SolveError as exc:
@@ -815,7 +735,7 @@ class TestSolve:
         mesh = generate(GeneratorSpec("concave", 100, seed=0))
         prob = builtin_problem()
         system = assemble(mesh, 4, prob.coefficients)
-        apply_dirichlet(system, prob.p_ex, mesh, 4)
+        apply_dirichlet(system, prob.p_ex)
         monkeypatch.setattr(assembly, "onenormest", None)
         solve(system)
 
@@ -823,7 +743,7 @@ class TestSolve:
         mesh = MESHES["lloyd0"]
         prob = builtin_problem()
         system = assemble(mesh, 2, prob.coefficients)
-        apply_dirichlet(system, prob.p_ex, mesh, 2)
+        apply_dirichlet(system, prob.p_ex)
         calls = _recorded_factors(monkeypatch)
         solve(system)
         ((_, kwargs, _),) = calls
@@ -837,7 +757,7 @@ class TestSolve:
         mesh = generate(GeneratorSpec("lloyd0", 4096, seed=0))
         prob = builtin_problem()
         system = assemble(mesh, 2, prob.coefficients)
-        apply_dirichlet(system, prob.p_ex, mesh, 2)
+        apply_dirichlet(system, prob.p_ex)
         calls = _recorded_factors(monkeypatch)
         solve(system)
         ((_, _, seconds),) = calls
@@ -849,7 +769,7 @@ class TestSolve:
         mesh = MESHES[family]
         prob = builtin_problem()
         system = assemble(mesh, k, prob.coefficients)
-        apply_dirichlet(system, prob.p_ex, mesh, k)
+        apply_dirichlet(system, prob.p_ex)
         x = solve(system)[system.dofmap.interior_dofs]
         ref = _default_mode_solve(system)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -867,7 +787,7 @@ class TestSolve:
             c, gamma=lambda x, y: c.gamma(x, y) - 60.0,
             f=lambda x, y: c.f(x, y) - 60.0 * prob.p_ex(x, y))
         system = assemble(mesh, k, shifted)
-        apply_dirichlet(system, prob.p_ex, mesh, k)
+        apply_dirichlet(system, prob.p_ex)
         x = solve(system)[system.dofmap.interior_dofs]
         A, b = system.matrix, system.rhs
         assert (np.linalg.norm(A @ x - b)
@@ -886,8 +806,8 @@ class TestCondensation:
         mesh = MESHES[family]
         prob = builtin_problem()
         dm = build_dofmap(mesh, k)
-        system = assemble(mesh, k, prob.coefficients, dofmap=dm)
-        apply_dirichlet(system, prob.p_ex, mesh, k)
+        system = assemble(mesh, k, prob.coefficients)
+        apply_dirichlet(system, prob.p_ex)
         u = solve(system)
         A, b = full_system_per_cell(mesh, k, prob.coefficients, dm)
         free = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dofs)
@@ -908,7 +828,7 @@ class TestCondensation:
         coeffs = builtin_problem().coefficients
         for k in (1, 2, 3, 4):
             dm = build_dofmap(mesh, k)
-            system = assemble(mesh, k, coeffs, dofmap=dm)
+            system = assemble(mesh, k, coeffs)
             assert system.matrix.shape == (dm.interior_dofs.size,) * 2
             assert system.recovery.shape == (dm.n_internal_dofs,
                                              dm.n_skeleton_dofs)

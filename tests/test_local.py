@@ -84,7 +84,7 @@ def _degree_entry_points():
     coeffs = Coefficients.constant(kappa=1.0, f=1.0)
     v = lambda x, y: x + y
     system = assemble(mesh, 1, coeffs)
-    u = solve(apply_dirichlet(system, v, mesh, 1))
+    u = solve(apply_dirichlet(system, v))
     return {
         "dof_layout": lambda k: dof_layout(PENTAGON, k),
         "projector_set": lambda k: projector_set(PENTAGON, k),
@@ -93,9 +93,6 @@ def _degree_entry_points():
         "mesh_elements": lambda k: next(mesh_elements(mesh, k)),
         "build_dofmap": lambda k: build_dofmap(mesh, k),
         "assemble": lambda k: assemble(mesh, k, coeffs),
-        "assemble_dofmap": lambda k: assemble(mesh, k, coeffs,
-                                              dofmap=system.dofmap),
-        "apply_dirichlet": lambda k: apply_dirichlet(system, v, mesh, k),
         "interpolate": lambda k: interpolate(mesh, k, v),
         "project_solution": lambda k: project_solution(mesh, k, u),
         "error_norms": lambda k: error_norms(
@@ -851,7 +848,7 @@ class TestShapeClasses:
                     assert np.array_equal(out.forms.Ah[i], ref.Ah)
         prob = polynomial_problem(k)
         system = assemble(mesh, k, prob.coefficients)
-        apply_dirichlet(system, prob.p_ex, mesh, k)
+        apply_dirichlet(system, prob.p_ex)
         u = solve(system)
         assert np.abs(u - interpolate(mesh, k, prob.p_ex)).max() <= 1e-10
 

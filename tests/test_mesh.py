@@ -127,13 +127,23 @@ class TestLoadMesh:
         ({"vertices": [[0, 0], [1, 0], [1, "1"], [0, 1]]},
          "vertex table holds an entry that is not a number"),
         ({"vertices": [[0, 0], [1, 0], [1], [0, 1]]}, "vertex table is ragged"),
+        ({"vertices": [[0, 0], [1, 0], [True, 1], [0, 1]]},
+         "vertex table holds an entry that is not a number"),
     ], ids=["float_id", "bool_ids", "ragged_ring", "nested_ring",
             "cells_not_a_list", "boundary_id_too_large",
             "boundary_id_negative", "boundary_id_float", "nested_boundary",
-            "scalar_boundary", "string_coordinate", "ragged_vertices"])
+            "scalar_boundary", "string_coordinate", "ragged_vertices",
+            "bool_coordinate"])
     def test_malformed_file_names_the_cause(self, tmp_path, change, message):
         with pytest.raises(MeshError, match=f"^{message}$"):
             load_mesh(write_json(tmp_path, dict(UNIT_SQUARE, **change)))
+
+    def test_bool_in_a_tuple_ring_is_named(self):
+        # a boolean below the top level of a list used to read as 1: here
+        # "cell 0 repeats a vertex id"
+        with pytest.raises(MeshError, match="^cell 0 holds an entry that is "
+                                            "not an integer$"):
+            make_mesh(UNIT_SQUARE["vertices"], [(0, 1, 2, True)])
 
     def test_boundary_vertices_array_must_be_flat(self):
         # a 2-D array naming every boundary vertex of square_mesh(2) was

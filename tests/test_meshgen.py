@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
@@ -597,6 +599,21 @@ def test_generator_spec_names_a_bad_field(field, kwargs):
 def test_generate_rejects_nonsquare_count():
     with pytest.raises(ValueError):
         generate(GeneratorSpec("square", 30))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+@pytest.mark.parametrize("generator", [square_mesh, concave_mesh],
+                         ids=["square", "concave"])
+def test_flat_generators_match_make_mesh_of_their_rows(generator, n):
+    # the square and concave generators hand their flat ids and fixed
+    # offsets to the mesh: the same arrays and dtypes as make_mesh of the
+    # (cells, n) table of their rings
+    mesh = generator(n)
+    rows = make_mesh(mesh.vertices, np.stack(cell_rings(mesh)))
+    for field in dataclasses.fields(mesh):
+        got, ref = getattr(mesh, field.name), getattr(rows, field.name)
+        assert got.dtype == ref.dtype, field.name
+        assert np.array_equal(got, ref), field.name
 
 
 def test_all_families_pass_mesh_validation():
