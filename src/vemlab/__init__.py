@@ -11,8 +11,8 @@ from .assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                        assemble, build_dofmap, interpolate, solve)
 from .harness import ExperimentConfig, emit_report, run_experiment
 from .local import (Coefficients, DofLayout, ElementBank, LocalSystem,
-                    ProjectorSet, dof_layout, interpolate_dofs, local_system,
-                    projector_set)
+                    ProjectorSet, dof_layout, element_bank, interpolate_dofs,
+                    local_system, projector_set)
 from .mesh import (GeometryStack, MeshError, PolyMesh, RegularityReport,
                    element_geometry, load_mesh, polygon_geometry,
                    regularity_report, save_mesh)
@@ -33,7 +33,8 @@ __all__ = [
     "GeneratorSpec", "generate", "lloyd_relax",
     # element-local operators
     "Coefficients", "DofLayout", "ElementBank", "LocalSystem", "ProjectorSet",
-    "dof_layout", "interpolate_dofs", "local_system", "projector_set",
+    "dof_layout", "element_bank", "interpolate_dofs", "local_system",
+    "projector_set",
     # global assembly
     "DofMap", "SparseSystem", "SolveError", "apply_dirichlet", "assemble",
     "build_dofmap", "interpolate", "solve",

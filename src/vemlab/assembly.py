@@ -87,20 +87,19 @@ class SparseSystem:
     A_ii^-1 A_ib and ``internal_load`` each cell's A_ii^-1 f_i, where i are
     the cell's internal moments and b its vertex and edge DoFs: the
     internal moments of a solution are ``internal_load - recovery @ u_b``.
-    ``mesh`` is the mesh ``dofmap`` numbers, and ``bank`` holds what
-    assembly computed per cell that post-processing reuses.
+    ``bank`` holds what assembly computed per cell that post-processing
+    reuses, and the mesh that ``dofmap`` numbers.
     """
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
     lifting: np.ndarray
     dofmap: DofMap
-    mesh: object = field(repr=False)
     coupling: sp.csr_matrix = field(repr=False)
     rhs_base: np.ndarray = field(repr=False)
     recovery: sp.csr_matrix = field(repr=False)
     internal_load: np.ndarray = field(repr=False)
-    bank: ElementBank = field(default=None, repr=False)
+    bank: ElementBank = field(repr=False)
 
 
 def build_dofmap(mesh, k):
@@ -157,7 +156,7 @@ def assemble(mesh, k, coeffs, mode="standard"):
     """Assemble the condensed, reduced global system for one problem.
 
     The global DoFs are numbered by :func:`build_dofmap` on ``mesh``, which
-    is kept on ``SparseSystem.mesh``.  The element kernel builds the local
+    is kept on ``SparseSystem.bank``.  The element kernel builds the local
     matrices stack by stack (see :func:`vemlab.local.mesh_elements`).  Each
     chunk's internal-moment blocks A_ii are removed in one batched solve
     against [A_ib | f_i] (a singular block raises ``LinAlgError`` naming
@@ -247,26 +246,25 @@ def assemble(mesh, k, coeffs, mode="standard"):
                         rhs=rhs_full[ii].copy(),
                         lifting=np.zeros(dofmap.n_dofs),
                         dofmap=dofmap,
-                        mesh=mesh,
                         coupling=coupling,
                         rhs_base=rhs_full[ii],
                         recovery=sp.csr_matrix(
                             (recovery, recovery_cols, indptr),
                             shape=(dofmap.n_internal_dofs, n)),
                         internal_load=internal_load,
-                        bank=ElementBank(k, tuple(kept)))
+                        bank=ElementBank(mesh, k, tuple(kept)))
 
 
 def apply_dirichlet(system, g):
     """Install Dirichlet data ``g`` (callable or constant) into ``system``,
-    on the boundary of ``system.mesh``.
+    on the boundary of its mesh, ``system.bank.mesh``.
 
     Boundary vertex DoFs take point values of ``g``; boundary edge DoFs take
     the same normalized line moments used when interpolating a smooth
     function, so interpolants of ``g`` satisfy the boundary data exactly.
     Returns ``system`` with ``lifting`` and ``rhs`` updated.
     """
-    dofmap, mesh = system.dofmap, system.mesh
+    dofmap, mesh = system.dofmap, system.bank.mesh
     gv = g if callable(g) else (lambda x, y, c=float(g): c)
 
     # in the order of dofmap.boundary_dofs

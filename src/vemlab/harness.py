@@ -82,6 +82,13 @@ class ExperimentConfig:
                                      "which the square and concave families "
                                      "need")
         check_mode(self.mode)
+        # a path of str only: an int is a file descriptor that open()
+        # writes and closes, and bytes name other files
+        if not (self.out is None or isinstance(self.out, str) or (
+                isinstance(self.out, os.PathLike)
+                and isinstance(os.fspath(self.out), str))):
+            raise ValueError(f"out must be a path (str or os.PathLike), got "
+                             f"{self.out!r}")
         object.__setattr__(self, "families", families)
         object.__setattr__(self, "sizes", tuple(sorted(map(int, sizes))))
 
@@ -105,7 +112,7 @@ def _run_single(mesh, k, problem, mode):
                            n_dofs=build_dofmap(mesh, k).n_dofs,
                            err_L2_rel=np.nan, err_H1_rel=np.nan,
                            err_point_rel=np.nan, failed=True, cause=str(exc))
-    proj = project_solution(mesh, k, u, bank=system.bank)
+    proj = project_solution(system.bank, u)
     l2, h1 = error_norms(proj, problem.p_ex, problem.grad_p_ex)
     pe, _ = point_error(proj, DEFAULT_POINT, problem.p_ex)
     return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,

@@ -18,7 +18,7 @@ one-element functions (a polygon and k) take row 0 of a stack of one.
 Interpolation runs on :func:`skeleton_dofs`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -93,7 +93,8 @@ class ProjectorSet:
 
 @dataclass(frozen=True)
 class ElementBank:
-    """What post-processing needs of each cell, kept from one build.
+    """What post-processing needs of each cell of ``mesh``, kept from one
+    degree-``k`` build.
 
     ``chunks`` holds one ``(GeometryStack, triangles, operators, classes)``
     entry per chunk of :func:`mesh_elements` (:meth:`ElementStack.bank_entry`):
@@ -106,6 +107,7 @@ class ElementBank:
     chunk, in class order.  The bank keeps no index from cell to chunk.
     """
 
+    mesh: object = field(repr=False)
     k: int
     chunks: tuple
 
@@ -683,6 +685,13 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
         # the stack goes once its parts are taken, not when its chunks end
         del geometry
         yield from chunks
+
+
+def element_bank(mesh, k):
+    """The :class:`ElementBank` that :func:`vemlab.assembly.assemble` keeps
+    on ``SparseSystem.bank``, bit for bit, built without local forms."""
+    return ElementBank(mesh, k, tuple(out.bank_entry(tris) for out, tris
+                                      in mesh_elements(mesh, k)))
 
 
 def _stack_elements(geometry, k, coeffs, mode):

@@ -15,8 +15,7 @@ from . import kernels
 from .assembly import build_dofmap
 from .basis import map_rule, monomial_exponents, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .local import (ElementBank, _at, _check_finite, mesh_elements,
-                    smooth_rule_degree)
+from .local import ElementBank, _at, _check_finite, smooth_rule_degree
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import element_geometry
 
@@ -56,13 +55,11 @@ class SolutionProjection:
     cell ``c`` in the scaled monomial basis of degree ``k``; ``grad_coeffs``
     the projected gradient (degree ``k - 1``, last axis = component), the
     representative of the gradient that the H1 error measures.  ``bank`` is
-    the ``ElementBank`` they came from: its geometry gives the basis those
-    coefficients refer to, and its triangles are what the error norms
-    integrate over.
+    the ``ElementBank`` they came from, which names the mesh and ``k``: its
+    geometry gives the basis those coefficients refer to, and its triangles
+    are what the error norms integrate over.
     """
 
-    mesh: object
-    k: int
     coeffs: np.ndarray
     grad_coeffs: np.ndarray
     bank: ElementBank = field(repr=False)
@@ -70,62 +67,31 @@ class SolutionProjection:
     def cell_value(self, cell, points):
         """L2 projection on ``cell`` at ``points`` (n, 2), in the basis of
         the cell's own geometry (its bank row's, bit for bit)."""
-        geom = element_geometry(self.mesh, cell)
+        geom = element_geometry(self.bank.mesh, cell)
         return kernels.monomial_vandermonde(
             points, geom.centroid, geom.diameter,
-            monomial_exponents(self.k)) @ self.coeffs[cell]
+            monomial_exponents(self.bank.k)) @ self.coeffs[cell]
 
 
-def project_solution(mesh, k, u, bank=None):
-    """Cellwise polynomial snapshots of the DoF vector ``u``, numbered by
-    :func:`vemlab.assembly.build_dofmap` on ``mesh``.
+def project_solution(bank, u):
+    """Cellwise polynomial snapshots of the DoF vector ``u`` through
+    ``bank``, the ``ElementBank`` of its mesh and degree:
+    ``SparseSystem.bank`` from :func:`vemlab.assembly.assemble`, or
+    :func:`vemlab.local.element_bank`.
 
-    ``bank`` is the ``ElementBank`` that :func:`vemlab.assembly.assemble`
-    returns on ``SparseSystem.bank``; without one, the element kernel
-    builds that bank here, bit for bit, with the same rule.  A bank of
-    another degree, or of a mesh whose cells have other rings, vertex
-    coordinates or edge orientations, raises ``ValueError``.
+    ``u`` is numbered by :func:`vemlab.assembly.build_dofmap` on the bank's
+    mesh; one that is not a real vector of that map's length, say of
+    another mesh or degree, raises ``ValueError`` naming ``u``.
     """
-    dofmap = build_dofmap(mesh, k)
+    dofmap = build_dofmap(bank.mesh, bank.k)
+    u = np.asarray(u)
+    if u.dtype.kind not in "iuf":
+        raise ValueError(f"u must be a real DoF vector, got dtype {u.dtype}")
     if u.shape != (dofmap.n_dofs,):
         raise ValueError(
-            f"DoF vector has shape {u.shape}, expected ({dofmap.n_dofs},)")
-    if bank is None:
-        bank = ElementBank(k, tuple(out.bank_entry(tris) for out, tris
-                                    in mesh_elements(mesh, k)))
-    else:
-        _check_bank(bank, mesh, k)
+            f"u has shape {u.shape}, expected ({dofmap.n_dofs},)")
     coeffs, grads = bank.snapshots(u, dofmap)
-    return SolutionProjection(mesh=mesh, k=k, coeffs=coeffs,
-                              grad_coeffs=grads, bank=bank)
-
-
-def _check_bank(bank, mesh, k):
-    """Raise ``ValueError`` unless ``bank`` was built at degree ``k`` on
-    the rings, vertex coordinates and canonical edge orientations of
-    ``mesh``, naming the first cell that differs.  A renumbered copy of
-    ``mesh`` has its cells' coordinates, but may orient their edges
-    otherwise, which flips the sign of its odd-degree edge moments."""
-    if bank.k != k:
-        raise ValueError(f"element bank was built with k={bank.k}, got k={k}")
-    if bank.n_cells != mesh.num_cells:
-        raise ValueError(f"element bank has {bank.n_cells} cells, the mesh "
-                         f"has {mesh.num_cells}")
-    sizes = np.diff(mesh.offsets)
-    differs = np.zeros(mesh.num_cells, dtype=bool)
-    for geometry, *_ in bank.chunks:
-        cells, nv = geometry.cells, geometry.vertices.shape[1]
-        same = sizes[cells] == nv
-        rings = mesh.rings[mesh.offsets[cells[same], None] + np.arange(nv)]
-        same[same] = (np.all(mesh.vertices[rings] == geometry.vertices[same],
-                             axis=(1, 2))
-                      & np.all((rings < np.roll(rings, -1, axis=1))
-                               == geometry.edge_forward[same], axis=1))
-        differs[cells] = ~same
-    if differs.any():
-        raise ValueError(f"element bank was built on another mesh: cell "
-                         f"{np.argmax(differs)} has other vertices or edge "
-                         "orientations in it")
+    return SolutionProjection(coeffs=coeffs, grad_coeffs=grads, bank=bank)
 
 
 def error_norms(projection, p_ex, grad_p_ex, relative=True):
@@ -134,7 +100,8 @@ def error_norms(projection, p_ex, grad_p_ex, relative=True):
     The H1 error measures the projected gradient Pi0_{k-1} grad p_h, the
     snapshot ``projection.grad_coeffs``.  With ``relative=True`` (default)
     errors are normalized by the corresponding norms of ``p_ex``,
-    integrated with the same rule.
+    integrated with the same rule; a norm that is 0 (the gradient of a
+    constant ``p_ex``, say) raises ``ValueError`` naming it.
 
     A rule of degree :func:`vemlab.local.smooth_rule_degree` (2k + 4) is
     mapped once onto the triangles the projection's bank carries for each
@@ -144,15 +111,18 @@ def error_norms(projection, p_ex, grad_p_ex, relative=True):
     cell and the field.
     """
     parts = _cell_error_parts(projection, p_ex, grad_p_ex,
-                              smooth_rule_degree(projection.k))
+                              smooth_rule_degree(projection.bank.k))
     # cumsum adds the cells strictly in order; np.sum's pairwise order
     # would round differently
     num_l2, num_h1, den_l2, den_h1 = np.cumsum(parts, axis=1)[:, -1]
     err_l2, err_h1 = np.sqrt(num_l2), np.sqrt(num_h1)
     if not relative:
         return err_l2, err_h1
-    return (err_l2 / max(np.sqrt(den_l2), 1e-300),
-            err_h1 / max(np.sqrt(den_h1), 1e-300))
+    for name, den in (("p_ex", den_l2), ("grad_p_ex", den_h1)):
+        if den == 0.0:
+            raise ValueError(f"the L2 norm of {name} is 0, so no error is "
+                             "relative to it; pass relative=False")
+    return err_l2 / np.sqrt(den_l2), err_h1 / np.sqrt(den_h1)
 
 
 def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
@@ -164,8 +134,8 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
     cell pairs its class's table with the exact solution at its own points.
     """
     parts = np.empty((4, len(projection.coeffs)))
-    exps = monomial_exponents(projection.k)
-    nkm1 = n_poly(projection.k - 1)
+    exps = monomial_exponents(projection.bank.k)
+    nkm1 = n_poly(projection.bank.k - 1)
     seen = None
     for geometry, tris, operators, classes in projection.bank.chunks:
         part = geometry.cells
@@ -222,13 +192,23 @@ def _contains(coords, p, tol):
     return inside
 
 
+def _as_point(point):
+    """``point`` as a float array of shape (2,); ``ValueError`` naming it
+    if it is not two real coordinates."""
+    p = np.asarray(point)
+    if p.dtype.kind not in "iuf" or p.shape != (2,):
+        raise ValueError(f"point must be two real coordinates (x, y), got "
+                         f"{point!r}")
+    return p.astype(float)
+
+
 def locate_cell(mesh, point):
     """Index of the first cell containing ``point`` (boundary-inclusive).
 
     Only cells whose bounding box, widened by twice the containment
     tolerance, holds the point are tested, in ascending index order.
     """
-    p = np.asarray(point, dtype=float)
+    p = _as_point(point)
     span = np.ptp(mesh.vertices, axis=0).max()
     tol = 1e-12 * span
     coords = mesh.vertices[mesh.rings]
@@ -237,7 +217,7 @@ def locate_cell(mesh, point):
     for c in np.flatnonzero(np.all((lo <= p) & (p <= hi), axis=1)):
         if _contains(mesh.vertices[mesh.ring(c)], p, tol):
             return int(c)
-    raise ValueError(f"point {tuple(p)} lies outside the mesh")
+    raise ValueError(f"point {tuple(p.tolist())} lies outside the mesh")
 
 
 def point_error(projection, point, p_ex):
@@ -245,16 +225,20 @@ def point_error(projection, point, p_ex):
 
     Returns ``(error, cell)`` where ``cell`` is the containing cell whose
     polynomial was evaluated; for points on an interface the lowest-index
-    incident cell is used.  A ``p_ex`` that is not finite at the point
-    raises ``ValueError`` naming the cell.
+    incident cell is used.  A ``p_ex`` that is not finite, or is 0, at the
+    point raises ``ValueError`` naming the cell.
     """
-    p = np.asarray(point, dtype=float)
-    cell = locate_cell(projection.mesh, p)
+    p = _as_point(point)
+    cell = locate_cell(projection.bank.mesh, p)
     value = projection.cell_value(cell, p[None, :])[0]
     exact = float(_at("p_ex", p_ex, p))
     if not np.isfinite(exact):
-        raise ValueError(f"cell {cell}: p_ex is not finite at {tuple(p)}")
-    return abs(exact - value) / max(abs(exact), 1e-300), cell
+        raise ValueError(f"cell {cell}: p_ex is not finite at "
+                         f"{tuple(p.tolist())}")
+    if exact == 0.0:
+        raise ValueError(f"cell {cell}: p_ex is 0 at {tuple(p.tolist())}, "
+                         "so no error is relative to it")
+    return abs(exact - value) / abs(exact), cell
 
 
 def _pairwise(records, name):

@@ -17,8 +17,8 @@ from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
 from vemlab.basis import n_poly, triangulate_stack
 from vemlab.harness import _run_single
-from vemlab.local import (Coefficients, dof_layout, interpolate_dofs,
-                          projector_set)
+from vemlab.local import (Coefficients, dof_layout, element_bank,
+                          interpolate_dofs, projector_set)
 from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.problems import builtin_problem, polynomial_problem
@@ -666,11 +666,11 @@ class TestSolve:
                            rhs=np.ones(n_i),
                            lifting=np.zeros(dm.n_dofs),
                            dofmap=dm,
-                           mesh=mesh,
                            coupling=sp.csr_matrix((n_i, n_b)),
                            rhs_base=np.ones(n_i),
                            recovery=sp.csr_matrix((0, dm.n_skeleton_dofs)),
-                           internal_load=np.zeros(0))
+                           internal_load=np.zeros(0),
+                           bank=element_bank(mesh, 1))
         with pytest.raises(SolveError, match="stability"):
             solve(bad)
 

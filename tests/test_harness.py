@@ -22,7 +22,7 @@ from vemlab.harness import (CSV_COLUMNS, DEFAULT_SIZES, STUDY_FAMILIES,
 from vemlab.mesh import element_geometry, make_mesh
 from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 from vemlab.postprocess import ErrorRecord, convergence_rates
-from vemlab.problems import builtin_problem
+from vemlab.problems import builtin_problem, constant_problem
 
 from oracles import (cell_rings, element_geometry_per_cell,
                      entry_representatives)
@@ -130,6 +130,20 @@ class TestExperimentConfig:
         assert ExperimentConfig(families=("lloyd0", "lloyd100"),
                                 sizes=(20,)).sizes == (20,)
 
+    @pytest.mark.parametrize("out", [3, True, b"r.csv"], ids=repr)
+    def test_out_that_is_not_a_str_path_rejected(self, out):
+        # an int used to be opened as a file descriptor, written and
+        # closed before a TypeError, and bytes wrote b'r'_square.dat
+        with pytest.raises(ValueError, match=r"^out must be a path "):
+            ExperimentConfig(out=out)
+
+    def test_out_takes_a_pathlib_path(self, tmp_path):
+        path = tmp_path / "report.csv"
+        run_experiment(ExperimentConfig(k=1, families=("square",),
+                                        sizes=(4,), out=path))
+        assert _read_csv(path)[0] == list(CSV_COLUMNS)
+        assert (tmp_path / "report_square.dat").is_file()
+
 
 class TestRunExperiment:
     def test_basic_sweep(self):
@@ -151,6 +165,14 @@ class TestRunExperiment:
         reports = run_experiment(config, meshes={("square", 9): square_mesh(2)})
         record = reports[("square", 1, "standard")].records[0]
         assert record.n_cells == 4
+
+    def test_relative_error_against_a_zero_norm_raises(self):
+        # the gradient of a constant has norm 0: err_H1_rel used to read
+        # 4.85e285 and 2.09e286 for an exact solve
+        config = ExperimentConfig(k=2, families=("square",), sizes=(4, 16))
+        with pytest.raises(ValueError,
+                           match=r"^the L2 norm of grad_p_ex is 0"):
+            run_experiment(config, problem=constant_problem())
 
     def test_multiple_families(self):
         config = ExperimentConfig(k=1, families=("square", "lloyd0"),

@@ -14,7 +14,7 @@ from vemlab.basis import (QuadratureRule, derivative_table, map_rule,
                           triangulate, triangulate_stack)
 from vemlab.local import (Coefficients, ElementStack, _form_tables,
                           _local_forms, _projectors, cell_bytes, dof_layout,
-                          internal_moments, interpolate_dofs, local_system,
+                          element_bank, internal_moments, interpolate_dofs, local_system,
                           mesh_elements, projector_set, rule_degree,
                           shape_classes)
 from vemlab.mesh import (element_geometry, geometry_stacks, make_mesh,
@@ -78,8 +78,8 @@ class TestDofLayout:
 def _degree_entry_points():
     """Every public call that takes an element degree k, as ``k -> call``;
     the other arguments are valid at k = 1.  ``error_norms`` takes its
-    degree from the projection, so its entry is the projection at k and
-    then its errors."""
+    degree from the projection's bank, so its entry is the bank at k, the
+    projection and then its errors."""
     mesh = square_mesh(2)
     coeffs = Coefficients.constant(kappa=1.0, f=1.0)
     v = lambda x, y: x + y
@@ -94,9 +94,10 @@ def _degree_entry_points():
         "build_dofmap": lambda k: build_dofmap(mesh, k),
         "assemble": lambda k: assemble(mesh, k, coeffs),
         "interpolate": lambda k: interpolate(mesh, k, v),
-        "project_solution": lambda k: project_solution(mesh, k, u),
+        "element_bank": lambda k: element_bank(mesh, k),
         "error_norms": lambda k: error_norms(
-            project_solution(mesh, k, u), v, lambda x, y: (1.0, 1.0)),
+            project_solution(element_bank(mesh, k), u), v,
+            lambda x, y: (1.0, 1.0)),
         "ExperimentConfig": lambda k: ExperimentConfig(k=k),
     }
 

@@ -14,7 +14,8 @@ from vemlab.assembly import (apply_dirichlet, assemble, build_dofmap,
                              interpolate, solve)
 from vemlab.basis import (monomial_exponents, polygon_quadrature, triangulate,
                           triangulate_stack)
-from vemlab.local import Coefficients, ElementBank, smooth_rule_degree
+from vemlab.local import (Coefficients, ElementBank, element_bank,
+                          smooth_rule_degree)
 from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.postprocess import (ConvergenceReport, ErrorRecord,
@@ -51,7 +52,7 @@ class TestProjectSolution:
     def test_constant_solution_projects_to_constant(self):
         prob = constant_problem(value=2.0, gamma=0.6)
         u = _solve_problem(LLOYD, 2, prob)
-        proj = project_solution(LLOYD, 2, u)
+        proj = project_solution(element_bank(LLOYD, 2), u)
         assert np.max(np.abs(proj.coeffs[:, 0] - 2.0)) <= 1e-10
         assert np.max(np.abs(proj.coeffs[:, 1:])) <= 1e-10
         assert np.max(np.abs(proj.grad_coeffs)) <= 1e-9
@@ -60,7 +61,7 @@ class TestProjectSolution:
         # p = x in the scaled basis of cell E is x_E + h_E * m_(1,0).
         system = assemble(LLOYD, 1, Coefficients.constant(kappa=1.0))
         apply_dirichlet(system, lambda x, y: x)
-        proj = project_solution(LLOYD, 1, solve(system))
+        proj = project_solution(element_bank(LLOYD, 1), solve(system))
         for c in range(LLOYD.num_cells):
             geom = element_geometry(LLOYD, c)
             expect = np.array([geom.centroid[0], geom.diameter, 0.0])
@@ -71,7 +72,7 @@ class TestProjectSolution:
         prob = builtin_problem()
         mesh = square_mesh(10)
         u = interpolate(mesh, 2, prob.p_ex)
-        proj = project_solution(mesh, 2, u)
+        proj = project_solution(element_bank(mesh, 2), u)
         for c in range(mesh.num_cells):
             geom = element_geometry(mesh, c)
             rule = polygon_quadrature(geom, 8)
@@ -86,7 +87,7 @@ class TestProjectSolution:
         for n in (5, 20):
             mesh = square_mesh(n)
             u = interpolate(mesh, 1, prob.p_ex)
-            proj = project_solution(mesh, 1, u)
+            proj = project_solution(element_bank(mesh, 1), u)
             worst = 0.0
             for c in range(mesh.num_cells):
                 geom = element_geometry(mesh, c)
@@ -103,7 +104,29 @@ class TestProjectSolution:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            project_solution(LLOYD, 1, np.zeros(3))
+            project_solution(element_bank(LLOYD, 1), np.zeros(3))
+        # a DoF vector of another mesh or degree than the bank's: the
+        # 25-cell mesh's with the 16-cell mesh's bank, and a k = 3 one with
+        # a k = 2 bank
+        small, large = square_mesh(4), square_mesh(5)
+        bank = assemble(small, 2, Coefficients.constant(kappa=1.0)).bank
+        p_ex = builtin_problem().p_ex
+        for u in (interpolate(large, 2, p_ex), interpolate(small, 3, p_ex)):
+            with pytest.raises(ValueError, match=rf"^u has shape "
+                               rf"\({u.size},\), expected \("):
+                project_solution(bank, u)
+
+    def test_dof_vector_is_taken_as_a_real_array(self):
+        # a list used to end in "'list' object has no attribute 'shape'",
+        # and a complex vector lost its imaginary part with a ComplexWarning
+        mesh = square_mesh(4)
+        bank = element_bank(mesh, 2)
+        u = interpolate(mesh, 2, builtin_problem().p_ex)
+        proj = project_solution(bank, u.tolist())
+        assert np.array_equal(proj.coeffs, project_solution(bank, u).coeffs)
+        with pytest.raises(ValueError, match=r"^u must be a real DoF vector, "
+                           r"got dtype complex128$"):
+            project_solution(bank, u + 1j)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("mesh", [square_mesh(3), concave_mesh(3)],
@@ -113,8 +136,8 @@ class TestProjectSolution:
         system = assemble(mesh, k, prob.coefficients)
         apply_dirichlet(system, prob.p_ex)
         u = solve(system)
-        banked = project_solution(mesh, k, u, bank=system.bank)
-        fresh = project_solution(mesh, k, u)
+        banked = project_solution(system.bank, u)
+        fresh = project_solution(element_bank(mesh, k), u)
         for field in ("coeffs", "grad_coeffs"):
             got, ref = getattr(banked, field), getattr(fresh, field)
             assert np.array_equal(got, ref)
@@ -128,60 +151,12 @@ class TestProjectSolution:
              banked.grad_coeffs[..., 1]], axis=1),
             per_cell)
 
-    def test_bank_degree_mismatch_raises(self):
-        system = assemble(LLOYD, 2, Coefficients.constant(kappa=1.0))
-        u = np.zeros(build_dofmap(LLOYD, 1).n_dofs)
-        with pytest.raises(ValueError, match="k=2"):
-            project_solution(LLOYD, 1, u, bank=system.bank)
-
-    def test_bank_of_another_mesh_raises(self):
-        # a 16-cell bank on a 25-cell mesh used to leave 9 rows of the
-        # snapshots uninitialised, and the errors read them
-        small, large = square_mesh(4), square_mesh(5)
-        system = assemble(small, 2, Coefficients.constant(kappa=1.0))
-        u = interpolate(large, 2, builtin_problem().p_ex)
-        with pytest.raises(ValueError, match="16 cells, the mesh has 25"):
-            project_solution(large, 2, u, bank=system.bank)
-
-    def test_bank_of_another_mesh_with_the_same_cell_count_raises(self):
-        # a bank of other ring sizes used to fail in NumPy ("inhomogeneous
-        # shape"), and one of moved vertices was applied silently: with
-        # x -> x**1.5 the solution's L2 error read 0.138 where the mesh's
-        # own bank gives 0.0249; so was one of a vertex-permuted copy, whose
-        # cells have the same coordinates but other edge orientations (on
-        # square_mesh(3) at k = 3, L2/H1 errors of 0.108/1.163 where the
-        # copy's own bank gives 0.0098/0.130)
-        square = square_mesh(4)
-        lloyd = generate(GeneratorSpec("lloyd0", 16, seed=0))
-        moved = make_mesh(square.vertices ** [1.5, 1.0], cell_rings(square))
-        perm = np.random.default_rng(0).permutation(square.num_vertices)
-        vertices = np.empty_like(square.vertices)
-        vertices[perm] = square.vertices
-        renumbered = make_mesh(vertices,
-                               [perm[ring] for ring in cell_rings(square)])
-        # one interior vertex nudged: the first cell around it is named
-        centre = int(np.flatnonzero(np.all(square.vertices == 0.5, axis=1))[0])
-        nudged = make_mesh(square.vertices + 1e-3 * (
-            np.arange(square.num_vertices) == centre)[:, None],
-            cell_rings(square))
-        first = min(c for c, ring in enumerate(cell_rings(square))
-                    if centre in ring)
-        coeffs = Coefficients.constant(kappa=1.0)
-        for mesh, other, cell in ((lloyd, square, 0), (moved, square, 0),
-                                  (square, moved, 0), (nudged, square, first),
-                                  (renumbered, square, 0)):
-            bank = assemble(other, 2, coeffs).bank
-            with pytest.raises(ValueError, match=(
-                    f"element bank was built on another mesh: cell {cell} ")):
-                project_solution(mesh, 2, np.zeros(build_dofmap(mesh, 2)
-                                                   .n_dofs), bank=bank)
-
 
 class TestErrorNorms:
     def test_linear_interpolant_exact(self):
         prob = polynomial_problem(1, kappa=1.0)
         u = interpolate(LLOYD, 1, prob.p_ex)
-        proj = project_solution(LLOYD, 1, u)
+        proj = project_solution(element_bank(LLOYD, 1), u)
         l2, h1 = error_norms(proj, prob.p_ex, prob.grad_p_ex)
         assert l2 < 1e-11 and h1 < 1e-11
 
@@ -189,7 +164,7 @@ class TestErrorNorms:
     def test_patch_solution_exact(self, k):
         prob = polynomial_problem(k)
         u = _solve_problem(LLOYD, k, prob)
-        proj = project_solution(LLOYD, k, u)
+        proj = project_solution(element_bank(LLOYD, k), u)
         l2, h1 = error_norms(proj, prob.p_ex, prob.grad_p_ex)
         assert l2 < 1e-12 and h1 < 1e-11
 
@@ -205,7 +180,7 @@ class TestErrorNorms:
         errs = []
         for m in (mesh, remesh):
             u = interpolate(m, 2, prob.p_ex)
-            proj = project_solution(m, 2, u)
+            proj = project_solution(element_bank(m, 2), u)
             errs.append(error_norms(proj, prob.p_ex, prob.grad_p_ex))
         np.testing.assert_allclose(errs[0], errs[1], rtol=1e-12)
 
@@ -215,7 +190,7 @@ class TestErrorNorms:
         # degree-k one, so the errors are unchanged bit for bit
         prob = builtin_problem()
         u = interpolate(LLOYD, k, prob.p_ex)
-        proj = project_solution(LLOYD, k, u)
+        proj = project_solution(element_bank(LLOYD, k), u)
         got = error_norms(proj, prob.p_ex, prob.grad_p_ex, relative=False)
         assert got == error_norms_two_tables(LLOYD, k, proj, prob.p_ex,
                                              prob.grad_p_ex)
@@ -228,7 +203,7 @@ class TestErrorNorms:
         prob = builtin_problem()
         system = assemble(mesh, k, prob.coefficients)
         apply_dirichlet(system, prob.p_ex)
-        proj = project_solution(mesh, k, solve(system), bank=system.bank)
+        proj = project_solution(system.bank, solve(system))
         parts = postprocess._cell_error_parts(proj, prob.p_ex, prob.grad_p_ex,
                                               smooth_rule_degree(k))
         for relative in (True, False):
@@ -241,9 +216,9 @@ class TestErrorNorms:
         mesh = concave_mesh(4)
         system = assemble(mesh, 3, prob.coefficients)
         apply_dirichlet(system, prob.p_ex)
-        proj = project_solution(mesh, 3, solve(system), bank=system.bank)
+        proj = project_solution(system.bank, solve(system))
         geometries, _, _ = bank_per_cell(proj.bank)
-        fresh = dataclasses.replace(proj, bank=ElementBank(3, tuple(
+        fresh = dataclasses.replace(proj, bank=ElementBank(mesh, 3, tuple(
             (g, np.stack([triangulate(geometries[c].vertices)
                           for c in g.cells]), operators, classes)
             for g, _, operators, classes in proj.bank.chunks)))
@@ -256,7 +231,7 @@ class TestErrorNorms:
         # NaN inside (0.3, 0.6)^2, away from the boundary: the cell and the
         # field are named, as for non-finite coefficients
         prob, mesh = builtin_problem(), square_mesh(4)
-        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        proj = project_solution(element_bank(mesh, 2), interpolate(mesh, 2, prob.p_ex))
         exact = {"p_ex": prob.p_ex, "grad_p_ex": prob.grad_p_ex}
         exact[field] = _nan_in_hole(exact[field])
         with pytest.raises(ValueError, match=rf"cell \d+: {field} is not "
@@ -280,7 +255,7 @@ class TestErrorNorms:
         # an (n, 3) gradient used to end in NumPy's "operands could not be
         # broadcast together with remapped shapes"
         prob, mesh = builtin_problem(), square_mesh(4)
-        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        proj = project_solution(element_bank(mesh, 2), interpolate(mesh, 2, prob.p_ex))
         exact = {"p_ex": prob.p_ex, "grad_p_ex": prob.grad_p_ex,
                  field: value}
         with pytest.raises(ValueError, match=rf"^{field} returned shape "
@@ -293,13 +268,28 @@ class TestErrorNorms:
         ratios = []
         for k in (1, 2):
             u = interpolate(mesh, k, prob.p_ex)
-            proj = project_solution(mesh, k, u)
+            proj = project_solution(element_bank(mesh, k), u)
             rel = error_norms(proj, prob.p_ex, prob.grad_p_ex)
             ab = error_norms(proj, prob.p_ex, prob.grad_p_ex, relative=False)
             ratios.append((ab[0] / rel[0], ab[1] / rel[1]))
         # the normalization is the (k-independent) norm of the exact solution
         np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-10)
         assert ratios[0][0] > 1.0  # |p_ex| exceeds 1 on the square
+
+    def test_relative_to_a_zero_norm_raises(self):
+        # the gradient of a constant has norm 0: its relative H1 error used
+        # to read ~1e285, its error divided by 1e-300
+        prob, mesh = constant_problem(), square_mesh(4)
+        proj = project_solution(element_bank(mesh, 2),
+                                interpolate(mesh, 2, prob.p_ex))
+        with pytest.raises(ValueError, match=r"^the L2 norm of grad_p_ex "
+                                             r"is 0"):
+            error_norms(proj, prob.p_ex, prob.grad_p_ex)
+        zero = lambda x, y: np.zeros_like(x)
+        with pytest.raises(ValueError, match=r"^the L2 norm of p_ex is 0"):
+            error_norms(proj, zero, lambda x, y: np.ones(x.shape + (2,)))
+        l2, h1 = error_norms(proj, prob.p_ex, prob.grad_p_ex, relative=False)
+        assert np.isfinite([l2, h1]).all() and l2 < 1e-13 and h1 < 1e-12
 
 
 class TestBankLayout:
@@ -317,7 +307,7 @@ class TestBankLayout:
             monkeypatch.setattr(local, "_CHUNK_BYTES", 1)
             monkeypatch.setattr(local, "_MIN_CHUNK_CELLS", 2)
         mesh = generate(GeneratorSpec(family, 100, seed=0))
-        bank = ElementBank(k, tuple(out.bank_entry(tris) for out, tris
+        bank = ElementBank(mesh, k, tuple(out.bank_entry(tris) for out, tris
                                     in local.mesh_elements(mesh, k)))
         heads, seen = [], None
         for geometry, _, operators, _ in bank.chunks:
@@ -338,8 +328,7 @@ class TestBankLayout:
         monkeypatch.setattr(postprocess, "map_rule",
                             lambda *args: calls.append(1) or map_rule(*args))
         prob = builtin_problem()
-        proj = project_solution(mesh, k, interpolate(mesh, k, prob.p_ex),
-                                bank=bank)
+        proj = project_solution(bank, interpolate(mesh, k, prob.p_ex))
         error_norms(proj, prob.p_ex, prob.grad_p_ex)
         assert len(calls) == len(bank.chunks)
 
@@ -354,7 +343,7 @@ class TestPointError:
         # no point error depends on where the bank keeps the cell
         mesh = generate(GeneratorSpec(family, 36, seed=1))
         prob = builtin_problem()
-        proj = project_solution(mesh, k, interpolate(mesh, k, prob.p_ex))
+        proj = project_solution(element_bank(mesh, k), interpolate(mesh, k, prob.p_ex))
         exps = monomial_exponents(k)
         seen = 0
         for geometry, *_ in proj.bank.chunks:
@@ -370,7 +359,7 @@ class TestPointError:
     def test_constant_solution(self):
         prob = constant_problem(value=2.0, gamma=0.6)
         u = _solve_problem(LLOYD, 2, prob)
-        proj = project_solution(LLOYD, 2, u)
+        proj = project_solution(element_bank(LLOYD, 2), u)
         err, cell = point_error(proj, (0.43, 0.58), prob.p_ex)
         assert err < 1e-12
         assert 0 <= cell < LLOYD.num_cells
@@ -378,7 +367,7 @@ class TestPointError:
     def test_patch_values_at_random_points(self):
         prob = polynomial_problem(2)
         u = _solve_problem(LLOYD, 2, prob)
-        proj = project_solution(LLOYD, 2, u)
+        proj = project_solution(element_bank(LLOYD, 2), u)
         rng = np.random.default_rng(13)
         for x, y in rng.uniform(0.05, 0.95, size=(10, 2)):
             err, _ = point_error(proj, (x, y), prob.p_ex)
@@ -388,7 +377,7 @@ class TestPointError:
         mesh = square_mesh(2)
         prob = polynomial_problem(1, kappa=1.0)
         u = _solve_problem(mesh, 1, prob)
-        proj = project_solution(mesh, 1, u)
+        proj = project_solution(element_bank(mesh, 1), u)
         err, cell = point_error(proj, (0.5, 0.5), prob.p_ex)
         assert err < 1e-12
         incident = [c for c in range(mesh.num_cells)
@@ -398,7 +387,7 @@ class TestPointError:
 
     def test_non_finite_exact_value_is_named(self):
         prob, mesh = builtin_problem(), square_mesh(4)
-        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        proj = project_solution(element_bank(mesh, 2), interpolate(mesh, 2, prob.p_ex))
         cell = locate_cell(mesh, (0.45, 0.45))
         with pytest.raises(ValueError,
                            match=f"cell {cell}: p_ex is not finite"):
@@ -407,7 +396,7 @@ class TestPointError:
     def test_array_valued_exact_value_is_named(self):
         # used to end in a TypeError from float()
         prob, mesh = builtin_problem(), square_mesh(4)
-        proj = project_solution(mesh, 2, interpolate(mesh, 2, prob.p_ex))
+        proj = project_solution(element_bank(mesh, 2), interpolate(mesh, 2, prob.p_ex))
         with pytest.raises(ValueError, match=r"^p_ex returned shape \(3,\) "
                            r"at 1 points, expected \(\)$"):
             point_error(proj, (0.45, 0.45), lambda x, y: np.ones(3))
@@ -415,9 +404,30 @@ class TestPointError:
     def test_outside_point_raises(self):
         prob = constant_problem()
         u = _solve_problem(LLOYD, 1, prob)
-        proj = project_solution(LLOYD, 1, u)
+        proj = project_solution(element_bank(LLOYD, 1), u)
         with pytest.raises(ValueError, match="outside"):
             point_error(proj, (1.5, 0.5), prob.p_ex)
+
+    def test_zero_exact_value_raises(self):
+        # its relative error used to be divided by 1e-300
+        mesh = square_mesh(4)
+        proj = project_solution(element_bank(mesh, 1),
+                                interpolate(mesh, 1, lambda x, y: x - 0.5))
+        cell = locate_cell(mesh, (0.5, 0.3))
+        with pytest.raises(ValueError, match=rf"^cell {cell}: p_ex is 0 at "
+                                             r"\(0.5, 0.3\)"):
+            point_error(proj, (0.5, 0.3), lambda x, y: x - 0.5)
+
+    @pytest.mark.parametrize("point", [(0.5,), (0.5, 0.5, 0.5), (0.5, 0.5j),
+                                       "ab"], ids=repr)
+    def test_point_of_other_than_two_real_coordinates_raises(self, point):
+        # (0.5,) used to end in "not enough values to unpack" and
+        # (0.5, 0.5, 0.5) in a broadcast error
+        proj = project_solution(element_bank(LLOYD, 1),
+                                interpolate(LLOYD, 1, lambda x, y: x + 1.0))
+        with pytest.raises(ValueError, match=r"^point must be two real "
+                                             r"coordinates \(x, y\), got "):
+            point_error(proj, point, lambda x, y: x + 1.0)
 
     def test_locate_cell_agrees_with_triangulation(self):
         mesh = concave_mesh(2)
@@ -502,7 +512,7 @@ class TestInterpolantDecay:
         for n in (4, 8, 16):
             mesh = square_mesh(n)
             u = interpolate(mesh, k, prob.p_ex)
-            proj = project_solution(mesh, k, u)
+            proj = project_solution(element_bank(mesh, k), u)
             l2, _ = error_norms(proj, prob.p_ex, prob.grad_p_ex)
             hs.append(_h_max(mesh))
             errs.append(l2)
