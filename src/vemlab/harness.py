@@ -100,18 +100,20 @@ def _run_single(mesh, k, problem, mode):
     A cell that cannot be triangulated, whose projector is singular
     (degenerate geometry) or whose internal-moment block is singular, or
     an unreliable global solve, becomes a ``failed`` record naming the
-    cause.
+    cause.  ``h_max`` is the largest cell diameter: the bank's, or
+    :func:`max_diameter`'s when there is no bank.
     """
-    h_max = max_diameter(mesh)
     try:
         system = assemble(mesh, k, problem.coefficients, mode=mode)
         apply_dirichlet(system, problem.p_ex)
         u = solve(system)
     except (MeshError, SolveError, np.linalg.LinAlgError) as exc:
-        return ErrorRecord(h_max=h_max, n_cells=mesh.num_cells,
+        return ErrorRecord(h_max=max_diameter(mesh), n_cells=mesh.num_cells,
                            n_dofs=build_dofmap(mesh, k).n_dofs,
                            err_L2_rel=np.nan, err_H1_rel=np.nan,
                            err_point_rel=np.nan, failed=True, cause=str(exc))
+    h_max = max(float(geometry.diameter.max())
+                for geometry, *_ in system.bank.chunks)
     proj = project_solution(system.bank, u)
     l2, h1 = error_norms(proj, problem.p_ex, problem.grad_p_ex)
     pe, _ = point_error(proj, DEFAULT_POINT, problem.p_ex)

@@ -30,11 +30,14 @@ counterclockwise triangles, their opposite half-edges and the frame.  After
 the seeds move, the mirrors are recomputed and Lawson's edge flips, in
 vectorised rounds of independent illegal edges, make the triangulation
 Delaunay again; since the frame keeps the hull fixed, no illegal edge left
-means Delaunay.  qhull reruns (with a fresh band) only when a moved
-triangle is no longer strictly counterclockwise, when the flips reach a
-round cap, or when the repaired cells fail the certificate.  The final
-mesh is built from a fresh banded triangulation of the relaxed seeds, not
-the carried one, so that ``relax_points`` returns seeds alone.
+means Delaunay.  A move that leaves a triangle not strictly
+counterclockwise is repaired in two halves, to its midpoint and then to
+its end, each halved again the same way down to ``_HALVING_DEPTH``
+levels.  qhull reruns (with a fresh band) only when that fails too, when
+the flips reach a round cap, or when the repaired cells fail the
+certificate.  The relaxation's last certified triangulation is carried
+into the final mesh as well, so a Lloyd mesh usually takes one qhull
+build, its first iteration's.
 """
 
 from dataclasses import dataclass
@@ -81,6 +84,27 @@ _FRAME = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 _BAND_SPACINGS = 4.0
 #: flip rounds after which a repair gives up and qhull rebuilds
 _MAX_FLIP_ROUNDS = 32
+#: times a move that inverts a triangle may be halved before qhull
+#: rebuilds (see :func:`_repaired`).  qhull builds per lloyd100 mesh at
+#: seeds 0, 1 and 2, flip repairs per mesh at 1,600 seeds, and the mean
+#: over the three seeds of the best of five ``generate`` CPU times (one
+#: CPU of a 2-vCPU VM; times spread by about 10 % between runs):
+#:
+#:   depth          1,600 seeds                  6,400 seeds
+#:   no carry*      7 6 5   99 repairs   200 ms  8 10 9   930 ms
+#:   0              6 5 4   100          206 ms  7 9 8    858 ms
+#:   1              3 3 3   104          171 ms  4 7 5    822 ms
+#:   2              3 2 3   106-108      168 ms  3 4 4    814 ms
+#:   3              2 2 2   107-119      200 ms  3 2 4    781 ms
+#:   4              1 1 1   112-120      155 ms  2 2 1    755 ms
+#:   5              1 1 1   112-120      157 ms  2 1 1    738 ms
+#:   6              1 1 1   112-120      167 ms  1 1 1    793 ms
+#:
+#: (* no halving, and a fresh qhull build for the final mesh.)  4 is the
+#: shallowest depth at one build per 1,600-seed mesh; a move that no depth
+#: repairs (two seeds swapping places) tries up to 2^(depth + 1) - 1
+#: repairs before qhull rebuilds.
+_HALVING_DEPTH = 4
 #: in-circle values below this fraction of their magnitude bound are ties
 _INCIRCLE_TIE = 1e-13
 # corner i + 1 and i + 2 of a triangle, and the steps from half-edge
@@ -183,10 +207,8 @@ def voronoi_mesh(spec):
     Duplicate seed draws are retried with fresh randomness (at most 10
     times).
     """
-    pts = _draw_seeds(spec)
-    if spec.iterations:
-        pts, _ = relax_points(pts, spec.iterations)
-    return _tessellate(pts)
+    pts, _, carried = _relax(_draw_seeds(spec), spec.iterations)
+    return _tessellate(pts, carried)
 
 
 def lloyd_relax(seeds, iterations):
@@ -194,9 +216,20 @@ def lloyd_relax(seeds, iterations):
 
     Each iteration replaces every seed by the area centroid of its clipped
     Voronoi cell; the tessellation of the final seeds is returned.  Seeds
-    must be distinct: qhull would drop a repeated one.
+    are an (n, 2) array of distinct points of the closed unit square:
+    qhull would drop a repeated one, and the clipping assumes that no
+    mirror image of a seed is nearer to the square than the seed.
     """
+    check_count("iterations", iterations)
     seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 2 or seeds.shape[1] != 2:
+        raise MeshError(f"seeds must be an (n, 2) array of points, got shape "
+                        f"{seeds.shape}")
+    outside = np.flatnonzero(~np.all((seeds >= 0.0) & (seeds <= 1.0), axis=1))
+    if outside.size:
+        j = outside[0]
+        raise MeshError(f"seed {j} at {tuple(seeds[j].tolist())} is not a "
+                        "point of the unit square")
     _, first, which = np.unique(seeds, axis=0, return_index=True,
                                 return_inverse=True)
     owner = first[which.ravel()]
@@ -205,8 +238,8 @@ def lloyd_relax(seeds, iterations):
         j = repeats[0]
         raise MeshError(f"seeds {owner[j]} and {j} coincide at "
                         f"{tuple(seeds[j].tolist())}")
-    pts, _ = relax_points(seeds, iterations)
-    return _tessellate(pts)
+    pts, _, carried = _relax(seeds, iterations)
+    return _tessellate(pts, carried)
 
 
 def relax_points(points, iterations):
@@ -218,8 +251,18 @@ def relax_points(points, iterations):
     mirrors only the seeds near a side across it: within
     ``_BAND_SPACINGS`` seed spacings in the first iteration, then within
     twice the last iteration's reach.  The last certified triangulation is
-    carried into the next iteration.  One seed's cell is the square.
+    carried into the next iteration, repaired by flips, and a move that
+    inverts one of its triangles is halved first (:func:`_repaired`).
+    One seed's cell is the square.
     """
+    pts, movements, _ = _relax(points, iterations)
+    return pts, movements
+
+
+def _relax(points, iterations):
+    """:func:`relax_points`, and the last certified triangulation (of the
+    seeds before the last move) for the final mesh to start from, or
+    ``None``."""
     pts = np.asarray(points, dtype=float).copy()
     if not len(pts):
         raise MeshError("Lloyd relaxation needs at least one seed; the seed "
@@ -236,7 +279,7 @@ def relax_points(points, iterations):
             band = 2.0 * reach
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
         pts = new
-    return pts, movements
+    return pts, movements, carried
 
 
 def _draw_seeds(spec):
@@ -250,25 +293,26 @@ def _draw_seeds(spec):
     raise MeshError("could not draw distinct seed points")
 
 
-def _tessellate(pts):
-    return _mesh_from_rings(*_clipped_cells(pts))
+def _tessellate(pts, carried=None):
+    return _mesh_from_rings(*_clipped_cells(pts, carried))
 
 
-def _clipped_cells(pts):
+def _clipped_cells(pts, carried=None):
     """Flat rings (every cell's vertex ids, cell after cell), their sizes
     and the vertex coordinates of square-clipped Voronoi cells.
 
     A seed's ring is the circumcentres of its triangles in the mirrored
     triangulation, in counterclockwise angular order around it (cells are
-    convex), from :func:`_certified_cells` with a band of
-    ``_BAND_SPACINGS`` seed spacings.  Cocircular triangles give repeated
-    vertices, which :func:`_mesh_from_rings` welds.
+    convex), from :func:`_certified_cells`: the ``carried`` triangulation
+    repaired, if one is given, else (or if it fails) qhull's with a band
+    of ``_BAND_SPACINGS`` seed spacings.  Cocircular triangles give
+    repeated vertices, which :func:`_mesh_from_rings` welds.
     """
     n = len(pts)
     if n == 1:
         return np.arange(4), np.array([4]), _SQUARE.copy()
     (simplices, _, centres), _ = _certified_cells(
-        _seed_circumcentres, pts, _BAND_SPACINGS / np.sqrt(n))
+        _seed_circumcentres, pts, _BAND_SPACINGS / np.sqrt(n), carried)
     owner = simplices.ravel()
     at_seed = owner < n
     ids, owner = np.repeat(np.arange(len(simplices)), 3)[at_seed], owner[at_seed]
@@ -425,6 +469,21 @@ def _flip_repaired(tri, pts):
     return None
 
 
+def _repaired(tri, pts, depth=_HALVING_DEPTH):
+    """``tri`` repaired by :func:`_flip_repaired` for the seeds moved to
+    ``pts``.  When that fails (the move inverts a triangle, or the flips
+    reach their round cap), the move is split at its midpoint: ``tri`` is
+    repaired to the midpoint, and that repair on to ``pts``, each half
+    split again the same way while ``depth`` lasts.  ``None`` if a half
+    still fails."""
+    out = _flip_repaired(tri, pts)
+    if out is None and depth:
+        mid = 0.5 * (tri.points[:len(pts)] + pts)
+        half = _repaired(tri, mid, depth - 1)
+        out = None if half is None else _repaired(half, pts, depth - 1)
+    return out
+
+
 def _next(h):
     """The half-edge after ``h`` in its triangle."""
     return h + _STEP_NEXT[h % 3]
@@ -533,15 +592,17 @@ def _cell_centroids(pts, points, simplices):
 
 def _certified_cells(cells, pts, band, carried=None):
     """``cells(pts, points, simplices)`` on the first triangulation whose
-    cells pass the certificate: the ``carried`` one repaired by flips
-    (:func:`_flip_repaired`), then qhull's with this ``band``, then qhull's
-    with every seed mirrored, which needs none.
+    cells pass the certificate: the ``carried`` one repaired by flips,
+    with a move that inverts a triangle halved (:func:`_repaired`), then
+    qhull's with this ``band``, then qhull's with every seed mirrored,
+    which needs none.
 
     ``cells`` is :func:`_cell_centroids` or :func:`_seed_circumcentres`,
     whose last return value is the cells' vertices; ``pts`` holds two
     seeds or more.  Returns what ``cells`` returned and the certified
-    triangulation to carry into the next Lloyd iteration, or ``None``
-    after full mirroring or a build that left a point out.
+    triangulation to carry into the next Lloyd iteration or the final
+    mesh, or ``None`` after full mirroring or a build that left a point
+    out.
 
     The certificate is exact.  For a point p of the square, a seed g and
     its mirror g' across a side, |p - g'| >= |p - g|: no mirror is nearer
@@ -552,7 +613,7 @@ def _certified_cells(cells, pts, band, carried=None):
     seed's cell, which :func:`_seed_circumcentres` refuses.)
     """
     if carried is not None:
-        tri = _flip_repaired(carried, pts)
+        tri = _repaired(carried, pts)
         found = None if tri is None else _certified(cells, pts, tri)
         if found is not None:
             return found, tri

@@ -19,7 +19,7 @@ from vemlab import (assembly, basis, harness, local, mesh as mesh_module,
 from vemlab.harness import (CSV_COLUMNS, DEFAULT_SIZES, STUDY_FAMILIES,
                             ExperimentConfig, _run_single, emit_report,
                             run_experiment)
-from vemlab.mesh import element_geometry, make_mesh
+from vemlab.mesh import element_geometry, make_mesh, max_diameter
 from vemlab.meshgen import GeneratorSpec, generate, square_mesh
 from vemlab.postprocess import ErrorRecord, convergence_rates
 from vemlab.problems import builtin_problem, constant_problem
@@ -43,6 +43,15 @@ def test_h_max_equals_largest_geometry_diameter(family):
             for c in range(mesh.num_cells)] == diameters
     rec = _run_single(mesh, 1, builtin_problem(), "standard")
     assert rec.h_max == max(diameters)
+
+
+def test_failed_record_keeps_its_h_max():
+    # no bank: h_max comes from the rings; the square's diagonal is longest
+    sliver = make_mesh([[0, 0], [1, 0], [1, 1], [0, 1], [0, -1e-14],
+                        [1, -1e-14]], [[0, 1, 2, 3], [4, 5, 1, 0]])
+    rec = _run_single(sliver, 2, builtin_problem(), "standard")
+    assert rec.failed and "triangulation failed" in rec.cause
+    assert rec.h_max == max_diameter(sliver) == np.sqrt(2.0)
 
 
 def test_non_finite_exact_solution_is_an_error():

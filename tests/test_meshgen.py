@@ -139,6 +139,14 @@ class TestVoronoiFamily:
         b = generate(GeneratorSpec("lloyd100", 25, seed=7))
         assert np.array_equal(a.vertices, b.vertices)
 
+    def test_lloyd100_generate_gives_identical_arrays(self):
+        # 1,600 seeds take halved repairs and the carried final mesh
+        spec = GeneratorSpec("lloyd100", 1600, seed=1)
+        a, b = generate(spec), generate(spec)
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
 
 class TestLloyd:
     def test_zero_iterations_noop(self):
@@ -167,6 +175,45 @@ class TestLloyd:
                            match=r"seeds 1 and 3 coincide at \(0\.2, 0\.2\)"):
             lloyd_relax(seeds, iterations)
         assert sizes == []
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_seed_outside_the_square_is_named(self, iterations, monkeypatch):
+        # the clipping assumes seeds in the square: this one gave 3 cells
+        # reaching x = 3.58
+        sizes = _counting_delaunay(monkeypatch)
+        with pytest.raises(MeshError, match=r"seed 2 at \(1\.4, 0\.8\) is not "
+                                            "a point of the unit square"):
+            lloyd_relax([[0.3, 0.3], [0.7, 0.6], [1.4, 0.8]], iterations)
+        assert sizes == []
+
+    @pytest.mark.parametrize("coordinate", [np.inf, -np.inf, np.nan])
+    def test_seed_that_is_not_finite_is_named(self, coordinate):
+        # used to end in a RuntimeWarning and qhull's "Points cannot
+        # contain NaN"
+        seeds = [[0.3, 0.3], [0.7, 0.6], [0.5, coordinate]]
+        with pytest.raises(MeshError, match=r"seed 2 at \(0\.5, -?(inf|nan)\) "
+                                            "is not a point of the unit square"):
+            lloyd_relax(seeds, 1)
+
+    @pytest.mark.parametrize("seeds, shape", [
+        (np.full((3, 3), 0.5), r"\(3, 3\)"),
+        ([0.3, 0.7], r"\(2,\)"),
+        ([[[0.3, 0.7]]], r"\(1, 1, 2\)")])
+    def test_seeds_of_another_shape_are_named(self, seeds, shape):
+        # used to end in a broadcast error or a TypeError
+        with pytest.raises(MeshError, match=r"seeds must be an \(n, 2\) array "
+                                            f"of points, got shape {shape}"):
+            lloyd_relax(seeds, 1)
+
+    @pytest.mark.parametrize("iterations, message", [
+        (-1, "iterations must be >= 0, got -1"),
+        (True, "iterations must be an integer, got True"),
+        (2.0, "iterations must be an integer, got 2.0")])
+    def test_bad_iteration_count_is_named(self, iterations, message):
+        # used to end in NumPy's "negative dimensions are not allowed" or
+        # a TypeError
+        with pytest.raises(ValueError, match=message):
+            lloyd_relax([[0.3, 0.3], [0.7, 0.6]], iterations)
 
     @pytest.mark.parametrize("iterations", [0, 3])
     def test_empty_seeds_are_named(self, iterations):
@@ -382,6 +429,22 @@ def _triangle_set(simplices):
     return set(map(tuple, np.sort(simplices, axis=1).tolist()))
 
 
+def _assert_fresh_qhull_up_to_cocircular_ties(tri, moved):
+    """``tri`` is qhull's triangulation of its points, but for cocircular
+    ties, and gives the seeds ``moved`` the same centroids."""
+    fresh = Delaunay(tri.points).simplices
+    # the triangles that differ are cocircular ties: no point lies
+    # inside their circumcircles beyond rounding
+    differ = _triangle_set(tri.simplices) - _triangle_set(fresh)
+    if differ:
+        assert circumcircle_depth(tri.points, np.array(sorted(differ))) < 1e-12
+    cw = _twice_area(tri.points[fresh]) < 0.0
+    fresh[cw] = fresh[cw][:, [0, 2, 1]]
+    ours = _cell_centroids(moved, tri.points, tri.simplices)[0]
+    ref = _cell_centroids(moved, tri.points, fresh)[0]
+    assert np.abs(ours - ref).max() <= 1e-15
+
+
 class TestFlipRepair:
     @pytest.mark.parametrize("source", ["raw", "banded", "relaxed"])
     def test_repair_equals_fresh_qhull_up_to_cocircular_ties(self, source):
@@ -389,17 +452,24 @@ class TestFlipRepair:
         tri = _flip_repaired(carried, moved)
         assert tri is not None
         assert _triangle_set(tri.simplices) != _triangle_set(carried.simplices)
-        fresh = Delaunay(tri.points).simplices
-        # the triangles that differ are cocircular ties: no point lies
-        # inside their circumcircles beyond rounding
-        differ = _triangle_set(tri.simplices) - _triangle_set(fresh)
-        if differ:
-            assert circumcircle_depth(tri.points, np.array(sorted(differ))) < 1e-12
-        cw = _twice_area(tri.points[fresh]) < 0.0
-        fresh[cw] = fresh[cw][:, [0, 2, 1]]
-        ours = _cell_centroids(moved, tri.points, tri.simplices)[0]
-        ref = _cell_centroids(moved, tri.points, fresh)[0]
-        assert np.abs(ours - ref).max() <= 1e-15
+        _assert_fresh_qhull_up_to_cocircular_ties(tri, moved)
+
+    def test_halving_repairs_an_inverting_move_without_qhull(self,
+                                                             monkeypatch):
+        # raw seeds moved their whole first Lloyd step: a triangle inverts
+        # under the full move, but not under either half of it
+        pts = np.random.default_rng(4).uniform(0.0, 1.0, (400, 2))
+        carried = _delaunay(pts)
+        moved = delaunay_centroids(pts)[0]
+        assert _flip_repaired(carried, moved) is None
+        sizes = _counting_delaunay(monkeypatch)
+        out, tri = _certified_cells(_cell_centroids, moved, None, carried)
+        assert sizes == [] and tri is not None
+        assert np.array_equal(tri.points[:len(moved)], moved)
+        assert np.array_equal(tri.opposite, opposite_half_edges(tri.simplices))
+        assert out[0].tobytes() == _cell_centroids(moved, tri.points,
+                                                   tri.simplices)[0].tobytes()
+        _assert_fresh_qhull_up_to_cocircular_ties(tri, moved)
 
     @pytest.mark.parametrize("source", ["raw", "banded", "relaxed"])
     def test_opposite_table_matches_rebuild_from_simplices(self, source):
@@ -420,14 +490,38 @@ class TestFlipRepair:
         assert np.abs(moves - ref_moves).max() < 1e-11
 
     def test_lloyd100_qhull_build_count(self, monkeypatch):
-        # 1,600 seeds, seed 0: six builds relax the seeds (the first
-        # iteration's banded one, then five the repair could not avoid),
-        # and one makes the final mesh
+        # 1,600 seeds, seeds 0 and 1: the first iteration's banded build
+        # relaxes the seeds, its triangulation repaired (a move that
+        # inverts a triangle halved) through the other 99 iterations and
+        # into the final mesh; a fresh final mesh takes one build more
         sizes = _counting_delaunay(monkeypatch)
-        pts = relax_points(_draw_seeds(GeneratorSpec("lloyd100", 1600)), 100)[0]
-        assert len(sizes) == 6
-        _tessellate(pts)
-        assert len(sizes) == 7
+        for seed in (0, 1):
+            spec = GeneratorSpec("lloyd100", 1600, seed=seed)
+            sizes.clear()
+            generate(spec)
+            assert len(sizes) == 1
+            pts = relax_points(_draw_seeds(spec), 100)[0]
+            assert len(sizes) == 2
+            _tessellate(pts)
+            assert len(sizes) == 3
+        # at 4,096 and 6,400 seeds, at most one rebuild
+        for n in (4096, 6400):
+            sizes.clear()
+            generate(GeneratorSpec("lloyd100", n))
+            assert len(sizes) <= 2
+
+    @pytest.mark.parametrize("n", [1600, 4096])
+    def test_final_mesh_from_carried_triangulation(self, n, monkeypatch):
+        spec = GeneratorSpec("lloyd100", n)
+        pts, _, carried = meshgen._relax(_draw_seeds(spec), 100)
+        assert carried is not None
+        sizes = _counting_delaunay(monkeypatch)
+        mesh = _tessellate(pts, carried)
+        assert sizes == []
+        _assert_same_mesh(mesh, generate(spec))
+        _assert_same_cells(mesh, _tessellate(pts))
+        rings, coords = clipped_cells_per_cell(pts)
+        _assert_same_cells(mesh, _mesh_from_rings(*flat_rings(rings), coords))
 
     def test_inverting_move_rebuilds_with_qhull(self, monkeypatch):
         carried, moved = _carried_and_moved("relaxed")
