@@ -12,16 +12,17 @@ neighbouring cells share vertices by construction and the clipped
 tessellation is conforming without any per-cell polygon stitching; the weld
 merges the equal circumcentres of cocircular triangles.
 
-Lloyd iterations build no ring: each triangle adds its share of area and
-first moment to the seeds at its corners.
+One loop, :func:`relax_points`, runs ``iterations + 1`` triangulations:
+the Lloyd iterations build no ring (each triangle adds its share of area
+and first moment to the seeds at its corners), and the last triangulation
+gives the final cells.
 
 Every triangulation first mirrors only the seeds in a band along each
-side: ``_BAND_SPACINGS`` seed spacings wide for the first Lloyd iteration
-and the final mesh, twice the last iteration's reach after that.  The
-result is kept only if every vertex of a seed's cell lies in the square,
-which certifies it equal to the fully mirrored one; otherwise every seed
-is mirrored.  One ladder, :func:`_certified_cells`, serves the Lloyd
-iterations and the final mesh.
+side: ``_BAND_SPACINGS`` seed spacings wide for the first one, twice the
+last iteration's reach after that.  The result is kept only if every
+vertex of a seed's cell lies in the square, which certifies it equal to
+the fully mirrored one; otherwise every seed is mirrored.  One ladder,
+:func:`_certified_cells`, serves the Lloyd iterations and the final mesh.
 
 Every triangulation is of the mirrored seeds plus a frame of four points
 around them, so its hull is the frame's square.  A certified banded qhull
@@ -35,9 +36,9 @@ counterclockwise is repaired in two halves, to its midpoint and then to
 its end, each halved again the same way down to ``_HALVING_DEPTH``
 levels.  qhull reruns (with a fresh band) only when that fails too, when
 the flips reach a round cap, or when the repaired cells fail the
-certificate.  The relaxation's last certified triangulation is carried
-into the final mesh as well, so a Lloyd mesh usually takes one qhull
-build, its first iteration's.
+certificate.  The final cells' triangulation is carried from the last
+iteration as well, so a Lloyd mesh usually takes one qhull build, its
+first iteration's.
 """
 
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ _SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 _FRAME_SCALE = 2.0
 _FRAME = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 #: half-width of the band of seeds mirrored across each side by the first
-#: Lloyd iteration and the final mesh, in seed spacings 1 / sqrt(n); a
+#: triangulation of :func:`relax_points`, in seed spacings 1 / sqrt(n); a
 #: build whose cells fail the certificate (see :func:`_certified_cells`)
 #: mirrors every seed.  Random seed sets (lloyd0, seeds 0-39, 0-9 at
 #: n = 4,096) certified, and qhull's input at 4 spacings against full
@@ -165,9 +166,8 @@ def generate(spec):
 
 def square_mesh(n_per_side):
     """n-by-n uniform square mesh of the unit square."""
-    n = int(n_per_side)
-    if n < 1:
-        raise ValueError("n_per_side must be positive")
+    check_count("n_per_side", n_per_side, 1)
+    n = n_per_side
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     vertices = np.column_stack([ii.ravel(order="F") / n, jj.ravel(order="F") / n])
     # vertex (i, j) has id j (n + 1) + i; cells run along rows of squares
@@ -185,9 +185,8 @@ def concave_mesh(n_per_side):
     remain star-shaped.  Squares run along rows, the lower half first, and
     vertices are numbered in order of first appearance in the rings.
     """
-    n = int(n_per_side)
-    if n < 1:
-        raise ValueError("n_per_side must be positive")
+    check_count("n_per_side", n_per_side, 1)
+    n = n_per_side
     zig = _ZIGZAG
     lower = [(0, 0), (20, 0), (20, 10), zig[3], zig[2], zig[1], zig[0], (0, 10)]
     upper = [(0, 10), zig[0], zig[1], zig[2], zig[3], (20, 10), (20, 20), (0, 20)]
@@ -207,8 +206,7 @@ def voronoi_mesh(spec):
     Duplicate seed draws are retried with fresh randomness (at most 10
     times).
     """
-    pts, _, carried = _relax(_draw_seeds(spec), spec.iterations)
-    return _tessellate(pts, carried)
+    return _mesh_from_rings(*relax_points(_draw_seeds(spec), spec.iterations)[2])
 
 
 def lloyd_relax(seeds, iterations):
@@ -216,20 +214,23 @@ def lloyd_relax(seeds, iterations):
 
     Each iteration replaces every seed by the area centroid of its clipped
     Voronoi cell; the tessellation of the final seeds is returned.  Seeds
-    are an (n, 2) array of distinct points of the closed unit square:
-    qhull would drop a repeated one, and the clipping assumes that no
-    mirror image of a seed is nearer to the square than the seed.
+    are an (n, 2) array of distinct points of the open unit square: qhull
+    would drop a repeated one, and a seed on a side is its own mirror
+    image, so mirroring cannot clip its cell.  The clipping also assumes
+    that no mirror image of a seed is nearer to the square than the seed.
     """
     check_count("iterations", iterations)
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[1] != 2:
         raise MeshError(f"seeds must be an (n, 2) array of points, got shape "
                         f"{seeds.shape}")
-    outside = np.flatnonzero(~np.all((seeds >= 0.0) & (seeds <= 1.0), axis=1))
-    if outside.size:
-        j = outside[0]
-        raise MeshError(f"seed {j} at {tuple(seeds[j].tolist())} is not a "
-                        "point of the unit square")
+    closed = np.all((seeds >= 0.0) & (seeds <= 1.0), axis=1)
+    bad = np.flatnonzero(~np.all((seeds > 0.0) & (seeds < 1.0), axis=1))
+    if bad.size:
+        j = bad[0]
+        where = "lies on a side of" if closed[j] else "is not a point of"
+        raise MeshError(f"seed {j} at {tuple(seeds[j].tolist())} {where} the "
+                        "unit square")
     _, first, which = np.unique(seeds, axis=0, return_index=True,
                                 return_inverse=True)
     owner = first[which.ravel()]
@@ -238,39 +239,39 @@ def lloyd_relax(seeds, iterations):
         j = repeats[0]
         raise MeshError(f"seeds {owner[j]} and {j} coincide at "
                         f"{tuple(seeds[j].tolist())}")
-    pts, _, carried = _relax(seeds, iterations)
-    return _tessellate(pts, carried)
+    return _mesh_from_rings(*relax_points(seeds, iterations)[2])
 
 
 def relax_points(points, iterations):
-    """Lloyd iterations on seed points.
+    """Lloyd iterations on seed points, and the clipped cells they end at.
 
-    Returns the relaxed points and the per-iteration movement norms
-    ``max_i |seed_i - centroid_i|``.  Every iteration takes the centroids
-    from :func:`_certified_cells` on the Delaunay triangulation that
-    mirrors only the seeds near a side across it: within
-    ``_BAND_SPACINGS`` seed spacings in the first iteration, then within
-    twice the last iteration's reach.  The last certified triangulation is
-    carried into the next iteration, repaired by flips, and a move that
-    inverts one of its triangles is halved first (:func:`_repaired`).
-    One seed's cell is the square.
+    Returns the relaxed points, the per-iteration movement norms
+    ``max_i |seed_i - centroid_i|``, and the relaxed points' cells as
+    ``(flat, sizes, coords)``: every cell's vertex ids, cell after cell,
+    the cells' vertex counts and the vertex coordinates.
+
+    Runs ``iterations + 1`` triangulations through
+    :func:`_certified_cells`, each carried into the next: the first
+    ``iterations`` give the centroids (:func:`_cell_centroids`), the last
+    the final cells (:func:`_seed_circumcentres`).  A triangulation mirrors
+    only the seeds near a side across it: within ``_BAND_SPACINGS`` seed
+    spacings in the first, then within twice the last iteration's reach.
+    The carried triangulation is repaired by flips, and a move that
+    inverts one of its triangles is halved first (:func:`_repaired`).  A
+    seed's cell is the circumcentres of its triangles, in counterclockwise
+    angular order around it (cells are convex); cocircular triangles give
+    repeated vertices, which :func:`_mesh_from_rings` welds.  One seed's
+    cell is the square.
     """
-    pts, movements, _ = _relax(points, iterations)
-    return pts, movements
-
-
-def _relax(points, iterations):
-    """:func:`relax_points`, and the last certified triangulation (of the
-    seeds before the last move) for the final mesh to start from, or
-    ``None``."""
     pts = np.asarray(points, dtype=float).copy()
-    if not len(pts):
+    n = len(pts)
+    if not n:
         raise MeshError("Lloyd relaxation needs at least one seed; the seed "
                         "array is empty")
     movements = np.empty(iterations)
-    band, carried = _BAND_SPACINGS / np.sqrt(len(pts)), None
+    band, carried = _BAND_SPACINGS / np.sqrt(n), None
     for it in range(iterations):
-        if len(pts) == 1:
+        if n == 1:
             new = np.array([[0.5, 0.5]])
         else:
             (new, reach, _), carried = _certified_cells(_cell_centroids, pts,
@@ -279,7 +280,16 @@ def _relax(points, iterations):
             band = 2.0 * reach
         movements[it] = np.max(np.hypot(new[:, 0] - pts[:, 0], new[:, 1] - pts[:, 1]))
         pts = new
-    return pts, movements, carried
+    if n == 1:
+        return pts, movements, (np.arange(4), np.array([4]), _SQUARE.copy())
+    (simplices, _, centres), _ = _certified_cells(_seed_circumcentres, pts,
+                                                  band, carried)
+    owner = simplices.ravel()
+    at_seed = owner < n
+    ids, owner = np.repeat(np.arange(len(simplices)), 3)[at_seed], owner[at_seed]
+    rel = centres[ids] - pts[owner]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
+    return pts, movements, (ids[order], np.bincount(owner, minlength=n), centres)
 
 
 def _draw_seeds(spec):
@@ -291,34 +301,6 @@ def _draw_seeds(spec):
         if len(np.unique(pts, axis=0)) == spec.target_cells:
             return pts
     raise MeshError("could not draw distinct seed points")
-
-
-def _tessellate(pts, carried=None):
-    return _mesh_from_rings(*_clipped_cells(pts, carried))
-
-
-def _clipped_cells(pts, carried=None):
-    """Flat rings (every cell's vertex ids, cell after cell), their sizes
-    and the vertex coordinates of square-clipped Voronoi cells.
-
-    A seed's ring is the circumcentres of its triangles in the mirrored
-    triangulation, in counterclockwise angular order around it (cells are
-    convex), from :func:`_certified_cells`: the ``carried`` triangulation
-    repaired, if one is given, else (or if it fails) qhull's with a band
-    of ``_BAND_SPACINGS`` seed spacings.  Cocircular triangles give
-    repeated vertices, which :func:`_mesh_from_rings` welds.
-    """
-    n = len(pts)
-    if n == 1:
-        return np.arange(4), np.array([4]), _SQUARE.copy()
-    (simplices, _, centres), _ = _certified_cells(
-        _seed_circumcentres, pts, _BAND_SPACINGS / np.sqrt(n), carried)
-    owner = simplices.ravel()
-    at_seed = owner < n
-    ids, owner = np.repeat(np.arange(len(simplices)), 3)[at_seed], owner[at_seed]
-    rel = centres[ids] - pts[owner]
-    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
-    return ids[order], np.bincount(owner, minlength=n), centres
 
 
 def _members(pts, band=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from oracles import (cell_centroids_axis_sums, cell_rings, circumcircle_depth,
 from vemlab.mesh import (MeshError, element_geometry, make_mesh,
                          regularity_report)
 from vemlab.meshgen import (GeneratorSpec, _cell_centroids, _certified_cells,
-                            _clipped_cells, _delaunay, _draw_seeds,
+                            _delaunay, _draw_seeds,
                             _flip_repaired, _in_circle, _mesh_from_rings,
                             _mirror, _NEXT, _next, _prev,
-                            _seed_circumcentres, _tessellate, _twice_area,
+                            _seed_circumcentres, _twice_area,
                             _WELD_TOL, concave_mesh,
                             generate, lloyd_relax, relax_points, square_mesh,
                             voronoi_mesh)
@@ -157,7 +158,7 @@ class TestLloyd:
 
     def test_symmetric_four_seeds_fixed_point(self):
         seeds = np.array([[.25, .25], [.75, .25], [.25, .75], [.75, .75]])
-        pts, movement = relax_points(seeds, 1)
+        pts, movement, _ = relax_points(seeds, 1)
         assert movement[0] < 1e-14
         assert np.allclose(pts, seeds, atol=1e-14)
         mesh = lloyd_relax(seeds, 1)
@@ -184,6 +185,19 @@ class TestLloyd:
         with pytest.raises(MeshError, match=r"seed 2 at \(1\.4, 0\.8\) is not "
                                             "a point of the unit square"):
             lloyd_relax([[0.3, 0.3], [0.7, 0.6], [1.4, 0.8]], iterations)
+        assert sizes == []
+
+    @pytest.mark.parametrize("iterations", [0, 2])
+    @pytest.mark.parametrize("side", [(0.0, 0.5), (0.0, 0.0), (1.0, 0.5)],
+                             ids=str)
+    def test_seed_on_a_side_is_named(self, side, iterations, monkeypatch):
+        # a seed on a side is its own mirror image: (0, 0.5) gave 3 cells
+        # reaching x = -0.3 (total area 1.195), the others an unbounded
+        # Voronoi region
+        sizes = _counting_delaunay(monkeypatch)
+        message = f"seed 0 at {side} lies on a side of the unit square"
+        with pytest.raises(MeshError, match=re.escape(message)):
+            lloyd_relax([side, [0.6, 0.5], [0.3, 0.8]], iterations)
         assert sizes == []
 
     @pytest.mark.parametrize("coordinate", [np.inf, -np.inf, np.nan])
@@ -222,6 +236,25 @@ class TestLloyd:
         with pytest.raises(MeshError, match="seed array is empty"):
             lloyd_relax(np.zeros((0, 2)), iterations)
 
+    @pytest.mark.parametrize("build", [
+        lambda: generate(GeneratorSpec("lloyd100", 25)),
+        lambda: generate(GeneratorSpec("lloyd0", 25)),
+        lambda: lloyd_relax([[0.3, 0.3], [0.7, 0.6], [0.4, 0.8]], 2)],
+        ids=["lloyd100", "lloyd0", "lloyd_relax"])
+    def test_one_relax_points_call_per_mesh(self, build, monkeypatch):
+        # the benchmark's tracer times Lloyd relaxation, the final cells
+        # included, through this module name
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return relax(*args)
+
+        relax = meshgen.relax_points
+        monkeypatch.setattr(meshgen, "relax_points", counted)
+        build()
+        assert len(calls) == 1
+
     def test_fixed_point_convergence_100_seeds(self):
         # Lloyd's descent property: the CVT quantization energy never
         # increases, and the movement norm decays strongly overall (its raw
@@ -231,14 +264,14 @@ class TestLloyd:
         pts = rng.uniform(0, 1, (100, 2))
         energies = []
         for _ in range(100):
-            flat, sizes, coords = _clipped_cells(pts)
+            flat, sizes, coords = relax_points(pts, 0)[2]
             energies.append(cvt_energy(pts, split_rings(flat, sizes), coords))
-            pts, _ = relax_points(pts, 1)
-        flat, sizes, coords = _clipped_cells(pts)
+            pts, _, _ = relax_points(pts, 1)
+        flat, sizes, coords = relax_points(pts, 0)[2]
         energies.append(cvt_energy(pts, split_rings(flat, sizes), coords))
         assert np.all(np.diff(energies) <= 1e-15)
 
-        _, movement = relax_points(np.random.default_rng(0).uniform(0, 1, (100, 2)), 100)
+        _, movement, _ = relax_points(np.random.default_rng(0).uniform(0, 1, (100, 2)), 100)
         assert movement[-10:].max() < movement[10:20].max()
         assert movement[-1] < 0.05 * movement[0]
 
@@ -300,7 +333,7 @@ class TestFlatVoronoi:
         if spec.iterations:
             pts = relax_points(pts, spec.iterations)[0]
         sizes = _counting_delaunay(monkeypatch)
-        mesh = _tessellate(pts)
+        mesh = lloyd_relax(pts, 0)
         assert len(sizes) == 1 and sizes[0] < 2 * n
         rings, coords = clipped_cells_per_cell(pts)
         _assert_same_cells(mesh, _mesh_from_rings(*flat_rings(rings), coords))
@@ -308,7 +341,7 @@ class TestFlatVoronoi:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_relax_matches_per_cell_oracle(self, seed):
         pts = np.random.default_rng(seed).uniform(0.0, 1.0, (200, 2))
-        new, moves = relax_points(pts, 100)
+        new, moves, _ = relax_points(pts, 100)
         ref, ref_moves = relax_points_per_cell(pts, 100)
         assert np.abs(new - ref).max() < 1e-10
         assert np.abs(moves - ref_moves).max() < 1e-10
@@ -383,20 +416,23 @@ class TestFlatVoronoi:
         assert pts[:, 1].max() < 1.0 - meshgen._BAND_SPACINGS / np.sqrt(n)
         full = delaunay_centroids(pts)[0]
         sizes = _counting_delaunay(monkeypatch)
-        new, moves = relax_points(pts, 1)
-        # the banded build, then full mirroring (and the four frame points)
-        assert len(sizes) == 2 and sizes[0] < sizes[1] == 5 * n + 4
+        new, moves, _ = relax_points(pts, 1)
+        # the banded build, then full mirroring (and the four frame points);
+        # full mirroring carries nothing, so the final cells take a build
+        # of the band of twice the iteration's reach
+        assert len(sizes) == 3 and sizes[0] < sizes[1] == 5 * n + 4
+        assert sizes[2] < sizes[1]
         assert new.tobytes() == full.tobytes()
         assert moves[0] == np.max(np.hypot(*(full - pts).T))
         sizes.clear()
-        mesh = _tessellate(pts)
+        mesh = lloyd_relax(pts, 0)
         assert len(sizes) == 2 and sizes[1] == 5 * n + 4
         # a band wider than the square mirrors every seed
         monkeypatch.setattr(meshgen, "_BAND_SPACINGS", np.inf)
-        _assert_same_mesh(mesh, _tessellate(pts))
+        _assert_same_mesh(mesh, lloyd_relax(pts, 0))
 
     def test_single_seed_relaxes_to_square_centroid(self):
-        pts, movement = relax_points([[0.3, 0.6]], 3)
+        pts, movement, _ = relax_points([[0.3, 0.6]], 3)
         assert np.array_equal(pts, [[0.5, 0.5]])
         assert movement[0] == pytest.approx(np.hypot(0.2, 0.1))
         assert np.all(movement[1:] == 0.0)
@@ -405,7 +441,7 @@ class TestFlatVoronoi:
     def test_unbounded_region_raises(self, outside):
         pts = np.array([[0.2, 0.2], [0.8, 0.7], outside])
         with pytest.raises(MeshError, match="unbounded Voronoi region"):
-            _clipped_cells(pts)
+            relax_points(pts, 0)
         with pytest.raises(MeshError, match="unbounded Voronoi region"):
             relax_points(pts, 1)
 
@@ -484,7 +520,7 @@ class TestFlipRepair:
     @pytest.mark.parametrize("n", [1600, 4096])
     def test_relax_matches_qhull_every_iteration(self, n):
         pts = _draw_seeds(GeneratorSpec("lloyd100", n))
-        new, moves = relax_points(pts, 100)
+        new, moves, _ = relax_points(pts, 100)
         ref, ref_moves = relax_points_qhull(pts, 100)
         assert np.abs(new - ref).max() < 1e-11
         assert np.abs(moves - ref_moves).max() < 1e-11
@@ -502,7 +538,7 @@ class TestFlipRepair:
             assert len(sizes) == 1
             pts = relax_points(_draw_seeds(spec), 100)[0]
             assert len(sizes) == 2
-            _tessellate(pts)
+            relax_points(pts, 0)
             assert len(sizes) == 3
         # at 4,096 and 6,400 seeds, at most one rebuild
         for n in (4096, 6400):
@@ -512,14 +548,26 @@ class TestFlipRepair:
 
     @pytest.mark.parametrize("n", [1600, 4096])
     def test_final_mesh_from_carried_triangulation(self, n, monkeypatch):
+        # the last triangulation of relax_points, which gives the final
+        # cells, is the last iteration's repaired: no qhull build
         spec = GeneratorSpec("lloyd100", n)
-        pts, _, carried = meshgen._relax(_draw_seeds(spec), 100)
-        assert carried is not None
         sizes = _counting_delaunay(monkeypatch)
-        mesh = _tessellate(pts, carried)
-        assert sizes == []
+        builds = []
+
+        def counted(cells, *args):
+            before = len(sizes)
+            out = certified(cells, *args)
+            builds.append((cells, len(sizes) - before))
+            return out
+
+        certified = meshgen._certified_cells
+        monkeypatch.setattr(meshgen, "_certified_cells", counted)
+        pts, _, cells = relax_points(_draw_seeds(spec), 100)
+        assert len(builds) == 101
+        assert builds[-1] == (_seed_circumcentres, 0)
+        mesh = _mesh_from_rings(*cells)
         _assert_same_mesh(mesh, generate(spec))
-        _assert_same_cells(mesh, _tessellate(pts))
+        _assert_same_cells(mesh, lloyd_relax(pts, 0))
         rings, coords = clipped_cells_per_cell(pts)
         _assert_same_cells(mesh, _mesh_from_rings(*flat_rings(rings), coords))
 
@@ -627,10 +675,10 @@ def test_weld_merges_near_duplicate_vertices_of_a_perturbed_lattice():
     g = (np.arange(10) + 0.5) / 10
     lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     pts = lattice + 1e-11 * np.random.default_rng(0).random((100, 2))
-    flat, _, coords = _clipped_cells(pts)
+    flat, _, coords = relax_points(pts, 0)[2]
     used = np.unique(flat)
     assert len(cKDTree(coords[used]).query_pairs(_WELD_TOL)) == 117
-    for mesh in (_tessellate(pts), lloyd_relax(pts, 3)):
+    for mesh in (lloyd_relax(pts, 0), lloyd_relax(pts, 3)):
         assert mesh.num_cells == 100 and mesh.num_vertices == 121
         assert all(len(ring) == 4 for ring in cell_rings(mesh))
 
@@ -650,8 +698,8 @@ def test_weld_matches_union_find_oracle(source):
         lattice = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
         pts = lattice + 1e-11 * np.random.default_rng(0).random((100, 2))
     else:
-        pts, _ = relax_points(_draw_seeds(GeneratorSpec("lloyd100", 100)), 100)
-    flat, sizes, coords = _clipped_cells(pts)
+        pts = relax_points(_draw_seeds(GeneratorSpec("lloyd100", 100)), 100)[0]
+    flat, sizes, coords = relax_points(pts, 0)[2]
     _assert_same_mesh(_mesh_from_rings(flat, sizes, coords),
                       mesh_from_rings_union_find(flat, sizes, coords))
 
@@ -708,6 +756,19 @@ def test_flat_generators_match_make_mesh_of_their_rows(generator, n):
         got, ref = getattr(mesh, field.name), getattr(rows, field.name)
         assert got.dtype == ref.dtype, field.name
         assert np.array_equal(got, ref), field.name
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.7, "must be an integer, got 2.7"),
+    ("3", "must be an integer, got '3'"),
+    (True, "must be an integer, got True"),
+    (0, "must be >= 1, got 0")])
+@pytest.mark.parametrize("generator", [square_mesh, concave_mesh],
+                         ids=["square", "concave"])
+def test_flat_generators_name_a_bad_size(generator, n, message):
+    # int() used to read 2.7 as 2, "3" as 3 and True as 1
+    with pytest.raises(ValueError, match="n_per_side " + message):
+        generator(n)
 
 
 def test_all_families_pass_mesh_validation():
