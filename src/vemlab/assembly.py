@@ -14,7 +14,7 @@ boundary coupling block is kept so the right-hand side can be corrected for
 any lifting, whose DoFs :func:`vemlab.local.skeleton_dofs` computes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -169,9 +169,9 @@ def assemble(mesh, k, coeffs, mode="standard"):
     systems.  A_ii^-1 [A_ib | f_i] is kept, as ``SparseSystem.recovery``
     and ``internal_load``, for :func:`solve`.  At k = 1 there are no
     internal moments, and the blocks are scattered as they are.  Each
-    chunk's geometry, triangles and post-solve operators are kept on
-    ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.  The global
-    matrix is converted once, to CSC in the :func:`interior_first`
+    chunk's :class:`vemlab.local.ElementStack`, without its projectors and
+    forms, is kept on ``SparseSystem.bank`` for :mod:`vemlab.postprocess`.
+    The global matrix is converted once, to CSC in the :func:`interior_first`
     numbering: the reduced matrix, which :func:`solve` factors without a
     copy, is its leading block, and the interior-by-boundary coupling
     block is converted on to CSR.
@@ -196,7 +196,7 @@ def assemble(mesh, k, coeffs, mode="standard"):
     recovery = np.empty(recovery_starts[-1])
     internal_load = np.empty(dofmap.n_internal_dofs)
     kept = []
-    for out, tris in mesh_elements(mesh, k, coeffs, mode):
+    for out in mesh_elements(mesh, k, coeffs, mode):
         cells, forms = out.geometry.cells, out.forms
         block = forms.Ah + forms.Bh
         block += forms.Ch
@@ -226,7 +226,7 @@ def assemble(mesh, k, coeffs, mode="standard"):
         _put_blocks(recovery, at, Z[..., :ns].reshape(len(cells), -1))
         _put_blocks(recovery_cols, at, np.tile(g, n_int))
         _put_blocks(internal_load, cells * n_int, Z[..., ns])
-        kept.append(out.bank_entry(tris))
+        kept.append(replace(out, projectors=None, forms=None))
     # free the last chunk's working arrays before the conversion, the
     # memory peak of assembly
     del out, forms, block, Z, AZ, schur, g, numbered
@@ -275,26 +275,28 @@ def apply_dirichlet(system, g):
     lift = np.zeros(dofmap.n_dofs)
     lift[dofmap.boundary_dofs] = np.concatenate([values, moments.ravel()])
     if not np.isfinite(lift).all():
-        _name_non_finite(lift, mesh, dofmap)
+        _name_non_finite(lift, mesh, dofmap.k, "Dirichlet data g",
+                         "boundary ")
     system.lifting = lift
     system.rhs = system.rhs_base - system.coupling @ lift[dofmap.boundary_dofs]
     return system
 
 
-def _name_non_finite(lift, mesh, dofmap):
-    """Raise ValueError naming the first boundary vertex, or boundary edge,
-    whose Dirichlet DoF in ``lift`` is not finite."""
-    bad = ~np.isfinite(lift)
-    nv = dofmap.n_vertex_dofs
-    vertices = np.flatnonzero(bad[:nv])
-    if vertices.size:
-        raise ValueError(f"boundary vertex {vertices[0]}: Dirichlet data g "
-                         "is not finite")
-    edges = np.flatnonzero(bad[nv:nv + dofmap.n_edge_dofs]) // (dofmap.k - 1)
-    if edges.size:
-        lo, hi = mesh.edge_vertices[edges[0]]
-        raise ValueError(f"boundary edge {edges[0]} (vertices {lo}, {hi}): "
-                         "Dirichlet data g is not finite")
+def _name_non_finite(dofs, mesh, k, what, where=""):
+    """Raise ValueError naming ``what`` and the first vertex, edge or cell
+    (after ``where``) whose DoF in ``dofs``, numbered by :func:`build_dofmap`
+    on ``mesh`` at degree ``k``, is not finite."""
+    first = int(np.argmax(~np.isfinite(dofs)))
+    nv, n_edge = mesh.num_vertices, mesh.num_edges * (k - 1)
+    if first < nv:
+        place = f"vertex {first}"
+    elif first < nv + n_edge:
+        edge = (first - nv) // (k - 1)
+        lo, hi = mesh.edge_vertices[edge]
+        place = f"edge {edge} (vertices {lo}, {hi})"
+    else:
+        place = f"cell {(first - nv - n_edge) // n_poly(k - 2)}"
+    raise ValueError(f"{where}{place}: {what} is not finite")
 
 
 def solve(system):
@@ -404,7 +406,8 @@ def interpolate(mesh, k, v):
     Every DoF is computed once, as :func:`vemlab.local.interpolate_dofs`
     computes it: the vertex values and edge moments in one
     :func:`vemlab.local.skeleton_dofs` call, the internal moments per
-    stack of cells.
+    stack of cells.  A DoF that is not finite raises ``ValueError`` naming
+    ``v`` and the first such DoF's vertex, edge or cell.
     """
     check_degree(k)
     values, moments = skeleton_dofs(
@@ -413,4 +416,7 @@ def interpolate(mesh, k, v):
     if k >= 2:
         for geometry in geometry_stacks(mesh):
             internal[geometry.cells] = internal_moments(geometry, k, v)
-    return np.concatenate([values, moments.ravel(), internal.ravel()])
+    dofs = np.concatenate([values, moments.ravel(), internal.ravel()])
+    if not np.isfinite(dofs).all():
+        _name_non_finite(dofs, mesh, k, "v")
+    return dofs

@@ -23,9 +23,9 @@ import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
 from .local import check_degree, check_mode
-from .mesh import MeshError, max_diameter
+from .mesh import MeshError, check_count, max_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
-from .meshgen import GeneratorSpec, check_count, generate
+from .meshgen import GeneratorSpec, generate
 from .postprocess import (ErrorRecord, convergence_rates, error_norms,
                           point_error, project_solution)
 from .problems import builtin_problem
@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise ValueError("at least one size is required")
         for s in sizes:
             check_count("sizes", s, 1)
+            if sizes.count(s) > 1:
+                # the mesh would be solved twice and its row written twice
+                raise ValueError(f"size {s} is given more than once")
         # checked here, so a sweep that starts with the square family does
         # not stop at its first Voronoi mesh
         check_count("seed", self.seed)
@@ -112,8 +115,8 @@ def _run_single(mesh, k, problem, mode):
                            n_dofs=build_dofmap(mesh, k).n_dofs,
                            err_L2_rel=np.nan, err_H1_rel=np.nan,
                            err_point_rel=np.nan, failed=True, cause=str(exc))
-    h_max = max(float(geometry.diameter.max())
-                for geometry, *_ in system.bank.chunks)
+    h_max = max(float(chunk.geometry.diameter.max())
+                for chunk in system.bank.chunks)
     proj = project_solution(system.bank, u)
     l2, h1 = error_norms(proj, problem.p_ex, problem.grad_p_ex)
     pe, _ = point_error(proj, DEFAULT_POINT, problem.p_ex)

@@ -18,7 +18,7 @@ one-element functions (a polygon and k) take row 0 of a stack of one.
 Interpolation runs on :func:`skeleton_dofs`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,8 +28,7 @@ from .basis import (QuadratureRule, _duffy_rule, _gauss, derivative_table,
                     edge_reconstruction, gram, map_rule, monomial_exponents,
                     n_poly, star_shaped, triangulate_stack)
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .mesh import GeometryStack, _row_sum, geometry_stacks, take
-from .meshgen import check_count
+from .mesh import GeometryStack, _row_sum, check_count, geometry_stacks, take
 
 
 @dataclass(frozen=True)
@@ -83,51 +82,22 @@ class ProjectorSet:
     H: np.ndarray
     rule_values: np.ndarray
 
-    def post_solve_operators(self):
-        """``[Pi0k; Pi0GradX; Pi0GradY]``, stacked by rows: the projectors
-        whose snapshots of a solution the error norms read, (...,
-        n_poly(k) + 2 n_poly(k - 1), n_dofs)."""
-        return np.concatenate([self.Pi0k, self.Pi0GradX, self.Pi0GradY],
-                              axis=-2)
-
 
 @dataclass(frozen=True)
 class ElementBank:
     """What post-processing needs of each cell of ``mesh``, kept from one
     degree-``k`` build.
 
-    ``chunks`` holds one ``(GeometryStack, triangles, operators, classes)``
-    entry per chunk of :func:`mesh_elements` (:meth:`ElementStack.bank_entry`):
-    the chunk's geometry and (C, T, 3, 2) triangles, onto which the error
-    norms map their own rule, the post-solve operators
-    ``[Pi0k; Pi0GradX; Pi0GradY]`` of its group of shape classes
-    (:meth:`ProjectorSet.post_solve_operators`, compared by identity) and
-    the row of each cell in them.  The chunks of a group share its
-    operators and come in a row, and its representatives lead its first
-    chunk, in class order.  The bank keeps no index from cell to chunk.
+    ``chunks`` holds the :class:`ElementStack` of each chunk of
+    :func:`mesh_elements` with ``projectors`` and ``forms`` set to ``None``.
+    The chunks of a group share its ``operators`` object and come in a
+    row, and its representatives lead its first chunk, in class order.
+    The bank keeps no index from cell to chunk.
     """
 
     mesh: object = field(repr=False)
     k: int
     chunks: tuple
-
-    @property
-    def n_cells(self):
-        return sum(len(geometry) for geometry, *_ in self.chunks)
-
-    def snapshots(self, u, dofmap):
-        """L2 projection and projected gradient of the global DoF vector
-        ``u``, numbered by ``dofmap``, on every cell: arrays of shape
-        (cells, n_poly(k)) and (cells, n_poly(k - 1), 2).
-        """
-        nk, nkm1 = n_poly(self.k), n_poly(self.k - 1)
-        snaps = np.empty((self.n_cells, nk + 2 * nkm1))
-        for geometry, _, operators, classes in self.chunks:
-            dofs = dofmap.cell_dofs(geometry.cells)
-            snaps[geometry.cells] = (operators[classes]
-                                     @ u[dofs][..., None])[..., 0]
-        pi0, gx, gy = np.split(snaps, [nk, nk + nkm1], axis=1)
-        return pi0, np.stack([gx, gy], axis=-1)
 
 
 @dataclass
@@ -215,24 +185,20 @@ def _at(name, fn, pts, shape=()):
 class ElementStack:
     """What :func:`mesh_elements` yields for a chunk of cells.
 
+    ``triangles`` (C, T, 3, 2) are what each cell's rule was mapped onto.
     ``projectors`` has one row per shape class: cell i takes row
-    ``classes[i]``.  ``forms`` has one row per cell of ``geometry``, and is
-    ``None`` when no coefficients were given.  ``operators`` is what
-    :func:`mesh_elements` keeps of the classes for the
-    :class:`ElementBank`.
+    ``classes[i]``, and so of ``operators``, their ``[Pi0k; Pi0GradX;
+    Pi0GradY]`` stacked by rows.  ``forms`` has one row per cell, and is
+    ``None`` when no coefficients were given.
     """
 
     k: int
     geometry: GeometryStack
-    projectors: ProjectorSet
+    triangles: np.ndarray
     classes: np.ndarray
+    projectors: ProjectorSet = None
     forms: LocalSystem = None
     operators: np.ndarray = None
-
-    def bank_entry(self, triangles):
-        """What the :class:`ElementBank` keeps of this chunk, whose cells'
-        rules were mapped onto ``triangles``."""
-        return self.geometry, triangles, self.operators, self.classes
 
 
 def _t(a):
@@ -676,8 +642,8 @@ def shape_classes(geometry):
 
 def mesh_elements(mesh, k, coeffs=None, mode="standard"):
     """Projectors and, given coefficients, local forms of every cell of
-    ``mesh``: the chunks of :func:`_stack_elements` on each of its
-    vertex-count stacks (:func:`geometry_stacks`)."""
+    ``mesh``: the :class:`ElementStack` chunks of :func:`_stack_elements`
+    on each of its vertex-count stacks (:func:`geometry_stacks`)."""
     check_degree(k)
     check_mode(mode)
     for geometry in geometry_stacks(mesh):
@@ -690,8 +656,8 @@ def mesh_elements(mesh, k, coeffs=None, mode="standard"):
 def element_bank(mesh, k):
     """The :class:`ElementBank` that :func:`vemlab.assembly.assemble` keeps
     on ``SparseSystem.bank``, bit for bit, built without local forms."""
-    return ElementBank(mesh, k, tuple(out.bank_entry(tris) for out, tris
-                                      in mesh_elements(mesh, k)))
+    return ElementBank(mesh, k, tuple(replace(out, projectors=None, forms=None)
+                                      for out in mesh_elements(mesh, k)))
 
 
 def _stack_elements(geometry, k, coeffs, mode):
@@ -709,9 +675,8 @@ def _stack_elements(geometry, k, coeffs, mode):
     with its own forms; the chunks of the group share its operators.
     ``step`` is what fits ``_CHUNK_BYTES`` of working memory, at least
     ``_MIN_CHUNK_CELLS`` cells: for cells heavier than their quotient the
-    floor overrides the budget.  Yields ``(ElementStack, triangles)`` per
-    chunk, where ``triangles`` (C, T, 3, 2) are the triangles the chunk's
-    rules were mapped onto.
+    floor overrides the budget.  Yields an :class:`ElementStack` per
+    chunk.
     """
     degree = rule_degree(k)
     nv = geometry.vertices.shape[1]
@@ -753,14 +718,17 @@ def _stack_elements(geometry, k, coeffs, mode):
                                              take(rule, slice(n)))
                     tables = (None if coeffs is None else _form_tables(
                         reps_geometry, projectors, mode))
-                    operators = projectors.post_solve_operators()
+                    operators = np.concatenate(
+                        [projectors.Pi0k, projectors.Pi0GradX,
+                         projectors.Pi0GradY], axis=1)
                 out = ElementStack(k=k, geometry=take(stack, part),
-                                   projectors=projectors,
+                                   triangles=tris[part],
                                    classes=classes[part] - lo,
+                                   projectors=projectors,
                                    operators=operators)
                 if coeffs is not None:
                     out.forms = _local_forms(out, rule, coeffs, tables)
-                yield out, tris[part]
+                yield out
 
 
 def _one_element(geom, k, coeffs=None, mode="standard"):
@@ -768,7 +736,7 @@ def _one_element(geom, k, coeffs=None, mode="standard"):
     ``geom``, a :class:`GeometryStack` row, as a stack of one."""
     check_degree(k)
     check_mode(mode)
-    ((out, _),) = _stack_elements(take(geom, None), k, coeffs, mode)
+    (out,) = _stack_elements(take(geom, None), k, coeffs, mode)
     return out
 
 
@@ -790,7 +758,7 @@ def skeleton_dofs(v, vertices, edges, k, name="v"):
     on ``edges`` (E, 2, 2), from their canonical start (t = -1) to their end
     (t = +1), by a rule exact to :func:`smooth_rule_degree`; (N,), (E, k - 1).
     A ``v`` that does not give one value per point raises a ValueError
-    naming it ``name``.
+    naming it ``name``; one not finite gives DoFs not finite, unwarned.
     """
     values = _at(name, v, vertices)
     if k == 1:
@@ -800,14 +768,16 @@ def skeleton_dofs(v, vertices, edges, k, name="v"):
     pts = 0.5 * (start + end) + 0.5 * (t[:, None] * (end - start))
     vals = _at(name, v, pts)
     # weights w_std / 2 * |e| sum to |e|
-    return values, np.stack([np.sum(w_std / 2 * vals * t ** j, axis=-1)
-                             for j in range(k - 1)], axis=-1)
+    with np.errstate(invalid="ignore"):
+        return values, np.stack([np.sum(w_std / 2 * vals * t ** j, axis=-1)
+                                 for j in range(k - 1)], axis=-1)
 
 
 def internal_moments(geometry, k, v):
     """Internal DoFs ``(1/|E|) int_E v m_a``, |a| <= k - 2, of ``v(x, y)``
     on every cell of the :class:`GeometryStack` ``geometry``, with each
-    cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2))."""
+    cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2)).
+    A ``v`` not finite in a cell gives it moments not finite, unwarned."""
     out = np.empty((len(geometry), n_poly(k - 2)))
     exps = monomial_exponents(k - 2)
     for rows, tris in triangulate_stack(geometry):
@@ -815,18 +785,24 @@ def internal_moments(geometry, k, v):
         V = kernels.monomial_vandermonde(pts, geometry.centroid[rows],
                                          geometry.diameter[rows], exps)
         weighted = wts * _at("v", v, pts)
-        out[rows] = ((weighted[:, None] @ V)[:, 0]
-                     / geometry.area[rows, None])
+        with np.errstate(invalid="ignore"):
+            out[rows] = ((weighted[:, None] @ V)[:, 0]
+                         / geometry.area[rows, None])
     return out
 
 
 def interpolate_dofs(geom, k, v):
     """DoF vector of a smooth function on the one cell ``geom``, a
     :class:`GeometryStack` row: :func:`skeleton_dofs`, then the
-    :func:`internal_moments`."""
+    :func:`internal_moments`.  A DoF that is not finite raises
+    ``ValueError`` naming ``v``, the element and the DoF's local slot."""
     check_degree(k)
     edges = np.stack([geom.vertices, np.roll(geom.vertices, -1, axis=0)], 1)
     edges[~geom.edge_forward] = edges[~geom.edge_forward, ::-1]
     values, moments = skeleton_dofs(v, geom.vertices, edges, k)
     internal = internal_moments(take(geom, None), k, v)
-    return np.concatenate([values, moments.ravel(), internal[0]])
+    dofs = np.concatenate([values, moments.ravel(), internal[0]])
+    if not np.isfinite(dofs).all():
+        raise ValueError("element: v is not finite at local DoF "
+                         f"{np.argmax(~np.isfinite(dofs))}")
+    return dofs

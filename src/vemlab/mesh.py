@@ -10,12 +10,22 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations, islice
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
 
 class MeshError(ValueError):
     """Raised for structurally invalid meshes or degenerate cells."""
+
+
+def check_count(name, value, low=0):
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (not a boolean) of at least ``low``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass

@@ -42,13 +42,12 @@ first iteration's.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 from scipy.spatial import Voronoi  # noqa: F401  (perfbench/spans.py hook target)
 
-from .mesh import MeshError, _flat_mesh, first_seen
+from .mesh import MeshError, _flat_mesh, check_count, first_seen
 from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
 
 #: interior points of the splitting polyline for the concave family, in
@@ -143,15 +142,6 @@ class GeneratorSpec:
     @property
     def iterations(self):
         return 100 if self.family == "lloyd100" else self.lloyd_iterations
-
-
-def check_count(name, value, low=0):
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (not a boolean) of at least ``low``."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def generate(spec):

@@ -81,7 +81,9 @@ def project_solution(bank, u):
 
     ``u`` is numbered by :func:`vemlab.assembly.build_dofmap` on the bank's
     mesh; one that is not a real vector of that map's length, say of
-    another mesh or degree, raises ``ValueError`` naming ``u``.
+    another mesh or degree, or that is not finite, raises ``ValueError``
+    naming ``u``.  Each bank chunk gives its cells' snapshots in one
+    stacked product with its ``operators``.
     """
     dofmap = build_dofmap(bank.mesh, bank.k)
     u = np.asarray(u)
@@ -90,8 +92,17 @@ def project_solution(bank, u):
     if u.shape != (dofmap.n_dofs,):
         raise ValueError(
             f"u has shape {u.shape}, expected ({dofmap.n_dofs},)")
-    coeffs, grads = bank.snapshots(u, dofmap)
-    return SolutionProjection(coeffs=coeffs, grad_coeffs=grads, bank=bank)
+    if not np.isfinite(u).all():
+        raise ValueError(f"u[{np.argmax(~np.isfinite(u))}] is not finite")
+    nk, nkm1 = n_poly(bank.k), n_poly(bank.k - 1)
+    snaps = np.empty((bank.mesh.num_cells, nk + 2 * nkm1))
+    for chunk in bank.chunks:
+        cells = chunk.geometry.cells
+        snaps[cells] = (chunk.operators[chunk.classes]
+                        @ u[dofmap.cell_dofs(cells)][..., None])[..., 0]
+    pi0, gx, gy = np.split(snaps, [nk, nk + nkm1], axis=1)
+    return SolutionProjection(coeffs=pi0, grad_coeffs=np.stack([gx, gy], -1),
+                              bank=bank)
 
 
 def error_norms(projection, p_ex, grad_p_ex, relative=True):
@@ -137,14 +148,15 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
     exps = monomial_exponents(projection.bank.k)
     nkm1 = n_poly(projection.bank.k - 1)
     seen = None
-    for geometry, tris, operators, classes in projection.bank.chunks:
+    for chunk in projection.bank.chunks:
+        geometry, classes = chunk.geometry, chunk.classes
         part = geometry.cells
-        pts, w = map_rule(tris, ex)
+        pts, w = map_rule(chunk.triangles, ex)
         p_vals = _at("p_ex", p_ex, pts)
         g_vals = _at("grad_p_ex", grad_p_ex, pts, (2,))
         _check_finite(geometry, p_ex=p_vals, grad_p_ex=g_vals)
-        if operators is not seen:
-            seen, n = operators, len(operators)
+        if chunk.operators is not seen:
+            seen, n = chunk.operators, len(chunk.operators)
             table = kernels.monomial_vandermonde(
                 pts[:n], geometry.centroid[:n], geometry.diameter[:n], exps)
         # a chunk whose cells are its group's classes, in order (every

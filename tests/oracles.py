@@ -574,7 +574,7 @@ def _local_systems(mesh, k, coeffs, mode):
     from vemlab.local import mesh_elements
 
     local = {}
-    for out, _ in mesh_elements(mesh, k, coeffs, mode):
+    for out in mesh_elements(mesh, k, coeffs, mode):
         forms = out.forms
         for i, c in enumerate(out.geometry.cells):
             local[c] = forms.Ah[i] + forms.Bh[i] + forms.Ch[i], forms.f_loc[i]
@@ -700,37 +700,37 @@ def bank_per_cell(bank):
     kernel's chunks."""
     from vemlab.mesh import take
 
-    geoms, ops, tris = ([None] * bank.n_cells for _ in range(3))
-    for geometry, triangles, operators, classes in bank.chunks:
-        for i, c in enumerate(geometry.cells):
-            geoms[c] = take(geometry, i)
-            ops[c] = operators[classes[i]]
-            tris[c] = triangles[i]
+    geoms, ops, tris = ([None] * bank.mesh.num_cells for _ in range(3))
+    for chunk in bank.chunks:
+        for i, c in enumerate(chunk.geometry.cells):
+            geoms[c] = take(chunk.geometry, i)
+            ops[c] = chunk.operators[chunk.classes[i]]
+            tris[c] = chunk.triangles[i]
     return geoms, ops, tris
 
 
-def entry_representatives(entries):
+def entry_representatives(chunks):
     """The cell that represents each row's shape class, for every
-    ``ElementBank`` entry ``(geometry, triangles, operators, classes)`` of
-    ``entries`` in turn (the cell itself when it has a class of its own):
-    the representatives of a group of classes are the leading
-    ``len(operators)`` cells of the first entry that carries its operators,
-    in class order.  Yields one array per entry."""
+    ``ElementStack`` of ``chunks`` in turn (the cell itself when it has a
+    class of its own): the representatives of a group of classes are the
+    leading ``len(operators)`` cells of the first chunk that carries its
+    operators, in class order.  Yields one array per chunk."""
     seen = None
-    for geometry, _, operators, classes in entries:
-        if operators is not seen:
-            seen, heads = operators, geometry.cells[:len(operators)]
-        yield heads[classes]
+    for chunk in chunks:
+        if chunk.operators is not seen:
+            seen = chunk.operators
+            heads = chunk.geometry.cells[:len(seen)]
+        yield heads[chunk.classes]
 
 
 def bank_representatives(bank):
     """The cell that represents each cell's shape class in an
     ``ElementBank`` (the cell itself when it has a class of its own), as a
     list indexed by cell."""
-    reps = [None] * bank.n_cells
-    for (geometry, *_), chunk_reps in zip(
-            bank.chunks, entry_representatives(bank.chunks)):
-        for c, rep in zip(geometry.cells, chunk_reps):
+    reps = [None] * bank.mesh.num_cells
+    for chunk, chunk_reps in zip(bank.chunks,
+                                 entry_representatives(bank.chunks)):
+        for c, rep in zip(chunk.geometry.cells, chunk_reps):
             reps[c] = rep
     return reps
 

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from vemlab.assembly import (DofMap, SolveError, SparseSystem, apply_dirichlet,
                              assemble, build_dofmap, interpolate, solve)
 from vemlab.basis import n_poly, triangulate_stack
 from vemlab.harness import _run_single
-from vemlab.local import (Coefficients, dof_layout, element_bank,
-                          interpolate_dofs, projector_set)
+from vemlab.local import (Coefficients, ElementStack, dof_layout, element_bank,
+                          interpolate_dofs, mesh_elements, projector_set)
 from vemlab.mesh import element_geometry, geometry_stacks, make_mesh
 from vemlab.meshgen import GeneratorSpec, concave_mesh, generate, square_mesh
 from vemlab.problems import builtin_problem, polynomial_problem
@@ -279,7 +280,8 @@ class TestScatter:
         bank = assemble(mesh, k, Coefficients.constant(kappa=KAPPA)).bank
         assert bank.k == k
         geometries, operators, _ = bank_per_cell(bank)
-        assert bank.n_cells == len(geometries) == len(operators) == mesh.num_cells
+        assert (sum(len(chunk.geometry) for chunk in bank.chunks)
+                == len(geometries) == len(operators) == mesh.num_cells)
         reps = bank_representatives(bank)
         assert len(set(reps)) == (5 if family == "concave" else mesh.num_cells)
         for c in range(mesh.num_cells):
@@ -293,6 +295,27 @@ class TestScatter:
             ps = projector_set(rep, k)
             ref = np.vstack([ps.Pi0k, ps.Pi0GradX, ps.Pi0GradY])
             assert np.array_equal(operators[c], ref)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["concave", "lloyd0"])
+    def test_bank_holds_no_projector_set_or_forms(self, family, k):
+        # each Voronoi cell is a shape class of its own, so a bank that
+        # kept the projector sets would keep D, H and the rule table of
+        # every cell
+        mesh = MESHES[family]
+        yielded = {c: tris for out in mesh_elements(mesh, k)
+                   for c, tris in zip(out.geometry.cells, out.triangles)}
+        for bank in (assemble(mesh, k, Coefficients.constant(kappa=KAPPA)).bank,
+                     element_bank(mesh, k)):
+            cells = []
+            for chunk in bank.chunks:
+                assert isinstance(chunk, ElementStack)
+                assert chunk.projectors is None and chunk.forms is None
+                for c, tris in zip(chunk.geometry.cells, chunk.triangles):
+                    assert np.array_equal(tris, yielded[c])
+                    cells.append(c)
+            assert sorted(cells) == list(range(mesh.num_cells))
 
 
 class TestChunks:
@@ -350,8 +373,7 @@ class TestChunks:
         assert len(cut_chunks) > 3 * len(whole_chunks)
         assert sorted(sum(cut_chunks, [])) == list(range(mesh.num_cells))
         # a group has no more representatives than a chunk has cells
-        assert all(len(operators) <= 2
-                   for _, _, operators, _ in cut.bank.chunks)
+        assert all(len(chunk.operators) <= 2 for chunk in cut.bank.chunks)
         self._assert_same_bytes(cut, whole)
 
     @pytest.mark.parametrize("k, family", [(4, "concave"), (2, "lloyd0")])
@@ -538,6 +560,51 @@ class TestNonFiniteData:
         edge, lo, hi = map(int, re.match(pattern, str(info.value)).groups())
         assert (lo, hi) == tuple(mesh.edge_vertices[edge])
         assert sorted(mesh.vertices[[lo, hi], 0]) == pytest.approx([0.4, 0.6])
+
+
+    @staticmethod
+    def _point_value(point, bad):
+        """x, but ``bad`` at ``point`` (2,) exactly."""
+        return lambda x, y: np.where((x == point[0]) & (y == point[1]), bad, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_interpolant_vertex_value_is_named(self, k, bad):
+        # v is not finite at one interior vertex of square 3 x 3: both
+        # interpolants used to return DoFs that are not finite, with a
+        # NumPy warning at k >= 3
+        mesh = square_mesh(3)
+        vertex = int(np.flatnonzero(np.isclose(
+            mesh.vertices, [2 / 3, 1 / 3]).all(axis=1))[0])
+        v = self._point_value(mesh.vertices[vertex], bad)
+        cell = next(c for c in range(mesh.num_cells)
+                    if vertex in mesh.ring(c))
+        slot = list(mesh.ring(cell)).index(vertex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^vertex {vertex}: v is not finite$"):
+                interpolate(mesh, k, v)
+            with pytest.raises(ValueError, match=f"^element: v is not "
+                               f"finite at local DoF {slot}$"):
+                interpolate_dofs(element_geometry(mesh, cell), k, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_interpolant_internal_moment_is_named(self, k, bad):
+        # finite on every vertex and edge, not inside the middle cell 4
+        mesh = square_mesh(3)
+        v = lambda x, y: np.where(
+            (np.abs(x - 0.5) < 0.1) & (np.abs(y - 0.5) < 0.1), bad, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cell 4: v is not finite$"):
+                interpolate(mesh, k, v)
+            with pytest.raises(ValueError, match=r"^element: v is not finite "
+                               r"at local DoF (\d+)$") as info:
+                interpolate_dofs(element_geometry(mesh, 4), k, v)
+        # the internal moments follow the 4 vertex and 4 (k - 1) edge slots
+        assert int(info.value.args[0].split()[-1]) >= 4 * k
 
 
 class TestDirichlet:

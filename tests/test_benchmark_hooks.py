@@ -4,7 +4,8 @@
 table in every benchmark run, traced or not, so a renamed or removed
 function breaks every run.  This test reads that table without changing it.
 An import that no code of its module reads is kept only when it is marked
-as such a hook target.
+as such a hook target, and the element layers import nothing of the mesh
+generator.
 """
 
 import ast
@@ -86,3 +87,19 @@ def test_hook_only_imports_are_hooked():
     assert ("vemlab.assembly", "element_geometry") in imports
     hooks = set(_hooks())
     assert [pair for pair in imports if pair not in hooks] == []
+
+
+@pytest.mark.parametrize("module", ["basis", "local", "assembly",
+                                    "postprocess"])
+def test_element_layers_do_not_import_meshgen(module):
+    # the element layers take their checks from mesh; the generator, and
+    # scipy.spatial with it, is for the harness and the command line
+    tree = ast.parse((SRC / "vemlab" / f"{module}.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}"
+                      for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert [n for n in names if "meshgen" in n.split(".")] == []

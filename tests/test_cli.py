@@ -112,6 +112,13 @@ class TestRun:
              "--out", str(out)], capsys, usage="run")
         assert not out.exists()
 
+    def test_repeated_size_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert "size 4 is given more than once" in _rejected(
+            ["run", "--sizes", "4,16,4", "--out", str(out)], capsys,
+            usage="run")
+        assert not out.exists()
+
     def test_invalid_degree_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert "k must be >= 1, got 0" in _rejected(

@@ -130,6 +130,12 @@ class TestExperimentConfig:
                            match="family 'square' is given more than once"):
             ExperimentConfig(families=("square", "lloyd0", "square"))
 
+    def test_repeated_size_rejected(self):
+        # a repeat would solve its mesh twice, write two identical rows and
+        # warn of a duplicate mesh size in each slope fit
+        with pytest.raises(ValueError, match="size 4 is given more than once"):
+            ExperimentConfig(sizes=(4, 16, 4))
+
     def test_numpy_integer_sizes_accepted(self):
         config = ExperimentConfig(sizes=(np.int64(100), np.int32(25)))
         assert config.sizes == (25, 100)
@@ -233,7 +239,7 @@ class TestBuildOnce:
 
         def counted_forms(out, *args):
             built.extend(out.geometry.cells.tolist())
-            entries.append(out.bank_entry(None))
+            entries.append(out)
             return forms(out, *args)
 
         def counted_projectors(geometry, *args):
@@ -278,9 +284,9 @@ class TestBuildOnce:
         assert len(built) == cells
         assert sorted(built) == sorted(c for r in records
                                        for c in range(r.n_cells))
-        represented = [c for (geometry, *_), reps in zip(
+        represented = [c for out, reps in zip(
                            entries, entry_representatives(entries))
-                       for c, rep in zip(geometry.cells, reps) if rep == c]
+                       for c, rep in zip(out.geometry.cells, reps) if rep == c]
         assert sorted(projected) == sorted(represented)
         assert sorted(triangulated) == sorted(built)
         assert all(got == reps for got, reps in ear_clips)

@@ -595,8 +595,7 @@ class TestElementKernel:
         coeffs = builtin_problem().coefficients
         seen = []
         elements = list(mesh_elements(mesh, k, coeffs))
-        for (out, tris), reps in zip(elements, entry_representatives(
-                e.bank_entry(t) for e, t in elements)):
+        for out, reps in zip(elements, entry_representatives(elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 geom = element_geometry(mesh, rep)
                 ref = local_system(geom, k, coeffs)
@@ -610,7 +609,8 @@ class TestElementKernel:
                         getattr(out.projectors, name)[out.classes[i]],
                         getattr(ref_proj, name)), name
                 assert np.array_equal(
-                    tris[i], triangulate(element_geometry(mesh, c).vertices))
+                    out.triangles[i],
+                    triangulate(element_geometry(mesh, c).vertices))
                 seen.append(c)
         assert sorted(seen) == list(range(mesh.num_cells))
 
@@ -622,8 +622,7 @@ class TestElementKernel:
         # post-solve operator bit for bit
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         elements = list(mesh_elements(mesh, k))
-        for (out, _), reps in zip(elements, entry_representatives(
-                e.bank_entry(t) for e, t in elements)):
+        for out, reps in zip(elements, entry_representatives(elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 if rep != c:
                     continue
@@ -648,7 +647,7 @@ class TestElementKernel:
 
         mesh = generate(GeneratorSpec(family, 36, seed=5))
         coeffs = builtin_problem().coefficients
-        out, _ = next(mesh_elements(mesh, k, coeffs))
+        out = next(mesh_elements(mesh, k, coeffs))
         monkeypatch.setattr(local, "polygon_quadrature", refused)
         geom = element_geometry(mesh, out.geometry.cells[0])
         proj = projector_set(geom, k)
@@ -673,8 +672,7 @@ class TestElementKernel:
         coeffs = builtin_problem().coefficients
         seen, own = [], []
         elements = list(mesh_elements(mesh, k, coeffs, mode))
-        for (out, _), reps in zip(elements, entry_representatives(
-                e.bank_entry(t) for e, t in elements)):
+        for out, reps in zip(elements, entry_representatives(elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 geom = element_geometry_per_cell(mesh, c)
                 got = take(out.geometry, i)
@@ -715,8 +713,8 @@ class TestElementKernel:
         fields = ("PiNabla", "Pi0km1", "Pi0GradX", "Pi0GradY", "D",
                   "rule_values")
         seen = 0
-        for out, tris in mesh_elements(mesh, k, coeffs, mode):
-            points, weights = map_rule(tris, rule_degree(k))
+        for out in mesh_elements(mesh, k, coeffs, mode):
+            points, weights = map_rule(out.triangles, rule_degree(k))
             for i in range(len(out.geometry)):
                 ref = local_forms_point_tables(
                     take(out.geometry, i), k,
@@ -842,7 +840,7 @@ class TestShapeClasses:
         assert len(reps) == 1 + len(singletons) == 5
         assert all(np.sum(classes == classes[c]) == 1 for c in singletons)
         coeffs = builtin_problem().coefficients
-        for out, _ in mesh_elements(mesh, k, coeffs):
+        for out in mesh_elements(mesh, k, coeffs):
             for i, c in enumerate(out.geometry.cells):
                 if c in singletons:
                     ref = local_system(element_geometry(mesh, c), k, coeffs)
@@ -866,8 +864,7 @@ class TestShapeClasses:
         coeffs = builtin_problem().coefficients
         members = 0
         elements = list(mesh_elements(mesh, k, coeffs, mode))
-        for (out, _), reps in zip(elements, entry_representatives(
-                e.bank_entry(t) for e, t in elements)):
+        for out, reps in zip(elements, entry_representatives(elements)):
             for i, (c, rep) in enumerate(zip(out.geometry.cells, reps)):
                 if rep == c:
                     continue
@@ -888,12 +885,13 @@ class TestChunkEstimate:
     CELLS = 16
 
     @staticmethod
-    def _singletons(stack, k, rule, coeffs):
+    def _singletons(stack, k, tris, rule, coeffs):
         # one stacked call of the element arithmetic, each cell a shape
         # class of its own
         projectors = _projectors(stack, k, rule)
-        out = ElementStack(k=k, geometry=stack, projectors=projectors,
-                           classes=np.arange(len(stack)))
+        out = ElementStack(k=k, geometry=stack, triangles=tris,
+                           classes=np.arange(len(stack)),
+                           projectors=projectors)
         out.forms = _local_forms(out, rule, coeffs, _form_tables(
             stack, projectors, "standard"))
 
@@ -913,14 +911,15 @@ class TestChunkEstimate:
                 if rows.size < self.CELLS:
                     continue
                 stack = take(geometry, rows[:self.CELLS])
-                rule = QuadratureRule(*map_rule(tris[:self.CELLS], degree))
-                self._singletons(stack, k, rule, coeffs)  # fill the caches
+                tris = tris[:self.CELLS]
+                rule = QuadratureRule(*map_rule(tris, degree))
+                self._singletons(stack, k, tris, rule, coeffs)  # fill the caches
                 tracing = tracemalloc.is_tracing()
                 tracemalloc.start()
                 try:
                     base = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                    self._singletons(stack, k, rule, coeffs)
+                    self._singletons(stack, k, tris, rule, coeffs)
                     peak = (tracemalloc.get_traced_memory()[1] - base) / self.CELLS
                 finally:
                     if not tracing:

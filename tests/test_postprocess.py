@@ -128,6 +128,17 @@ class TestProjectSolution:
                            r"got dtype complex128$"):
             project_solution(bank, u + 1j)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_dof_vector_is_named(self, bad):
+        # a NaN u[3] on square 3 x 3 at k = 2 used to give error norms of
+        # (nan, nan) and a finite point error from cell 4, which does not
+        # touch DoF 3
+        mesh = square_mesh(3)
+        u = interpolate(mesh, 2, builtin_problem().p_ex)
+        u[3] = bad
+        with pytest.raises(ValueError, match=r"^u\[3\] is not finite$"):
+            project_solution(element_bank(mesh, 2), u)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("mesh", [square_mesh(3), concave_mesh(3)],
                              ids=["square", "concave"])
@@ -219,9 +230,10 @@ class TestErrorNorms:
         proj = project_solution(system.bank, solve(system))
         geometries, _, _ = bank_per_cell(proj.bank)
         fresh = dataclasses.replace(proj, bank=ElementBank(mesh, 3, tuple(
-            (g, np.stack([triangulate(geometries[c].vertices)
-                          for c in g.cells]), operators, classes)
-            for g, _, operators, classes in proj.bank.chunks)))
+            dataclasses.replace(chunk, triangles=np.stack(
+                [triangulate(geometries[c].vertices)
+                 for c in chunk.geometry.cells]))
+            for chunk in proj.bank.chunks)))
         assert proj.bank is system.bank
         assert (error_norms(proj, prob.p_ex, prob.grad_p_ex)
                 == error_norms(fresh, prob.p_ex, prob.grad_p_ex))
@@ -307,13 +319,12 @@ class TestBankLayout:
             monkeypatch.setattr(local, "_CHUNK_BYTES", 1)
             monkeypatch.setattr(local, "_MIN_CHUNK_CELLS", 2)
         mesh = generate(GeneratorSpec(family, 100, seed=0))
-        bank = ElementBank(mesh, k, tuple(out.bank_entry(tris) for out, tris
-                                    in local.mesh_elements(mesh, k)))
+        bank = ElementBank(mesh, k, tuple(local.mesh_elements(mesh, k)))
         heads, seen = [], None
-        for geometry, _, operators, _ in bank.chunks:
-            if operators is not seen:
-                seen = operators
-                heads.append(geometry.cells[:len(operators)])
+        for chunk in bank.chunks:
+            if chunk.operators is not seen:
+                seen = chunk.operators
+                heads.append(chunk.geometry.cells[:len(seen)])
         expected, rep_of = [], np.empty(mesh.num_cells, dtype=np.intp)
         for geometry in geometry_stacks(mesh):
             stack_reps = local.shape_classes(geometry)
@@ -346,7 +357,8 @@ class TestPointError:
         proj = project_solution(element_bank(mesh, k), interpolate(mesh, k, prob.p_ex))
         exps = monomial_exponents(k)
         seen = 0
-        for geometry, *_ in proj.bank.chunks:
+        for chunk in proj.bank.chunks:
+            geometry = chunk.geometry
             for i, c in enumerate(geometry.cells):
                 pts = np.vstack([geometry.vertices[i], geometry.centroid[i]])
                 table = kernels.monomial_vandermonde(
