@@ -1,7 +1,8 @@
 """Scaled monomial spaces on polygons, edge traces, and quadrature.
 
 Monomials are m_a(x) = ((x - x_E)/h_E)^a in graded order, so local matrix
-conditioning is independent of the element size.  Polygon quadrature
+conditioning is independent of the element size; :func:`monomial_values`
+and :func:`monomial_derivatives` alone map a cell to them.  Polygon quadrature
 triangulates each cell (centroid fan when the cell is star-shaped with
 respect to its centroid, ear clipping otherwise) and applies a collapsed
 Gauss-Legendre product rule on every triangle; edges use plain
@@ -14,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .mesh import MeshError, stack_geometry, take
 
 
@@ -32,8 +34,8 @@ def monomial_exponents(degree):
 @lru_cache(maxsize=None)
 def derivative_table(degree, axis):
     """Matrix sending P_degree coefficients to P_{degree-1} coefficients of
-    the axis-derivative, for the unscaled monomials (h = 1); divided by
-    h_E, for the scaled ones.  Read-only."""
+    the axis-derivative, for the unscaled monomials (h = 1); the scaled
+    ones take :func:`monomial_derivatives`.  Read-only."""
     lower = monomial_exponents(degree - 1) if degree >= 1 \
         else np.empty((0, 2), dtype=np.int64)
     low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
@@ -45,6 +47,22 @@ def derivative_table(degree, axis):
             D[low_index[(int(ax), int(ay) - 1)], i] = ay
     D.flags.writeable = False
     return D
+
+
+def monomial_values(geometry, points, degree):
+    """Values (..., n, n_poly(degree)) of the scaled monomials of each cell
+    of a ``GeometryStack``, or of one row, at its ``points`` (..., n, 2)."""
+    return kernels.monomial_vandermonde(points, geometry.centroid,
+                                        geometry.diameter,
+                                        monomial_exponents(degree))
+
+
+def monomial_derivatives(geometry, degree):
+    """The x and y derivative maps of each cell's degree-``degree`` scaled
+    monomials, :func:`derivative_table` divided by the cell's diameter:
+    two (..., n_poly(degree - 1), n_poly(degree)) arrays."""
+    h = geometry.diameter[..., None, None]
+    return derivative_table(degree, 0) / h, derivative_table(degree, 1) / h
 
 
 @lru_cache(maxsize=None)

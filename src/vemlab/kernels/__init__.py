@@ -1,9 +1,10 @@
 """Evaluation kernels: scaled-monomial value and gradient tables in NumPy.
 
 Every function takes a stack of point sets with one centre and diameter
-per set, so a chunk of elements gets its tables in one call
-(``vemlab.local._stack_elements``); one element is a stack without the
-leading axis.  Per-call overhead stays small without a compiled kernel.
+per set, so a chunk of elements gets its tables in one call from the one
+caller in the package, ``vemlab.basis.monomial_values``; one element is a
+stack without the leading axis.  Per-call overhead stays small without a
+compiled kernel.
 """
 
 import numpy as np

@@ -23,9 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
-from .basis import (QuadratureRule, _duffy_rule, _gauss, derivative_table,
-                    edge_reconstruction, gram, map_rule, monomial_exponents,
+from .basis import (QuadratureRule, _duffy_rule, _gauss, edge_reconstruction,
+                    gram, map_rule, monomial_derivatives, monomial_values,
                     n_poly, star_shaped, triangulate_stack)
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .mesh import GeometryStack, _row_sum, check_count, geometry_stacks, take
@@ -67,9 +66,10 @@ class ProjectorSet:
     ``PiNabla`` and ``Pi0k`` map onto degree-k coefficients, ``Pi0km1`` and
     the gradient pair onto degree-(k-1) coefficients.  ``D`` holds the DoFs
     of the monomials (one row per DoF) and ``H`` their mass matrix.
-    ``rule_values`` is the monomial table on the points of the quadrature
-    rule that built ``H``.  In an :class:`ElementStack` every array has a
-    leading row per shape class; :func:`projector_set` gives one element's.
+    ``rule_values`` is the table of ``basis.monomial_values`` on the points
+    of the quadrature rule that built ``H``.  In an :class:`ElementStack`
+    every array has a leading row per shape class; :func:`projector_set`
+    gives one element's.
     """
 
     k: int
@@ -317,12 +317,10 @@ def _projectors(geometry, k, rule):
     nd = element_layout(nv, k).n_dofs
     first_int = nd - nkm2
     area = geometry.area[:, None, None]
-    center, h = geometry.centroid, geometry.diameter
     lengths, normals = geometry.edge_lengths, geometry.edge_normals
     perimeter = _row_sum(lengths)[:, None]
-    exps = monomial_exponents(k)
 
-    rule_values = kernels.monomial_vandermonde(rule.points, center, h, exps)
+    rule_values = monomial_values(geometry, rule.points, k)
     H = gram(rule_values, rule.weights)
     Hm1 = H[:, :nkm1, :nkm1]
 
@@ -339,8 +337,7 @@ def _projectors(geometry, k, rule):
                 ).reshape(n_cells, nv * (k + 1), 2)
     wts = w_std * lengths[..., None] / 2
     traces = _trace_tables(nv, k)[np.arange(nv), forward.astype(np.intp)]
-    V = kernels.monomial_vandermonde(
-        np.concatenate([ring, edge_pts], axis=1), center, h, exps)
+    V = monomial_values(geometry, np.concatenate([ring, edge_pts], axis=1), k)
     V_edge = V[:, nv:].reshape(n_cells, nv, k + 1, nk)
 
     # DoFs of the monomials, one row per DoF.  Each per-edge product below
@@ -354,6 +351,7 @@ def _projectors(geometry, k, rule):
     D[:, nv:first_int] = (moment_rows / lengths[:, :, None, None]).reshape(
         n_cells, nv * (k - 1), nk)
     if nkm2:
+        # the internal-moment DoF basis is the computational basis
         D[:, first_int:] = H[:, :nkm2] / area
 
     # Moments (m, d v / dx) and (m, d v / dy), m in P_{k-1}, by parts:
@@ -363,14 +361,13 @@ def _projectors(geometry, k, rule):
     # and the energy projector's too: the gradient of a P_k monomial lies in
     # (P_{k-1})^2, so (grad m, grad v) = Dx^T rx + Dy^T ry, whose first row
     # the boundary-mean closure replaces.
-    hh = h[:, None, None]
-    Dx = derivative_table(k, 0) / hh
-    Dy = derivative_table(k, 1) / hh
+    Dx, Dy = monomial_derivatives(geometry, k)
     rx = np.zeros((n_cells, nkm1, nd))
     ry = np.zeros((n_cells, nkm1, nd))
     if nkm2:
-        rx[:, :, first_int:] -= area * _t(derivative_table(k - 1, 0) / hh)
-        ry[:, :, first_int:] -= area * _t(derivative_table(k - 1, 1) / hh)
+        # the internal-moment DoF basis is the computational basis
+        for r, d in zip((rx, ry), monomial_derivatives(geometry, k - 1)):
+            r[:, :, first_int:] -= area * _t(d)
     nx, ny = normals[..., 0, None, None], normals[..., 1, None, None]
     moment = _t(V_edge[..., :nkm1]) @ (wts[..., None] * traces)
     mean_dof = (wts[:, :, None, :] @ traces)[:, :, 0] / perimeter[:, None]
@@ -392,6 +389,7 @@ def _projectors(geometry, k, rule):
     # L2 projectors: exact moments up to k-2, energy-projected above.
     mu = np.zeros((n_cells, nk, nd))
     if nkm2:
+        # the internal-moment DoF basis is the computational basis
         mu[:, :nkm2, first_int:] = area * np.eye(nkm2)
     mu[:, nkm2:] = H[:, nkm2:] @ PiNabla
     Pi0k = _linalg(np.linalg.solve, "L2 projector mass", geometry, H, mu)
@@ -443,10 +441,9 @@ def _form_tables(geometry, proj, mode):
     P = Lt @ proj.Pi0km1
     grad = np.concatenate([Lt @ proj.Pi0GradX, Lt @ proj.Pi0GradY], axis=1)
     if mode == "grad_pinabla" and k > 1:
-        hh = geometry.diameter[:, None, None]
-        grad_a = np.concatenate(
-            [Lt @ ((derivative_table(k, 0) / hh) @ proj.PiNabla),
-             Lt @ ((derivative_table(k, 1) / hh) @ proj.PiNabla)], axis=1)
+        Dx, Dy = monomial_derivatives(geometry, k)
+        grad_a = np.concatenate([Lt @ (Dx @ proj.PiNabla),
+                                 Lt @ (Dy @ proj.PiNabla)], axis=1)
     else:
         grad_a = grad
     M = np.eye(nd) - proj.D @ proj.PiNabla
@@ -779,11 +776,9 @@ def internal_moments(geometry, k, v):
     cell's rule of degree :func:`smooth_rule_degree`; (C, n_poly(k - 2)).
     A ``v`` not finite in a cell gives it moments not finite, unwarned."""
     out = np.empty((len(geometry), n_poly(k - 2)))
-    exps = monomial_exponents(k - 2)
     for rows, tris in triangulate_stack(geometry):
         pts, wts = map_rule(tris, smooth_rule_degree(k))
-        V = kernels.monomial_vandermonde(pts, geometry.centroid[rows],
-                                         geometry.diameter[rows], exps)
+        V = monomial_values(take(geometry, rows), pts, k - 2)
         weighted = wts * _at("v", v, pts)
         with np.errstate(invalid="ignore"):
             out[rows] = ((weighted[:, None] @ V)[:, 0]

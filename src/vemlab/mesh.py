@@ -64,7 +64,12 @@ class PolyMesh:
         return self.edge_vertices.shape[0]
 
     def ring(self, c):
-        """Cell ``c``'s vertex ids, counterclockwise."""
+        """Cell ``c``'s vertex ids, counterclockwise.  A ``c`` that is not
+        an integer (not a boolean) with 0 <= c < ``num_cells`` raises a
+        ``ValueError`` naming the cell."""
+        check_count("cell", c)
+        if c >= self.num_cells:
+            raise ValueError(f"cell must be < {self.num_cells}, got {c}")
         return self.rings[self.offsets[c]:self.offsets[c + 1]]
 
     def ring_stacks(self):

@@ -11,13 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .assembly import build_dofmap
-from .basis import map_rule, monomial_exponents, n_poly
+from .basis import map_rule, monomial_values, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .local import ElementBank, _at, _check_finite, smooth_rule_degree
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
-from .mesh import element_geometry
+from .mesh import element_geometry, take
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,15 @@ class SolutionProjection:
 
     def cell_value(self, cell, points):
         """L2 projection on ``cell`` at ``points`` (n, 2), in the basis of
-        the cell's own geometry (its bank row's, bit for bit)."""
-        geom = element_geometry(self.bank.mesh, cell)
-        return kernels.monomial_vandermonde(
-            points, geom.centroid, geom.diameter,
-            monomial_exponents(self.bank.k)) @ self.coeffs[cell]
+        the cell's own geometry (its bank row's, bit for bit).  ``points``
+        that are not an (n, 2) real array raise ``ValueError`` naming
+        them."""
+        pts = np.asarray(points)
+        if pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must be an (n, 2) real array, got "
+                             f"dtype {pts.dtype} and shape {pts.shape}")
+        return monomial_values(element_geometry(self.bank.mesh, cell),
+                               pts, self.bank.k) @ self.coeffs[cell]
 
 
 def project_solution(bank, u):
@@ -145,7 +148,6 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
     cell pairs its class's table with the exact solution at its own points.
     """
     parts = np.empty((4, len(projection.coeffs)))
-    exps = monomial_exponents(projection.bank.k)
     nkm1 = n_poly(projection.bank.k - 1)
     seen = None
     for chunk in projection.bank.chunks:
@@ -157,8 +159,8 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
         _check_finite(geometry, p_ex=p_vals, grad_p_ex=g_vals)
         if chunk.operators is not seen:
             seen, n = chunk.operators, len(chunk.operators)
-            table = kernels.monomial_vandermonde(
-                pts[:n], geometry.centroid[:n], geometry.diameter[:n], exps)
+            table = monomial_values(take(geometry, slice(n)), pts[:n],
+                                    projection.bank.k)
         # a chunk whose cells are its group's classes, in order (every
         # Voronoi chunk), reads the table itself instead of a copy
         V = (table if np.array_equal(classes, np.arange(len(table)))

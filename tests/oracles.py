@@ -739,7 +739,8 @@ def monomial_values(geom, degree, points):
     """(n, n_poly(degree)) table of the scaled monomials of the one cell
     ``geom`` at ``points`` (n, 2), or one row at a point (2,): the
     ``vemlab.kernels.monomial_vandermonde`` call of
-    ``vemlab.postprocess.SolutionProjection.cell_value``."""
+    ``vemlab.basis.monomial_values``, restated here so the tests do not
+    read the basis map through the code they check."""
     from vemlab import kernels
     from vemlab.basis import monomial_exponents
 

@@ -1,15 +1,19 @@
 """Polynomial bases and quadrature: exactness, invariants, oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from vemlab import kernels
+from vemlab import basis, kernels
 from vemlab.basis import (derivative_table, edge_reconstruction, gram,
-                          map_rule, monomial_exponents, n_poly,
-                          polygon_quadrature, triangulate, triangulate_stack)
+                          map_rule, monomial_derivatives, monomial_exponents,
+                          n_poly, polygon_quadrature, triangulate,
+                          triangulate_stack)
 from vemlab.local import projector_set, shape_classes
 from vemlab.mesh import (MeshError, element_geometry, geometry_stacks,
-                         make_mesh, polygon_geometry, stack_geometry)
+                         make_mesh, polygon_geometry, stack_geometry, take)
 from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
                             square_mesh, voronoi_mesh)
 
@@ -103,6 +107,76 @@ class TestKernels:
                                                  diameter, exps)
             np.testing.assert_allclose(g, (plus - minus) / (2 * step),
                                        rtol=2e-6, atol=1e-7)
+
+
+def _concave_stack_and_points():
+    """The octagons of concave 3 x 3 and 7 points per cell around it."""
+    (stack,) = geometry_stacks(concave_mesh(3))
+    rng = np.random.default_rng(11)
+    pts = (stack.centroid[:, None]
+           + rng.uniform(-0.7, 0.7, (len(stack), 7, 2))
+           * stack.diameter[:, None, None])
+    return stack, pts
+
+
+class TestBasisMap:
+    @pytest.mark.parametrize("degree", range(-1, 5))
+    def test_values_are_the_kernel_table(self, degree):
+        stack, pts = _concave_stack_and_points()
+        exps = monomial_exponents(degree)
+        assert np.array_equal(
+            basis.monomial_values(stack, pts, degree),
+            kernels.monomial_vandermonde(pts, stack.centroid, stack.diameter,
+                                         exps))
+        for i in (0, 5):
+            assert np.array_equal(
+                basis.monomial_values(take(stack, i), pts[i], degree),
+                kernels.monomial_vandermonde(pts[i], stack.centroid[i],
+                                             stack.diameter[i], exps))
+
+    @pytest.mark.parametrize("degree", range(-1, 5))
+    def test_derivatives_are_the_scaled_tables(self, degree):
+        stack, _ = _concave_stack_and_points()
+        h = stack.diameter[:, None, None]
+        for axis, got in enumerate(monomial_derivatives(stack, degree)):
+            assert np.array_equal(got, derivative_table(degree, axis) / h)
+        for axis, got in enumerate(monomial_derivatives(take(stack, 2),
+                                                        degree)):
+            assert np.array_equal(
+                got, derivative_table(degree, axis) / stack.diameter[2])
+
+    @pytest.mark.parametrize("degree", range(0, 5))
+    def test_derivatives_map_values_onto_gradients(self, degree):
+        # the degree-(d-1) values times each derivative map, against the
+        # gradient kernel, within 1e-13 of its max-norm
+        stack, pts = _concave_stack_and_points()
+        lower = basis.monomial_values(stack, pts, degree - 1)
+        grads = kernels.monomial_vandermonde_grad(
+            pts, stack.centroid, stack.diameter, monomial_exponents(degree))
+        for D, g in zip(monomial_derivatives(stack, degree), grads):
+            assert np.abs(lower @ D - g).max() <= 1e-13 * max(
+                np.abs(g).max(), 1.0)
+
+    def test_only_basis_builds_the_basis(self):
+        # the evaluator and the derivative tables are named by basis (and
+        # kernels itself) alone, so a change of basis has one place to go
+        src = Path(__file__).resolve().parent.parent / "src"
+        owners = {src / "vemlab" / "basis.py",
+                  src / "vemlab" / "kernels" / "__init__.py"}
+        named = set()
+        for path in sorted(src.rglob("*.py")):
+            if path in owners:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ({node.id} if isinstance(node, ast.Name)
+                         else {node.attr} if isinstance(node, ast.Attribute)
+                         else {a.name for a in node.names}
+                         if isinstance(node, (ast.Import, ast.ImportFrom))
+                         else set())
+                for name in names & {"monomial_vandermonde",
+                                     "derivative_table"}:
+                    named.add(f"{path.relative_to(src)}: {name}")
+        assert not named, sorted(named)
 
 
 class TestPolygonQuadrature:

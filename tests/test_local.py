@@ -315,6 +315,25 @@ class TestKernelCalls:
         local_system(geom, k, coeffs, mode=mode)
         assert 0 < len(calls) <= 2
 
+    @pytest.mark.parametrize("stage", ["interpolate", "error_norms",
+                                       "cell_value"])
+    def test_post_solve_tables_go_through_the_kernel(self, stage,
+                                                      monkeypatch):
+        # the internal moments, the error norms and cell_value take their
+        # tables from basis.monomial_values, which calls the evaluator
+        # through the module attribute that perfbench times
+        mesh, prob = concave_mesh(3), builtin_problem()
+        u = interpolate(mesh, 2, prob.p_ex)
+        proj = project_solution(element_bank(mesh, 2), u)
+        calls = self._counted_calls(monkeypatch)
+        if stage == "interpolate":
+            interpolate(mesh, 2, prob.p_ex)
+        elif stage == "error_norms":
+            error_norms(proj, prob.p_ex, prob.grad_p_ex)
+        else:
+            proj.cell_value(4, mesh.vertices[mesh.ring(4)])
+        assert calls.count("monomial_vandermonde") > 0
+
 
 class TestPi0:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

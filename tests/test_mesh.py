@@ -288,6 +288,22 @@ class TestElementGeometry:
                 polygon_geometry(coords),
                 take(stack_geometry(coords[None], forward[None]), 0))
 
+    @pytest.mark.parametrize("cell", [-16, -1, 16, 2.0, True],
+                             ids=["minus16", "minus1", "16", "float", "bool"])
+    def test_ring_names_a_cell_out_of_range(self, cell):
+        # a negative index must not wrap round to another cell's ring (or
+        # an empty one), and the error names the cell, not NumPy's indexing
+        mesh = square_mesh(4)
+        for gather in (mesh.ring, lambda c: element_geometry(mesh, c)):
+            with pytest.raises(ValueError, match="cell must be"):
+                gather(cell)
+
+    def test_ring_takes_a_numpy_integer(self):
+        mesh = square_mesh(4)
+        assert np.array_equal(mesh.ring(np.int64(3)), mesh.ring(3))
+        _assert_same_record(element_geometry(mesh, np.int64(3)),
+                            element_geometry(mesh, 3))
+
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_diameters_work_in_ring_sized_temporaries(self, n):

@@ -368,6 +368,19 @@ class TestPointError:
                 seen += 1
         assert seen == mesh.num_cells
 
+    @pytest.mark.parametrize("points", [
+        np.array([[0.4, 0.5, 7.0]]), np.array([0.4, 0.5]),
+        np.zeros((1, 2, 1)), np.array([["0.4", "0.5"]]),
+        np.array([[0.4 + 0j, 0.5]])],
+        ids=["three_columns", "one_point", "three_axes", "strings",
+             "complex"])
+    def test_cell_value_names_points_of_the_wrong_shape(self, points):
+        # a third column must not be dropped in silence
+        proj = project_solution(element_bank(LLOYD, 2),
+                                interpolate(LLOYD, 2, builtin_problem().p_ex))
+        with pytest.raises(ValueError, match="points must be an"):
+            proj.cell_value(3, points)
+
     def test_constant_solution(self):
         prob = constant_problem(value=2.0, gamma=0.6)
         u = _solve_problem(LLOYD, 2, prob)
