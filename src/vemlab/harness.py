@@ -16,6 +16,7 @@ import math
 import multiprocessing
 import os
 import sys
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .assembly import SolveError, apply_dirichlet, assemble, build_dofmap, solve
 from .local import check_degree, check_mode
-from .mesh import MeshError, check_count, max_diameter
+from .mesh import MeshError, PolyMesh, check_count, max_diameter
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 from .meshgen import GeneratorSpec, generate
 from .postprocess import (ErrorRecord, convergence_rates, error_norms,
@@ -194,11 +195,30 @@ def _run_jobs_in_workers(jobs, n_workers, config, problem, meshes):
             raise
 
 
+def _check_meshes(meshes, jobs):
+    """Raise a ``ValueError`` unless ``meshes`` is ``None`` or maps jobs of
+    the sweep, ``(family, size)`` pairs, to :class:`PolyMesh` records."""
+    if meshes is None:
+        return
+    if not isinstance(meshes, Mapping):
+        raise ValueError("meshes must map (family, size) to a mesh, got type "
+                         f"{type(meshes).__name__}")
+    for key, mesh in meshes.items():
+        if key not in jobs:
+            raise ValueError(f"meshes key {key!r} is no (family, size) of "
+                             "the sweep")
+        if not isinstance(mesh, PolyMesh):
+            raise ValueError(f"meshes[{key!r}] is not a PolyMesh, got type "
+                             f"{type(mesh).__name__}")
+
+
 def run_experiment(config, problem=None, meshes=None):
     """Run the sweep; returns ``{(family, k, mode): ConvergenceReport}``.
 
     ``meshes`` can inject pre-built meshes as ``{(family, size): mesh}``
-    (any missing entry is generated from the config seed).  When
+    (any missing entry is generated from the config seed); a key that is
+    no job of the sweep, or a value that is not a :class:`PolyMesh`,
+    raises a ``ValueError`` before any mesh is solved.  When
     ``config.out`` is set the CSV/plot files are written as a side effect.
 
     With more than one mesh and more than one usable CPU on Linux
@@ -209,6 +229,7 @@ def run_experiment(config, problem=None, meshes=None):
     problem = builtin_problem() if problem is None else problem
     jobs = [(family, size) for family in config.families
             for size in config.sizes]
+    _check_meshes(meshes, jobs)
     n_workers = _n_workers(len(jobs))
     if n_workers > 1:
         solved = _run_jobs_in_workers(jobs, n_workers, config, problem,

@@ -27,7 +27,8 @@ from .basis import (QuadratureRule, _duffy_rule, _gauss, edge_reconstruction,
                     gram, map_rule, monomial_derivatives, monomial_values,
                     n_poly, star_shaped, triangulate_stack)
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .mesh import GeometryStack, _row_sum, check_count, geometry_stacks, take
+from .mesh import (GeometryStack, _holds_bool, _row_sum, check_count,
+                   geometry_stacks, take)
 
 
 @dataclass(frozen=True)
@@ -135,24 +136,22 @@ class Coefficients:
 
     @staticmethod
     def constant(kappa=1.0, b=(0.0, 0.0), gamma=0.0, f=0.0):
-        kap = np.asarray(kappa, dtype=float)
+        kap = _real("kappa", kappa)
         if kap.ndim == 0:
             kap = float(kap) * np.eye(2)
         if kap.shape != (2, 2) or not np.allclose(kap, kap.T):
             raise ValueError("constant kappa must be a scalar or symmetric 2x2")
-        bvec = np.asarray(b, dtype=float)
+        bvec = _real("b", b)
         if bvec.shape not in ((), (2,)):
             raise ValueError("constant b must be a scalar or a 2-vector, "
                              f"got shape {bvec.shape}")
-        for name, value in (("gamma", gamma), ("f", f)):
-            if np.shape(value) or np.asarray(value).dtype.kind not in "biuf":
-                raise ValueError(f"constant {name} must be a real scalar, "
-                                 f"got {value!r}")
+        g, s = (float(_real(name, value, scalar=True))
+                for name, value in (("gamma", gamma), ("f", f)))
         return Coefficients(
             kappa=lambda x, y: kap,
             b=lambda x, y: bvec,
-            gamma=lambda x, y, g=float(gamma): np.full(np.shape(x), g),
-            f=lambda x, y, s=float(f): np.full(np.shape(x), s))
+            gamma=lambda x, y: np.full(np.shape(x), g),
+            f=lambda x, y: np.full(np.shape(x), s))
 
     def kappa_at(self, pts):
         return _at("kappa", self.kappa, pts, (2, 2))
@@ -165,6 +164,18 @@ class Coefficients:
 
     def f_at(self, pts):
         return _at("f", self.f, pts, ())
+
+
+def _real(name, value, scalar=False):
+    """``value`` as a float array; a ValueError names ``name`` unless it
+    holds only real numbers (a boolean at any depth or a string is not
+    one) and, when ``scalar``, is one."""
+    arr = np.asarray(value)
+    if (arr.dtype.kind not in "iuf" or _holds_bool(value)
+            or scalar and arr.ndim):
+        what = "a real scalar" if scalar else "real"
+        raise ValueError(f"constant {name} must be {what}, got {value!r}")
+    return arr.astype(float)
 
 
 def _at(name, fn, pts, shape=()):

@@ -99,14 +99,11 @@ class RegularityReport:
 
 
 def polygon_area_centroid(coords):
-    """Signed area and area centroid of a polygon given by its ring."""
-    x, y = coords[:, 0], coords[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return area, np.array([cx, cy])
+    """Signed area and area centroid of a polygon given by its ring: row 0
+    of :func:`stack_geometry`."""
+    geom = stack_geometry(np.asarray(coords, dtype=float)[None],
+                          np.ones((1, len(coords)), dtype=bool))
+    return geom.area[0], geom.centroid[0]
 
 
 def _diameters(coords):

@@ -44,6 +44,8 @@ first iteration's.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 from scipy.spatial import Voronoi  # noqa: F401  (perfbench/spans.py hook target)
 
@@ -613,25 +615,18 @@ def _mesh_from_rings(flat, sizes, coords):
     compact ids, and validate.
 
     Vertices closer than ``_WELD_TOL`` are joined transitively; each group
-    takes the id of its lowest vertex, and the groups are numbered in that
-    order.  Consecutive repeats left in a ring by the weld are dropped.
+    takes the coordinates of its lowest vertex, and the groups are numbered
+    in that order (``connected_components`` numbers them so).  Consecutive
+    repeats left in a ring by the weld are dropped.
     """
     used, local = np.unique(flat, return_inverse=True)
-    # min-label propagation over the close pairs, with pointer jumping:
-    # each label ends at the lowest index of its group
-    label = np.arange(len(used))
+    n = len(used)
     pairs = cKDTree(coords[used]).query_pairs(_WELD_TOL, output_type="ndarray")
-    while len(pairs):
-        low = np.minimum(label[pairs[:, 0]], label[pairs[:, 1]])
-        new = label.copy()
-        np.minimum.at(new, pairs[:, 0], low)
-        np.minimum.at(new, pairs[:, 1], low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    reps = np.unique(label)
-    mapped = np.searchsorted(reps, label)[local]
+    _, label = connected_components(
+        coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)),
+        directed=False)
+    reps = np.unique(label, return_index=True)[1]
+    mapped = label.astype(int)[local]
     # drop each vertex equal to its predecessor in its ring
     starts = np.cumsum(sizes) - sizes
     prev = np.arange(-1, len(flat) - 1)

@@ -5,11 +5,12 @@ reaction, source) with the exact solution and its gradient, so convergence
 studies and patch tests can measure errors without re-deriving anything.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .local import Coefficients, check_degree
+from .local import Coefficients, _real, check_degree
 
 TWO_PI = 2.0 * np.pi
 
@@ -102,42 +103,45 @@ def builtin_problem():
                        p_ex=p, grad_p_ex=grad)
 
 
-# Full-degree polynomial solutions with their derivative closures, used to
-# manufacture constant-coefficient patch problems.
+# Full-degree polynomial exact solutions of the patch problems, as
+# coefficient tables: entry [i, j] multiplies x^i y^j.
 _POLY_SOLUTIONS = {
-    1: {
-        "p": lambda x, y: 1 + 2 * x - 3 * y,
-        "grad": (lambda x, y: np.full(np.shape(x), 2.0),
-                 lambda x, y: np.full(np.shape(x), -3.0)),
-        "hess": (lambda x, y: np.zeros(np.shape(x)),
-                 lambda x, y: np.zeros(np.shape(x)),
-                 lambda x, y: np.zeros(np.shape(x))),
-    },
-    2: {
-        "p": lambda x, y: x ** 2 + x * y - y ** 2 + x + 2,
-        "grad": (lambda x, y: 2 * x + y + 1,
-                 lambda x, y: x - 2 * y),
-        "hess": (lambda x, y: np.full(np.shape(x), 2.0),
-                 lambda x, y: np.full(np.shape(x), 1.0),
-                 lambda x, y: np.full(np.shape(x), -2.0)),
-    },
-    3: {
-        "p": lambda x, y: x ** 3 - 2 * x * y ** 2 + y ** 3 + x ** 2 - y + 1,
-        "grad": (lambda x, y: 3 * x ** 2 - 2 * y ** 2 + 2 * x,
-                 lambda x, y: -4 * x * y + 3 * y ** 2 - 1),
-        "hess": (lambda x, y: 6 * x + 2,
-                 lambda x, y: -4 * y + 0.0 * x,
-                 lambda x, y: -4 * x + 6 * y),
-    },
-    4: {
-        "p": lambda x, y: x ** 4 + x ** 2 * y ** 2 - y ** 4 + x ** 3 - x * y + 2,
-        "grad": (lambda x, y: 4 * x ** 3 + 2 * x * y ** 2 + 3 * x ** 2 - y,
-                 lambda x, y: 2 * x ** 2 * y - 4 * y ** 3 - x),
-        "hess": (lambda x, y: 12 * x ** 2 + 2 * y ** 2 + 6 * x,
-                 lambda x, y: 4 * x * y - 1,
-                 lambda x, y: 2 * x ** 2 - 12 * y ** 2),
-    },
+    1: [[1, -3], [2, 0]],                      # 1 + 2x - 3y
+    2: [[2, 0, -1], [1, 1, 0], [1, 0, 0]],     # x^2 + xy - y^2 + x + 2
+    # x^3 - 2xy^2 + y^3 + x^2 - y + 1
+    3: [[1, -1, 0, 1], [0, 0, -2, 0], [1, 0, 0, 0], [1, 0, 0, 0]],
+    # x^4 + x^2y^2 - y^4 + x^3 - xy + 2
+    4: [[2, 0, 0, 0, -1], [0, -1, 0, 0, 0], [0, 0, 1, 0, 0],
+        [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]],
 }
+
+
+def _polynomial(table):
+    """The polynomial of coefficient ``table`` as a function of (x, y)."""
+    def value(x, y):
+        return P.polyval2d(*np.broadcast_arrays(x, y), table)
+    return value
+
+
+def _patch_problem(name, table, kappa, gamma=0.0):
+    """Problem with constant ``kappa`` and ``gamma``, no advection, and the
+    exact solution p of coefficient ``table`` (entry [i, j] multiplies
+    x^i y^j): f = -kappa : hess p + gamma p."""
+    base = Coefficients.constant(kappa=kappa, gamma=gamma)
+    K, g = base.kappa(0.0, 0.0), float(gamma)
+    c = np.asarray(table, dtype=float)
+
+    def der(nx, ny):
+        d = P.polyder(P.polyder(c, nx, axis=0), ny, axis=1)
+        return np.pad(d, [(0, n - m) for n, m in zip(c.shape, d.shape)])
+
+    source = g * c - (K[0, 0] * der(2, 0) + (K[0, 1] + K[1, 0]) * der(1, 1)
+                      + K[1, 1] * der(0, 2))
+    px, py = _polynomial(der(1, 0)), _polynomial(der(0, 1))
+    return TestProblem(
+        name=name, coefficients=replace(base, f=_polynomial(source)),
+        p_ex=_polynomial(c),
+        grad_p_ex=lambda x, y: np.stack([px(x, y), py(x, y)], axis=-1))
 
 
 def polynomial_problem(k, kappa=((2.0, 0.5), (0.5, 1.5))):
@@ -146,35 +150,10 @@ def polynomial_problem(k, kappa=((2.0, 0.5), (0.5, 1.5))):
     check_degree(k)
     if k not in _POLY_SOLUTIONS:
         raise ValueError(f"polynomial solutions cover k = 1..4, got {k}")
-    data = _POLY_SOLUTIONS[k]
-    K = np.asarray(kappa, dtype=float)
-    if K.ndim == 0:
-        K = float(K) * np.eye(2)
-    px, py = data["grad"]
-    pxx, pxy, pyy = data["hess"]
-
-    def f(x, y):
-        return -(K[0, 0] * pxx(x, y) + (K[0, 1] + K[1, 0]) * pxy(x, y)
-                 + K[1, 1] * pyy(x, y))
-
-    base = Coefficients.constant(kappa=K)
-    coeffs = Coefficients(kappa=base.kappa, b=base.b, gamma=base.gamma, f=f)
-
-    def grad(x, y):
-        return np.stack([np.broadcast_to(px(x, y), np.shape(x)),
-                         np.broadcast_to(py(x, y), np.shape(x))], axis=-1)
-
-    return TestProblem(name=f"poly-degree-{k}", coefficients=coeffs,
-                       p_ex=data["p"], grad_p_ex=grad)
+    return _patch_problem(f"poly-degree-{k}", _POLY_SOLUTIONS[k], kappa)
 
 
 def constant_problem(value=2.0, gamma=1.0, kappa=1.0):
     """Problem whose exact solution is a constant: f = gamma * value."""
-    coeffs = Coefficients.constant(kappa=kappa, gamma=gamma,
-                                   f=gamma * value)
-    val = float(value)
-    return TestProblem(
-        name="constant",
-        coefficients=coeffs,
-        p_ex=lambda x, y: np.full(np.shape(x), val),
-        grad_p_ex=lambda x, y: np.zeros(np.shape(x) + (2,)))
+    return _patch_problem("constant", [[_real("value", value, scalar=True)]],
+                          kappa, gamma)

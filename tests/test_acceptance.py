@@ -60,8 +60,10 @@ class SweepCache:
             config = ExperimentConfig(k=k, families=(family,),
                                       sizes=DEFAULT_SIZES, mode=mode, seed=0)
             t0 = time.perf_counter()
+            meshes = {(family, s): self.meshes[family, s]
+                      for s in DEFAULT_SIZES}
             rep = run_experiment(config, problem=self.problem,
-                                 meshes=self.meshes)[key]
+                                 meshes=meshes)[key]
             self.runs[key] = (rep, time.perf_counter() - t0)
         return self.runs[key][0]
 

@@ -28,6 +28,22 @@ from oracles import (cell_rings, element_geometry_per_cell,
                      entry_representatives)
 
 
+#: ``meshes=`` arguments that name no mesh of a sweep of ("square", 4) and
+#: ("square", 9), each with its error message
+_BAD_MESHES = [
+    ({("square", 16): square_mesh(3)},
+     r"^meshes key \('square', 16\) is no \(family, size\) of the sweep$"),
+    ({("lloyd0", 4): square_mesh(2)},
+     r"^meshes key \('lloyd0', 4\) is no \(family, size\) of the sweep$"),
+    ({"square": square_mesh(2)},
+     r"^meshes key 'square' is no \(family, size\) of the sweep$"),
+    ([square_mesh(2)],
+     r"^meshes must map \(family, size\) to a mesh, got type list$"),
+    ({("square", 4): square_mesh(2).vertices},
+     r"^meshes\[\('square', 4\)\] is not a PolyMesh, got type ndarray$"),
+]
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -180,6 +196,16 @@ class TestRunExperiment:
         reports = run_experiment(config, meshes={("square", 9): square_mesh(2)})
         record = reports[("square", 1, "standard")].records[0]
         assert record.n_cells == 4
+
+    def test_bad_meshes_rejected_before_any_mesh(self, monkeypatch):
+        # a key outside the sweep used to be dropped, its mesh never solved,
+        # and a list or a value that is not a mesh ended in AttributeError
+        config = ExperimentConfig(k=1, families=("square",), sizes=(4,))
+        monkeypatch.setattr(harness, "generate", None)
+        monkeypatch.setattr(harness, "_run_single", None)
+        for meshes, message in _BAD_MESHES:
+            with pytest.raises(ValueError, match=message):
+                run_experiment(config, meshes=meshes)
 
     def test_relative_error_against_a_zero_norm_raises(self):
         # the gradient of a constant has norm 0: err_H1_rel used to read
@@ -452,6 +478,15 @@ class TestParallelSweep:
         with multiprocessing.get_context("fork").Pool(1) as pool:
             n_cells = pool.apply_async(_sweep_n_cells).get(timeout=120)
         assert n_cells == _sweep_n_cells()
+
+    def test_bad_meshes_rejected_before_any_worker(self, monkeypatch):
+        config = ExperimentConfig(k=1, families=("square",), sizes=(4, 9))
+        monkeypatch.setattr(harness, "_n_workers", lambda n_jobs: 2)
+        monkeypatch.setattr(harness, "generate", None)
+        for meshes, message in _BAD_MESHES:
+            with pytest.raises(ValueError, match=message):
+                run_experiment(config, meshes=meshes)
+            assert multiprocessing.active_children() == []
 
     def test_first_failing_mesh_in_sweep_order_raises(self):
         # two injected meshes lie off the unit square, where the problem

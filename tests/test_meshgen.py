@@ -704,6 +704,22 @@ def test_weld_matches_union_find_oracle(source):
                       mesh_from_rings_union_find(flat, sizes, coords))
 
 
+def test_weld_joins_a_chain_through_its_middle_vertex():
+    # the centre of the square is three vertices, 0.8 _WELD_TOL apart in a
+    # row: the ends (ids 0 and 5) are 1.6 _WELD_TOL apart and join only
+    # through the middle one (id 6), the group's highest id
+    step = 0.8 * _WELD_TOL
+    coords = np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                       [0.0, 1.0], [0.5 + 2 * step, 0.5], [0.5 + step, 0.5]])
+    flat = np.array([1, 2, 0, 2, 3, 6, 3, 4, 5, 4, 1, 6])
+    sizes = np.full(4, 3)
+    assert len(cKDTree(coords).query_pairs(_WELD_TOL)) == 2
+    mesh = _mesh_from_rings(flat, sizes, coords)
+    assert mesh.num_vertices == 5
+    assert np.array_equal(mesh.vertices[0], [0.5, 0.5])
+    _assert_same_mesh(mesh, mesh_from_rings_union_find(flat, sizes, coords))
+
+
 def test_weld_names_a_collapsed_cell():
     # vertices 1 and 2 of cell 1 weld into one, leaving it two vertices
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],

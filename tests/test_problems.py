@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from vemlab.problems import builtin_problem, constant_problem, polynomial_problem
+from vemlab.local import Coefficients
+from vemlab.problems import (_POLY_SOLUTIONS, builtin_problem,
+                             constant_problem, polynomial_problem)
 
 from oracles import fd_gradient
 
@@ -127,6 +129,22 @@ class TestPolynomialProblems:
         assert not prob.coefficients.b_at(pts).any()
         assert not prob.coefficients.gamma_at(pts).any()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_solution_has_total_degree_k(self, k):
+        # the patch test of degree k tests nothing of degree k otherwise
+        i, j = np.nonzero(_POLY_SOLUTIONS[k])
+        assert (i + j).max() == k
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_scalar_y_with_array_x(self, k):
+        prob = polynomial_problem(k)
+        x = np.linspace(0.1, 0.9, 5)
+        y = np.full(5, 0.3)
+        assert np.array_equal(prob.p_ex(x, 0.3), prob.p_ex(x, y))
+        assert np.array_equal(prob.grad_p_ex(x, 0.3), prob.grad_p_ex(x, y))
+        assert np.array_equal(prob.f(x, 0.3), prob.f(x, y))
+        assert prob.grad_p_ex(x, 0.3).shape == (5, 2)
+
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
             polynomial_problem(5)
@@ -145,3 +163,46 @@ class TestConstantProblem:
         np.testing.assert_array_equal(prob.p_ex(x, x), np.full(5, 2.0))
         np.testing.assert_array_equal(prob.f(x, x), np.full(5, 1.0))
         assert not prob.grad_p_ex(x, x).any()
+
+    def test_tensor_kappa(self):
+        # f = gamma * value exactly and grad p = 0, whatever kappa is
+        prob = constant_problem(value=3.0, gamma=0.7,
+                                kappa=[[2.0, 0.3], [0.3, 1.0]])
+        x, y = np.random.default_rng(5).uniform(0, 1, size=(2, 50))
+        assert np.array_equal(prob.f(x, y), np.full(50, 0.7 * 3.0))
+        assert np.array_equal(prob.p_ex(x, y), np.full(50, 3.0))
+        assert np.array_equal(prob.grad_p_ex(x, y), np.zeros((50, 2)))
+
+
+class TestConstantCoefficients:
+    # booleans and strings used to pass: kappa=True gave I, b=True (1, 1),
+    # gamma=True 1.0 and kappa="2" 2I
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", True), ("kappa", "2"), ("kappa", [[True, 0], [0, 1]]),
+        ("b", True), ("b", ["1", "2"]), ("b", (1.0, False)),
+        ("gamma", True), ("f", True), ("f", "1"),
+    ])
+    def test_boolean_or_string_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^constant {field} must be "):
+            Coefficients.constant(**{field: value})
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: polynomial_problem(2, kappa=True), "kappa"),
+        (lambda: constant_problem(value=True), "value"),
+        (lambda: constant_problem(value="2"), "value"),
+        (lambda: constant_problem(value=(1.0, 2.0)), "value"),
+        (lambda: constant_problem(gamma=True), "gamma"),
+        (lambda: constant_problem(kappa=True), "kappa"),
+    ], ids=["poly-kappa", "value-bool", "value-str", "value-pair", "gamma",
+            "kappa"])
+    def test_problem_data_are_checked(self, make, field):
+        with pytest.raises(ValueError, match=f"^constant {field} must be "):
+            make()
+
+    def test_numbers_pass(self):
+        coeffs = Coefficients.constant(kappa=np.int64(2), b=[1, 0],
+                                       gamma=np.float32(0.5), f=3)
+        pts = np.zeros((1, 2))
+        assert np.array_equal(coeffs.kappa_at(pts)[0], 2.0 * np.eye(2))
+        assert np.array_equal(coeffs.b_at(pts)[0], [1.0, 0.0])
+        assert coeffs.gamma_at(pts)[0] == 0.5 and coeffs.f_at(pts)[0] == 3.0
