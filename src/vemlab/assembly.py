@@ -24,7 +24,7 @@ from .basis import n_poly
 from .local import (ElementBank, _linalg, check_degree, internal_moments,
                     mesh_elements, skeleton_dofs)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
-from .mesh import geometry_stacks
+from .mesh import _real, geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
 
@@ -256,8 +256,8 @@ def assemble(mesh, k, coeffs, mode="standard"):
 
 
 def apply_dirichlet(system, g):
-    """Install Dirichlet data ``g`` (callable or constant) into ``system``,
-    on the boundary of its mesh, ``system.bank.mesh``.
+    """Install Dirichlet data ``g`` (a callable or a real scalar) into
+    ``system``, on the boundary of its mesh, ``system.bank.mesh``.
 
     Boundary vertex DoFs take point values of ``g``; boundary edge DoFs take
     the same normalized line moments used when interpolating a smooth
@@ -265,7 +265,8 @@ def apply_dirichlet(system, g):
     Returns ``system`` with ``lifting`` and ``rhs`` updated.
     """
     dofmap, mesh = system.dofmap, system.bank.mesh
-    gv = g if callable(g) else (lambda x, y, c=float(g): c)
+    gv = g if callable(g) else (
+        lambda x, y, c=_real(g, "g", "callable or a real scalar", ()): c)
 
     # in the order of dofmap.boundary_dofs
     values, moments = skeleton_dofs(

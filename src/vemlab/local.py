@@ -27,7 +27,7 @@ from .basis import (QuadratureRule, _duffy_rule, _gauss, edge_reconstruction,
                     gram, map_rule, monomial_derivatives, monomial_values,
                     n_poly, star_shaped, triangulate_stack)
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
-from .mesh import (GeometryStack, _holds_bool, _row_sum, check_count,
+from .mesh import (GeometryStack, _real, _row_sum, check_count,
                    geometry_stacks, take)
 
 
@@ -136,16 +136,19 @@ class Coefficients:
 
     @staticmethod
     def constant(kappa=1.0, b=(0.0, 0.0), gamma=0.0, f=0.0):
-        kap = _real("kappa", kappa)
-        if kap.ndim == 0:
-            kap = float(kap) * np.eye(2)
-        if kap.shape != (2, 2) or not np.allclose(kap, kap.T):
-            raise ValueError("constant kappa must be a scalar or symmetric 2x2")
-        bvec = _real("b", b)
+        kap = _real(kappa, "constant kappa", "real")
+        kap = kap * np.eye(2) if kap.ndim == 0 else kap
+        if kap.shape != (2, 2):
+            raise ValueError("constant kappa must be a scalar or 2x2, got "
+                             f"shape {kap.shape}")
+        for what, bad in _not_spd(kap).items():
+            if bad:
+                raise ValueError(f"constant kappa is not {what}")
+        bvec = _real(b, "constant b", "real")
         if bvec.shape not in ((), (2,)):
             raise ValueError("constant b must be a scalar or a 2-vector, "
                              f"got shape {bvec.shape}")
-        g, s = (float(_real(name, value, scalar=True))
+        g, s = (float(_real(value, f"constant {name}", "a real scalar", ()))
                 for name, value in (("gamma", gamma), ("f", f)))
         return Coefficients(
             kappa=lambda x, y: kap,
@@ -164,18 +167,6 @@ class Coefficients:
 
     def f_at(self, pts):
         return _at("f", self.f, pts, ())
-
-
-def _real(name, value, scalar=False):
-    """``value`` as a float array; a ValueError names ``name`` unless it
-    holds only real numbers (a boolean at any depth or a string is not
-    one) and, when ``scalar``, is one."""
-    arr = np.asarray(value)
-    if (arr.dtype.kind not in "iuf" or _holds_bool(value)
-            or scalar and arr.ndim):
-        what = "a real scalar" if scalar else "real"
-        raise ValueError(f"constant {name} must be {what}, got {value!r}")
-    return arr.astype(float)
 
 
 def _at(name, fn, pts, shape=()):
@@ -272,14 +263,18 @@ def _check_finite(geometry, **fields):
                              "not finite at a quadrature point")
 
 
+def _not_spd(kap):
+    """Where the 2x2 matrices ``kap`` (..., 2, 2) are not symmetric, and
+    where not positive definite, keyed by what they are not."""
+    (k00, k01), (k10, k11) = np.moveaxis(kap, (-2, -1), (0, 1))
+    return {"symmetric": abs(k01 - k10) > 1e-12 * (abs(k00) + abs(k11)),
+            "positive definite": ~((k00 > 0) & (k00 * k11 - k01 * k10 > 0))}
+
+
 def _check_kappa(kap, geometry):
     """Raise ValueError unless kappa is symmetric positive definite at every
     quadrature point of the stack (kap has shape (C, Q, 2, 2))."""
-    k00, k01 = kap[..., 0, 0], kap[..., 0, 1]
-    k10, k11 = kap[..., 1, 0], kap[..., 1, 1]
-    asym = np.abs(k01 - k10) > 1e-12 * (np.abs(k00) + np.abs(k11))
-    indefinite = ~((k00 > 0) & (k00 * k11 - k01 * k10 > 0))
-    for bad, what in ((asym, "symmetric"), (indefinite, "positive definite")):
+    for what, bad in _not_spd(kap).items():
         if bad.any():
             i = np.flatnonzero(bad.any(axis=1))[0]
             raise ValueError(f"{geometry.label(i)}: kappa is not {what} at a "

@@ -7,6 +7,7 @@ with "vertices", "cells" and optional "boundary_vertices" keys.
 """
 
 import json
+import reprlib
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations, islice
 from math import comb
@@ -158,8 +159,6 @@ def _flat_mesh(vertices, rings, offsets):
     """:func:`make_mesh` of a vertex table and flat rings, cell ``c``'s
     vertex ids being ``rings[offsets[c]:offsets[c + 1]]``."""
     vertices = _entries(vertices, "vertex table", "iuf")
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise MeshError("vertex table must have shape (N, 2)")
     if not np.all(np.isfinite(vertices)):
         raise MeshError("vertex table contains non-finite coordinates")
     n_vert = vertices.shape[0]
@@ -176,10 +175,10 @@ def _flat_mesh(vertices, rings, offsets):
 
 
 def _entries(values, what, kinds="iu"):
-    """``values`` as a flat int array of vertex ids (a float array when
-    ``kinds`` is "iuf"); :class:`MeshError` naming ``what`` when it is
-    ragged, holds an entry that is not an integer (not a number), a boolean
-    at any depth being neither, or, for ids, is not flat."""
+    """``values`` as a flat int array of vertex ids (an (n, 2) float array
+    of points when ``kinds`` is "iuf"); :class:`MeshError` naming ``what``
+    when it is ragged, holds an entry that is not an integer (not a
+    number), a boolean at any depth being neither, or has another shape."""
     try:
         out = np.asarray(values)
     except ValueError as exc:
@@ -187,11 +186,34 @@ def _entries(values, what, kinds="iu"):
     if out.size and (out.dtype.kind not in kinds or _holds_bool(values)):
         kind = "an integer" if kinds == "iu" else "a number"
         raise MeshError(f"{what} holds an entry that is not {kind}")
-    if kinds == "iuf":
-        return out.astype(float, copy=False)
-    if out.ndim != 1:
+    if kinds == "iu" and out.ndim != 1:
         raise MeshError(f"{what} is not a flat list of vertex ids")
-    return out.astype(int, copy=False)
+    if kinds == "iuf" and (out.ndim != 2 or out.shape[1] != 2):
+        raise MeshError(f"{what} must be an (n, 2) array of points, got "
+                        f"shape {out.shape}")
+    return out.astype(int if kinds == "iu" else float, copy=False)
+
+
+def _real(values, name, what, shape=None):
+    """``values`` as a finite float array; a ``ValueError`` starting with
+    ``name`` when it is ragged, is not ``what``: real numbers (no boolean at
+    any depth, no string) of ``shape`` (-1: any length; ``None``: any), or
+    is not finite, naming its first such entry."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise ValueError(f"{name} is ragged") from exc
+    real = arr.dtype.kind in "iuf" and not _holds_bool(values)
+    if not real or shape is not None and (arr.ndim != len(shape) or any(
+            n not in (-1, m) for n, m in zip(shape, arr.shape))):
+        got = (reprlib.repr(values) if not isinstance(values, np.ndarray)
+               else f"shape {arr.shape}" if real else f"dtype {arr.dtype}")
+        raise ValueError(f"{name} must be {what}, got {got}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise ValueError(f"{name}{bad[0].tolist() if arr.ndim else ''} is "
+                         "not finite")
+    return arr.astype(float)
 
 
 def _holds_bool(values):
@@ -312,7 +334,7 @@ def polygon_geometry(coords, forward=None):
     Without mesh context every edge is taken in ring direction
     (``forward=True``) unless explicit flags are given.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords = _entries(coords, "coords", "iuf")
     if forward is None:
         forward = np.ones(coords.shape[0], dtype=bool)
     geometry = stack_geometry(coords[None], np.asarray(forward)[None])

@@ -49,7 +49,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 from scipy.spatial import Voronoi  # noqa: F401  (perfbench/spans.py hook target)
 
-from .mesh import MeshError, _flat_mesh, check_count, first_seen
+from .mesh import MeshError, _entries, _flat_mesh, check_count, first_seen
 from .mesh import polygon_area_centroid  # noqa: F401  (perfbench/spans.py hook target)
 
 #: interior points of the splitting polyline for the concave family, in
@@ -212,10 +212,7 @@ def lloyd_relax(seeds, iterations):
     that no mirror image of a seed is nearer to the square than the seed.
     """
     check_count("iterations", iterations)
-    seeds = np.asarray(seeds, dtype=float)
-    if seeds.ndim != 2 or seeds.shape[1] != 2:
-        raise MeshError(f"seeds must be an (n, 2) array of points, got shape "
-                        f"{seeds.shape}")
+    seeds = _entries(seeds, "seeds", "iuf")
     closed = np.all((seeds >= 0.0) & (seeds <= 1.0), axis=1)
     bad = np.flatnonzero(~np.all((seeds > 0.0) & (seeds < 1.0), axis=1))
     if bad.size:

@@ -16,7 +16,7 @@ from .basis import map_rule, monomial_values, n_poly
 from .basis import polygon_quadrature  # noqa: F401  (perfbench/spans.py hook target)
 from .local import ElementBank, _at, _check_finite, smooth_rule_degree
 from .local import projector_set  # noqa: F401  (perfbench/spans.py hook target)
-from .mesh import element_geometry, take
+from .mesh import _real, element_geometry, take
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,9 @@ class SolutionProjection:
     def cell_value(self, cell, points):
         """L2 projection on ``cell`` at ``points`` (n, 2), in the basis of
         the cell's own geometry (its bank row's, bit for bit).  ``points``
-        that are not an (n, 2) real array raise ``ValueError`` naming
-        them."""
-        pts = np.asarray(points)
-        if pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be an (n, 2) real array, got "
-                             f"dtype {pts.dtype} and shape {pts.shape}")
+        that are not an (n, 2) finite real array raise ``ValueError``
+        naming them."""
+        pts = _real(points, "points", "an (n, 2) real array", (-1, 2))
         return monomial_values(element_geometry(self.bank.mesh, cell),
                                pts, self.bank.k) @ self.coeffs[cell]
 
@@ -89,14 +86,10 @@ def project_solution(bank, u):
     stacked product with its ``operators``.
     """
     dofmap = build_dofmap(bank.mesh, bank.k)
-    u = np.asarray(u)
-    if u.dtype.kind not in "iuf":
-        raise ValueError(f"u must be a real DoF vector, got dtype {u.dtype}")
+    u = _real(u, "u", "a real DoF vector")
     if u.shape != (dofmap.n_dofs,):
         raise ValueError(
             f"u has shape {u.shape}, expected ({dofmap.n_dofs},)")
-    if not np.isfinite(u).all():
-        raise ValueError(f"u[{np.argmax(~np.isfinite(u))}] is not finite")
     nk, nkm1 = n_poly(bank.k), n_poly(bank.k - 1)
     snaps = np.empty((bank.mesh.num_cells, nk + 2 * nkm1))
     for chunk in bank.chunks:
@@ -206,23 +199,13 @@ def _contains(coords, p, tol):
     return inside
 
 
-def _as_point(point):
-    """``point`` as a float array of shape (2,); ``ValueError`` naming it
-    if it is not two real coordinates."""
-    p = np.asarray(point)
-    if p.dtype.kind not in "iuf" or p.shape != (2,):
-        raise ValueError(f"point must be two real coordinates (x, y), got "
-                         f"{point!r}")
-    return p.astype(float)
-
-
 def locate_cell(mesh, point):
     """Index of the first cell containing ``point`` (boundary-inclusive).
 
     Only cells whose bounding box, widened by twice the containment
     tolerance, holds the point are tested, in ascending index order.
     """
-    p = _as_point(point)
+    p = _real(point, "point", "two real coordinates (x, y)", (2,))
     span = np.ptp(mesh.vertices, axis=0).max()
     tol = 1e-12 * span
     coords = mesh.vertices[mesh.rings]
@@ -242,7 +225,7 @@ def point_error(projection, point, p_ex):
     incident cell is used.  A ``p_ex`` that is not finite, or is 0, at the
     point raises ``ValueError`` naming the cell.
     """
-    p = _as_point(point)
+    p = _real(point, "point", "two real coordinates (x, y)", (2,))
     cell = locate_cell(projection.bank.mesh, p)
     value = projection.cell_value(cell, p[None, :])[0]
     exact = float(_at("p_ex", p_ex, p))

@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .local import Coefficients, _real, check_degree
+from .local import Coefficients, check_degree
+from .mesh import _real
 
 TWO_PI = 2.0 * np.pi
 
@@ -155,5 +156,5 @@ def polynomial_problem(k, kappa=((2.0, 0.5), (0.5, 1.5))):
 
 def constant_problem(value=2.0, gamma=1.0, kappa=1.0):
     """Problem whose exact solution is a constant: f = gamma * value."""
-    return _patch_problem("constant", [[_real("value", value, scalar=True)]],
-                          kappa, gamma)
+    value = _real(value, "constant value", "a real scalar", ())
+    return _patch_problem("constant", [[value]], kappa, gamma)
