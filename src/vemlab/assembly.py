@@ -21,10 +21,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .basis import n_poly
-from .local import (ElementBank, _linalg, check_degree, internal_moments,
-                    mesh_elements, skeleton_dofs)
+from .local import (ElementBank, _as_function, _linalg, check_degree,
+                    internal_moments, mesh_elements, skeleton_dofs)
 from .local import dof_layout, local_system  # noqa: F401  (perfbench/spans.py hook targets)
-from .mesh import _real, geometry_stacks
+from .mesh import geometry_stacks
 from .mesh import element_geometry  # noqa: F401  (perfbench/spans.py hook target)
 
 
@@ -265,12 +265,9 @@ def apply_dirichlet(system, g):
     Returns ``system`` with ``lifting`` and ``rhs`` updated.
     """
     dofmap, mesh = system.dofmap, system.bank.mesh
-    gv = g if callable(g) else (
-        lambda x, y, c=_real(g, "g", "callable or a real scalar", ()): c)
-
     # in the order of dofmap.boundary_dofs
     values, moments = skeleton_dofs(
-        gv, mesh.vertices[mesh.boundary_vertices],
+        _as_function(g, "g"), mesh.vertices[mesh.boundary_vertices],
         mesh.vertices[mesh.edge_vertices[mesh.boundary_edges()]], dofmap.k,
         "g")
     lift = np.zeros(dofmap.n_dofs)
@@ -401,8 +398,8 @@ def _solve_reduced(A, rhs):
 
 
 def interpolate(mesh, k, v):
-    """Global DoF vector of a smooth function ``v(x, y)``, in the
-    numbering of :func:`build_dofmap` on ``mesh``.
+    """Global DoF vector of a smooth function ``v(x, y)``, or of a real
+    constant ``v``, in the numbering of :func:`build_dofmap` on ``mesh``.
 
     Every DoF is computed once, as :func:`vemlab.local.interpolate_dofs`
     computes it: the vertex values and edge moments in one
@@ -411,6 +408,7 @@ def interpolate(mesh, k, v):
     ``v`` and the first such DoF's vertex, edge or cell.
     """
     check_degree(k)
+    v = _as_function(v, "v")
     values, moments = skeleton_dofs(
         v, mesh.vertices, mesh.vertices[mesh.edge_vertices], k)
     internal = np.empty((mesh.num_cells, n_poly(k - 2)))

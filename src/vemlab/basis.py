@@ -36,15 +36,12 @@ def derivative_table(degree, axis):
     """Matrix sending P_degree coefficients to P_{degree-1} coefficients of
     the axis-derivative, for the unscaled monomials (h = 1); the scaled
     ones take :func:`monomial_derivatives`.  Read-only."""
-    lower = monomial_exponents(degree - 1) if degree >= 1 \
-        else np.empty((0, 2), dtype=np.int64)
-    low_index = {(int(a), int(b)): i for i, (a, b) in enumerate(lower)}
-    D = np.zeros((lower.shape[0], n_poly(degree)))
-    for i, (ax, ay) in enumerate(monomial_exponents(degree)):
-        if axis == 0 and ax >= 1:
-            D[low_index[(int(ax) - 1, int(ay))], i] = ax
-        elif axis == 1 and ay >= 1:
-            D[low_index[(int(ax), int(ay) - 1)], i] = ay
+    a, b = monomial_exponents(degree).T
+    power, d = (a, b)[axis], a + b - 1
+    cols = np.flatnonzero(power)
+    D = np.zeros((n_poly(degree - 1), n_poly(degree)))
+    # in graded order x^a y^b is entry (a + b)(a + b + 1)/2 + b
+    D[(d * (d + 1) // 2 + b - axis)[cols], cols] = power[cols]
     D.flags.writeable = False
     return D
 
@@ -74,12 +71,9 @@ def edge_reconstruction(k):
     (1/|e|) int_e q t^j ds for j = 0..k-2.  The system matrix is the
     Vandermonde of those functionals on the t-monomials.
     """
-    m = np.arange(k + 1)
-    rows = [(-1.0) ** m, np.ones(k + 1)]
-    for j in range(k - 1):
-        row = np.where((m + j) % 2 == 0, 1.0 / (m + j + 1), 0.0)
-        rows.append(row)
-    return np.linalg.inv(np.array(rows))
+    m, j = np.arange(k + 1), np.arange(k - 1)[:, None]
+    moments = np.where((m + j) % 2 == 0, 1.0 / (m + j + 1), 0.0)
+    return np.linalg.inv(np.vstack([(-1.0) ** m, np.ones(k + 1), moments]))
 
 
 @dataclass(frozen=True)

@@ -219,19 +219,19 @@ def _trace_tables(nv, k):
     (``forward``) agrees with it.
     """
     layout = element_layout(nv, k)
-    R = edge_reconstruction(k)
     t, _ = _gauss(k + 1)
-    P = np.vander(t, k + 1, increasing=True)
-    out = np.empty((nv, 2, k + 1, layout.n_dofs))
-    for e in range(nv):
-        va, vb = e, (e + 1) % nv
-        for forward, (v_start, v_end) in enumerate(((vb, va), (va, vb))):
-            data = np.zeros((k + 1, layout.n_dofs))
-            data[0, layout.vertex_slot(v_start)] = 1.0
-            data[1, layout.vertex_slot(v_end)] = 1.0
-            for j in range(k - 1):
-                data[2 + j, layout.edge_slot(e, j)] = 1.0
-            out[e, forward] = P @ (R @ data)
+    # column c: the trace of edge data c (start value, end value, moments)
+    traces = np.vander(t, k + 1, increasing=True) @ edge_reconstruction(k)
+    # the slots of those data on edge e, which starts at e + 1 when the
+    # ring runs against the canonical direction (forward = 0)
+    e = np.arange(nv)
+    start = layout.vertex_slot(np.column_stack([(e + 1) % nv, e]))
+    slots = np.concatenate([
+        start[..., None], start[:, ::-1, None],
+        np.broadcast_to(layout.edge_slot(e[:, None, None], np.arange(k - 1)),
+                        (nv, 2, k - 1))], axis=2)
+    out = np.zeros((nv, 2, k + 1, layout.n_dofs))
+    out[e[:, None, None], np.arange(2)[:, None], :, slots] = _t(traces)
     out.flags.writeable = False
     return out
 
@@ -356,9 +356,8 @@ def _projectors(geometry, k, rule):
                    @ V_edge[:, :, None])[..., 0, :]
     D[:, nv:first_int] = (moment_rows / lengths[:, :, None, None]).reshape(
         n_cells, nv * (k - 1), nk)
-    if nkm2:
-        # the internal-moment DoF basis is the computational basis
-        D[:, first_int:] = H[:, :nkm2] / area
+    # the internal-moment DoF basis is the computational basis
+    D[:, first_int:] = H[:, :nkm2] / area
 
     # Moments (m, d v / dx) and (m, d v / dy), m in P_{k-1}, by parts:
     # interior term from the internal moments (the derivative of a P_{k-1}
@@ -370,10 +369,9 @@ def _projectors(geometry, k, rule):
     Dx, Dy = monomial_derivatives(geometry, k)
     rx = np.zeros((n_cells, nkm1, nd))
     ry = np.zeros((n_cells, nkm1, nd))
-    if nkm2:
-        # the internal-moment DoF basis is the computational basis
-        for r, d in zip((rx, ry), monomial_derivatives(geometry, k - 1)):
-            r[:, :, first_int:] -= area * _t(d)
+    # the internal-moment DoF basis is the computational basis
+    for r, d in zip((rx, ry), monomial_derivatives(geometry, k - 1)):
+        r[:, :, first_int:] -= area * _t(d)
     nx, ny = normals[..., 0, None, None], normals[..., 1, None, None]
     moment = _t(V_edge[..., :nkm1]) @ (wts[..., None] * traces)
     mean_dof = (wts[:, :, None, :] @ traces)[:, :, 0] / perimeter[:, None]
@@ -394,9 +392,8 @@ def _projectors(geometry, k, rule):
 
     # L2 projectors: exact moments up to k-2, energy-projected above.
     mu = np.zeros((n_cells, nk, nd))
-    if nkm2:
-        # the internal-moment DoF basis is the computational basis
-        mu[:, :nkm2, first_int:] = area * np.eye(nkm2)
+    # the internal-moment DoF basis is the computational basis
+    mu[:, :nkm2, first_int:] = area * np.eye(nkm2)
     mu[:, nkm2:] = H[:, nkm2:] @ PiNabla
     Pi0k = _linalg(np.linalg.solve, "L2 projector mass", geometry, H, mu)
     Pi0k += (np.eye(nk) - Pi0k @ D) @ Pi0k
@@ -755,6 +752,14 @@ def local_system(geom, k, coeffs, mode="standard"):
     return take(_one_element(geom, k, coeffs, mode).forms, 0)
 
 
+def _as_function(v, name):
+    """``v`` if it is callable, else the function of (x, y) constant at
+    ``v``; a ``v`` that is not a finite real scalar raises ValueError
+    naming it ``name``."""
+    return v if callable(v) else (
+        lambda x, y, c=_real(v, name, "callable or a real scalar", ()): c)
+
+
 def skeleton_dofs(v, vertices, edges, k, name="v"):
     """Vertex and edge DoFs of a smooth function ``v(x, y)``: its values at
     ``vertices`` (N, 2) and its moments ``(1/|e|) int_e v t^j ds``, j < k - 1,
@@ -793,11 +798,12 @@ def internal_moments(geometry, k, v):
 
 
 def interpolate_dofs(geom, k, v):
-    """DoF vector of a smooth function on the one cell ``geom``, a
-    :class:`GeometryStack` row: :func:`skeleton_dofs`, then the
-    :func:`internal_moments`.  A DoF that is not finite raises
+    """DoF vector of a smooth function, or of a real constant, on the one
+    cell ``geom``, a :class:`GeometryStack` row: :func:`skeleton_dofs`,
+    then the :func:`internal_moments`.  A DoF that is not finite raises
     ``ValueError`` naming ``v``, the element and the DoF's local slot."""
     check_degree(k)
+    v = _as_function(v, "v")
     edges = np.stack([geom.vertices, np.roll(geom.vertices, -1, axis=0)], 1)
     edges[~geom.edge_forward] = edges[~geom.edge_forward, ::-1]
     values, moments = skeleton_dofs(v, geom.vertices, edges, k)

@@ -332,12 +332,20 @@ def polygon_geometry(coords, forward=None):
     :class:`GeometryStack`.
 
     Without mesh context every edge is taken in ring direction
-    (``forward=True``) unless explicit flags are given.
+    (``forward=True``) unless explicit flags are given, one boolean per
+    vertex.  A coordinate that is not finite, or flags that are not such,
+    raise ``MeshError`` naming them.
     """
     coords = _entries(coords, "coords", "iuf")
-    if forward is None:
-        forward = np.ones(coords.shape[0], dtype=bool)
-    geometry = stack_geometry(coords[None], np.asarray(forward)[None])
+    bad = np.argwhere(~np.isfinite(coords))
+    if len(bad):
+        raise MeshError(f"coords{bad[0].tolist()} is not finite")
+    flags = np.ones(len(coords), dtype=bool) if forward is None \
+        else np.asarray(forward)
+    if flags.dtype.kind != "b" or flags.shape != (len(coords),):
+        raise MeshError("forward must be one boolean per vertex, got "
+                        f"{reprlib.repr(forward)}")
+    geometry = stack_geometry(coords[None], flags[None])
     if not geometry.area[0] > 0.0:
         raise MeshError("polygon is degenerate or not counterclockwise")
     if np.any(np.all(coords == np.roll(coords, -1, axis=0), axis=1)):

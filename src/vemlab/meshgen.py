@@ -194,11 +194,10 @@ def concave_mesh(n_per_side):
 def voronoi_mesh(spec):
     """Voronoi diagram of random seed points, clipped to the unit square.
 
-    Applies ``spec.iterations`` Lloyd iterations to the seeds first.
-    Duplicate seed draws are retried with fresh randomness (at most 10
-    times).
+    Applies ``spec.iterations`` Lloyd iterations to the seeds first, by
+    :func:`lloyd_relax`, whose checks the drawn seeds pass as given ones do.
     """
-    return _mesh_from_rings(*relax_points(_draw_seeds(spec), spec.iterations)[2])
+    return lloyd_relax(_draw_seeds(spec), spec.iterations)
 
 
 def lloyd_relax(seeds, iterations):
@@ -285,11 +284,7 @@ def _draw_seeds(spec):
     # PCG64 named explicitly, so seeds stay reproducible if NumPy's default
     # bit generator changes
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    for attempt in range(10):
-        pts = rng.uniform(0.0, 1.0, size=(spec.target_cells, 2))
-        if len(np.unique(pts, axis=0)) == spec.target_cells:
-            return pts
-    raise MeshError("could not draw distinct seed points")
+    return rng.uniform(0.0, 1.0, size=(spec.target_cells, 2))
 
 
 def _members(pts, band=None):

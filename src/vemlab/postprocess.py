@@ -144,7 +144,7 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
     nkm1 = n_poly(projection.bank.k - 1)
     seen = None
     for chunk in projection.bank.chunks:
-        geometry, classes = chunk.geometry, chunk.classes
+        geometry = chunk.geometry
         part = geometry.cells
         pts, w = map_rule(chunk.triangles, ex)
         p_vals = _at("p_ex", p_ex, pts)
@@ -154,10 +154,7 @@ def _cell_error_parts(projection, p_ex, grad_p_ex, ex):
             seen, n = chunk.operators, len(chunk.operators)
             table = monomial_values(take(geometry, slice(n)), pts[:n],
                                     projection.bank.k)
-        # a chunk whose cells are its group's classes, in order (every
-        # Voronoi chunk), reads the table itself instead of a copy
-        V = (table if np.array_equal(classes, np.arange(len(table)))
-             else table[classes])
+        V = table[chunk.classes]
         ph = (V @ projection.coeffs[part][..., None])[..., 0]
         # graded order: the degree-(k-1) monomials are the first columns
         gh = V[..., :nkm1] @ projection.grad_coeffs[part]

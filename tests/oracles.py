@@ -955,6 +955,22 @@ def _derivative_map_per_cell(geom, degree, axis):
     return D
 
 
+def derivative_table_per_entry(degree, axis):
+    """``vemlab.basis.derivative_table`` entry by entry: each monomial's
+    derivative looked up by its exponents among the lower degree's."""
+    from vemlab.basis import monomial_exponents, n_poly
+
+    low = {tuple(e): i
+           for i, e in enumerate(monomial_exponents(degree - 1).tolist())}
+    D = np.zeros((n_poly(degree - 1), n_poly(degree)))
+    for i, e in enumerate(monomial_exponents(degree).tolist()):
+        if e[axis]:
+            lower = list(e)
+            lower[axis] -= 1
+            D[low[tuple(lower)], i] = e[axis]
+    return D
+
+
 def _laplacian_map_per_cell(geom, degree):
     from vemlab.basis import monomial_exponents, n_poly
 
@@ -1000,6 +1016,40 @@ def map_rule_axis_pairs(tris, exactness):
     wts = ref_w * area2
     lead = tris.shape[:-3]
     return pts.reshape(lead + (-1, 2)), wts.reshape(lead + (-1,))
+
+
+def edge_reconstruction_per_row(k):
+    """``vemlab.basis.edge_reconstruction`` from its functionals built one
+    row and one entry at a time: the values at t = -1 and t = +1 of t^m,
+    then its moments (1/2) int_{-1}^{1} t^(m + j) dt, j = 0..k-2."""
+    rows = [[(-1.0) ** m for m in range(k + 1)], [1.0] * (k + 1)]
+    for j in range(k - 1):
+        rows.append([1.0 / (m + j + 1) if (m + j) % 2 == 0 else 0.0
+                     for m in range(k + 1)])
+    return np.linalg.inv(np.array(rows))
+
+
+def trace_tables_per_edge(nv, k):
+    """``vemlab.local._trace_tables`` edge by edge and direction by
+    direction: the edge's data picked out of the DoFs by a 0/1 matrix,
+    then reconstructed and evaluated at the Gauss points, P @ (R @ data)."""
+    from vemlab.basis import _gauss, edge_reconstruction, n_poly
+
+    nd = nv * k + n_poly(k - 2)
+    R = edge_reconstruction(k)
+    t, _ = _gauss(k + 1)
+    P = np.vander(t, k + 1, increasing=True)
+    out = np.empty((nv, 2, k + 1, nd))
+    for e in range(nv):
+        va, vb = e, (e + 1) % nv
+        for forward, (v_start, v_end) in enumerate(((vb, va), (va, vb))):
+            data = np.zeros((k + 1, nd))
+            data[0, v_start] = 1.0
+            data[1, v_end] = 1.0
+            for j in range(k - 1):
+                data[2 + j, nv + e * (k - 1) + j] = 1.0
+            out[e, forward] = P @ (R @ data)
+    return out
 
 
 def _edge_traces_per_cell(geom, k):

@@ -647,6 +647,16 @@ class TestDirichlet:
                 d = interpolate(mesh, k, p_ex)
                 assert np.array_equal(system.lifting[bb], d[bb])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
+    def test_interpolate_takes_a_constant(self, family, k):
+        # as apply_dirichlet takes a constant g
+        mesh = MESHES[family]
+        got = interpolate(mesh, k, 2.0)
+        assert got.tobytes() == interpolate(
+            mesh, k, lambda x, y: 2.0 + 0 * x).tobytes()
+        assert got.tobytes() == interpolate(mesh, k, np.int64(2)).tobytes()
+
     def test_constant_solution_reproduced(self):
         # g = 2 with f = gamma * 2 and no advection keeps the constant.
         mesh = MESHES["lloyd0"]

@@ -17,10 +17,12 @@ from vemlab.mesh import (MeshError, element_geometry, geometry_stacks,
 from vemlab.meshgen import (GeneratorSpec, concave_mesh, generate,
                             square_mesh, voronoi_mesh)
 
-from oracles import (cell_rings, edge_quadrature, fd_gradient,
-                     green_monomial_integral, map_rule_axis_pairs,
-                     monomial_values, random_polygon_bank,
-                     subdivision_integrate, triangulate_per_cell)
+from oracles import (cell_rings, derivative_table_per_entry,
+                     edge_quadrature, edge_reconstruction_per_row,
+                     fd_gradient, green_monomial_integral,
+                     map_rule_axis_pairs, monomial_values,
+                     random_polygon_bank, subdivision_integrate,
+                     triangulate_per_cell)
 
 SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 LSHAPE = polygon_geometry(
@@ -68,6 +70,13 @@ class TestMonomialOrdering:
 
 
 class TestDerivativeMaps:
+    @pytest.mark.parametrize("degree", range(-1, 7))
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_table_matches_per_entry_construction(self, degree, axis):
+        got = derivative_table(degree, axis)
+        ref = derivative_table_per_entry(degree, axis)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_pointwise_gradient(self, axis):
         D = derivative_table(4, axis) / LSHAPE.diameter
@@ -395,6 +404,12 @@ class TestEdgeQuadrature:
 
 
 class TestEdgeBasis:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_reconstruction_matches_row_by_row_construction(self, k):
+        got = edge_reconstruction(k)
+        ref = edge_reconstruction_per_row(k)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_reconstruction_recovers_polynomials(self, k):
         rng = np.random.default_rng(k)

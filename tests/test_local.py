@@ -13,7 +13,8 @@ from vemlab.basis import (QuadratureRule, derivative_table, map_rule,
                           monomial_exponents, n_poly, polygon_quadrature,
                           triangulate, triangulate_stack)
 from vemlab.local import (Coefficients, ElementStack, _form_tables,
-                          _local_forms, _projectors, cell_bytes, dof_layout,
+                          _local_forms, _projectors, _trace_tables,
+                          cell_bytes, dof_layout,
                           element_bank, internal_moments, interpolate_dofs, local_system,
                           mesh_elements, projector_set, rule_degree,
                           shape_classes)
@@ -30,7 +31,8 @@ from oracles import (cell_rings, edge_quadrature, element_geometry_per_cell,
                      interpolate_dofs_per_cell, local_forms_point_tables,
                      local_system_per_cell, monomial_values,
                      projector_set_per_cell, q1_stiffness, quadrature_per_cell,
-                     shape_classes_per_part, subdivision_integrate)
+                     shape_classes_per_part, subdivision_integrate,
+                     trace_tables_per_edge)
 
 UNIT_SQUARE = polygon_geometry([[0, 0], [1, 0], [1, 1], [0, 1]])
 PENTAGON = polygon_geometry(
@@ -105,6 +107,17 @@ def _degree_entry_points():
 DEGREE_ENTRY_POINTS = _degree_entry_points()
 
 
+class TestTraceTables:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_match_per_edge_selection(self, k):
+        # one product P @ R placed at each edge's slots, against each
+        # edge's data selected from the DoFs and reconstructed
+        for nv in range(3, 16):
+            got, ref = _trace_tables(nv, k), trace_tables_per_edge(nv, k)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert not got.flags.writeable
+
+
 class TestCheckDegree:
     @pytest.mark.parametrize("k", [0, 2.0, True], ids=repr)
     @pytest.mark.parametrize("entry", sorted(DEGREE_ENTRY_POINTS))
@@ -135,6 +148,13 @@ class TestInterpolateDofs:
             # Centered linear monomials integrate to zero over the cell.
             assert abs(d[lay.n_vertices * lay.k + 1]) < 1e-14
             assert abs(d[lay.n_vertices * lay.k + 2]) < 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_takes_a_constant(self, k):
+        for geom in CELLS:
+            got = interpolate_dofs(geom, k, 2.0)
+            assert got.tobytes() == interpolate_dofs(
+                geom, k, lambda x, y: 2.0 + 0 * x).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_monomials_reproduce_dof_table(self, k):
@@ -564,6 +584,30 @@ class TestLocalSystem:
         a = local_system(PENTAGON, k, coeffs, mode="standard").Ah
         b = local_system(PENTAGON, k, coeffs, mode="grad_pinabla").Ah
         assert np.abs(a - b).max() > 1e-6 * np.abs(a).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["square", "concave", "lloyd0"])
+    def test_modes_differ_beyond_the_lowest_order(self, family, k):
+        # the paper's third claim: at kappa = I the method is the original
+        # VEM (grad_pinabla) only at the lowest order; on squares the two
+        # diffusion forms also agree at k = 2.  The largest over cells of
+        # max|Ah_standard - Ah_grad_pinabla| / max|Ah_standard| read 0 at
+        # k = 1, 1.3e-16 on squares at k = 2, and 4.6e-3 to 2.9e-1 in every
+        # other case.  The mode changes the diffusion form only.
+        mesh = generate(GeneratorSpec(family, 25, seed=0))
+        coeffs = Coefficients.constant(kappa=1.0, f=1.0)
+        rel = 0.0
+        for a, b in zip(mesh_elements(mesh, k, coeffs, "standard"),
+                        mesh_elements(mesh, k, coeffs, "grad_pinabla")):
+            for name in ("Bh", "Ch", "f_loc"):
+                assert (getattr(a.forms, name).tobytes()
+                        == getattr(b.forms, name).tobytes())
+            diff = np.abs(a.forms.Ah - b.forms.Ah).max(axis=(1, 2))
+            rel = max(rel, (diff / np.abs(a.forms.Ah).max(axis=(1, 2))).max())
+        if k == 1 or (k, family) == (2, "square"):
+            assert rel <= 1e-13
+        else:
+            assert rel > 1e-3
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_grad_pinabla_polynomial_consistency_scalar_kappa(self, k):

@@ -236,6 +236,22 @@ class TestLloyd:
         with pytest.raises(MeshError, match="seed array is empty"):
             lloyd_relax(np.zeros((0, 2)), iterations)
 
+    @pytest.mark.parametrize("family", ["lloyd0", "lloyd100"])
+    @pytest.mark.parametrize("seeds, message", [
+        ([[0.0, 0.5], [0.6, 0.5], [0.3, 0.8]],
+         "seed 0 at (0.0, 0.5) lies on a side of the unit square"),
+        ([[0.2, 0.2], [0.6, 0.5], [0.2, 0.2]],
+         "seeds 0 and 2 coincide at (0.2, 0.2)")],
+        ids=["on_a_side", "repeated"])
+    def test_drawn_seeds_meet_the_explicit_seeds_checks(self, seeds, message,
+                                                        family, monkeypatch):
+        # a generated Voronoi mesh is lloyd_relax of its drawn seeds; a
+        # draw on a side used to mesh silently
+        monkeypatch.setattr(meshgen, "_draw_seeds",
+                            lambda spec: np.array(seeds))
+        with pytest.raises(MeshError, match=re.escape(message)):
+            generate(GeneratorSpec(family, 3))
+
     @pytest.mark.parametrize("build", [
         lambda: generate(GeneratorSpec("lloyd100", 25)),
         lambda: generate(GeneratorSpec("lloyd0", 25)),

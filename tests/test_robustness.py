@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from vemlab.assembly import apply_dirichlet, assemble, interpolate
-from vemlab.local import Coefficients, element_bank
+from vemlab.local import Coefficients, element_bank, interpolate_dofs
 from vemlab.mesh import MeshError, polygon_geometry
 from vemlab.meshgen import lloyd_relax, square_mesh
 from vemlab.postprocess import locate_cell, point_error, project_solution
@@ -127,6 +127,22 @@ CASES = {
                           r"^g must be callable or a real scalar, got "),
     "dirichlet_nan": (lambda: _dirichlet(np.nan), ValueError,
                       r"^g is not finite$"),
+    # a constant to interpolate, taken as the Dirichlet datum is
+    "interpolate_bool": (lambda: interpolate(_mesh(), 2, True), ValueError,
+                         r"^v must be callable or a real scalar, got True$"),
+    "interpolate_string": (lambda: interpolate(_mesh(), 2, "1"), ValueError,
+                           r"^v must be callable or a real scalar, got '1'$"),
+    "interpolate_pair": (
+        lambda: interpolate(_mesh(), 2, [1, 2]), ValueError,
+        r"^v must be callable or a real scalar, got \[1, 2\]$"),
+    "interpolate_nan": (lambda: interpolate(_mesh(), 2, np.nan), ValueError,
+                        r"^v is not finite$"),
+    "interpolate_dofs_bool": (
+        lambda: interpolate_dofs(polygon_geometry(SQUARE), 2, True),
+        ValueError, r"^v must be callable or a real scalar, got True$"),
+    "interpolate_dofs_nan": (
+        lambda: interpolate_dofs(polygon_geometry(SQUARE), 2, np.nan),
+        ValueError, r"^v is not finite$"),
     # mesh input keeps MeshError
     "lloyd_relax_ragged_seeds": (
         lambda: lloyd_relax([[0.3, 0.3], [0.7]], 1), MeshError,
@@ -146,6 +162,21 @@ CASES = {
     "polygon_geometry_string": (
         lambda: polygon_geometry([["0", "0"], *SQUARE[1:]]), MeshError,
         r"^coords holds an entry that is not a number$"),
+    "polygon_geometry_inf": (
+        lambda: polygon_geometry([[0.0, 0.0], [np.inf, 0.0], *SQUARE[2:]]),
+        MeshError, r"^coords\[1, 0\] is not finite$"),
+    "polygon_geometry_nan": (
+        lambda: polygon_geometry([*SQUARE[:2], [1.0, np.nan], SQUARE[3]]),
+        MeshError, r"^coords\[2, 1\] is not finite$"),
+    "polygon_geometry_int_forward": (
+        lambda: polygon_geometry(SQUARE, [1, 2]), MeshError,
+        r"^forward must be one boolean per vertex, got \[1, 2\]$"),
+    "polygon_geometry_string_forward": (
+        lambda: polygon_geometry(SQUARE, "ab"), MeshError,
+        r"^forward must be one boolean per vertex, got 'ab'$"),
+    "polygon_geometry_short_forward": (
+        lambda: polygon_geometry(SQUARE, [True] * 3), MeshError,
+        r"^forward must be one boolean per vertex, got \[True, True, True\]$"),
     "polygon_geometry_three_columns": (
         lambda: polygon_geometry([[x, y, 0.0] for x, y in SQUARE]), MeshError,
         r"^coords must be an \(n, 2\) array of points, got shape \(4, 3\)$"),
